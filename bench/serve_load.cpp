@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
       opts.mfp.batched = batched;
       const auto& solver =
           *solo_zoo[static_cast<std::size_t>(req.zoo_index)].solver;
-      // Poisson requests delegate to mosaic_predict inside (bitwise the
-      // pre-scenario baseline); scenario requests condition on req.field.
+      // One driver for every tenant: a Poisson field is mosaic_predict
+      // exactly; scenario requests condition on req.field.
       mosaic::mosaic_predict_scenario(solver, req.field, req.nx_cells,
                                       req.ny_cells, req.boundary, opts);
     }

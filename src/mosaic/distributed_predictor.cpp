@@ -1,14 +1,15 @@
 #include "mosaic/distributed_predictor.hpp"
 
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <stdexcept>
+#include <string>
 
-#include "ad/kernels.hpp"
-#include "util/timing.hpp"
+#include "mosaic/solve_job.hpp"
 
 namespace mf::mosaic {
 
@@ -56,10 +57,17 @@ constexpr std::size_t kMaxHaloBacklog = 64;
 
 double resolve_halo_timeout_ms(const MfpOptions& options) {
   if (options.halo_timeout_ms >= 0) return options.halo_timeout_ms;
-  if (const char* v = std::getenv("MF_HALO_TIMEOUT_MS")) {
-    if (*v != '\0') return std::atof(v);
+  const char* v = std::getenv("MF_HALO_TIMEOUT_MS");
+  if (!v || *v == '\0') return -1;  // blocking exchange (pre-deadline behavior)
+  char* end = nullptr;
+  errno = 0;
+  const double ms = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(ms) ||
+      ms < 0) {
+    throw std::invalid_argument(std::string("MF_HALO_TIMEOUT_MS='") + v +
+                                "': want a non-negative number of milliseconds");
   }
-  return -1;  // blocking exchange (pre-deadline behavior)
+  return ms;
 }
 
 }  // namespace
@@ -95,20 +103,23 @@ DistMfpResult distributed_mosaic_predict(
   // its window (the global boundary is problem input known to all ranks).
   LatticeWindow window(L.wx0, L.wy0, L.wx1, L.wy1);
   {
-    linalg::Grid2D init(nx_cells + 1, ny_cells + 1);
-    linalg::apply_perimeter(init, global_boundary);
-    if (options.init == LatticeInit::kCoons) coons_init(init);
+    const LatticeWindow init =
+        initial_lattice(nx_cells, ny_cells, global_boundary, options.init);
     for (int64_t gy = L.wy0; gy <= L.wy1; ++gy)
       for (int64_t gx = L.wx0; gx <= L.wx1; ++gx)
         window.at(gx, gy) = init.at(gx, gy);
   }
+  SolveJob job(solver, geom, nx_cells, ny_cells, std::move(window), options,
+               {L.ci_x0, L.ci_x1, L.ci_y0, L.ci_y1});
+  LatticeWindow& win = job.window();
 
   DistMfpResult result;
   comm.stats().reset();
   // Outgoing dirty writes per direction, accumulated between halo
   // exchanges (flushed every options.halo_every iterations).
   std::array<std::vector<double>, comm::kNumDirections> pending;
-  double cycle_num = 0, cycle_den = 0;
+  std::vector<DirtyWrite> writes;
+  SolveTimes times;
 
   // Deadline-aware halo exchange: with a timeout configured, each
   // direction keeps a queue of outstanding receives (oldest first). A
@@ -129,20 +140,20 @@ DistMfpResult distributed_mosaic_predict(
     for (std::size_t k = 0; k + 2 < packed.size(); k += 3) {
       const int64_t gx = static_cast<int64_t>(packed[k]);
       const int64_t gy = static_cast<int64_t>(packed[k + 1]);
-      if (window.contains(gx, gy)) window.at(gx, gy) = packed[k + 2];
+      if (win.contains(gx, gy)) win.at(gx, gy) = packed[k + 2];
     }
+  };
+  // Convergence (lines 5-8): both stopping rules reduce over all ranks,
+  // so every rank leaves the loop at the same iteration.
+  const Reduce allreduce = [&comm](double* v, std::size_t n) {
+    comm.allreduce_sum(v, n);
   };
 
   // ---- iteration loop (Algorithm 2, lines 2-9) ----
-  for (int64_t iter = 0; iter < options.max_iters; ++iter) {
-    const int64_t phase = iter % 4;
-    auto corners = phase_corners(phase, h, m, nx_cells, ny_cells, L.ci_x0,
-                                 L.ci_x1, L.ci_y0, L.ci_y1);
-    PhaseResult pr =
-        update_subdomains(window, solver, geom, corners, options.batched,
-                          /*collect_writes=*/true, options.relaxation);
-    result.timings.inference_seconds += pr.inference_seconds;
-    result.timings.boundary_io_seconds += pr.boundary_io_seconds;
+  while (!job.done()) {
+    const int64_t iter = job.iterations();
+    writes.clear();
+    job.step_alone(times, &writes);
 
     // communicate_new_boundaries: route this phase's fresh writes to every
     // neighbor whose window contains them. One message per neighbor per
@@ -156,7 +167,7 @@ DistMfpResult distributed_mosaic_predict(
       if (nr < 0) continue;
       const RankLayout& NL = neighbor_layout[static_cast<std::size_t>(d)];
       auto& outbox = pending[static_cast<std::size_t>(d)];
-      for (const DirtyWrite& w : pr.writes) {
+      for (const DirtyWrite& w : writes) {
         if (w.gx >= NL.wx0 && w.gx <= NL.wx1 && w.gy >= NL.wy0 && w.gy <= NL.wy1) {
           outbox.push_back(static_cast<double>(w.gx));
           outbox.push_back(static_cast<double>(w.gy));
@@ -167,11 +178,10 @@ DistMfpResult distributed_mosaic_predict(
     const bool exchange = (iter + 1) % options.halo_every == 0 ||
                           iter + 1 == options.max_iters;
     // Nonblocking halo: post every receive, then every (buffered) send,
-    // so all eight messages are in flight before any rank blocks.
-    // Already-arrived messages drain opportunistically while the local
-    // bookkeeping between post and wait runs; the waits only block on
-    // stragglers. Received writes are still applied in fixed direction
-    // order, so the result is bitwise identical to the blocking exchange.
+    // so all eight messages are in flight before any rank blocks. The
+    // waits only block on stragglers. Received writes are applied in
+    // fixed direction order, so the result is bitwise identical to the
+    // blocking exchange.
     if (exchange) {
       for (int d = 0; d < comm::kNumDirections; ++d) {
         const int nr = neighbors[static_cast<std::size_t>(d)];
@@ -189,14 +199,6 @@ DistMfpResult distributed_mosaic_predict(
         comm.isend(nr, pending[static_cast<std::size_t>(d)], kHaloTagBase + d);
         pending[static_cast<std::size_t>(d)].clear();
       }
-    }
-    // Fold this iteration's convergence contribution — when an exchange
-    // is in flight this overlaps the halo messages (pure local
-    // arithmetic, no halo dependency).
-    cycle_num += pr.delta_num;
-    cycle_den += pr.delta_den;
-    result.iterations = iter + 1;
-    if (exchange) {
       comm.progress();
       bool degraded_iter = false;
       for (int d = 0; d < comm::kNumDirections; ++d) {
@@ -241,54 +243,14 @@ DistMfpResult distributed_mosaic_predict(
       }
       if (degraded_iter) ++result.degraded_iterations;
     }
-
-    // Convergence test (lines 5-8): global relative change over a full
-    // 4-phase cycle (single phases can touch too few subdomains for a
-    // meaningful delta).
-    if (phase == 3) {
-      double nums[2] = {cycle_num, cycle_den};
-      comm.allreduce_sum(nums, 2);
-      result.final_delta = nums[1] > 0 ? std::sqrt(nums[0] / nums[1]) : 0.0;
-      cycle_num = cycle_den = 0;
-      if (!std::isfinite(result.final_delta)) {
-        // Health sentinel on the residual: a NaN/Inf delta (solver blowup
-        // or corrupted halo) must never satisfy `< tol`; count it and
-        // keep iterating — fresh updates can still wash the poison out.
-        ++result.health_events;
-      } else if (result.final_delta < options.tol) {
-        break;
-      }
-    }
-
-    if (options.reference && options.target_mae > 0 &&
-        (iter + 1) % options.check_every == 0) {
-      // MAE over owned lattice points, reduced globally. Half-open
-      // ownership avoids double counting shared border lines.
-      const int64_t hx1 = L.ox1 == nx_cells ? L.ox1 : L.ox1 - 1;
-      const int64_t hy1 = L.oy1 == ny_cells ? L.oy1 : L.oy1 - 1;
-      double acc = 0, count = 0;
-      for (int64_t gy = L.oy0; gy <= hy1; ++gy)
-        for (int64_t gx = L.ox0; gx <= hx1; ++gx) {
-          if (gx % h != 0 && gy % h != 0) continue;
-          acc += std::abs(window.at(gx, gy) - options.reference->at(gx, gy));
-          count += 1;
-        }
-      double sums[2] = {acc, count};
-      comm.allreduce_sum(sums, 2);
-      result.mae = sums[0] / std::max(1.0, sums[1]);
-      if (!std::isfinite(result.mae)) {
-        ++result.health_events;
-      } else if (result.mae < options.target_mae) {
-        break;
-      }
-    }
+    job.end_iteration(allreduce);
   }
 
   // Degraded-mode epilogue: drain every straggler before the final
   // interiors so the freshest boundary data feeds them. All ranks leave
-  // the loop at the same iteration (both stopping rules are allreduced),
-  // so every matching send has been posted and a blocking drain cannot
-  // deadlock. Applies stay in per-direction send order (latest wins).
+  // the loop at the same iteration, so every matching send has been
+  // posted and a blocking drain cannot deadlock. Applies stay in
+  // per-direction send order (latest wins).
   for (int d = 0; d < comm::kNumDirections; ++d) {
     auto& queue = outstanding[static_cast<std::size_t>(d)];
     while (!queue.empty()) {
@@ -299,55 +261,12 @@ DistMfpResult distributed_mosaic_predict(
   }
 
   // ---- final interiors (line 10) ----
-  {
-    std::vector<std::pair<int64_t, int64_t>> tiles;
-    for (int64_t gy = L.oy0; gy + m <= L.oy1; gy += m)
-      for (int64_t gx = L.ox0; gx + m <= L.ox1; gx += m) tiles.emplace_back(gx, gy);
-    // Per-rank-thread reusable gather/scatter buffers (shared with the
-    // per-iteration phase updates above).
-    PhaseScratch& scratch = phase_scratch();
-    std::vector<std::vector<double>>& boundaries = scratch.boundaries;
-    boundaries.resize(tiles.size());
-    util::StopwatchAccum inf_time, io_time;
-    {
-      util::ScopedCpuTimer t(io_time);
-      ad::kernels::parallel_for(
-          static_cast<int64_t>(tiles.size()), 4 * m,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t b = begin; b < end; ++b) {
-              const auto [gx, gy] = tiles[static_cast<std::size_t>(b)];
-              subdomain_boundary_into(window, geom, gx, gy,
-                                      boundaries[static_cast<std::size_t>(b)]);
-            }
-          });
-    }
-    std::vector<std::vector<double>>& interiors = scratch.predictions;
-    {
-      util::ScopedCpuTimer t(inf_time);
-      solver.predict(boundaries, geom.interior_queries, interiors);
-    }
-    {
-      util::ScopedCpuTimer t(io_time);
-      // Tiles step by m, so each writes a disjoint interior block.
-      ad::kernels::parallel_for(
-          static_cast<int64_t>(tiles.size()),
-          static_cast<int64_t>(geom.interior_offsets.size()),
-          [&](int64_t begin, int64_t end) {
-            for (int64_t b = begin; b < end; ++b) {
-              const auto [gx, gy] = tiles[static_cast<std::size_t>(b)];
-              for (std::size_t k = 0; k < geom.interior_offsets.size(); ++k) {
-                const auto [di, dj] = geom.interior_offsets[k];
-                const int64_t px = gx + di, py = gy + dj;
-                if (px % h != 0 && py % h != 0) {  // keep iterated lattice values
-                  window.at(px, py) = interiors[static_cast<std::size_t>(b)][k];
-                }
-              }
-            }
-          });
-    }
-    result.timings.inference_seconds += inf_time.total();
-    result.timings.boundary_io_seconds += io_time.total();
-  }
+  job.finish(times);
+  result.iterations = job.iterations();
+  result.final_delta = job.final_delta();
+  result.health_events = job.health_events();
+  result.timings.inference_seconds = times.inference.total();
+  result.timings.boundary_io_seconds = times.boundary_io.total();
 
   // ---- all_gather and averaging (lines 11-12) ----
   {
@@ -359,7 +278,7 @@ DistMfpResult distributed_mosaic_predict(
     block.push_back(static_cast<double>(L.ox1));
     block.push_back(static_cast<double>(L.oy1));
     for (int64_t gy = L.oy0; gy <= L.oy1; ++gy)
-      for (int64_t gx = L.ox0; gx <= L.ox1; ++gx) block.push_back(window.at(gx, gy));
+      for (int64_t gx = L.ox0; gx <= L.ox1; ++gx) block.push_back(win.at(gx, gy));
     auto all = comm.allgatherv(block);
 
     result.solution = linalg::Grid2D(nx_cells + 1, ny_cells + 1);

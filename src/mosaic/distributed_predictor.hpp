@@ -11,7 +11,8 @@
 //   3. allreduces the convergence delta (lines 5-8).
 // After the loop, every rank infers its subdomain interiors and an
 // all_gather assembles the global solution, averaging where processor
-// blocks overlap (lines 10-12).
+// blocks overlap (lines 10-12). Steps 1 and 3 and the interior pass are
+// the solve engine's (solve_job.hpp) over the rank's owned corners.
 #pragma once
 
 #include "comm/cartesian.hpp"

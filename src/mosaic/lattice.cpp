@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "ad/kernels.hpp"
-#include "util/timing.hpp"
 
 namespace mf::mosaic {
 
@@ -35,14 +34,6 @@ SubdomainGeometry::SubdomainGeometry(int64_t m_in) : m(m_in), h(m_in / 2) {
 LatticeWindow::LatticeWindow(int64_t x0, int64_t y0, int64_t x1, int64_t y1)
     : x0_(x0), y0_(y0), x1_(x1), y1_(y1), grid_(x1 - x0 + 1, y1 - y0 + 1) {
   if (x1 <= x0 || y1 <= y0) throw std::invalid_argument("LatticeWindow: empty");
-}
-
-std::vector<double> subdomain_boundary(const LatticeWindow& window,
-                                       const SubdomainGeometry& geom,
-                                       int64_t gx, int64_t gy) {
-  std::vector<double> b;
-  subdomain_boundary_into(window, geom, gx, gy, b);
-  return b;
 }
 
 void subdomain_boundary_into(const LatticeWindow& window,
@@ -106,50 +97,6 @@ void scatter_phase_predictions(
   }
 }
 
-PhaseResult update_subdomains(
-    LatticeWindow& window, const SubdomainSolver& solver,
-    const SubdomainGeometry& geom,
-    const std::vector<std::pair<int64_t, int64_t>>& corners, bool batched,
-    bool collect_writes, double relaxation) {
-  PhaseResult result;
-  if (corners.empty()) return result;
-
-  util::StopwatchAccum io_time, inf_time;
-  // Reused across iterations: inner-buffer capacities survive the resize,
-  // so the steady-state gather performs no allocations.
-  PhaseScratch& scratch = phase_scratch();
-  std::vector<std::vector<double>>& boundaries = scratch.boundaries;
-  boundaries.resize(corners.size());
-  {
-    util::ScopedCpuTimer t(io_time);
-    gather_phase_boundaries(window, geom, corners, boundaries);
-  }
-
-  std::vector<std::vector<double>>& predictions = scratch.predictions;
-  {
-    util::ScopedCpuTimer t(inf_time);
-    if (batched) {
-      solver.predict(boundaries, geom.cross_queries, predictions);
-    } else {
-      predictions.resize(corners.size());
-      for (std::size_t b = 0; b < corners.size(); ++b) {
-        solver.predict_one_into(boundaries[b], geom.cross_queries,
-                                predictions[b]);
-      }
-    }
-  }
-
-  {
-    util::ScopedCpuTimer t(io_time);
-    scatter_phase_predictions(window, geom, corners, predictions, 0,
-                              relaxation, result,
-                              collect_writes ? &result.writes : nullptr);
-  }
-  result.inference_seconds = inf_time.total();
-  result.boundary_io_seconds = io_time.total();
-  return result;
-}
-
 void coons_init(linalg::Grid2D& grid) {
   const int64_t nx = grid.nx(), ny = grid.ny();
   const double c00 = grid.at(0, 0), c10 = grid.at(nx - 1, 0);
@@ -165,20 +112,6 @@ void coons_init(linalg::Grid2D& grid) {
                        (1 - s) * t * c01 + s * t * c11);
     }
   }
-}
-
-double lattice_mae(const LatticeWindow& window, const linalg::Grid2D& reference,
-                   int64_t h, int64_t ox0, int64_t oy0, int64_t ox1, int64_t oy1) {
-  double acc = 0;
-  int64_t count = 0;
-  for (int64_t gy = oy0; gy <= oy1; ++gy) {
-    for (int64_t gx = ox0; gx <= ox1; ++gx) {
-      if (gx % h != 0 && gy % h != 0) continue;  // lattice lines only
-      acc += std::abs(window.at(gx, gy) - reference.at(gx, gy));
-      ++count;
-    }
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0.0;
 }
 
 }  // namespace mf::mosaic

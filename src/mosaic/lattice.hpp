@@ -73,30 +73,24 @@ struct DirtyWrite {
   double value;
 };
 
-/// Outcome of updating one phase's subdomains.
+/// Convergence sums of one phase update.
 struct PhaseResult {
   double delta_num = 0;  // sum (new - old)^2 over written points
   double delta_den = 0;  // sum old^2 over written points
-  std::vector<DirtyWrite> writes;  // filled when collect_writes
-  double inference_seconds = 0;
-  double boundary_io_seconds = 0;
 };
 
-/// Perimeter values of the subdomain with corner (gx, gy), canonical order.
-std::vector<double> subdomain_boundary(const LatticeWindow& window,
-                                       const SubdomainGeometry& geom,
-                                       int64_t gx, int64_t gy);
-
-/// In-place variant: fills `out` (resized to 4m) without surrendering its
-/// capacity, so per-iteration gather loops reuse one buffer per slot.
+/// Perimeter values of the subdomain with corner (gx, gy), canonical
+/// order, into `out` (resized to 4m without surrendering its capacity, so
+/// per-iteration gather loops reuse one buffer per slot).
 void subdomain_boundary_into(const LatticeWindow& window,
                              const SubdomainGeometry& geom, int64_t gx,
                              int64_t gy, std::vector<double>& out);
 
 /// Reusable gather/scatter buffers for the phase-update and interior
-/// prediction loops. Thread-local: each comm rank thread gets its own, and
-/// buffer capacities persist across iterations / Schwarz cycles so the
-/// steady state performs no allocations in the boundary-I/O path.
+/// prediction loops of the solve engine (solve_job.hpp). Thread-local:
+/// each comm rank thread gets its own, and buffer capacities persist
+/// across iterations / Schwarz cycles so the steady state performs no
+/// allocations in the boundary-I/O path.
 struct PhaseScratch {
   std::vector<std::vector<double>> boundaries;
   std::vector<std::vector<double>> predictions;
@@ -114,8 +108,8 @@ void gather_phase_boundaries(
 
 /// Scatter half of a phase update: write `predictions[offset + i]` back
 /// onto the center cross of `corners[i]`, accumulating the convergence
-/// deltas exactly as update_subdomains does (same sequential order, so
-/// the sums are bitwise identical however the batch was formed).
+/// deltas in corner order (so the sums are bitwise identical however the
+/// batch was formed).
 /// `writes` collects the touched points when non-null.
 void scatter_phase_predictions(
     LatticeWindow& window, const SubdomainGeometry& geom,
@@ -124,23 +118,8 @@ void scatter_phase_predictions(
     double relaxation, PhaseResult& result,
     std::vector<DirtyWrite>* writes = nullptr);
 
-/// Solve every subdomain in `corners` with `solver` and write the
-/// center-cross predictions back into the window. `batched == false`
-/// reproduces the paper's unbatched baseline (one SDNet call per
-/// subdomain, Fig. 8).
-PhaseResult update_subdomains(
-    LatticeWindow& window, const SubdomainSolver& solver,
-    const SubdomainGeometry& geom,
-    const std::vector<std::pair<int64_t, int64_t>>& corners, bool batched,
-    bool collect_writes, double relaxation = 1.0);
-
 /// Transfinite (Coons-patch) interpolation of the global boundary into the
 /// domain interior — the predictor's initial lattice state.
 void coons_init(linalg::Grid2D& grid);
-
-/// Mean absolute difference restricted to lattice-line points (x or y a
-/// multiple of h), optionally clipped to a half-open ownership rectangle.
-double lattice_mae(const LatticeWindow& window, const linalg::Grid2D& reference,
-                   int64_t h, int64_t ox0, int64_t oy0, int64_t ox1, int64_t oy1);
 
 }  // namespace mf::mosaic

@@ -1,10 +1,7 @@
 #include "mosaic/predictor.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
-#include "ad/kernels.hpp"
-#include "util/timing.hpp"
+#include "mosaic/scenario_predictor.hpp"
+#include "mosaic/solve_job.hpp"
 
 namespace mf::mosaic {
 
@@ -33,115 +30,26 @@ void predict_interior(const LatticeWindow& window,
                       const SubdomainGeometry& geom, int64_t nx_cells,
                       int64_t ny_cells, linalg::Grid2D& solution,
                       double* inference_seconds, double* boundary_io_seconds) {
-  const int64_t m = geom.m;
-  const int64_t h = geom.h;
-  std::vector<std::pair<int64_t, int64_t>> tiles;
-  for (int64_t gy = 0; gy + m <= ny_cells; gy += m)
-    for (int64_t gx = 0; gx + m <= nx_cells; gx += m) tiles.emplace_back(gx, gy);
-  // Same reusable gather/scatter buffers as the phase updates.
-  PhaseScratch& scratch = phase_scratch();
-  std::vector<std::vector<double>>& boundaries = scratch.boundaries;
-  boundaries.resize(tiles.size());
-  util::StopwatchAccum io_time, inf_time;
+  SolveTimes times;
   {
-    util::ScopedCpuTimer t(io_time);
-    gather_phase_boundaries(window, geom, tiles, boundaries);
-  }
-  std::vector<std::vector<double>>& interiors = scratch.predictions;
-  {
-    util::ScopedCpuTimer t(inf_time);
-    solver.predict(boundaries, geom.interior_queries, interiors);
-  }
-  {
-    util::ScopedCpuTimer t(io_time);
-    // The tiling is non-overlapping, so interior scatter writes disjoint
-    // points per tile.
-    ad::kernels::parallel_for(
-        static_cast<int64_t>(tiles.size()),
-        static_cast<int64_t>(geom.interior_offsets.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t b = begin; b < end; ++b) {
-            const auto [gx, gy] = tiles[static_cast<std::size_t>(b)];
-            for (std::size_t k = 0; k < geom.interior_offsets.size(); ++k) {
-              const auto [di, dj] = geom.interior_offsets[k];
-              solution.at(gx + di, gy + dj) =
-                  interiors[static_cast<std::size_t>(b)][k];
-            }
-          }
-        });
-    // Lattice lines (including the global boundary) come from the
-    // iterated window state.
+    util::ScopedCpuTimer t(times.boundary_io);
     for (int64_t gy = 0; gy <= ny_cells; ++gy)
-      for (int64_t gx = 0; gx <= nx_cells; ++gx)
-        if (gx % h == 0 || gy % h == 0) solution.at(gx, gy) = window.at(gx, gy);
+      for (int64_t gx = 0; gx <= nx_cells; ++gx) solution.at(gx, gy) = window.at(gx, gy);
   }
-  if (inference_seconds) *inference_seconds += inf_time.total();
-  if (boundary_io_seconds) *boundary_io_seconds += io_time.total();
+  predict_tile_interiors(window, solver, geom,
+                         phase_corners(0, geom.h, geom.m, nx_cells, ny_cells, 0,
+                                       nx_cells / geom.h, 0, ny_cells / geom.h),
+                         nullptr, solution, 0, 0, times);
+  if (inference_seconds) *inference_seconds += times.inference.total();
+  if (boundary_io_seconds) *boundary_io_seconds += times.boundary_io.total();
 }
 
 MfpResult mosaic_predict(const SubdomainSolver& solver, int64_t nx_cells,
                          int64_t ny_cells,
                          const std::vector<double>& global_boundary,
                          const MfpOptions& options) {
-  const int64_t m = solver.m();
-  if (nx_cells % m != 0 || ny_cells % m != 0) {
-    throw std::invalid_argument(
-        "mosaic_predict: domain cells must be a multiple of the subdomain size");
-  }
-  SubdomainGeometry geom(m);
-  const int64_t h = geom.h;
-
-  // Window over the full domain; set global boundary and initialize.
-  LatticeWindow window(0, 0, nx_cells, ny_cells);
-  linalg::apply_perimeter(window.grid(), global_boundary);
-  if (options.init == LatticeInit::kCoons) coons_init(window.grid());
-
-  MfpResult result{linalg::Grid2D(nx_cells + 1, ny_cells + 1), 0, 0, 0, 0, 0};
-
-  const int64_t ci_max_x = nx_cells / h;  // corner indices are in [0, ci_max)
-  const int64_t ci_max_y = ny_cells / h;
-
-  // Convergence is judged on a full 4-phase cycle: a single phase can
-  // touch very few subdomains (near domain corners) and report a
-  // misleadingly small delta.
-  double cycle_num = 0, cycle_den = 0;
-  for (int64_t iter = 0; iter < options.max_iters; ++iter) {
-    const int64_t phase = iter % 4;
-    auto corners = phase_corners(phase, h, m, nx_cells, ny_cells, 0, ci_max_x,
-                                 0, ci_max_y);
-    PhaseResult pr =
-        update_subdomains(window, solver, geom, corners, options.batched,
-                          /*collect_writes=*/false, options.relaxation);
-    result.inference_seconds += pr.inference_seconds;
-    result.boundary_io_seconds += pr.boundary_io_seconds;
-    result.iterations = iter + 1;
-    cycle_num += pr.delta_num;
-    cycle_den += pr.delta_den;
-    if (phase == 3) {
-      result.final_delta =
-          cycle_den > 0 ? std::sqrt(cycle_num / cycle_den) : 0.0;
-      cycle_num = cycle_den = 0;
-      if (result.final_delta < options.tol) break;
-    }
-    if (options.reference && options.target_mae > 0 &&
-        (iter + 1) % options.check_every == 0) {
-      result.lattice_mae = lattice_mae(window, *options.reference, h, 0, 0,
-                                       nx_cells, ny_cells);
-      if (result.lattice_mae < options.target_mae) break;
-    }
-  }
-
-  // Final phase: predict the full interior of the non-overlapping tiling
-  // (even corner indices), then keep lattice-line values from the iterated
-  // state. Union covers every interior point.
-  predict_interior(window, solver, geom, nx_cells, ny_cells, result.solution,
-                   &result.inference_seconds, &result.boundary_io_seconds);
-
-  if (options.reference) {
-    result.lattice_mae = linalg::Grid2D::mean_abs_diff(result.solution,
-                                                       *options.reference);
-  }
-  return result;
+  return mosaic_predict_scenario(solver, scenario::Field{}, nx_cells, ny_cells,
+                                 global_boundary, {options, nullptr, {}});
 }
 
 }  // namespace mf::mosaic

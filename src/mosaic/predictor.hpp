@@ -1,6 +1,7 @@
 // The Mosaic Flow predictor (single device): iterate SDNet center-cross
 // inferences over the overlapping subdomain lattice until the boundary
 // values converge, then predict full subdomain interiors (Sec. 2.4, 4.1).
+// The iteration itself is the solve engine's (solve_job.hpp).
 #pragma once
 
 #include <cstdint>
@@ -64,13 +65,12 @@ MfpResult mosaic_predict(const SubdomainSolver& solver, int64_t nx_cells,
                          const std::vector<double>& global_boundary,
                          const MfpOptions& options = {});
 
-/// Final MFP pass: predict the full interior of the non-overlapping
-/// subdomain tiling from the iterated window state and assemble the
-/// solution grid (interiors from the solver, lattice lines — including
-/// the global boundary — from the window). Factored out of
-/// mosaic_predict so the serve scheduler's job retirement produces
-/// bitwise-identical solutions. `solution` must be (nx_cells+1) x
-/// (ny_cells+1); the timing accumulators may be null.
+/// Final MFP pass over a full-domain window, for callers that drive the
+/// phase steps themselves: the solution grid gets the solver's interiors
+/// of the non-overlapping tiling and the window's lattice lines
+/// (including the global boundary), exactly as mosaic_predict assembles
+/// it. `solution` must be (nx_cells+1) x (ny_cells+1); the timing
+/// accumulators may be null.
 void predict_interior(const LatticeWindow& window,
                       const SubdomainSolver& solver,
                       const SubdomainGeometry& geom, int64_t nx_cells,

@@ -1,383 +1,29 @@
 #include "mosaic/scenario_predictor.hpp"
 
-#include <cmath>
-#include <stdexcept>
-#include <unordered_map>
-
-#include "linalg/stencil.hpp"
-#include "util/timing.hpp"
+#include "mosaic/solve_job.hpp"
 
 namespace mf::mosaic {
-
-namespace {
-
-enum class TileKind { kNeural, kClassical, kStencil, kDead };
-
-struct ScenarioPlan {
-  const scenario::Field* field = nullptr;
-  int64_t m = 0;
-  int64_t nx_cells = 0, ny_cells = 0;
-  double h_phys = 0;  // physical grid spacing (1/m, training units)
-  const SubdomainSolver* classical = nullptr;
-  const std::function<bool(int64_t, int64_t)>* use_classical = nullptr;
-  // Static per-corner state, built lazily: conditioning suffixes for the
-  // neural group and restricted operators for mask-cut subdomains.
-  std::unordered_map<int64_t, std::vector<double>> suffixes;
-  std::unordered_map<int64_t, linalg::StencilOperator> local_ops;
-
-  int64_t key(int64_t gx, int64_t gy) const {
-    return gy * (nx_cells + 1) + gx;
-  }
-
-  TileKind classify(int64_t gx, int64_t gy) const {
-    const scenario::DomainMask& mask = field->mask;
-    if (mask.defined()) {
-      if (mask.subdomain_dead(gx, gy, m)) return TileKind::kDead;
-      if (!mask.subdomain_active(gx, gy, m)) return TileKind::kStencil;
-    }
-    if (classical && use_classical && *use_classical &&
-        (*use_classical)(gx, gy)) {
-      return TileKind::kClassical;
-    }
-    return TileKind::kNeural;
-  }
-
-  const std::vector<double>& suffix(int64_t gx, int64_t gy) {
-    auto [it, inserted] = suffixes.try_emplace(key(gx, gy));
-    if (inserted) {
-      scenario::conditioning_suffix_into(*field, m, gx, gy, it->second);
-    }
-    return it->second;
-  }
-
-  const linalg::StencilOperator& local_op(int64_t gx, int64_t gy) {
-    auto [it, inserted] = local_ops.try_emplace(key(gx, gy));
-    if (inserted) {
-      linalg::Grid2D kw(m + 1, m + 1, 1.0);
-      if (field->k.numel() > 0) {
-        for (int64_t j = 0; j <= m; ++j)
-          for (int64_t i = 0; i <= m; ++i)
-            kw.at(i, j) = field->k.at(gx + i, gy + j);
-      }
-      linalg::StencilOperator op =
-          (field->kind == scenario::Kind::kConvDiff)
-              ? linalg::StencilOperator::convection_diffusion(
-                    kw, field->vx, field->vy, h_phys)
-              : (field->kind == scenario::Kind::kVarCoef
-                     ? linalg::StencilOperator::variable_diffusion(kw, h_phys)
-                     : linalg::StencilOperator::laplace(m + 1, m + 1, h_phys));
-      if (field->mask.defined()) {
-        std::vector<std::uint8_t> local(
-            static_cast<std::size_t>((m + 1) * (m + 1)), 1);
-        for (int64_t j = 0; j <= m; ++j)
-          for (int64_t i = 0; i <= m; ++i)
-            local[static_cast<std::size_t>(j * (m + 1) + i)] =
-                field->mask.point_active(gx + i, gy + j) ? 1 : 0;
-        op.apply_mask(local);
-      }
-      it->second = std::move(op);
-    }
-    return it->second;
-  }
-
-  /// Local solve of the subdomain at (gx, gy): perimeter (and pinned
-  /// masked points) from the window, interior from a fresh zero start so
-  /// the result depends only on the current lattice state.
-  linalg::Grid2D solve_local(const LatticeWindow& window, int64_t gx,
-                             int64_t gy) {
-    linalg::Grid2D u(m + 1, m + 1);
-    for (int64_t i = 0; i <= m; ++i) {
-      u.at(i, 0) = window.at(gx + i, gy);
-      u.at(i, m) = window.at(gx + i, gy + m);
-    }
-    for (int64_t j = 0; j <= m; ++j) {
-      u.at(0, j) = window.at(gx, gy + j);
-      u.at(m, j) = window.at(gx + m, gy + j);
-    }
-    const linalg::StencilOperator& op = local_op(gx, gy);
-    const linalg::Grid2D zero_rhs(m + 1, m + 1);
-    if (linalg::stencil_solve(op, u, zero_rhs) < 0) {
-      throw std::runtime_error(
-          "mosaic_predict_scenario: local stencil solve diverged");
-    }
-    return u;
-  }
-};
-
-/// One phase of the heterogeneous update: split the corner list into the
-/// neural / classical / mask-cut groups (deterministic row-major order
-/// within each) and apply each group's solver to the shared window.
-PhaseResult update_scenario_phase(
-    LatticeWindow& window, const SubdomainSolver& solver,
-    const SubdomainGeometry& geom,
-    const std::vector<std::pair<int64_t, int64_t>>& corners,
-    ScenarioPlan& plan, const MfpOptions& options) {
-  PhaseResult result;
-  std::vector<std::pair<int64_t, int64_t>> neural, classical, cut;
-  for (const auto& c : corners) {
-    switch (plan.classify(c.first, c.second)) {
-      case TileKind::kNeural:
-        neural.push_back(c);
-        break;
-      case TileKind::kClassical:
-        classical.push_back(c);
-        break;
-      case TileKind::kStencil:
-        cut.push_back(c);
-        break;
-      case TileKind::kDead:
-        break;
-    }
-  }
-
-  util::StopwatchAccum io_time, inf_time;
-  std::vector<std::vector<double>> boundaries, predictions;
-
-  const auto run_group = [&](const std::vector<std::pair<int64_t, int64_t>>& g,
-                             const SubdomainSolver& s, bool with_suffix) {
-    if (g.empty()) return;
-    {
-      util::ScopedCpuTimer t(io_time);
-      boundaries.resize(g.size());
-      gather_phase_boundaries(window, geom, g, boundaries);
-      if (with_suffix) {
-        for (std::size_t b = 0; b < g.size(); ++b) {
-          const std::vector<double>& sfx = plan.suffix(g[b].first, g[b].second);
-          boundaries[b].insert(boundaries[b].end(), sfx.begin(), sfx.end());
-        }
-      }
-    }
-    {
-      util::ScopedCpuTimer t(inf_time);
-      if (options.batched) {
-        s.predict(boundaries, geom.cross_queries, predictions);
-      } else {
-        predictions.resize(g.size());
-        for (std::size_t b = 0; b < g.size(); ++b) {
-          s.predict_one_into(boundaries[b], geom.cross_queries, predictions[b]);
-        }
-      }
-    }
-    {
-      util::ScopedCpuTimer t(io_time);
-      scatter_phase_predictions(window, geom, g, predictions, 0,
-                                options.relaxation, result, nullptr);
-    }
-  };
-
-  run_group(neural, solver, /*with_suffix=*/true);
-  if (!classical.empty()) run_group(classical, *plan.classical, false);
-
-  if (!cut.empty()) {
-    util::ScopedCpuTimer t(inf_time);
-    predictions.resize(cut.size());
-    for (std::size_t b = 0; b < cut.size(); ++b) {
-      const auto [gx, gy] = cut[b];
-      const linalg::Grid2D u = plan.solve_local(window, gx, gy);
-      std::vector<double>& pred = predictions[b];
-      pred.resize(geom.cross_offsets.size());
-      for (std::size_t k = 0; k < geom.cross_offsets.size(); ++k) {
-        const auto [di, dj] = geom.cross_offsets[k];
-        // Inactive cross points stay pinned: predicting the current
-        // window value makes the scatter a no-op with zero delta.
-        pred[k] = plan.field->mask.point_active(gx + di, gy + dj)
-                      ? u.at(di, dj)
-                      : window.at(gx + di, gy + dj);
-      }
-    }
-    scatter_phase_predictions(window, geom, cut, predictions, 0,
-                              options.relaxation, result, nullptr);
-  }
-
-  result.inference_seconds = inf_time.total();
-  result.boundary_io_seconds = io_time.total();
-  return result;
-}
-
-/// Final pass of the general path: fill the non-overlapping tiling's
-/// interiors group by group, masked points staying at 0, lattice lines
-/// from the iterated window.
-void predict_interior_scenario(const LatticeWindow& window,
-                               const SubdomainSolver& solver,
-                               const SubdomainGeometry& geom,
-                               ScenarioPlan& plan, linalg::Grid2D& solution,
-                               MfpResult& result) {
-  const int64_t m = geom.m, h = geom.h;
-  const int64_t nx_cells = plan.nx_cells, ny_cells = plan.ny_cells;
-  std::vector<std::pair<int64_t, int64_t>> neural, classical;
-  util::StopwatchAccum io_time, inf_time;
-  for (int64_t gy = 0; gy + m <= ny_cells; gy += m) {
-    for (int64_t gx = 0; gx + m <= nx_cells; gx += m) {
-      switch (plan.classify(gx, gy)) {
-        case TileKind::kNeural:
-          neural.emplace_back(gx, gy);
-          break;
-        case TileKind::kClassical:
-          classical.emplace_back(gx, gy);
-          break;
-        case TileKind::kStencil: {
-          util::ScopedCpuTimer t(inf_time);
-          const linalg::Grid2D u = plan.solve_local(window, gx, gy);
-          for (std::size_t k = 0; k < geom.interior_offsets.size(); ++k) {
-            const auto [di, dj] = geom.interior_offsets[k];
-            solution.at(gx + di, gy + dj) =
-                plan.field->mask.point_active(gx + di, gy + dj) ? u.at(di, dj)
-                                                                : 0.0;
-          }
-          break;
-        }
-        case TileKind::kDead:
-          // Grid2D zero-initializes; masked interiors stay 0.
-          break;
-      }
-    }
-  }
-
-  std::vector<std::vector<double>> boundaries, interiors;
-  const auto run_group = [&](const std::vector<std::pair<int64_t, int64_t>>& g,
-                             const SubdomainSolver& s, bool with_suffix) {
-    if (g.empty()) return;
-    {
-      util::ScopedCpuTimer t(io_time);
-      boundaries.resize(g.size());
-      gather_phase_boundaries(window, geom, g, boundaries);
-      if (with_suffix) {
-        for (std::size_t b = 0; b < g.size(); ++b) {
-          const std::vector<double>& sfx = plan.suffix(g[b].first, g[b].second);
-          boundaries[b].insert(boundaries[b].end(), sfx.begin(), sfx.end());
-        }
-      }
-    }
-    {
-      util::ScopedCpuTimer t(inf_time);
-      s.predict(boundaries, geom.interior_queries, interiors);
-    }
-    {
-      util::ScopedCpuTimer t(io_time);
-      for (std::size_t b = 0; b < g.size(); ++b) {
-        const auto [gx, gy] = g[b];
-        for (std::size_t k = 0; k < geom.interior_offsets.size(); ++k) {
-          const auto [di, dj] = geom.interior_offsets[k];
-          solution.at(gx + di, gy + dj) = interiors[b][k];
-        }
-      }
-    }
-  };
-  run_group(neural, solver, /*with_suffix=*/true);
-  if (!classical.empty()) run_group(classical, *plan.classical, false);
-
-  for (int64_t gy = 0; gy <= ny_cells; ++gy)
-    for (int64_t gx = 0; gx <= nx_cells; ++gx)
-      if (gx % h == 0 || gy % h == 0) solution.at(gx, gy) = window.at(gx, gy);
-
-  result.inference_seconds += inf_time.total();
-  result.boundary_io_seconds += io_time.total();
-}
-
-}  // namespace
-
-void predict_interior_field(const LatticeWindow& window,
-                            const SubdomainSolver& solver,
-                            const SubdomainGeometry& geom,
-                            const scenario::Field& field, int64_t nx_cells,
-                            int64_t ny_cells, linalg::Grid2D& solution) {
-  if (field.kind == scenario::Kind::kPoisson && !field.mask.defined()) {
-    predict_interior(window, solver, geom, nx_cells, ny_cells, solution);
-    return;
-  }
-  ScenarioPlan plan;
-  plan.field = &field;
-  plan.m = geom.m;
-  plan.nx_cells = nx_cells;
-  plan.ny_cells = ny_cells;
-  plan.h_phys = 1.0 / static_cast<double>(geom.m);
-  MfpResult scratch{linalg::Grid2D(2, 2), 0, 0, 0, 0, 0};
-  predict_interior_scenario(window, solver, geom, plan, solution, scratch);
-}
 
 MfpResult mosaic_predict_scenario(const SubdomainSolver& solver,
                                   const scenario::Field& field,
                                   int64_t nx_cells, int64_t ny_cells,
                                   const std::vector<double>& global_boundary,
                                   const ScenarioSolveOptions& options) {
-  const bool heterogeneous =
-      options.classical != nullptr && options.use_classical;
-  if (field.kind == scenario::Kind::kPoisson && !field.mask.defined() &&
-      !heterogeneous) {
-    // The original workload: delegate so Poisson stays bitwise identical.
-    return mosaic_predict(solver, nx_cells, ny_cells, global_boundary,
-                          options.mfp);
+  const SubdomainGeometry geom(solver.m());
+  SolveJob job(solver, geom, nx_cells, ny_cells,
+               initial_lattice(nx_cells, ny_cells, global_boundary,
+                               options.mfp.init, field.mask),
+               options.mfp, {0, nx_cells / geom.h, 0, ny_cells / geom.h},
+               {&field, options.classical, options.use_classical});
+  SolveTimes times;
+  while (!job.done()) {
+    job.step_alone(times);
+    job.end_iteration();
   }
-
-  const int64_t m = solver.m();
-  if (nx_cells % m != 0 || ny_cells % m != 0) {
-    throw std::invalid_argument(
-        "mosaic_predict_scenario: domain cells must be a multiple of the "
-        "subdomain size");
-  }
-  if (field.mask.defined() &&
-      (field.mask.nx_cells != nx_cells || field.mask.ny_cells != ny_cells)) {
-    throw std::invalid_argument(
-        "mosaic_predict_scenario: mask extents do not match the domain");
-  }
-  SubdomainGeometry geom(m);
-  const int64_t h = geom.h;
-
-  ScenarioPlan plan;
-  plan.field = &field;
-  plan.m = m;
-  plan.nx_cells = nx_cells;
-  plan.ny_cells = ny_cells;
-  plan.h_phys = 1.0 / static_cast<double>(m);
-  plan.classical = options.classical;
-  plan.use_classical = &options.use_classical;
-
-  LatticeWindow window(0, 0, nx_cells, ny_cells);
-  std::vector<double> boundary = global_boundary;
-  scenario::zero_masked_boundary(boundary, field.mask);
-  linalg::apply_perimeter(window.grid(), boundary);
-  if (options.mfp.init == LatticeInit::kCoons) coons_init(window.grid());
-  if (field.mask.defined()) {
-    // Masked points are Dirichlet pins at 0 for the whole solve — clear
-    // whatever the Coons extension put there.
-    for (int64_t gy = 0; gy <= ny_cells; ++gy)
-      for (int64_t gx = 0; gx <= nx_cells; ++gx)
-        if (!field.mask.point_active(gx, gy)) window.at(gx, gy) = 0.0;
-  }
-
-  MfpResult result{linalg::Grid2D(nx_cells + 1, ny_cells + 1), 0, 0, 0, 0, 0};
-  const int64_t ci_max_x = nx_cells / h;
-  const int64_t ci_max_y = ny_cells / h;
-
-  double cycle_num = 0, cycle_den = 0;
-  for (int64_t iter = 0; iter < options.mfp.max_iters; ++iter) {
-    const int64_t phase = iter % 4;
-    auto corners = phase_corners(phase, h, m, nx_cells, ny_cells, 0, ci_max_x,
-                                 0, ci_max_y);
-    PhaseResult pr =
-        update_scenario_phase(window, solver, geom, corners, plan, options.mfp);
-    result.inference_seconds += pr.inference_seconds;
-    result.boundary_io_seconds += pr.boundary_io_seconds;
-    result.iterations = iter + 1;
-    cycle_num += pr.delta_num;
-    cycle_den += pr.delta_den;
-    if (phase == 3) {
-      result.final_delta =
-          cycle_den > 0 ? std::sqrt(cycle_num / cycle_den) : 0.0;
-      cycle_num = cycle_den = 0;
-      if (result.final_delta < options.mfp.tol) break;
-    }
-    if (options.mfp.reference && options.mfp.target_mae > 0 &&
-        (iter + 1) % options.mfp.check_every == 0) {
-      result.lattice_mae = lattice_mae(window, *options.mfp.reference, h, 0, 0,
-                                       nx_cells, ny_cells);
-      if (result.lattice_mae < options.mfp.target_mae) break;
-    }
-  }
-
-  predict_interior_scenario(window, solver, geom, plan, result.solution,
-                            result);
-
+  job.finish(times);
+  MfpResult result{std::move(job.window().grid()), job.iterations(),
+                   job.final_delta(), 0, times.inference.total(),
+                   times.boundary_io.total()};
   if (options.mfp.reference) {
     result.lattice_mae = linalg::Grid2D::mean_abs_diff(result.solution,
                                                        *options.mfp.reference);

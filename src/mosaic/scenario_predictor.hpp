@@ -3,9 +3,9 @@
 // heterogeneous lattices mixing neural and classical subdomain solvers
 // per region.
 //
-// The plain-Poisson full-rectangle case delegates verbatim to
-// mosaic_predict (bitwise-stability contract with earlier PRs). The
-// general path classifies each lattice subdomain once:
+// It drives one solve job (solve_job.hpp) alone; mosaic_predict is this
+// function with a plain-Poisson field. The job classifies each lattice
+// subdomain once:
 //   - fully active + neural region   → SDNet inference, with the
 //     scenario conditioning suffix appended to the gathered boundary;
 //   - fully active + classical region→ the caller-provided classical
@@ -45,17 +45,5 @@ MfpResult mosaic_predict_scenario(const SubdomainSolver& solver,
                                   int64_t nx_cells, int64_t ny_cells,
                                   const std::vector<double>& global_boundary,
                                   const ScenarioSolveOptions& options = {});
-
-/// Scenario-aware final interior pass over the iterated window state,
-/// for callers that drive the iteration themselves (the serve
-/// scheduler's job retirement): interiors from the solver with the
-/// field's conditioning suffix appended, masked points pinned at 0,
-/// lattice lines from the window. A plain-Poisson full-rectangle field
-/// delegates to predict_interior (bitwise).
-void predict_interior_field(const LatticeWindow& window,
-                            const SubdomainSolver& solver,
-                            const SubdomainGeometry& geom,
-                            const scenario::Field& field, int64_t nx_cells,
-                            int64_t ny_cells, linalg::Grid2D& solution);
 
 }  // namespace mf::mosaic

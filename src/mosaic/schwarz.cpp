@@ -44,46 +44,6 @@ void solve_block(const Block& b, const linalg::Grid2D& source,
       target.at(b.x0 + i, b.y0 + j) = local.at(i, j);
 }
 
-/// Scenario variant of solve_block: the block's operator comes from the
-/// field restricted to the block (coefficients and mask window).
-void solve_block_scenario(const Block& b, const linalg::Grid2D& source,
-                          linalg::Grid2D& target, double h_phys,
-                          const scenario::Field& field) {
-  const int64_t nx = b.x1 - b.x0 + 1, ny = b.y1 - b.y0 + 1;
-  linalg::Grid2D local(nx, ny);
-  for (int64_t j = 0; j < ny; ++j)
-    for (int64_t i = 0; i < nx; ++i)
-      local.at(i, j) = source.at(b.x0 + i, b.y0 + j);
-  linalg::Grid2D kw(nx, ny, 1.0);
-  if (field.k.numel() > 0) {
-    for (int64_t j = 0; j < ny; ++j)
-      for (int64_t i = 0; i < nx; ++i)
-        kw.at(i, j) = field.k.at(b.x0 + i, b.y0 + j);
-  }
-  linalg::StencilOperator op =
-      field.kind == scenario::Kind::kConvDiff
-          ? linalg::StencilOperator::convection_diffusion(kw, field.vx,
-                                                          field.vy, h_phys)
-          : (field.kind == scenario::Kind::kVarCoef
-                 ? linalg::StencilOperator::variable_diffusion(kw, h_phys)
-                 : linalg::StencilOperator::laplace(nx, ny, h_phys));
-  if (field.mask.defined()) {
-    std::vector<std::uint8_t> mask(static_cast<std::size_t>(nx * ny), 1);
-    for (int64_t j = 0; j < ny; ++j)
-      for (int64_t i = 0; i < nx; ++i)
-        mask[static_cast<std::size_t>(j * nx + i)] =
-            field.mask.point_active(b.x0 + i, b.y0 + j) ? 1 : 0;
-    op.apply_mask(mask);
-  }
-  const linalg::Grid2D zero_rhs(nx, ny);
-  linalg::stencil_solve(op, local, zero_rhs, 1e-10,
-                        /*max_iters=*/20000);
-  for (int64_t j = 1; j < ny - 1; ++j)
-    for (int64_t i = 1; i < nx - 1; ++i)
-      if (op.active[op.idx(i, j)] != 0)
-        target.at(b.x0 + i, b.y0 + j) = local.at(i, j);
-}
-
 }  // namespace
 
 SchwarzResult schwarz_solve(const linalg::Grid2D& boundary_grid, double h_phys,
@@ -117,54 +77,6 @@ SchwarzResult schwarz_solve(const linalg::Grid2D& boundary_grid, double h_phys,
     if (!std::isfinite(result.final_change)) {
       // A NaN/Inf residual only contaminates further: stop and report
       // instead of burning the remaining iterations on poisoned data.
-      result.diverged = true;
-      break;
-    }
-    if (result.final_change < options.tol) break;
-  }
-  return result;
-}
-
-SchwarzResult schwarz_solve_scenario(const linalg::Grid2D& boundary_grid,
-                                     double h_phys,
-                                     const scenario::Field& field,
-                                     const SchwarzOptions& options) {
-  if (field.kind == scenario::Kind::kPoisson && !field.mask.defined()) {
-    return schwarz_solve(boundary_grid, h_phys, options);
-  }
-  const int64_t nx_cells = boundary_grid.nx() - 1;
-  const int64_t ny_cells = boundary_grid.ny() - 1;
-  auto blocks = make_blocks(nx_cells, ny_cells, options.block_cells,
-                            options.overlap);
-
-  SchwarzResult result{boundary_grid, 0, 0, 0};
-  result.solution.zero_interior();
-  if (field.mask.defined()) {
-    for (int64_t j = 0; j <= ny_cells; ++j)
-      for (int64_t i = 0; i <= nx_cells; ++i)
-        if (!field.mask.point_active(i, j)) result.solution.at(i, j) = 0.0;
-  }
-
-  for (int64_t iter = 0; iter < options.max_iters; ++iter) {
-    linalg::Grid2D previous = result.solution;
-    if (options.variant == SchwarzVariant::kAlternating) {
-      for (const Block& b : blocks) {
-        solve_block_scenario(b, result.solution, result.solution, h_phys,
-                             field);
-        ++result.subdomain_solves;
-      }
-    } else {
-      linalg::Grid2D next = result.solution;
-      for (const Block& b : blocks) {
-        solve_block_scenario(b, previous, next, h_phys, field);
-        ++result.subdomain_solves;
-      }
-      result.solution = next;
-    }
-    result.iterations = iter + 1;
-    result.final_change =
-        linalg::Grid2D::max_abs_diff(previous, result.solution);
-    if (!std::isfinite(result.final_change)) {
       result.diverged = true;
       break;
     }

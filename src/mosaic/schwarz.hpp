@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "linalg/grid2d.hpp"
-#include "scenario/scenario.hpp"
 
 namespace mf::mosaic {
 
@@ -39,16 +38,5 @@ struct SchwarzResult {
 /// by overlapping block Schwarz iteration with multigrid subdomain solves.
 SchwarzResult schwarz_solve(const linalg::Grid2D& boundary_grid, double h_phys,
                             const SchwarzOptions& options = {});
-
-/// Scenario-generalized Schwarz baseline: blocks of a non-Poisson or
-/// masked field solve their Dirichlet problems through the block-
-/// restricted StencilOperator (CG / upwinded Gauss–Seidel); masked
-/// points stay pinned at 0 and are excluded from the block solves and
-/// the convergence check. A plain-Poisson full-rectangle field delegates
-/// to schwarz_solve (bitwise).
-SchwarzResult schwarz_solve_scenario(const linalg::Grid2D& boundary_grid,
-                                     double h_phys,
-                                     const scenario::Field& field,
-                                     const SchwarzOptions& options = {});
 
 }  // namespace mf::mosaic

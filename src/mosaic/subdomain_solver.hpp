@@ -27,9 +27,9 @@ using QueryList = std::vector<std::pair<double, double>>;
 /// Process-wide observability counters for the compiled-inference caches
 /// (the per-thread shape-keyed program caches behind
 /// NeuralSubdomainSolver::predict), aggregated across threads and solvers.
-/// The serve stats line reports these so cross-request batching
-/// effectiveness — shared plans vs eager fallbacks — is visible in
-/// production, and tests assert them.
+/// bench_serve_load's BENCH_JSON line reports these so cross-request
+/// batching effectiveness — shared plans vs eager fallbacks — is
+/// visible, and tests assert them.
 struct InferCacheStats {
   std::uint64_t exact_hits = 0;    // replays through an exact-shape plan
   std::uint64_t widened_hits = 0;  // batches covered whole by a widened plan

@@ -1,21 +1,10 @@
 #include "serve/scheduler.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "linalg/grid2d.hpp"
-#include "mosaic/scenario_predictor.hpp"
-#include "mosaic/subdomain_solver.hpp"
 #include "util/timing.hpp"
 
 namespace mf::serve {
-
-ServeJob::ServeJob(SolveRequest r, mosaic::LatticeInit init)
-    : req(std::move(r)),
-      window(0, 0, req.nx_cells, req.ny_cells) {
-  linalg::apply_perimeter(window.grid(), req.boundary);
-  if (init == mosaic::LatticeInit::kCoons) mosaic::coons_init(window.grid());
-}
 
 IterationScheduler::IterationScheduler(const std::vector<ServeModel>& zoo,
                                        const SchedulerOptions& opts)
@@ -68,8 +57,8 @@ void IterationScheduler::admit(SolveRequest req, double now_s) {
       static_cast<std::size_t>(req.zoo_index) >= zoo_.size()) {
     throw std::invalid_argument("IterationScheduler: bad zoo index");
   }
-  if (req.field.kind !=
-      zoo_[static_cast<std::size_t>(req.zoo_index)].scenario) {
+  const ServeModel& model = zoo_[static_cast<std::size_t>(req.zoo_index)];
+  if (req.field.kind != model.scenario) {
     throw std::invalid_argument(
         "IterationScheduler: request scenario does not match the zoo model");
   }
@@ -78,27 +67,81 @@ void IterationScheduler::admit(SolveRequest req, double now_s) {
         "IterationScheduler: masked domains are not served; use "
         "mosaic_predict_scenario");
   }
-  auto job = std::make_unique<ServeJob>(std::move(req), opts_.init);
+  const mosaic::SubdomainGeometry& geom = geometry(model.m);
+  auto job = std::make_unique<ServeJob>();
+  job->req = std::move(req);
+  const SolveRequest& r = job->req;
+  mosaic::MfpOptions mfp;
+  mfp.max_iters = r.max_iters;
+  mfp.tol = r.tol;
+  mfp.relaxation = opts_.relaxation;
+  job->solve.emplace(
+      *model.solver, geom, r.nx_cells, r.ny_cells,
+      mosaic::initial_lattice(r.nx_cells, r.ny_cells, r.boundary, opts_.init),
+      mfp, mosaic::CornerRange{0, r.nx_cells / geom.h, 0, r.ny_cells / geom.h},
+      mosaic::TileRules{&r.field, nullptr, {}});
   job->admit_s = now_s;
-  jobs_.push_back(std::move(job));
   ++counters_.admitted;
+  if (job->solve->done()) finalize(*job, now_s);  // max_iters <= 0
+  jobs_.push_back(std::move(job));
 }
 
 void IterationScheduler::finalize(ServeJob& job, double now_s) {
   const double t0 = util::wall_seconds();
-  const ServeModel& model = zoo_[static_cast<std::size_t>(job.req.zoo_index)];
-  job.solution =
-      linalg::Grid2D(job.req.nx_cells + 1, job.req.ny_cells + 1);
-  // Poisson jobs delegate to the plain interior pass inside (bitwise the
-  // pre-scenario retirement); other scenarios append their conditioning
-  // suffix per tile.
-  mosaic::predict_interior_field(job.window, *model.solver, geometry(model.m),
-                                 job.req.field, job.req.nx_cells,
-                                 job.req.ny_cells, job.solution);
+  mosaic::SolveTimes cpu;  // unused: the counters below keep wall time
+  job.solve->finish(cpu);
+  job.iter = job.solve->iterations();
+  job.final_delta = job.solve->final_delta();
+  job.converged = job.solve->converged();
+  job.solution = std::move(job.solve->window().grid());
+  job.solve.reset();
   job.finish_s = now_s;
   job.done = true;
   ++counters_.retired;
   counters_.finalize_seconds += util::wall_seconds() - t0;
+}
+
+void IterationScheduler::dispatch(const ServeModel& model,
+                                  const std::vector<ServeJob*>& group) {
+  offsets_.clear();
+  std::size_t total = 0, contributing = 0;
+  for (const ServeJob* job : group) {
+    offsets_.push_back(total);
+    const std::size_t rows = job->solve->rows();
+    total += rows;
+    if (rows > 0) ++contributing;
+  }
+  if (total == 0) return;
+  std::size_t padded = total;
+  if (opts_.batching && opts_.pad_to > 0) {
+    const std::size_t p = static_cast<std::size_t>(opts_.pad_to);
+    padded = (total + p - 1) / p * p;
+  }
+  const mosaic::SubdomainGeometry& geom = geometry(model.m);
+  const double t0 = util::wall_seconds();
+  batch_boundaries_.resize(padded);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    group[i]->solve->gather(batch_boundaries_, offsets_[i]);
+  }
+  const std::size_t G =
+      static_cast<std::size_t>(model.net->config().boundary_size);
+  for (std::size_t i = total; i < padded; ++i) {
+    batch_boundaries_[i].assign(G, 0.0);
+  }
+  const double t1 = util::wall_seconds();
+  counters_.gather_seconds += t1 - t0;
+  model.solver->predict(batch_boundaries_, geom.cross_queries,
+                        batch_predictions_);
+  const double t2 = util::wall_seconds();
+  counters_.predict_seconds += t2 - t1;
+  ++counters_.batches;
+  counters_.batched_rows += total;
+  counters_.pad_rows += padded - total;
+  if (contributing >= 2) ++counters_.shared_batches;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    group[i]->solve->scatter(batch_predictions_, offsets_[i]);
+  }
+  counters_.scatter_seconds += util::wall_seconds() - t2;
 }
 
 std::size_t IterationScheduler::tick(double now_s) {
@@ -115,7 +158,6 @@ std::size_t IterationScheduler::tick(double now_s) {
       ++counters_.deadline_misses;
     }
     if (opts_.deadline_action == DeadlineAction::kRetire) {
-      job.converged = false;
       finalize(job, now_s);
     } else {
       ++job.degraded_iterations;
@@ -123,129 +165,31 @@ std::size_t IterationScheduler::tick(double now_s) {
     }
   }
 
-  // One Schwarz iteration for every in-flight job, batched per model:
-  // all jobs' current-phase boundaries concatenate into one solver call.
-  // Jobs sit in different phases (they were admitted at different
-  // ticks), but the cross queries — hence the program shape — depend
-  // only on m, so the rows still share one (widened) plan.
-  struct Part {
-    ServeJob* job;
-    std::vector<std::pair<int64_t, int64_t>> corners;
-    std::size_t offset;
-  };
-  std::vector<Part> parts;
+  // One Schwarz iteration for every in-flight job: one batch per tenant
+  // (per job without batching). Jobs sit in different phases (they were
+  // admitted at different ticks), but the cross queries — hence the
+  // program shape — depend only on m, so the rows still share one
+  // (widened) plan.
   for (std::size_t mi = 0; mi < zoo_.size(); ++mi) {
-    const ServeModel& model = zoo_[mi];
-    const mosaic::SubdomainGeometry& geom = geometry(model.m);
-    parts.clear();
-    std::size_t total = 0;
-    std::size_t contributing = 0;
+    group_.clear();
     for (auto& jp : jobs_) {
-      ServeJob& job = *jp;
-      if (job.done || static_cast<std::size_t>(job.req.zoo_index) != mi)
+      if (jp->done || static_cast<std::size_t>(jp->req.zoo_index) != mi) {
         continue;
-      const int64_t phase = job.iter % 4;
-      auto corners = mosaic::phase_corners(
-          phase, geom.h, geom.m, job.req.nx_cells, job.req.ny_cells, 0,
-          job.req.nx_cells / geom.h, 0, job.req.ny_cells / geom.h);
-      if (!corners.empty()) ++contributing;
-      const std::size_t offset = total;
-      total += corners.size();
-      parts.push_back({&job, std::move(corners), offset});
-    }
-    if (total == 0) continue;
-    if (opts_.batching) {
-      std::size_t padded = total;
-      if (opts_.pad_to > 0) {
-        const std::size_t p = static_cast<std::size_t>(opts_.pad_to);
-        padded = (total + p - 1) / p * p;
       }
-      double t0 = util::wall_seconds();
-      batch_boundaries_.resize(padded);
-      for (const Part& part : parts) {
-        mosaic::gather_phase_boundaries(part.job->window, geom, part.corners,
-                                        batch_boundaries_, part.offset);
-        if (model.scenario != scenario::Kind::kPoisson) {
-          // Per-row scenario conditioning suffix (the gather resizes each
-          // row to exactly 4m, so this appends to G = boundary_size).
-          for (std::size_t b = 0; b < part.corners.size(); ++b) {
-            scenario::conditioning_suffix_into(
-                part.job->req.field, model.m, part.corners[b].first,
-                part.corners[b].second, batch_boundaries_[part.offset + b]);
-          }
-        }
-      }
-      const std::size_t G =
-          static_cast<std::size_t>(model.net->config().boundary_size);
-      for (std::size_t i = total; i < padded; ++i) {
-        batch_boundaries_[i].assign(G, 0.0);
-      }
-      double t1 = util::wall_seconds();
-      counters_.gather_seconds += t1 - t0;
-      model.solver->predict(batch_boundaries_, geom.cross_queries,
-                            batch_predictions_);
-      double t2 = util::wall_seconds();
-      counters_.predict_seconds += t2 - t1;
-      ++counters_.batches;
-      counters_.batched_rows += total;
-      counters_.pad_rows += padded - total;
-      if (contributing >= 2) ++counters_.shared_batches;
-      for (const Part& part : parts) {
-        mosaic::PhaseResult pr;
-        mosaic::scatter_phase_predictions(part.job->window, geom, part.corners,
-                                          batch_predictions_, part.offset,
-                                          opts_.relaxation, pr);
-        part.job->cycle_num += pr.delta_num;
-        part.job->cycle_den += pr.delta_den;
-      }
-      counters_.scatter_seconds += util::wall_seconds() - t2;
-    } else {
-      // Hatch/baseline: one solver call per job, no cross-request GEMMs.
-      for (const Part& part : parts) {
-        if (part.corners.empty()) continue;
-        batch_boundaries_.resize(part.corners.size());
-        mosaic::gather_phase_boundaries(part.job->window, geom, part.corners,
-                                        batch_boundaries_, 0);
-        if (model.scenario != scenario::Kind::kPoisson) {
-          for (std::size_t b = 0; b < part.corners.size(); ++b) {
-            scenario::conditioning_suffix_into(
-                part.job->req.field, model.m, part.corners[b].first,
-                part.corners[b].second, batch_boundaries_[b]);
-          }
-        }
-        model.solver->predict(batch_boundaries_, geom.cross_queries,
-                              batch_predictions_);
-        ++counters_.batches;
-        counters_.batched_rows += part.corners.size();
-        mosaic::PhaseResult pr;
-        mosaic::scatter_phase_predictions(part.job->window, geom, part.corners,
-                                          batch_predictions_, 0,
-                                          opts_.relaxation, pr);
-        part.job->cycle_num += pr.delta_num;
-        part.job->cycle_den += pr.delta_den;
+      group_.push_back(jp.get());
+      if (!opts_.batching) {
+        dispatch(zoo_[mi], group_);
+        group_.clear();
       }
     }
+    dispatch(zoo_[mi], group_);
   }
-
-  // Advance iteration bookkeeping — the exact mosaic_predict convergence
-  // rule, evaluated per job so batching cannot change when a job stops.
   for (auto& jp : jobs_) {
     ServeJob& job = *jp;
     if (job.done) continue;
-    const int64_t phase = job.iter % 4;
-    job.iter += 1;
-    if (phase == 3) {
-      job.final_delta = job.cycle_den > 0
-                            ? std::sqrt(job.cycle_num / job.cycle_den)
-                            : 0.0;
-      job.cycle_num = job.cycle_den = 0;
-      if (job.final_delta < job.req.tol) {
-        job.converged = true;
-        job.done = true;
-      }
-    }
-    if (!job.done && job.iter >= job.req.max_iters) job.done = true;
-    if (job.done) finalize(job, now_s);
+    job.solve->solve_local();
+    job.solve->end_iteration();
+    if (job.solve->done()) finalize(job, now_s);
   }
 
   // Sweep retired jobs out of the in-flight set.

@@ -1,24 +1,27 @@
 // Iteration-level cross-request batching (the serve tentpole). Each
-// in-flight solve job is one Schwarz iteration state machine; every tick
-// the scheduler advances ALL in-flight jobs by one iteration, gathering
-// each job's current-phase subdomain boundaries into one shared batch per
-// zoo model and dispatching a single solver call for the whole group.
+// in-flight request is one solve job of the Schwarz engine
+// (mosaic/solve_job.hpp); every tick the scheduler advances ALL in-flight
+// jobs by one iteration, gathering each job's current-phase rows into one
+// shared batch per zoo model and dispatching a single solver call for the
+// whole group.
 // Same-geometry requests therefore share GEMMs (the compiled-program
 // cache widens one captured plan to the combined batch, chunking odd
 // remainders to eager); converged jobs retire immediately at the
 // iteration boundary where their cycle delta crosses tol, and new jobs
 // join the batch at the next tick. Because the batched kernels compute
-// rows independently, every job's trajectory is bitwise identical to
-// running it alone through mosaic_predict — batching changes wall-clock,
-// never results.
+// rows independently and every job runs the engine's steps in the same
+// order as a solo solve, every job's trajectory is bitwise identical to
+// running it alone through mosaic_predict_scenario — batching changes
+// wall-clock, never results.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "mosaic/predictor.hpp"
+#include "mosaic/solve_job.hpp"
 #include "serve/request_gen.hpp"
 #include "serve/stats.hpp"
 
@@ -63,18 +66,16 @@ struct SchedulerOptions {
 /// In-flight (or finished) solve job.
 struct ServeJob {
   SolveRequest req;
-  mosaic::LatticeWindow window;
+  std::optional<mosaic::SolveJob> solve;  // released at retirement
+  // Outcome, set at retirement.
   int64_t iter = 0;
-  double cycle_num = 0, cycle_den = 0;
   double final_delta = 0;
   bool done = false;
   bool converged = false;
   bool deadline_missed = false;
   int64_t degraded_iterations = 0;
   double admit_s = 0, finish_s = 0;
-  linalg::Grid2D solution;  // filled at retirement
-
-  ServeJob(SolveRequest r, mosaic::LatticeInit init);
+  linalg::Grid2D solution;
 };
 
 /// Single-worker scheduler: owns its in-flight jobs (no locking inside a
@@ -106,6 +107,8 @@ class IterationScheduler {
 
  private:
   const mosaic::SubdomainGeometry& geometry(int64_t m);
+  /// Gather, predict and scatter one batch over `group` (same tenant).
+  void dispatch(const ServeModel& model, const std::vector<ServeJob*>& group);
   void finalize(ServeJob& job, double now_s);
 
   const std::vector<ServeModel>& zoo_;
@@ -115,9 +118,11 @@ class IterationScheduler {
   std::vector<ServeJob> finished_;
   SchedulerCounters counters_;
   // Reused batch buffers (scheduler-owned, not the thread-local phase
-  // scratch: retirement's predict_interior uses that underneath us).
-  std::vector<std::vector<double>> batch_boundaries_;
-  std::vector<std::vector<double>> batch_predictions_;
+  // scratch: retirement's interior pass uses that underneath us).
+  mosaic::Rows batch_boundaries_;
+  mosaic::Rows batch_predictions_;
+  std::vector<ServeJob*> group_;
+  std::vector<std::size_t> offsets_;
 };
 
 }  // namespace mf::serve

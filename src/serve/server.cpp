@@ -1,12 +1,15 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "ad/kernels.hpp"
@@ -15,27 +18,50 @@
 
 namespace mf::serve {
 
+namespace {
+
+[[noreturn]] void bad_env(const char* name, const char* value,
+                          const char* want) {
+  throw std::invalid_argument(std::string(name) + "='" + value + "': want " +
+                              want);
+}
+
+/// The integer value of `name` in [lo, hi]; `fallback` when unset or
+/// empty. Anything else throws.
+int64_t env_int(const char* name, int64_t fallback, int64_t lo, int64_t hi,
+                const char* want) {
+  const char* v = std::getenv(name);
+  if (!v || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || x < lo || x > hi) {
+    bad_env(name, v, want);
+  }
+  return x;
+}
+
+}  // namespace
+
 ServeOptions serve_options_from_env() {
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
   ServeOptions opts;
-  if (const char* v = std::getenv("MF_SERVE_THREADS")) {
-    opts.threads = std::max(1, std::atoi(v));
-  }
-  if (const char* v = std::getenv("MF_SERVE_MAX_INFLIGHT")) {
-    opts.max_inflight = std::max(1, std::atoi(v));
-  }
-  if (const char* v = std::getenv("MF_SERVE_DISABLE_BATCHING")) {
-    opts.batching = !(v[0] != '\0' && v[0] != '0');
-  }
-  if (const char* v = std::getenv("MF_SERVE_WARM_BATCH")) {
-    opts.warm_batch = std::atol(v);
-  }
-  if (const char* v = std::getenv("MF_SERVE_PAD_TO")) {
-    opts.pad_to = std::atol(v);
-  }
-  if (const char* v = std::getenv("MF_SERVE_DEADLINE_ACTION")) {
-    opts.deadline_action = std::strcmp(v, "retire") == 0
-                               ? DeadlineAction::kRetire
-                               : DeadlineAction::kAccount;
+  opts.threads = static_cast<int>(env_int("MF_SERVE_THREADS", opts.threads, 1,
+                                          kIntMax, "an integer >= 1"));
+  opts.max_inflight = static_cast<int>(env_int(
+      "MF_SERVE_MAX_INFLIGHT", opts.max_inflight, 1, kIntMax, "an integer >= 1"));
+  opts.batching = env_int("MF_SERVE_DISABLE_BATCHING", 0, 0, 1, "0 or 1") == 0;
+  opts.warm_batch = env_int("MF_SERVE_WARM_BATCH", opts.warm_batch, 0, kI64Max,
+                            "an integer >= 0");
+  opts.pad_to =
+      env_int("MF_SERVE_PAD_TO", opts.pad_to, 0, kI64Max, "an integer >= 0");
+  if (const char* v = std::getenv("MF_SERVE_DEADLINE_ACTION"); v && *v) {
+    if (std::strcmp(v, "retire") == 0) {
+      opts.deadline_action = DeadlineAction::kRetire;
+    } else if (std::strcmp(v, "account") != 0) {
+      bad_env("MF_SERVE_DEADLINE_ACTION", v, "account or retire");
+    }
   }
   return opts;
 }
@@ -109,15 +135,6 @@ std::vector<ServeModel> make_model_zoo_from_dir(const std::string& dir) {
     zoo.push_back(std::move(model));
   }
   return zoo;
-}
-
-std::vector<ServeModel> make_model_zoo_env(const std::vector<int64_t>& ms,
-                                           const mosaic::SdnetConfig& base,
-                                           std::uint64_t seed) {
-  if (const char* dir = std::getenv("MF_SERVE_ZOO")) {
-    if (dir[0] != '\0') return make_model_zoo_from_dir(dir);
-  }
-  return make_model_zoo(ms, base, seed);
 }
 
 SolveServer::SolveServer(std::vector<ServeModel> zoo, ServeOptions opts)

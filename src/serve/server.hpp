@@ -6,10 +6,12 @@
 // MF_SERVE_* environment variables by default:
 //   MF_SERVE_THREADS           worker threads (default 1)
 //   MF_SERVE_MAX_INFLIGHT      concurrent jobs per worker (default 8)
-//   MF_SERVE_DISABLE_BATCHING  1 = per-job solver calls (hatch)
+//   MF_SERVE_DISABLE_BATCHING  1 = per-job solver calls (hatch), 0 = off
 //   MF_SERVE_WARM_BATCH        plan-priming batch size, 0 = off (default 4)
 //   MF_SERVE_PAD_TO            pad shared batches to a multiple (default 0)
 //   MF_SERVE_DEADLINE_ACTION   "account" (default) or "retire"
+// A malformed or out-of-range value throws std::invalid_argument naming
+// the variable; an empty one counts as unset. bench_serve_load also reads
 //   MF_SERVE_ZOO               directory with a versioned on-disk model
 //                              zoo (zoo.manifest + parameter files); when
 //                              set the server loads trained checkpoints
@@ -49,7 +51,8 @@ struct ServeOptions {
   std::function<double()> clock;
 };
 
-/// Options with the MF_SERVE_* environment applied over the defaults.
+/// Options with the MF_SERVE_* environment applied over the defaults;
+/// throws std::invalid_argument on a malformed value.
 ServeOptions serve_options_from_env();
 
 /// One per-request outcome: completion record + solution grid.
@@ -78,13 +81,6 @@ std::vector<std::pair<std::string, std::int64_t>> zoo_entry_config(
 /// referenced parameter file are CRC-verified; any corruption, swap or
 /// truncation throws std::runtime_error naming the file.
 std::vector<ServeModel> make_model_zoo_from_dir(const std::string& dir);
-
-/// Zoo selection honoring MF_SERVE_ZOO: when the variable names a
-/// directory, load the versioned on-disk zoo from it; otherwise build
-/// the synthetic random-weight zoo from `ms`/`base`/`seed`.
-std::vector<ServeModel> make_model_zoo_env(const std::vector<int64_t>& ms,
-                                           const mosaic::SdnetConfig& base,
-                                           std::uint64_t seed);
 
 class SolveServer {
  public:

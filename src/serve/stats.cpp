@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-
-#include "mosaic/subdomain_solver.hpp"
 
 namespace mf::serve {
 
@@ -62,39 +59,6 @@ double ServeStats::latency_percentile_ms(double p) const {
     for (const auto& r : records_) lat.push_back(r.latency_ms());
   }
   return percentile(std::move(lat), p);
-}
-
-std::string ServeStats::summary_line(double wall_s) const {
-  const SchedulerCounters c = counters();
-  std::size_t n;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n = records_.size();
-  }
-  const double rps = wall_s > 0 ? static_cast<double>(n) / wall_s : 0.0;
-  const mosaic::InferCacheStats ic = mosaic::infer_cache_stats();
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "serve: req=%zu rps=%.1f p50=%.2fms p99=%.2fms misses=%llu "
-      "degraded_iters=%llu | batches=%llu shared=%llu rows=%llu | "
-      "cache: exact=%llu wide=%llu chunked=%llu rem_rows=%llu eager=%llu "
-      "captures=%llu evictions=%llu retired=%llu",
-      n, rps, latency_percentile_ms(50), latency_percentile_ms(99),
-      static_cast<unsigned long long>(c.deadline_misses),
-      static_cast<unsigned long long>(c.degraded_iterations),
-      static_cast<unsigned long long>(c.batches),
-      static_cast<unsigned long long>(c.shared_batches),
-      static_cast<unsigned long long>(c.batched_rows),
-      static_cast<unsigned long long>(ic.exact_hits),
-      static_cast<unsigned long long>(ic.widened_hits),
-      static_cast<unsigned long long>(ic.chunked_hits),
-      static_cast<unsigned long long>(ic.widen_remainder_rows),
-      static_cast<unsigned long long>(ic.misses),
-      static_cast<unsigned long long>(ic.captures),
-      static_cast<unsigned long long>(ic.evictions),
-      static_cast<unsigned long long>(ic.retired));
-  return std::string(buf);
 }
 
 }  // namespace mf::serve

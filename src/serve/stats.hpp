@@ -1,13 +1,9 @@
-// Serve-side observability: per-request latency records, scheduler
-// batching counters, and a one-line stats summary that folds in the
-// compiled-inference cache counters (mosaic::infer_cache_stats), so a
-// load run shows at a glance whether cross-request batching is actually
-// sharing plans or silently degrading to eager dispatch.
+// Serve-side observability: per-request latency records and scheduler
+// batching counters.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace mf::serve {
@@ -23,7 +19,6 @@ struct RequestRecord {
   double arrival_s = 0, admit_s = 0, finish_s = 0;
 
   double latency_ms() const { return (finish_s - arrival_s) * 1e3; }
-  double queue_ms() const { return (admit_s - arrival_s) * 1e3; }
 };
 
 /// Per-scheduler batching counters (merged across workers by ServeStats).
@@ -59,11 +54,6 @@ class ServeStats {
 
   /// Latency percentile in milliseconds (p in [0, 100]); 0 when empty.
   double latency_percentile_ms(double p) const;
-
-  /// One-line summary: requests, throughput over `wall_s`, p50/p99,
-  /// deadline misses, batching counters, and the inference-cache
-  /// counters (hits/misses/chunk remainders/captures/retired).
-  std::string summary_line(double wall_s) const;
 
  private:
   mutable std::mutex mu_;

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <string>
 
+#include "ad/dtype.hpp"
 #include "comm/world.hpp"
 #include "gp/dataset.hpp"
 #include "linalg/multigrid.hpp"
 #include "mosaic/distributed_predictor.hpp"
 #include "mosaic/predictor.hpp"
+#include "mosaic/scenario_predictor.hpp"
 #include "mosaic/schwarz.hpp"
 
 namespace la = mf::linalg;
@@ -24,6 +29,54 @@ mf::gp::SolvedBvp make_problem(int64_t nx_cells, int64_t ny_cells, int64_t m,
                                std::uint64_t seed = 3) {
   mf::gp::LaplaceDatasetGenerator gen(m, {}, seed);
   return gen.generate_global(nx_cells, ny_cells);
+}
+
+bool bitwise_equal(const la::Grid2D& a, const la::Grid2D& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.vec().data(), b.vec().data(),
+                     a.vec().size() * sizeof(double)) == 0;
+}
+
+struct ReferenceSolve {
+  la::Grid2D solution;
+  int64_t iterations = 0;
+  double final_delta = 0;
+};
+
+/// The Schwarz loop written out from the public phase primitives: one
+/// batched solver call per phase, the tol test on each full cycle, then
+/// the interior pass.
+ReferenceSolve reference_loop(const mosaic::SubdomainSolver& solver,
+                              int64_t nx, int64_t ny,
+                              const std::vector<double>& boundary,
+                              int64_t max_iters, double tol) {
+  const mosaic::SubdomainGeometry geom(solver.m());
+  mosaic::LatticeWindow window(0, 0, nx, ny);
+  la::apply_perimeter(window.grid(), boundary);
+  mosaic::coons_init(window.grid());
+  ReferenceSolve out{la::Grid2D(nx + 1, ny + 1)};
+  std::vector<std::vector<double>> rows, predictions;
+  double num = 0, den = 0;
+  for (int64_t iter = 0; iter < max_iters; ++iter) {
+    const auto corners = mosaic::phase_corners(iter % 4, geom.h, geom.m, nx, ny,
+                                               0, nx / geom.h, 0, ny / geom.h);
+    rows.resize(corners.size());
+    mosaic::gather_phase_boundaries(window, geom, corners, rows);
+    solver.predict(rows, geom.cross_queries, predictions);
+    mosaic::PhaseResult pr;
+    mosaic::scatter_phase_predictions(window, geom, corners, predictions, 0,
+                                      1.0, pr);
+    num += pr.delta_num;
+    den += pr.delta_den;
+    out.iterations = iter + 1;
+    if (iter % 4 == 3) {
+      out.final_delta = den > 0 ? std::sqrt(num / den) : 0.0;
+      num = den = 0;
+      if (out.final_delta < tol) break;
+    }
+  }
+  mosaic::predict_interior(window, solver, geom, nx, ny, out.solution);
+  return out;
 }
 
 }  // namespace
@@ -340,6 +393,109 @@ TEST(DistributedMfpChecks, BadDecompositionThrows) {
     mosaic::distributed_mosaic_predict(c, grid, solver, 24, 24, boundary, {});
   }),
                std::invalid_argument);
+}
+
+// A malformed MF_HALO_TIMEOUT_MS must not silently become a 0 ms
+// deadline (stale halos on most iterations): every rank throws before
+// its first exchange.
+TEST(DistributedMfpChecks, MalformedHaloTimeoutThrows) {
+  const char* old = std::getenv("MF_HALO_TIMEOUT_MS");
+  const std::string saved = old ? old : "";
+  mosaic::HarmonicKernelSolver solver(8);
+  const auto problem = make_problem(16, 16, 8);
+  mf::comm::CartesianGrid grid(2);
+  for (const char* bad : {"abc", "5ms", "-1", "nan", ""}) {
+    setenv("MF_HALO_TIMEOUT_MS", bad, 1);
+    mf::comm::World world(2);
+    const auto run = [&] {
+      world.run([&](mf::comm::Comm& c) {
+        mosaic::MfpOptions opts;
+        opts.max_iters = 8;
+        mosaic::distributed_mosaic_predict(c, grid, solver, 16, 16,
+                                           problem.boundary, opts);
+      });
+    };
+    if (*bad == '\0') {
+      EXPECT_NO_THROW(run());  // empty counts as unset: blocking exchange
+    } else {
+      EXPECT_THROW(run(), std::invalid_argument) << bad;
+    }
+  }
+  if (old) {
+    setenv("MF_HALO_TIMEOUT_MS", saved.c_str(), 1);
+  } else {
+    unsetenv("MF_HALO_TIMEOUT_MS");
+  }
+}
+
+// ---- one iteration engine behind every driver ----
+
+// Every driver must reproduce the textbook loop above bit for bit:
+// single-rank batched and unbatched, the scenario driver on a plain
+// Poisson field, and the distributed driver on 1x1, 2x1 and 2x2 rank
+// grids. The multi-rank cycle delta differs in its last bits (allreduce
+// order), so those run a fixed iteration count (tol 0).
+TEST(SolveEngine, EveryDriverMatchesTheReferenceLoopBitwise) {
+  const mf::ad::DType prev = mf::ad::set_compute_dtype(mf::ad::DType::kF64);
+  const int64_t m = 8, nx = 64, ny = 32;
+  auto problem = make_problem(nx, ny, m, 21);
+  mf::util::Rng rng(5);
+  mosaic::SdnetConfig cfg;
+  cfg.boundary_size = 4 * m;
+  cfg.hidden_width = 16;
+  cfg.mlp_depth = 2;
+  const mosaic::NeuralSubdomainSolver sdnet(
+      std::make_shared<mosaic::Sdnet>(cfg, rng), m);
+  const mosaic::HarmonicKernelSolver harmonic(m);
+
+  for (const mosaic::SubdomainSolver* solver :
+       {static_cast<const mosaic::SubdomainSolver*>(&sdnet),
+        static_cast<const mosaic::SubdomainSolver*>(&harmonic)}) {
+    SCOPED_TRACE(solver == &sdnet ? "random-weight sdnet" : "harmonic kernel");
+    mosaic::MfpOptions opts;
+    opts.max_iters = 160;
+    opts.tol = 1e-3;
+    const ReferenceSolve ref = reference_loop(*solver, nx, ny, problem.boundary,
+                                              opts.max_iters, opts.tol);
+    // The exact solver stops on tol, the random net on the budget.
+    EXPECT_EQ(ref.iterations < opts.max_iters, solver == &harmonic);
+    for (const bool batched : {true, false}) {
+      opts.batched = batched;
+      const auto r = mosaic::mosaic_predict(*solver, nx, ny, problem.boundary, opts);
+      EXPECT_TRUE(bitwise_equal(r.solution, ref.solution)) << "batched " << batched;
+      EXPECT_EQ(r.iterations, ref.iterations) << "batched " << batched;
+      EXPECT_EQ(r.final_delta, ref.final_delta) << "batched " << batched;
+    }
+    opts.batched = true;
+    const auto s = mosaic::mosaic_predict_scenario(
+        *solver, mf::scenario::Field{}, nx, ny, problem.boundary,
+        {opts, nullptr, {}});
+    EXPECT_TRUE(bitwise_equal(s.solution, ref.solution));
+    EXPECT_EQ(s.iterations, ref.iterations);
+    EXPECT_EQ(s.final_delta, ref.final_delta);
+
+    opts.max_iters = 40;
+    opts.tol = 0;
+    const ReferenceSolve fixed = reference_loop(*solver, nx, ny, problem.boundary,
+                                                opts.max_iters, opts.tol);
+    for (const auto& [px, py] :
+         std::initializer_list<std::pair<int, int>>{{1, 1}, {2, 1}, {2, 2}}) {
+      SCOPED_TRACE(std::to_string(px) + "x" + std::to_string(py) + " ranks");
+      mf::comm::CartesianGrid grid(px, py);
+      mf::comm::World world(px * py);
+      std::vector<mosaic::DistMfpResult> results(static_cast<std::size_t>(px * py));
+      world.run([&](mf::comm::Comm& c) {
+        results[static_cast<std::size_t>(c.rank())] =
+            mosaic::distributed_mosaic_predict(c, grid, *solver, nx, ny,
+                                               problem.boundary, opts);
+      });
+      for (const auto& r : results) {
+        EXPECT_TRUE(bitwise_equal(r.solution, fixed.solution));
+        EXPECT_EQ(r.iterations, fixed.iterations);
+      }
+    }
+  }
+  mf::ad::set_compute_dtype(prev);
 }
 
 // ---- classical Schwarz baseline ----

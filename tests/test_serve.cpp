@@ -1,16 +1,21 @@
 // Multi-tenant solve server tests: batch-composition invariance (server
-// results bitwise-identical to solo mosaic_predict runs), deterministic
-// scheduling, concurrent plan-cache use with seeded health retirement,
-// inference-cache observability counters, and deadline enforcement with
-// an injected clock.
+// results bitwise-identical to solo mosaic_predict runs, scenario tenants
+// included), deterministic scheduling, concurrent plan-cache use with
+// seeded health retirement, inference-cache observability counters,
+// deadline enforcement with an injected clock, and loud failure on
+// malformed MF_SERVE_* values.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ad/dtype.hpp"
 #include "ad/program.hpp"
 #include "mosaic/predictor.hpp"
+#include "mosaic/scenario_predictor.hpp"
 #include "mosaic/subdomain_solver.hpp"
 #include "serve/request_gen.hpp"
 #include "serve/scheduler.hpp"
@@ -63,9 +68,24 @@ std::vector<serve::GeometrySpec> tiny_specs(std::size_t tenants) {
   return specs;
 }
 
-std::vector<serve::SolveRequest> tiny_requests(std::size_t tenants,
-                                               int64_t n,
-                                               std::uint64_t seed = 99) {
+/// A random-weight tenant for `kind`: the net's input width is the
+/// scenario's conditioning size.
+serve::ServeModel scenario_tenant(mf::scenario::Kind kind, std::uint64_t seed) {
+  serve::ServeModel model;
+  model.m = 4;
+  model.scenario = kind;
+  mosaic::SdnetConfig cfg = tiny_config();
+  cfg.boundary_size = mf::scenario::conditioning_size(kind, model.m);
+  mf::util::Rng rng(seed);
+  model.net = std::make_shared<mosaic::Sdnet>(cfg, rng);
+  model.solver =
+      std::make_shared<mosaic::NeuralSubdomainSolver>(model.net, model.m);
+  return model;
+}
+
+std::vector<serve::SolveRequest> tiny_requests(
+    const std::vector<serve::GeometrySpec>& specs, int64_t n,
+    std::uint64_t seed) {
   serve::RequestGenConfig cfg;
   cfg.seed = seed;
   cfg.rate_hz = 1000;
@@ -73,9 +93,35 @@ std::vector<serve::SolveRequest> tiny_requests(std::size_t tenants,
   cfg.max_cycles = 3;
   cfg.deadline_ms_min = 1e6;  // effectively no deadline
   cfg.deadline_ms_max = 1e6;
-  serve::RequestGenerator gen(tiny_specs(tenants), cfg);
+  serve::RequestGenerator gen(specs, cfg);
   return gen.generate(n);
 }
+
+std::vector<serve::SolveRequest> tiny_requests(std::size_t tenants,
+                                               int64_t n,
+                                               std::uint64_t seed = 99) {
+  return tiny_requests(tiny_specs(tenants), n, seed);
+}
+
+/// Sets an environment variable for one scope, then restores it.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~EnvGuard() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 bool grids_bitwise_equal(const mf::linalg::Grid2D& a,
                          const mf::linalg::Grid2D& b) {
@@ -88,10 +134,16 @@ bool grids_bitwise_equal(const mf::linalg::Grid2D& a,
 
 // The acceptance property: serving a request in a shared cross-request
 // batch must produce exactly the bits that running it alone through
-// mosaic_predict produces, iteration count included.
+// mosaic_predict (mosaic_predict_scenario for the varcoef and convdiff
+// tenants) produces, iteration count included.
 TEST_F(ServeTest, ServerMatchesSoloRunBitwise) {
   auto zoo = serve::make_model_zoo({4, 4}, tiny_config(), 7);
-  auto requests = tiny_requests(zoo.size(), 10);
+  zoo.push_back(scenario_tenant(mf::scenario::Kind::kVarCoef, 8));
+  zoo.push_back(scenario_tenant(mf::scenario::Kind::kConvDiff, 9));
+  auto specs = tiny_specs(zoo.size());
+  specs[2].scenario = mf::scenario::Kind::kVarCoef;
+  specs[3].scenario = mf::scenario::Kind::kConvDiff;
+  auto requests = tiny_requests(specs, 16, 99);
 
   serve::ServeOptions opts;
   opts.threads = 1;
@@ -102,20 +154,27 @@ TEST_F(ServeTest, ServerMatchesSoloRunBitwise) {
   auto results = server.run(requests);
   ASSERT_EQ(results.size(), requests.size());
 
+  int scenario_requests = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto& req = requests[i];
+    const auto& solver = *zoo[static_cast<std::size_t>(req.zoo_index)].solver;
     mosaic::MfpOptions solo;
     solo.max_iters = req.max_iters;
     solo.tol = req.tol;
-    auto ref = mosaic::mosaic_predict(
-        *zoo[static_cast<std::size_t>(req.zoo_index)].solver, req.nx_cells,
-        req.ny_cells, req.boundary, solo);
+    const bool poisson = req.field.kind == mf::scenario::Kind::kPoisson;
+    scenario_requests += poisson ? 0 : 1;
+    auto ref = poisson ? mosaic::mosaic_predict(solver, req.nx_cells,
+                                                req.ny_cells, req.boundary, solo)
+                       : mosaic::mosaic_predict_scenario(
+                             solver, req.field, req.nx_cells, req.ny_cells,
+                             req.boundary, {solo, nullptr, {}});
     EXPECT_EQ(results[i].record.id, req.id);
     EXPECT_EQ(results[i].record.iterations, ref.iterations)
         << "request " << i;
     EXPECT_TRUE(grids_bitwise_equal(results[i].solution, ref.solution))
         << "request " << i;
   }
+  EXPECT_GT(scenario_requests, 0);
 }
 
 // Disabling batching (the per-job hatch) must not change a single bit.
@@ -294,5 +353,43 @@ TEST_F(ServeTest, DeadlineRetireAndAccountWithInjectedClock) {
     }
     const auto& c = server.stats().counters();
     EXPECT_EQ(c.deadline_misses, static_cast<std::uint64_t>(requests.size()));
+  }
+}
+
+// Malformed MF_SERVE_* values fail loudly instead of falling back to a
+// silent default; the values CI uses stay valid.
+TEST(ServeOptionsFromEnv, MalformedValuesThrow) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"MF_SERVE_THREADS", "two"},
+      {"MF_SERVE_THREADS", "0"},
+      {"MF_SERVE_THREADS", "3x"},
+      {"MF_SERVE_MAX_INFLIGHT", "-1"},
+      {"MF_SERVE_DISABLE_BATCHING", "false"},
+      {"MF_SERVE_DISABLE_BATCHING", "2"},
+      {"MF_SERVE_WARM_BATCH", "1.5"},
+      {"MF_SERVE_PAD_TO", "-4"},
+      {"MF_SERVE_PAD_TO", "99999999999999999999"},
+      {"MF_SERVE_DEADLINE_ACTION", "retrie"},
+  };
+  for (const auto& [name, value] : bad) {
+    EnvGuard env(name, value);
+    try {
+      serve::serve_options_from_env();
+      ADD_FAILURE() << name << "=" << value << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+    }
+  }
+  {
+    EnvGuard env("MF_SERVE_DISABLE_BATCHING", "1");
+    EXPECT_FALSE(serve::serve_options_from_env().batching);
+  }
+  {
+    EnvGuard threads("MF_SERVE_THREADS", "2");
+    EnvGuard action("MF_SERVE_DEADLINE_ACTION", "retire");
+    const serve::ServeOptions o = serve::serve_options_from_env();
+    EXPECT_EQ(o.threads, 2);
+    EXPECT_EQ(o.deadline_action, serve::DeadlineAction::kRetire);
   }
 }
