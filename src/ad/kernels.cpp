@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MF_HAVE_AVX2_KERNELS 1
@@ -261,149 +260,6 @@ constexpr int64_t kTileK = 64;
 constexpr int64_t kTileN = 512;
 
 #ifdef MF_HAVE_AVX2_KERNELS
-// AVX2 variants of the register-blocked micro-kernel, dispatched at
-// runtime so the binary stays baseline x86-64. Bitwise identical to the
-// scalar path: each output element is one vector lane accumulating
-// `acc += av * b` in the same ascending kk order with separate mulpd /
-// addpd (no FMA contraction), and the zero-skip tests the same scalar
-// a-element that guards the whole 4-column strip in the scalar code.
-__attribute__((target("avx2"))) static void matmul_rows4_avx2(
-    const real* a0, const real* a1, const real* a2, const real* a3,
-    const real* b, const real* bias, real* orow0, int64_t k, int64_t n) {
-  int64_t j0 = 0;
-  // 4 rows x 8 columns: 8 accumulator ymm = 8 independent addpd dependency
-  // chains, enough ILP to hide the 4-cycle add latency that bounds a
-  // single-strip (4-chain) tile.
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256d acc0a, acc0b, acc1a, acc1b, acc2a, acc2b, acc3a, acc3b;
-    if (bias) {
-      const __m256d ba = _mm256_loadu_pd(bias + j0);
-      const __m256d bb = _mm256_loadu_pd(bias + j0 + 4);
-      acc0a = acc1a = acc2a = acc3a = ba;
-      acc0b = acc1b = acc2b = acc3b = bb;
-    } else {
-      acc0a = acc0b = acc1a = acc1b = acc2a = acc2b = acc3a = acc3b =
-          _mm256_setzero_pd();
-    }
-    const real* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const __m256d bva = _mm256_loadu_pd(brow);
-      const __m256d bvb = _mm256_loadu_pd(brow + 4);
-      const real av0 = a0[kk], av1 = a1[kk], av2 = a2[kk], av3 = a3[kk];
-      if (av0 != 0) {
-        const __m256d av = _mm256_set1_pd(av0);
-        acc0a = _mm256_add_pd(acc0a, _mm256_mul_pd(av, bva));
-        acc0b = _mm256_add_pd(acc0b, _mm256_mul_pd(av, bvb));
-      }
-      if (av1 != 0) {
-        const __m256d av = _mm256_set1_pd(av1);
-        acc1a = _mm256_add_pd(acc1a, _mm256_mul_pd(av, bva));
-        acc1b = _mm256_add_pd(acc1b, _mm256_mul_pd(av, bvb));
-      }
-      if (av2 != 0) {
-        const __m256d av = _mm256_set1_pd(av2);
-        acc2a = _mm256_add_pd(acc2a, _mm256_mul_pd(av, bva));
-        acc2b = _mm256_add_pd(acc2b, _mm256_mul_pd(av, bvb));
-      }
-      if (av3 != 0) {
-        const __m256d av = _mm256_set1_pd(av3);
-        acc3a = _mm256_add_pd(acc3a, _mm256_mul_pd(av, bva));
-        acc3b = _mm256_add_pd(acc3b, _mm256_mul_pd(av, bvb));
-      }
-    }
-    _mm256_storeu_pd(orow0 + j0, acc0a);
-    _mm256_storeu_pd(orow0 + j0 + 4, acc0b);
-    _mm256_storeu_pd(orow0 + n + j0, acc1a);
-    _mm256_storeu_pd(orow0 + n + j0 + 4, acc1b);
-    _mm256_storeu_pd(orow0 + 2 * n + j0, acc2a);
-    _mm256_storeu_pd(orow0 + 2 * n + j0 + 4, acc2b);
-    _mm256_storeu_pd(orow0 + 3 * n + j0, acc3a);
-    _mm256_storeu_pd(orow0 + 3 * n + j0 + 4, acc3b);
-  }
-  for (; j0 + 4 <= n; j0 += 4) {
-    __m256d acc0, acc1, acc2, acc3;
-    if (bias) {
-      acc0 = acc1 = acc2 = acc3 = _mm256_loadu_pd(bias + j0);
-    } else {
-      acc0 = acc1 = acc2 = acc3 = _mm256_setzero_pd();
-    }
-    const real* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const __m256d bv = _mm256_loadu_pd(brow);
-      const real av0 = a0[kk], av1 = a1[kk], av2 = a2[kk], av3 = a3[kk];
-      if (av0 != 0)
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(av0), bv));
-      if (av1 != 0)
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(av1), bv));
-      if (av2 != 0)
-        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(av2), bv));
-      if (av3 != 0)
-        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(av3), bv));
-    }
-    _mm256_storeu_pd(orow0 + j0, acc0);
-    _mm256_storeu_pd(orow0 + n + j0, acc1);
-    _mm256_storeu_pd(orow0 + 2 * n + j0, acc2);
-    _mm256_storeu_pd(orow0 + 3 * n + j0, acc3);
-  }
-  if (j0 < n) {  // column remainder: scalar, same per-element order
-    const int64_t jw = n - j0;
-    real acc[4][4];
-    for (int64_t r = 0; r < 4; ++r)
-      for (int64_t j = 0; j < jw; ++j) acc[r][j] = bias ? bias[j0 + j] : 0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const real* brow = b + kk * n + j0;
-      const real av[4] = {a0[kk], a1[kk], a2[kk], a3[kk]};
-      for (int64_t r = 0; r < 4; ++r) {
-        if (av[r] != 0) {
-          for (int64_t j = 0; j < jw; ++j) acc[r][j] += av[r] * brow[j];
-        }
-      }
-    }
-    for (int64_t r = 0; r < 4; ++r)
-      for (int64_t j = 0; j < jw; ++j) orow0[r * n + j0 + j] = acc[r][j];
-  }
-}
-
-__attribute__((target("avx2"))) static void matmul_rows1_avx2(
-    const real* arow, const real* b, const real* bias, real* orow, int64_t k,
-    int64_t n) {
-  int64_t j0 = 0;
-  for (; j0 + 4 <= n; j0 += 4) {
-    __m256d acc = bias ? _mm256_loadu_pd(bias + j0) : _mm256_setzero_pd();
-    const real* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const real av = arow[kk];
-      if (av != 0)
-        acc = _mm256_add_pd(
-            acc, _mm256_mul_pd(_mm256_set1_pd(av), _mm256_loadu_pd(brow)));
-    }
-    _mm256_storeu_pd(orow + j0, acc);
-  }
-  for (int64_t j = j0; j < n; ++j) orow[j] = bias ? bias[j] : 0;
-  for (int64_t kk = 0; kk < k && j0 < n; ++kk) {
-    const real av = arow[kk];
-    if (av == 0) continue;
-    const real* brow = b + kk * n;
-    for (int64_t j = j0; j < n; ++j) orow[j] += av * brow[j];
-  }
-}
-
-/// `orow[j] += av * brow[j]` over a tile strip — the inner update of the
-/// cache-blocked path, 4 lanes wide. Independent elements, so plain
-/// vectorization is bitwise-exact.
-__attribute__((target("avx2"))) static void axpy_avx2(const real* brow,
-                                                      real* orow, real av,
-                                                      int64_t len) {
-  const __m256d avv = _mm256_set1_pd(av);
-  int64_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    _mm256_storeu_pd(
-        orow + j, _mm256_add_pd(_mm256_loadu_pd(orow + j),
-                                _mm256_mul_pd(avv, _mm256_loadu_pd(brow + j))));
-  }
-  for (; j < len; ++j) orow[j] += av * brow[j];
-}
-
 static bool cpu_has_avx2() {
   static const bool has = __builtin_cpu_supports("avx2");
   return has;
@@ -416,15 +272,14 @@ static bool cpu_has_fma() {
 
 // ---- FMA matmul micro-kernels ----
 //
-// Same tiling as the no-FMA kernels above but with fused multiply-add:
-// one vfmadd231pd where the exact path issues mulpd + addpd, roughly
-// doubling arithmetic throughput on the port-bound width-64 GEMMs of
-// SDNet inference. The fused rounding changes the last bits relative to
-// the scalar loop (it is, if anything, more accurate), so this tier is
-// hatch-controlled: MF_DISABLE_FMA_KERNELS=1 (or fma_kernels_set_enabled)
-// restores the bitwise-exact kernels. The zero-skip of the exact path is
-// dropped — it exists to mirror the scalar loop branch-for-branch, which
-// this tier does not promise.
+// Register-blocked like the scalar micro-kernel in matmul() but with
+// fused multiply-add: one vfmadd231pd where the scalar loop issues a
+// multiply and an add, roughly doubling arithmetic throughput on the
+// port-bound width-64 GEMMs of SDNet inference. 4 rows x 8 columns give
+// 8 accumulator ymm = 8 independent dependency chains, enough ILP to hide
+// the FMA latency. Each output element accumulates std::fma(a, b, acc) in
+// ascending kk order whichever strip or tail computes it. No zero-skip:
+// fma(0, b, acc) == acc for finite b.
 __attribute__((target("avx2,fma"))) static void matmul_rows4_fma(
     const real* a0, const real* a1, const real* a2, const real* a3,
     const real* b, const real* bias, real* orow0, int64_t k, int64_t n) {
@@ -543,9 +398,7 @@ __attribute__((target("avx2,fma"))) static void axpy_fma(const real* brow,
 // tier makes no bitwise promise against a scalar loop (it is
 // tolerance-gated), but it is deterministic and thread-count-invariant:
 // row partitioning plus a fixed ascending kk order means an output
-// element's value never depends on the thread count. No zero-skip — that
-// exists in the exact double tier only to mirror the scalar loop
-// branch-for-branch.
+// element's value never depends on the thread count.
 __attribute__((target("avx2,fma"))) static void matmul_rows4_fma_f(
     const float* a0, const float* a1, const float* a2, const float* a3,
     const float* b, const float* bias, float* orow0, int64_t k, int64_t n) {
@@ -658,141 +511,146 @@ __attribute__((target("avx2,fma"))) static void axpy_fma_f(const float* brow,
   for (; j < len; ++j) orow[j] = std::fma(av, brow[j], orow[j]);
 }
 
-/// 4-lane body of the arithmetic map_binary overloads; `op` selects the
-/// instruction outside the vector loop. Scalar tail for n % 4.
-__attribute__((target("avx2"))) static void map_binary_avx2(
-    const real* a, const real* b, real* out, int64_t begin, int64_t end,
-    int op) {
-  int64_t i = begin;
+/// 4-lane body of binary_block; `op` selects the instruction outside the
+/// vector loop. Scalar tail for n % 4.
+__attribute__((target("avx2"))) static void binary_block_avx2(
+    const real* a, const real* b, real* out, int64_t n, BinaryOp op) {
+  int64_t i = 0;
   switch (op) {
-    case 0:
-      for (; i + 4 <= end; i += 4)
+    case BinaryOp::kAdd:
+      for (; i + 4 <= n; i += 4)
         _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(a + i),
                                                 _mm256_loadu_pd(b + i)));
-      for (; i < end; ++i) out[i] = a[i] + b[i];
+      for (; i < n; ++i) out[i] = a[i] + b[i];
       break;
-    case 1:
-      for (; i + 4 <= end; i += 4)
+    case BinaryOp::kSub:
+      for (; i + 4 <= n; i += 4)
         _mm256_storeu_pd(out + i, _mm256_sub_pd(_mm256_loadu_pd(a + i),
                                                 _mm256_loadu_pd(b + i)));
-      for (; i < end; ++i) out[i] = a[i] - b[i];
+      for (; i < n; ++i) out[i] = a[i] - b[i];
       break;
-    case 2:
-      for (; i + 4 <= end; i += 4)
+    case BinaryOp::kMul:
+      for (; i + 4 <= n; i += 4)
         _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i),
                                                 _mm256_loadu_pd(b + i)));
-      for (; i < end; ++i) out[i] = a[i] * b[i];
+      for (; i < n; ++i) out[i] = a[i] * b[i];
       break;
-    case 3:
-      for (; i + 4 <= end; i += 4)
+    case BinaryOp::kDiv:
+      for (; i + 4 <= n; i += 4)
         _mm256_storeu_pd(out + i, _mm256_div_pd(_mm256_loadu_pd(a + i),
                                                 _mm256_loadu_pd(b + i)));
-      for (; i < end; ++i) out[i] = a[i] / b[i];
+      for (; i < n; ++i) out[i] = a[i] / b[i];
       break;
   }
 }
 
-/// 8-lane ps twin of map_binary_avx2. Per-lane IEEE ops, so the vector
+/// 8-lane ps twin of binary_block_avx2. Per-lane IEEE ops, so the vector
 /// body and the scalar tail produce identical float bits.
-__attribute__((target("avx2"))) static void map_binary_avx2_f(
-    const float* a, const float* b, float* out, int64_t begin, int64_t end,
-    int op) {
-  int64_t i = begin;
+__attribute__((target("avx2"))) static void binary_block_avx2_f(
+    const float* a, const float* b, float* out, int64_t n, BinaryOp op) {
+  int64_t i = 0;
   switch (op) {
-    case 0:
-      for (; i + 8 <= end; i += 8)
+    case BinaryOp::kAdd:
+      for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
                                                 _mm256_loadu_ps(b + i)));
-      for (; i < end; ++i) out[i] = a[i] + b[i];
+      for (; i < n; ++i) out[i] = a[i] + b[i];
       break;
-    case 1:
-      for (; i + 8 <= end; i += 8)
+    case BinaryOp::kSub:
+      for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
                                                 _mm256_loadu_ps(b + i)));
-      for (; i < end; ++i) out[i] = a[i] - b[i];
+      for (; i < n; ++i) out[i] = a[i] - b[i];
       break;
-    case 2:
-      for (; i + 8 <= end; i += 8)
+    case BinaryOp::kMul:
+      for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
                                                 _mm256_loadu_ps(b + i)));
-      for (; i < end; ++i) out[i] = a[i] * b[i];
+      for (; i < n; ++i) out[i] = a[i] * b[i];
       break;
-    case 3:
-      for (; i + 8 <= end; i += 8)
+    case BinaryOp::kDiv:
+      for (; i + 8 <= n; i += 8)
         _mm256_storeu_ps(out + i, _mm256_div_ps(_mm256_loadu_ps(a + i),
                                                 _mm256_loadu_ps(b + i)));
-      for (; i < end; ++i) out[i] = a[i] / b[i];
+      for (; i < n; ++i) out[i] = a[i] / b[i];
       break;
   }
 }
 #endif  // MF_HAVE_AVX2_KERNELS
 
 namespace {
-template <typename F>
-void map_binary_dispatch(const real* a, const real* b, real* out, int64_t n,
-                         F f, int op) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (cpu_has_avx2()) {
-    parallel_for(n, [&](int64_t begin, int64_t end) {
-      map_binary_avx2(a, b, out, begin, end, op);
-    });
-    return;
+template <typename T>
+void binary_block_scalar(const T* a, const T* b, T* out, int64_t n,
+                         BinaryOp op) {
+  auto run = [&](auto f) {
+    for (int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
+  };
+  switch (op) {
+    case BinaryOp::kAdd: run(sfn::Add{}); break;
+    case BinaryOp::kSub: run(sfn::Sub{}); break;
+    case BinaryOp::kMul: run(sfn::Mul{}); break;
+    case BinaryOp::kDiv: run(sfn::Div{}); break;
   }
-#endif
-  (void)op;
+}
+
+template <typename T>
+void map_binary_blocks(const T* a, const T* b, T* out, int64_t n,
+                       BinaryOp op) {
   parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = f(a[i], b[i]);
+    binary_block(a + begin, b + begin, out + begin, end - begin, op);
   });
 }
 }  // namespace
+
+void binary_block(const real* a, const real* b, real* out, int64_t n,
+                  BinaryOp op) {
+#ifdef MF_HAVE_AVX2_KERNELS
+  if (cpu_has_avx2()) {
+    binary_block_avx2(a, b, out, n, op);
+    return;
+  }
+#endif
+  binary_block_scalar(a, b, out, n, op);
+}
+
+void binary_block(const float* a, const float* b, float* out, int64_t n,
+                  BinaryOp op) {
+#ifdef MF_HAVE_AVX2_KERNELS
+  if (cpu_has_avx2()) {
+    binary_block_avx2_f(a, b, out, n, op);
+    return;
+  }
+#endif
+  binary_block_scalar(a, b, out, n, op);
+}
 
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Add) {
-  map_binary_dispatch(a, b, out, n, sfn::Add{}, 0);
+  map_binary_blocks(a, b, out, n, BinaryOp::kAdd);
 }
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Sub) {
-  map_binary_dispatch(a, b, out, n, sfn::Sub{}, 1);
+  map_binary_blocks(a, b, out, n, BinaryOp::kSub);
 }
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Mul) {
-  map_binary_dispatch(a, b, out, n, sfn::Mul{}, 2);
+  map_binary_blocks(a, b, out, n, BinaryOp::kMul);
 }
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Div) {
-  map_binary_dispatch(a, b, out, n, sfn::Div{}, 3);
+  map_binary_blocks(a, b, out, n, BinaryOp::kDiv);
 }
-
-namespace {
-template <typename F>
-void map_binary_dispatch_f(const float* a, const float* b, float* out,
-                           int64_t n, F f, int op) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (cpu_has_avx2()) {
-    parallel_for(n, [&](int64_t begin, int64_t end) {
-      map_binary_avx2_f(a, b, out, begin, end, op);
-    });
-    return;
-  }
-#endif
-  (void)op;
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = f(a[i], b[i]);
-  });
-}
-}  // namespace
-
 void map_binary(const float* a, const float* b, float* out, int64_t n,
                 sfn::Add) {
-  map_binary_dispatch_f(a, b, out, n, sfn::Add{}, 0);
+  map_binary_blocks(a, b, out, n, BinaryOp::kAdd);
 }
 void map_binary(const float* a, const float* b, float* out, int64_t n,
                 sfn::Sub) {
-  map_binary_dispatch_f(a, b, out, n, sfn::Sub{}, 1);
+  map_binary_blocks(a, b, out, n, BinaryOp::kSub);
 }
 void map_binary(const float* a, const float* b, float* out, int64_t n,
                 sfn::Mul) {
-  map_binary_dispatch_f(a, b, out, n, sfn::Mul{}, 2);
+  map_binary_blocks(a, b, out, n, BinaryOp::kMul);
 }
 void map_binary(const float* a, const float* b, float* out, int64_t n,
                 sfn::Div) {
-  map_binary_dispatch_f(a, b, out, n, sfn::Div{}, 3);
+  map_binary_blocks(a, b, out, n, BinaryOp::kDiv);
 }
 
 // ---- fast tanh / gelu ----
@@ -931,49 +789,19 @@ inline float fast_gelu_scalar_f(float x) {
   return 0.5f * x * (1.0f + fast_tanh_scalar_f(u));
 }
 
-bool fast_tanh_env_default() {
-  const char* e = std::getenv("MF_DISABLE_FAST_TANH");
-  return !(e && e[0] == '1');
-}
-
-std::atomic<bool> g_fast_tanh{fast_tanh_env_default()};
-
-bool fma_kernels_env_default() {
-  const char* e = std::getenv("MF_DISABLE_FMA_KERNELS");
-  return !(e && e[0] == '1');
-}
-
-std::atomic<bool> g_fma_kernels{fma_kernels_env_default()};
-
 }  // namespace
-
-bool fma_kernels_enabled() {
-  return g_fma_kernels.load(std::memory_order_relaxed);
-}
-
-bool fma_kernels_set_enabled(bool on) {
-  return g_fma_kernels.exchange(on, std::memory_order_relaxed);
-}
 
 bool fma_kernels_active() {
 #ifdef MF_HAVE_AVX2_KERNELS
-  return fma_kernels_enabled() && cpu_has_avx2() && cpu_has_fma();
+  return cpu_has_avx2() && cpu_has_fma();
 #else
   return false;
 #endif
 }
 
-bool fast_tanh_enabled() {
-  return g_fast_tanh.load(std::memory_order_relaxed);
-}
-
-bool fast_tanh_set_enabled(bool on) {
-  return g_fast_tanh.exchange(on, std::memory_order_relaxed);
-}
-
 bool fast_tanh_active() {
 #ifdef MF_HAVE_AVX2_KERNELS
-  return fast_tanh_enabled() && cpu_has_avx2();
+  return cpu_has_avx2();
 #else
   return false;
 #endif
@@ -1288,30 +1116,19 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
   // worker lambda, so the hot loops compile unperturbed.
   const bool b_fits_one_tile = k * n <= kTileK * kTileN;
 #ifdef MF_HAVE_AVX2_KERNELS
-  const bool use_avx2 = cpu_has_avx2();
   const bool use_fma = fma_kernels_active();
 #endif
   parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
     if (b_fits_one_tile) {
 #ifdef MF_HAVE_AVX2_KERNELS
-      if (use_avx2) {
+      if (use_fma) {
         int64_t i0 = begin;
-        if (use_fma) {
-          for (; i0 + 4 <= end; i0 += 4) {
-            matmul_rows4_fma(a + i0 * k, a + (i0 + 1) * k, a + (i0 + 2) * k,
-                             a + (i0 + 3) * k, b, bias, out + i0 * n, k, n);
-          }
-          for (; i0 < end; ++i0) {
-            matmul_rows1_fma(a + i0 * k, b, bias, out + i0 * n, k, n);
-          }
-          return;
-        }
         for (; i0 + 4 <= end; i0 += 4) {
-          matmul_rows4_avx2(a + i0 * k, a + (i0 + 1) * k, a + (i0 + 2) * k,
-                            a + (i0 + 3) * k, b, bias, out + i0 * n, k, n);
+          matmul_rows4_fma(a + i0 * k, a + (i0 + 1) * k, a + (i0 + 2) * k,
+                           a + (i0 + 3) * k, b, bias, out + i0 * n, k, n);
         }
         for (; i0 < end; ++i0) {
-          matmul_rows1_avx2(a + i0 * k, b, bias, out + i0 * n, k, n);
+          matmul_rows1_fma(a + i0 * k, b, bias, out + i0 * n, k, n);
         }
         return;
       }
@@ -1435,10 +1252,6 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
               axpy_fma(brow + j0, orow + j0, av, j1 - j0);
               continue;
             }
-            if (use_avx2) {
-              axpy_avx2(brow + j0, orow + j0, av, j1 - j0);
-              continue;
-            }
 #endif
             for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
           }
@@ -1455,12 +1268,10 @@ void matmul(const float* a, const float* b, const float* bias, float* out,
   // size, so this errs toward the fused loop, which is the right bias for
   // the narrow SDNet shapes). The vector path needs AVX2+FMA together —
   // they co-occur on every AVX2 CPU since Haswell — and falls back to the
-  // same deterministic scalar i-k-j loop otherwise. No MF_DISABLE_FMA
-  // hatch here: that hatch restores a bitwise-exact double tier, a promise
-  // the float tier never makes (it is tolerance-gated).
+  // same deterministic scalar i-k-j loop otherwise.
   const bool b_fits_one_tile = k * n <= kTileK * kTileN;
 #ifdef MF_HAVE_AVX2_KERNELS
-  const bool use_vec = cpu_has_avx2() && cpu_has_fma();
+  const bool use_vec = fma_kernels_active();
 #endif
   parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
     if (b_fits_one_tile) {

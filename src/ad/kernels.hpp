@@ -115,13 +115,24 @@ void map_binary(const T* a, const T* b, T* out, int64_t n, F&& f) {
   });
 }
 
-// Non-template overloads for the four arithmetic binary functors: on
-// x86-64 hosts with AVX2 these run a runtime-dispatched vector loop
-// (vaddpd/vsubpd/vmulpd/vdivpd are IEEE-exact per lane, so results stay
-// bitwise identical to the scalar template — which remains the fallback).
-// Eager ops and program replay both resolve to these, preserving parity.
-// The float overloads are the 8-lane ps twins (also IEEE-exact per lane,
-// so f32 vector and scalar paths agree bitwise too).
+/// Opcode of binary_block (and of compiled plans' binary steps).
+enum class BinaryOp : std::uint8_t { kAdd, kSub, kMul, kDiv };
+
+/// Serial out[i] = a[i] op b[i] for i in [0, n); `out` may alias `a` or
+/// `b`. On x86-64 hosts with AVX2 a runtime-dispatched vector loop
+/// (vaddpd/vsubpd/vmulpd/vdivpd, or the 8-lane ps twins) runs, IEEE-exact
+/// per lane, so results are bitwise identical to the sfn:: functors —
+/// which remain the fallback. The arithmetic map_binary overloads call it
+/// per parallel chunk and the fused-chain interpreter per 128-element
+/// block, so eager ops, plain replay and fused replay share one body.
+void binary_block(const real* a, const real* b, real* out, int64_t n,
+                  BinaryOp op);
+void binary_block(const float* a, const float* b, float* out, int64_t n,
+                  BinaryOp op);
+
+// Non-template overloads for the four arithmetic binary functors: a
+// parallel_for over binary_block. Eager ops and program replay both
+// resolve to these, preserving parity.
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Add);
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Sub);
 void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Mul);
@@ -146,13 +157,8 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 // execution stays bitwise identical to serial, and eager ops and program
 // replay (including fused chains, which route through the *_block_inplace
 // entry points) stay bitwise identical to each other. Absolute values
-// differ from libm in the last bits; MF_DISABLE_FAST_TANH=1 (or the
-// setter) restores bit-exact std::tanh everywhere.
-/// Env-derived default: false when MF_DISABLE_FAST_TANH=1.
-bool fast_tanh_enabled();
-/// Override the env default (tests / benches). Returns previous value.
-bool fast_tanh_set_enabled(bool on);
-/// True when the fast path actually runs: enabled and the CPU has AVX2.
+// differ from libm in the last bits. CPUs without AVX2 run std::tanh.
+/// True when the fast path runs: the CPU has AVX2.
 bool fast_tanh_active();
 void map_unary(const real* a, real* out, int64_t n, sfn::Tanh);
 void map_unary(const real* a, real* out, int64_t n, sfn::Gelu);
@@ -171,15 +177,14 @@ void gelu_block_inplace(float* x, int64_t n);
 
 // ---- FMA matmul tier ----
 //
-// When the CPU has FMA, matmul dispatches to fused-multiply-add
-// micro-kernels (~2x arithmetic throughput on the width-64 GEMMs). Fused
-// rounding shifts the last bits relative to the exact mulpd/addpd tier,
-// so it is hatch-controlled: MF_DISABLE_FMA_KERNELS=1 (or the setter)
-// restores kernels that are bitwise identical to the naive scalar loop.
+// When the CPU has AVX2 and FMA, matmul dispatches to fused-multiply-add
+// micro-kernels (~2x arithmetic throughput on the width-64 GEMMs); each
+// output element is bitwise equal to the naive loop accumulating
+// std::fma(a, b, acc) in ascending k. Otherwise the scalar register-
+// blocked loop runs, bitwise equal to the naive `acc += a * b` loop.
 // Either way eager, replay, serial and threaded execution all share one
 // kernel, so intra-process parity invariants are unaffected.
-bool fma_kernels_enabled();
-bool fma_kernels_set_enabled(bool on);
+/// True when matmul runs the FMA tier: the CPU has AVX2 and FMA.
 bool fma_kernels_active();
 
 // ---- broadcast elementwise ----

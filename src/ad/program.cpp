@@ -1,5 +1,6 @@
 #include "ad/program.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -7,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -20,6 +22,11 @@
 #include <vector>
 
 #include "ad/scalar_fns.hpp"
+
+// A switch over StepKind or a kind-table rule that misses a value is a
+// build error, not a warning: the execute switch and the rule switches
+// have no `default:`, so a new kind or rule cannot silently fall through.
+#pragma GCC diagnostic error "-Wswitch"
 
 namespace mf::ad {
 
@@ -51,22 +58,100 @@ enum class StepKind : std::uint8_t {
   kStepKindCount_,  // sentinel: one past the last real kind
 };
 
-// Profile-tally band layout: [0, kStepKindCount) per step kind, then
-// [kStepKindCount, kStepKindCount + kUnaryFnCount) splitting kUnary by
-// fn. Sized from the enums so adding a kind or a unary fn grows the
-// accumulators instead of silently aliasing a neighbouring band (the
-// old fixed `32 + fn` split aliased unary slots as soon as a step kind
-// reached 32).
-constexpr int kStepKindCount = static_cast<int>(StepKind::kStepKindCount_);
-constexpr int kUnaryFnCount = static_cast<int>(prog::Unary::kGelu) + 1;
-constexpr int kProfBands = kStepKindCount + kUnaryFnCount;
-static_assert(kStepKindCount == 22,
-              "StepKind changed: audit the widening propagation switch, "
-              "the wave-hazard analysis and the mixed-precision cast "
-              "insertion before bumping this");
-static_assert(static_cast<int>(prog::Unary::kGelu) ==
-                  static_cast<int>(prog::Unary::kSign) + 1,
-              "prog::Unary changed: keep kUnaryFnCount = last + 1");
+constexpr std::size_t kStepKindCount =
+    static_cast<std::size_t>(StepKind::kStepKindCount_);
+
+/// Everything the lowering and widening passes know about a step kind.
+struct KindInfo {
+  /// Execution dtype under the f32 policy (see insert_casts; fused and
+  /// cast steps are created after or by that pass and never reach it).
+  enum Dtype : std::uint8_t {
+    kCompute,  // the policy dtype
+    kF64,      // double: optimizer steps update the f64 master state
+    kOfOut,    // the output buffer's width: copies write it directly
+    kOfIn,     // the input buffer's width: reductions accumulate in double
+  };
+  /// What a batch-carrying operand does to the step (see Program::widen).
+  enum Widen : std::uint8_t {
+    kElementwise,  // operands agree, out follows a, p0 scales with out
+    kBcast,        // trial-shape check; the broadcast plan is rebuilt
+    kFold,         // a scaled input is refused
+    kOuter,        // needs p0 > 1; p0 scales with a
+    kRows,         // rhs and bias unscaled; p0 scales with a
+    kNever,        // sized for the capture batch: refuses widening
+  };
+  /// The optimizer-state pseudo-resource a step touches (wave hazards).
+  enum State : std::uint8_t { kNoState, kReadsState, kWritesState };
+
+  StepKind kind;
+  const char* name;   // MF_PROGRAM_PROFILE band label
+  Dtype dtype;
+  Widen widen;
+  bool fusable;       // may join a fused elementwise chain
+  bool reads_out;     // also reads `out` (optimizer parameter updates)
+  State state;
+};
+
+using K = KindInfo;
+constexpr KindInfo kKinds[] = {
+    {StepKind::kUnary, "unary", K::kCompute, K::kElementwise, true, false,
+     K::kNoState},
+    {StepKind::kBinary, "binary", K::kCompute, K::kElementwise, true, false,
+     K::kNoState},
+    {StepKind::kBinaryBcast, "binary_bcast", K::kCompute, K::kBcast, false,
+     false, K::kNoState},
+    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kBcast, false, false,
+     K::kNoState},
+    {StepKind::kReduce, "reduce", K::kOfIn, K::kFold, false, false,
+     K::kNoState},
+    {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false,
+     K::kNoState},
+    {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false,
+     K::kNoState},
+    {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, false,
+     K::kNoState},
+    {StepKind::kTranspose, "transpose", K::kOfOut, K::kFold, false, false,
+     K::kNoState},
+    {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, false,
+     K::kNoState},
+    {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false,
+     K::kNoState},
+    {StepKind::kSliceScatter, "slice_scatter", K::kOfOut, K::kOuter, false,
+     false, K::kNoState},
+    {StepKind::kConcatPart, "concat_part", K::kOfOut, K::kOuter, false, false,
+     K::kNoState},
+    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false,
+     K::kNoState},
+    {StepKind::kConv1dGradIn, "conv1d_grad_in", K::kCompute, K::kNever, false,
+     false, K::kNoState},
+    {StepKind::kConv1dGradW, "conv1d_grad_w", K::kCompute, K::kNever, false,
+     false, K::kNoState},
+    {StepKind::kConv1dGradB, "conv1d_grad_b", K::kCompute, K::kNever, false,
+     false, K::kNoState},
+    {StepKind::kFused, "fused", K::kCompute, K::kElementwise, false, false,
+     K::kNoState},
+    {StepKind::kAdamTick, "adam_tick", K::kF64, K::kNever, false, false,
+     K::kWritesState},
+    {StepKind::kAdamParam, "adam_param", K::kF64, K::kNever, false, true,
+     K::kReadsState},
+    {StepKind::kLambParam, "lamb_param", K::kF64, K::kNever, false, true,
+     K::kReadsState},
+    {StepKind::kCast, "cast", K::kCompute, K::kElementwise, false, false,
+     K::kNoState},
+};
+
+constexpr bool kinds_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    if (static_cast<std::size_t>(kKinds[i].kind) != i) return false;
+  }
+  return true;
+}
+static_assert(std::size(kKinds) == kStepKindCount && kinds_in_enum_order(),
+              "kKinds needs exactly one row per StepKind, row i for kind i");
+
+constexpr const KindInfo& kind_info(StepKind k) {
+  return kKinds[static_cast<std::size_t>(k)];
+}
 
 /// One scalar operation of a fused elementwise chain. The chain value is
 /// seeded from the fused step's `a` slot and threaded through the ops in
@@ -118,11 +203,6 @@ std::atomic<bool> g_fusion_enabled{[] {
   return !(env && env[0] == '1');
 }()};
 
-std::atomic<bool> g_parallel_enabled{[] {
-  const char* env = std::getenv("MF_DISABLE_PARALLEL_PLAN");
-  return !(env && env[0] == '1');
-}()};
-
 std::atomic<int> g_plan_threads{[] {
   const char* env = std::getenv("MF_PLAN_THREADS");
   if (!env || !env[0]) return 1;
@@ -166,14 +246,6 @@ bool program_fusion_enabled() {
 
 bool program_fusion_set_enabled(bool on) {
   return g_fusion_enabled.exchange(on, std::memory_order_relaxed);
-}
-
-bool program_parallel_enabled() {
-  return g_parallel_enabled.load(std::memory_order_relaxed);
-}
-
-bool program_parallel_set_enabled(bool on) {
-  return g_parallel_enabled.exchange(on, std::memory_order_relaxed);
 }
 
 int program_plan_threads() {
@@ -240,24 +312,17 @@ struct Program::Impl {
   std::vector<kernels::ReducePlan> rplans;
   // Fused elementwise chains; Step::plan of a kFused step indexes this.
   std::vector<std::vector<FusedOp>> fchains;
-  // In-plan optimizer steps. Raw pointers into the optimizer's live state
+  // In-plan optimizer steps (tick, Adam and LAMB parameter updates);
+  // Step::plan indexes this. Raw pointers into the optimizer's live state
   // (moments, lr, step counter) — the optimizer must outlive the plan.
-  struct AdamParamExec {
+  struct OptimExec {
     prog::AdamPlanState* state;
-    double* m;
-    double* v;
-    int64_t n;
+    double* m = nullptr;  // parameter updates only
+    double* v = nullptr;
+    int64_t n = 0;
+    std::vector<double> dir = {};  // LAMB scratch for the Adam direction
   };
-  struct LambParamExec {
-    prog::AdamPlanState* state;
-    double* m;
-    double* v;
-    int64_t n;
-    std::vector<double> dir;  // per-exec scratch for the Adam direction
-  };
-  std::vector<AdamParamExec> adam_params;
-  std::vector<LambParamExec> lamb_params;
-  std::vector<prog::AdamPlanState*> adam_ticks;
+  std::vector<OptimExec> optims;
   // Internal storage: byte buffers reused across slots whose live ranges
   // do not overlap (byte-addressed so f32 and f64 slots pack together).
   std::vector<std::vector<std::byte>> arena;
@@ -293,6 +358,7 @@ struct Program::Impl {
   bool wide_ready = false;
   int64_t base_b = 0;
   std::vector<char> slot_scaled;  // batch-carrying slots (post-analysis)
+  std::vector<char> p0_scaled;    // per step: widened replay scales p0
   std::unordered_map<const TensorImpl*, std::int32_t> declared_slots;
   std::vector<std::unique_ptr<WideContext>> wide_ctxs;
   int64_t max_widen_batch = 0;
@@ -318,9 +384,7 @@ struct Program::Impl {
     bplans.clear();
     rplans.clear();
     fchains.clear();
-    adam_params.clear();
-    lamb_params.clear();
-    adam_ticks.clear();
+    optims.clear();
     arena.clear();
     waves.clear();
     health_slots.clear();
@@ -330,6 +394,7 @@ struct Program::Impl {
     wide_ready = false;
     base_b = 0;
     slot_scaled.clear();
+    p0_scaled.clear();
     declared_slots.clear();
     wide_ctxs.clear();
     max_widen_batch = 0;
@@ -346,297 +411,183 @@ thread_local Program::Impl* g_recorder = nullptr;
 
 namespace {
 
-std::int32_t intern(Program::Impl& im, const Tensor& t) {
-  const TensorImpl* key = t.impl_ptr();
+Program::Impl* rec() { return detail::g_recorder; }
+
+std::int32_t intern(Program::Impl& im, const Tensor* t) {
+  if (!t || !t->defined()) return -1;
+  const TensorImpl* key = t->impl_ptr();
   auto [it, fresh] = im.slot_of.try_emplace(
       key, static_cast<std::int32_t>(im.slots.size()));
   if (fresh) {
-    im.slots.push_back(t.impl());
-    im.slot_shape.push_back(t.shape());
+    im.slots.push_back(t->impl());
+    im.slot_shape.push_back(t->shape());
   }
   return it->second;
 }
 
-Program::Impl* rec() { return detail::g_recorder; }
+/// A hook's tensors (null when the step has no such operand).
+struct Operands {
+  const Tensor* a = nullptr;
+  const Tensor* b = nullptr;
+  const Tensor* c = nullptr;
+  const Tensor* out = nullptr;
+};
+
+using Impl = Program::Impl;
+
+/// The one recorder behind every hook: `s` carries the kind, opcode,
+/// scalar and kernel geometry; the operands are interned into slots in
+/// a, b, c, out order, and a step with a side payload (broadcast or
+/// reduce plan, optimizer executor) appends it to `table` and indexes it
+/// through Step::plan. No-op outside a capture.
+template <typename T = char>
+void record(Step s, const Operands& ops,
+            std::vector<T> Impl::*table = nullptr, T side = {}) {
+  Impl* im = rec();
+  if (!im) return;
+  s.a = intern(*im, ops.a);
+  s.b = intern(*im, ops.b);
+  s.c = intern(*im, ops.c);
+  s.out = intern(*im, ops.out);
+  if (table) {
+    s.plan = static_cast<std::int32_t>((im->*table).size());
+    (im->*table).push_back(std::move(side));
+  }
+  im->steps.push_back(s);
+}
 
 }  // namespace
 
 void on_unary(Unary fn, real scalar, const Tensor& a, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kUnary;
-  s.fn = static_cast<std::uint8_t>(fn);
-  s.scalar = scalar;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = out.numel();
-  im->steps.push_back(s);
+  record({.kind = StepKind::kUnary,
+          .fn = static_cast<std::uint8_t>(fn),
+          .scalar = scalar,
+          .p0 = out.numel()},
+         {.a = &a, .out = &out});
 }
 
 void on_binary(Binary fn, const Tensor& a, const Tensor& b, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kBinary;
-  s.fn = static_cast<std::uint8_t>(fn);
-  s.a = intern(*im, a);
-  s.b = intern(*im, b);
-  s.out = intern(*im, out);
-  s.p0 = out.numel();
-  im->steps.push_back(s);
+  record({.kind = StepKind::kBinary,
+          .fn = static_cast<std::uint8_t>(fn),
+          .p0 = out.numel()},
+         {.a = &a, .b = &b, .out = &out});
 }
 
 void on_binary_bcast(Binary fn, const kernels::BroadcastPlan& plan,
                      const Tensor& a, const Tensor& b, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kBinaryBcast;
-  s.fn = static_cast<std::uint8_t>(fn);
-  s.a = intern(*im, a);
-  s.b = intern(*im, b);
-  s.out = intern(*im, out);
-  s.plan = static_cast<std::int32_t>(im->bplans.size());
-  im->bplans.push_back(plan);
-  im->steps.push_back(s);
+  record({.kind = StepKind::kBinaryBcast,
+          .fn = static_cast<std::uint8_t>(fn)},
+         {.a = &a, .b = &b, .out = &out}, &Impl::bplans, plan);
 }
 
 void on_broadcast_copy(const kernels::BroadcastPlan& plan, const Tensor& a,
                        const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kBcastCopy;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.plan = static_cast<std::int32_t>(im->bplans.size());
-  im->bplans.push_back(plan);
-  im->steps.push_back(s);
+  record({.kind = StepKind::kBcastCopy}, {.a = &a, .out = &out},
+         &Impl::bplans, plan);
 }
 
 void on_reduce(const kernels::ReducePlan& plan, const Tensor& a,
                const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kReduce;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.plan = static_cast<std::int32_t>(im->rplans.size());
-  im->rplans.push_back(plan);
-  im->steps.push_back(s);
+  record({.kind = StepKind::kReduce}, {.a = &a, .out = &out}, &Impl::rplans,
+         plan);
 }
 
 void on_sum_all(const Tensor& a, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSumAll;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = a.numel();
-  im->steps.push_back(s);
+  record({.kind = StepKind::kSumAll, .p0 = a.numel()}, {.a = &a, .out = &out});
 }
 
 void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
                  int64_t n_axis, int64_t inner) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSumAxis;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = n_axis;
-  s.p2 = inner;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kSumAxis, .p0 = outer, .p1 = n_axis, .p2 = inner},
+         {.a = &a, .out = &out});
 }
 
 void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
                const Tensor& out, int64_t m, int64_t k, int64_t n) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kMatmul;
-  s.a = intern(*im, a);
-  s.b = intern(*im, b);
-  s.c = (bias && bias->defined()) ? intern(*im, *bias) : -1;
-  s.out = intern(*im, out);
-  s.p0 = m;
-  s.p1 = k;
-  s.p2 = n;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kMatmul, .p0 = m, .p1 = k, .p2 = n},
+         {.a = &a, .b = &b, .c = bias, .out = &out});
 }
 
 void on_transpose(const Tensor& a, const Tensor& out, int64_t m, int64_t n) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kTranspose;
-  s.a = intern(*im, a);
-  s.out = intern(*im, out);
-  s.p0 = m;
-  s.p1 = n;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kTranspose, .p0 = m, .p1 = n},
+         {.a = &a, .out = &out});
 }
 
 void on_copy(const Tensor& src, const Tensor& out) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kCopy;
-  s.a = intern(*im, src);
-  s.out = intern(*im, out);
-  s.p0 = out.numel();
-  im->steps.push_back(s);
+  record({.kind = StepKind::kCopy, .p0 = out.numel()},
+         {.a = &src, .out = &out});
 }
 
 void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,
                    int64_t len, int64_t inner, int64_t n_axis, int64_t start) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSlicePack;
-  s.a = intern(*im, in);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = len;
-  s.p2 = inner;
-  s.p3 = n_axis;
-  s.p4 = start;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kSlicePack, .p0 = outer, .p1 = len, .p2 = inner,
+          .p3 = n_axis, .p4 = start},
+         {.a = &in, .out = &out});
 }
 
 void on_slice_scatter(const Tensor& g, const Tensor& out, int64_t outer,
                       int64_t len, int64_t inner, int64_t n_axis,
                       int64_t start) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kSliceScatter;
-  s.a = intern(*im, g);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = len;
-  s.p2 = inner;
-  s.p3 = n_axis;
-  s.p4 = start;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kSliceScatter, .p0 = outer, .p1 = len,
+          .p2 = inner, .p3 = n_axis, .p4 = start},
+         {.a = &g, .out = &out});
 }
 
 void on_concat_part(const Tensor& part, const Tensor& out, int64_t outer,
                     int64_t total, int64_t offset, int64_t len, int64_t inner) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kConcatPart;
-  s.a = intern(*im, part);
-  s.out = intern(*im, out);
-  s.p0 = outer;
-  s.p1 = total;
-  s.p2 = offset;
-  s.p3 = len;
-  s.p4 = inner;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kConcatPart, .p0 = outer, .p1 = total,
+          .p2 = offset, .p3 = len, .p4 = inner},
+         {.a = &part, .out = &out});
 }
-
-namespace {
-void conv_common(Step& s, StepKind kind, const Tensor& a, const Tensor& b,
-                 const Tensor* c, const Tensor& out, int64_t B, int64_t Cin,
-                 int64_t L, int64_t Cout, int64_t K, int64_t padding) {
-  Program::Impl& im = *rec();
-  s.kind = kind;
-  s.a = intern(im, a);
-  s.b = intern(im, b);
-  s.c = (c && c->defined()) ? intern(im, *c) : -1;
-  s.out = intern(im, out);
-  s.p0 = B;
-  s.p1 = Cin;
-  s.p2 = L;
-  s.p3 = Cout;
-  s.p4 = K;
-  s.p5 = padding;
-  im.steps.push_back(s);
-}
-}  // namespace
 
 void on_conv1d_forward(const Tensor& in, const Tensor& w, const Tensor* bias,
                        const Tensor& out, int64_t B, int64_t Cin, int64_t L,
                        int64_t Cout, int64_t K, int64_t padding) {
-  if (!rec()) return;
-  Step s;
-  conv_common(s, StepKind::kConv1dFwd, in, w, bias, out, B, Cin, L, Cout, K,
-              padding);
+  record({.kind = StepKind::kConv1dFwd, .p0 = B, .p1 = Cin, .p2 = L,
+          .p3 = Cout, .p4 = K, .p5 = padding},
+         {.a = &in, .b = &w, .c = bias, .out = &out});
 }
 
 void on_conv1d_grad_input(const Tensor& gout, const Tensor& w,
                           const Tensor& out, int64_t B, int64_t Cin, int64_t L,
                           int64_t Cout, int64_t K, int64_t padding) {
-  if (!rec()) return;
-  Step s;
-  conv_common(s, StepKind::kConv1dGradIn, gout, w, nullptr, out, B, Cin, L,
-              Cout, K, padding);
+  record({.kind = StepKind::kConv1dGradIn, .p0 = B, .p1 = Cin, .p2 = L,
+          .p3 = Cout, .p4 = K, .p5 = padding},
+         {.a = &gout, .b = &w, .out = &out});
 }
 
 void on_conv1d_grad_weight(const Tensor& gout, const Tensor& in,
                            const Tensor& out, int64_t B, int64_t Cin,
                            int64_t L, int64_t Cout, int64_t K,
                            int64_t padding) {
-  if (!rec()) return;
-  Step s;
-  conv_common(s, StepKind::kConv1dGradW, gout, in, nullptr, out, B, Cin, L,
-              Cout, K, padding);
+  record({.kind = StepKind::kConv1dGradW, .p0 = B, .p1 = Cin, .p2 = L,
+          .p3 = Cout, .p4 = K, .p5 = padding},
+         {.a = &gout, .b = &in, .out = &out});
 }
 
 void on_conv1d_grad_bias(const Tensor& gout, const Tensor& out, int64_t B,
                          int64_t Cout, int64_t Lout) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kConv1dGradB;
-  s.a = intern(*im, gout);
-  s.out = intern(*im, out);
-  s.p0 = B;
-  s.p1 = Cout;
-  s.p2 = Lout;
-  im->steps.push_back(s);
+  record({.kind = StepKind::kConv1dGradB, .p0 = B, .p1 = Cout, .p2 = Lout},
+         {.a = &gout, .out = &out});
 }
 
 void on_adam_tick(AdamPlanState* st) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kAdamTick;
-  s.plan = static_cast<std::int32_t>(im->adam_ticks.size());
-  im->adam_ticks.push_back(st);
-  im->steps.push_back(s);
+  record({.kind = StepKind::kAdamTick}, {}, &Impl::optims,
+         Impl::OptimExec{.state = st});
 }
 
 void on_adam_param(AdamPlanState* st, const Tensor& param, const Tensor& grad,
                    double* m, double* v) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kAdamParam;
-  s.a = intern(*im, grad);
-  s.out = intern(*im, param);
-  s.plan = static_cast<std::int32_t>(im->adam_params.size());
-  im->adam_params.push_back({st, m, v, param.numel()});
-  im->steps.push_back(s);
+  record({.kind = StepKind::kAdamParam}, {.a = &grad, .out = &param},
+         &Impl::optims,
+         Impl::OptimExec{.state = st, .m = m, .v = v, .n = param.numel()});
 }
 
 void on_lamb_param(AdamPlanState* st, const Tensor& param, const Tensor& grad,
                    double* m, double* v) {
-  Program::Impl* im = rec();
-  if (!im) return;
-  Step s;
-  s.kind = StepKind::kLambParam;
-  s.a = intern(*im, grad);
-  s.out = intern(*im, param);
-  s.plan = static_cast<std::int32_t>(im->lamb_params.size());
-  im->lamb_params.push_back({st, m, v, param.numel(), {}});
-  im->steps.push_back(s);
+  record({.kind = StepKind::kLambParam}, {.a = &grad, .out = &param},
+         &Impl::optims,
+         Impl::OptimExec{.state = st, .m = m, .v = v, .n = param.numel()});
 }
 
 void on_uncapturable() {
@@ -648,11 +599,31 @@ void on_uncapturable() {
 
 namespace {
 
+/// The one operand walk of the liveness, wave, health and widening
+/// passes: `read(slot)` for every slot the step reads — a, b, c, a fused
+/// chain's `other` operands, and `out` for the kinds whose row says they
+/// read it — then `write(slot)` for the slot it writes. Absent operands
+/// are skipped. (The optimizer-state resource is not a slot; only the
+/// wave pass tracks it.)
+template <typename R, typename W>
+void for_each_operand(const Program::Impl& im, const Step& s, R&& read,
+                      W&& write) {
+  for (const std::int32_t sl : {s.a, s.b, s.c}) {
+    if (sl >= 0) read(sl);
+  }
+  if (s.kind == StepKind::kFused) {
+    for (const FusedOp& op : im.fchains[static_cast<std::size_t>(s.plan)]) {
+      if (op.other >= 0) read(op.other);
+    }
+  }
+  if (s.out < 0) return;
+  if (kind_info(s.kind).reads_out) read(s.out);
+  write(s.out);
+}
+
 /// Per-slot live ranges over a step list. def = first write, first/last =
-/// first/last access of any kind. Fused steps read their chain source,
-/// every `other` operand of their ops, and write their output; the folded
-/// intermediates are not referenced at all. An in-plan optimizer param
-/// step both reads and writes the parameter slot.
+/// first/last access of any kind. The intermediates folded into a fused
+/// chain are not referenced at all.
 struct Ranges {
   std::vector<std::int32_t> def, first, last;
 };
@@ -662,27 +633,16 @@ void compute_ranges(const Program::Impl& im, Ranges& r) {
   r.def.assign(S, -1);
   r.first.assign(S, -1);
   r.last.assign(S, -1);
-  auto touch = [&](std::int32_t slot, std::int32_t i, bool write) {
-    if (slot < 0) return;
-    if (r.first[slot] < 0) r.first[slot] = i;
-    r.last[slot] = i;
-    if (write && r.def[slot] < 0) r.def[slot] = i;
-  };
   for (std::size_t i = 0; i < im.steps.size(); ++i) {
-    const Step& st = im.steps[i];
     const auto si = static_cast<std::int32_t>(i);
-    touch(st.a, si, false);
-    touch(st.b, si, false);
-    touch(st.c, si, false);
-    if (st.kind == StepKind::kFused) {
-      for (const FusedOp& op : im.fchains[static_cast<std::size_t>(st.plan)]) {
-        touch(op.other, si, false);
-      }
-    }
-    if (st.kind == StepKind::kAdamParam || st.kind == StepKind::kLambParam) {
-      touch(st.out, si, false);  // optimizer updates read the parameter too
-    }
-    touch(st.out, si, true);
+    auto touch = [&](std::int32_t slot) {
+      if (r.first[slot] < 0) r.first[slot] = si;
+      r.last[slot] = si;
+    };
+    for_each_operand(im, im.steps[i], touch, [&](std::int32_t slot) {
+      touch(slot);
+      if (r.def[slot] < 0) r.def[slot] = si;
+    });
   }
 }
 
@@ -698,10 +658,6 @@ void fuse_elementwise(Program::Impl& im, const Ranges& r,
   const std::size_t n = im.steps.size();
   std::vector<Step> out_steps;
   out_steps.reserve(n);
-  auto is_elementwise = [](const Step& s) {
-    return s.kind == StepKind::kUnary || s.kind == StepKind::kBinary ||
-           s.kind == StepKind::kCopy;
-  };
   // Append step k's scalar op to `ops`, with `chain` as the slot holding
   // the current chain value (the previous step's output; for the chain
   // head, its own `a` operand).
@@ -727,7 +683,7 @@ void fuse_elementwise(Program::Impl& im, const Ranges& r,
   std::size_t i = 0;
   while (i < n) {
     const Step& head = im.steps[i];
-    if (!is_elementwise(head)) {
+    if (!kind_info(head.kind).fusable) {
       out_steps.push_back(head);
       ++i;
       continue;
@@ -740,11 +696,9 @@ void fuse_elementwise(Program::Impl& im, const Ranges& r,
       const Step& cur = im.steps[j];
       const Step& nxt = im.steps[j + 1];
       const std::int32_t o = cur.out;
-      if (!is_elementwise(nxt) || nxt.p0 != head.p0) break;
+      if (!kind_info(nxt.kind).fusable || nxt.p0 != head.p0) break;
       if (nxt.dt != head.dt) break;  // one execution dtype per chain
-      const bool consumes =
-          nxt.a == o || (nxt.kind == StepKind::kBinary && nxt.b == o);
-      if (!consumes) break;
+      if (nxt.a != o && nxt.b != o) break;  // must consume the chain
       if (!internal[static_cast<std::size_t>(o)]) break;
       if (r.last[static_cast<std::size_t>(o)] !=
           static_cast<std::int32_t>(j + 1)) {
@@ -841,27 +795,18 @@ void insert_casts(Program::Impl& im, std::vector<char>& internal) {
   };
 
   for (Step s : im.steps) {
-    switch (s.kind) {
-      case StepKind::kAdamTick:
-      case StepKind::kAdamParam:
-      case StepKind::kLambParam:
+    switch (kind_info(s.kind).dtype) {
+      case KindInfo::kCompute:
+        s.dt = DType::kF32;
+        break;
+      case KindInfo::kF64:
         s.dt = DType::kF64;
         break;
-      case StepKind::kCopy:
-      case StepKind::kSlicePack:
-      case StepKind::kSliceScatter:
-      case StepKind::kConcatPart:
-      case StepKind::kTranspose:
-      case StepKind::kBcastCopy:
+      case KindInfo::kOfOut:
         s.dt = im.slot_dt[static_cast<std::size_t>(s.out)];
         break;
-      case StepKind::kReduce:
-      case StepKind::kSumAll:
-      case StepKind::kSumAxis:
+      case KindInfo::kOfIn:
         s.dt = im.slot_dt[static_cast<std::size_t>(s.a)];
-        break;
-      default:
-        s.dt = DType::kF32;  // compute steps run at the policy dtype
         break;
     }
     s.a = read_as(s.a, s.dt);
@@ -903,34 +848,19 @@ void compute_waves(Program::Impl& im) {
   std::unordered_map<const void*, std::int32_t> writer_wave, reader_wave;
   std::vector<std::int32_t> wave_of(n, 0);
   std::int32_t max_wave = -1;
-  auto buf_of = [&](std::int32_t slot) -> const void* {
-    return slot >= 0 ? static_cast<const void*>(
-                           im.buf[static_cast<std::size_t>(slot)])
-                     : nullptr;
-  };
   std::vector<const void*> reads, writes;
   for (std::size_t i = 0; i < n; ++i) {
     const Step& s = im.steps[i];
     reads.clear();
     writes.clear();
-    reads.push_back(buf_of(s.a));
-    reads.push_back(buf_of(s.b));
-    reads.push_back(buf_of(s.c));
-    if (s.kind == StepKind::kFused) {
-      for (const FusedOp& op : im.fchains[static_cast<std::size_t>(s.plan)]) {
-        reads.push_back(buf_of(op.other));
-      }
-    }
-    if (s.kind == StepKind::kAdamTick) {
-      writes.push_back(im.adam_ticks[static_cast<std::size_t>(s.plan)]);
-    } else if (s.kind == StepKind::kAdamParam) {
-      reads.push_back(im.adam_params[static_cast<std::size_t>(s.plan)].state);
-      writes.push_back(buf_of(s.out));
-    } else if (s.kind == StepKind::kLambParam) {
-      reads.push_back(im.lamb_params[static_cast<std::size_t>(s.plan)].state);
-      writes.push_back(buf_of(s.out));
-    } else {
-      writes.push_back(buf_of(s.out));
+    auto buf = [&](std::int32_t sl) { return im.buf[static_cast<std::size_t>(sl)]; };
+    for_each_operand(
+        im, s, [&](std::int32_t sl) { reads.push_back(buf(sl)); },
+        [&](std::int32_t sl) { writes.push_back(buf(sl)); });
+    const KindInfo::State state = kind_info(s.kind).state;
+    if (state != KindInfo::kNoState) {
+      auto& list = state == KindInfo::kWritesState ? writes : reads;
+      list.push_back(im.optims[static_cast<std::size_t>(s.plan)].state);
     }
     std::int32_t w = 0;
     for (const void* r : reads) {
@@ -1071,18 +1001,14 @@ void lower(Program::Impl& im) {
   // (losses, predictions, `.grad` buffers, optimizer-updated parameters).
   // Internal slots are skipped — they are scratch whose final contents
   // are whatever the last aliasing writer left.
-  {
-    std::vector<char> listed(S, 0);
-    for (const Step& s : im.steps) {
-      if (s.kind == StepKind::kAdamTick) continue;  // writes state only
-      const std::int32_t o = s.out;
-      if (o < 0 || internal[static_cast<std::size_t>(o)] ||
-          listed[static_cast<std::size_t>(o)]) {
-        continue;
-      }
-      listed[static_cast<std::size_t>(o)] = 1;
+  std::vector<char> listed(S, 0);
+  for (const Step& s : im.steps) {
+    for_each_operand(im, s, [](std::int32_t) {}, [&](std::int32_t o) {
+      const auto u = static_cast<std::size_t>(o);
+      if (internal[u] || listed[u]) return;
+      listed[u] = 1;
       im.health_slots.push_back(o);
-    }
+    });
   }
 
   compute_waves(im);
@@ -1174,71 +1100,6 @@ __attribute__((target("avx2"))) bool fused_unary_avx2(real* acc, int64_t len,
   }
 }
 
-/// AVX2 body for fused binary ops. `swapped` selects chain-on-the-right
-/// (acc = f(oth, acc)); kBinChainBoth callers pass oth == acc.
-__attribute__((target("avx2"))) void fused_binary_avx2(real* acc,
-                                                       const real* oth,
-                                                       int64_t len,
-                                                       prog::Binary b,
-                                                       bool swapped) {
-  int64_t i = 0;
-  if (!swapped) {
-    switch (b) {
-      case prog::Binary::kAdd:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                                  _mm256_loadu_pd(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Add{}(acc[i], oth[i]);
-        break;
-      case prog::Binary::kSub:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_sub_pd(_mm256_loadu_pd(acc + i),
-                                                  _mm256_loadu_pd(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Sub{}(acc[i], oth[i]);
-        break;
-      case prog::Binary::kMul:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_mul_pd(_mm256_loadu_pd(acc + i),
-                                                  _mm256_loadu_pd(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Mul{}(acc[i], oth[i]);
-        break;
-      case prog::Binary::kDiv:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_div_pd(_mm256_loadu_pd(acc + i),
-                                                  _mm256_loadu_pd(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Div{}(acc[i], oth[i]);
-        break;
-    }
-  } else {
-    switch (b) {
-      case prog::Binary::kAdd:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(oth + i),
-                                                  _mm256_loadu_pd(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Add{}(oth[i], acc[i]);
-        break;
-      case prog::Binary::kSub:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_sub_pd(_mm256_loadu_pd(oth + i),
-                                                  _mm256_loadu_pd(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Sub{}(oth[i], acc[i]);
-        break;
-      case prog::Binary::kMul:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_mul_pd(_mm256_loadu_pd(oth + i),
-                                                  _mm256_loadu_pd(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Mul{}(oth[i], acc[i]);
-        break;
-      case prog::Binary::kDiv:
-        for (; i + 4 <= len; i += 4)
-          _mm256_storeu_pd(acc + i, _mm256_div_pd(_mm256_loadu_pd(oth + i),
-                                                  _mm256_loadu_pd(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Div{}(oth[i], acc[i]);
-        break;
-    }
-  }
-}
-
 /// 8-lane float overloads for f32-colored fused chains. The carried
 /// scalar stays f64 in the plan and narrows once here — the same
 /// `x + T(s)` the templated functor tail computes.
@@ -1287,68 +1148,6 @@ __attribute__((target("avx2"))) bool fused_unary_avx2(float* acc, int64_t len,
   }
 }
 
-__attribute__((target("avx2"))) void fused_binary_avx2(float* acc,
-                                                       const float* oth,
-                                                       int64_t len,
-                                                       prog::Binary b,
-                                                       bool swapped) {
-  int64_t i = 0;
-  if (!swapped) {
-    switch (b) {
-      case prog::Binary::kAdd:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i),
-                                                  _mm256_loadu_ps(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Add{}(acc[i], oth[i]);
-        break;
-      case prog::Binary::kSub:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_sub_ps(_mm256_loadu_ps(acc + i),
-                                                  _mm256_loadu_ps(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Sub{}(acc[i], oth[i]);
-        break;
-      case prog::Binary::kMul:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_mul_ps(_mm256_loadu_ps(acc + i),
-                                                  _mm256_loadu_ps(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Mul{}(acc[i], oth[i]);
-        break;
-      case prog::Binary::kDiv:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_div_ps(_mm256_loadu_ps(acc + i),
-                                                  _mm256_loadu_ps(oth + i)));
-        for (; i < len; ++i) acc[i] = sfn::Div{}(acc[i], oth[i]);
-        break;
-    }
-  } else {
-    switch (b) {
-      case prog::Binary::kAdd:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(oth + i),
-                                                  _mm256_loadu_ps(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Add{}(oth[i], acc[i]);
-        break;
-      case prog::Binary::kSub:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_sub_ps(_mm256_loadu_ps(oth + i),
-                                                  _mm256_loadu_ps(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Sub{}(oth[i], acc[i]);
-        break;
-      case prog::Binary::kMul:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_mul_ps(_mm256_loadu_ps(oth + i),
-                                                  _mm256_loadu_ps(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Mul{}(oth[i], acc[i]);
-        break;
-      case prog::Binary::kDiv:
-        for (; i + 8 <= len; i += 8)
-          _mm256_storeu_ps(acc + i, _mm256_div_ps(_mm256_loadu_ps(oth + i),
-                                                  _mm256_loadu_ps(acc + i)));
-        for (; i < len; ++i) acc[i] = sfn::Div{}(oth[i], acc[i]);
-        break;
-    }
-  }
-}
 #endif  // MF_PROG_AVX2
 
 /// Execute one step against an explicit buffer/length/broadcast-plan
@@ -1445,57 +1244,17 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
                                      }
                                    });
                     break;
-                  case FusedOp::kBinChainLeft: {
-                    const T* oth = rd(op.other) + base;
-#ifdef MF_PROG_AVX2
-                    if (avx2) {
-                      fused_binary_avx2(acc, oth, len,
-                                        static_cast<prog::Binary>(op.fn),
-                                        /*swapped=*/false);
-                      break;
-                    }
-#endif
-                    dispatch_binary(static_cast<prog::Binary>(op.fn),
-                                    [&](auto f) {
-                                      for (int64_t t = 0; t < len; ++t) {
-                                        acc[t] = f(acc[t], oth[t]);
-                                      }
-                                    });
+                  case FusedOp::kBinChainLeft:
+                    kernels::binary_block(acc, rd(op.other) + base, acc, len,
+                                          static_cast<prog::Binary>(op.fn));
                     break;
-                  }
-                  case FusedOp::kBinChainRight: {
-                    const T* oth = rd(op.other) + base;
-#ifdef MF_PROG_AVX2
-                    if (avx2) {
-                      fused_binary_avx2(acc, oth, len,
-                                        static_cast<prog::Binary>(op.fn),
-                                        /*swapped=*/true);
-                      break;
-                    }
-#endif
-                    dispatch_binary(static_cast<prog::Binary>(op.fn),
-                                    [&](auto f) {
-                                      for (int64_t t = 0; t < len; ++t) {
-                                        acc[t] = f(oth[t], acc[t]);
-                                      }
-                                    });
+                  case FusedOp::kBinChainRight:
+                    kernels::binary_block(rd(op.other) + base, acc, acc, len,
+                                          static_cast<prog::Binary>(op.fn));
                     break;
-                  }
                   case FusedOp::kBinChainBoth:
-#ifdef MF_PROG_AVX2
-                    if (avx2) {
-                      fused_binary_avx2(acc, acc, len,
-                                        static_cast<prog::Binary>(op.fn),
-                                        /*swapped=*/false);
-                      break;
-                    }
-#endif
-                    dispatch_binary(static_cast<prog::Binary>(op.fn),
-                                    [&](auto f) {
-                                      for (int64_t t = 0; t < len; ++t) {
-                                        acc[t] = f(acc[t], acc[t]);
-                                      }
-                                    });
+                    kernels::binary_block(acc, acc, acc, len,
+                                          static_cast<prog::Binary>(op.fn));
                     break;
                 }
               }
@@ -1507,7 +1266,7 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     case StepKind::kAdamTick: {
       if constexpr (kIsF64) {
         prog::AdamPlanState& st =
-            *im.adam_ticks[static_cast<std::size_t>(s.plan)];
+            *im.optims[static_cast<std::size_t>(s.plan)].state;
         ++*st.t;
         st.bc1 = 1.0 - std::pow(st.beta1, static_cast<double>(*st.t));
         st.bc2 = 1.0 - std::pow(st.beta2, static_cast<double>(*st.t));
@@ -1516,7 +1275,7 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     }
     case StepKind::kAdamParam: {
       if constexpr (kIsF64) {
-        const auto& ap = im.adam_params[static_cast<std::size_t>(s.plan)];
+        const auto& ap = im.optims[static_cast<std::size_t>(s.plan)];
         const prog::AdamPlanState& st = *ap.state;
         const real* g = rd(s.a);
         real* p = wr(s.out);
@@ -1531,7 +1290,7 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     }
     case StepKind::kLambParam: {
       if constexpr (kIsF64) {
-        auto& lp = im.lamb_params[static_cast<std::size_t>(s.plan)];
+        auto& lp = im.optims[static_cast<std::size_t>(s.plan)];
         const prog::AdamPlanState& st = *lp.state;
         sfn::lamb_param_update(wr(s.out), rd(s.a), lp.m, lp.v, lp.n, lp.dir,
                                *st.lr, st.beta1, st.beta2, st.bc1, st.bc2,
@@ -1629,26 +1388,24 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
       break;
     }
     case StepKind::kCast:
-      break;  // handled by the untyped dispatcher below
+      // Bridges the two widths itself (T plays no part): fn 1 narrows
+      // f64 -> f32, fn 0 widens.
+      if (s.fn == 1) {
+        kernels::cast_buffer(static_cast<const double*>(B[s.a]),
+                             static_cast<float*>(B[s.out]), s.p0);
+      } else {
+        kernels::cast_buffer(static_cast<const float*>(B[s.a]),
+                             static_cast<double*>(B[s.out]), s.p0);
+      }
+      break;
     case StepKind::kStepKindCount_:
       break;  // sentinel: never lowered
   }
 }
 
-/// Untyped entry: kCast bridges the two widths itself; every other step
-/// runs at its lowering-assigned Step::dt.
+/// Run one step at its lowering-assigned Step::dt.
 void execute(Program::Impl& im, const Step& s, void* const* B,
              const int64_t* slot_len, const kernels::BroadcastPlan* bplans) {
-  if (s.kind == StepKind::kCast) {
-    if (s.fn == 1) {
-      kernels::cast_buffer(static_cast<const double*>(B[s.a]),
-                           static_cast<float*>(B[s.out]), s.p0);
-    } else {
-      kernels::cast_buffer(static_cast<const float*>(B[s.a]),
-                           static_cast<double*>(B[s.out]), s.p0);
-    }
-    return;
-  }
   if (s.dt == DType::kF32) {
     execute_typed<float>(im, s, B, slot_len, bplans);
   } else {
@@ -1789,12 +1546,12 @@ class PlanPool {
 };
 
 /// True when this replay should go through the wave executor: opted in
-/// via MF_PLAN_THREADS, not hatched off, and the plan actually has
-/// intra-wave parallelism to exploit (a fully serial chain — one step
-/// per wave — would only pay barrier overhead).
+/// via MF_PLAN_THREADS, and the plan actually has intra-wave parallelism
+/// to exploit (a fully serial chain — one step per wave — would only pay
+/// barrier overhead).
 bool use_parallel_replay(const Program::Impl& im) {
-  return program_parallel_enabled() && program_plan_threads() > 1 &&
-         !im.waves.empty() && im.waves.size() < im.steps.size();
+  return program_plan_threads() > 1 && !im.waves.empty() &&
+         im.waves.size() < im.steps.size();
 }
 
 /// Record-time shape of a slot with the leading dimension scaled by `f`
@@ -1873,39 +1630,19 @@ Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
       ctx->buf[s] = ctx->store[s].data();
     }
   }
+  // Geometry scales as widen() decided per step; broadcast plans are
+  // rebuilt from the widened shapes (a broadcast copy's plan is
+  // (out, a, a)).
   ctx->steps = im.steps;
-  for (Step& s : ctx->steps) {
-    switch (s.kind) {
-      case StepKind::kUnary:
-      case StepKind::kBinary:
-      case StepKind::kCopy:
-      case StepKind::kFused:
-      case StepKind::kCast:
-        // p0 is the element count; scaled outputs imply scaled inputs.
-        if (im.slot_scaled[static_cast<std::size_t>(s.out)]) s.p0 *= f;
-        break;
-      case StepKind::kMatmul:      // p0 = m, rows including the batch
-      case StepKind::kConv1dFwd:   // p0 = B
-      case StepKind::kSumAxis:     // p0 = outer, batch-leading
-      case StepKind::kSlicePack:   // p0 = outer, batch-leading
-      case StepKind::kSliceScatter:
-      case StepKind::kConcatPart:
-        if (im.slot_scaled[static_cast<std::size_t>(s.a)]) s.p0 *= f;
-        break;
-      default:
-        break;  // plan-driven or unscaled by the widening analysis
-    }
-  }
   ctx->bplans = im.bplans;
-  for (const Step& s : im.steps) {
-    if (s.kind == StepKind::kBinaryBcast) {
-      ctx->bplans[static_cast<std::size_t>(s.plan)] = kernels::BroadcastPlan(
-          wide_shape(im, s.out, f), wide_shape(im, s.a, f),
-          wide_shape(im, s.b, f));
-    } else if (s.kind == StepKind::kBcastCopy) {
+  for (std::size_t i = 0; i < ctx->steps.size(); ++i) {
+    Step& s = ctx->steps[i];
+    if (im.p0_scaled[i]) s.p0 *= f;
+    if (kind_info(s.kind).widen == KindInfo::kBcast) {
       const Shape a_w = wide_shape(im, s.a, f);
-      ctx->bplans[static_cast<std::size_t>(s.plan)] =
-          kernels::BroadcastPlan(wide_shape(im, s.out, f), a_w, a_w);
+      ctx->bplans[static_cast<std::size_t>(s.plan)] = kernels::BroadcastPlan(
+          wide_shape(im, s.out, f), a_w,
+          s.b >= 0 ? wide_shape(im, s.b, f) : a_w);
     }
   }
   im.wide_ctxs.push_back(std::move(ctx));
@@ -2023,21 +1760,23 @@ void Program::replay() {
   if (prof) {
     // Per-thread accumulators: inference replays programs from several
     // OpenMP threads at once, and a shared tally would be a data race.
-    // Band layout and sizes come from the enums (see kProfBands): bands
-    // [0, kStepKindCount) tally per step kind, bands above split kUnary
-    // by fn. The old fixed-size scheme put the unary split at 32 + fn,
-    // which aliased unary bands onto step kinds once the enum grew past
-    // 32 entries. Profiling always replays serially, in recorded order.
-    static thread_local double acc[kProfBands] = {0};
-    static thread_local std::uint64_t cnt[kProfBands] = {0};
-    static thread_local std::uint64_t elems[kProfBands] = {0};
+    // One band per kind-table row, then kUnary split by fn (prog::Unary
+    // order). Profiling always replays serially, in recorded order.
+    static constexpr const char* kUnaryBands[] = {
+        "unary.add_scalar", "unary.mul_scalar", "unary.pow_scalar",
+        "unary.neg",        "unary.exp",        "unary.log",
+        "unary.sqrt",       "unary.tanh",       "unary.abs",
+        "unary.sign",       "unary.gelu"};
+    constexpr std::size_t kBands = std::size(kKinds) + std::size(kUnaryBands);
+    static thread_local double acc[kBands] = {0};
+    static thread_local std::uint64_t cnt[kBands] = {0};
+    static thread_local std::uint64_t elems[kBands] = {0};
     static thread_local std::uint64_t calls = 0;
     for (const Step& s : im.steps) {
-      int k = static_cast<int>(s.kind);
-      if (s.kind == StepKind::kUnary && s.fn < kUnaryFnCount) {
-        k = kStepKindCount + s.fn;
+      auto k = static_cast<std::size_t>(s.kind);
+      if (s.kind == StepKind::kUnary && s.fn < std::size(kUnaryBands)) {
+        k = std::size(kKinds) + s.fn;
       }
-      if (k < 0 || k >= kProfBands) k = 0;  // never taken; belt and braces
       const double t0 = now_ms();
       execute(im, s, B, slot_len, bplans);
       acc[k] += now_ms() - t0;
@@ -2047,13 +1786,15 @@ void Program::replay() {
     if (++calls % 24 == 0) {
       std::fprintf(stderr, "PROGPROF after %llu replays:\n",
                    static_cast<unsigned long long>(calls));
-      for (int k = 0; k < kProfBands; ++k) {
-        if (cnt[k]) {
-          std::fprintf(stderr,
-                       "  kind %2d: %8.3f ms total, %8llu steps, %10llu elems\n",
-                       k, acc[k], static_cast<unsigned long long>(cnt[k]),
-                       static_cast<unsigned long long>(elems[k]));
-        }
+      for (std::size_t k = 0; k < kBands; ++k) {
+        if (!cnt[k]) continue;
+        const char* band = k < std::size(kKinds)
+                               ? kKinds[k].name
+                               : kUnaryBands[k - std::size(kKinds)];
+        std::fprintf(stderr,
+                     "  %-16s %8.3f ms total, %8llu steps, %10llu elems\n",
+                     band, acc[k], static_cast<unsigned long long>(cnt[k]),
+                     static_cast<unsigned long long>(elems[k]));
       }
     }
   } else if (use_parallel_replay(im)) {
@@ -2073,6 +1814,7 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
   im.declared_slots.clear();
   im.wide_ctxs.clear();
   im.slot_scaled.assign(im.slots.size(), 0);
+  im.p0_scaled.clear();
   if (!im.ready || !program_widening_enabled() || batch_io.empty()) {
     return false;
   }
@@ -2120,96 +1862,62 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
   Shape trial;
   for (const Step& s : im.steps) {
     if (!ok) break;
-    switch (s.kind) {
-      case StepKind::kUnary:
-      case StepKind::kCopy:
-      case StepKind::kCast:
-        ok = define_out(s.out, scaled(s.a));
-        break;
-      case StepKind::kBinary:
-        // Same-numel elementwise: mixed scaledness would diverge lengths.
-        ok = scaled(s.a) == scaled(s.b) && define_out(s.out, scaled(s.a));
-        break;
-      case StepKind::kFused: {
+    bool p0_scales = false;
+    switch (kind_info(s.kind).widen) {
+      case KindInfo::kElementwise: {
+        // Same-numel map: mixed scaledness would diverge lengths. p0 is
+        // the element count.
         const bool want = scaled(s.a);
-        for (const FusedOp& op :
-             im.fchains[static_cast<std::size_t>(s.plan)]) {
-          if (op.other >= 0 && scaled(op.other) != want) {
-            ok = false;
-            break;
-          }
-        }
+        for_each_operand(
+            im, s, [&](std::int32_t sl) { ok = ok && scaled(sl) == want; },
+            [](std::int32_t) {});
         ok = ok && define_out(s.out, want);
+        p0_scales = want;
         break;
       }
-      case StepKind::kBinaryBcast: {
+      case KindInfo::kBcast: {
+        // A broadcast copy has no b: its input must broadcast to out.
         const bool want = scaled(s.a) || scaled(s.b);
         ok = define_out(s.out, want);
         if (ok && want) {
           // Trial-widen at factor 2: validity is independent of the
           // factor, so one shape check covers every replay width.
           const Shape out_w = wide_shape(im, s.out, 2);
-          ok = bcast_result(wide_shape(im, s.a, 2), wide_shape(im, s.b, 2),
+          ok = bcast_result(wide_shape(im, s.a, 2),
+                            s.b >= 0 ? wide_shape(im, s.b, 2) : out_w,
                             trial) &&
                trial == out_w;
         }
         break;
       }
-      case StepKind::kBcastCopy: {
-        const bool want = scaled(s.a);
-        ok = define_out(s.out, want);
-        if (ok && want) {
-          const Shape out_w = wide_shape(im, s.out, 2);
-          ok = bcast_result(wide_shape(im, s.a, 2), out_w, trial) &&
-               trial == out_w;
-        }
-        break;
-      }
-      case StepKind::kReduce:
-      case StepKind::kSumAll:
-        // Would fold batch instances into one value.
+      case KindInfo::kFold:
+        // Would fold batch instances into one value, or move the batch
+        // off the leading axis.
         ok = !scaled(s.a) && define_out(s.out, false);
         break;
-      case StepKind::kSumAxis:
-      case StepKind::kSlicePack:
-      case StepKind::kSliceScatter:
-      case StepKind::kConcatPart:
+      case KindInfo::kOuter:
         // p0 is the product of dims before the worked axis; p0 == 1
         // means the axis *is* (or contains) the batch dimension.
-        if (scaled(s.a)) {
-          ok = s.p0 > 1 && define_out(s.out, true);
-        } else {
-          ok = define_out(s.out, false);
-        }
+        p0_scales = scaled(s.a);
+        ok = (!p0_scales || s.p0 > 1) && define_out(s.out, p0_scales);
         break;
-      case StepKind::kMatmul:
+      case KindInfo::kRows:
         // Batch rides the row dimension of `a`; a batch-carrying rhs or
         // bias would change the contraction itself.
-        ok = !scaled(s.b) && !scaled(s.c) && define_out(s.out, scaled(s.a));
+        p0_scales = scaled(s.a);
+        ok = !scaled(s.b) && !scaled(s.c) && define_out(s.out, p0_scales);
         break;
-      case StepKind::kTranspose:
-        ok = !scaled(s.a) && define_out(s.out, false);
-        break;
-      case StepKind::kConv1dFwd:
-        ok = !scaled(s.b) && !scaled(s.c) && define_out(s.out, scaled(s.a));
-        break;
-      case StepKind::kConv1dGradIn:
-      case StepKind::kConv1dGradW:
-      case StepKind::kConv1dGradB:
-      case StepKind::kAdamTick:
-      case StepKind::kAdamParam:
-      case StepKind::kLambParam:
+      case KindInfo::kNever:
         // Training steps: gradient reductions and optimizer state are
         // sized for the capture batch; widening is inference-only.
         ok = false;
         break;
-      case StepKind::kStepKindCount_:
-        ok = false;
-        break;
     }
+    im.p0_scaled.push_back(p0_scales);
   }
   if (!ok) {
     im.slot_scaled.assign(S, 0);
+    im.p0_scaled.clear();
     im.declared_slots.clear();
     return false;
   }
@@ -2305,7 +2013,10 @@ Program::Stats Program::stats() const {
   st.fused_steps = im.fused_steps;
   st.fused_ops = im.fused_ops;
   st.cast_steps = im.cast_steps;
-  st.optim_steps = im.adam_params.size() + im.lamb_params.size();
+  st.optim_steps = static_cast<std::size_t>(
+      std::count_if(im.steps.begin(), im.steps.end(), [](const Step& s) {
+        return kind_info(s.kind).reads_out;  // the parameter updates
+      }));
   st.waves = im.waves.size();
   st.wide_instances = im.wide_ctxs.size();
   st.max_widen_batch = im.max_widen_batch;

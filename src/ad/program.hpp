@@ -64,8 +64,8 @@
 // per replay. Every executor runs its per-step kernels on the serial
 // path, so any topological order — including the serial recorded order —
 // produces identical bits; serial replay with kernel threading disabled
-// is the bitwise reference. MF_DISABLE_PARALLEL_PLAN=1 forces serial
-// replay regardless of MF_PLAN_THREADS.
+// is the bitwise reference. MF_PLAN_THREADS=1 (the default) replays
+// serially.
 //
 // Batch widening: an inference plan captured at a base batch B0 can be
 // widened — every batch-carrying slot gets its leading dimension scaled
@@ -92,14 +92,23 @@
 // (MF_PRECISION). Under the default kF64 the lowering pass is skipped
 // entirely and plans are bitwise identical to before.
 //
+// Step kinds: program.cpp describes each of its typed step kinds in one
+// constexpr row — name, dtype rule (compute width, f64, or the width of
+// the output or input buffer), widen rule (elementwise, broadcast, fold,
+// outer-axis, rows, never), fusability, and operand access (whether it
+// also reads `out`, which optimizer state it reads or writes). Cast
+// insertion, fusion, liveness, waves, the health sentinel, widening and
+// the MF_PROGRAM_PROFILE bands read the row instead of naming kinds; only
+// replay's execute switch names every kind, and a kind missing from it or
+// from the table fails to compile.
+//
 // Escape hatches: MF_DISABLE_PROGRAM=1 (or program_set_enabled(false))
 // makes program_enabled() false; the wired call sites then run eagerly,
 // bit-for-bit like pre-PR-4 code (mirrors MF_DISABLE_POOL / _ARENA).
 // MF_DISABLE_FUSION=1 keeps programs on but lowers every elementwise
 // step individually (the PR 4 plans), also bit-for-bit.
 // MF_DISABLE_WIDENING=1 makes widen() refuse, so callers keep per-shape
-// captures. MF_DISABLE_PARALLEL_PLAN=1 / MF_PLAN_THREADS control the
-// wave executor as above.
+// captures.
 #pragma once
 
 #include <cstdint>
@@ -230,11 +239,6 @@ bool program_fusion_enabled();
 /// Override the env default (tests / benches). Returns previous value.
 bool program_fusion_set_enabled(bool on);
 
-/// False when MF_DISABLE_PARALLEL_PLAN=1: replay stays serial regardless
-/// of the thread knob. Checked at replay time.
-bool program_parallel_enabled();
-bool program_parallel_set_enabled(bool on);
-
 /// Wave-executor width. Defaults to MF_PLAN_THREADS (1 when unset —
 /// plan-level parallelism is opt-in because it composes poorly with
 /// OpenMP kernel threading: each executor forces its kernels serial).
@@ -301,7 +305,7 @@ enum class Unary : std::uint8_t {
   kGelu,
 };
 
-enum class Binary : std::uint8_t { kAdd, kSub, kMul, kDiv };
+using Binary = kernels::BinaryOp;
 
 void on_unary(Unary fn, real scalar, const Tensor& a, const Tensor& out);
 void on_binary(Binary fn, const Tensor& a, const Tensor& b, const Tensor& out);

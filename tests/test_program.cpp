@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -660,16 +662,6 @@ TEST(Program, SgdInsideCapturePoisonsThePlanNotTheStep) {
 }
 
 /// RAII toggles for the wave executor and widening knobs.
-class ParallelEnabledGuard {
- public:
-  explicit ParallelEnabledGuard(bool on)
-      : prev_(ad::program_parallel_set_enabled(on)) {}
-  ~ParallelEnabledGuard() { ad::program_parallel_set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 class PlanThreadsGuard {
  public:
   explicit PlanThreadsGuard(int n) : prev_(ad::program_set_plan_threads(n)) {}
@@ -716,11 +708,10 @@ TEST(Program, ParallelReplayBitwiseMatchesSerial) {
     auto batch_b = gen_b.make_batch(bvps_b, cfg.q_data, cfg.q_colloc);
     double ld_a, lp_a, ld_b, lp_b;
     {
-      ParallelEnabledGuard serial(false);
+      PlanThreadsGuard serial(1);
       std::tie(ld_a, lp_a) = serial_step.run(batch_a);
     }
     {
-      ParallelEnabledGuard parallel(true);
       PlanThreadsGuard threads(4);
       std::tie(ld_b, lp_b) = parallel_step.run(batch_b);
     }
@@ -824,6 +815,145 @@ TEST(Program, WidenRejectsInstanceMixingPlans) {
   }
 }
 
+Tensor random_tensor(const ad::Shape& shape, util::Rng& rng) {
+  Tensor t = Tensor::zeros(shape);
+  for (int64_t i = 0; i < t.numel(); ++i) t.flat(i) = rng.uniform(-1.0, 1.0);
+  return t;
+}
+
+/// A plan body over batch inputs whose leading dim is the base batch.
+struct WidenCase {
+  const char* name;
+  std::vector<Tensor> inputs;
+  std::function<Tensor()> body;
+};
+
+TEST(Program, WidenAcceptsOneCasePerRule) {
+  // One accepting plan per widen rule that can accept (elementwise via a
+  // fused chain, bcast, outer, rows), at both compute dtypes: a widened
+  // replay of 3 * B0 rows must be bitwise identical to three base-width
+  // replays of the same rows.
+  ProgramEnabledGuard on(true);
+  ad::NoGradGuard no_grad;
+  util::Rng rng(53);
+  const int64_t B0 = 2;
+  const Tensor x = random_tensor({B0, 5}, rng), z = random_tensor({B0, 5}, rng);
+  const Tensor col = random_tensor({B0, 1}, rng), row = random_tensor({5}, rng);
+  const Tensor x3 = random_tensor({B0, 3, 4}, rng);
+  const Tensor w = random_tensor({5, 4}, rng), wb = random_tensor({4}, rng);
+  const Tensor sig = random_tensor({B0, 2, 6}, rng);
+  const Tensor cw = random_tensor({3, 2, 3}, rng), cb = random_tensor({3}, rng);
+  const std::vector<WidenCase> cases = {
+      {"fused_chain", {x, z},
+       [=] {
+         return ops::tanh(ops::sub(z, ops::mul_scalar(ops::mul(x, z), 0.5)));
+       }},
+      {"bcast_row_bias", {x}, [=] { return ops::add(x, row); }},
+      {"broadcast_to", {col}, [=] { return ops::broadcast_to(col, {B0, 5}); }},
+      {"slice_concat_axis1", {x},
+       [=] {
+         return ops::concat({ops::slice(x, 1, 3, 2), ops::slice(x, 1, 0, 3)},
+                            1);
+       }},
+      {"sum_axis1", {x3}, [=] { return ops::sum_axis(x3, 1, false); }},
+      {"matmul", {x}, [=] { return ops::linear(x, w, wb); }},
+      {"conv1d", {sig}, [=] { return ops::conv1d(sig, cw, cb, 1); }},
+  };
+  const int64_t kFactor = 3;
+  for (const ad::DType dt : {ad::DType::kF64, ad::DType::kF32}) {
+    for (const WidenCase& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (dt == ad::DType::kF32 ? " f32" : " f64"));
+      ad::Program p;
+      p.set_compute_dtype(dt);
+      Tensor y;
+      p.capture([&] { y = c.body(); });
+      ASSERT_TRUE(p.captured());
+      if (std::string(c.name) == "fused_chain") {
+        EXPECT_GT(p.stats().fused_steps, 0u);
+      }
+      std::vector<Tensor> io = c.inputs;
+      io.push_back(y);
+      ASSERT_TRUE(p.widen(io));
+      const int64_t b = kFactor * B0;
+      std::vector<std::vector<double>> wide_in;
+      for (const Tensor& t : c.inputs) {
+        std::vector<double> v(static_cast<std::size_t>(kFactor * t.numel()));
+        for (auto& e : v) e = rng.uniform(-1.0, 1.0);
+        std::copy(v.begin(), v.end(), p.widened_buffer(t, b));
+        wide_in.push_back(std::move(v));
+      }
+      p.replay_widened(b);
+      const ad::real* wy = p.widened_buffer(y, b);
+      const std::vector<double> wide_out(wy, wy + kFactor * y.numel());
+      for (int64_t chunk = 0; chunk < kFactor; ++chunk) {
+        for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+          Tensor t = c.inputs[i];
+          std::copy_n(wide_in[i].begin() + chunk * t.numel(), t.numel(),
+                      t.data());
+        }
+        p.replay();
+        for (int64_t e = 0; e < y.numel(); ++e) {
+          ASSERT_EQ(y.flat(e),
+                    wide_out[static_cast<std::size_t>(chunk * y.numel() + e)])
+              << "chunk " << chunk << " elem " << e;
+        }
+      }
+    }
+  }
+}
+
+TEST(Program, WidenRefusesOneCasePerRule) {
+  // One refusing plan per rule that can refuse (fold, outer on the batch
+  // axis, rows with a batch-carrying rhs, never): widen() returns false
+  // and plain replay still reproduces the captured result. Outputs whose
+  // leading dim is the base batch are declared too, so each refusal comes
+  // from the step rule, not from an undeclared external output.
+  ProgramEnabledGuard on(true);
+  util::Rng rng(59);
+  const int64_t B0 = 2;
+  const Tensor x = random_tensor({B0, 4}, rng), w = random_tensor({3, B0}, rng);
+  const Tensor x3 = random_tensor({B0, 3, 4}, rng);
+  const Tensor sig = random_tensor({B0, 2, 6}, rng);
+  Tensor cw = random_tensor({3, 2, 3}, rng), cb = random_tensor({3}, rng);
+  cw.set_requires_grad(true);
+  cb.set_requires_grad(true);
+  const Tensor g = Tensor::ones({B0, 3, 6});
+  const std::vector<WidenCase> cases = {
+      // Refused even per instance: the reduce plan is not rebuilt.
+      {"reduce_to", {x3}, [=] { return ops::reduce_to(x3, {B0, 1, 4}); }},
+      {"slice_axis0", {x},
+       [=] {
+         return ops::concat({ops::slice(x, 0, 1, 1), ops::slice(x, 0, 0, 1)},
+                            0);
+       }},
+      {"matmul_batch_rhs", {x}, [=] { return ops::matmul(w, x); }},
+      {"backward", {sig},
+       [=] {
+         Tensor y = ops::conv1d(sig, cw, cb, 1);
+         ad::backward(y, g);
+         return y;
+       }},
+  };
+  for (const WidenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ad::Program p;
+    Tensor y;
+    p.capture([&] { y = c.body(); });
+    ASSERT_TRUE(p.captured());
+    const std::vector<double> captured(y.data(), y.data() + y.numel());
+    std::vector<Tensor> io = c.inputs;
+    if (y.shape()[0] == B0) io.push_back(y);
+    EXPECT_FALSE(p.widen(io));
+    EXPECT_FALSE(p.widened());
+    std::fill(y.data(), y.data() + y.numel(), 0.0);
+    p.replay();
+    for (int64_t e = 0; e < y.numel(); ++e) {
+      ASSERT_EQ(y.flat(e), captured[static_cast<std::size_t>(e)]) << e;
+    }
+  }
+}
+
 TEST(Program, WidenedBatchedInferenceBitwiseMatchesEager) {
   // Solver-level widening: one plan captured at the base batch serves
   // every multiple of it, bitwise identical to the eager per-batch path
@@ -911,7 +1041,6 @@ TEST(Program, ConcurrentCompiledStepsAreDeterministic) {
   };
 
   ProgramEnabledGuard on(true);
-  ParallelEnabledGuard parallel(true);
   PlanThreadsGuard threads(3);
   const auto reference = run_trajectory();
 
