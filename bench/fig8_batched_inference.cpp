@@ -104,7 +104,9 @@ int main(int argc, char** argv) {
   // `batched_sub_updates_per_sec` is the production path — compiled
   // replay with batch widening; the plain eager batched column keeps its
   // own key (`eager_batched_sub_updates_per_sec`) so the trend of both
-  // survives the rewiring.
+  // survives the rewiring. `gelu_lanes` names the GELU tier the rates were
+  // measured on (8 AVX-512F, 4 AVX2+FMA, 1 std::tanh functor): it moves
+  // them by about 1.5x, so a change of runner type shows in the line.
   std::printf(
       "\nBENCH_JSON {\"bench\":\"fig8_batched_inference\",\"m\":%lld,"
       "\"threads\":%d,\"openmp\":%s,\"clock\":\"wall\","
@@ -115,7 +117,8 @@ int main(int argc, char** argv) {
       "\"program_replays\":%llu,\"fused_steps\":%zu,\"fused_ops\":%zu,"
       "\"eager_batched_sub_updates_per_sec\":%.6g,\"plan_waves\":%zu,"
       "\"batch_width\":%lld,\"widened_replays\":%llu,"
-      "\"plan_threads\":%d,\"compute_dtype\":\"%s\",\"cast_steps\":%zu}\n",
+      "\"plan_threads\":%d,\"compute_dtype\":\"%s\",\"cast_steps\":%zu,"
+      "\"gelu_lanes\":%d}\n",
       static_cast<long long>(m), ad::kernels::max_threads(),
       ad::kernels::openmp_enabled() ? "true" : "false",
       total_sub_updates / total_compiled_s,
@@ -131,6 +134,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(prog.max_widen_batch),
       static_cast<unsigned long long>(prog.widened_replays),
       ad::program_plan_threads(), ad::dtype_name(ad::compute_dtype()),
-      prog.cast_steps);
+      prog.cast_steps, ad::kernels::gelu_lanes());
   return 0;
 }

@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
       "\"cache_exact_hits\":%llu,\"cache_widened_hits\":%llu,"
       "\"cache_chunked_hits\":%llu,\"cache_widen_remainder_rows\":%llu,"
       "\"cache_misses\":%llu,\"cache_captures\":%llu,"
-      "\"cache_evictions\":%llu,\"cache_retired\":%llu}\n",
+      "\"cache_evictions\":%llu,\"cache_retired\":%llu,\"gelu_lanes\":%d}\n",
       static_cast<long long>(n_requests), zoo.size(), max_inflight,
       ad::kernels::max_threads(),
       ad::kernels::openmp_enabled() ? "true" : "false",
@@ -338,6 +338,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ic.misses),
       static_cast<unsigned long long>(ic.captures),
       static_cast<unsigned long long>(ic.evictions),
-      static_cast<unsigned long long>(ic.retired));
+      static_cast<unsigned long long>(ic.retired), ad::kernels::gelu_lanes());
   return deterministic ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MF_HAVE_AVX2_KERNELS 1
@@ -653,16 +654,18 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
   map_binary_blocks(a, b, out, n, BinaryOp::kDiv);
 }
 
-// ---- fast tanh / gelu ----
+// ---- fast tanh ----
 //
 // Cephes-style double-precision tanh (rational minimax on |x| < 0.625,
-// exp-based elsewhere, saturated past 19.0625). The scalar remainder
-// routine below replicates the vector lane operation-for-operation —
-// same polynomial order, same round-to-nearest for the exp exponent,
-// same exact 2^n scaling, no FMA on either side (the build never enables
-// contraction) — so a given input produces the same bits regardless of
-// whether a 4-lane group or the tail computed it. That property is what
-// keeps threaded/serial and eager/replay comparisons bitwise stable.
+// exp-based elsewhere, saturated past 19.0625), run by the tanh activation
+// and by GELU's compositional backward. The scalar remainder routine below
+// replicates the vector lane operation-for-operation — same polynomial
+// order, same round-to-nearest for the exp exponent, same exact 2^n
+// scaling, no FMA on either side (neither calls one, and the build pins
+// -ffp-contract=off so the compiler fuses none) — so a given input
+// produces the same bits regardless of whether a 4-lane group or the tail
+// computed it. That property is what keeps threaded/serial and
+// eager/replay comparisons bitwise stable.
 
 namespace {
 
@@ -717,11 +720,6 @@ inline double fast_tanh_scalar(double x) {
     large = 1.0 - 2.0 / (e + 1.0);
   }
   return std::copysign(large, x);
-}
-
-inline double fast_gelu_scalar(double x) {
-  const double u = sfn::kGeluCoeff * (x + 0.044715 * x * x * x);
-  return 0.5 * x * (1.0 + fast_tanh_scalar(u));
 }
 
 // ---- float twins ----
@@ -781,12 +779,6 @@ inline float fast_tanh_scalar_f(float x) {
     large = 1.0f - 2.0f / (e + 1.0f);
   }
   return std::copysign(large, x);
-}
-
-inline float fast_gelu_scalar_f(float x) {
-  const float u =
-      sfn::gelu_coeff<float> * (x + sfn::gelu_cubic<float> * x * x * x);
-  return 0.5f * x * (1.0f + fast_tanh_scalar_f(u));
 }
 
 }  // namespace
@@ -878,16 +870,6 @@ __attribute__((target("avx2"))) static inline __m256d fast_tanh_pd(__m256d x) {
   return _mm256_blendv_pd(large, small, small_mask);
 }
 
-__attribute__((target("avx2"))) static inline __m256d fast_gelu_pd(__m256d x) {
-  const __m256d x3 = _mm256_mul_pd(
-      _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.044715), x), x), x);
-  const __m256d u =
-      _mm256_mul_pd(_mm256_set1_pd(sfn::kGeluCoeff), _mm256_add_pd(x, x3));
-  const __m256d t = fast_tanh_pd(u);
-  return _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), x),
-                       _mm256_add_pd(_mm256_set1_pd(1.0), t));
-}
-
 __attribute__((target("avx2"))) static void tanh_block_avx2(const real* a,
                                                             real* out,
                                                             int64_t n) {
@@ -895,15 +877,6 @@ __attribute__((target("avx2"))) static void tanh_block_avx2(const real* a,
   for (; i + 4 <= n; i += 4)
     _mm256_storeu_pd(out + i, fast_tanh_pd(_mm256_loadu_pd(a + i)));
   for (; i < n; ++i) out[i] = fast_tanh_scalar(a[i]);
-}
-
-__attribute__((target("avx2"))) static void gelu_block_avx2(const real* a,
-                                                            real* out,
-                                                            int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(out + i, fast_gelu_pd(_mm256_loadu_pd(a + i)));
-  for (; i < n; ++i) out[i] = fast_gelu_scalar(a[i]);
 }
 
 // 8-lane float twins of the pd tanh tier. Same structure, float-narrowed
@@ -977,18 +950,6 @@ __attribute__((target("avx2"))) static inline __m256 fast_tanh_ps(__m256 x) {
   return _mm256_blendv_ps(large, small, small_mask);
 }
 
-__attribute__((target("avx2"))) static inline __m256 fast_gelu_ps(__m256 x) {
-  const __m256 x3 = _mm256_mul_ps(
-      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(sfn::gelu_cubic<float>), x),
-                    x),
-      x);
-  const __m256 u = _mm256_mul_ps(_mm256_set1_ps(sfn::gelu_coeff<float>),
-                                 _mm256_add_ps(x, x3));
-  const __m256 t = fast_tanh_ps(u);
-  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
-                       _mm256_add_ps(_mm256_set1_ps(1.0f), t));
-}
-
 __attribute__((target("avx2"))) static void tanh_block_avx2_f(const float* a,
                                                               float* out,
                                                               int64_t n) {
@@ -998,14 +959,6 @@ __attribute__((target("avx2"))) static void tanh_block_avx2_f(const float* a,
   for (; i < n; ++i) out[i] = fast_tanh_scalar_f(a[i]);
 }
 
-__attribute__((target("avx2"))) static void gelu_block_avx2_f(const float* a,
-                                                              float* out,
-                                                              int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i, fast_gelu_ps(_mm256_loadu_ps(a + i)));
-  for (; i < n; ++i) out[i] = fast_gelu_scalar_f(a[i]);
-}
 #endif  // MF_HAVE_AVX2_KERNELS
 
 void map_unary(const real* a, real* out, int64_t n, sfn::Tanh) {
@@ -1022,20 +975,6 @@ void map_unary(const real* a, real* out, int64_t n, sfn::Tanh) {
   });
 }
 
-void map_unary(const real* a, real* out, int64_t n, sfn::Gelu) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    parallel_for(n, [&](int64_t begin, int64_t end) {
-      gelu_block_avx2(a + begin, out + begin, end - begin);
-    });
-    return;
-  }
-#endif
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = sfn::Gelu{}(a[i]);
-  });
-}
-
 void tanh_block_inplace(real* x, int64_t n) {
 #ifdef MF_HAVE_AVX2_KERNELS
   if (fast_tanh_active()) {
@@ -1044,16 +983,6 @@ void tanh_block_inplace(real* x, int64_t n) {
   }
 #endif
   for (int64_t i = 0; i < n; ++i) x[i] = sfn::Tanh{}(x[i]);
-}
-
-void gelu_block_inplace(real* x, int64_t n) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    gelu_block_avx2(x, x, n);
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) x[i] = sfn::Gelu{}(x[i]);
 }
 
 void map_unary(const float* a, float* out, int64_t n, sfn::Tanh) {
@@ -1070,20 +999,6 @@ void map_unary(const float* a, float* out, int64_t n, sfn::Tanh) {
   });
 }
 
-void map_unary(const float* a, float* out, int64_t n, sfn::Gelu) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    parallel_for(n, [&](int64_t begin, int64_t end) {
-      gelu_block_avx2_f(a + begin, out + begin, end - begin);
-    });
-    return;
-  }
-#endif
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = sfn::Gelu{}(a[i]);
-  });
-}
-
 void tanh_block_inplace(float* x, int64_t n) {
 #ifdef MF_HAVE_AVX2_KERNELS
   if (fast_tanh_active()) {
@@ -1094,15 +1009,433 @@ void tanh_block_inplace(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = sfn::Tanh{}(x[i]);
 }
 
-void gelu_block_inplace(float* x, int64_t n) {
+// ---- GELU: x / (1 + exp(t)) ----
+//
+// gelu(x) = 0.5·x·(1 + tanh(u)) with u = √(2/π)·(x + 0.044715·x³) equals
+// x / (1 + e^t) with t = −2u = x·(a + b·x²), a = −2·√(2/π), b = a·0.044715:
+// one divide and no tanh. One lane formula, written once over a small
+// per-ISA ops struct, evaluates it:
+//   t = x·fma(b, x², a), clamped to ±708 (f32: ±87);
+//   k = fma(t, log2e, S) with S = 1.5·2^52 + 1023 (f32: 1.5·2^23 + 127),
+//     so n = k − S = round(t·log2e) and bits(k) << 52 (f32: << 23) = 2^n;
+//   r = t − n·ln2_hi − n·ln2_lo in two FMAs, and exp(r) by FMA Horner on
+//     the Taylor coefficients (degree 12; f32: degree 7);
+//   gelu = x / (1 + exp(r)·2^n), or x·0 where t hit the upper clamp, which
+//     keeps gelu(+inf) = +inf, gelu(−inf) = NaN and gelu(x ≤ −30) = −0.
+// Every step is one IEEE operation, so the 4-lane AVX2+FMA and the 8-lane
+// AVX-512F f64 tiers (8 and 16 lanes at f32) give the same bits, and tails
+// run through the same lanes (a zero-padded block on AVX2, masked loads and
+// stores on AVX-512): an element's value never depends on its chunk. CPUs
+// with neither tier run the sfn::Gelu functor (std::tanh).
+
+namespace {
+
+template <typename T>
+struct GeluConsts;
+
+template <>
+struct GeluConsts<double> {
+  static constexpr double kA = -2 * sfn::gelu_coeff<double>;
+  static constexpr double kB = kA * sfn::gelu_cubic<double>;
+  static constexpr double kClamp = 708;
+  static constexpr double kLog2e = kLog2E;
+  static constexpr double kShift = 0x1.8p52 + 1023;
+  static constexpr double kLn2Hi = kExpC1;
+  static constexpr double kLn2Lo = kExpC2;
+  static constexpr int kDegree = 12;
+};
+
+template <>
+struct GeluConsts<float> {
+  static constexpr float kA = -2 * sfn::gelu_coeff<float>;
+  static constexpr float kB = kA * sfn::gelu_cubic<float>;
+  static constexpr float kClamp = 87;
+  static constexpr float kLog2e = kLog2EF;
+  static constexpr float kShift = 0x1.8p23f + 127;
+  static constexpr float kLn2Hi = kExpC1F;
+  static constexpr float kLn2Lo = kExpC2F;
+  static constexpr int kDegree = 7;
+};
+
+/// 1/k! at the element width: the Taylor coefficients of exp.
+template <typename T>
+constexpr T inv_factorial(int k) {
+  double f = 1;
+  for (int i = 2; i <= k; ++i) f *= i;
+  return static_cast<T>(1.0 / f);
+}
+
+/// p = exp(r) by Horner from the degree-kDegree coefficient down to 1/0!.
+template <class O, int... I>
+inline void exp_poly(typename O::V& p, const typename O::V& r,
+                     std::integer_sequence<int, I...>) {
+  using T = typename O::T;
+  constexpr int kDeg = GeluConsts<T>::kDegree;
+  typename O::V c;
+  O::set1(p, inv_factorial<T>(kDeg));
+  ((O::set1(c, inv_factorial<T>(kDeg - 1 - I)), O::fma(p, p, r, c)), ...);
+}
+
+/// gelu on every lane of x, in place. Ops calls write their first argument
+/// (no vector passes by value, so the template itself needs no target).
+template <class O>
+inline void gelu_lane(typename O::V& x) {
+  using T = typename O::T;
+  using C = GeluConsts<T>;
+  typename O::V x2, t, k, n, r, p, c0, c1;
+  typename O::M over;
+  O::mul(x2, x, x);
+  O::set1(c0, C::kB);
+  O::set1(c1, C::kA);
+  O::fma(t, c0, x2, c1);
+  O::mul(t, x, t);
+  O::set1(c0, C::kClamp);
+  O::set1(c1, -C::kClamp);
+  O::ge(over, t, c0);
+  O::max(t, t, c1);
+  O::min(t, t, c0);
+  O::set1(c0, C::kLog2e);
+  O::set1(c1, C::kShift);
+  O::fma(k, t, c0, c1);
+  O::sub(n, k, c1);
+  O::set1(c0, -C::kLn2Hi);
+  O::fma(r, n, c0, t);
+  O::set1(c0, -C::kLn2Lo);
+  O::fma(r, n, c0, r);
+  exp_poly<O>(p, r, std::make_integer_sequence<int, C::kDegree>{});
+  O::pow2(k, k);
+  O::mul(p, p, k);
+  O::set1(c0, T(1));
+  O::add(p, c0, p);
+  O::div(p, x, p);
+  O::set1(c0, T(0));
+  O::mul(c0, x, c0);
+  O::select(x, over, c0, p);
+}
+
+template <class O>
+inline void gelu_span(const typename O::T* a, typename O::T* out, int64_t n) {
+  typename O::V x;
+  int64_t i = 0;
+  for (; i + O::kLanes <= n; i += O::kLanes) {
+    O::load(x, a + i);
+    gelu_lane<O>(x);
+    O::store(out + i, x);
+  }
+  if (i < n) {
+    O::load_part(x, a + i, n - i);
+    gelu_lane<O>(x);
+    O::store_part(out + i, x, n - i);
+  }
+}
+
+}  // namespace
+
 #ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    gelu_block_avx2_f(x, x, n);
-    return;
+static bool cpu_has_avx512f() {
+  static const bool has = __builtin_cpu_supports("avx512f");
+  return has;
+}
+
+#define MF_AVX2_FMA __attribute__((target("avx2,fma")))
+#define MF_AVX512F __attribute__((target("avx512f")))
+
+namespace {
+
+struct Avx2F64 {
+  using T = double;
+  using V = __m256d;
+  using M = __m256d;
+  static constexpr int64_t kLanes = 4;
+  MF_AVX2_FMA static void load(V& r, const T* p) { r = _mm256_loadu_pd(p); }
+  MF_AVX2_FMA static void store(T* p, const V& v) { _mm256_storeu_pd(p, v); }
+  // Tails run as one zero-padded block through the full-width lane.
+  MF_AVX2_FMA static void load_part(V& r, const T* p, int64_t n) {
+    T buf[kLanes] = {};
+    std::copy_n(p, n, buf);
+    r = _mm256_loadu_pd(buf);
+  }
+  MF_AVX2_FMA static void store_part(T* p, const V& v, int64_t n) {
+    T buf[kLanes];
+    _mm256_storeu_pd(buf, v);
+    std::copy_n(buf, n, p);
+  }
+  MF_AVX2_FMA static void set1(V& r, T c) { r = _mm256_set1_pd(c); }
+  MF_AVX2_FMA static void add(V& r, const V& a, const V& b) {
+    r = _mm256_add_pd(a, b);
+  }
+  MF_AVX2_FMA static void sub(V& r, const V& a, const V& b) {
+    r = _mm256_sub_pd(a, b);
+  }
+  MF_AVX2_FMA static void mul(V& r, const V& a, const V& b) {
+    r = _mm256_mul_pd(a, b);
+  }
+  MF_AVX2_FMA static void div(V& r, const V& a, const V& b) {
+    r = _mm256_div_pd(a, b);
+  }
+  MF_AVX2_FMA static void fma(V& r, const V& a, const V& b, const V& c) {
+    r = _mm256_fmadd_pd(a, b, c);
+  }
+  MF_AVX2_FMA static void max(V& r, const V& a, const V& b) {
+    r = _mm256_max_pd(a, b);
+  }
+  MF_AVX2_FMA static void min(V& r, const V& a, const V& b) {
+    r = _mm256_min_pd(a, b);
+  }
+  MF_AVX2_FMA static void ge(M& m, const V& a, const V& b) {
+    m = _mm256_cmp_pd(a, b, _CMP_GE_OQ);
+  }
+  MF_AVX2_FMA static void select(V& r, const M& m, const V& yes, const V& no) {
+    r = _mm256_blendv_pd(no, yes, m);
+  }
+  MF_AVX2_FMA static void pow2(V& r, const V& k) {
+    r = _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(k), 52));
+  }
+};
+
+struct Avx2F32 {
+  using T = float;
+  using V = __m256;
+  using M = __m256;
+  static constexpr int64_t kLanes = 8;
+  MF_AVX2_FMA static void load(V& r, const T* p) { r = _mm256_loadu_ps(p); }
+  MF_AVX2_FMA static void store(T* p, const V& v) { _mm256_storeu_ps(p, v); }
+  // Tails run as one zero-padded block through the full-width lane.
+  MF_AVX2_FMA static void load_part(V& r, const T* p, int64_t n) {
+    T buf[kLanes] = {};
+    std::copy_n(p, n, buf);
+    r = _mm256_loadu_ps(buf);
+  }
+  MF_AVX2_FMA static void store_part(T* p, const V& v, int64_t n) {
+    T buf[kLanes];
+    _mm256_storeu_ps(buf, v);
+    std::copy_n(buf, n, p);
+  }
+  MF_AVX2_FMA static void set1(V& r, T c) { r = _mm256_set1_ps(c); }
+  MF_AVX2_FMA static void add(V& r, const V& a, const V& b) {
+    r = _mm256_add_ps(a, b);
+  }
+  MF_AVX2_FMA static void sub(V& r, const V& a, const V& b) {
+    r = _mm256_sub_ps(a, b);
+  }
+  MF_AVX2_FMA static void mul(V& r, const V& a, const V& b) {
+    r = _mm256_mul_ps(a, b);
+  }
+  MF_AVX2_FMA static void div(V& r, const V& a, const V& b) {
+    r = _mm256_div_ps(a, b);
+  }
+  MF_AVX2_FMA static void fma(V& r, const V& a, const V& b, const V& c) {
+    r = _mm256_fmadd_ps(a, b, c);
+  }
+  MF_AVX2_FMA static void max(V& r, const V& a, const V& b) {
+    r = _mm256_max_ps(a, b);
+  }
+  MF_AVX2_FMA static void min(V& r, const V& a, const V& b) {
+    r = _mm256_min_ps(a, b);
+  }
+  MF_AVX2_FMA static void ge(M& m, const V& a, const V& b) {
+    m = _mm256_cmp_ps(a, b, _CMP_GE_OQ);
+  }
+  MF_AVX2_FMA static void select(V& r, const M& m, const V& yes, const V& no) {
+    r = _mm256_blendv_ps(no, yes, m);
+  }
+  MF_AVX2_FMA static void pow2(V& r, const V& k) {
+    r = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_castps_si256(k), 23));
+  }
+};
+
+// AVX-512F: the maskz_ forms of max, min and the shift take a zero source
+// where the plain intrinsics read an undefined one (GCC 12 reports that
+// as -Wmaybe-uninitialized); with an all-ones mask they are the same op.
+struct Avx512F64 {
+  using T = double;
+  using V = __m512d;
+  using M = __mmask8;
+  static constexpr int64_t kLanes = 8;
+  static constexpr M kAll = 0xFF;
+  MF_AVX512F static void load(V& r, const T* p) { r = _mm512_loadu_pd(p); }
+  MF_AVX512F static void store(T* p, const V& v) { _mm512_storeu_pd(p, v); }
+  MF_AVX512F static void load_part(V& r, const T* p, int64_t n) {
+    r = _mm512_maskz_loadu_pd(static_cast<M>((1u << n) - 1), p);
+  }
+  MF_AVX512F static void store_part(T* p, const V& v, int64_t n) {
+    _mm512_mask_storeu_pd(p, static_cast<M>((1u << n) - 1), v);
+  }
+  MF_AVX512F static void set1(V& r, T c) { r = _mm512_set1_pd(c); }
+  MF_AVX512F static void add(V& r, const V& a, const V& b) {
+    r = _mm512_add_pd(a, b);
+  }
+  MF_AVX512F static void sub(V& r, const V& a, const V& b) {
+    r = _mm512_sub_pd(a, b);
+  }
+  MF_AVX512F static void mul(V& r, const V& a, const V& b) {
+    r = _mm512_mul_pd(a, b);
+  }
+  MF_AVX512F static void div(V& r, const V& a, const V& b) {
+    r = _mm512_div_pd(a, b);
+  }
+  MF_AVX512F static void fma(V& r, const V& a, const V& b, const V& c) {
+    r = _mm512_fmadd_pd(a, b, c);
+  }
+  MF_AVX512F static void max(V& r, const V& a, const V& b) {
+    r = _mm512_maskz_max_pd(kAll, a, b);
+  }
+  MF_AVX512F static void min(V& r, const V& a, const V& b) {
+    r = _mm512_maskz_min_pd(kAll, a, b);
+  }
+  MF_AVX512F static void ge(M& m, const V& a, const V& b) {
+    m = _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+  }
+  MF_AVX512F static void select(V& r, const M& m, const V& yes, const V& no) {
+    r = _mm512_mask_blend_pd(m, no, yes);
+  }
+  MF_AVX512F static void pow2(V& r, const V& k) {
+    r = _mm512_castsi512_pd(
+        _mm512_maskz_slli_epi64(kAll, _mm512_castpd_si512(k), 52));
+  }
+};
+
+struct Avx512F32 {
+  using T = float;
+  using V = __m512;
+  using M = __mmask16;
+  static constexpr int64_t kLanes = 16;
+  static constexpr M kAll = 0xFFFF;
+  MF_AVX512F static void load(V& r, const T* p) { r = _mm512_loadu_ps(p); }
+  MF_AVX512F static void store(T* p, const V& v) { _mm512_storeu_ps(p, v); }
+  MF_AVX512F static void load_part(V& r, const T* p, int64_t n) {
+    r = _mm512_maskz_loadu_ps(static_cast<M>((1u << n) - 1), p);
+  }
+  MF_AVX512F static void store_part(T* p, const V& v, int64_t n) {
+    _mm512_mask_storeu_ps(p, static_cast<M>((1u << n) - 1), v);
+  }
+  MF_AVX512F static void set1(V& r, T c) { r = _mm512_set1_ps(c); }
+  MF_AVX512F static void add(V& r, const V& a, const V& b) {
+    r = _mm512_add_ps(a, b);
+  }
+  MF_AVX512F static void sub(V& r, const V& a, const V& b) {
+    r = _mm512_sub_ps(a, b);
+  }
+  MF_AVX512F static void mul(V& r, const V& a, const V& b) {
+    r = _mm512_mul_ps(a, b);
+  }
+  MF_AVX512F static void div(V& r, const V& a, const V& b) {
+    r = _mm512_div_ps(a, b);
+  }
+  MF_AVX512F static void fma(V& r, const V& a, const V& b, const V& c) {
+    r = _mm512_fmadd_ps(a, b, c);
+  }
+  MF_AVX512F static void max(V& r, const V& a, const V& b) {
+    r = _mm512_maskz_max_ps(kAll, a, b);
+  }
+  MF_AVX512F static void min(V& r, const V& a, const V& b) {
+    r = _mm512_maskz_min_ps(kAll, a, b);
+  }
+  MF_AVX512F static void ge(M& m, const V& a, const V& b) {
+    m = _mm512_cmp_ps_mask(a, b, _CMP_GE_OQ);
+  }
+  MF_AVX512F static void select(V& r, const M& m, const V& yes, const V& no) {
+    r = _mm512_mask_blend_ps(m, no, yes);
+  }
+  MF_AVX512F static void pow2(V& r, const V& k) {
+    r = _mm512_castsi512_ps(
+        _mm512_maskz_slli_epi32(kAll, _mm512_castps_si512(k), 23));
+  }
+};
+
+}  // namespace
+
+// flatten inlines the lane template and every ops call into these four
+// bodies, so each compiles as one loop at its own ISA.
+__attribute__((target("avx2,fma"), flatten)) static void gelu_span_avx2(
+    const double* a, double* out, int64_t n) {
+  gelu_span<Avx2F64>(a, out, n);
+}
+__attribute__((target("avx2,fma"), flatten)) static void gelu_span_avx2(
+    const float* a, float* out, int64_t n) {
+  gelu_span<Avx2F32>(a, out, n);
+}
+__attribute__((target("avx512f"), flatten)) static void gelu_span_avx512(
+    const double* a, double* out, int64_t n) {
+  gelu_span<Avx512F64>(a, out, n);
+}
+__attribute__((target("avx512f"), flatten)) static void gelu_span_avx512(
+    const float* a, float* out, int64_t n) {
+  gelu_span<Avx512F32>(a, out, n);
+}
+
+#undef MF_AVX2_FMA
+#undef MF_AVX512F
+#endif  // MF_HAVE_AVX2_KERNELS
+
+int gelu_lanes() {
+#ifdef MF_HAVE_AVX2_KERNELS
+  static const int lanes = cpu_has_avx512f()                  ? 8
+                           : cpu_has_avx2() && cpu_has_fma() ? 4
+                                                              : 1;
+  return lanes;
+#else
+  return 1;
+#endif
+}
+
+namespace {
+/// GELU on the tier with `lanes` f64 lanes (8: AVX-512F, 4: AVX2+FMA);
+/// false, writing nothing, when the CPU lacks it.
+template <typename T>
+bool gelu_on_tier(int lanes, const T* a, T* out, int64_t n) {
+#ifdef MF_HAVE_AVX2_KERNELS
+  if (lanes == 8 && cpu_has_avx512f()) {
+    gelu_span_avx512(a, out, n);
+    return true;
+  }
+  if (lanes == 4 && cpu_has_avx2() && cpu_has_fma()) {
+    gelu_span_avx2(a, out, n);
+    return true;
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) x[i] = sfn::Gelu{}(x[i]);
+  (void)lanes, (void)a, (void)out, (void)n;
+  return false;
 }
+
+/// The one GELU entry: the widest tier the CPU has, else the functor.
+template <typename T>
+void gelu_block(const T* a, T* out, int64_t n) {
+  if (gelu_on_tier(gelu_lanes(), a, out, n)) return;
+  for (int64_t i = 0; i < n; ++i) out[i] = sfn::Gelu{}(a[i]);
+}
+}  // namespace
+
+namespace detail {
+bool gelu_avx2_fma(const double* a, double* out, int64_t n) {
+  return gelu_on_tier(4, a, out, n);
+}
+bool gelu_avx2_fma(const float* a, float* out, int64_t n) {
+  return gelu_on_tier(4, a, out, n);
+}
+bool gelu_avx512f(const double* a, double* out, int64_t n) {
+  return gelu_on_tier(8, a, out, n);
+}
+bool gelu_avx512f(const float* a, float* out, int64_t n) {
+  return gelu_on_tier(8, a, out, n);
+}
+}  // namespace detail
+
+void map_unary(const real* a, real* out, int64_t n, sfn::Gelu) {
+  parallel_for(n, [&](int64_t begin, int64_t end) {
+    gelu_block(a + begin, out + begin, end - begin);
+  });
+}
+
+void map_unary(const float* a, float* out, int64_t n, sfn::Gelu) {
+  parallel_for(n, [&](int64_t begin, int64_t end) {
+    gelu_block(a + begin, out + begin, end - begin);
+  });
+}
+
+void gelu_block_inplace(real* x, int64_t n) { gelu_block(x, x, n); }
+
+void gelu_block_inplace(float* x, int64_t n) { gelu_block(x, x, n); }
 
 void matmul(const real* a, const real* b, const real* bias, real* out,
             int64_t m, int64_t k, int64_t n) {

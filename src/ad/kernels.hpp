@@ -146,34 +146,51 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 void map_binary(const float* a, const float* b, float* out, int64_t n,
                 sfn::Div);
 
-// ---- fast tanh / gelu ----
+// ---- tanh and GELU ----
 //
-// tanh dominates SDNet inference (every hidden activation is a GELU whose
-// cost is one libm tanh, ~27 cycles/element); these overloads replace it
-// with a Cephes-style rational approximation — 4 AVX2 lanes in flight,
-// accurate to ~1-2 ulp of std::tanh. The vector lanes and the scalar
-// remainder evaluate the identical operation sequence, so the value of an
-// element never depends on which chunk or lane computed it: threaded
-// execution stays bitwise identical to serial, and eager ops and program
-// replay (including fused chains, which route through the *_block_inplace
-// entry points) stay bitwise identical to each other. Absolute values
-// differ from libm in the last bits. CPUs without AVX2 run std::tanh.
-/// True when the fast path runs: the CPU has AVX2.
+// Every hidden activation of SDNet inference is a GELU, so these overloads
+// replace the functors' libm tanh (~27 cycles/element):
+//  * tanh: a Cephes-style rational approximation on 4 AVX2 lanes (8 at
+//    f32), accurate to ~1-2 ulp of std::tanh. The tanh activation and
+//    GELU's compositional backward run it.
+//  * GELU: x / (1 + exp(t)) with t = −2·√(2/π)·(x + 0.044715·x³) — the
+//    same tanh-form GELU with one divide — and exp by range reduction and
+//    an FMA polynomial. It runs on 8 f64 lanes (16 at f32) where the CPU
+//    has AVX-512F and on 4 (8) where it has AVX2+FMA; both tiers execute
+//    the same IEEE operations, so they give the same bits.
+// In both, the vector lanes and the tail evaluate the identical operation
+// sequence, so the value of an element never depends on which chunk or
+// lane computed it: threaded execution stays bitwise identical to serial,
+// and eager ops and program replay (including fused chains, which route
+// through the *_block_inplace entry points) stay bitwise identical to each
+// other. Absolute values differ from libm in the last bits. CPUs without
+// AVX2 (tanh) or without AVX2+FMA (GELU) run the sfn:: functors.
+/// True when the fast tanh runs: the CPU has AVX2.
 bool fast_tanh_active();
+/// f64 lanes the GELU kernel runs on: 8 (AVX-512F), 4 (AVX2+FMA) or 1
+/// (the sfn::Gelu functor). Read-only; benches print it next to their
+/// rates because the tier moves them.
+int gelu_lanes();
 void map_unary(const real* a, real* out, int64_t n, sfn::Tanh);
 void map_unary(const real* a, real* out, int64_t n, sfn::Gelu);
 void map_unary(const float* a, float* out, int64_t n, sfn::Tanh);
 void map_unary(const float* a, float* out, int64_t n, sfn::Gelu);
 /// Serial in-place blocks for the fused-chain interpreter; element-for-
-/// element identical to the map_unary overloads (fast path when active,
-/// the sfn:: functor otherwise).
+/// element identical to the map_unary overloads.
 void tanh_block_inplace(real* x, int64_t n);
 void gelu_block_inplace(real* x, int64_t n);
-/// Float twins: the 8-lane ps fast path (Cephes constants narrowed to
-/// float via the element type, float exponent build) with a scalar tail
-/// that replicates the lane ops, so f32 values are chunk-invariant too.
 void tanh_block_inplace(float* x, int64_t n);
 void gelu_block_inplace(float* x, int64_t n);
+
+namespace detail {
+/// GELU over [0, n) on one tier's lanes, whatever the widest tier is; for
+/// tests that compare the tiers. Returns false, writing nothing, when the
+/// CPU lacks the tier.
+bool gelu_avx2_fma(const double* a, double* out, int64_t n);
+bool gelu_avx2_fma(const float* a, float* out, int64_t n);
+bool gelu_avx512f(const double* a, double* out, int64_t n);
+bool gelu_avx512f(const float* a, float* out, int64_t n);
+}  // namespace detail
 
 // ---- FMA matmul tier ----
 //
@@ -190,7 +207,9 @@ bool fma_kernels_active();
 // ---- broadcast elementwise ----
 
 /// Precomputed output-dim strides mapping each output element to the flat
-/// offsets of two broadcast operands (stride 0 on broadcast axes).
+/// offsets of two broadcast operands (stride 0 on broadcast axes). Plans
+/// are built from contiguous shapes, so each operand's innermost stride is
+/// 0 or 1.
 struct BroadcastPlan {
   BroadcastPlan(const Shape& out, const Shape& a, const Shape& b);
 
@@ -199,34 +218,61 @@ struct BroadcastPlan {
   int64_t n = 0;
 };
 
-/// out[i] = f(a[ai], b[bi]) over the whole broadcast output. Each thread
-/// seeds its multi-index from its chunk start, then walks incrementally.
+namespace detail {
+/// out[j] = f(a[j·sa], b[j·sb]) for j in [0, len), with sa, sb in {0, 1}.
+template <typename T, typename F>
+void broadcast_row(const T* a, int64_t sa, const T* b, int64_t sb, T* out,
+                   int64_t len, F& f) {
+  if (sa && sb) {
+    for (int64_t j = 0; j < len; ++j) out[j] = f(a[j], b[j]);
+  } else if (sa) {
+    const T bv = *b;
+    for (int64_t j = 0; j < len; ++j) out[j] = f(a[j], bv);
+  } else if (sb) {
+    const T av = *a;
+    for (int64_t j = 0; j < len; ++j) out[j] = f(av, b[j]);
+  } else {
+    const T v = f(*a, *b);
+    for (int64_t j = 0; j < len; ++j) out[j] = v;
+  }
+}
+}  // namespace detail
+
+/// out[i] = f(a[ai], b[bi]) over the whole broadcast output, row by row
+/// (a row is the innermost output axis). Each thread seeds the outer index
+/// of the row holding its chunk start, which may fall mid-row, and then
+/// advances it once per row.
 template <typename T, typename F>
 void map_broadcast(const BroadcastPlan& plan, const T* a, const T* b,
                    T* out, F&& f) {
+  const std::size_t nd = plan.out_shape.size();
+  const int64_t len = nd ? plan.out_shape[nd - 1] : 1;
+  const int64_t sa = nd ? plan.a_strides[nd - 1] : 0;
+  const int64_t sb = nd ? plan.b_strides[nd - 1] : 0;
+  const std::size_t outer = nd ? nd - 1 : 0;  // axes above the row
   parallel_for(plan.n, [&](int64_t begin, int64_t end) {
-    const int64_t nd = static_cast<int64_t>(plan.out_shape.size());
-    std::vector<int64_t> idx(static_cast<std::size_t>(nd), 0);
+    std::vector<int64_t> idx(outer);
+    int64_t row = begin / len, col = begin % len;
     int64_t ai = 0, bi = 0;
-    int64_t rem = begin;
-    for (int64_t d = nd - 1; d >= 0; --d) {
-      const auto du = static_cast<std::size_t>(d);
-      idx[du] = rem % plan.out_shape[du];
-      rem /= plan.out_shape[du];
-      ai += idx[du] * plan.a_strides[du];
-      bi += idx[du] * plan.b_strides[du];
+    for (std::size_t d = outer; d-- > 0;) {
+      idx[d] = row % plan.out_shape[d];
+      row /= plan.out_shape[d];
+      ai += idx[d] * plan.a_strides[d];
+      bi += idx[d] * plan.b_strides[d];
     }
-    for (int64_t i = begin; i < end; ++i) {
-      out[i] = f(a[ai], b[bi]);
-      for (int64_t d = nd - 1; d >= 0; --d) {
-        const auto du = static_cast<std::size_t>(d);
-        idx[du]++;
-        ai += plan.a_strides[du];
-        bi += plan.b_strides[du];
-        if (idx[du] < plan.out_shape[du]) break;
-        ai -= plan.a_strides[du] * plan.out_shape[du];
-        bi -= plan.b_strides[du] * plan.out_shape[du];
-        idx[du] = 0;
+    for (int64_t i = begin; i < end;) {
+      const int64_t n = std::min(len - col, end - i);
+      detail::broadcast_row(a + ai + col * sa, sa, b + bi + col * sb, sb,
+                            out + i, n, f);
+      i += n;
+      col = 0;
+      for (std::size_t d = outer; d-- > 0;) {
+        ai += plan.a_strides[d];
+        bi += plan.b_strides[d];
+        if (++idx[d] < plan.out_shape[d]) break;
+        ai -= plan.a_strides[d] * plan.out_shape[d];
+        bi -= plan.b_strides[d] * plan.out_shape[d];
+        idx[d] = 0;
       }
     }
   });

@@ -1697,6 +1697,69 @@ void run_health_check(Program::Impl& im, void* const* buf,
   }
 }
 
+/// The one step loop behind Program::replay and replay_widened: `steps`,
+/// `B`, `slot_len` and `bplans` are the master tables or a wide
+/// context's. With MF_PROGRAM_PROFILE=1 every step runs serially in
+/// recorded order and is timed into one band per kind-table row (kUnary
+/// split by fn, prog::Unary order); per-thread totals go to stderr every
+/// 24 replays, exact and widened alike. Otherwise the wave executor runs
+/// when the plan has intra-wave parallelism to use, else the plain loop.
+void run_steps(Program::Impl& im, const std::vector<Step>& steps,
+               void* const* B, const int64_t* slot_len,
+               const kernels::BroadcastPlan* bplans) {
+  static const bool prof = [] {
+    const char* e = std::getenv("MF_PROGRAM_PROFILE");
+    return e && e[0] == '1';
+  }();
+  if (prof) {
+    // Per-thread accumulators: inference replays programs from several
+    // OpenMP threads at once, and a shared tally would be a data race.
+    static constexpr const char* kUnaryBands[] = {
+        "unary.add_scalar", "unary.mul_scalar", "unary.pow_scalar",
+        "unary.neg",        "unary.exp",        "unary.log",
+        "unary.sqrt",       "unary.tanh",       "unary.abs",
+        "unary.sign",       "unary.gelu"};
+    constexpr std::size_t kBands = std::size(kKinds) + std::size(kUnaryBands);
+    static thread_local double acc[kBands] = {0};
+    static thread_local std::uint64_t cnt[kBands] = {0};
+    static thread_local std::uint64_t elems[kBands] = {0};
+    static thread_local std::uint64_t calls = 0;
+    for (const Step& s : steps) {
+      auto k = static_cast<std::size_t>(s.kind);
+      if (s.kind == StepKind::kUnary && s.fn < std::size(kUnaryBands)) {
+        k = std::size(kKinds) + s.fn;
+      }
+      const double t0 = now_ms();
+      execute(im, s, B, slot_len, bplans);
+      acc[k] += now_ms() - t0;
+      ++cnt[k];
+      elems[k] += static_cast<std::uint64_t>(s.p0);
+    }
+    if (++calls % 24 == 0) {
+      std::fprintf(stderr, "PROGPROF after %llu replays:\n",
+                   static_cast<unsigned long long>(calls));
+      for (std::size_t k = 0; k < kBands; ++k) {
+        if (!cnt[k]) continue;
+        const char* band = k < std::size(kKinds)
+                               ? kKinds[k].name
+                               : kUnaryBands[k - std::size(kKinds)];
+        std::fprintf(stderr,
+                     "  %-16s %8.3f ms total, %8llu steps, %10llu elems\n",
+                     band, acc[k], static_cast<unsigned long long>(cnt[k]),
+                     static_cast<unsigned long long>(elems[k]));
+      }
+    }
+  } else if (use_parallel_replay(im)) {
+    // The master wave schedule is valid for every width: wide contexts
+    // drop arena aliasing (fresh per-slot buffers), so their hazards are
+    // a subset of the master's.
+    PlanPool::instance().run(im, steps.data(), B, slot_len, bplans,
+                             program_plan_threads());
+  } else {
+    for (const Step& s : steps) execute(im, s, B, slot_len, bplans);
+  }
+}
+
 }  // namespace
 
 void Program::capture(const std::function<void()>& fn) {
@@ -1750,59 +1813,7 @@ bool Program::last_replay_healthy() const { return impl_->last_healthy; }
 void Program::replay() {
   Impl& im = *impl_;
   if (!im.ready) throw std::logic_error("Program::replay before capture");
-  static const bool prof = [] {
-    const char* e = std::getenv("MF_PROGRAM_PROFILE");
-    return e && e[0] == '1';
-  }();
-  void* const* B = im.buf.data();
-  const int64_t* slot_len = im.slot_len.data();
-  const kernels::BroadcastPlan* bplans = im.bplans.data();
-  if (prof) {
-    // Per-thread accumulators: inference replays programs from several
-    // OpenMP threads at once, and a shared tally would be a data race.
-    // One band per kind-table row, then kUnary split by fn (prog::Unary
-    // order). Profiling always replays serially, in recorded order.
-    static constexpr const char* kUnaryBands[] = {
-        "unary.add_scalar", "unary.mul_scalar", "unary.pow_scalar",
-        "unary.neg",        "unary.exp",        "unary.log",
-        "unary.sqrt",       "unary.tanh",       "unary.abs",
-        "unary.sign",       "unary.gelu"};
-    constexpr std::size_t kBands = std::size(kKinds) + std::size(kUnaryBands);
-    static thread_local double acc[kBands] = {0};
-    static thread_local std::uint64_t cnt[kBands] = {0};
-    static thread_local std::uint64_t elems[kBands] = {0};
-    static thread_local std::uint64_t calls = 0;
-    for (const Step& s : im.steps) {
-      auto k = static_cast<std::size_t>(s.kind);
-      if (s.kind == StepKind::kUnary && s.fn < std::size(kUnaryBands)) {
-        k = std::size(kKinds) + s.fn;
-      }
-      const double t0 = now_ms();
-      execute(im, s, B, slot_len, bplans);
-      acc[k] += now_ms() - t0;
-      ++cnt[k];
-      elems[k] += static_cast<std::uint64_t>(s.p0);
-    }
-    if (++calls % 24 == 0) {
-      std::fprintf(stderr, "PROGPROF after %llu replays:\n",
-                   static_cast<unsigned long long>(calls));
-      for (std::size_t k = 0; k < kBands; ++k) {
-        if (!cnt[k]) continue;
-        const char* band = k < std::size(kKinds)
-                               ? kKinds[k].name
-                               : kUnaryBands[k - std::size(kKinds)];
-        std::fprintf(stderr,
-                     "  %-16s %8.3f ms total, %8llu steps, %10llu elems\n",
-                     band, acc[k], static_cast<unsigned long long>(cnt[k]),
-                     static_cast<unsigned long long>(elems[k]));
-      }
-    }
-  } else if (use_parallel_replay(im)) {
-    PlanPool::instance().run(im, im.steps.data(), B, slot_len, bplans,
-                             program_plan_threads());
-  } else {
-    for (const Step& s : im.steps) execute(im, s, B, slot_len, bplans);
-  }
+  run_steps(im, im.steps, im.buf.data(), im.slot_len.data(), im.bplans.data());
   ++im.replays;
   run_health_check(im, im.buf.data(), im.slot_len.data());
 }
@@ -1978,18 +1989,8 @@ void Program::replay_widened(int64_t b) {
     return;
   }
   Impl::WideContext& ctx = *get_wide_ctx(im, f);
-  if (use_parallel_replay(im)) {
-    // The master wave schedule is valid for every width: wide contexts
-    // drop arena aliasing (fresh per-slot buffers), so their hazards are
-    // a subset of the master's.
-    PlanPool::instance().run(im, ctx.steps.data(), ctx.buf.data(),
-                             ctx.slot_len.data(), ctx.bplans.data(),
-                             program_plan_threads());
-  } else {
-    for (const Step& s : ctx.steps) {
-      execute(im, s, ctx.buf.data(), ctx.slot_len.data(), ctx.bplans.data());
-    }
-  }
+  run_steps(im, ctx.steps, ctx.buf.data(), ctx.slot_len.data(),
+            ctx.bplans.data());
   ++im.replays;
   ++im.widened_replays;
   im.max_widen_batch = std::max(im.max_widen_batch, b);

@@ -107,7 +107,7 @@ SolvedBvp LaplaceDatasetGenerator::generate_global(int64_t nx_cells,
   const int64_t nx = nx_cells + 1, ny = ny_cells + 1;
   const int64_t perim = linalg::perimeter_size(nx, ny);
   GpSampler sampler(next_kernel(), unit_circle_points(perim));
-  SolvedBvp bvp{sampler.sample(rng_), linalg::Grid2D(nx, ny)};
+  SolvedBvp bvp{sampler.sample(rng_), linalg::Grid2D(nx, ny), {}, {}};
   linalg::apply_perimeter(bvp.solution, bvp.boundary);
   // Physical spacing matches the training subdomain: m_ cells per unit.
   linalg::solve_laplace_mg(bvp.solution, 1.0 / static_cast<double>(m_));

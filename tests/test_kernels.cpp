@@ -8,12 +8,15 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "ad/gradcheck.hpp"
 #include "ad/kernels.hpp"
 #include "ad/ops.hpp"
+#include "gelu_checks.hpp"
 #include "util/rng.hpp"
 
 namespace ad = mf::ad;
@@ -379,4 +382,169 @@ TEST(Kernels, ReduceToScalarAndAllAxes) {
     ASSERT_EQ(to_ones.shape(), (Shape{1, 1})) << "threaded=" << threaded;
     EXPECT_NEAR(to_ones.item(), acc, 1e-12) << "threaded=" << threaded;
   }
+}
+
+// ---- GELU: x / (1 + exp(t)) on the widest FMA lanes ----
+
+TEST(GeluKernel, LanesNameTheWidestTierTheCpuHas) {
+  double x = 1.5, y = 0;
+  const bool avx512 = kernels::detail::gelu_avx512f(&x, &y, 1);
+  const bool avx2 = kernels::detail::gelu_avx2_fma(&x, &y, 1);
+  EXPECT_EQ(kernels::gelu_lanes(), avx512 ? 8 : avx2 ? 4 : 1);
+}
+
+TEST(GeluKernel, MaxAbsErrorVsLongDoubleF64) {
+  EXPECT_LE(gelu_checks::max_abs_error<double>(-20, 20, 400001), 2e-15);
+}
+
+TEST(GeluKernel, ChunkAndTailInvarianceF64) {
+  gelu_checks::expect_chunk_invariant<double>();
+}
+
+TEST(GeluKernel, SpecialValuesF64) {
+  gelu_checks::expect_special_values<double>(1e300);
+}
+
+TEST(GeluKernel, Avx2AndAvx512LanesAgreeBitwiseF64) {
+  gelu_checks::expect_tiers_agree<double>();
+}
+
+// ---- broadcast row walker vs a naive full-index reference ----
+
+namespace {
+
+/// Flat offset into an operand of shape `s`, trailing-aligned to the
+/// output, for the output multi-index `idx`; size-1 axes contribute 0.
+int64_t naive_offset(const Shape& s, const std::vector<int64_t>& idx) {
+  const std::size_t lead = idx.size() - s.size();
+  int64_t flat = 0;
+  for (std::size_t d = 0; d < s.size(); ++d) {
+    flat = flat * s[d] + (s[d] == 1 ? 0 : idx[d + lead]);
+  }
+  return flat;
+}
+
+template <typename T, typename F>
+std::vector<T> naive_broadcast(const Shape& out, const Shape& sa,
+                               const std::vector<T>& a, const Shape& sb,
+                               const std::vector<T>& b, F f) {
+  const int64_t n = ad::numel_of(out);
+  std::vector<T> r(static_cast<std::size_t>(n));
+  std::vector<int64_t> idx(out.size(), 0);
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t rem = i;
+    for (std::size_t d = out.size(); d-- > 0;) {
+      idx[d] = rem % out[d];
+      rem /= out[d];
+    }
+    r[static_cast<std::size_t>(i)] =
+        f(a[static_cast<std::size_t>(naive_offset(sa, idx))],
+          b[static_cast<std::size_t>(naive_offset(sb, idx))]);
+  }
+  return r;
+}
+
+template <typename T>
+std::vector<T> rand_vec(const Shape& s, unsigned seed, double lo, double hi) {
+  mf::util::Rng rng(seed);
+  std::vector<T> v(static_cast<std::size_t>(ad::numel_of(s)));
+  for (auto& x : v) x = static_cast<T>(rng.uniform(lo, hi));
+  return v;
+}
+
+/// Empty when got == want bitwise, else the first mismatch.
+template <typename T>
+std::string first_mismatch(const std::vector<T>& got,
+                           const std::vector<T>& want) {
+  if (got.size() != want.size()) return "size";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(T)) != 0) {
+      return "flat index " + std::to_string(i) + ": " +
+             std::to_string(got[i]) + " vs " + std::to_string(want[i]);
+    }
+  }
+  return "";
+}
+
+/// The four binary ops through map_broadcast, and broadcast_copy of a,
+/// against the naive reference. Returns the first failure, or empty.
+template <typename T>
+std::string check_broadcast(const Shape& out, const Shape& sa, const Shape& sb,
+                            unsigned seed) {
+  const std::vector<T> a = rand_vec<T>(sa, seed, -2, 2);
+  const std::vector<T> b = rand_vec<T>(sb, seed + 1, 0.5, 2.5);
+  const kernels::BroadcastPlan plan(out, sa, sb);
+  std::vector<T> got(static_cast<std::size_t>(plan.n));
+  std::string bad;
+  auto run = [&](auto f, const char* name) {
+    if (!bad.empty()) return;
+    std::fill(got.begin(), got.end(), T(-7));
+    kernels::map_broadcast(plan, a.data(), b.data(), got.data(), f);
+    const std::string m =
+        first_mismatch(got, naive_broadcast<T>(out, sa, a, sb, b, f));
+    if (!m.empty()) bad = std::string(name) + " " + m;
+  };
+  run(ad::sfn::Add{}, "add");
+  run(ad::sfn::Sub{}, "sub");
+  run(ad::sfn::Mul{}, "mul");
+  run(ad::sfn::Div{}, "div");
+  if (!bad.empty()) return bad;
+  const kernels::BroadcastPlan copy_plan(out, sa, sa);
+  std::fill(got.begin(), got.end(), T(-7));
+  kernels::broadcast_copy(copy_plan, a.data(), got.data());
+  const std::string m = first_mismatch(
+      got, naive_broadcast<T>(out, sa, a, sa, a, [](T x, T) { return x; }));
+  return m.empty() ? m : "broadcast_copy " + m;
+}
+
+Shape drop_leading_ones(Shape s) {
+  while (!s.empty() && s.front() == 1) s.erase(s.begin());
+  return s;
+}
+
+}  // namespace
+
+TEST(BroadcastRows, GeneratedSweepMatchesNaiveReferenceBitwise) {
+  // Ranks 1-4; every axis broadcast in a, in b, in both or in neither;
+  // inner (row) length 1-9 and 64 over outer axes of 3, 2, 3; each
+  // operand also with its leading size-1 axes dropped (rank mismatch).
+  // f64 and f32, serial and threaded (grain 1: chunks start mid-row).
+  const int64_t kOuter[] = {3, 2, 3};
+  const int64_t kInner[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 64};
+  KernelConfigGuard guard;
+  int64_t cases = 0;
+  for (const bool threaded : {false, true}) {
+    if (threaded) {
+      guard.threaded();
+    } else {
+      guard.serial();
+    }
+    for (std::size_t rank = 1; rank <= 4; ++rank) {
+      for (const int64_t inner : kInner) {
+        for (int pattern = 0; pattern < (1 << (2 * rank)); ++pattern) {
+          Shape out(rank), sa(rank), sb(rank);
+          for (std::size_t d = 0; d < rank; ++d) {
+            out[d] = d + 1 == rank ? inner : kOuter[d];
+            const int how = (pattern >> (2 * d)) & 3;  // 1: a, 2: b, 3: both
+            if (how == 3) out[d] = 1;
+            sa[d] = how & 1 ? 1 : out[d];
+            sb[d] = how & 2 ? 1 : out[d];
+          }
+          for (const auto& [a, b] :
+               {std::pair{sa, sb}, std::pair{drop_leading_ones(sa), sb},
+                std::pair{sa, drop_leading_ones(sb)}}) {
+            const auto seed = static_cast<unsigned>(cases);
+            const std::string f64 = check_broadcast<double>(out, a, b, seed);
+            const std::string f32 = check_broadcast<float>(out, a, b, seed);
+            ASSERT_TRUE(f64.empty() && f32.empty())
+                << "out " << ad::shape_str(out) << " a " << ad::shape_str(a)
+                << " b " << ad::shape_str(b) << " threaded=" << threaded
+                << (f64.empty() ? " f32 " + f32 : " f64 " + f64);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 3 * 10 * (4 + 16 + 64 + 256));
 }

@@ -25,6 +25,7 @@
 #include "ad/ops.hpp"
 #include "ad/program.hpp"
 #include "ad/scalar_fns.hpp"
+#include "gelu_checks.hpp"
 #include "gp/dataset.hpp"
 #include "mosaic/subdomain_solver.hpp"
 #include "mosaic/trainer.hpp"
@@ -181,6 +182,22 @@ TEST(Precision, GeluConstantsAreTypedAtElementWidth) {
       sfn::gelu_coeff<float> * (x + sfn::gelu_cubic<float> * x * x * x);
   const float want = 0.5f * x * (1.0f + std::tanh(u));
   EXPECT_EQ(sfn::Gelu{}(x), want);
+}
+
+TEST(Precision, FloatGeluMaxAbsErrorVsLongDouble) {
+  EXPECT_LE(gelu_checks::max_abs_error<float>(-20, 20, 400001), 1e-6);
+}
+
+TEST(Precision, FloatGeluChunkAndTailInvariance) {
+  gelu_checks::expect_chunk_invariant<float>();
+}
+
+TEST(Precision, FloatGeluSpecialValues) {
+  gelu_checks::expect_special_values<float>(1e30f);
+}
+
+TEST(Precision, FloatGeluAvx2AndAvx512LanesAgreeBitwise) {
+  gelu_checks::expect_tiers_agree<float>();
 }
 
 // ---------------------------------------------------------------------
