@@ -8,12 +8,11 @@
 // sqrt batch-scaling rule and warmup scales linearly (Sec. 5.2). Device
 // time is per-thread CPU time (ranks timeshare one core here), plus the
 // alpha-beta-modeled allreduce time.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
-#include "ad/arena.hpp"
 #include "ad/kernels.hpp"
-#include "ad/pool.hpp"
 #include "comm/world.hpp"
 #include "mosaic/trainer.hpp"
 #include "optim/optimizers.hpp"
@@ -137,10 +136,10 @@ int main(int argc, char** argv) {
               "the paper).\n");
 
   // Steady-state profile of the three-backward-pass training step (single
-  // rank): after a short warmup the payload pool and tape arena serve the
-  // eager step without touching the heap, and the compiled program (PR 4)
-  // replays the whole step with no recording at all. Both rates and the
-  // program's capture cost are tracked in BENCH_fig6.json across PRs.
+  // rank): the eager step records and allocates a fresh tape every step,
+  // while the compiled program replays the whole step on its own buffers
+  // with no recording and no payload allocation. Both rates and the
+  // program's capture cost are tracked in BENCH_fig6.json.
   {
     util::Rng rng(42);
     mosaic::Sdnet net(net_cfg, rng);
@@ -172,34 +171,31 @@ int main(int argc, char** argv) {
     // step. Under MF_DISABLE_PROGRAM run() steps the optimizer eagerly,
     // so the hatch still measures the full iteration.
     ad::program_set_enabled(prev_prog);
+    // Payload allocations are counted around run() alone: the batch is
+    // built fresh each step and allocates by design.
     mosaic::CompiledTrainStep cstep(net, cfg, &opt);
+    const auto& mt = ad::MemoryTracker::instance();
+    std::uint64_t run_allocs = 0;
     auto step = [&] {
       auto batch = sgen.make_batch(bvps, 32, 16);
+      const std::uint64_t a0 = mt.payload_allocs();
       cstep.run(batch);
+      run_allocs += mt.payload_allocs() - a0;
     };
     for (int64_t i = 0; i < warmup; ++i) step();
-    const ad::PoolStats p0 = ad::PayloadPool::stats();
+    run_allocs = 0;
     t0 = util::wall_seconds();
     for (int64_t i = 0; i < measured; ++i) step();
     const double seconds = util::wall_seconds() - t0;
-    const ad::PoolStats p1 = ad::PayloadPool::stats();
     const double replay_sps = static_cast<double>(measured) / seconds;
     const double allocs_per_step =
-        static_cast<double>((p1.fresh_allocs() + p1.adopted) -
-                            (p0.fresh_allocs() + p0.adopted)) /
-        static_cast<double>(measured);
-    const double hit_rate =
-        static_cast<double>(p1.hits - p0.hits) /
-        static_cast<double>((p1.hits - p0.hits) + (p1.misses - p0.misses) + 1e-300);
-    const auto arena = ad::this_thread_tape_arena()->stats();
+        static_cast<double>(run_allocs) / static_cast<double>(measured);
     const auto prog = cstep.program().stats();
     std::printf(
         "\nBENCH_JSON {\"bench\":\"fig6_training_scaling\",\"m\":%lld,"
         "\"threads\":%d,\"openmp\":%s,\"clock\":\"wall\",\"ranks\":1,"
         "\"batch\":8,\"q_data\":32,\"q_colloc\":16,"
         "\"steps_per_sec\":%.6g,\"payload_allocs_per_step\":%.6g,"
-        "\"pool_hit_rate\":%.6g,\"pool_enabled\":%s,"
-        "\"tape_high_water_bytes\":%zu,"
         "\"program_enabled\":%s,\"eager_steps_per_sec\":%.6g,"
         "\"replay_steps_per_sec\":%.6g,\"capture_ms\":%.6g,"
         "\"plan_steps\":%zu,\"plan_slots\":%zu,"
@@ -208,10 +204,8 @@ int main(int argc, char** argv) {
         "\"compute_dtype\":\"%s\",\"cast_steps\":%zu}\n",
         static_cast<long long>(m), ad::kernels::max_threads(),
         ad::kernels::openmp_enabled() ? "true" : "false", replay_sps,
-        allocs_per_step, hit_rate,
-        ad::PayloadPool::enabled() ? "true" : "false", arena.high_water,
-        ad::program_enabled() ? "true" : "false", eager_sps, replay_sps,
-        prog.capture_ms, prog.steps, prog.slots, prog.arena_bytes,
+        allocs_per_step, ad::program_enabled() ? "true" : "false", eager_sps,
+        replay_sps, prog.capture_ms, prog.steps, prog.slots, prog.arena_bytes,
         prog.pinned_bytes, prog.fused_steps, prog.fused_ops,
         prog.optim_steps, ad::dtype_name(ad::compute_dtype()),
         prog.cast_steps);

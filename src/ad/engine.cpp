@@ -1,35 +1,12 @@
 #include "ad/engine.hpp"
 
 #include <algorithm>
-#include <new>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ad/ops.hpp"
 
 namespace mf::ad {
-
-Node::~Node() {
-  for (std::uint32_t i = 0; i < n_inputs_; ++i) inputs_[i].~Tensor();
-  if (inputs_on_heap_) ::operator delete(inputs_);
-  // Arena-placed arrays are reclaimed wholesale by the arena rewind.
-}
-
-void Node::set_inputs(const Tensor* src, std::size_t n) {
-  if (n == 0) return;
-  void* mem;
-  if (tape_arena_enabled()) {
-    // Uncounted raw placement: the array dies with its node, strictly
-    // before the rewind that reclaims the memory.
-    mem = this_thread_tape_arena()->allocate(n * sizeof(Tensor), alignof(Tensor));
-  } else {
-    mem = ::operator new(n * sizeof(Tensor));
-    inputs_on_heap_ = true;
-  }
-  inputs_ = static_cast<Tensor*>(mem);
-  for (std::size_t i = 0; i < n; ++i) new (inputs_ + i) Tensor(src[i]);
-  n_inputs_ = static_cast<std::uint32_t>(n);
-}
 
 namespace detail {
 

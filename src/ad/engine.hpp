@@ -1,22 +1,18 @@
 // Reverse-mode autodiff engine: graph nodes, topological traversal,
 // grad-of-grad via `create_graph`.
 //
-// Tape nodes live in a per-thread bump arena (arena.hpp): recording an op
-// costs one bump allocation for the node plus its control block
-// (std::allocate_shared) and one for the input array — no std::function,
-// no std::string, no per-node heap traffic. The hottest ops (linear,
-// gelu, matmul, add, mul) use typed nodes with no captured state at all;
-// the rest store their backward lambda inline in a templated node.
+// Recording an op costs one std::make_shared (node plus control block) and
+// one input vector — no std::function, no std::string. The hottest ops
+// (linear, gelu, matmul, add, mul) use typed nodes with no captured state
+// at all; the rest store their backward lambda inline in a templated node.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "ad/arena.hpp"
 #include "ad/tensor.hpp"
 
 namespace mf::ad {
@@ -31,26 +27,26 @@ namespace mf::ad {
 /// derivatives of the PDE loss.
 struct Node {
   explicit Node(const char* op_name) : name(op_name) {}
-  virtual ~Node();
+  virtual ~Node() = default;
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   virtual std::vector<Tensor> backward(const Tensor& grad_out,
                                        const std::vector<bool>& needs) = 0;
 
-  /// Copy `n` tensors into an array placed next to the node (tape arena
-  /// when enabled, heap otherwise). Called exactly once, at record time.
-  void set_inputs(const Tensor* src, std::size_t n);
+  /// Copy the `n` input tensors into the node. Called exactly once, at
+  /// record time.
+  void set_inputs(const Tensor* src, std::size_t n) {
+    inputs_.assign(src, src + n);
+  }
 
-  std::size_t num_inputs() const { return n_inputs_; }
+  std::size_t num_inputs() const { return inputs_.size(); }
   const Tensor& input(std::size_t i) const { return inputs_[i]; }
 
   const char* name;  // static-storage op name; no per-node string
 
  private:
-  Tensor* inputs_ = nullptr;
-  std::uint32_t n_inputs_ = 0;
-  bool inputs_on_heap_ = false;
+  std::vector<Tensor> inputs_;
 };
 
 /// Node whose backward is a lambda stored inline in the node itself (one
@@ -66,14 +62,6 @@ struct LambdaNode final : Node {
 
   F fn_;
 };
-
-/// Bump-allocate a node (and its shared_ptr control block) in the calling
-/// thread's tape arena.
-template <typename NodeT, typename... Args>
-std::shared_ptr<NodeT> make_arena_node(Args&&... args) {
-  return std::allocate_shared<NodeT>(ArenaAlloc<NodeT>(),
-                                     std::forward<Args>(args)...);
-}
 
 namespace detail {
 /// True when grad mode is on and any input participates in autograd.
@@ -91,7 +79,7 @@ Tensor record(Tensor out, const char* name, const Tensor* inputs,
               std::size_t n, F&& backward) {
   if (!detail::wants_grad(inputs, n)) return out;
   auto node =
-      make_arena_node<LambdaNode<std::decay_t<F>>>(name, std::forward<F>(backward));
+      std::make_shared<LambdaNode<std::decay_t<F>>>(name, std::forward<F>(backward));
   return detail::attach(std::move(out), std::move(node), inputs, n);
 }
 
@@ -116,7 +104,7 @@ template <typename NodeT, typename... Args>
 Tensor record_typed(Tensor out, const Tensor* inputs, std::size_t n,
                     Args&&... args) {
   if (!detail::wants_grad(inputs, n)) return out;
-  auto node = make_arena_node<NodeT>(std::forward<Args>(args)...);
+  auto node = std::make_shared<NodeT>(std::forward<Args>(args)...);
   return detail::attach(std::move(out), std::move(node), inputs, n);
 }
 

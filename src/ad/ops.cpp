@@ -47,8 +47,7 @@ Tensor elementwise_unary(const Tensor& a, const char* name, prog::Unary id,
 // ---- typed tape nodes for the hottest ops ----
 //
 // These carry no captured state: everything the backward needs is read
-// from the stored inputs, so recording one is a single arena bump with no
-// shape copies or closures.
+// from the stored inputs, so recording one copies no shapes or closures.
 
 struct AddNode final : Node {
   AddNode() : Node("add") {}

@@ -1,69 +1,24 @@
-// Size-bucketed free-list pool for tensor payloads.
+// Read-only payload-allocation counters under their old pool names.
 //
-// The training and inference hot loops allocate the same tensor shapes
-// every step (fixed batch geometry), so instead of a fresh `new[]` per
-// payload the pool parks dying byte buffers on a thread-local free list
-// keyed by *byte* capacity and hands them back on the next allocation of
-// the same size. Keying by bytes (not element count) means f32 and f64
-// payloads share free lists: a dead 128-element double buffer serves a
-// 256-element float request without fragmenting the cache. After a warmup
-// step the steady state performs zero payload mallocs at either width.
-//
-// Accounting: MemoryTracker's live/peak numbers are unchanged by pooling —
-// a pooled buffer counts as live only while a TensorImpl owns it. Bytes
-// parked on free lists are tracked separately (`idle_bytes`), so the
-// Table 3 memory methodology stays honest.
-//
-// Escape hatch: MF_DISABLE_POOL=1 (or set_enabled(false)) bypasses the
-// pool entirely and reproduces the pre-pool allocation behavior
-// bit-for-bit.
+// Every payload is a plain heap vector; MemoryTracker::payload_allocs()
+// counts them. perfbench reads these names, and they go the next time the
+// benchmark changes. Library code, tests and benches read MemoryTracker.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "ad/tensor.hpp"
 
 namespace mf::ad {
 
-using real = double;
-
-/// Cumulative counters, aggregated over all threads since process start.
 struct PoolStats {
-  std::uint64_t hits = 0;      // payloads served from a free list
-  std::uint64_t misses = 0;    // fresh heap allocations
-  std::uint64_t adopted = 0;   // caller-built buffers adopted by a TensorImpl
-  std::uint64_t returned = 0;  // payloads parked on a free list at death
-  std::uint64_t dropped = 0;   // payloads freed (pool full or disabled)
-
-  /// Fresh heap work: everything that was not served from a free list.
-  std::uint64_t fresh_allocs() const { return misses; }
+  std::uint64_t hits = 0, misses = 0;
 };
 
-class PayloadPool {
- public:
-  /// Buffer of `bytes` bytes, zero-filled (recycled when possible).
-  static std::vector<std::byte> acquire_zeroed(std::size_t bytes);
-  /// Buffer holding a copy of [src, src + bytes) (recycled when possible).
-  static std::vector<std::byte> acquire_copy(const void* src,
-                                             std::size_t bytes);
-  /// Park a dying payload on this thread's free list (or free it).
-  static void release(std::vector<std::byte>&& v);
-  /// Count a caller-built buffer adopted as-is (kept for stats-sum
-  /// compatibility; the from_vector path now copies through the pool).
-  static void note_adopted();
-
-  static bool enabled();
-  /// Override the MF_DISABLE_POOL default (tests / benchmarks). Returns
-  /// the previous setting. Disabling does not flush existing caches;
-  /// call trim_thread_cache() for bit-exact allocator behavior.
-  static bool set_enabled(bool on);
-
-  static PoolStats stats();
-  /// Bytes currently parked on free lists across all threads (idle, not
-  /// owned by any tensor; disjoint from MemoryTracker::live_bytes()).
-  static std::size_t idle_bytes();
-  /// Drop every buffer cached by the calling thread.
-  static void trim_thread_cache();
+struct PayloadPool {
+  static PoolStats stats() {
+    return {0, MemoryTracker::instance().payload_allocs()};
+  }
 };
 
 }  // namespace mf::ad

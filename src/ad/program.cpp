@@ -905,8 +905,8 @@ void lower(Program::Impl& im) {
     im.slot_len[s] = static_cast<int64_t>(im.slots[s]->data.size());
   }
   // Release the graph first: tape nodes hold input Tensors, so slot use
-  // counts are only meaningful once every node is gone (this is also what
-  // lets the tape arena rewind — the program owns buffers, not history).
+  // counts are only meaningful once every node is gone (the program owns
+  // buffers, not history).
   for (auto& sp : im.slots) sp->grad_fn.reset();
 
   Ranges r;
@@ -988,7 +988,7 @@ void lower(Program::Impl& im) {
       if (s < S0) im.slots[s].reset();
     } else if (internal[s]) {
       im.buf[s] = im.arena[static_cast<std::size_t>(arena_of[s])].data();
-      if (s < S0) im.slots[s].reset();  // payload returns to the pool
+      if (s < S0) im.slots[s].reset();
     } else {
       im.buf[s] = im.slots[s]->data.raw();
       ++im.external_slots;
@@ -1782,9 +1782,8 @@ void Program::capture(const std::function<void()>& fn) {
     fn();
   } catch (...) {
     // Poison the in-flight capture exactly like an in-band uncapturable
-    // op, then drop every recorded slot: the pinned payloads return to
-    // the pool and the released autodiff graph lets the tape arena
-    // rewind, instead of a half-recorded plan pinning both.
+    // op, then drop every recorded slot, so a half-recorded plan pins
+    // neither payloads nor the autodiff graph.
     prog::on_uncapturable();
     prog::detail::g_recorder = nullptr;
     reset();

@@ -1,12 +1,11 @@
 // Compiled tape programs: capture one eager step, replay it allocation-
 // and dispatch-free.
 //
-// PR 3 made tape *construction* allocation-free, but every training step
-// still re-recorded and re-walked an identical autodiff graph: per-step
-// cost was dominated by node recording, shared_ptr traffic and virtual
-// backward dispatch rather than FLOPs. `Program` removes all of it for
-// steady-state loops with fixed shapes (the Schwarz iteration and the
-// three-backward-pass PDE training step):
+// Every eager training step re-records and re-walks an identical autodiff
+// graph: per-step cost is dominated by node recording, allocation,
+// shared_ptr traffic and virtual backward dispatch rather than FLOPs.
+// `Program` removes all of it for steady-state loops with fixed shapes
+// (the Schwarz iteration and the three-backward-pass PDE training step):
 //
 //   capture(fn)  — runs `fn` eagerly on the calling thread while recording
 //                  every executed tensor kernel (forward ops, the engine's
@@ -16,12 +15,11 @@
 //                  steps. Tensors touched by the step become numbered
 //                  slots; step operands are slot indices.
 //   (lowering)   — at capture end the plan is lowered: the recorded
-//                  autodiff graph is released (the arena rewinds), buffers
-//                  that nothing outside the program references are
-//                  liveness-packed onto a reused internal arena (two
-//                  intermediates whose live ranges do not overlap share
-//                  storage), and every operand is resolved to a raw
-//                  `real*`.
+//                  autodiff graph is released, buffers that nothing
+//                  outside the program references are liveness-packed
+//                  onto a reused internal arena (two intermediates whose
+//                  live ranges do not overlap share storage), and every
+//                  operand is resolved to a raw `real*`.
 //   replay()     — re-executes the plan: a switch over typed kernel steps
 //                  on raw buffers. No tensor construction, no node
 //                  recording, no shared_ptr traffic, no virtual dispatch,
@@ -103,8 +101,8 @@
 // from the table fails to compile.
 //
 // Escape hatches: MF_DISABLE_PROGRAM=1 (or program_set_enabled(false))
-// makes program_enabled() false; the wired call sites then run eagerly,
-// bit-for-bit like pre-PR-4 code (mirrors MF_DISABLE_POOL / _ARENA).
+// makes program_enabled() false; the wired call sites then run the eager
+// ops they would otherwise capture, bit-for-bit.
 // MF_DISABLE_FUSION=1 keeps programs on but lowers every elementwise
 // step individually (the PR 4 plans), also bit-for-bit.
 // MF_DISABLE_WIDENING=1 makes widen() refuse, so callers keep per-shape

@@ -1,11 +1,9 @@
 // Inline fixed-capacity shape, for backward-lambda captures.
 //
-// The tape arena (arena.hpp) made recording a node a single bump
-// allocation — except for ops whose backward lambda captured a `Shape`
-// (std::vector<int64_t>) by value: each capture still heap-allocated the
-// vector's buffer. Every tensor in this codebase has rank <= 4, so a
-// small inline array removes the last per-record heap traffic from the
-// hot-path lambdas (ROADMAP follow-up to PR 3).
+// A backward lambda that captured a `Shape` (std::vector<int64_t>) by
+// value would heap-allocate the vector's buffer at every record. Every
+// tensor in this codebase has rank <= 4, so a small inline array keeps
+// those captures inside the node itself.
 //
 // SmallShape is also reused for other tiny int64 lists captured by
 // lambdas (e.g. concat's per-part lengths).

@@ -3,7 +3,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "ad/pool.hpp"
 #include "ad/program.hpp"
 
 namespace mf::ad {
@@ -39,6 +38,7 @@ MemoryTracker& MemoryTracker::instance() {
 }
 
 void MemoryTracker::on_alloc(std::size_t bytes) {
+  if (bytes) allocs_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t now = live_.fetch_add(bytes) + bytes;
   // Lock-free peak update.
   std::size_t peak = peak_.load();
@@ -50,27 +50,11 @@ void MemoryTracker::on_free(std::size_t bytes) { live_.fetch_sub(bytes); }
 
 void MemoryTracker::reset_peak() { peak_.store(live_.load()); }
 
-std::size_t MemoryTracker::pooled_idle_bytes() const {
-  return PayloadPool::idle_bytes();
-}
-
-Payload::Payload(std::size_t n, DType dt)
-    : raw_(PayloadPool::acquire_zeroed(n * dtype_size(dt))), dt_(dt) {}
+Payload::Payload(std::size_t n, DType dt) : raw_(n * dtype_size(dt)), dt_(dt) {}
 
 Payload::Payload(const real* src, std::size_t n)
-    : raw_(PayloadPool::acquire_copy(src, n * sizeof(real))),
-      dt_(DType::kF64) {}
-
-Payload::~Payload() { PayloadPool::release(std::move(raw_)); }
-
-Payload& Payload::operator=(Payload&& o) noexcept {
-  if (this != &o) {
-    PayloadPool::release(std::move(raw_));
-    raw_ = std::move(o.raw_);
-    dt_ = o.dt_;
-  }
-  return *this;
-}
+    : raw_(reinterpret_cast<const std::byte*>(src),
+           reinterpret_cast<const std::byte*>(src + n)) {}
 
 Payload& Payload::operator=(const Payload& o) {
   if (this != &o) {

@@ -44,11 +44,6 @@ std::vector<int64_t> strides_of(const Shape& shape);
 
 /// Global accounting of live tensor payload bytes. Reproduces the
 /// methodology of Table 3: peak memory during forward+loss+backward.
-///
-/// Payload pooling (see pool.hpp) does not perturb these numbers: a
-/// buffer counts as live exactly while a TensorImpl owns it, whether it
-/// came from the pool or from the heap. Bytes parked on free lists are
-/// reported separately via pooled_idle_bytes().
 class MemoryTracker {
  public:
   static MemoryTracker& instance();
@@ -62,13 +57,17 @@ class MemoryTracker {
   std::size_t peak_bytes() const { return peak_.load(); }
   void reset_peak();
 
-  /// Bytes held idle by the payload pool (not owned by any tensor;
-  /// disjoint from live_bytes). Forwards to PayloadPool::idle_bytes().
-  std::size_t pooled_idle_bytes() const;
+  /// Payload allocations with nonzero bytes since process start. Compiled
+  /// replay runs on the plan's own buffers, so a steady-state replay
+  /// leaves this unchanged.
+  std::uint64_t payload_allocs() const {
+    return allocs_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<std::size_t> live_{0};
   std::atomic<std::size_t> peak_{0};
+  std::atomic<std::uint64_t> allocs_{0};
 };
 
 struct Node;  // defined in engine.hpp
@@ -77,20 +76,18 @@ struct Node;  // defined in engine.hpp
 /// native width is f64 (`real`), and every Tensor handed to user code is
 /// f64 — the f64-typed accessors below assume that and are what the whole
 /// eager layer compiles against. f32 payloads exist for the compiled-plan
-/// compute path and direct pool users; they are addressed through raw()
-/// / f32(). Storage is recycled through the PayloadPool, whose free lists
-/// key on byte capacity so both widths share buckets.
+/// compute path; they are addressed through raw() / f32().
 class Payload {
  public:
   Payload() = default;
-  /// n elements of dtype dt, zero-filled (pooled when possible).
+  /// n elements of dtype dt, zero-filled.
   Payload(std::size_t n, DType dt);
-  /// Pooled f64 copy of [src, src + n).
+  /// f64 copy of [src, src + n).
   Payload(const real* src, std::size_t n);
-  ~Payload();
+  ~Payload() = default;
 
-  Payload(Payload&& o) noexcept : raw_(std::move(o.raw_)), dt_(o.dt_) {}
-  Payload& operator=(Payload&& o) noexcept;
+  Payload(Payload&&) noexcept = default;
+  Payload& operator=(Payload&&) noexcept = default;
   Payload(const Payload&) = delete;
   /// Byte copy (module load paths assign same-shaped payloads; reuses the
   /// destination's capacity, so steady-state assigns do not allocate).
@@ -115,7 +112,7 @@ class Payload {
   real& operator[](std::size_t i) { return data()[i]; }
   real operator[](std::size_t i) const { return data()[i]; }
 
-  // f32 view (compiled-plan internals, pool tests).
+  // f32 view (compiled-plan internals).
   float* f32() { return reinterpret_cast<float*>(raw_.data()); }
   const float* f32() const {
     return reinterpret_cast<const float*>(raw_.data());
@@ -127,13 +124,11 @@ class Payload {
 };
 
 /// Shared payload of a Tensor. Allocation and deallocation are reported to
-/// the MemoryTracker; the backing buffer is recycled through the
-/// PayloadPool (pool.hpp) so steady-state hot loops perform no payload
-/// mallocs after warmup.
+/// the MemoryTracker.
 struct TensorImpl {
   explicit TensorImpl(Shape shape);
   TensorImpl(Shape shape, std::vector<real> values);
-  /// Pooled copy of [src, src + numel(shape)).
+  /// Copy of [src, src + numel(shape)).
   TensorImpl(Shape shape, const real* src);
   ~TensorImpl();
 
@@ -158,8 +153,7 @@ class Tensor {
   static Tensor ones(const Shape& shape);
   static Tensor full(const Shape& shape, real value);
   static Tensor from_vector(std::vector<real> values, const Shape& shape);
-  /// Pooled copy of an existing buffer (used by reshape/detach/clone so
-  /// they recycle payloads instead of allocating fresh vectors).
+  /// Copy of an existing buffer (used by reshape/detach/clone).
   static Tensor from_data(const real* src, const Shape& shape);
   static Tensor scalar(real value);
 

@@ -37,7 +37,11 @@ CommStats::Entry& Comm::stats_entry(int tag) {
 void Comm::record(CommStats::Entry& e, std::size_t bytes, double wall_seconds) {
   e.messages += 1;
   e.bytes += bytes;
-  e.modeled_seconds += model_.time(bytes);
+  // Recomputed from the exact counters rather than accumulated: nonblocking
+  // receives are recorded in arrival order, and a running float sum would
+  // make the low bits depend on thread timing.
+  e.modeled_seconds = static_cast<double>(e.messages) * model_.alpha +
+                      static_cast<double>(e.bytes) / model_.beta;
   e.wall_seconds += wall_seconds;
 }
 

@@ -116,9 +116,10 @@ void MpiComm::record_collective(CommStats::Entry& e, int messages,
                                 std::size_t bytes, double wall_seconds) {
   e.messages += static_cast<std::uint64_t>(messages);
   e.bytes += bytes;
-  // Model each round as one alpha plus its share of the bytes.
-  e.modeled_seconds += messages * model_.alpha +
-                       static_cast<double>(bytes) / model_.beta;
+  // One alpha per round plus the bytes, from the exact counters (as in
+  // Comm::record), so the total does not depend on recording order.
+  e.modeled_seconds = static_cast<double>(e.messages) * model_.alpha +
+                      static_cast<double>(e.bytes) / model_.beta;
   e.wall_seconds += wall_seconds;
 }
 

@@ -299,6 +299,23 @@ TEST(Engine, GraphSizeCounts) {
   EXPECT_EQ(ad::graph_size(y), 2u);
 }
 
+TEST(Engine, GraphSurvivesAcrossManyRecordingsAndScopes) {
+  // A held graph must keep its nodes valid while unrelated graphs are
+  // recorded and released around it.
+  Tensor x = Tensor::ones({4});
+  x.set_requires_grad(true);
+  Tensor kept = ops::mul_scalar(ops::gelu(x), 2.0);
+  for (int i = 0; i < 50; ++i) {
+    Tensor t = Tensor::ones({16});
+    t.set_requires_grad(true);
+    ad::backward(ops::sum(ops::mul(t, t)));
+  }
+  ad::backward(ops::sum(kept));
+  ASSERT_TRUE(x.grad().defined());
+  // d/dx [2*gelu(x)] at x=1: 2 * gelu'(1) (tanh approximation).
+  EXPECT_NEAR(x.grad().flat(0), 2.16592, 1e-4);
+}
+
 // ---------- higher-order derivatives (create_graph) ----------
 
 TEST(HigherOrder, SecondDerivativeOfCube) {
@@ -399,4 +416,24 @@ TEST(HigherOrder, FourthOrderPolynomial) {
     EXPECT_NEAR(g[0].flat(0), expected[order], 1e-9) << "order " << order;
     cur = g[0];
   }
+}
+
+TEST(HigherOrder, SecondOrderGradcheckOnTypedNodes) {
+  // The PDE loss differentiates through gradients (create_graph); the
+  // capture-free typed linear/gelu/matmul/add/mul nodes must deliver
+  // correct second derivatives.
+  mf::util::Rng rng(7);
+  Tensor w = Tensor::zeros({3, 3});
+  for (int64_t i = 0; i < w.numel(); ++i) w.flat(i) = 0.3 * rng.normal();
+  auto f = [&w](const std::vector<Tensor>& ins) {
+    Tensor h = ops::gelu(ops::linear(ins[0], w, Tensor()));
+    Tensor y = ops::mul(h, ops::add(h, ins[0]));
+    return ops::sum(ops::matmul(y, w));
+  };
+  Tensor x = Tensor::zeros({2, 3});
+  for (int64_t i = 0; i < x.numel(); ++i) x.flat(i) = 0.5 * rng.normal();
+  x.set_requires_grad(true);
+  auto res = ad::gradcheck_second_order(f, {x});
+  EXPECT_TRUE(res.ok) << "max abs err " << res.max_abs_err << " rel "
+                      << res.max_rel_err;
 }

@@ -457,4 +457,38 @@ TEST(Precision, F32TrainingTracksF64Losses) {
   }
 }
 
+TEST(Precision, SteadyStateF32CompiledStepDoesNoPayloadMallocs) {
+  // The zero-payload-allocation guarantee holds at f32 too: the plan
+  // arena is allocated once at lowering, cast shadows live on it, and
+  // steady-state replay plus the eager Adam step allocate no payloads.
+  ProgramEnabledGuard on(true);
+  PrecisionGuard f32(DType::kF32);
+  util::Rng rng(41);
+  mosaic::SdnetConfig net_cfg;
+  net_cfg.boundary_size = 16;
+  net_cfg.hidden_width = 16;
+  net_cfg.mlp_depth = 2;
+  mosaic::Sdnet net(net_cfg, rng);
+  gp::LaplaceDatasetGenerator gen(4, {}, 19);
+  auto bvps = gen.generate_many(3);
+  mosaic::TrainConfig tc;
+  tc.pde_loss_weight = 0.3;
+  optim::Adam opt(net.parameters(), 1e-3);
+  mosaic::CompiledTrainStep cstep(net, tc);
+  // Batches are built up front (make_batch allocates by design).
+  std::vector<gp::SdnetBatch> batches;
+  for (int i = 0; i < 8; ++i) batches.push_back(gen.make_batch(bvps, 8, 6));
+  auto step = [&](std::size_t i) {
+    cstep.run(batches[i]);
+    opt.step();
+  };
+  for (std::size_t i = 0; i < 3; ++i) step(i);  // capture at f32 + warm up
+  EXPECT_GT(cstep.program().stats().cast_steps, 0u);
+  const auto& mt = ad::MemoryTracker::instance();
+  const std::uint64_t a0 = mt.payload_allocs();
+  for (std::size_t i = 3; i < 8; ++i) step(i);
+  EXPECT_EQ(mt.payload_allocs(), a0)
+      << "steady-state f32 replay allocated fresh payloads";
+}
+
 }  // namespace

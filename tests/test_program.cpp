@@ -8,7 +8,7 @@
 //    differences of the replayed loss.
 //  * Shape changes must trigger re-capture; MF_DISABLE_PROGRAM must
 //    reproduce eager behavior exactly; steady-state replay must perform
-//    zero payload allocations.
+//    zero payload allocations (MemoryTracker::payload_allocs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 
 #include "ad/engine.hpp"
 #include "ad/ops.hpp"
-#include "ad/pool.hpp"
 #include "ad/program.hpp"
 #include "gp/dataset.hpp"
 #include "mosaic/subdomain_solver.hpp"
@@ -524,16 +523,19 @@ TEST(Program, SteadyStateReplayWithInPlanOptimizerIsAllocationFree) {
   optim::Adam opt(net.parameters(), 1e-3);
 
   mosaic::CompiledTrainStep cstep(net, cfg, &opt);
-  auto one = [&] {
-    auto batch = gen.make_batch(bvps, cfg.q_data, cfg.q_colloc);
-    cstep.run(batch);
-  };
-  for (int i = 0; i < 3; ++i) one();  // capture + warm the pool
+  // Batches are built up front: make_batch allocates its tensors by
+  // design, and the guarantee under test is about replay alone.
+  std::vector<gp::SdnetBatch> batches;
+  for (int i = 0; i < 8; ++i) {
+    batches.push_back(gen.make_batch(bvps, cfg.q_data, cfg.q_colloc));
+  }
+  // Capture, then warm up.
+  for (std::size_t i = 0; i < 3; ++i) cstep.run(batches[i]);
   ASSERT_TRUE(cstep.optimizer_in_plan());
-  const ad::PoolStats p0 = ad::PayloadPool::stats();
-  for (int i = 0; i < 5; ++i) one();
-  const ad::PoolStats p1 = ad::PayloadPool::stats();
-  EXPECT_EQ(p1.fresh_allocs() + p1.adopted, p0.fresh_allocs() + p0.adopted)
+  const auto& mt = ad::MemoryTracker::instance();
+  const std::uint64_t a0 = mt.payload_allocs();
+  for (std::size_t i = 3; i < 8; ++i) cstep.run(batches[i]);
+  EXPECT_EQ(mt.payload_allocs(), a0)
       << "steady-state replay with the optimizer in-plan must not allocate";
   EXPECT_TRUE(cstep.last_was_replay());
   EXPECT_GT(cstep.program().stats().optim_steps, 0u);
@@ -1074,16 +1076,20 @@ TEST(Program, SteadyStateReplayIsPayloadAllocationFree) {
   optim::Adam opt(net.parameters(), 1e-3);
 
   mosaic::CompiledTrainStep cstep(net, cfg);
-  auto one = [&] {
-    auto batch = gen.make_batch(bvps, cfg.q_data, cfg.q_colloc);
-    cstep.run(batch);
+  // Batches are built up front (make_batch allocates by design).
+  std::vector<gp::SdnetBatch> batches;
+  for (int i = 0; i < 8; ++i) {
+    batches.push_back(gen.make_batch(bvps, cfg.q_data, cfg.q_colloc));
+  }
+  auto one = [&](std::size_t i) {
+    cstep.run(batches[i]);
     opt.step();
   };
-  for (int i = 0; i < 3; ++i) one();  // capture + warm the pool
-  const ad::PoolStats p0 = ad::PayloadPool::stats();
-  for (int i = 0; i < 5; ++i) one();
-  const ad::PoolStats p1 = ad::PayloadPool::stats();
-  EXPECT_EQ(p1.fresh_allocs() + p1.adopted, p0.fresh_allocs() + p0.adopted)
+  for (std::size_t i = 0; i < 3; ++i) one(i);  // capture + warm up
+  const auto& mt = ad::MemoryTracker::instance();
+  const std::uint64_t a0 = mt.payload_allocs();
+  for (std::size_t i = 3; i < 8; ++i) one(i);
+  EXPECT_EQ(mt.payload_allocs(), a0)
       << "steady-state replay must not allocate payloads";
 }
 

@@ -4,6 +4,8 @@
 
 #include "ad/ops.hpp"
 #include "ad/tensor.hpp"
+#include "gp/dataset.hpp"
+#include "mosaic/trainer.hpp"
 
 namespace ad = mf::ad;
 using ad::Shape;
@@ -74,6 +76,43 @@ TEST(MemoryTracker, TracksLiveAndPeak) {
   EXPECT_EQ(mt.live_bytes(), before);
   // Peak persists after free.
   EXPECT_GE(mt.peak_bytes(), before + 1000 * sizeof(double));
+}
+
+TEST(MemoryTracker, CountsEveryNonemptyPayloadAllocation) {
+  // The zero-allocation replay checks compare this counter before and
+  // after; a dead counter would turn them into 0 == 0.
+  auto& mt = ad::MemoryTracker::instance();
+  std::uint64_t before = mt.payload_allocs();
+  {
+    Tensor t = Tensor::zeros({7, 3});
+    EXPECT_EQ(mt.payload_allocs(), before + 1);
+  }
+  before = mt.payload_allocs();
+  {
+    Tensor empty = Tensor::zeros({0, 5});
+    EXPECT_EQ(mt.payload_allocs(), before);
+  }
+  before = mt.payload_allocs();
+  {
+    Tensor v = Tensor::from_vector({1.0, 2.0, 3.0}, {3});
+    EXPECT_EQ(mt.payload_allocs(), before + 1);
+  }
+
+  // An eager PDE training step allocates a fresh tape's worth of payloads.
+  mf::util::Rng rng(3);
+  mf::mosaic::SdnetConfig cfg;
+  cfg.boundary_size = 16;  // m = 4
+  cfg.hidden_width = 16;
+  cfg.mlp_depth = 2;
+  mf::mosaic::Sdnet net(cfg, rng);
+  mf::gp::LaplaceDatasetGenerator gen(4, {}, 5);
+  const auto bvps = gen.generate_many(2);
+  const auto batch = gen.make_batch(bvps, 8, 6);
+  mf::mosaic::TrainConfig tc;
+  tc.pde_loss_weight = 0.3;
+  before = mt.payload_allocs();
+  mf::mosaic::training_step(net, batch, tc);
+  EXPECT_GT(mt.payload_allocs(), before);
 }
 
 TEST(MemoryTracker, PeakGrowsWithGraph) {
