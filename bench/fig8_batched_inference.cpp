@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
               "on CPU).\n");
   const auto prog = solver.thread_program_stats();
   // Stable machine-readable line for BENCH_*.json trend tracking: aggregate
-  // subdomain updates per second over the whole size ladder. Keep the key
-  // set append-only so downstream parsers never break. The gated
+  // subdomain updates per second over the whole size ladder. Add keys
+  // rather than rename them, so downstream parsers never break. The gated
   // `batched_sub_updates_per_sec` is the production path — compiled
   // replay with batch widening; the plain eager batched column keeps its
   // own key (`eager_batched_sub_updates_per_sec`) so the trend of both
@@ -115,10 +115,9 @@ int main(int argc, char** argv) {
       "\"replay_sub_updates_per_sec\":%.6g,\"replay_steps_per_sec\":%.6g,"
       "\"capture_ms\":%.6g,\"plan_steps\":%zu,\"program_captures\":%llu,"
       "\"program_replays\":%llu,\"fused_steps\":%zu,\"fused_ops\":%zu,"
-      "\"eager_batched_sub_updates_per_sec\":%.6g,\"plan_waves\":%zu,"
+      "\"eager_batched_sub_updates_per_sec\":%.6g,"
       "\"batch_width\":%lld,\"widened_replays\":%llu,"
-      "\"plan_threads\":%d,\"compute_dtype\":\"%s\",\"cast_steps\":%zu,"
-      "\"gelu_lanes\":%d}\n",
+      "\"compute_dtype\":\"%s\",\"cast_steps\":%zu,\"gelu_lanes\":%d}\n",
       static_cast<long long>(m), ad::kernels::max_threads(),
       ad::kernels::openmp_enabled() ? "true" : "false",
       total_sub_updates / total_compiled_s,
@@ -130,10 +129,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(prog.captures),
       static_cast<unsigned long long>(prog.replays),
       prog.fused_steps, prog.fused_ops,
-      total_sub_updates / total_batched_s, prog.waves,
+      total_sub_updates / total_batched_s,
       static_cast<long long>(prog.max_widen_batch),
       static_cast<unsigned long long>(prog.widened_replays),
-      ad::program_plan_threads(), ad::dtype_name(ad::compute_dtype()),
-      prog.cast_steps, ad::kernels::gelu_lanes());
+      ad::dtype_name(ad::compute_dtype()), prog.cast_steps,
+      ad::kernels::gelu_lanes());
   return 0;
 }

@@ -4,14 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -80,8 +77,6 @@ struct KindInfo {
     kRows,         // rhs and bias unscaled; p0 scales with a
     kNever,        // sized for the capture batch: refuses widening
   };
-  /// The optimizer-state pseudo-resource a step touches (wave hazards).
-  enum State : std::uint8_t { kNoState, kReadsState, kWritesState };
 
   StepKind kind;
   const char* name;   // MF_PROGRAM_PROFILE band label
@@ -89,55 +84,37 @@ struct KindInfo {
   Widen widen;
   bool fusable;       // may join a fused elementwise chain
   bool reads_out;     // also reads `out` (optimizer parameter updates)
-  State state;
 };
 
 using K = KindInfo;
 constexpr KindInfo kKinds[] = {
-    {StepKind::kUnary, "unary", K::kCompute, K::kElementwise, true, false,
-     K::kNoState},
-    {StepKind::kBinary, "binary", K::kCompute, K::kElementwise, true, false,
-     K::kNoState},
+    {StepKind::kUnary, "unary", K::kCompute, K::kElementwise, true, false},
+    {StepKind::kBinary, "binary", K::kCompute, K::kElementwise, true, false},
     {StepKind::kBinaryBcast, "binary_bcast", K::kCompute, K::kBcast, false,
-     false, K::kNoState},
-    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kBcast, false, false,
-     K::kNoState},
-    {StepKind::kReduce, "reduce", K::kOfIn, K::kFold, false, false,
-     K::kNoState},
-    {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false,
-     K::kNoState},
-    {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false,
-     K::kNoState},
-    {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, false,
-     K::kNoState},
-    {StepKind::kTranspose, "transpose", K::kOfOut, K::kFold, false, false,
-     K::kNoState},
-    {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, false,
-     K::kNoState},
-    {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false,
-     K::kNoState},
+     false},
+    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kBcast, false, false},
+    {StepKind::kReduce, "reduce", K::kOfIn, K::kFold, false, false},
+    {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false},
+    {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false},
+    {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, false},
+    {StepKind::kTranspose, "transpose", K::kOfOut, K::kFold, false, false},
+    {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, false},
+    {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false},
     {StepKind::kSliceScatter, "slice_scatter", K::kOfOut, K::kOuter, false,
-     false, K::kNoState},
-    {StepKind::kConcatPart, "concat_part", K::kOfOut, K::kOuter, false, false,
-     K::kNoState},
-    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false,
-     K::kNoState},
+     false},
+    {StepKind::kConcatPart, "concat_part", K::kOfOut, K::kOuter, false, false},
+    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false},
     {StepKind::kConv1dGradIn, "conv1d_grad_in", K::kCompute, K::kNever, false,
-     false, K::kNoState},
+     false},
     {StepKind::kConv1dGradW, "conv1d_grad_w", K::kCompute, K::kNever, false,
-     false, K::kNoState},
+     false},
     {StepKind::kConv1dGradB, "conv1d_grad_b", K::kCompute, K::kNever, false,
-     false, K::kNoState},
-    {StepKind::kFused, "fused", K::kCompute, K::kElementwise, false, false,
-     K::kNoState},
-    {StepKind::kAdamTick, "adam_tick", K::kF64, K::kNever, false, false,
-     K::kWritesState},
-    {StepKind::kAdamParam, "adam_param", K::kF64, K::kNever, false, true,
-     K::kReadsState},
-    {StepKind::kLambParam, "lamb_param", K::kF64, K::kNever, false, true,
-     K::kReadsState},
-    {StepKind::kCast, "cast", K::kCompute, K::kElementwise, false, false,
-     K::kNoState},
+     false},
+    {StepKind::kFused, "fused", K::kCompute, K::kElementwise, false, false},
+    {StepKind::kAdamTick, "adam_tick", K::kF64, K::kNever, false, false},
+    {StepKind::kAdamParam, "adam_param", K::kF64, K::kNever, false, true},
+    {StepKind::kLambParam, "lamb_param", K::kF64, K::kNever, false, true},
+    {StepKind::kCast, "cast", K::kCompute, K::kElementwise, false, false},
 };
 
 constexpr bool kinds_in_enum_order() {
@@ -198,23 +175,6 @@ std::atomic<bool> g_prog_enabled{[] {
   return !(env && env[0] == '1');
 }()};
 
-std::atomic<bool> g_fusion_enabled{[] {
-  const char* env = std::getenv("MF_DISABLE_FUSION");
-  return !(env && env[0] == '1');
-}()};
-
-std::atomic<int> g_plan_threads{[] {
-  const char* env = std::getenv("MF_PLAN_THREADS");
-  if (!env || !env[0]) return 1;
-  const int n = std::atoi(env);
-  return n > 0 ? n : 1;
-}()};
-
-std::atomic<bool> g_widening_enabled{[] {
-  const char* env = std::getenv("MF_DISABLE_WIDENING");
-  return !(env && env[0] == '1');
-}()};
-
 // Opt-in: the sentinel scan costs one pass over external outputs per
 // replay, so it defaults off and serving/chaos runs turn it on.
 std::atomic<bool> g_health_enabled{[] {
@@ -238,30 +198,6 @@ bool program_enabled() { return g_prog_enabled.load(std::memory_order_relaxed); 
 
 bool program_set_enabled(bool on) {
   return g_prog_enabled.exchange(on, std::memory_order_relaxed);
-}
-
-bool program_fusion_enabled() {
-  return g_fusion_enabled.load(std::memory_order_relaxed);
-}
-
-bool program_fusion_set_enabled(bool on) {
-  return g_fusion_enabled.exchange(on, std::memory_order_relaxed);
-}
-
-int program_plan_threads() {
-  return g_plan_threads.load(std::memory_order_relaxed);
-}
-
-int program_set_plan_threads(int n) {
-  return g_plan_threads.exchange(n > 0 ? n : 1, std::memory_order_relaxed);
-}
-
-bool program_widening_enabled() {
-  return g_widening_enabled.load(std::memory_order_relaxed);
-}
-
-bool program_widening_set_enabled(bool on) {
-  return g_widening_enabled.exchange(on, std::memory_order_relaxed);
 }
 
 bool health_checks_enabled() {
@@ -327,13 +263,6 @@ struct Program::Impl {
   // do not overlap (byte-addressed so f32 and f64 slots pack together).
   std::vector<std::vector<std::byte>> arena;
 
-  // Dependency-DAG execution waves over `steps` (computed once at
-  // lowering): waves[w] lists step indices whose operand buffers have no
-  // read/write hazard against each other; all hazards point at earlier
-  // waves. Executing wave-by-wave (steps of one wave in any order or in
-  // parallel) is equivalent to the recorded serial order.
-  std::vector<std::vector<std::int32_t>> waves;
-
   // Health sentinel: the external slots any step writes (computed at
   // lowering); the opt-in post-replay scan walks exactly these.
   std::vector<std::int32_t> health_slots;
@@ -386,7 +315,6 @@ struct Program::Impl {
     fchains.clear();
     optims.clear();
     arena.clear();
-    waves.clear();
     health_slots.clear();
     last_healthy = true;
     slot_of.clear();
@@ -599,12 +527,11 @@ void on_uncapturable() {
 
 namespace {
 
-/// The one operand walk of the liveness, wave, health and widening
-/// passes: `read(slot)` for every slot the step reads — a, b, c, a fused
-/// chain's `other` operands, and `out` for the kinds whose row says they
-/// read it — then `write(slot)` for the slot it writes. Absent operands
-/// are skipped. (The optimizer-state resource is not a slot; only the
-/// wave pass tracks it.)
+/// The one operand walk of the liveness, health and widening passes:
+/// `read(slot)` for every slot the step reads — a, b, c, a fused chain's
+/// `other` operands, and `out` for the kinds whose row says they read
+/// it — then `write(slot)` for the slot it writes. Absent operands are
+/// skipped.
 template <typename R, typename W>
 void for_each_operand(const Program::Impl& im, const Step& s, R&& read,
                       W&& write) {
@@ -831,68 +758,6 @@ void insert_casts(Program::Impl& im, std::vector<char>& internal) {
   im.steps = std::move(out_steps);
 }
 
-/// Derive the dependency DAG over the lowered steps and partition it
-/// into execution waves. Hazards are tracked on the *resolved buffer
-/// pointers* (im.buf), not slot indices: liveness packing makes two
-/// disjoint-lifetime slots share one arena buffer, and that reuse is a
-/// real WAR/WAW hazard the slot graph would miss. In-plan optimizer
-/// steps add one pseudo-resource per AdamPlanState (the tick writes the
-/// bias corrections the parameter steps read). A step lands in the
-/// earliest wave that respects every RAW/WAR/WAW edge, so executing
-/// waves in order — steps within a wave in any order, or concurrently —
-/// reads and writes every buffer in a serializable order equivalent to
-/// the recorded one.
-void compute_waves(Program::Impl& im) {
-  im.waves.clear();
-  const std::size_t n = im.steps.size();
-  std::unordered_map<const void*, std::int32_t> writer_wave, reader_wave;
-  std::vector<std::int32_t> wave_of(n, 0);
-  std::int32_t max_wave = -1;
-  std::vector<const void*> reads, writes;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Step& s = im.steps[i];
-    reads.clear();
-    writes.clear();
-    auto buf = [&](std::int32_t sl) { return im.buf[static_cast<std::size_t>(sl)]; };
-    for_each_operand(
-        im, s, [&](std::int32_t sl) { reads.push_back(buf(sl)); },
-        [&](std::int32_t sl) { writes.push_back(buf(sl)); });
-    const KindInfo::State state = kind_info(s.kind).state;
-    if (state != KindInfo::kNoState) {
-      auto& list = state == KindInfo::kWritesState ? writes : reads;
-      list.push_back(im.optims[static_cast<std::size_t>(s.plan)].state);
-    }
-    std::int32_t w = 0;
-    for (const void* r : reads) {
-      if (!r) continue;
-      auto it = writer_wave.find(r);
-      if (it != writer_wave.end()) w = std::max(w, it->second + 1);
-    }
-    for (const void* o : writes) {
-      if (!o) continue;
-      auto it = writer_wave.find(o);
-      if (it != writer_wave.end()) w = std::max(w, it->second + 1);
-      it = reader_wave.find(o);
-      if (it != reader_wave.end()) w = std::max(w, it->second + 1);
-    }
-    wave_of[i] = w;
-    max_wave = std::max(max_wave, w);
-    for (const void* r : reads) {
-      if (!r) continue;
-      auto [it, fresh] = reader_wave.try_emplace(r, w);
-      if (!fresh) it->second = std::max(it->second, w);
-    }
-    for (const void* o : writes) {
-      if (o) writer_wave[o] = w;
-    }
-  }
-  im.waves.assign(static_cast<std::size_t>(max_wave + 1), {});
-  for (std::size_t i = 0; i < n; ++i) {
-    im.waves[static_cast<std::size_t>(wave_of[i])].push_back(
-        static_cast<std::int32_t>(i));
-  }
-}
-
 /// Lower the raw trace: release the recorded autodiff graph, fuse
 /// adjacent elementwise chains, compute slot live ranges, pack internal
 /// slots onto reused arena buffers, resolve every operand to a raw
@@ -906,8 +771,12 @@ void lower(Program::Impl& im) {
   }
   // Release the graph first: tape nodes hold input Tensors, so slot use
   // counts are only meaningful once every node is gone (the program owns
-  // buffers, not history).
-  for (auto& sp : im.slots) sp->grad_fn.reset();
+  // buffers, not history). Leaves are skipped, not reset: threads that
+  // capture at once share the network weights, and resetting their
+  // already-null grad_fn would still be a racing write.
+  for (auto& sp : im.slots) {
+    if (sp->grad_fn) sp->grad_fn.reset();
+  }
 
   Ranges r;
   compute_ranges(im, r);
@@ -936,12 +805,10 @@ void lower(Program::Impl& im) {
   }
   const std::size_t S = im.slots.size();
 
-  if (program_fusion_enabled()) {
-    fuse_elementwise(im, r, internal);
-    // Fusion rewrote the step list; intermediates folded into chains now
-    // have no accesses at all and drop out of the packing below.
-    compute_ranges(im, r);
-  }
+  fuse_elementwise(im, r, internal);
+  // Fusion rewrote the step list; intermediates folded into chains now
+  // have no accesses at all and drop out of the packing below.
+  compute_ranges(im, r);
 
   // Exact-byte-size reuse of internal buffers across disjoint live
   // ranges (byte-keyed so an f32 slot can inherit a same-footprint f64
@@ -1010,8 +877,6 @@ void lower(Program::Impl& im) {
       im.health_slots.push_back(o);
     });
   }
-
-  compute_waves(im);
 }
 
 /// Invoke `g` with the sfn:: functor named by a prog::Unary opcode. One
@@ -1413,147 +1278,6 @@ void execute(Program::Impl& im, const Step& s, void* const* B,
   }
 }
 
-/// Persistent wave-executor pool shared by every Program in the process.
-/// Workers are spawned lazily up to the largest thread count any replay
-/// has requested and parked on a condition variable between jobs. One
-/// parallel replay at a time (`run_mu_`): within it, all participants —
-/// the calling thread plus the active workers — walk the plan's waves in
-/// lockstep, claiming steps of the current wave via an atomic cursor and
-/// meeting at a barrier between waves (the barrier's mutex also publishes
-/// every buffer written in wave w to the readers of wave w+1). Every
-/// participant holds a kernels::SerialRegionGuard, so per-step kernels
-/// run their serial loops: the step, not the kernel, is the unit of
-/// parallelism, and any execution order the waves admit is bitwise
-/// identical to serial replay with kernel threading disabled.
-/// The pool is intentionally leaked: joining workers during static
-/// destruction can deadlock, and the parked threads die with the process.
-class PlanPool {
- public:
-  static PlanPool& instance() {
-    static PlanPool* pool = new PlanPool;
-    return *pool;
-  }
-
-  /// Execute `im`'s waves over the given step/buffer tables (master or
-  /// widened) with `nthreads` participants including the caller.
-  void run(Program::Impl& im, const Step* steps, void* const* B,
-           const int64_t* slot_len, const kernels::BroadcastPlan* bplans,
-           int nthreads) {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    const int want = std::min(nthreads - 1, 255);
-    while (static_cast<int>(workers_.size()) < want) {
-      const int id = static_cast<int>(workers_.size());
-      workers_.emplace_back([this, id] { worker_main(id); });
-    }
-    job_.im = &im;
-    job_.steps = steps;
-    job_.B = B;
-    job_.slot_len = slot_len;
-    job_.bplans = bplans;
-    job_.active = want;
-    job_.next.store(0, std::memory_order_relaxed);
-    nparts_ = static_cast<int>(workers_.size()) + 1;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      finished_ = 0;
-      ++job_gen_;
-    }
-    cv_.notify_all();
-    {
-      kernels::SerialRegionGuard serial;
-      run_waves(/*claims=*/true);
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [&] {
-      return finished_ == static_cast<int>(workers_.size());
-    });
-  }
-
- private:
-  struct Job {
-    Program::Impl* im = nullptr;
-    const Step* steps = nullptr;
-    void* const* B = nullptr;
-    const int64_t* slot_len = nullptr;
-    const kernels::BroadcastPlan* bplans = nullptr;
-    int active = 0;  // workers allowed to claim steps this job
-    std::atomic<std::size_t> next{0};  // step cursor within current wave
-  };
-
-  void worker_main(int id) {
-    kernels::SerialRegionGuard serial;
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return job_gen_ != seen; });
-        seen = job_gen_;
-      }
-      // Workers beyond the requested width still take the barriers (the
-      // participant count is fixed per job) but claim no steps.
-      run_waves(/*claims=*/id < job_.active);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++finished_;
-      }
-      done_cv_.notify_all();
-    }
-  }
-
-  void run_waves(bool claims) {
-    Job& j = job_;
-    const auto& waves = j.im->waves;
-    for (std::size_t w = 0; w < waves.size(); ++w) {
-      if (claims) {
-        const auto& wave = waves[w];
-        std::size_t i;
-        while ((i = j.next.fetch_add(1, std::memory_order_relaxed)) <
-               wave.size()) {
-          execute(*j.im, j.steps[wave[i]], j.B, j.slot_len, j.bplans);
-        }
-      }
-      wave_barrier();
-    }
-  }
-
-  /// Sense-reversing barrier over all participants; the last arriver
-  /// resets the step cursor for the next wave before releasing.
-  void wave_barrier() {
-    std::unique_lock<std::mutex> lk(bar_mu_);
-    if (++arrived_ == nparts_) {
-      arrived_ = 0;
-      job_.next.store(0, std::memory_order_relaxed);
-      ++phase_;
-      bar_cv_.notify_all();
-    } else {
-      const std::uint64_t ph = phase_;
-      bar_cv_.wait(lk, [&] { return phase_ != ph; });
-    }
-  }
-
-  std::mutex run_mu_;  // serializes whole parallel replays
-  std::mutex mu_;      // guards job_gen_ / finished_
-  std::condition_variable cv_, done_cv_;
-  std::mutex bar_mu_;  // per-wave barrier state
-  std::condition_variable bar_cv_;
-  std::vector<std::thread> workers_;
-  Job job_;
-  int nparts_ = 1;
-  int arrived_ = 0;
-  std::uint64_t phase_ = 0;
-  std::uint64_t job_gen_ = 0;
-  int finished_ = 0;
-};
-
-/// True when this replay should go through the wave executor: opted in
-/// via MF_PLAN_THREADS, and the plan actually has intra-wave parallelism
-/// to exploit (a fully serial chain — one step per wave — would only pay
-/// barrier overhead).
-bool use_parallel_replay(const Program::Impl& im) {
-  return program_plan_threads() > 1 && !im.waves.empty() &&
-         im.waves.size() < im.steps.size();
-}
-
 /// Record-time shape of a slot with the leading dimension scaled by `f`
 /// when the slot carries the batch.
 Shape wide_shape(const Program::Impl& im, std::int32_t slot, int64_t f) {
@@ -1585,8 +1309,8 @@ bool bcast_result(const Shape& a, const Shape& b, Shape& out) {
 /// live master payloads (parameters are read in place, so retraining
 /// between widened replays needs no re-widen) while scaled slots and
 /// every internal slot get fresh per-slot storage. Deliberately no arena
-/// packing: unaliased buffers keep the master wave schedule valid and
-/// make instance-independence structural rather than lifetimes-dependent.
+/// packing: unaliased buffers make instance-independence structural
+/// rather than lifetime-dependent.
 Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
   for (std::size_t i = 0; i < im.wide_ctxs.size(); ++i) {
     if (im.wide_ctxs[i]->factor == f) {
@@ -1699,11 +1423,10 @@ void run_health_check(Program::Impl& im, void* const* buf,
 
 /// The one step loop behind Program::replay and replay_widened: `steps`,
 /// `B`, `slot_len` and `bplans` are the master tables or a wide
-/// context's. With MF_PROGRAM_PROFILE=1 every step runs serially in
-/// recorded order and is timed into one band per kind-table row (kUnary
-/// split by fn, prog::Unary order); per-thread totals go to stderr every
-/// 24 replays, exact and widened alike. Otherwise the wave executor runs
-/// when the plan has intra-wave parallelism to use, else the plain loop.
+/// context's. Steps run in recorded order. With MF_PROGRAM_PROFILE=1 each
+/// is timed into one band per kind-table row (kUnary split by fn,
+/// prog::Unary order); per-thread totals go to stderr every 24 replays,
+/// exact and widened alike.
 void run_steps(Program::Impl& im, const std::vector<Step>& steps,
                void* const* B, const int64_t* slot_len,
                const kernels::BroadcastPlan* bplans) {
@@ -1749,12 +1472,6 @@ void run_steps(Program::Impl& im, const std::vector<Step>& steps,
                      static_cast<unsigned long long>(elems[k]));
       }
     }
-  } else if (use_parallel_replay(im)) {
-    // The master wave schedule is valid for every width: wide contexts
-    // drop arena aliasing (fresh per-slot buffers), so their hazards are
-    // a subset of the master's.
-    PlanPool::instance().run(im, steps.data(), B, slot_len, bplans,
-                             program_plan_threads());
   } else {
     for (const Step& s : steps) execute(im, s, B, slot_len, bplans);
   }
@@ -1825,7 +1542,7 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
   im.wide_ctxs.clear();
   im.slot_scaled.assign(im.slots.size(), 0);
   im.p0_scaled.clear();
-  if (!im.ready || !program_widening_enabled() || batch_io.empty()) {
+  if (!im.ready || batch_io.empty()) {
     return false;
   }
   const std::size_t S = im.slots.size();
@@ -2017,7 +1734,6 @@ Program::Stats Program::stats() const {
       std::count_if(im.steps.begin(), im.steps.end(), [](const Step& s) {
         return kind_info(s.kind).reads_out;  // the parameter updates
       }));
-  st.waves = im.waves.size();
   st.wide_instances = im.wide_ctxs.size();
   st.max_widen_batch = im.max_widen_batch;
   st.capture_ms = im.capture_ms;

@@ -53,18 +53,6 @@
 // tensor ops — and the `.grad` buffers, no longer read by anything
 // outside the plan, get liveness-packed like any other intermediate.
 //
-// Parallel replay: lowering additionally derives a dependency DAG over
-// the plan's steps — reads/writes are explicit in the typed steps, with
-// hazards tracked on the post-packing *buffers* so arena reuse is
-// honoured — and partitions it into execution waves. With
-// MF_PLAN_THREADS=N (N > 1) replay executes each wave's steps across a
-// persistent worker pool; scheduling is computed once at capture, never
-// per replay. Every executor runs its per-step kernels on the serial
-// path, so any topological order — including the serial recorded order —
-// produces identical bits; serial replay with kernel threading disabled
-// is the bitwise reference. MF_PLAN_THREADS=1 (the default) replays
-// serially.
-//
 // Batch widening: an inference plan captured at a base batch B0 can be
 // widened — every batch-carrying slot gets its leading dimension scaled
 // by an integer factor — so one captured plan evaluates any multiple of
@@ -93,20 +81,16 @@
 // Step kinds: program.cpp describes each of its typed step kinds in one
 // constexpr row — name, dtype rule (compute width, f64, or the width of
 // the output or input buffer), widen rule (elementwise, broadcast, fold,
-// outer-axis, rows, never), fusability, and operand access (whether it
-// also reads `out`, which optimizer state it reads or writes). Cast
-// insertion, fusion, liveness, waves, the health sentinel, widening and
-// the MF_PROGRAM_PROFILE bands read the row instead of naming kinds; only
-// replay's execute switch names every kind, and a kind missing from it or
-// from the table fails to compile.
+// outer-axis, rows, never), fusability, and whether it also reads
+// `out`. Cast insertion, fusion, liveness, the health sentinel, widening
+// and the MF_PROGRAM_PROFILE bands read the row instead of naming kinds;
+// only replay's execute switch names every kind, and a kind missing from
+// it or from the table fails to compile.
 //
-// Escape hatches: MF_DISABLE_PROGRAM=1 (or program_set_enabled(false))
+// Escape hatch: MF_DISABLE_PROGRAM=1 (or program_set_enabled(false))
 // makes program_enabled() false; the wired call sites then run the eager
-// ops they would otherwise capture, bit-for-bit.
-// MF_DISABLE_FUSION=1 keeps programs on but lowers every elementwise
-// step individually (the PR 4 plans), also bit-for-bit.
-// MF_DISABLE_WIDENING=1 makes widen() refuse, so callers keep per-shape
-// captures.
+// ops they would otherwise capture, bit-for-bit. The eager path is the
+// bitwise reference the tests hold every plan to.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +115,6 @@ class Program {
     std::size_t fused_ops = 0;      // elementwise steps folded into them
     std::size_t cast_steps = 0;     // dtype-boundary kCast steps
     std::size_t optim_steps = 0;    // in-plan optimizer parameter updates
-    std::size_t waves = 0;          // dependency-DAG execution waves
     std::size_t wide_instances = 0; // live widened replay contexts
     int64_t max_widen_batch = 0;    // largest batch replayed via widening
     double capture_ms = 0;          // wall time of the last capture
@@ -181,8 +164,7 @@ class Program {
   /// analysis. Returns true when the plan is widenable: replay_widened(b)
   /// then evaluates any b that is a positive multiple of B0. Returns
   /// false — leaving the plan fully usable for plain replay() — when any
-  /// step mixes batch instances, when a batch-carrying slot is not
-  /// external, or when widening is disabled.
+  /// step mixes batch instances or a batch-carrying slot is not external.
   bool widen(const std::vector<Tensor>& batch_io);
 
   /// True after a successful widen().
@@ -229,25 +211,6 @@ class Program {
 bool program_enabled();
 /// Override the env default (tests / benches). Returns previous value.
 bool program_set_enabled(bool on);
-
-/// False when MF_DISABLE_FUSION=1: lowering keeps every recorded
-/// elementwise step as its own plan step (the pre-fusion PR 4 plans).
-/// Checked at capture/lowering time, not at replay.
-bool program_fusion_enabled();
-/// Override the env default (tests / benches). Returns previous value.
-bool program_fusion_set_enabled(bool on);
-
-/// Wave-executor width. Defaults to MF_PLAN_THREADS (1 when unset —
-/// plan-level parallelism is opt-in because it composes poorly with
-/// OpenMP kernel threading: each executor forces its kernels serial).
-int program_plan_threads();
-/// Override the env default (tests / benches). Returns previous value.
-int program_set_plan_threads(int n);
-
-/// False when MF_DISABLE_WIDENING=1: Program::widen() refuses and
-/// callers keep per-shape captures.
-bool program_widening_enabled();
-bool program_widening_set_enabled(bool on);
 
 // ---- numerical health sentinel ----------------------------------------
 //

@@ -82,6 +82,12 @@ RankLauncher::RankLauncher(int argc, char** argv, AlphaBetaModel model)
   const char* forced = std::getenv("MF_COMM");
   const bool force_threads = forced && std::strcmp(forced, "threads") == 0;
   const bool force_mpi = forced && std::strcmp(forced, "mpi") == 0;
+  // Empty counts as unset; a misspelling must not silently auto-select
+  // (which means MPI under mpirun in an MPI build).
+  if (forced && *forced != '\0' && !force_threads && !force_mpi) {
+    throw std::invalid_argument(std::string("MF_COMM='") + forced +
+                                "': want 'threads' or 'mpi'");
+  }
   if (force_mpi && !mpi_compiled()) {
     throw std::runtime_error(
         "MF_COMM=mpi but this binary was built without MPI "
@@ -101,7 +107,6 @@ RankLauncher::RankLauncher(int argc, char** argv, AlphaBetaModel model)
   (void)argc;
   (void)argv;
 #endif
-  (void)force_threads;
   if (backend_ == Backend::kThreads) {
     // If the threaded backend runs under a process launcher anyway (a
     // non-MPI build under mpirun, or MF_COMM=threads), every process

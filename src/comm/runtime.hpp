@@ -10,7 +10,8 @@
 // MPI processes, `run(N, ...)` binds to MPI_COMM_WORLD, and the same
 // binary produces measured (not modeled) communication wall times.
 // The environment variable MF_COMM=threads|mpi overrides the automatic
-// choice (mpi requires the MPI build and fails loudly otherwise).
+// choice (mpi requires the MPI build and fails loudly otherwise; any
+// other non-empty value throws std::invalid_argument).
 #pragma once
 
 #include <functional>

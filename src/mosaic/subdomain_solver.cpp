@@ -67,7 +67,6 @@ void fold_stats(ad::Program::Stats& agg, const ad::Program::Stats& s) {
   agg.fused_ops += s.fused_ops;
   agg.cast_steps += s.cast_steps;
   agg.optim_steps += s.optim_steps;
-  agg.waves += s.waves;
   agg.wide_instances += s.wide_instances;
   agg.max_widen_batch = std::max(agg.max_widen_batch, s.max_widen_batch);
   agg.capture_ms += s.capture_ms;

@@ -104,8 +104,7 @@ class NeuralSubdomainSolver final : public SubdomainSolver {
   /// replay_widened — no extra captures for the Schwarz phases whose
   /// batches are multiples of each other. Programs are per-thread and
   /// read the network weights live, so a retrained net needs no
-  /// invalidation. MF_DISABLE_PROGRAM=1 restores the eager path;
-  /// MF_DISABLE_WIDENING=1 keeps per-shape captures only.
+  /// invalidation. MF_DISABLE_PROGRAM=1 restores the eager path.
   void predict(const std::vector<std::vector<double>>& boundaries,
                const QueryList& queries,
                std::vector<std::vector<double>>& out) const override;
@@ -114,7 +113,8 @@ class NeuralSubdomainSolver final : public SubdomainSolver {
                         std::vector<double>& out) const override;
 
   /// Aggregate capture/replay stats of this solver's inference programs
-  /// on the calling thread (programs are thread-local and shape-keyed).
+  /// on the calling thread (programs are thread-local and shape-keyed),
+  /// including plans the bounded cache has since evicted.
   ad::Program::Stats thread_program_stats() const;
 
  private:

@@ -1,5 +1,6 @@
 #include "mosaic/trainer.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -208,6 +209,22 @@ std::string rank_checkpoint_path(const std::string& path, int rank) {
   return rank == 0 ? path : path + ".rank" + std::to_string(rank);
 }
 
+/// Epoch stride from MF_CHECKPOINT_EVERY: unset or empty means every
+/// epoch; anything but a whole integer >= 1 throws instead of silently
+/// becoming a stride the caller never asked for.
+int64_t env_checkpoint_every() {
+  const char* v = std::getenv("MF_CHECKPOINT_EVERY");
+  if (!v || *v == '\0') return 1;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < 1) {
+    throw std::invalid_argument(std::string("MF_CHECKPOINT_EVERY='") + v +
+                                "': want an integer >= 1");
+  }
+  return n;
+}
+
 void save_training_checkpoint(const std::string& path, Sdnet& net,
                               const optim::Optimizer& opt,
                               gp::LaplaceDatasetGenerator& gen,
@@ -393,12 +410,7 @@ std::vector<EpochStats> train_sdnet(
   int64_t ckpt_every = config.checkpoint_every;
   if (!ckpt_path.empty()) {
     ckpt_path = rank_checkpoint_path(ckpt_path, comm ? comm->rank() : 0);
-    if (ckpt_every <= 0) {
-      if (const char* e = std::getenv("MF_CHECKPOINT_EVERY")) {
-        ckpt_every = std::atoll(e);
-      }
-      if (ckpt_every <= 0) ckpt_every = 1;
-    }
+    if (ckpt_every <= 0) ckpt_every = env_checkpoint_every();
   }
   int64_t start_epoch = 0;
   int64_t step = 0;

@@ -40,7 +40,8 @@ struct TrainConfig {
   /// Checkpoint/restart: when `checkpoint_path` is non-empty a full
   /// training checkpoint (parameters, optimizer moments, step counters,
   /// RNG state) is written atomically every `checkpoint_every` epochs
-  /// (0 reads MF_CHECKPOINT_EVERY; still 0 → every epoch). Multi-rank
+  /// (0 reads MF_CHECKPOINT_EVERY, an integer >= 1; unset → every
+  /// epoch; a malformed value throws std::invalid_argument). Multi-rank
   /// runs write per-rank files (`path` for rank 0, `path.rank<r>`
   /// otherwise). With `resume`, an existing checkpoint is restored
   /// before the first iteration and training continues the trajectory

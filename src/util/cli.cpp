@@ -1,9 +1,20 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 namespace mf::util {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* want) {
+  throw std::invalid_argument("--" + name + "='" + value + "': want " + want);
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -30,18 +41,37 @@ std::string CliArgs::get(const std::string& name, const std::string& fallback) c
 
 int64_t CliArgs::get_int(const std::string& name, int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const char* v = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE) {
+    bad_value(name, it->second, "an integer");
+  }
+  return n;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const char* v = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE) {
+    bad_value(name, it->second, "a number");
+  }
+  return x;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, v, "true/false/1/0/yes/no");
 }
 
 }  // namespace mf::util

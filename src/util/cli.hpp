@@ -1,5 +1,7 @@
 // Minimal command-line flag parsing for examples and benchmark binaries:
-// --name value or --name=value, plus boolean switches.
+// --name value or --name=value, plus boolean switches. A typed getter
+// throws std::invalid_argument naming the flag and its value when the
+// value does not parse in full (`--m abc`, `--iters 8x`, `--smoke maybe`).
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "ad/tensor.hpp"
 #include "comm/fault_comm.hpp"
 #include "comm/world.hpp"
+#include "env_guard.hpp"
 #include "gp/dataset.hpp"
 #include "mosaic/distributed_predictor.hpp"
 #include "mosaic/sdnet.hpp"
@@ -664,6 +667,57 @@ TEST(Checkpoint, ResumedTrainingMatchesUninterruptedBitwise) {
   std::remove(ckpt_a.c_str());
   std::remove(ckpt_b.c_str());
   std::remove((ckpt_b + ".rank1").c_str());
+}
+
+// MF_CHECKPOINT_EVERY sets the stride when a checkpoint path comes
+// without one. Anything but a whole integer >= 1 throws instead of
+// silently becoming 1 (or 2 for "2x"); empty counts as unset.
+TEST(Checkpoint, MalformedCheckpointStrideThrows) {
+  const std::string ckpt = "test_fault_stride.bin";
+  const int64_t m = 4;
+  mf::gp::LaplaceDatasetGenerator data_gen(m, {}, 5);
+  const auto train = data_gen.generate_many(4);
+  const auto val = data_gen.generate_many(1);
+  mosaic::TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch_size = 4;
+  cfg.q_data = 4;
+  cfg.q_colloc = 4;
+  cfg.checkpoint_path = ckpt;
+  // Whether the checkpoint file exists after each epoch.
+  auto saved_after_epoch = [&] {
+    std::remove(ckpt.c_str());
+    mf::util::Rng rng(31);
+    mosaic::Sdnet net(tiny_net_config(4 * m), rng);
+    mf::gp::LaplaceDatasetGenerator gen(m, {}, 17);
+    std::vector<bool> saved;
+    (void)mosaic::train_sdnet(net, train, val, cfg, gen, nullptr,
+                              [&](const mosaic::EpochStats&) {
+                                saved.push_back(std::ifstream(ckpt).good());
+                              });
+    return saved;
+  };
+
+  for (const char* bad : {"abc", "0", "-2", "2x", "1.5"}) {
+    EnvGuard env("MF_CHECKPOINT_EVERY", bad);
+    try {
+      (void)saved_after_epoch();
+      ADD_FAILURE() << "MF_CHECKPOINT_EVERY=" << bad << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MF_CHECKPOINT_EVERY"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  {
+    EnvGuard env("MF_CHECKPOINT_EVERY", "2");
+    EXPECT_EQ(saved_after_epoch(), (std::vector<bool>{false, true, true}));
+  }
+  {
+    EnvGuard env("MF_CHECKPOINT_EVERY", "");
+    EXPECT_EQ(saved_after_epoch(), (std::vector<bool>{true, true, true}));
+  }
+  std::remove(ckpt.c_str());
 }
 
 TEST(Optimizers, StateRoundtripsThroughFlattenedForm) {

@@ -43,17 +43,6 @@ class ProgramEnabledGuard {
   bool prev_;
 };
 
-/// Same for the fusion switch (checked at capture/lowering time).
-class FusionEnabledGuard {
- public:
-  explicit FusionEnabledGuard(bool on)
-      : prev_(ad::program_fusion_set_enabled(on)) {}
-  ~FusionEnabledGuard() { ad::program_fusion_set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 void expect_adam_state_bitwise_equal(const optim::Adam& a,
                                      const optim::Adam& b) {
   ASSERT_EQ(a.steps_taken(), b.steps_taken());
@@ -351,9 +340,51 @@ TEST(Program, BatchedInferenceReplayMatchesEager) {
   }
 }
 
+TEST(Program, EvictedInferencePlansStillCountInSolverStats) {
+  // The per-thread inference cache holds infer_cache_capacity() plans. A
+  // solver cycling through more geometries than that evicts its oldest
+  // plans, and their capture and replay counters must still show in
+  // thread_program_stats().
+  ProgramEnabledGuard on(true);
+  const int64_t m = 4;
+  util::Rng rng(29);
+  auto net = std::make_shared<mosaic::Sdnet>(small_net_config(m), rng);
+  mosaic::NeuralSubdomainSolver solver(net, m);
+
+  util::Rng brng(31);
+  std::vector<std::vector<double>> boundaries(
+      2, std::vector<double>(static_cast<std::size_t>(4 * m)));
+  for (auto& b : boundaries) {
+    for (auto& v : b) v = brng.uniform(-1.0, 1.0);
+  }
+
+  // One geometry per query count; each sees eager, capture, replay.
+  const auto shapes =
+      static_cast<std::uint64_t>(mosaic::infer_cache_capacity()) + 3;
+  const auto before = mosaic::infer_cache_stats();
+  std::vector<std::vector<double>> out;
+  for (std::uint64_t q = 1; q <= shapes; ++q) {
+    mosaic::QueryList queries;
+    for (std::uint64_t k = 0; k < q; ++k) {
+      queries.emplace_back(0.05 + 0.9 * static_cast<double>(k) /
+                                      static_cast<double>(shapes),
+                           0.4);
+    }
+    for (int pass = 0; pass < 3; ++pass) {
+      solver.predict(boundaries, queries, out);
+    }
+  }
+  const auto after = mosaic::infer_cache_stats();
+  EXPECT_GE(after.evictions - before.evictions, 3u);
+  EXPECT_EQ(after.captures - before.captures, shapes);
+  const auto st = solver.thread_program_stats();
+  EXPECT_EQ(st.captures, shapes) << "evicted plans' captures were lost";
+  EXPECT_EQ(st.replays, shapes) << "evicted plans' replays were lost";
+}
+
 TEST(Program, FusedReplayWithInPlanAdamBitwiseMatchesEagerTrajectory) {
   // The strongest parity statement in this file: a compiled step with the
-  // optimizer folded into the plan (fusion on) must track a fully eager
+  // optimizer folded into the fused plan must track a fully eager
   // twin — weights, Adam moments, step counter and both losses — bitwise
   // over a long trajectory, including a changing learning rate (the plan
   // reads the live lr at every replay).
@@ -372,7 +403,6 @@ TEST(Program, FusedReplayWithInPlanAdamBitwiseMatchesEagerTrajectory) {
   optim::Adam opt_b(replay_net.parameters(), 1e-3);
   ASSERT_TRUE(opt_b.plan_capturable());
 
-  FusionEnabledGuard fuse_on(true);
   mosaic::CompiledTrainStep cstep(replay_net, cfg, &opt_b);
   EXPECT_TRUE(cstep.optimizer_in_plan());
   const int kSteps = 52;
@@ -409,51 +439,6 @@ TEST(Program, FusedReplayWithInPlanAdamBitwiseMatchesEagerTrajectory) {
   EXPECT_GT(st.fused_steps, 0u) << "training plan should contain fused runs";
   EXPECT_GT(st.fused_ops, st.fused_steps);
   EXPECT_GT(st.optim_steps, 0u) << "Adam update should be in-plan";
-}
-
-TEST(Program, FusionDisabledHatchIsBitwiseIdentical) {
-  // MF_DISABLE_FUSION keeps programs on but lowers every elementwise step
-  // individually; both plans must produce the identical trajectory.
-  const int64_t m = 4;
-  const auto net_cfg = small_net_config(m);
-  const auto cfg = small_train_config();
-
-  util::Rng rng_a(19), rng_b(19);
-  mosaic::Sdnet fused_net(net_cfg, rng_a);
-  mosaic::Sdnet plain_net(net_cfg, rng_b);
-  gp::LaplaceDatasetGenerator gen_a(m, {}, 71), gen_b(m, {}, 71);
-  auto bvps_a = gen_a.generate_many(5);
-  auto bvps_b = gen_b.generate_many(5);
-  optim::Adam opt_a(fused_net.parameters(), 2e-3);
-  optim::Adam opt_b(plain_net.parameters(), 2e-3);
-
-  ProgramEnabledGuard on(true);
-  mosaic::CompiledTrainStep fused_step(fused_net, cfg, &opt_a);
-  mosaic::CompiledTrainStep plain_step(plain_net, cfg, &opt_b);
-  for (int iter = 0; iter < 8; ++iter) {
-    auto batch_a = gen_a.make_batch(bvps_a, cfg.q_data, cfg.q_colloc);
-    auto batch_b = gen_b.make_batch(bvps_b, cfg.q_data, cfg.q_colloc);
-    double ld_a, lp_a, ld_b, lp_b;
-    {
-      FusionEnabledGuard fuse(true);
-      std::tie(ld_a, lp_a) = fused_step.run(batch_a);
-    }
-    {
-      FusionEnabledGuard nofuse(false);
-      std::tie(ld_b, lp_b) = plain_step.run(batch_b);
-    }
-    ASSERT_EQ(ld_a, ld_b) << "iter " << iter;
-    ASSERT_EQ(lp_a, lp_b) << "iter " << iter;
-    expect_params_bitwise_equal(fused_net, plain_net, false);
-    expect_adam_state_bitwise_equal(opt_a, opt_b);
-  }
-  EXPECT_GT(fused_step.program().stats().fused_steps, 0u);
-  EXPECT_EQ(plain_step.program().stats().fused_steps, 0u);
-  // Fusion drops the folded intermediates from the packed arena.
-  EXPECT_LT(fused_step.program().stats().steps,
-            plain_step.program().stats().steps);
-  EXPECT_LE(fused_step.program().stats().arena_bytes,
-            plain_step.program().stats().arena_bytes);
 }
 
 TEST(Program, LaterNonFusedReaderBlocksFusion) {
@@ -663,76 +648,11 @@ TEST(Program, SgdInsideCapturePoisonsThePlanNotTheStep) {
   EXPECT_FALSE(cstep.capture_failed());
 }
 
-/// RAII toggles for the wave executor and widening knobs.
-class PlanThreadsGuard {
- public:
-  explicit PlanThreadsGuard(int n) : prev_(ad::program_set_plan_threads(n)) {}
-  ~PlanThreadsGuard() { ad::program_set_plan_threads(prev_); }
-
- private:
-  int prev_;
-};
-
-class WideningEnabledGuard {
- public:
-  explicit WideningEnabledGuard(bool on)
-      : prev_(ad::program_widening_set_enabled(on)) {}
-  ~WideningEnabledGuard() { ad::program_widening_set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-TEST(Program, ParallelReplayBitwiseMatchesSerial) {
-  // The wave executor must be invisible in the bits: the same training
-  // plan replayed across N workers and replayed serially produce the
-  // same losses, weights and optimizer state at every iteration (the
-  // per-step SerialRegionGuard makes a step the unit of parallelism, so
-  // every FP reduction runs in its captured order either way).
-  const int64_t m = 4;
-  const auto net_cfg = small_net_config(m);
-  const auto cfg = small_train_config();
-
-  util::Rng rng_a(7), rng_b(7);
-  mosaic::Sdnet serial_net(net_cfg, rng_a);
-  mosaic::Sdnet parallel_net(net_cfg, rng_b);
-  gp::LaplaceDatasetGenerator gen_a(m, {}, 11), gen_b(m, {}, 11);
-  auto bvps_a = gen_a.generate_many(6);
-  auto bvps_b = gen_b.generate_many(6);
-  optim::Adam opt_a(serial_net.parameters(), 1e-3);
-  optim::Adam opt_b(parallel_net.parameters(), 1e-3);
-
-  ProgramEnabledGuard on(true);
-  mosaic::CompiledTrainStep serial_step(serial_net, cfg, &opt_a);
-  mosaic::CompiledTrainStep parallel_step(parallel_net, cfg, &opt_b);
-  for (int iter = 0; iter < 6; ++iter) {
-    auto batch_a = gen_a.make_batch(bvps_a, cfg.q_data, cfg.q_colloc);
-    auto batch_b = gen_b.make_batch(bvps_b, cfg.q_data, cfg.q_colloc);
-    double ld_a, lp_a, ld_b, lp_b;
-    {
-      PlanThreadsGuard serial(1);
-      std::tie(ld_a, lp_a) = serial_step.run(batch_a);
-    }
-    {
-      PlanThreadsGuard threads(4);
-      std::tie(ld_b, lp_b) = parallel_step.run(batch_b);
-    }
-    ASSERT_EQ(ld_a, ld_b) << "iter " << iter;
-    ASSERT_EQ(lp_a, lp_b) << "iter " << iter;
-    expect_params_bitwise_equal(serial_net, parallel_net, false);
-    expect_adam_state_bitwise_equal(opt_a, opt_b);
-  }
-  const auto st = parallel_step.program().stats();
-  EXPECT_GT(st.waves, 0u);
-  EXPECT_LT(st.waves, st.steps)
-      << "a training plan should expose cross-step parallelism";
-}
-
 TEST(Program, WidenedPlanMatchesPerInstanceReplay) {
   // Plan-level widening parity: a captured matmul+activation evaluated
   // once at width b must be bitwise identical to b/B0 base-width replays
-  // of the same instance rows. Also covers the MF_DISABLE_WIDENING hatch
-  // and the b == B0 aliasing special case.
+  // of the same instance rows. Also covers the b == B0 aliasing special
+  // case.
   ProgramEnabledGuard on(true);
   ad::NoGradGuard no_grad;
   const int64_t B0 = 2, K = 3, N = 4;
@@ -746,11 +666,7 @@ TEST(Program, WidenedPlanMatchesPerInstanceReplay) {
   Tensor y;
   p.capture([&] { y = ops::tanh(ops::matmul(x, w)); });
   ASSERT_TRUE(p.captured());
-  {
-    WideningEnabledGuard off(false);
-    EXPECT_FALSE(p.widen({x, y}));
-    EXPECT_FALSE(p.widened());
-  }
+  EXPECT_FALSE(p.widened());
   ASSERT_TRUE(p.widen({x, y}));
   EXPECT_TRUE(p.widened());
 
@@ -1017,8 +933,8 @@ TEST(Program, WidenedBatchedInferenceBitwiseMatchesEager) {
 
 TEST(Program, ConcurrentCompiledStepsAreDeterministic) {
   // N threads, each with its own identically-seeded net + compiled step,
-  // all replaying through the shared worker pool concurrently: every
-  // thread's final weights must match a reference trajectory bitwise.
+  // all capturing and replaying concurrently: every thread's final
+  // weights must match a reference trajectory bitwise.
   const int64_t m = 4;
   const auto net_cfg = small_net_config(m);
   const auto cfg = small_train_config();
@@ -1043,7 +959,6 @@ TEST(Program, ConcurrentCompiledStepsAreDeterministic) {
   };
 
   ProgramEnabledGuard on(true);
-  PlanThreadsGuard threads(3);
   const auto reference = run_trajectory();
 
   const int kThreads = 4;

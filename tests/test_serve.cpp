@@ -6,9 +6,7 @@
 // malformed MF_SERVE_* values.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +18,7 @@
 #include "serve/request_gen.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "env_guard.hpp"
 
 namespace ad = mf::ad;
 namespace mosaic = mf::mosaic;
@@ -102,26 +101,6 @@ std::vector<serve::SolveRequest> tiny_requests(std::size_t tenants,
                                                std::uint64_t seed = 99) {
   return tiny_requests(tiny_specs(tenants), n, seed);
 }
-
-/// Sets an environment variable for one scope, then restores it.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (old_) {
-      setenv(name_, old_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
 
 bool grids_bitwise_equal(const mf::linalg::Grid2D& a,
                          const mf::linalg::Grid2D& b) {

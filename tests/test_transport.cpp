@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "comm/runtime.hpp"
 #include "comm/world.hpp"
+#include "env_guard.hpp"
 #include "gp/dataset.hpp"
 #include "mosaic/distributed_predictor.hpp"
 
@@ -232,6 +235,28 @@ TEST(RankRuntime, DefaultsToThreadsAndSweeps) {
   const auto counts = launcher.sweep_rank_counts({1, 2, 4});
   ASSERT_EQ(counts.size(), 3u);
   EXPECT_EQ(counts[2], 4);
+}
+
+// MF_COMM takes exactly "threads" or "mpi" (empty counts as unset). A
+// typo must not silently fall back to auto-selection, which under
+// mpirun in an MPI build means MPI.
+TEST(RankRuntime, MalformedCommBackendThrows) {
+  for (const char* bad : {"thread", "MPI", "threads ", "tcp", "1"}) {
+    EnvGuard env("MF_COMM", bad);
+    try {
+      comm::RankLauncher launcher(0, nullptr);
+      ADD_FAILURE() << "MF_COMM=" << bad << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MF_COMM"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  for (const char* ok : {"threads", ""}) {
+    EnvGuard env("MF_COMM", ok);
+    comm::RankLauncher launcher(0, nullptr);
+    EXPECT_EQ(launcher.backend(), comm::Backend::kThreads) << ok;
+  }
 }
 
 TEST(RankRuntime, RunsEveryRankAndPropagatesExceptions) {
