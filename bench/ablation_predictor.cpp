@@ -40,7 +40,7 @@ class NoisySolver final : public mosaic::SubdomainSolver {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const int64_t cells = args.get_int("cells", 64);
@@ -114,4 +114,8 @@ int main(int argc, char** argv) {
                 "floor) at the cost of slower information propagation.\n");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

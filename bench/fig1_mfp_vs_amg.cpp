@@ -16,7 +16,7 @@
 #include "util/image.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const bool paper = args.get_bool("paper-scale");
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(m), static_cast<long long>(cells), ranks,
       static_cast<long long>(results[0].iterations), mae, max_diff);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -50,7 +50,7 @@ Measurement time_training_step(mosaic::Sdnet& net, const gp::SdnetBatch& batch,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const bool paper = args.get_bool("paper-scale");
@@ -145,4 +145,8 @@ int main(int argc, char** argv) {
       train_base.seconds / train_opt.seconds, train_base.peak_bytes,
       train_opt.peak_bytes);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -20,7 +20,7 @@
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const bool paper = args.get_bool("paper-scale");
@@ -211,4 +211,8 @@ int main(int argc, char** argv) {
         prog.cast_steps);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

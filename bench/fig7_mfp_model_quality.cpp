@@ -29,7 +29,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const bool paper = args.get_bool("paper-scale");
@@ -194,4 +194,8 @@ int main(int argc, char** argv) {
       ad::dtype_name(ad::compute_dtype()), val_mses[0], model0_maes[0],
       model0_maes[1], model0_maes[2], mae_mean);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -18,7 +18,7 @@
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const bool paper = args.get_bool("paper-scale");
@@ -135,4 +135,8 @@ int main(int argc, char** argv) {
       ad::dtype_name(ad::compute_dtype()), prog.cast_steps,
       ad::kernels::gelu_lanes());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

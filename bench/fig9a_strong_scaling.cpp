@@ -26,7 +26,7 @@
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   comm::RankLauncher launcher(argc, argv);
@@ -194,4 +194,8 @@ int main(int argc, char** argv) {
                 "~10x speedup at 32 GPUs in the paper.\n");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

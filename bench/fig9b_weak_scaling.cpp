@@ -19,7 +19,7 @@
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   comm::RankLauncher launcher(argc, argv);
@@ -117,4 +117,8 @@ int main(int argc, char** argv) {
                 "paper's latency-dominated regime.\n");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -72,7 +72,7 @@ std::uint64_t solutions_hash(const std::vector<serve::ServeResult>& results) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const bool smoke = args.get_bool("smoke");
   const int64_t n_requests = args.get_int("requests", smoke ? 96 : 256);
@@ -340,4 +340,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ic.evictions),
       static_cast<unsigned long long>(ic.retired), ad::kernels::gelu_lanes());
   return deterministic ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -15,7 +15,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const bool paper = args.get_bool("paper-scale");
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
       last_without, last_with,
       static_cast<double>(last_with) / static_cast<double>(last_without));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -22,7 +22,7 @@
 #include "util/cli.hpp"
 #include "util/image.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   comm::RankLauncher launcher(argc, argv);
@@ -115,4 +115,8 @@ int main(int argc, char** argv) {
   std::printf("\nwrote reference.pgm, mosaic_flow.pgm, abs_difference.pgm "
               "(Fig. 1 style)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

@@ -19,7 +19,7 @@
 #include "mosaic/trainer.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const int64_t m = args.get_int("m", 8);             // subdomain cells
@@ -99,4 +99,8 @@ int main(int argc, char** argv) {
               "MSE 2.5e-6). Swap in mosaic::HarmonicKernelSolver — an exact\n"
               "subdomain solver — to see the predictor converge to 1e-4.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

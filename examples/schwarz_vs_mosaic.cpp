@@ -16,7 +16,7 @@
 #include "util/cli.hpp"
 #include "util/timing.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   const int64_t m = args.get_int("m", 8);
@@ -70,4 +70,8 @@ int main(int argc, char** argv) {
               static_cast<double>(schwarz_pts_per_solve) /
                   static_cast<double>(mosaic_pts_per_subdomain));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

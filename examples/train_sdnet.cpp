@@ -30,7 +30,7 @@
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   using namespace mf;
   util::CliArgs args(argc, argv);
   comm::RankLauncher launcher(argc, argv);
@@ -158,4 +158,8 @@ int main(int argc, char** argv) {
                 root_stats.cpu_seconds, root_stats.comm_seconds);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return mf::util::run_main(argc, argv, main_body);
 }

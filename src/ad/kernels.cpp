@@ -254,9 +254,9 @@ void sum_axis(const float* src, float* dst, int64_t outer, int64_t n_axis,
   sum_axis_impl(src, dst, outer, n_axis, inner);
 }
 
-// Cache-block sizes (in elements): one b tile is kTileK x kTileN doubles
-// (256 KiB), sized so the tile stays resident while every row of the
-// thread's chunk streams over it.
+// The scalar matmul tier's cache-block sizes (in elements): one b tile is
+// kTileK x kTileN doubles (256 KiB), sized so the tile stays resident while
+// every row of the thread's chunk streams over it.
 constexpr int64_t kTileK = 64;
 constexpr int64_t kTileN = 512;
 
@@ -269,247 +269,6 @@ static bool cpu_has_avx2() {
 static bool cpu_has_fma() {
   static const bool has = __builtin_cpu_supports("fma");
   return has;
-}
-
-// ---- FMA matmul micro-kernels ----
-//
-// Register-blocked like the scalar micro-kernel in matmul() but with
-// fused multiply-add: one vfmadd231pd where the scalar loop issues a
-// multiply and an add, roughly doubling arithmetic throughput on the
-// port-bound width-64 GEMMs of SDNet inference. 4 rows x 8 columns give
-// 8 accumulator ymm = 8 independent dependency chains, enough ILP to hide
-// the FMA latency. Each output element accumulates std::fma(a, b, acc) in
-// ascending kk order whichever strip or tail computes it. No zero-skip:
-// fma(0, b, acc) == acc for finite b.
-__attribute__((target("avx2,fma"))) static void matmul_rows4_fma(
-    const real* a0, const real* a1, const real* a2, const real* a3,
-    const real* b, const real* bias, real* orow0, int64_t k, int64_t n) {
-  int64_t j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256d acc0a, acc0b, acc1a, acc1b, acc2a, acc2b, acc3a, acc3b;
-    if (bias) {
-      const __m256d ba = _mm256_loadu_pd(bias + j0);
-      const __m256d bb = _mm256_loadu_pd(bias + j0 + 4);
-      acc0a = acc1a = acc2a = acc3a = ba;
-      acc0b = acc1b = acc2b = acc3b = bb;
-    } else {
-      acc0a = acc0b = acc1a = acc1b = acc2a = acc2b = acc3a = acc3b =
-          _mm256_setzero_pd();
-    }
-    const real* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const __m256d bva = _mm256_loadu_pd(brow);
-      const __m256d bvb = _mm256_loadu_pd(brow + 4);
-      const __m256d av0 = _mm256_set1_pd(a0[kk]);
-      acc0a = _mm256_fmadd_pd(av0, bva, acc0a);
-      acc0b = _mm256_fmadd_pd(av0, bvb, acc0b);
-      const __m256d av1 = _mm256_set1_pd(a1[kk]);
-      acc1a = _mm256_fmadd_pd(av1, bva, acc1a);
-      acc1b = _mm256_fmadd_pd(av1, bvb, acc1b);
-      const __m256d av2 = _mm256_set1_pd(a2[kk]);
-      acc2a = _mm256_fmadd_pd(av2, bva, acc2a);
-      acc2b = _mm256_fmadd_pd(av2, bvb, acc2b);
-      const __m256d av3 = _mm256_set1_pd(a3[kk]);
-      acc3a = _mm256_fmadd_pd(av3, bva, acc3a);
-      acc3b = _mm256_fmadd_pd(av3, bvb, acc3b);
-    }
-    _mm256_storeu_pd(orow0 + j0, acc0a);
-    _mm256_storeu_pd(orow0 + j0 + 4, acc0b);
-    _mm256_storeu_pd(orow0 + n + j0, acc1a);
-    _mm256_storeu_pd(orow0 + n + j0 + 4, acc1b);
-    _mm256_storeu_pd(orow0 + 2 * n + j0, acc2a);
-    _mm256_storeu_pd(orow0 + 2 * n + j0 + 4, acc2b);
-    _mm256_storeu_pd(orow0 + 3 * n + j0, acc3a);
-    _mm256_storeu_pd(orow0 + 3 * n + j0 + 4, acc3b);
-  }
-  for (; j0 + 4 <= n; j0 += 4) {
-    __m256d acc0, acc1, acc2, acc3;
-    if (bias) {
-      acc0 = acc1 = acc2 = acc3 = _mm256_loadu_pd(bias + j0);
-    } else {
-      acc0 = acc1 = acc2 = acc3 = _mm256_setzero_pd();
-    }
-    const real* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const __m256d bv = _mm256_loadu_pd(brow);
-      acc0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[kk]), bv, acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[kk]), bv, acc1);
-      acc2 = _mm256_fmadd_pd(_mm256_set1_pd(a2[kk]), bv, acc2);
-      acc3 = _mm256_fmadd_pd(_mm256_set1_pd(a3[kk]), bv, acc3);
-    }
-    _mm256_storeu_pd(orow0 + j0, acc0);
-    _mm256_storeu_pd(orow0 + n + j0, acc1);
-    _mm256_storeu_pd(orow0 + 2 * n + j0, acc2);
-    _mm256_storeu_pd(orow0 + 3 * n + j0, acc3);
-  }
-  if (j0 < n) {  // column remainder: scalar with explicit std::fma
-    const int64_t jw = n - j0;
-    real acc[4][4];
-    for (int64_t r = 0; r < 4; ++r)
-      for (int64_t j = 0; j < jw; ++j) acc[r][j] = bias ? bias[j0 + j] : 0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const real* brow = b + kk * n + j0;
-      const real av[4] = {a0[kk], a1[kk], a2[kk], a3[kk]};
-      for (int64_t r = 0; r < 4; ++r)
-        for (int64_t j = 0; j < jw; ++j)
-          acc[r][j] = std::fma(av[r], brow[j], acc[r][j]);
-    }
-    for (int64_t r = 0; r < 4; ++r)
-      for (int64_t j = 0; j < jw; ++j) orow0[r * n + j0 + j] = acc[r][j];
-  }
-}
-
-__attribute__((target("avx2,fma"))) static void matmul_rows1_fma(
-    const real* arow, const real* b, const real* bias, real* orow, int64_t k,
-    int64_t n) {
-  int64_t j0 = 0;
-  for (; j0 + 4 <= n; j0 += 4) {
-    __m256d acc = bias ? _mm256_loadu_pd(bias + j0) : _mm256_setzero_pd();
-    const real* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      acc = _mm256_fmadd_pd(_mm256_set1_pd(arow[kk]), _mm256_loadu_pd(brow),
-                            acc);
-    }
-    _mm256_storeu_pd(orow + j0, acc);
-  }
-  for (int64_t j = j0; j < n; ++j) orow[j] = bias ? bias[j] : 0;
-  for (int64_t kk = 0; kk < k && j0 < n; ++kk) {
-    const real av = arow[kk];
-    const real* brow = b + kk * n;
-    for (int64_t j = j0; j < n; ++j) orow[j] = std::fma(av, brow[j], orow[j]);
-  }
-}
-
-__attribute__((target("avx2,fma"))) static void axpy_fma(const real* brow,
-                                                         real* orow, real av,
-                                                         int64_t len) {
-  const __m256d avv = _mm256_set1_pd(av);
-  int64_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    _mm256_storeu_pd(orow + j, _mm256_fmadd_pd(avv, _mm256_loadu_pd(brow + j),
-                                               _mm256_loadu_pd(orow + j)));
-  }
-  for (; j < len; ++j) orow[j] = std::fma(av, brow[j], orow[j]);
-}
-
-// ---- float FMA matmul micro-kernels ----
-//
-// 8-lane ps twins of the FMA tier above: 4 rows of a share every b load,
-// with a 16-column (two-register) accumulator strip per row. The float
-// tier makes no bitwise promise against a scalar loop (it is
-// tolerance-gated), but it is deterministic and thread-count-invariant:
-// row partitioning plus a fixed ascending kk order means an output
-// element's value never depends on the thread count.
-__attribute__((target("avx2,fma"))) static void matmul_rows4_fma_f(
-    const float* a0, const float* a1, const float* a2, const float* a3,
-    const float* b, const float* bias, float* orow0, int64_t k, int64_t n) {
-  int64_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) {
-    __m256 acc0a, acc0b, acc1a, acc1b, acc2a, acc2b, acc3a, acc3b;
-    if (bias) {
-      const __m256 ba = _mm256_loadu_ps(bias + j0);
-      const __m256 bb = _mm256_loadu_ps(bias + j0 + 8);
-      acc0a = acc1a = acc2a = acc3a = ba;
-      acc0b = acc1b = acc2b = acc3b = bb;
-    } else {
-      acc0a = acc0b = acc1a = acc1b = acc2a = acc2b = acc3a = acc3b =
-          _mm256_setzero_ps();
-    }
-    const float* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const __m256 bva = _mm256_loadu_ps(brow);
-      const __m256 bvb = _mm256_loadu_ps(brow + 8);
-      const __m256 av0 = _mm256_set1_ps(a0[kk]);
-      acc0a = _mm256_fmadd_ps(av0, bva, acc0a);
-      acc0b = _mm256_fmadd_ps(av0, bvb, acc0b);
-      const __m256 av1 = _mm256_set1_ps(a1[kk]);
-      acc1a = _mm256_fmadd_ps(av1, bva, acc1a);
-      acc1b = _mm256_fmadd_ps(av1, bvb, acc1b);
-      const __m256 av2 = _mm256_set1_ps(a2[kk]);
-      acc2a = _mm256_fmadd_ps(av2, bva, acc2a);
-      acc2b = _mm256_fmadd_ps(av2, bvb, acc2b);
-      const __m256 av3 = _mm256_set1_ps(a3[kk]);
-      acc3a = _mm256_fmadd_ps(av3, bva, acc3a);
-      acc3b = _mm256_fmadd_ps(av3, bvb, acc3b);
-    }
-    _mm256_storeu_ps(orow0 + j0, acc0a);
-    _mm256_storeu_ps(orow0 + j0 + 8, acc0b);
-    _mm256_storeu_ps(orow0 + n + j0, acc1a);
-    _mm256_storeu_ps(orow0 + n + j0 + 8, acc1b);
-    _mm256_storeu_ps(orow0 + 2 * n + j0, acc2a);
-    _mm256_storeu_ps(orow0 + 2 * n + j0 + 8, acc2b);
-    _mm256_storeu_ps(orow0 + 3 * n + j0, acc3a);
-    _mm256_storeu_ps(orow0 + 3 * n + j0 + 8, acc3b);
-  }
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc0, acc1, acc2, acc3;
-    if (bias) {
-      acc0 = acc1 = acc2 = acc3 = _mm256_loadu_ps(bias + j0);
-    } else {
-      acc0 = acc1 = acc2 = acc3 = _mm256_setzero_ps();
-    }
-    const float* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      const __m256 bv = _mm256_loadu_ps(brow);
-      acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[kk]), bv, acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[kk]), bv, acc1);
-      acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[kk]), bv, acc2);
-      acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[kk]), bv, acc3);
-    }
-    _mm256_storeu_ps(orow0 + j0, acc0);
-    _mm256_storeu_ps(orow0 + n + j0, acc1);
-    _mm256_storeu_ps(orow0 + 2 * n + j0, acc2);
-    _mm256_storeu_ps(orow0 + 3 * n + j0, acc3);
-  }
-  if (j0 < n) {  // column remainder: scalar with explicit std::fma
-    const int64_t jw = n - j0;
-    float acc[4][8];
-    for (int64_t r = 0; r < 4; ++r)
-      for (int64_t j = 0; j < jw; ++j) acc[r][j] = bias ? bias[j0 + j] : 0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* brow = b + kk * n + j0;
-      const float av[4] = {a0[kk], a1[kk], a2[kk], a3[kk]};
-      for (int64_t r = 0; r < 4; ++r)
-        for (int64_t j = 0; j < jw; ++j)
-          acc[r][j] = std::fma(av[r], brow[j], acc[r][j]);
-    }
-    for (int64_t r = 0; r < 4; ++r)
-      for (int64_t j = 0; j < jw; ++j) orow0[r * n + j0 + j] = acc[r][j];
-  }
-}
-
-__attribute__((target("avx2,fma"))) static void matmul_rows1_fma_f(
-    const float* arow, const float* b, const float* bias, float* orow,
-    int64_t k, int64_t n) {
-  int64_t j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    __m256 acc = bias ? _mm256_loadu_ps(bias + j0) : _mm256_setzero_ps();
-    const float* brow = b + j0;
-    for (int64_t kk = 0; kk < k; ++kk, brow += n) {
-      acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]), _mm256_loadu_ps(brow),
-                            acc);
-    }
-    _mm256_storeu_ps(orow + j0, acc);
-  }
-  for (int64_t j = j0; j < n; ++j) orow[j] = bias ? bias[j] : 0;
-  for (int64_t kk = 0; kk < k && j0 < n; ++kk) {
-    const float av = arow[kk];
-    const float* brow = b + kk * n;
-    for (int64_t j = j0; j < n; ++j) orow[j] = std::fma(av, brow[j], orow[j]);
-  }
-}
-
-__attribute__((target("avx2,fma"))) static void axpy_fma_f(const float* brow,
-                                                           float* orow,
-                                                           float av,
-                                                           int64_t len) {
-  const __m256 avv = _mm256_set1_ps(av);
-  int64_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    _mm256_storeu_ps(orow + j, _mm256_fmadd_ps(avv, _mm256_loadu_ps(brow + j),
-                                               _mm256_loadu_ps(orow + j)));
-  }
-  for (; j < len; ++j) orow[j] = std::fma(av, brow[j], orow[j]);
 }
 
 /// 4-lane body of binary_block; `op` selects the instruction outside the
@@ -783,14 +542,6 @@ inline float fast_tanh_scalar_f(float x) {
 
 }  // namespace
 
-bool fma_kernels_active() {
-#ifdef MF_HAVE_AVX2_KERNELS
-  return cpu_has_avx2() && cpu_has_fma();
-#else
-  return false;
-#endif
-}
-
 bool fast_tanh_active() {
 #ifdef MF_HAVE_AVX2_KERNELS
   return cpu_has_avx2();
@@ -1024,9 +775,9 @@ void tanh_block_inplace(float* x, int64_t n) {
 //     keeps gelu(+inf) = +inf, gelu(−inf) = NaN and gelu(x ≤ −30) = −0.
 // Every step is one IEEE operation, so the 4-lane AVX2+FMA and the 8-lane
 // AVX-512F f64 tiers (8 and 16 lanes at f32) give the same bits, and tails
-// run through the same lanes (a zero-padded block on AVX2, masked loads and
-// stores on AVX-512): an element's value never depends on its chunk. CPUs
-// with neither tier run the sfn::Gelu functor (std::tanh).
+// run through the same lanes by masked loads and stores: an element's value
+// never depends on its chunk. CPUs with neither tier run the sfn::Gelu
+// functor (std::tanh).
 
 namespace {
 
@@ -1123,9 +874,117 @@ inline void gelu_span(const typename O::T* a, typename O::T* out, int64_t n) {
     O::store(out + i, x);
   }
   if (i < n) {
-    O::load_part(x, a + i, n - i);
+    typename O::Tail m;
+    O::tail(m, n - i);
+    O::load(x, a + i, m);
     gelu_lane<O>(x);
-    O::store_part(out + i, x, n - i);
+    O::store(out + i, x, m);
+  }
+}
+
+// ---- FMA matmul: one register-blocked micro-kernel over the ops structs ----
+//
+// A block keeps R rows × C vectors of out in accumulator registers across
+// the whole k loop, so each b load feeds R FMAs: 4 rows × 2 ymm (8
+// accumulators of 16 registers) on AVX2+FMA, 8 rows × 2 zmm (16 of 32) on
+// AVX-512F. Every output element accumulates fma(a[i][kk], b[kk][j], acc)
+// from its bias (or +0) in ascending kk, whichever block, strip or tail
+// computes it, so both tiers give the bits of the naive std::fma loop. The
+// row and column loops must unroll for the accumulators to stay in
+// registers: without the pragmas GCC leaves them rolled at -O2, and the
+// 8 × 2 zmm block spills.
+
+/// out rows [0, R) × columns [0, C·kLanes) of a·b (+ bias); a Masked block
+/// (C = 1) covers the fewer than kLanes columns that `m` enables.
+template <class O, int R, int C, bool Masked>
+inline void matmul_block(const typename O::T* a, const typename O::T* b,
+                         const typename O::T* bias, typename O::T* out,
+                         int64_t k, int64_t n, const typename O::Tail& m) {
+  using T = typename O::T;
+  constexpr int64_t L = O::kLanes;
+  typename O::V acc[R][C], bv[C], av;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int c = 0; c < C; ++c) {
+      if (!bias) {
+        O::set1(acc[r][c], T(0));
+      } else if constexpr (Masked) {
+        O::load(acc[r][c], bias, m);
+      } else {
+        O::load(acc[r][c], bias + c * L);
+      }
+    }
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const T* brow = b + kk * n;
+#pragma GCC unroll 2
+    for (int c = 0; c < C; ++c) {
+      if constexpr (Masked) {
+        O::load(bv[c], brow, m);
+      } else {
+        O::load(bv[c], brow + c * L);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      O::set1(av, a[r * k + kk]);
+#pragma GCC unroll 2
+      for (int c = 0; c < C; ++c) O::fma(acc[r][c], av, bv[c], acc[r][c]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int c = 0; c < C; ++c) {
+      if constexpr (Masked) {
+        O::store(out + r * n, acc[r][c], m);
+      } else {
+        O::store(out + r * n + c * L, acc[r][c]);
+      }
+    }
+  }
+}
+
+/// out rows [0, R) of a·b (+ bias): two-vector blocks, then at most one
+/// one-vector block, then the masked tail of n % kLanes columns.
+template <class O, int R>
+inline void matmul_rows(const typename O::T* a, const typename O::T* b,
+                        const typename O::T* bias, typename O::T* out,
+                        int64_t k, int64_t n, const typename O::Tail& m) {
+  constexpr int64_t L = O::kLanes;
+  auto at = [&](int64_t j) { return bias ? bias + j : nullptr; };
+  int64_t j = 0;
+  for (; j + 2 * L <= n; j += 2 * L) {
+    matmul_block<O, R, 2, false>(a, b + j, at(j), out + j, k, n, m);
+  }
+  if (j + L <= n) {
+    matmul_block<O, R, 1, false>(a, b + j, at(j), out + j, k, n, m);
+    j += L;
+  }
+  if (j < n) matmul_block<O, R, 1, true>(a, b + j, at(j), out + j, k, n, m);
+}
+
+/// out = a·b (+ bias) over `rows` rows: R at a time, then four (when R is
+/// 8), then one at a time.
+template <class O, int R>
+inline void matmul_span(const typename O::T* a, const typename O::T* b,
+                        const typename O::T* bias, typename O::T* out,
+                        int64_t rows, int64_t k, int64_t n) {
+  typename O::Tail m;
+  O::tail(m, n % O::kLanes);
+  int64_t i = 0;
+  for (; i + R <= rows; i += R) {
+    matmul_rows<O, R>(a + i * k, b, bias, out + i * n, k, n, m);
+  }
+  if constexpr (R > 4) {
+    if (i + 4 <= rows) {
+      matmul_rows<O, 4>(a + i * k, b, bias, out + i * n, k, n, m);
+      i += 4;
+    }
+  }
+  for (; i < rows; ++i) {
+    matmul_rows<O, 1>(a + i * k, b, bias, out + i * n, k, n, m);
   }
 }
 
@@ -1142,23 +1001,26 @@ static bool cpu_has_avx512f() {
 
 namespace {
 
+// tail(m, n) enables the first n < kLanes lanes: a masked load reads only
+// those (the rest read as zero) and a masked store writes only those, so a
+// tail never touches memory past its n elements.
 struct Avx2F64 {
   using T = double;
   using V = __m256d;
   using M = __m256d;
+  using Tail = __m256i;
   static constexpr int64_t kLanes = 4;
   MF_AVX2_FMA static void load(V& r, const T* p) { r = _mm256_loadu_pd(p); }
   MF_AVX2_FMA static void store(T* p, const V& v) { _mm256_storeu_pd(p, v); }
-  // Tails run as one zero-padded block through the full-width lane.
-  MF_AVX2_FMA static void load_part(V& r, const T* p, int64_t n) {
-    T buf[kLanes] = {};
-    std::copy_n(p, n, buf);
-    r = _mm256_loadu_pd(buf);
+  MF_AVX2_FMA static void tail(Tail& m, int64_t n) {
+    m = _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                           _mm256_setr_epi64x(0, 1, 2, 3));
   }
-  MF_AVX2_FMA static void store_part(T* p, const V& v, int64_t n) {
-    T buf[kLanes];
-    _mm256_storeu_pd(buf, v);
-    std::copy_n(buf, n, p);
+  MF_AVX2_FMA static void load(V& r, const T* p, const Tail& m) {
+    r = _mm256_maskload_pd(p, m);
+  }
+  MF_AVX2_FMA static void store(T* p, const V& v, const Tail& m) {
+    _mm256_maskstore_pd(p, m, v);
   }
   MF_AVX2_FMA static void set1(V& r, T c) { r = _mm256_set1_pd(c); }
   MF_AVX2_FMA static void add(V& r, const V& a, const V& b) {
@@ -1197,19 +1059,19 @@ struct Avx2F32 {
   using T = float;
   using V = __m256;
   using M = __m256;
+  using Tail = __m256i;
   static constexpr int64_t kLanes = 8;
   MF_AVX2_FMA static void load(V& r, const T* p) { r = _mm256_loadu_ps(p); }
   MF_AVX2_FMA static void store(T* p, const V& v) { _mm256_storeu_ps(p, v); }
-  // Tails run as one zero-padded block through the full-width lane.
-  MF_AVX2_FMA static void load_part(V& r, const T* p, int64_t n) {
-    T buf[kLanes] = {};
-    std::copy_n(p, n, buf);
-    r = _mm256_loadu_ps(buf);
+  MF_AVX2_FMA static void tail(Tail& m, int64_t n) {
+    m = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   }
-  MF_AVX2_FMA static void store_part(T* p, const V& v, int64_t n) {
-    T buf[kLanes];
-    _mm256_storeu_ps(buf, v);
-    std::copy_n(buf, n, p);
+  MF_AVX2_FMA static void load(V& r, const T* p, const Tail& m) {
+    r = _mm256_maskload_ps(p, m);
+  }
+  MF_AVX2_FMA static void store(T* p, const V& v, const Tail& m) {
+    _mm256_maskstore_ps(p, m, v);
   }
   MF_AVX2_FMA static void set1(V& r, T c) { r = _mm256_set1_ps(c); }
   MF_AVX2_FMA static void add(V& r, const V& a, const V& b) {
@@ -1251,15 +1113,19 @@ struct Avx512F64 {
   using T = double;
   using V = __m512d;
   using M = __mmask8;
+  using Tail = M;
   static constexpr int64_t kLanes = 8;
   static constexpr M kAll = 0xFF;
   MF_AVX512F static void load(V& r, const T* p) { r = _mm512_loadu_pd(p); }
   MF_AVX512F static void store(T* p, const V& v) { _mm512_storeu_pd(p, v); }
-  MF_AVX512F static void load_part(V& r, const T* p, int64_t n) {
-    r = _mm512_maskz_loadu_pd(static_cast<M>((1u << n) - 1), p);
+  MF_AVX512F static void tail(Tail& m, int64_t n) {
+    m = static_cast<M>((1u << n) - 1);
   }
-  MF_AVX512F static void store_part(T* p, const V& v, int64_t n) {
-    _mm512_mask_storeu_pd(p, static_cast<M>((1u << n) - 1), v);
+  MF_AVX512F static void load(V& r, const T* p, const Tail& m) {
+    r = _mm512_maskz_loadu_pd(m, p);
+  }
+  MF_AVX512F static void store(T* p, const V& v, const Tail& m) {
+    _mm512_mask_storeu_pd(p, m, v);
   }
   MF_AVX512F static void set1(V& r, T c) { r = _mm512_set1_pd(c); }
   MF_AVX512F static void add(V& r, const V& a, const V& b) {
@@ -1299,15 +1165,19 @@ struct Avx512F32 {
   using T = float;
   using V = __m512;
   using M = __mmask16;
+  using Tail = M;
   static constexpr int64_t kLanes = 16;
   static constexpr M kAll = 0xFFFF;
   MF_AVX512F static void load(V& r, const T* p) { r = _mm512_loadu_ps(p); }
   MF_AVX512F static void store(T* p, const V& v) { _mm512_storeu_ps(p, v); }
-  MF_AVX512F static void load_part(V& r, const T* p, int64_t n) {
-    r = _mm512_maskz_loadu_ps(static_cast<M>((1u << n) - 1), p);
+  MF_AVX512F static void tail(Tail& m, int64_t n) {
+    m = static_cast<M>((1u << n) - 1);
   }
-  MF_AVX512F static void store_part(T* p, const V& v, int64_t n) {
-    _mm512_mask_storeu_ps(p, static_cast<M>((1u << n) - 1), v);
+  MF_AVX512F static void load(V& r, const T* p, const Tail& m) {
+    r = _mm512_maskz_loadu_ps(m, p);
+  }
+  MF_AVX512F static void store(T* p, const V& v, const Tail& m) {
+    _mm512_mask_storeu_ps(p, m, v);
   }
   MF_AVX512F static void set1(V& r, T c) { r = _mm512_set1_ps(c); }
   MF_AVX512F static void add(V& r, const V& a, const V& b) {
@@ -1345,8 +1215,8 @@ struct Avx512F32 {
 
 }  // namespace
 
-// flatten inlines the lane template and every ops call into these four
-// bodies, so each compiles as one loop at its own ISA.
+// flatten inlines the templates and every ops call into these eight
+// bodies, so each compiles as one loop nest at its own ISA.
 __attribute__((target("avx2,fma"), flatten)) static void gelu_span_avx2(
     const double* a, double* out, int64_t n) {
   gelu_span<Avx2F64>(a, out, n);
@@ -1363,6 +1233,33 @@ __attribute__((target("avx512f"), flatten)) static void gelu_span_avx512(
     const float* a, float* out, int64_t n) {
   gelu_span<Avx512F32>(a, out, n);
 }
+__attribute__((target("avx2,fma"), flatten)) static void matmul_span_avx2(
+    const double* a, const double* b, const double* bias, double* out,
+    int64_t m, int64_t k, int64_t n) {
+  matmul_span<Avx2F64, 4>(a, b, bias, out, m, k, n);
+}
+__attribute__((target("avx2,fma"), flatten)) static void matmul_span_avx2(
+    const float* a, const float* b, const float* bias, float* out, int64_t m,
+    int64_t k, int64_t n) {
+  matmul_span<Avx2F32, 4>(a, b, bias, out, m, k, n);
+}
+__attribute__((target("avx512f"), flatten)) static void matmul_span_avx512(
+    const double* a, const double* b, const double* bias, double* out,
+    int64_t m, int64_t k, int64_t n) {
+  matmul_span<Avx512F64, 8>(a, b, bias, out, m, k, n);
+}
+__attribute__((target("avx512f"), flatten)) static void matmul_span_avx512(
+    const float* a, const float* b, const float* bias, float* out, int64_t m,
+    int64_t k, int64_t n) {
+  matmul_span<Avx512F32, 8>(a, b, bias, out, m, k, n);
+}
+
+/// True when the CPU has the tier with `lanes` f64 lanes: 8 for AVX-512F,
+/// 4 for AVX2+FMA.
+static bool cpu_has_tier(int lanes) {
+  return lanes == 8 ? cpu_has_avx512f()
+                    : lanes == 4 && cpu_has_avx2() && cpu_has_fma();
+}
 
 #undef MF_AVX2_FMA
 #undef MF_AVX512F
@@ -1370,9 +1267,7 @@ __attribute__((target("avx512f"), flatten)) static void gelu_span_avx512(
 
 int gelu_lanes() {
 #ifdef MF_HAVE_AVX2_KERNELS
-  static const int lanes = cpu_has_avx512f()                  ? 8
-                           : cpu_has_avx2() && cpu_has_fma() ? 4
-                                                              : 1;
+  static const int lanes = cpu_has_tier(8) ? 8 : cpu_has_tier(4) ? 4 : 1;
   return lanes;
 #else
   return 1;
@@ -1385,17 +1280,51 @@ namespace {
 template <typename T>
 bool gelu_on_tier(int lanes, const T* a, T* out, int64_t n) {
 #ifdef MF_HAVE_AVX2_KERNELS
-  if (lanes == 8 && cpu_has_avx512f()) {
+  if (!cpu_has_tier(lanes)) return false;
+  if (lanes == 8) {
     gelu_span_avx512(a, out, n);
-    return true;
-  }
-  if (lanes == 4 && cpu_has_avx2() && cpu_has_fma()) {
+  } else {
     gelu_span_avx2(a, out, n);
-    return true;
   }
-#endif
+  return true;
+#else
   (void)lanes, (void)a, (void)out, (void)n;
   return false;
+#endif
+}
+
+/// Serial matmul of `m` rows on the tier with `lanes` f64 lanes; false,
+/// writing nothing, when the CPU lacks it.
+template <typename T>
+bool matmul_on_tier(int lanes, const T* a, const T* b, const T* bias, T* out,
+                    int64_t m, int64_t k, int64_t n) {
+#ifdef MF_HAVE_AVX2_KERNELS
+  if (!cpu_has_tier(lanes)) return false;
+  if (lanes == 8) {
+    matmul_span_avx512(a, b, bias, out, m, k, n);
+  } else {
+    matmul_span_avx2(a, b, bias, out, m, k, n);
+  }
+  return true;
+#else
+  (void)lanes, (void)a, (void)b, (void)bias, (void)out, (void)m, (void)k,
+      (void)n;
+  return false;
+#endif
+}
+
+/// matmul on the widest FMA tier the CPU has, threaded over rows; false,
+/// writing nothing, when it has neither.
+template <typename T>
+bool matmul_fma(const T* a, const T* b, const T* bias, T* out, int64_t m,
+                int64_t k, int64_t n) {
+  const int lanes = gelu_lanes();
+  if (lanes == 1) return false;
+  parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
+    matmul_on_tier(lanes, a + begin * k, b, bias, out + begin * n,
+                   end - begin, k, n);
+  });
+  return true;
 }
 
 /// The one GELU entry: the widest tier the CPU has, else the functor.
@@ -1419,6 +1348,22 @@ bool gelu_avx512f(const double* a, double* out, int64_t n) {
 bool gelu_avx512f(const float* a, float* out, int64_t n) {
   return gelu_on_tier(8, a, out, n);
 }
+bool matmul_avx2_fma(const double* a, const double* b, const double* bias,
+                     double* out, int64_t m, int64_t k, int64_t n) {
+  return matmul_on_tier(4, a, b, bias, out, m, k, n);
+}
+bool matmul_avx2_fma(const float* a, const float* b, const float* bias,
+                     float* out, int64_t m, int64_t k, int64_t n) {
+  return matmul_on_tier(4, a, b, bias, out, m, k, n);
+}
+bool matmul_avx512f(const double* a, const double* b, const double* bias,
+                    double* out, int64_t m, int64_t k, int64_t n) {
+  return matmul_on_tier(8, a, b, bias, out, m, k, n);
+}
+bool matmul_avx512f(const float* a, const float* b, const float* bias,
+                    float* out, int64_t m, int64_t k, int64_t n) {
+  return matmul_on_tier(8, a, b, bias, out, m, k, n);
+}
 }  // namespace detail
 
 void map_unary(const real* a, real* out, int64_t n, sfn::Gelu) {
@@ -1439,8 +1384,9 @@ void gelu_block_inplace(float* x, int64_t n) { gelu_block(x, x, n); }
 
 void matmul(const real* a, const real* b, const real* bias, real* out,
             int64_t m, int64_t k, int64_t n) {
-  // Tiling gate: block only when b overflows one tile's cache footprint
-  // (k*n > kTileK*kTileN elements = 256 KiB). Narrow GEMMs — the
+  if (matmul_fma(a, b, bias, out, m, k, n)) return;
+  // Scalar tier. Tiling gate: block only when b overflows one tile's cache
+  // footprint (k*n > kTileK*kTileN elements = 256 KiB). Narrow GEMMs — the
   // width-64 shapes of the fig8 inference path and their k-heavy
   // training backwards — keep the fused i-k-j loop, whose single pass
   // over `out` beats two whenever b is already cache-resident. The two
@@ -1448,24 +1394,8 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
   // identical regardless of which one runs. Decided once, outside the
   // worker lambda, so the hot loops compile unperturbed.
   const bool b_fits_one_tile = k * n <= kTileK * kTileN;
-#ifdef MF_HAVE_AVX2_KERNELS
-  const bool use_fma = fma_kernels_active();
-#endif
   parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
     if (b_fits_one_tile) {
-#ifdef MF_HAVE_AVX2_KERNELS
-      if (use_fma) {
-        int64_t i0 = begin;
-        for (; i0 + 4 <= end; i0 += 4) {
-          matmul_rows4_fma(a + i0 * k, a + (i0 + 1) * k, a + (i0 + 2) * k,
-                           a + (i0 + 3) * k, b, bias, out + i0 * n, k, n);
-        }
-        for (; i0 < end; ++i0) {
-          matmul_rows1_fma(a + i0 * k, b, bias, out + i0 * n, k, n);
-        }
-        return;
-      }
-#endif
       // b fits one tile: register-blocked micro-kernel. Four rows of a
       // share every b load, and each row's 4-column accumulator strip
       // lives in registers across the whole k loop — the naive loop's
@@ -1580,12 +1510,6 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
             const real av = arow[kk];
             if (av == 0) continue;
             const real* brow = b + kk * n;
-#ifdef MF_HAVE_AVX2_KERNELS
-            if (use_fma) {
-              axpy_fma(brow + j0, orow + j0, av, j1 - j0);
-              continue;
-            }
-#endif
             for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
           }
         }
@@ -1596,31 +1520,14 @@ void matmul(const real* a, const real* b, const real* bias, real* out,
 
 void matmul(const float* a, const float* b, const float* bias, float* out,
             int64_t m, int64_t k, int64_t n) {
-  // Float GEMM for the compiled f32 compute path. Same tiling gate as the
-  // double tier (elements, not bytes: the b panel that matters is half the
-  // size, so this errs toward the fused loop, which is the right bias for
-  // the narrow SDNet shapes). The vector path needs AVX2+FMA together —
-  // they co-occur on every AVX2 CPU since Haswell — and falls back to the
-  // same deterministic scalar i-k-j loop otherwise.
+  // Float GEMM for the compiled f32 compute path. The scalar tier keeps
+  // the double tier's tiling gate (elements, not bytes: the b panel that
+  // matters is half the size, so this errs toward the fused loop, which is
+  // the right bias for the narrow SDNet shapes).
+  if (matmul_fma(a, b, bias, out, m, k, n)) return;
   const bool b_fits_one_tile = k * n <= kTileK * kTileN;
-#ifdef MF_HAVE_AVX2_KERNELS
-  const bool use_vec = fma_kernels_active();
-#endif
   parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
     if (b_fits_one_tile) {
-#ifdef MF_HAVE_AVX2_KERNELS
-      if (use_vec) {
-        int64_t i0 = begin;
-        for (; i0 + 4 <= end; i0 += 4) {
-          matmul_rows4_fma_f(a + i0 * k, a + (i0 + 1) * k, a + (i0 + 2) * k,
-                             a + (i0 + 3) * k, b, bias, out + i0 * n, k, n);
-        }
-        for (; i0 < end; ++i0) {
-          matmul_rows1_fma_f(a + i0 * k, b, bias, out + i0 * n, k, n);
-        }
-        return;
-      }
-#endif
       for (int64_t i = begin; i < end; ++i) {
         const float* arow = a + i * k;
         float* orow = out + i * n;
@@ -1656,12 +1563,6 @@ void matmul(const float* a, const float* b, const float* bias, float* out,
           for (int64_t kk = kk0; kk < kk1; ++kk) {
             const float av = arow[kk];
             const float* brow = b + kk * n;
-#ifdef MF_HAVE_AVX2_KERNELS
-            if (use_vec) {
-              axpy_fma_f(brow + j0, orow + j0, av, j1 - j0);
-              continue;
-            }
-#endif
             for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
           }
         }

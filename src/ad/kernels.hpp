@@ -167,9 +167,10 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 // AVX2 (tanh) or without AVX2+FMA (GELU) run the sfn:: functors.
 /// True when the fast tanh runs: the CPU has AVX2.
 bool fast_tanh_active();
-/// f64 lanes the GELU kernel runs on: 8 (AVX-512F), 4 (AVX2+FMA) or 1
-/// (the sfn::Gelu functor). Read-only; benches print it next to their
-/// rates because the tier moves them.
+/// f64 lanes the GELU and matmul kernels run on: 8 (AVX-512F), 4
+/// (AVX2+FMA) or 1 (the sfn::Gelu functor and the scalar matmul loop).
+/// Read-only; benches print it next to their rates because the tier moves
+/// them.
 int gelu_lanes();
 void map_unary(const real* a, real* out, int64_t n, sfn::Tanh);
 void map_unary(const real* a, real* out, int64_t n, sfn::Gelu);
@@ -192,17 +193,18 @@ bool gelu_avx512f(const double* a, double* out, int64_t n);
 bool gelu_avx512f(const float* a, float* out, int64_t n);
 }  // namespace detail
 
-// ---- FMA matmul tier ----
+// ---- FMA matmul tiers ----
 //
-// When the CPU has AVX2 and FMA, matmul dispatches to fused-multiply-add
-// micro-kernels (~2x arithmetic throughput on the width-64 GEMMs); each
-// output element is bitwise equal to the naive loop accumulating
-// std::fma(a, b, acc) in ascending k. Otherwise the scalar register-
-// blocked loop runs, bitwise equal to the naive `acc += a * b` loop.
-// Either way eager, replay, serial and threaded execution all share one
-// kernel, so intra-process parity invariants are unaffected.
-/// True when matmul runs the FMA tier: the CPU has AVX2 and FMA.
-bool fma_kernels_active();
+// matmul runs on the tier gelu_lanes() names: one register-blocked
+// fused-multiply-add micro-kernel, 8 rows × 16 f64 columns of zmm on
+// AVX-512F and 4 rows × 8 columns of ymm on AVX2+FMA (twice the columns at
+// f32). Each tier roughly doubles the arithmetic rate of the one below it
+// on the width-64 GEMMs, but every output element, at every shape, is
+// bitwise equal to the naive loop accumulating std::fma(a, b, acc) from
+// the bias in ascending k, so the two FMA tiers give the same bits. CPUs
+// with neither run the scalar register-blocked loop, bitwise equal to the
+// naive `acc += a * b` loop. Eager, replay, serial and threaded execution
+// all share one kernel, so intra-process parity invariants are unaffected.
 
 // ---- broadcast elementwise ----
 
@@ -325,13 +327,27 @@ void sum_axis(const float* src, float* dst, int64_t outer, int64_t n_axis,
 /// out is overwritten. Threads over rows of `a`.
 void matmul(const real* a, const real* b, const real* bias, real* out,
             int64_t m, int64_t k, int64_t n);
-/// f32 GEMM: 8-lane ps micro-kernel with FMA contraction when the CPU has
-/// it. Unlike the f64 tiers this path makes no bitwise promise against a
-/// scalar reference (the f32 policy is tolerance-gated); it is still
+/// f32 GEMM on the same tiers, 16 (AVX-512F) or 8 (AVX2+FMA) lanes. The
+/// f32 policy is tolerance-gated against f64, but each FMA tier is still
+/// bitwise equal to the naive std::fma loop in float, and every tier is
 /// deterministic and thread-count-invariant because rows partition the
 /// work and each output element accumulates in one thread in kk order.
 void matmul(const float* a, const float* b, const float* bias, float* out,
             int64_t m, int64_t k, int64_t n);
+
+namespace detail {
+/// Serial matmul on one tier's micro-kernel, whatever the widest tier is;
+/// for tests that compare the tiers. Returns false, writing nothing, when
+/// the CPU lacks the tier.
+bool matmul_avx2_fma(const double* a, const double* b, const double* bias,
+                     double* out, int64_t m, int64_t k, int64_t n);
+bool matmul_avx2_fma(const float* a, const float* b, const float* bias,
+                     float* out, int64_t m, int64_t k, int64_t n);
+bool matmul_avx512f(const double* a, const double* b, const double* bias,
+                    double* out, int64_t m, int64_t k, int64_t n);
+bool matmul_avx512f(const float* a, const float* b, const float* bias,
+                    float* out, int64_t m, int64_t k, int64_t n);
+}  // namespace detail
 
 /// out[n, m] = a[m, n]^T.
 void transpose(const real* a, real* out, int64_t m, int64_t n);

@@ -1,8 +1,10 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 
 namespace mf::util {
@@ -72,6 +74,17 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
   bad_value(name, v, "true/false/1/0/yes/no");
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::string program = argc > 0 && argv[0] ? argv[0] : "mosaicflow";
+    program.erase(0, program.find_last_of('/') + 1);
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), e.what());
+    return 2;
+  }
 }
 
 }  // namespace mf::util

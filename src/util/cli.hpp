@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for examples and benchmark binaries:
 // --name value or --name=value, plus boolean switches. A typed getter
 // throws std::invalid_argument naming the flag and its value when the
-// value does not parse in full (`--m abc`, `--iters 8x`, `--smoke maybe`).
+// value does not parse in full (`--m abc`, `--iters 8x`, `--smoke maybe`);
+// run_main turns that, or any other std::exception, into one line on
+// stderr and exit status 2.
 #pragma once
 
 #include <cstdint>
@@ -23,5 +25,11 @@ class CliArgs {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Runs the body of a bench or example main and returns its status. A
+/// std::exception escaping it (a malformed flag, an impossible geometry, a
+/// bad MF_* variable) prints one "<program>: <what()>" line to stderr and
+/// returns 2 instead of aborting.
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace mf::util

@@ -17,6 +17,7 @@
 #include "ad/kernels.hpp"
 #include "ad/ops.hpp"
 #include "gelu_checks.hpp"
+#include "matmul_checks.hpp"
 #include "util/rng.hpp"
 
 namespace ad = mf::ad;
@@ -187,12 +188,15 @@ TEST(Kernels, MatmulSerialVsThreadedParity) {
 }
 
 TEST(Kernels, MatmulBlockedPathMatchesNaive) {
-  // Shapes straddling the cache-block tile sizes (kTileK = 64,
-  // kTileN = 512) so the blocked path and its partial edge tiles are
-  // actually exercised; the claim under test is bitwise identity with
-  // the naive i-k-j loop of the tier the host runs: std::fma accumulation
-  // on the FMA tier, `acc += a * b` on the scalar loop.
-  const bool fma = kernels::fma_kernels_active();
+  // Shapes straddling the scalar tier's cache-block tile sizes (kTileK =
+  // 64, kTileN = 512) so its blocked path and partial edge tiles are
+  // exercised; on FMA hosts the register micro-kernel runs them all. The
+  // claim under test is bitwise identity with the naive i-k-j loop of the
+  // tier the host runs: std::fma accumulation on the FMA tiers, `acc += a
+  // * b` skipping zero a-elements on the scalar loop. Each shape runs once
+  // more with a[0][0] = 0 and b[0][0] = +inf, where the two differ: 0 · inf
+  // is NaN in std::fma, and nothing in the scalar loop.
+  const bool fma = kernels::gelu_lanes() > 1;
   const std::array<std::array<int64_t, 3>, 9> shapes = {{
       {3, 65, 513},   // both dims one past a tile boundary
       {4, 64, 512},   // exactly one tile (fast path)
@@ -208,31 +212,57 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
       {7, 5, 7},      // 4-strip + 3-column tail, 3 remainder rows
   }};
   for (const auto& [m, k, n] : shapes) {
-    std::vector<mf::ad::real> a(static_cast<std::size_t>(m * k));
-    std::vector<mf::ad::real> b(static_cast<std::size_t>(k * n));
-    std::vector<mf::ad::real> bias(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::sin(0.1 * static_cast<double>(i));
-    for (std::size_t i = 0; i < b.size(); ++i) b[i] = std::cos(0.1 * static_cast<double>(i));
-    for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.01 * static_cast<double>(i);
-    std::vector<mf::ad::real> got(static_cast<std::size_t>(m * n));
-    kernels::matmul(a.data(), b.data(), bias.data(), got.data(), m, k, n);
-    // Independent naive reference with the same (ascending-kk) order.
-    std::vector<mf::ad::real> ref(static_cast<std::size_t>(m * n));
-    for (int64_t i = 0; i < m; ++i)
-      for (int64_t j = 0; j < n; ++j) {
-        mf::ad::real acc = bias[static_cast<std::size_t>(j)];
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const mf::ad::real av = a[static_cast<std::size_t>(i * k + kk)];
-          const mf::ad::real bv = b[static_cast<std::size_t>(kk * n + j)];
-          acc = fma ? std::fma(av, bv, acc) : acc + av * bv;
-        }
-        ref[static_cast<std::size_t>(i * n + j)] = acc;
+    for (const bool zero_times_inf : {false, true}) {
+      std::vector<mf::ad::real> a(static_cast<std::size_t>(m * k));
+      std::vector<mf::ad::real> b(static_cast<std::size_t>(k * n));
+      std::vector<mf::ad::real> bias(static_cast<std::size_t>(n));
+      for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::sin(0.1 * static_cast<double>(i));
+      for (std::size_t i = 0; i < b.size(); ++i) b[i] = std::cos(0.1 * static_cast<double>(i));
+      for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = 0.01 * static_cast<double>(i);
+      if (zero_times_inf) {
+        a[0] = 0;
+        b[0] = std::numeric_limits<mf::ad::real>::infinity();
       }
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], ref[i]) << "m=" << m << " k=" << k << " n=" << n
-                                << " fma=" << fma << " flat index " << i;
+      std::vector<mf::ad::real> got(static_cast<std::size_t>(m * n));
+      kernels::matmul(a.data(), b.data(), bias.data(), got.data(), m, k, n);
+      // Independent naive reference with the same (ascending-kk) order.
+      std::vector<mf::ad::real> ref(static_cast<std::size_t>(m * n));
+      for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j) {
+          mf::ad::real acc = bias[static_cast<std::size_t>(j)];
+          for (int64_t kk = 0; kk < k; ++kk) {
+            const mf::ad::real av = a[static_cast<std::size_t>(i * k + kk)];
+            const mf::ad::real bv = b[static_cast<std::size_t>(kk * n + j)];
+            if (fma) {
+              acc = std::fma(av, bv, acc);
+            } else if (av != 0) {
+              acc = acc + av * bv;
+            }
+          }
+          ref[static_cast<std::size_t>(i * n + j)] = acc;
+        }
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(std::isnan(ref[i]) ? std::isnan(got[i]) : got[i] == ref[i])
+            << "m=" << m << " k=" << k << " n=" << n << " fma=" << fma
+            << " 0*inf=" << zero_times_inf << " flat index " << i << ": "
+            << got[i] << " vs " << ref[i];
+      }
     }
   }
+}
+
+// ---- matmul: one FMA micro-kernel per tier ----
+
+TEST(MatmulKernel, Avx2FmaTierMatchesNaiveFmaLoopF64) {
+  matmul_checks::expect_tier_matches_naive<double>(4);
+}
+
+TEST(MatmulKernel, Avx512fTierMatchesNaiveFmaLoopF64) {
+  matmul_checks::expect_tier_matches_naive<double>(8);
+}
+
+TEST(MatmulKernel, EntrySerialThreadedAndWidestTierAgreeF64) {
+  matmul_checks::expect_entry_serial_threaded_and_tier_agree<double>();
 }
 
 TEST(Kernels, SumAxisAndTransposeParity) {

@@ -27,6 +27,7 @@
 #include "ad/scalar_fns.hpp"
 #include "gelu_checks.hpp"
 #include "gp/dataset.hpp"
+#include "matmul_checks.hpp"
 #include "mosaic/subdomain_solver.hpp"
 #include "mosaic/trainer.hpp"
 #include "optim/optimizers.hpp"
@@ -198,6 +199,18 @@ TEST(Precision, FloatGeluSpecialValues) {
 
 TEST(Precision, FloatGeluAvx2AndAvx512LanesAgreeBitwise) {
   gelu_checks::expect_tiers_agree<float>();
+}
+
+TEST(Precision, FloatMatmulAvx2FmaTierMatchesNaiveFmaLoop) {
+  matmul_checks::expect_tier_matches_naive<float>(4);
+}
+
+TEST(Precision, FloatMatmulAvx512fTierMatchesNaiveFmaLoop) {
+  matmul_checks::expect_tier_matches_naive<float>(8);
+}
+
+TEST(Precision, FloatMatmulEntrySerialThreadedAndWidestTierAgree) {
+  matmul_checks::expect_entry_serial_threaded_and_tier_agree<float>();
 }
 
 // ---------------------------------------------------------------------
