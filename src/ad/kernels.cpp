@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -260,88 +261,34 @@ void sum_axis(const float* src, float* dst, int64_t outer, int64_t n_axis,
 constexpr int64_t kTileK = 64;
 constexpr int64_t kTileN = 512;
 
-#ifdef MF_HAVE_AVX2_KERNELS
-static bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
-static bool cpu_has_fma() {
-  static const bool has = __builtin_cpu_supports("fma");
-  return has;
-}
-
-/// 4-lane body of binary_block; `op` selects the instruction outside the
-/// vector loop. Scalar tail for n % 4.
-__attribute__((target("avx2"))) static void binary_block_avx2(
-    const real* a, const real* b, real* out, int64_t n, BinaryOp op) {
-  int64_t i = 0;
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                                _mm256_loadu_pd(b + i)));
-      for (; i < n; ++i) out[i] = a[i] + b[i];
-      break;
-    case BinaryOp::kSub:
-      for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i, _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                                _mm256_loadu_pd(b + i)));
-      for (; i < n; ++i) out[i] = a[i] - b[i];
-      break;
-    case BinaryOp::kMul:
-      for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                                _mm256_loadu_pd(b + i)));
-      for (; i < n; ++i) out[i] = a[i] * b[i];
-      break;
-    case BinaryOp::kDiv:
-      for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i, _mm256_div_pd(_mm256_loadu_pd(a + i),
-                                                _mm256_loadu_pd(b + i)));
-      for (; i < n; ++i) out[i] = a[i] / b[i];
-      break;
-  }
-}
-
-/// 8-lane ps twin of binary_block_avx2. Per-lane IEEE ops, so the vector
-/// body and the scalar tail produce identical float bits.
-__attribute__((target("avx2"))) static void binary_block_avx2_f(
-    const float* a, const float* b, float* out, int64_t n, BinaryOp op) {
-  int64_t i = 0;
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      for (; i < n; ++i) out[i] = a[i] + b[i];
-      break;
-    case BinaryOp::kSub:
-      for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      for (; i < n; ++i) out[i] = a[i] - b[i];
-      break;
-    case BinaryOp::kMul:
-      for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      for (; i < n; ++i) out[i] = a[i] * b[i];
-      break;
-    case BinaryOp::kDiv:
-      for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(out + i, _mm256_div_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      for (; i < n; ++i) out[i] = a[i] / b[i];
-      break;
-  }
-}
-#endif  // MF_HAVE_AVX2_KERNELS
-
 namespace {
+
+// ---- the functor loops: the scalar tier, and on every tier the ops
+// with no lane formula ----
+
 template <typename T>
-void binary_block_scalar(const T* a, const T* b, T* out, int64_t n,
-                         BinaryOp op) {
+void unary_functors(const T* a, T* out, int64_t n, UnaryOp op, real s) {
+  auto run = [&](auto f) {
+    for (int64_t i = 0; i < n; ++i) out[i] = f(a[i]);
+  };
+  switch (op) {
+    case UnaryOp::kAddScalar: run(sfn::AddScalar{s}); break;
+    case UnaryOp::kMulScalar: run(sfn::MulScalar{s}); break;
+    case UnaryOp::kPowScalar: run(sfn::PowScalar{s}); break;
+    case UnaryOp::kNeg: run(sfn::Neg{}); break;
+    case UnaryOp::kExp: run(sfn::Exp{}); break;
+    case UnaryOp::kLog: run(sfn::Log{}); break;
+    case UnaryOp::kSqrt: run(sfn::Sqrt{}); break;
+    case UnaryOp::kTanh: run(sfn::Tanh{}); break;
+    case UnaryOp::kAbs: run(sfn::Abs{}); break;
+    case UnaryOp::kSign: run(sfn::Sign{}); break;
+    case UnaryOp::kGelu: run(sfn::Gelu{}); break;
+  }
+}
+
+template <typename T>
+void binary_functors(const T* a, const T* b, T* out, int64_t n,
+                     BinaryOp op) {
   auto run = [&](auto f) {
     for (int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
   };
@@ -353,81 +300,102 @@ void binary_block_scalar(const T* a, const T* b, T* out, int64_t n,
   }
 }
 
+/// The scalar matmul tier, serial over `rows` rows: every output element
+/// accumulates acc + a[i][kk]·b[kk][j] from its bias (or +0) in ascending
+/// kk, so both paths below give the bits of the naive i-k-j loop. The
+/// tiling gate blocks only when b overflows one tile's cache footprint
+/// (k·n > kTileK·kTileN elements): narrow GEMMs keep the register-blocked
+/// loop, whose single pass over `out` beats two whenever b is already
+/// cache-resident.
 template <typename T>
-void map_binary_blocks(const T* a, const T* b, T* out, int64_t n,
-                       BinaryOp op) {
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    binary_block(a + begin, b + begin, out + begin, end - begin, op);
-  });
-}
-}  // namespace
-
-void binary_block(const real* a, const real* b, real* out, int64_t n,
-                  BinaryOp op) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (cpu_has_avx2()) {
-    binary_block_avx2(a, b, out, n, op);
+void matmul_scalar(const T* a, const T* b, const T* bias, T* out,
+                   int64_t rows, int64_t k, int64_t n) {
+  if (k * n <= kTileK * kTileN) {
+    // Four rows of a share every b load, and each row's 4-column
+    // accumulator strip stays in registers across the whole k loop: 16
+    // accumulators fit the baseline 16-register SSE2 budget, leaving room
+    // for the shared b loads and the four row broadcasts.
+    constexpr int64_t kRb = 4;  // rows of a per micro-tile
+    constexpr int64_t kJb = 4;  // columns of out per accumulator strip
+    int64_t i0 = 0;
+    for (; i0 + kRb <= rows; i0 += kRb) {
+      const T* a0 = a + (i0 + 0) * k;
+      const T* a1 = a + (i0 + 1) * k;
+      const T* a2 = a + (i0 + 2) * k;
+      const T* a3 = a + (i0 + 3) * k;
+      for (int64_t j0 = 0; j0 < n; j0 += kJb) {
+        T acc0[kJb], acc1[kJb], acc2[kJb], acc3[kJb];
+        // `w` is a compile-time kJb on whole strips, so their loops unroll.
+        auto strip = [&](auto w) {
+          for (int64_t j = 0; j < w; ++j) {
+            acc0[j] = acc1[j] = acc2[j] = acc3[j] = bias ? bias[j0 + j] : T(0);
+          }
+          for (int64_t kk = 0; kk < k; ++kk) {
+            const T* brow = b + kk * n + j0;
+            const T av0 = a0[kk], av1 = a1[kk], av2 = a2[kk], av3 = a3[kk];
+            for (int64_t j = 0; j < w; ++j) acc0[j] += av0 * brow[j];
+            for (int64_t j = 0; j < w; ++j) acc1[j] += av1 * brow[j];
+            for (int64_t j = 0; j < w; ++j) acc2[j] += av2 * brow[j];
+            for (int64_t j = 0; j < w; ++j) acc3[j] += av3 * brow[j];
+          }
+          T* orow = out + i0 * n + j0;
+          for (int64_t j = 0; j < w; ++j) orow[j] = acc0[j];
+          for (int64_t j = 0; j < w; ++j) orow[n + j] = acc1[j];
+          for (int64_t j = 0; j < w; ++j) orow[2 * n + j] = acc2[j];
+          for (int64_t j = 0; j < w; ++j) orow[3 * n + j] = acc3[j];
+        };
+        if (j0 + kJb <= n) {
+          strip(std::integral_constant<int64_t, kJb>{});
+        } else {
+          strip(n - j0);
+        }
+      }
+    }
+    // Remainder rows (< kRb): the naive per-row loop.
+    for (int64_t i = i0; i < rows; ++i) {
+      const T* arow = a + i * k;
+      T* orow = out + i * n;
+      for (int64_t j = 0; j < n; ++j) orow[j] = bias ? bias[j] : T(0);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const T av = arow[kk];
+        const T* brow = b + kk * n;
+        for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      }
+    }
     return;
   }
-#endif
-  binary_block_scalar(a, b, out, n, op);
-}
-
-void binary_block(const float* a, const float* b, float* out, int64_t n,
-                  BinaryOp op) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (cpu_has_avx2()) {
-    binary_block_avx2_f(a, b, out, n, op);
-    return;
+  // Blocked i-k-j: for each (k, n) tile of b, stream all rows over it
+  // before moving on, so the tile is loaded once per call instead of once
+  // per row. For fixed (i, j), kk still runs in ascending order.
+  for (int64_t i = 0; i < rows; ++i) {
+    T* orow = out + i * n;
+    for (int64_t j = 0; j < n; ++j) orow[j] = bias ? bias[j] : T(0);
   }
-#endif
-  binary_block_scalar(a, b, out, n, op);
+  for (int64_t kk0 = 0; kk0 < k; kk0 += kTileK) {
+    const int64_t kk1 = std::min(k, kk0 + kTileK);
+    for (int64_t j0 = 0; j0 < n; j0 += kTileN) {
+      const int64_t j1 = std::min(n, j0 + kTileN);
+      for (int64_t i = 0; i < rows; ++i) {
+        const T* arow = a + i * k;
+        T* orow = out + i * n;
+        for (int64_t kk = kk0; kk < kk1; ++kk) {
+          const T av = arow[kk];
+          const T* brow = b + kk * n;
+          for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
+        }
+      }
+    }
+  }
 }
 
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Add) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kAdd);
-}
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Sub) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kSub);
-}
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Mul) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kMul);
-}
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Div) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kDiv);
-}
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Add) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kAdd);
-}
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Sub) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kSub);
-}
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Mul) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kMul);
-}
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Div) {
-  map_binary_blocks(a, b, out, n, BinaryOp::kDiv);
-}
-
-// ---- fast tanh ----
+// ---- the vector tiers: lane formulas over a per-ISA ops struct ----
 //
-// Cephes-style double-precision tanh (rational minimax on |x| < 0.625,
-// exp-based elsewhere, saturated past 19.0625), run by the tanh activation
-// and by GELU's compositional backward. The scalar remainder routine below
-// replicates the vector lane operation-for-operation — same polynomial
-// order, same round-to-nearest for the exp exponent, same exact 2^n
-// scaling, no FMA on either side (neither calls one, and the build pins
-// -ffp-contract=off so the compiler fuses none) — so a given input
-// produces the same bits regardless of whether a 4-lane group or the tail
-// computed it. That property is what keeps threaded/serial and
-// eager/replay comparisons bitwise stable.
+// Each formula is written once as a template over an ops struct (Avx2F64,
+// Avx2F32, Avx512F64, Avx512F32 below). Ops calls write their first
+// argument, and no vector passes by value, so the templates themselves
+// need no target attribute.
 
-namespace {
-
+// Cephes tanh and exp coefficients (f32 narrows each to float once).
 constexpr double kTanhSmall = 0.625;
 constexpr double kTanhSat = 19.0625;
 // tanh rational coefficients (numerator P, monic denominator Q).
@@ -449,323 +417,11 @@ constexpr double kLog2E = 1.4426950408889634073599;
 constexpr double kExpC1 = 6.93145751953125e-1;
 constexpr double kExpC2 = 1.42860682030941723212e-6;
 
-// exp(x) for x in the reduced tanh range [1.25, 2*kTanhSat); not a
-// general exp (no overflow/underflow handling — callers bound the arg).
-inline double fast_exp_scalar(double x) {
-  const double n = std::nearbyint(x * kLog2E);
-  x = x - n * kExpC1;
-  x = x - n * kExpC2;
-  const double z = x * x;
-  const double px = x * ((kEP0 * z + kEP1) * z + kEP2);
-  const double qx = ((kEQ0 * z + kEQ1) * z + kEQ2) * z + kEQ3;
-  const double r = 1.0 + 2.0 * (px / (qx - px));
-  // Exact 2^n scaling via exponent-field construction, mirroring the
-  // vector lane's integer build of the scale factor.
-  return r * std::ldexp(1.0, static_cast<int>(n));
-}
-
-inline double fast_tanh_scalar(double x) {
-  const double ax = std::fabs(x);
-  if (ax < kTanhSmall) {
-    const double z = x * x;
-    const double num = (kTP0 * z + kTP1) * z + kTP2;
-    const double den = ((z + kTQ0) * z + kTQ1) * z + kTQ2;
-    return x + (x * z) * (num / den);
-  }
-  if (ax != ax) return x;  // NaN propagates (cannot reach the bit casts)
-  double large = 1.0;
-  if (!(ax >= kTanhSat)) {
-    const double e = fast_exp_scalar(ax + ax);
-    large = 1.0 - 2.0 / (e + 1.0);
-  }
-  return std::copysign(large, x);
-}
-
-// ---- float twins ----
-//
-// Every constant is the double Cephes table narrowed through the element
-// type — no double arithmetic hides inside the float path (the satellite
-// float-narrowing rule), and the rational forms are already far more
-// accurate than float eps. The exponent scaling builds a float via
-// (n + 127) << 23, mirroring the double path's (n + 1023) << 52. As with
-// the double tier, the scalar tail replicates the lane ops exactly, so an
-// element's value never depends on which chunk or lane computed it.
-
-constexpr float kTanhSmallF = static_cast<float>(kTanhSmall);
-constexpr float kTanhSatF = static_cast<float>(kTanhSat);
-constexpr float kTP0F = static_cast<float>(kTP0);
-constexpr float kTP1F = static_cast<float>(kTP1);
-constexpr float kTP2F = static_cast<float>(kTP2);
-constexpr float kTQ0F = static_cast<float>(kTQ0);
-constexpr float kTQ1F = static_cast<float>(kTQ1);
-constexpr float kTQ2F = static_cast<float>(kTQ2);
-constexpr float kEP0F = static_cast<float>(kEP0);
-constexpr float kEP1F = static_cast<float>(kEP1);
-constexpr float kEP2F = static_cast<float>(kEP2);
-constexpr float kEQ0F = static_cast<float>(kEQ0);
-constexpr float kEQ1F = static_cast<float>(kEQ1);
-constexpr float kEQ2F = static_cast<float>(kEQ2);
-constexpr float kEQ3F = static_cast<float>(kEQ3);
-constexpr float kLog2EF = static_cast<float>(kLog2E);
-constexpr float kExpC1F = static_cast<float>(kExpC1);
-constexpr float kExpC2F = static_cast<float>(kExpC2);
-
-// exp(x) for the reduced tanh range; n stays below 56, so the float
-// exponent field cannot overflow.
-inline float fast_exp_scalar_f(float x) {
-  const float n = std::nearbyint(x * kLog2EF);
-  x = x - n * kExpC1F;
-  x = x - n * kExpC2F;
-  const float z = x * x;
-  const float px = x * ((kEP0F * z + kEP1F) * z + kEP2F);
-  const float qx = ((kEQ0F * z + kEQ1F) * z + kEQ2F) * z + kEQ3F;
-  const float r = 1.0f + 2.0f * (px / (qx - px));
-  return r * std::ldexp(1.0f, static_cast<int>(n));
-}
-
-inline float fast_tanh_scalar_f(float x) {
-  const float ax = std::fabs(x);
-  if (ax < kTanhSmallF) {
-    const float z = x * x;
-    const float num = (kTP0F * z + kTP1F) * z + kTP2F;
-    const float den = ((z + kTQ0F) * z + kTQ1F) * z + kTQ2F;
-    return x + (x * z) * (num / den);
-  }
-  if (ax != ax) return x;  // NaN propagates (cannot reach the bit casts)
-  float large = 1.0f;
-  if (!(ax >= kTanhSatF)) {
-    const float e = fast_exp_scalar_f(ax + ax);
-    large = 1.0f - 2.0f / (e + 1.0f);
-  }
-  return std::copysign(large, x);
-}
-
-}  // namespace
-
-bool fast_tanh_active() {
-#ifdef MF_HAVE_AVX2_KERNELS
-  return cpu_has_avx2();
-#else
-  return false;
-#endif
-}
-
-#ifdef MF_HAVE_AVX2_KERNELS
-__attribute__((target("avx2"))) static inline __m256d fast_exp_pd(__m256d x) {
-  const __m256d n = _mm256_round_pd(
-      _mm256_mul_pd(x, _mm256_set1_pd(kLog2E)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  x = _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(kExpC1)));
-  x = _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(kExpC2)));
-  const __m256d z = _mm256_mul_pd(x, x);
-  const __m256d px = _mm256_mul_pd(
-      x, _mm256_add_pd(
-             _mm256_mul_pd(
-                 _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kEP0), z),
-                               _mm256_set1_pd(kEP1)),
-                 z),
-             _mm256_set1_pd(kEP2)));
-  const __m256d qx = _mm256_add_pd(
-      _mm256_mul_pd(
-          _mm256_add_pd(
-              _mm256_mul_pd(
-                  _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kEQ0), z),
-                                _mm256_set1_pd(kEQ1)),
-                  z),
-              _mm256_set1_pd(kEQ2)),
-          z),
-      _mm256_set1_pd(kEQ3));
-  const __m256d r = _mm256_add_pd(
-      _mm256_set1_pd(1.0),
-      _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_div_pd(px, _mm256_sub_pd(qx, px))));
-  // 2^n: n is integral and small (|n| < 64 in the tanh range), so the
-  // int32 convert is exact and the exponent field cannot overflow.
-  const __m128i ni = _mm256_cvtpd_epi32(n);
-  const __m256i ni64 = _mm256_cvtepi32_epi64(ni);
-  const __m256i bits =
-      _mm256_slli_epi64(_mm256_add_epi64(ni64, _mm256_set1_epi64x(1023)), 52);
-  return _mm256_mul_pd(r, _mm256_castsi256_pd(bits));
-}
-
-__attribute__((target("avx2"))) static inline __m256d fast_tanh_pd(__m256d x) {
-  const __m256d signmask = _mm256_set1_pd(-0.0);
-  const __m256d sign = _mm256_and_pd(x, signmask);
-  const __m256d ax = _mm256_andnot_pd(signmask, x);
-  // |x| < 0.625: x + x*z*P(z)/Q(z)
-  const __m256d z = _mm256_mul_pd(x, x);
-  const __m256d num = _mm256_add_pd(
-      _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kTP0), z),
-                                  _mm256_set1_pd(kTP1)),
-                    z),
-      _mm256_set1_pd(kTP2));
-  const __m256d den = _mm256_add_pd(
-      _mm256_mul_pd(
-          _mm256_add_pd(
-              _mm256_mul_pd(_mm256_add_pd(z, _mm256_set1_pd(kTQ0)), z),
-              _mm256_set1_pd(kTQ1)),
-          z),
-      _mm256_set1_pd(kTQ2));
-  const __m256d small = _mm256_add_pd(
-      x, _mm256_mul_pd(_mm256_mul_pd(x, z), _mm256_div_pd(num, den)));
-  // |x| >= 0.625: 1 - 2/(exp(2|x|) + 1), saturated past kTanhSat.
-  const __m256d e = fast_exp_pd(_mm256_add_pd(ax, ax));
-  __m256d large = _mm256_sub_pd(
-      _mm256_set1_pd(1.0),
-      _mm256_div_pd(_mm256_set1_pd(2.0),
-                    _mm256_add_pd(e, _mm256_set1_pd(1.0))));
-  const __m256d sat = _mm256_cmp_pd(ax, _mm256_set1_pd(kTanhSat), _CMP_GE_OQ);
-  large = _mm256_blendv_pd(large, _mm256_set1_pd(1.0), sat);
-  large = _mm256_or_pd(large, sign);
-  const __m256d small_mask =
-      _mm256_cmp_pd(ax, _mm256_set1_pd(kTanhSmall), _CMP_LT_OQ);
-  return _mm256_blendv_pd(large, small, small_mask);
-}
-
-__attribute__((target("avx2"))) static void tanh_block_avx2(const real* a,
-                                                            real* out,
-                                                            int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(out + i, fast_tanh_pd(_mm256_loadu_pd(a + i)));
-  for (; i < n; ++i) out[i] = fast_tanh_scalar(a[i]);
-}
-
-// 8-lane float twins of the pd tanh tier. Same structure, float-narrowed
-// constants, and the 2^n scale built in the float exponent field.
-__attribute__((target("avx2"))) static inline __m256 fast_exp_ps(__m256 x) {
-  const __m256 n = _mm256_round_ps(
-      _mm256_mul_ps(x, _mm256_set1_ps(kLog2EF)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  x = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(kExpC1F)));
-  x = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(kExpC2F)));
-  const __m256 z = _mm256_mul_ps(x, x);
-  const __m256 px = _mm256_mul_ps(
-      x, _mm256_add_ps(
-             _mm256_mul_ps(
-                 _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kEP0F), z),
-                               _mm256_set1_ps(kEP1F)),
-                 z),
-             _mm256_set1_ps(kEP2F)));
-  const __m256 qx = _mm256_add_ps(
-      _mm256_mul_ps(
-          _mm256_add_ps(
-              _mm256_mul_ps(
-                  _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kEQ0F), z),
-                                _mm256_set1_ps(kEQ1F)),
-                  z),
-              _mm256_set1_ps(kEQ2F)),
-          z),
-      _mm256_set1_ps(kEQ3F));
-  const __m256 r = _mm256_add_ps(
-      _mm256_set1_ps(1.0f),
-      _mm256_mul_ps(_mm256_set1_ps(2.0f),
-                    _mm256_div_ps(px, _mm256_sub_ps(qx, px))));
-  // 2^n via (n + 127) << 23; n is integral and |n| < 56 in the tanh range.
-  const __m256i ni = _mm256_cvtps_epi32(n);
-  const __m256i bits =
-      _mm256_slli_epi32(_mm256_add_epi32(ni, _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(r, _mm256_castsi256_ps(bits));
-}
-
-__attribute__((target("avx2"))) static inline __m256 fast_tanh_ps(__m256 x) {
-  const __m256 signmask = _mm256_set1_ps(-0.0f);
-  const __m256 sign = _mm256_and_ps(x, signmask);
-  const __m256 ax = _mm256_andnot_ps(signmask, x);
-  // |x| < 0.625: x + x*z*P(z)/Q(z)
-  const __m256 z = _mm256_mul_ps(x, x);
-  const __m256 num = _mm256_add_ps(
-      _mm256_mul_ps(_mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kTP0F), z),
-                                  _mm256_set1_ps(kTP1F)),
-                    z),
-      _mm256_set1_ps(kTP2F));
-  const __m256 den = _mm256_add_ps(
-      _mm256_mul_ps(
-          _mm256_add_ps(
-              _mm256_mul_ps(_mm256_add_ps(z, _mm256_set1_ps(kTQ0F)), z),
-              _mm256_set1_ps(kTQ1F)),
-          z),
-      _mm256_set1_ps(kTQ2F));
-  const __m256 small = _mm256_add_ps(
-      x, _mm256_mul_ps(_mm256_mul_ps(x, z), _mm256_div_ps(num, den)));
-  // |x| >= 0.625: 1 - 2/(exp(2|x|) + 1), saturated past kTanhSat.
-  const __m256 e = fast_exp_ps(_mm256_add_ps(ax, ax));
-  __m256 large = _mm256_sub_ps(
-      _mm256_set1_ps(1.0f),
-      _mm256_div_ps(_mm256_set1_ps(2.0f),
-                    _mm256_add_ps(e, _mm256_set1_ps(1.0f))));
-  const __m256 sat = _mm256_cmp_ps(ax, _mm256_set1_ps(kTanhSatF), _CMP_GE_OQ);
-  large = _mm256_blendv_ps(large, _mm256_set1_ps(1.0f), sat);
-  large = _mm256_or_ps(large, sign);
-  const __m256 small_mask =
-      _mm256_cmp_ps(ax, _mm256_set1_ps(kTanhSmallF), _CMP_LT_OQ);
-  return _mm256_blendv_ps(large, small, small_mask);
-}
-
-__attribute__((target("avx2"))) static void tanh_block_avx2_f(const float* a,
-                                                              float* out,
-                                                              int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i, fast_tanh_ps(_mm256_loadu_ps(a + i)));
-  for (; i < n; ++i) out[i] = fast_tanh_scalar_f(a[i]);
-}
-
-#endif  // MF_HAVE_AVX2_KERNELS
-
-void map_unary(const real* a, real* out, int64_t n, sfn::Tanh) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    parallel_for(n, [&](int64_t begin, int64_t end) {
-      tanh_block_avx2(a + begin, out + begin, end - begin);
-    });
-    return;
-  }
-#endif
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = sfn::Tanh{}(a[i]);
-  });
-}
-
-void tanh_block_inplace(real* x, int64_t n) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    tanh_block_avx2(x, x, n);
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) x[i] = sfn::Tanh{}(x[i]);
-}
-
-void map_unary(const float* a, float* out, int64_t n, sfn::Tanh) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    parallel_for(n, [&](int64_t begin, int64_t end) {
-      tanh_block_avx2_f(a + begin, out + begin, end - begin);
-    });
-    return;
-  }
-#endif
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = sfn::Tanh{}(a[i]);
-  });
-}
-
-void tanh_block_inplace(float* x, int64_t n) {
-#ifdef MF_HAVE_AVX2_KERNELS
-  if (fast_tanh_active()) {
-    tanh_block_avx2_f(x, x, n);
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) x[i] = sfn::Tanh{}(x[i]);
-}
-
 // ---- GELU: x / (1 + exp(t)) ----
 //
 // gelu(x) = 0.5·x·(1 + tanh(u)) with u = √(2/π)·(x + 0.044715·x³) equals
 // x / (1 + e^t) with t = −2u = x·(a + b·x²), a = −2·√(2/π), b = a·0.044715:
-// one divide and no tanh. One lane formula, written once over a small
-// per-ISA ops struct, evaluates it:
+// one divide and no tanh. The lane formula:
 //   t = x·fma(b, x², a), clamped to ±708 (f32: ±87);
 //   k = fma(t, log2e, S) with S = 1.5·2^52 + 1023 (f32: 1.5·2^23 + 127),
 //     so n = k − S = round(t·log2e) and bits(k) << 52 (f32: << 23) = 2^n;
@@ -773,13 +429,6 @@ void tanh_block_inplace(float* x, int64_t n) {
 //     the Taylor coefficients (degree 12; f32: degree 7);
 //   gelu = x / (1 + exp(r)·2^n), or x·0 where t hit the upper clamp, which
 //     keeps gelu(+inf) = +inf, gelu(−inf) = NaN and gelu(x ≤ −30) = −0.
-// Every step is one IEEE operation, so the 4-lane AVX2+FMA and the 8-lane
-// AVX-512F f64 tiers (8 and 16 lanes at f32) give the same bits, and tails
-// run through the same lanes by masked loads and stores: an element's value
-// never depends on its chunk. CPUs with neither tier run the sfn::Gelu
-// functor (std::tanh).
-
-namespace {
 
 template <typename T>
 struct GeluConsts;
@@ -801,10 +450,10 @@ struct GeluConsts<float> {
   static constexpr float kA = -2 * sfn::gelu_coeff<float>;
   static constexpr float kB = kA * sfn::gelu_cubic<float>;
   static constexpr float kClamp = 87;
-  static constexpr float kLog2e = kLog2EF;
+  static constexpr float kLog2e = static_cast<float>(kLog2E);
   static constexpr float kShift = 0x1.8p23f + 127;
-  static constexpr float kLn2Hi = kExpC1F;
-  static constexpr float kLn2Lo = kExpC2F;
+  static constexpr float kLn2Hi = static_cast<float>(kExpC1);
+  static constexpr float kLn2Lo = static_cast<float>(kExpC2);
   static constexpr int kDegree = 7;
 };
 
@@ -827,8 +476,7 @@ inline void exp_poly(typename O::V& p, const typename O::V& r,
   ((O::set1(c, inv_factorial<T>(kDeg - 1 - I)), O::fma(p, p, r, c)), ...);
 }
 
-/// gelu on every lane of x, in place. Ops calls write their first argument
-/// (no vector passes by value, so the template itself needs no target).
+/// gelu on every lane of x, in place.
 template <class O>
 inline void gelu_lane(typename O::V& x) {
   using T = typename O::T;
@@ -864,21 +512,214 @@ inline void gelu_lane(typename O::V& x) {
   O::select(x, over, c0, p);
 }
 
+// ---- tanh: Cephes-style, without FMA ----
+//
+// tanh(x) = x + x·z·P(z)/Q(z), z = x², below |x| = 0.625, else
+// 1 − 2/(exp(2|x|) + 1) with x's sign, and ±1 from |x| = 19.0625 on. The
+// exp is Cephes' rational one: n = round(y·log2e) by a round op, then
+// r = y − n·ln2_hi − n·ln2_lo and exp(r) = 1 + 2·r·P(r²)/(Q(r²) − r·P(r²)),
+// scaled by 2^n from bits(n + S) as in GELU (n + S is exact). Each step is
+// one IEEE operation and none is an FMA: the -ffp-contract=off build keeps
+// it so, and GELU's fused shifter fma(y, log2e, S) would round once where
+// round(y·log2e) rounds twice. f32 runs the same steps on the f64
+// coefficients narrowed to float.
+
+/// p = (…(c0·z + c1)·z + …)·z + cN by separate multiplies and adds, each
+/// coefficient narrowed to the element width.
+template <class O, typename... D>
+inline void horner(typename O::V& p, const typename O::V& z, double c0,
+                   D... cs) {
+  using T = typename O::T;
+  typename O::V c;
+  O::set1(p, static_cast<T>(c0));
+  ((O::mul(p, p, z), O::set1(c, static_cast<T>(cs)), O::add(p, p, c)), ...);
+}
+
+/// exp(y) on every lane, in place, for y in tanh's range [1.25, 38.125).
 template <class O>
-inline void gelu_span(const typename O::T* a, typename O::T* out, int64_t n) {
-  typename O::V x;
+inline void tanh_exp(typename O::V& y) {
+  using T = typename O::T;
+  typename O::V n, z, p, q, c;
+  O::set1(c, static_cast<T>(kLog2E));
+  O::mul(n, y, c);
+  O::round(n, n);
+  O::set1(c, static_cast<T>(kExpC1));
+  O::mul(c, n, c);
+  O::sub(y, y, c);
+  O::set1(c, static_cast<T>(kExpC2));
+  O::mul(c, n, c);
+  O::sub(y, y, c);
+  O::mul(z, y, y);
+  horner<O>(p, z, kEP0, kEP1, kEP2);
+  O::mul(p, y, p);
+  horner<O>(q, z, kEQ0, kEQ1, kEQ2, kEQ3);
+  O::sub(q, q, p);
+  O::div(p, p, q);
+  O::set1(c, T(2));
+  O::mul(p, c, p);
+  O::set1(c, T(1));
+  O::add(p, c, p);
+  O::set1(c, GeluConsts<T>::kShift);
+  O::add(n, n, c);
+  O::pow2(n, n);
+  O::mul(y, p, n);
+}
+
+/// tanh on every lane of x, in place.
+template <class O>
+inline void tanh_lane(typename O::V& x) {
+  using T = typename O::T;
+  typename O::V sign, ax, z, small, large, q, one, c;
+  typename O::M mask;
+  O::set1(c, T(-0.0));
+  O::and_(sign, x, c);
+  O::andnot(ax, c, x);
+  // |x| < 0.625: x + x·z·(P(z)/Q(z)).
+  O::mul(z, x, x);
+  horner<O>(small, z, kTP0, kTP1, kTP2);
+  horner<O>(q, z, 1.0, kTQ0, kTQ1, kTQ2);
+  O::div(small, small, q);
+  O::mul(q, x, z);
+  O::mul(small, q, small);
+  O::add(small, x, small);
+  // |x| >= 0.625: 1 − 2/(exp(2|x|) + 1), and 1 from kTanhSat on.
+  O::add(large, ax, ax);
+  tanh_exp<O>(large);
+  O::set1(one, T(1));
+  O::add(large, large, one);
+  O::set1(c, T(2));
+  O::div(large, c, large);
+  O::sub(large, one, large);
+  O::set1(c, static_cast<T>(kTanhSat));
+  O::ge(mask, ax, c);
+  O::select(large, mask, one, large);
+  O::set1(c, static_cast<T>(kTanhSmall));
+  O::ge(mask, ax, c);
+  O::select(x, mask, large, small);
+  // x's sign: the small branch has it already, except that it maps −0 to
+  // +0.
+  O::or_(x, x, sign);
+}
+
+// ---- one span and one opcode switch per family ----
+
+/// op on every lane of x, in place; `s` is the broadcast scalar operand.
+template <class O, UnaryOp Op>
+inline void unary_lane(typename O::V& x,
+                       [[maybe_unused]] const typename O::V& s) {
+  using T = typename O::T;
+  typename O::V m;
+  if constexpr (Op == UnaryOp::kAddScalar) {
+    O::add(x, x, s);
+  } else if constexpr (Op == UnaryOp::kMulScalar) {
+    O::mul(x, x, s);
+  } else if constexpr (Op == UnaryOp::kNeg) {
+    O::set1(m, T(-0.0));
+    O::xor_(x, x, m);
+  } else if constexpr (Op == UnaryOp::kAbs) {
+    O::set1(m, T(-0.0));
+    O::andnot(x, m, x);
+  } else if constexpr (Op == UnaryOp::kSqrt) {
+    O::sqrt(x, x);
+  } else if constexpr (Op == UnaryOp::kTanh) {
+    tanh_lane<O>(x);
+  } else {
+    static_assert(Op == UnaryOp::kGelu);
+    gelu_lane<O>(x);
+  }
+}
+
+/// out[i] = op(a[i]) over [0, n): whole vectors, then the tail through
+/// masked lanes. Returns true, for unary_lanes' switch.
+template <class O, UnaryOp Op>
+inline bool unary_span(const typename O::T* a, typename O::T* out, int64_t n,
+                       typename O::T s) {
+  typename O::V x, c;
+  O::set1(c, s);
   int64_t i = 0;
   for (; i + O::kLanes <= n; i += O::kLanes) {
     O::load(x, a + i);
-    gelu_lane<O>(x);
+    unary_lane<O, Op>(x, c);
     O::store(out + i, x);
   }
   if (i < n) {
     typename O::Tail m;
     O::tail(m, n - i);
     O::load(x, a + i, m);
-    gelu_lane<O>(x);
+    unary_lane<O, Op>(x, c);
     O::store(out + i, x, m);
+  }
+  return true;
+}
+
+/// unary_span for `op`; false, writing nothing, for the ops with no lane
+/// formula.
+template <class O>
+inline bool unary_lanes(const typename O::T* a, typename O::T* out,
+                        int64_t n, UnaryOp op, typename O::T s) {
+  using U = UnaryOp;
+  switch (op) {
+    case U::kAddScalar: return unary_span<O, U::kAddScalar>(a, out, n, s);
+    case U::kMulScalar: return unary_span<O, U::kMulScalar>(a, out, n, s);
+    case U::kNeg: return unary_span<O, U::kNeg>(a, out, n, s);
+    case U::kSqrt: return unary_span<O, U::kSqrt>(a, out, n, s);
+    case U::kTanh: return unary_span<O, U::kTanh>(a, out, n, s);
+    case U::kAbs: return unary_span<O, U::kAbs>(a, out, n, s);
+    case U::kGelu: return unary_span<O, U::kGelu>(a, out, n, s);
+    case U::kPowScalar:
+    case U::kExp:
+    case U::kLog:
+    case U::kSign:
+      return false;
+  }
+  return false;
+}
+
+/// x op y on every lane, into x.
+template <class O, BinaryOp Op>
+inline void binary_lane(typename O::V& x, const typename O::V& y) {
+  if constexpr (Op == BinaryOp::kAdd) {
+    O::add(x, x, y);
+  } else if constexpr (Op == BinaryOp::kSub) {
+    O::sub(x, x, y);
+  } else if constexpr (Op == BinaryOp::kMul) {
+    O::mul(x, x, y);
+  } else {
+    O::div(x, x, y);
+  }
+}
+
+/// out[i] = a[i] op b[i] over [0, n): whole vectors, then the tail through
+/// masked lanes.
+template <class O, BinaryOp Op>
+inline void binary_span(const typename O::T* a, const typename O::T* b,
+                        typename O::T* out, int64_t n) {
+  typename O::V x, y;
+  int64_t i = 0;
+  for (; i + O::kLanes <= n; i += O::kLanes) {
+    O::load(x, a + i);
+    O::load(y, b + i);
+    binary_lane<O, Op>(x, y);
+    O::store(out + i, x);
+  }
+  if (i < n) {
+    typename O::Tail m;
+    O::tail(m, n - i);
+    O::load(x, a + i, m);
+    O::load(y, b + i, m);
+    binary_lane<O, Op>(x, y);
+    O::store(out + i, x, m);
+  }
+}
+
+template <class O>
+inline void binary_lanes(const typename O::T* a, const typename O::T* b,
+                         typename O::T* out, int64_t n, BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd: binary_span<O, BinaryOp::kAdd>(a, b, out, n); break;
+    case BinaryOp::kSub: binary_span<O, BinaryOp::kSub>(a, b, out, n); break;
+    case BinaryOp::kMul: binary_span<O, BinaryOp::kMul>(a, b, out, n); break;
+    case BinaryOp::kDiv: binary_span<O, BinaryOp::kDiv>(a, b, out, n); break;
   }
 }
 
@@ -987,15 +828,9 @@ inline void matmul_span(const typename O::T* a, const typename O::T* b,
     matmul_rows<O, 1>(a + i * k, b, bias, out + i * n, k, n, m);
   }
 }
-
 }  // namespace
 
 #ifdef MF_HAVE_AVX2_KERNELS
-static bool cpu_has_avx512f() {
-  static const bool has = __builtin_cpu_supports("avx512f");
-  return has;
-}
-
 #define MF_AVX2_FMA __attribute__((target("avx2,fma")))
 #define MF_AVX512F __attribute__((target("avx512f")))
 
@@ -1003,7 +838,8 @@ namespace {
 
 // tail(m, n) enables the first n < kLanes lanes: a masked load reads only
 // those (the rest read as zero) and a masked store writes only those, so a
-// tail never touches memory past its n elements.
+// tail never touches memory past its n elements. and_, andnot (~a & b),
+// or_ and xor_ act on the bits.
 struct Avx2F64 {
   using T = double;
   using V = __m256d;
@@ -1038,11 +874,27 @@ struct Avx2F64 {
   MF_AVX2_FMA static void fma(V& r, const V& a, const V& b, const V& c) {
     r = _mm256_fmadd_pd(a, b, c);
   }
+  MF_AVX2_FMA static void sqrt(V& r, const V& a) { r = _mm256_sqrt_pd(a); }
+  MF_AVX2_FMA static void round(V& r, const V& a) {
+    r = _mm256_round_pd(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
   MF_AVX2_FMA static void max(V& r, const V& a, const V& b) {
     r = _mm256_max_pd(a, b);
   }
   MF_AVX2_FMA static void min(V& r, const V& a, const V& b) {
     r = _mm256_min_pd(a, b);
+  }
+  MF_AVX2_FMA static void and_(V& r, const V& a, const V& b) {
+    r = _mm256_and_pd(a, b);
+  }
+  MF_AVX2_FMA static void andnot(V& r, const V& a, const V& b) {
+    r = _mm256_andnot_pd(a, b);
+  }
+  MF_AVX2_FMA static void or_(V& r, const V& a, const V& b) {
+    r = _mm256_or_pd(a, b);
+  }
+  MF_AVX2_FMA static void xor_(V& r, const V& a, const V& b) {
+    r = _mm256_xor_pd(a, b);
   }
   MF_AVX2_FMA static void ge(M& m, const V& a, const V& b) {
     m = _mm256_cmp_pd(a, b, _CMP_GE_OQ);
@@ -1089,11 +941,27 @@ struct Avx2F32 {
   MF_AVX2_FMA static void fma(V& r, const V& a, const V& b, const V& c) {
     r = _mm256_fmadd_ps(a, b, c);
   }
+  MF_AVX2_FMA static void sqrt(V& r, const V& a) { r = _mm256_sqrt_ps(a); }
+  MF_AVX2_FMA static void round(V& r, const V& a) {
+    r = _mm256_round_ps(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
   MF_AVX2_FMA static void max(V& r, const V& a, const V& b) {
     r = _mm256_max_ps(a, b);
   }
   MF_AVX2_FMA static void min(V& r, const V& a, const V& b) {
     r = _mm256_min_ps(a, b);
+  }
+  MF_AVX2_FMA static void and_(V& r, const V& a, const V& b) {
+    r = _mm256_and_ps(a, b);
+  }
+  MF_AVX2_FMA static void andnot(V& r, const V& a, const V& b) {
+    r = _mm256_andnot_ps(a, b);
+  }
+  MF_AVX2_FMA static void or_(V& r, const V& a, const V& b) {
+    r = _mm256_or_ps(a, b);
+  }
+  MF_AVX2_FMA static void xor_(V& r, const V& a, const V& b) {
+    r = _mm256_xor_ps(a, b);
   }
   MF_AVX2_FMA static void ge(M& m, const V& a, const V& b) {
     m = _mm256_cmp_ps(a, b, _CMP_GE_OQ);
@@ -1106,9 +974,12 @@ struct Avx2F32 {
   }
 };
 
-// AVX-512F: the maskz_ forms of max, min and the shift take a zero source
-// where the plain intrinsics read an undefined one (GCC 12 reports that
-// as -Wmaybe-uninitialized); with an all-ones mask they are the same op.
+// AVX-512F: the maskz_ forms of max, min, sqrt, round, andnot and the
+// shift take a zero source where the plain intrinsics read an undefined
+// one (GCC 12 reports that as -Wmaybe-uninitialized); with an all-ones
+// mask they are the same op. The bit ops go through the integer forms on
+// cast vectors: and/andnot/or/xor on pd and ps are AVX-512DQ, which the
+// tier does not require.
 struct Avx512F64 {
   using T = double;
   using V = __m512d;
@@ -1143,11 +1014,34 @@ struct Avx512F64 {
   MF_AVX512F static void fma(V& r, const V& a, const V& b, const V& c) {
     r = _mm512_fmadd_pd(a, b, c);
   }
+  MF_AVX512F static void sqrt(V& r, const V& a) {
+    r = _mm512_maskz_sqrt_pd(kAll, a);
+  }
+  MF_AVX512F static void round(V& r, const V& a) {
+    r = _mm512_maskz_roundscale_pd(
+        kAll, a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
   MF_AVX512F static void max(V& r, const V& a, const V& b) {
     r = _mm512_maskz_max_pd(kAll, a, b);
   }
   MF_AVX512F static void min(V& r, const V& a, const V& b) {
     r = _mm512_maskz_min_pd(kAll, a, b);
+  }
+  MF_AVX512F static void and_(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_pd(
+        _mm512_and_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  MF_AVX512F static void andnot(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_pd(_mm512_maskz_andnot_epi64(
+        kAll, _mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  MF_AVX512F static void or_(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_pd(
+        _mm512_or_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  MF_AVX512F static void xor_(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_pd(
+        _mm512_xor_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
   MF_AVX512F static void ge(M& m, const V& a, const V& b) {
     m = _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
@@ -1195,11 +1089,34 @@ struct Avx512F32 {
   MF_AVX512F static void fma(V& r, const V& a, const V& b, const V& c) {
     r = _mm512_fmadd_ps(a, b, c);
   }
+  MF_AVX512F static void sqrt(V& r, const V& a) {
+    r = _mm512_maskz_sqrt_ps(kAll, a);
+  }
+  MF_AVX512F static void round(V& r, const V& a) {
+    r = _mm512_maskz_roundscale_ps(
+        kAll, a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
   MF_AVX512F static void max(V& r, const V& a, const V& b) {
     r = _mm512_maskz_max_ps(kAll, a, b);
   }
   MF_AVX512F static void min(V& r, const V& a, const V& b) {
     r = _mm512_maskz_min_ps(kAll, a, b);
+  }
+  MF_AVX512F static void and_(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_ps(
+        _mm512_and_epi32(_mm512_castps_si512(a), _mm512_castps_si512(b)));
+  }
+  MF_AVX512F static void andnot(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_ps(_mm512_maskz_andnot_epi32(
+        kAll, _mm512_castps_si512(a), _mm512_castps_si512(b)));
+  }
+  MF_AVX512F static void or_(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_ps(
+        _mm512_or_epi32(_mm512_castps_si512(a), _mm512_castps_si512(b)));
+  }
+  MF_AVX512F static void xor_(V& r, const V& a, const V& b) {
+    r = _mm512_castsi512_ps(
+        _mm512_xor_epi32(_mm512_castps_si512(a), _mm512_castps_si512(b)));
   }
   MF_AVX512F static void ge(M& m, const V& a, const V& b) {
     m = _mm512_cmp_ps_mask(a, b, _CMP_GE_OQ);
@@ -1213,362 +1130,228 @@ struct Avx512F32 {
   }
 };
 
+/// The ops structs of element type T.
+template <typename T>
+struct Isa {
+  using Avx2 = std::conditional_t<std::is_same_v<T, double>, Avx2F64, Avx2F32>;
+  using Avx512 =
+      std::conditional_t<std::is_same_v<T, double>, Avx512F64, Avx512F32>;
+};
+
+// flatten inlines the templates and every ops call into these bodies, so
+// each family compiles as one loop nest per opcode at its own ISA.
+template <typename T>
+__attribute__((target("avx2,fma"), flatten)) bool unary_avx2(
+    const T* a, T* out, int64_t n, UnaryOp op, T s) {
+  return unary_lanes<typename Isa<T>::Avx2>(a, out, n, op, s);
+}
+template <typename T>
+__attribute__((target("avx512f"), flatten)) bool unary_avx512(
+    const T* a, T* out, int64_t n, UnaryOp op, T s) {
+  return unary_lanes<typename Isa<T>::Avx512>(a, out, n, op, s);
+}
+template <typename T>
+__attribute__((target("avx2,fma"), flatten)) void binary_avx2(
+    const T* a, const T* b, T* out, int64_t n, BinaryOp op) {
+  binary_lanes<typename Isa<T>::Avx2>(a, b, out, n, op);
+}
+template <typename T>
+__attribute__((target("avx512f"), flatten)) void binary_avx512(
+    const T* a, const T* b, T* out, int64_t n, BinaryOp op) {
+  binary_lanes<typename Isa<T>::Avx512>(a, b, out, n, op);
+}
+template <typename T>
+__attribute__((target("avx2,fma"), flatten)) void matmul_avx2(
+    const T* a, const T* b, const T* bias, T* out, int64_t m, int64_t k,
+    int64_t n) {
+  matmul_span<typename Isa<T>::Avx2, 4>(a, b, bias, out, m, k, n);
+}
+template <typename T>
+__attribute__((target("avx512f"), flatten)) void matmul_avx512(
+    const T* a, const T* b, const T* bias, T* out, int64_t m, int64_t k,
+    int64_t n) {
+  matmul_span<typename Isa<T>::Avx512, 8>(a, b, bias, out, m, k, n);
+}
+
 }  // namespace
-
-// flatten inlines the templates and every ops call into these eight
-// bodies, so each compiles as one loop nest at its own ISA.
-__attribute__((target("avx2,fma"), flatten)) static void gelu_span_avx2(
-    const double* a, double* out, int64_t n) {
-  gelu_span<Avx2F64>(a, out, n);
-}
-__attribute__((target("avx2,fma"), flatten)) static void gelu_span_avx2(
-    const float* a, float* out, int64_t n) {
-  gelu_span<Avx2F32>(a, out, n);
-}
-__attribute__((target("avx512f"), flatten)) static void gelu_span_avx512(
-    const double* a, double* out, int64_t n) {
-  gelu_span<Avx512F64>(a, out, n);
-}
-__attribute__((target("avx512f"), flatten)) static void gelu_span_avx512(
-    const float* a, float* out, int64_t n) {
-  gelu_span<Avx512F32>(a, out, n);
-}
-__attribute__((target("avx2,fma"), flatten)) static void matmul_span_avx2(
-    const double* a, const double* b, const double* bias, double* out,
-    int64_t m, int64_t k, int64_t n) {
-  matmul_span<Avx2F64, 4>(a, b, bias, out, m, k, n);
-}
-__attribute__((target("avx2,fma"), flatten)) static void matmul_span_avx2(
-    const float* a, const float* b, const float* bias, float* out, int64_t m,
-    int64_t k, int64_t n) {
-  matmul_span<Avx2F32, 4>(a, b, bias, out, m, k, n);
-}
-__attribute__((target("avx512f"), flatten)) static void matmul_span_avx512(
-    const double* a, const double* b, const double* bias, double* out,
-    int64_t m, int64_t k, int64_t n) {
-  matmul_span<Avx512F64, 8>(a, b, bias, out, m, k, n);
-}
-__attribute__((target("avx512f"), flatten)) static void matmul_span_avx512(
-    const float* a, const float* b, const float* bias, float* out, int64_t m,
-    int64_t k, int64_t n) {
-  matmul_span<Avx512F32, 8>(a, b, bias, out, m, k, n);
-}
-
-/// True when the CPU has the tier with `lanes` f64 lanes: 8 for AVX-512F,
-/// 4 for AVX2+FMA.
-static bool cpu_has_tier(int lanes) {
-  return lanes == 8 ? cpu_has_avx512f()
-                    : lanes == 4 && cpu_has_avx2() && cpu_has_fma();
-}
 
 #undef MF_AVX2_FMA
 #undef MF_AVX512F
 #endif  // MF_HAVE_AVX2_KERNELS
 
-int gelu_lanes() {
-#ifdef MF_HAVE_AVX2_KERNELS
-  static const int lanes = cpu_has_tier(8) ? 8 : cpu_has_tier(4) ? 4 : 1;
-  return lanes;
-#else
-  return 1;
-#endif
-}
-
 namespace {
-/// GELU on the tier with `lanes` f64 lanes (8: AVX-512F, 4: AVX2+FMA);
-/// false, writing nothing, when the CPU lacks it.
-template <typename T>
-bool gelu_on_tier(int lanes, const T* a, T* out, int64_t n) {
+
+/// True when the CPU has the tier with `lanes` f64 lanes: 8 for AVX-512F,
+/// 4 for AVX2+FMA, 1 for the scalar loops.
+bool cpu_has_tier(int lanes) {
 #ifdef MF_HAVE_AVX2_KERNELS
-  if (!cpu_has_tier(lanes)) return false;
-  if (lanes == 8) {
-    gelu_span_avx512(a, out, n);
-  } else {
-    gelu_span_avx2(a, out, n);
-  }
-  return true;
-#else
-  (void)lanes, (void)a, (void)out, (void)n;
-  return false;
+  static const bool avx512f = __builtin_cpu_supports("avx512f");
+  static const bool avx2_fma =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  if (lanes == 8) return avx512f;
+  if (lanes == 4) return avx2_fma;
 #endif
+  return lanes == 1;
 }
 
-/// Serial matmul of `m` rows on the tier with `lanes` f64 lanes; false,
-/// writing nothing, when the CPU lacks it.
+// One serial body per family on the tier with `lanes` f64 lanes; false,
+// writing nothing, when the CPU lacks it. Ops with no lane formula run the
+// functor loop on every tier.
+
 template <typename T>
-bool matmul_on_tier(int lanes, const T* a, const T* b, const T* bias, T* out,
-                    int64_t m, int64_t k, int64_t n) {
-#ifdef MF_HAVE_AVX2_KERNELS
+bool unary_tier(int lanes, const T* a, T* out, int64_t n, UnaryOp op,
+                real s) {
   if (!cpu_has_tier(lanes)) return false;
-  if (lanes == 8) {
-    matmul_span_avx512(a, b, bias, out, m, k, n);
-  } else {
-    matmul_span_avx2(a, b, bias, out, m, k, n);
-  }
-  return true;
-#else
-  (void)lanes, (void)a, (void)b, (void)bias, (void)out, (void)m, (void)k,
-      (void)n;
-  return false;
+#ifdef MF_HAVE_AVX2_KERNELS
+  const T c = static_cast<T>(s);
+  if (lanes == 8 && unary_avx512(a, out, n, op, c)) return true;
+  if (lanes == 4 && unary_avx2(a, out, n, op, c)) return true;
 #endif
+  unary_functors(a, out, n, op, s);
+  return true;
 }
 
-/// matmul on the widest FMA tier the CPU has, threaded over rows; false,
-/// writing nothing, when it has neither.
 template <typename T>
-bool matmul_fma(const T* a, const T* b, const T* bias, T* out, int64_t m,
-                int64_t k, int64_t n) {
+bool binary_tier(int lanes, const T* a, const T* b, T* out, int64_t n,
+                 BinaryOp op) {
+  if (!cpu_has_tier(lanes)) return false;
+#ifdef MF_HAVE_AVX2_KERNELS
+  if (lanes == 8) {
+    binary_avx512(a, b, out, n, op);
+    return true;
+  }
+  if (lanes == 4) {
+    binary_avx2(a, b, out, n, op);
+    return true;
+  }
+#endif
+  binary_functors(a, b, out, n, op);
+  return true;
+}
+
+template <typename T>
+bool matmul_tier(int lanes, const T* a, const T* b, const T* bias, T* out,
+                 int64_t m, int64_t k, int64_t n) {
+  if (!cpu_has_tier(lanes)) return false;
+#ifdef MF_HAVE_AVX2_KERNELS
+  if (lanes == 8) {
+    matmul_avx512(a, b, bias, out, m, k, n);
+    return true;
+  }
+  if (lanes == 4) {
+    matmul_avx2(a, b, bias, out, m, k, n);
+    return true;
+  }
+#endif
+  matmul_scalar(a, b, bias, out, m, k, n);
+  return true;
+}
+
+template <typename T>
+void map_unary_impl(const T* a, T* out, int64_t n, UnaryOp op, real s) {
   const int lanes = gelu_lanes();
-  if (lanes == 1) return false;
-  parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
-    matmul_on_tier(lanes, a + begin * k, b, bias, out + begin * n,
-                   end - begin, k, n);
+  parallel_for(n, [&](int64_t begin, int64_t end) {
+    unary_tier(lanes, a + begin, out + begin, end - begin, op, s);
   });
-  return true;
 }
 
-/// The one GELU entry: the widest tier the CPU has, else the functor.
 template <typename T>
-void gelu_block(const T* a, T* out, int64_t n) {
-  if (gelu_on_tier(gelu_lanes(), a, out, n)) return;
-  for (int64_t i = 0; i < n; ++i) out[i] = sfn::Gelu{}(a[i]);
+void map_binary_impl(const T* a, const T* b, T* out, int64_t n,
+                     BinaryOp op) {
+  const int lanes = gelu_lanes();
+  parallel_for(n, [&](int64_t begin, int64_t end) {
+    binary_tier(lanes, a + begin, b + begin, out + begin, end - begin, op);
+  });
 }
+
+/// Threads over rows: each output element accumulates in one thread in kk
+/// order, so the result does not depend on the thread count.
+template <typename T>
+void matmul_impl(const T* a, const T* b, const T* bias, T* out, int64_t m,
+                 int64_t k, int64_t n) {
+  const int lanes = gelu_lanes();
+  parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
+    matmul_tier(lanes, a + begin * k, b, bias, out + begin * n, end - begin,
+                k, n);
+  });
+}
+
 }  // namespace
 
+int gelu_lanes() {
+  static const int lanes = cpu_has_tier(8) ? 8 : cpu_has_tier(4) ? 4 : 1;
+  return lanes;
+}
+
 namespace detail {
-bool gelu_avx2_fma(const double* a, double* out, int64_t n) {
-  return gelu_on_tier(4, a, out, n);
+bool unary_on_tier(int lanes, const double* a, double* out, int64_t n,
+                   UnaryOp op, double scalar) {
+  return unary_tier(lanes, a, out, n, op, scalar);
 }
-bool gelu_avx2_fma(const float* a, float* out, int64_t n) {
-  return gelu_on_tier(4, a, out, n);
+bool unary_on_tier(int lanes, const float* a, float* out, int64_t n,
+                   UnaryOp op, double scalar) {
+  return unary_tier(lanes, a, out, n, op, scalar);
 }
-bool gelu_avx512f(const double* a, double* out, int64_t n) {
-  return gelu_on_tier(8, a, out, n);
+bool binary_on_tier(int lanes, const double* a, const double* b,
+                    double* out, int64_t n, BinaryOp op) {
+  return binary_tier(lanes, a, b, out, n, op);
 }
-bool gelu_avx512f(const float* a, float* out, int64_t n) {
-  return gelu_on_tier(8, a, out, n);
+bool binary_on_tier(int lanes, const float* a, const float* b, float* out,
+                    int64_t n, BinaryOp op) {
+  return binary_tier(lanes, a, b, out, n, op);
 }
-bool matmul_avx2_fma(const double* a, const double* b, const double* bias,
-                     double* out, int64_t m, int64_t k, int64_t n) {
-  return matmul_on_tier(4, a, b, bias, out, m, k, n);
+bool matmul_on_tier(int lanes, const double* a, const double* b,
+                    const double* bias, double* out, int64_t m, int64_t k,
+                    int64_t n) {
+  return matmul_tier(lanes, a, b, bias, out, m, k, n);
 }
-bool matmul_avx2_fma(const float* a, const float* b, const float* bias,
-                     float* out, int64_t m, int64_t k, int64_t n) {
-  return matmul_on_tier(4, a, b, bias, out, m, k, n);
-}
-bool matmul_avx512f(const double* a, const double* b, const double* bias,
-                    double* out, int64_t m, int64_t k, int64_t n) {
-  return matmul_on_tier(8, a, b, bias, out, m, k, n);
-}
-bool matmul_avx512f(const float* a, const float* b, const float* bias,
-                    float* out, int64_t m, int64_t k, int64_t n) {
-  return matmul_on_tier(8, a, b, bias, out, m, k, n);
+bool matmul_on_tier(int lanes, const float* a, const float* b,
+                    const float* bias, float* out, int64_t m, int64_t k,
+                    int64_t n) {
+  return matmul_tier(lanes, a, b, bias, out, m, k, n);
 }
 }  // namespace detail
 
-void map_unary(const real* a, real* out, int64_t n, sfn::Gelu) {
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    gelu_block(a + begin, out + begin, end - begin);
-  });
+void unary_block(const real* a, real* out, int64_t n, UnaryOp op,
+                 real scalar) {
+  unary_tier(gelu_lanes(), a, out, n, op, scalar);
 }
-
-void map_unary(const float* a, float* out, int64_t n, sfn::Gelu) {
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    gelu_block(a + begin, out + begin, end - begin);
-  });
+void unary_block(const float* a, float* out, int64_t n, UnaryOp op,
+                 real scalar) {
+  unary_tier(gelu_lanes(), a, out, n, op, scalar);
 }
-
-void gelu_block_inplace(real* x, int64_t n) { gelu_block(x, x, n); }
-
-void gelu_block_inplace(float* x, int64_t n) { gelu_block(x, x, n); }
+void binary_block(const real* a, const real* b, real* out, int64_t n,
+                  BinaryOp op) {
+  binary_tier(gelu_lanes(), a, b, out, n, op);
+}
+void binary_block(const float* a, const float* b, float* out, int64_t n,
+                  BinaryOp op) {
+  binary_tier(gelu_lanes(), a, b, out, n, op);
+}
+void map_unary(const real* a, real* out, int64_t n, UnaryOp op, real scalar) {
+  map_unary_impl(a, out, n, op, scalar);
+}
+void map_unary(const float* a, float* out, int64_t n, UnaryOp op,
+               real scalar) {
+  map_unary_impl(a, out, n, op, scalar);
+}
+void map_binary(const real* a, const real* b, real* out, int64_t n,
+                BinaryOp op) {
+  map_binary_impl(a, b, out, n, op);
+}
+void map_binary(const float* a, const float* b, float* out, int64_t n,
+                BinaryOp op) {
+  map_binary_impl(a, b, out, n, op);
+}
 
 void matmul(const real* a, const real* b, const real* bias, real* out,
             int64_t m, int64_t k, int64_t n) {
-  if (matmul_fma(a, b, bias, out, m, k, n)) return;
-  // Scalar tier. Tiling gate: block only when b overflows one tile's cache
-  // footprint (k*n > kTileK*kTileN elements = 256 KiB). Narrow GEMMs — the
-  // width-64 shapes of the fig8 inference path and their k-heavy
-  // training backwards — keep the fused i-k-j loop, whose single pass
-  // over `out` beats two whenever b is already cache-resident. The two
-  // paths accumulate in the same kk order, so results are bitwise
-  // identical regardless of which one runs. Decided once, outside the
-  // worker lambda, so the hot loops compile unperturbed.
-  const bool b_fits_one_tile = k * n <= kTileK * kTileN;
-  parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
-    if (b_fits_one_tile) {
-      // b fits one tile: register-blocked micro-kernel. Four rows of a
-      // share every b load, and each row's 4-column accumulator strip
-      // lives in registers across the whole k loop — the naive loop's
-      // per-kk reload/store of the output row was store-port-bound.
-      // For every output element the additions still run in ascending
-      // kk order and zero a-elements still contribute nothing, so the
-      // result is bitwise identical to the naive i-k-j loop.
-      // 4x4 fits the baseline 16-register SSE2 budget: 16 accumulator
-      // doubles in 8 xmm, leaving room for the shared b loads and the
-      // four row broadcasts.
-      constexpr int64_t kRb = 4;  // rows of a per micro-tile
-      constexpr int64_t kJb = 4;  // columns of out per accumulator strip
-      int64_t i0 = begin;
-      for (; i0 + kRb <= end; i0 += kRb) {
-        const real* a0 = a + (i0 + 0) * k;
-        const real* a1 = a + (i0 + 1) * k;
-        const real* a2 = a + (i0 + 2) * k;
-        const real* a3 = a + (i0 + 3) * k;
-        for (int64_t j0 = 0; j0 < n; j0 += kJb) {
-          const int64_t jw = std::min(kJb, n - j0);
-          real acc0[kJb], acc1[kJb], acc2[kJb], acc3[kJb];
-          if (bias) {
-            for (int64_t j = 0; j < jw; ++j) {
-              acc0[j] = acc1[j] = acc2[j] = acc3[j] = bias[j0 + j];
-            }
-          } else {
-            for (int64_t j = 0; j < jw; ++j) {
-              acc0[j] = acc1[j] = acc2[j] = acc3[j] = 0;
-            }
-          }
-          if (jw == kJb) {
-            for (int64_t kk = 0; kk < k; ++kk) {
-              const real* brow = b + kk * n + j0;
-              const real av0 = a0[kk], av1 = a1[kk], av2 = a2[kk], av3 = a3[kk];
-              if (av0 != 0) {
-                for (int64_t j = 0; j < kJb; ++j) acc0[j] += av0 * brow[j];
-              }
-              if (av1 != 0) {
-                for (int64_t j = 0; j < kJb; ++j) acc1[j] += av1 * brow[j];
-              }
-              if (av2 != 0) {
-                for (int64_t j = 0; j < kJb; ++j) acc2[j] += av2 * brow[j];
-              }
-              if (av3 != 0) {
-                for (int64_t j = 0; j < kJb; ++j) acc3[j] += av3 * brow[j];
-              }
-            }
-          } else {
-            for (int64_t kk = 0; kk < k; ++kk) {
-              const real* brow = b + kk * n + j0;
-              const real av0 = a0[kk], av1 = a1[kk], av2 = a2[kk], av3 = a3[kk];
-              if (av0 != 0) {
-                for (int64_t j = 0; j < jw; ++j) acc0[j] += av0 * brow[j];
-              }
-              if (av1 != 0) {
-                for (int64_t j = 0; j < jw; ++j) acc1[j] += av1 * brow[j];
-              }
-              if (av2 != 0) {
-                for (int64_t j = 0; j < jw; ++j) acc2[j] += av2 * brow[j];
-              }
-              if (av3 != 0) {
-                for (int64_t j = 0; j < jw; ++j) acc3[j] += av3 * brow[j];
-              }
-            }
-          }
-          real* orow = out + i0 * n + j0;
-          for (int64_t j = 0; j < jw; ++j) orow[j] = acc0[j];
-          for (int64_t j = 0; j < jw; ++j) orow[n + j] = acc1[j];
-          for (int64_t j = 0; j < jw; ++j) orow[2 * n + j] = acc2[j];
-          for (int64_t j = 0; j < jw; ++j) orow[3 * n + j] = acc3[j];
-        }
-      }
-      // Remainder rows (< kRb): the naive per-row loop.
-      for (int64_t i = i0; i < end; ++i) {
-        const real* arow = a + i * k;
-        real* orow = out + i * n;
-        if (bias) {
-          for (int64_t j = 0; j < n; ++j) orow[j] = bias[j];
-        } else {
-          for (int64_t j = 0; j < n; ++j) orow[j] = 0;
-        }
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const real av = arow[kk];
-          if (av == 0) continue;
-          const real* brow = b + kk * n;
-          for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-        }
-      }
-      return;
-    }
-    // Blocked i-k-j: for each (k, n) tile of b, stream all rows of the
-    // chunk over it before moving on, so the tile is loaded once per
-    // chunk instead of once per row. For fixed (i, j), kk still runs
-    // monotonically, so the summation order — and hence the result — is
-    // bitwise identical to the unblocked loop.
-    for (int64_t i = begin; i < end; ++i) {
-      real* orow = out + i * n;
-      if (bias) {
-        for (int64_t j = 0; j < n; ++j) orow[j] = bias[j];
-      } else {
-        for (int64_t j = 0; j < n; ++j) orow[j] = 0;
-      }
-    }
-    for (int64_t kk0 = 0; kk0 < k; kk0 += kTileK) {
-      const int64_t kk1 = std::min(k, kk0 + kTileK);
-      for (int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const int64_t j1 = std::min(n, j0 + kTileN);
-        for (int64_t i = begin; i < end; ++i) {
-          const real* arow = a + i * k;
-          real* orow = out + i * n;
-          for (int64_t kk = kk0; kk < kk1; ++kk) {
-            const real av = arow[kk];
-            if (av == 0) continue;
-            const real* brow = b + kk * n;
-            for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  });
+  matmul_impl(a, b, bias, out, m, k, n);
 }
 
 void matmul(const float* a, const float* b, const float* bias, float* out,
             int64_t m, int64_t k, int64_t n) {
-  // Float GEMM for the compiled f32 compute path. The scalar tier keeps
-  // the double tier's tiling gate (elements, not bytes: the b panel that
-  // matters is half the size, so this errs toward the fused loop, which is
-  // the right bias for the narrow SDNet shapes).
-  if (matmul_fma(a, b, bias, out, m, k, n)) return;
-  const bool b_fits_one_tile = k * n <= kTileK * kTileN;
-  parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
-    if (b_fits_one_tile) {
-      for (int64_t i = begin; i < end; ++i) {
-        const float* arow = a + i * k;
-        float* orow = out + i * n;
-        if (bias) {
-          for (int64_t j = 0; j < n; ++j) orow[j] = bias[j];
-        } else {
-          for (int64_t j = 0; j < n; ++j) orow[j] = 0;
-        }
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float av = arow[kk];
-          const float* brow = b + kk * n;
-          for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-        }
-      }
-      return;
-    }
-    // Blocked i-k-j over (k, n) tiles of b, as in the double tier.
-    for (int64_t i = begin; i < end; ++i) {
-      float* orow = out + i * n;
-      if (bias) {
-        for (int64_t j = 0; j < n; ++j) orow[j] = bias[j];
-      } else {
-        for (int64_t j = 0; j < n; ++j) orow[j] = 0;
-      }
-    }
-    for (int64_t kk0 = 0; kk0 < k; kk0 += kTileK) {
-      const int64_t kk1 = std::min(k, kk0 + kTileK);
-      for (int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const int64_t j1 = std::min(n, j0 + kTileN);
-        for (int64_t i = begin; i < end; ++i) {
-          const float* arow = a + i * k;
-          float* orow = out + i * n;
-          for (int64_t kk = kk0; kk < kk1; ++kk) {
-            const float av = arow[kk];
-            const float* brow = b + kk * n;
-            for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  });
+  matmul_impl(a, b, bias, out, m, k, n);
 }
 
 namespace {

@@ -96,102 +96,71 @@ void parallel_for(int64_t n, F&& f) {
 
 // ---- contiguous elementwise maps ----
 //
-// The map templates are generic over the element type: eager ops always
-// instantiate T = real (double), the compiled-plan replay instantiates
-// float for f32-colored steps. The sfn:: functors are themselves
-// templated, so each width evaluates its own native FP expression.
+// Every contiguous elementwise op is named by an opcode and has one body
+// per tier. gelu_lanes() picks the tier of every vector kernel: 8 f64
+// lanes (16 at f32) with AVX-512F, 4 (8) with AVX2+FMA, else 1, the sfn::
+// functor loops. On a vector tier one lane formula per op, written once
+// over a small per-ISA ops struct, runs the whole vectors and then the
+// tail through masked lanes, so an element's value never depends on the
+// chunk, lane or thread that computed it:
+//  * add, sub, mul, div, add_scalar, mul_scalar, neg, abs and sqrt are one
+//    IEEE operation (or one sign-bit operation) per element, bitwise equal
+//    to the sfn:: functors on every tier;
+//  * tanh is a Cephes-style approximation (a rational minimax below
+//    |x| = 0.625, 1 − 2/(exp(2|x|) + 1) above it, ±1 from 19.0625 on),
+//    within ~1-2 ulp of std::tanh, built from IEEE operations without FMA;
+//  * GELU is x / (1 + exp(t)), t = −2·√(2/π)·(x + 0.044715·x³), with exp by
+//    range reduction and an FMA polynomial.
+// Both tiers execute the same IEEE operations, so they give the same bits;
+// absolute tanh and GELU values differ from libm in the last bits.
+// pow_scalar, exp, log and sign have no lane formula and run the functor
+// loop on every tier. Eager ops, plain replay and the fused-chain
+// interpreter all reach these entries, so they stay bitwise identical.
 
-template <typename T, typename F>
-void map_unary(const T* a, T* out, int64_t n, F&& f) {
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = f(a[i]);
-  });
-}
-
-template <typename T, typename F>
-void map_binary(const T* a, const T* b, T* out, int64_t n, F&& f) {
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) out[i] = f(a[i], b[i]);
-  });
-}
+/// Opcode of unary_block (and of compiled plans' unary steps).
+enum class UnaryOp : std::uint8_t {
+  kAddScalar,
+  kMulScalar,
+  kPowScalar,
+  kNeg,
+  kExp,
+  kLog,
+  kSqrt,
+  kTanh,
+  kAbs,
+  kSign,
+  kGelu,
+};
 
 /// Opcode of binary_block (and of compiled plans' binary steps).
 enum class BinaryOp : std::uint8_t { kAdd, kSub, kMul, kDiv };
 
+/// f64 lanes every vector kernel runs on, elementwise and matmul: 8
+/// (AVX-512F), 4 (AVX2+FMA) or 1 (the scalar loops). Read-only; benches
+/// print it next to their rates because the tier moves them.
+int gelu_lanes();
+
+/// Serial out[i] = op(a[i]) for i in [0, n). `scalar` is add_scalar's and
+/// mul_scalar's operand and pow_scalar's exponent, narrowed once at f32;
+/// the other ops ignore it. `out` may alias `a`.
+void unary_block(const real* a, real* out, int64_t n, UnaryOp op,
+                 real scalar);
+void unary_block(const float* a, float* out, int64_t n, UnaryOp op,
+                 real scalar);
 /// Serial out[i] = a[i] op b[i] for i in [0, n); `out` may alias `a` or
-/// `b`. On x86-64 hosts with AVX2 a runtime-dispatched vector loop
-/// (vaddpd/vsubpd/vmulpd/vdivpd, or the 8-lane ps twins) runs, IEEE-exact
-/// per lane, so results are bitwise identical to the sfn:: functors —
-/// which remain the fallback. The arithmetic map_binary overloads call it
-/// per parallel chunk and the fused-chain interpreter per 128-element
-/// block, so eager ops, plain replay and fused replay share one body.
+/// `b`.
 void binary_block(const real* a, const real* b, real* out, int64_t n,
                   BinaryOp op);
 void binary_block(const float* a, const float* b, float* out, int64_t n,
                   BinaryOp op);
-
-// Non-template overloads for the four arithmetic binary functors: a
-// parallel_for over binary_block. Eager ops and program replay both
-// resolve to these, preserving parity.
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Add);
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Sub);
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Mul);
-void map_binary(const real* a, const real* b, real* out, int64_t n, sfn::Div);
+/// unary_block and binary_block over a parallel_for partition of [0, n).
+void map_unary(const real* a, real* out, int64_t n, UnaryOp op, real scalar);
+void map_unary(const float* a, float* out, int64_t n, UnaryOp op,
+               real scalar);
+void map_binary(const real* a, const real* b, real* out, int64_t n,
+                BinaryOp op);
 void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Add);
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Sub);
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Mul);
-void map_binary(const float* a, const float* b, float* out, int64_t n,
-                sfn::Div);
-
-// ---- tanh and GELU ----
-//
-// Every hidden activation of SDNet inference is a GELU, so these overloads
-// replace the functors' libm tanh (~27 cycles/element):
-//  * tanh: a Cephes-style rational approximation on 4 AVX2 lanes (8 at
-//    f32), accurate to ~1-2 ulp of std::tanh. The tanh activation and
-//    GELU's compositional backward run it.
-//  * GELU: x / (1 + exp(t)) with t = −2·√(2/π)·(x + 0.044715·x³) — the
-//    same tanh-form GELU with one divide — and exp by range reduction and
-//    an FMA polynomial. It runs on 8 f64 lanes (16 at f32) where the CPU
-//    has AVX-512F and on 4 (8) where it has AVX2+FMA; both tiers execute
-//    the same IEEE operations, so they give the same bits.
-// In both, the vector lanes and the tail evaluate the identical operation
-// sequence, so the value of an element never depends on which chunk or
-// lane computed it: threaded execution stays bitwise identical to serial,
-// and eager ops and program replay (including fused chains, which route
-// through the *_block_inplace entry points) stay bitwise identical to each
-// other. Absolute values differ from libm in the last bits. CPUs without
-// AVX2 (tanh) or without AVX2+FMA (GELU) run the sfn:: functors.
-/// True when the fast tanh runs: the CPU has AVX2.
-bool fast_tanh_active();
-/// f64 lanes the GELU and matmul kernels run on: 8 (AVX-512F), 4
-/// (AVX2+FMA) or 1 (the sfn::Gelu functor and the scalar matmul loop).
-/// Read-only; benches print it next to their rates because the tier moves
-/// them.
-int gelu_lanes();
-void map_unary(const real* a, real* out, int64_t n, sfn::Tanh);
-void map_unary(const real* a, real* out, int64_t n, sfn::Gelu);
-void map_unary(const float* a, float* out, int64_t n, sfn::Tanh);
-void map_unary(const float* a, float* out, int64_t n, sfn::Gelu);
-/// Serial in-place blocks for the fused-chain interpreter; element-for-
-/// element identical to the map_unary overloads.
-void tanh_block_inplace(real* x, int64_t n);
-void gelu_block_inplace(real* x, int64_t n);
-void tanh_block_inplace(float* x, int64_t n);
-void gelu_block_inplace(float* x, int64_t n);
-
-namespace detail {
-/// GELU over [0, n) on one tier's lanes, whatever the widest tier is; for
-/// tests that compare the tiers. Returns false, writing nothing, when the
-/// CPU lacks the tier.
-bool gelu_avx2_fma(const double* a, double* out, int64_t n);
-bool gelu_avx2_fma(const float* a, float* out, int64_t n);
-bool gelu_avx512f(const double* a, double* out, int64_t n);
-bool gelu_avx512f(const float* a, float* out, int64_t n);
-}  // namespace detail
+                BinaryOp op);
 
 // ---- FMA matmul tiers ----
 //
@@ -336,17 +305,24 @@ void matmul(const float* a, const float* b, const float* bias, float* out,
             int64_t m, int64_t k, int64_t n);
 
 namespace detail {
-/// Serial matmul on one tier's micro-kernel, whatever the widest tier is;
-/// for tests that compare the tiers. Returns false, writing nothing, when
-/// the CPU lacks the tier.
-bool matmul_avx2_fma(const double* a, const double* b, const double* bias,
-                     double* out, int64_t m, int64_t k, int64_t n);
-bool matmul_avx2_fma(const float* a, const float* b, const float* bias,
-                     float* out, int64_t m, int64_t k, int64_t n);
-bool matmul_avx512f(const double* a, const double* b, const double* bias,
-                    double* out, int64_t m, int64_t k, int64_t n);
-bool matmul_avx512f(const float* a, const float* b, const float* bias,
-                    float* out, int64_t m, int64_t k, int64_t n);
+/// One serial kernel on the tier with `lanes` f64 lanes (8: AVX-512F, 4:
+/// AVX2+FMA, 1: the scalar loops), whatever the widest tier is; for tests
+/// that compare the tiers. Each returns false, writing nothing, when the
+/// CPU lacks the tier.
+bool unary_on_tier(int lanes, const double* a, double* out, int64_t n,
+                   UnaryOp op, double scalar);
+bool unary_on_tier(int lanes, const float* a, float* out, int64_t n,
+                   UnaryOp op, double scalar);
+bool binary_on_tier(int lanes, const double* a, const double* b,
+                    double* out, int64_t n, BinaryOp op);
+bool binary_on_tier(int lanes, const float* a, const float* b, float* out,
+                    int64_t n, BinaryOp op);
+bool matmul_on_tier(int lanes, const double* a, const double* b,
+                    const double* bias, double* out, int64_t m, int64_t k,
+                    int64_t n);
+bool matmul_on_tier(int lanes, const float* a, const float* b,
+                    const float* bias, float* out, int64_t m, int64_t k,
+                    int64_t n);
 }  // namespace detail
 
 /// out[n, m] = a[m, n]^T.

@@ -15,9 +15,10 @@ namespace {
 
 using sfn::kGeluCoeff;
 
-// Forward kernels run through the shared sfn functors and report to the
-// program capture hooks (no-ops outside Program::capture), so a captured
-// step replays the exact same instructions the eager op executed.
+// Forward kernels run through the kernels' opcode entries (and, for
+// broadcasts, the shared sfn functors) and report to the program capture
+// hooks (no-ops outside Program::capture), so a captured step replays the
+// exact same instructions the eager op executed.
 
 template <typename F>
 Tensor elementwise_binary_fwd(const Tensor& a, const Tensor& b,
@@ -25,7 +26,7 @@ Tensor elementwise_binary_fwd(const Tensor& a, const Tensor& b,
   const Shape out_shape = broadcast_shape(a.shape(), b.shape());
   Tensor out = Tensor::zeros(out_shape);
   if (a.shape() == b.shape()) {
-    kernels::map_binary(a.data(), b.data(), out.data(), out.numel(), f);
+    kernels::map_binary(a.data(), b.data(), out.data(), out.numel(), id);
     if (prog::capturing()) prog::on_binary(id, a, b, out);
   } else {
     kernels::BroadcastPlan plan(out_shape, a.shape(), b.shape());
@@ -35,13 +36,19 @@ Tensor elementwise_binary_fwd(const Tensor& a, const Tensor& b,
   return out;
 }
 
-template <typename F, typename B>
-Tensor elementwise_unary(const Tensor& a, const char* name, prog::Unary id,
-                         real scalar, F&& f, B&& backward) {
+/// op(a) through the one opcode entry, reported to the capture hook.
+Tensor unary_fwd(const Tensor& a, prog::Unary id, real scalar) {
   Tensor out = Tensor::zeros(a.shape());
-  kernels::map_unary(a.data(), out.data(), a.numel(), f);
+  kernels::map_unary(a.data(), out.data(), a.numel(), id, scalar);
   if (prog::capturing()) prog::on_unary(id, scalar, a, out);
-  return record(std::move(out), name, {a}, std::forward<B>(backward));
+  return out;
+}
+
+template <typename B>
+Tensor elementwise_unary(const Tensor& a, const char* name, prog::Unary id,
+                         real scalar, B&& backward) {
+  return record(unary_fwd(a, id, scalar), name, {a},
+                std::forward<B>(backward));
 }
 
 // ---- typed tape nodes for the hottest ops ----
@@ -255,7 +262,7 @@ Tensor div(const Tensor& a, const Tensor& b) {
 
 Tensor add_scalar(const Tensor& a, real s) {
   return elementwise_unary(
-      a, "add_scalar", prog::Unary::kAddScalar, s, sfn::AddScalar{s},
+      a, "add_scalar", prog::Unary::kAddScalar, s,
       [](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{g};
       });
@@ -263,7 +270,7 @@ Tensor add_scalar(const Tensor& a, real s) {
 
 Tensor mul_scalar(const Tensor& a, real s) {
   return elementwise_unary(
-      a, "mul_scalar", prog::Unary::kMulScalar, s, sfn::MulScalar{s},
+      a, "mul_scalar", prog::Unary::kMulScalar, s,
       [s](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{mul_scalar(g, s)};
       });
@@ -272,7 +279,6 @@ Tensor mul_scalar(const Tensor& a, real s) {
 Tensor pow_scalar(const Tensor& a, real exponent) {
   return elementwise_unary(
       a, "pow_scalar", prog::Unary::kPowScalar, exponent,
-      sfn::PowScalar{exponent},
       [a, exponent](const Tensor& g, const std::vector<bool>&) {
         Tensor d = mul_scalar(pow_scalar(a, exponent - 1), exponent);
         return std::vector<Tensor>{mul(g, d)};
@@ -281,7 +287,7 @@ Tensor pow_scalar(const Tensor& a, real exponent) {
 
 Tensor neg(const Tensor& a) {
   return elementwise_unary(
-      a, "neg", prog::Unary::kNeg, 0, sfn::Neg{},
+      a, "neg", prog::Unary::kNeg, 0,
       [](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{neg(g)};
       });
@@ -289,7 +295,7 @@ Tensor neg(const Tensor& a) {
 
 Tensor exp(const Tensor& a) {
   return elementwise_unary(
-      a, "exp", prog::Unary::kExp, 0, sfn::Exp{},
+      a, "exp", prog::Unary::kExp, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{mul(g, exp(a))};
       });
@@ -297,7 +303,7 @@ Tensor exp(const Tensor& a) {
 
 Tensor log(const Tensor& a) {
   return elementwise_unary(
-      a, "log", prog::Unary::kLog, 0, sfn::Log{},
+      a, "log", prog::Unary::kLog, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{div(g, a)};
       });
@@ -305,7 +311,7 @@ Tensor log(const Tensor& a) {
 
 Tensor sqrt(const Tensor& a) {
   return elementwise_unary(
-      a, "sqrt", prog::Unary::kSqrt, 0, sfn::Sqrt{},
+      a, "sqrt", prog::Unary::kSqrt, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{mul(g, mul_scalar(pow_scalar(a, -0.5), 0.5))};
       });
@@ -313,7 +319,7 @@ Tensor sqrt(const Tensor& a) {
 
 Tensor tanh(const Tensor& a) {
   return elementwise_unary(
-      a, "tanh", prog::Unary::kTanh, 0, sfn::Tanh{},
+      a, "tanh", prog::Unary::kTanh, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         Tensor y = tanh(a);
         Tensor one_minus = add_scalar(neg(mul(y, y)), 1.0);
@@ -323,12 +329,10 @@ Tensor tanh(const Tensor& a) {
 
 Tensor abs(const Tensor& a) {
   return elementwise_unary(
-      a, "abs", prog::Unary::kAbs, 0, sfn::Abs{},
+      a, "abs", prog::Unary::kAbs, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         // sign(a) treated as a constant (derivative zero a.e.)
-        Tensor s = Tensor::zeros(a.shape());
-        kernels::map_unary(a.data(), s.data(), a.numel(), sfn::Sign{});
-        if (prog::capturing()) prog::on_unary(prog::Unary::kSign, 0, a, s);
+        Tensor s = unary_fwd(a, prog::Unary::kSign, 0);
         return std::vector<Tensor>{mul(g, s)};
       });
 }
@@ -339,9 +343,7 @@ Tensor gelu(const Tensor& a) {
   // 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))), fused into one
   // pass. The backward is compositional (recorded ops), so all higher
   // derivatives of the PDE loss still work (see GeluNode).
-  Tensor out = Tensor::zeros(a.shape());
-  kernels::map_unary(a.data(), out.data(), a.numel(), sfn::Gelu{});
-  if (prog::capturing()) prog::on_unary(prog::Unary::kGelu, 0, a, out);
+  Tensor out = unary_fwd(a, prog::Unary::kGelu, 0);
   const Tensor ins[1] = {a};
   return record_typed<GeluNode>(std::move(out), ins, 1);
 }

@@ -10,11 +10,6 @@
 #include <iterator>
 #include <stdexcept>
 #include <type_traits>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define MF_PROG_AVX2 1
-#include <immintrin.h>
-#endif
 #include <unordered_map>
 #include <vector>
 
@@ -879,26 +874,9 @@ void lower(Program::Impl& im) {
   }
 }
 
-/// Invoke `g` with the sfn:: functor named by a prog::Unary opcode. One
-/// switch shared by the standalone unary step and the fused chains, so
-/// both replay the exact functors the eager op executed.
-template <typename G>
-void dispatch_unary(prog::Unary u, real scalar, G&& g) {
-  switch (u) {
-    case prog::Unary::kAddScalar: g(sfn::AddScalar{scalar}); break;
-    case prog::Unary::kMulScalar: g(sfn::MulScalar{scalar}); break;
-    case prog::Unary::kPowScalar: g(sfn::PowScalar{scalar}); break;
-    case prog::Unary::kNeg: g(sfn::Neg{}); break;
-    case prog::Unary::kExp: g(sfn::Exp{}); break;
-    case prog::Unary::kLog: g(sfn::Log{}); break;
-    case prog::Unary::kSqrt: g(sfn::Sqrt{}); break;
-    case prog::Unary::kTanh: g(sfn::Tanh{}); break;
-    case prog::Unary::kAbs: g(sfn::Abs{}); break;
-    case prog::Unary::kSign: g(sfn::Sign{}); break;
-    case prog::Unary::kGelu: g(sfn::Gelu{}); break;
-  }
-}
-
+/// Invoke `g` with the sfn:: functor named by a prog::Binary opcode, for
+/// the broadcast binary step: map_broadcast runs the functor, the same one
+/// the eager op ran.
 template <typename G>
 void dispatch_binary(prog::Binary b, G&& g) {
   switch (b) {
@@ -908,112 +886,6 @@ void dispatch_binary(prog::Binary b, G&& g) {
     case prog::Binary::kDiv: g(sfn::Div{}); break;
   }
 }
-
-#ifdef MF_PROG_AVX2
-bool prog_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
-/// AVX2 body for the bitwise-exact subset of fused unary ops (IEEE-exact
-/// per lane: add/mul with a scalar, sign-bit flip, sign-bit clear, IEEE
-/// sqrt). Returns false for transcendental ops — the caller falls back to
-/// the scalar functor loop. Loops are written out (no lambdas): lambda
-/// bodies do not inherit the enclosing function's target("avx2").
-__attribute__((target("avx2"))) bool fused_unary_avx2(real* acc, int64_t len,
-                                                      prog::Unary u,
-                                                      real scalar) {
-  int64_t i = 0;
-  switch (u) {
-    case prog::Unary::kAddScalar: {
-      const __m256d s = _mm256_set1_pd(scalar);
-      for (; i + 4 <= len; i += 4)
-        _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), s));
-      for (; i < len; ++i) acc[i] = sfn::AddScalar{scalar}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kMulScalar: {
-      const __m256d s = _mm256_set1_pd(scalar);
-      for (; i + 4 <= len; i += 4)
-        _mm256_storeu_pd(acc + i, _mm256_mul_pd(_mm256_loadu_pd(acc + i), s));
-      for (; i < len; ++i) acc[i] = sfn::MulScalar{scalar}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kNeg: {
-      const __m256d m = _mm256_set1_pd(-0.0);
-      for (; i + 4 <= len; i += 4)
-        _mm256_storeu_pd(acc + i, _mm256_xor_pd(_mm256_loadu_pd(acc + i), m));
-      for (; i < len; ++i) acc[i] = sfn::Neg{}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kAbs: {
-      const __m256d m = _mm256_set1_pd(-0.0);
-      for (; i + 4 <= len; i += 4)
-        _mm256_storeu_pd(acc + i,
-                         _mm256_andnot_pd(m, _mm256_loadu_pd(acc + i)));
-      for (; i < len; ++i) acc[i] = sfn::Abs{}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kSqrt: {
-      for (; i + 4 <= len; i += 4)
-        _mm256_storeu_pd(acc + i, _mm256_sqrt_pd(_mm256_loadu_pd(acc + i)));
-      for (; i < len; ++i) acc[i] = sfn::Sqrt{}(acc[i]);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-/// 8-lane float overloads for f32-colored fused chains. The carried
-/// scalar stays f64 in the plan and narrows once here — the same
-/// `x + T(s)` the templated functor tail computes.
-__attribute__((target("avx2"))) bool fused_unary_avx2(float* acc, int64_t len,
-                                                      prog::Unary u,
-                                                      real scalar) {
-  int64_t i = 0;
-  switch (u) {
-    case prog::Unary::kAddScalar: {
-      const __m256 s = _mm256_set1_ps(static_cast<float>(scalar));
-      for (; i + 8 <= len; i += 8)
-        _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), s));
-      for (; i < len; ++i) acc[i] = sfn::AddScalar{scalar}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kMulScalar: {
-      const __m256 s = _mm256_set1_ps(static_cast<float>(scalar));
-      for (; i + 8 <= len; i += 8)
-        _mm256_storeu_ps(acc + i, _mm256_mul_ps(_mm256_loadu_ps(acc + i), s));
-      for (; i < len; ++i) acc[i] = sfn::MulScalar{scalar}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kNeg: {
-      const __m256 m = _mm256_set1_ps(-0.0f);
-      for (; i + 8 <= len; i += 8)
-        _mm256_storeu_ps(acc + i, _mm256_xor_ps(_mm256_loadu_ps(acc + i), m));
-      for (; i < len; ++i) acc[i] = sfn::Neg{}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kAbs: {
-      const __m256 m = _mm256_set1_ps(-0.0f);
-      for (; i + 8 <= len; i += 8)
-        _mm256_storeu_ps(acc + i,
-                         _mm256_andnot_ps(m, _mm256_loadu_ps(acc + i)));
-      for (; i < len; ++i) acc[i] = sfn::Abs{}(acc[i]);
-      return true;
-    }
-    case prog::Unary::kSqrt: {
-      for (; i + 8 <= len; i += 8)
-        _mm256_storeu_ps(acc + i, _mm256_sqrt_ps(_mm256_loadu_ps(acc + i)));
-      for (; i < len; ++i) acc[i] = sfn::Sqrt{}(acc[i]);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-#endif  // MF_PROG_AVX2
 
 /// Execute one step against an explicit buffer/length/broadcast-plan
 /// table at element type T. Master replay passes the Impl's own tables;
@@ -1031,23 +903,14 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
   auto rd = [&](std::int32_t sl) { return static_cast<const T*>(B[sl]); };
   auto wr = [&](std::int32_t sl) { return static_cast<T*>(B[sl]); };
   switch (s.kind) {
-    case StepKind::kUnary: {
-      const T* a = rd(s.a);
-      T* o = wr(s.out);
-      const int64_t n = s.p0;
-      dispatch_unary(static_cast<prog::Unary>(s.fn), s.scalar,
-                     [&](auto f) { kernels::map_unary(a, o, n, f); });
+    case StepKind::kUnary:
+      kernels::map_unary(rd(s.a), wr(s.out), s.p0,
+                         static_cast<prog::Unary>(s.fn), s.scalar);
       break;
-    }
-    case StepKind::kBinary: {
-      const T* a = rd(s.a);
-      const T* b = rd(s.b);
-      T* o = wr(s.out);
-      const int64_t n = s.p0;
-      dispatch_binary(static_cast<prog::Binary>(s.fn),
-                      [&](auto f) { kernels::map_binary(a, b, o, n, f); });
+    case StepKind::kBinary:
+      kernels::map_binary(rd(s.a), rd(s.b), wr(s.out), s.p0,
+                          static_cast<prog::Binary>(s.fn));
       break;
-    }
     case StepKind::kBinaryBcast: {
       const kernels::BroadcastPlan& plan =
           bplans[static_cast<std::size_t>(s.plan)];
@@ -1063,15 +926,13 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
       // One pass over the buffer, block by block: the chain value lives
       // in a stack block while the composed ops run over it, so the
       // folded intermediates never touch memory. Element i still sees
-      // the identical functor sequence the individual steps applied.
+      // the identical op sequence the individual steps applied, through
+      // the same unary_block/binary_block entries.
       const auto& ops = im.fchains[static_cast<std::size_t>(s.plan)];
       const T* src = rd(s.a);
       T* outp = wr(s.out);
       const FusedOp* fo = ops.data();
       const std::size_t n_ops = ops.size();
-#ifdef MF_PROG_AVX2
-      const bool avx2 = prog_has_avx2();
-#endif
       kernels::parallel_for(
           s.p0, static_cast<int64_t>(n_ops) + 1, [&](int64_t b0, int64_t e0) {
             constexpr int64_t kBlock = 128;
@@ -1083,31 +944,9 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
                 const FusedOp& op = fo[k];
                 switch (op.form) {
                   case FusedOp::kUnaryForm:
-                    // tanh/gelu route through the shared block kernels so a
-                    // fused chain produces the same bits as the standalone
-                    // eager op (fast path when active, sfn functor if not).
-                    if (static_cast<prog::Unary>(op.fn) == prog::Unary::kTanh) {
-                      kernels::tanh_block_inplace(acc, len);
-                      break;
-                    }
-                    if (static_cast<prog::Unary>(op.fn) == prog::Unary::kGelu) {
-                      kernels::gelu_block_inplace(acc, len);
-                      break;
-                    }
-#ifdef MF_PROG_AVX2
-                    if (avx2 &&
-                        fused_unary_avx2(acc, len,
+                    kernels::unary_block(acc, acc, len,
                                          static_cast<prog::Unary>(op.fn),
-                                         op.scalar)) {
-                      break;
-                    }
-#endif
-                    dispatch_unary(static_cast<prog::Unary>(op.fn), op.scalar,
-                                   [&](auto f) {
-                                     for (int64_t t = 0; t < len; ++t) {
-                                       acc[t] = f(acc[t]);
-                                     }
-                                   });
+                                         op.scalar);
                     break;
                   case FusedOp::kBinChainLeft:
                     kernels::binary_block(acc, rd(op.other) + base, acc, len,

@@ -252,20 +252,10 @@ extern thread_local Program::Impl* g_recorder;
 }
 inline bool capturing() { return detail::g_recorder != nullptr; }
 
-enum class Unary : std::uint8_t {
-  kAddScalar,
-  kMulScalar,
-  kPowScalar,
-  kNeg,
-  kExp,
-  kLog,
-  kSqrt,
-  kTanh,
-  kAbs,
-  kSign,
-  kGelu,
-};
-
+// The plan's elementwise opcodes are the kernels' own: a unary or binary
+// step replays through kernels::map_unary / map_binary with the opcode its
+// eager op passed.
+using Unary = kernels::UnaryOp;
 using Binary = kernels::BinaryOp;
 
 void on_unary(Unary fn, real scalar, const Tensor& a, const Tensor& out);

@@ -1,11 +1,14 @@
-// Scalar functors shared by the eager ops (ops.cpp) and the compiled
-// program replay (program.cpp).
+// Scalar functors shared by the eager ops (ops.cpp), the compiled program
+// replay (program.cpp) and the kernels (kernels.cpp).
 //
-// Bitwise parity between an eagerly executed step and its replay requires
-// that both paths evaluate the *same* floating-point expressions. Keeping
-// every elementwise scalar function in one header — and instantiating the
-// kernels in both translation units from these exact functors — makes that
-// guarantee structural instead of accidental.
+// Bitwise parity between an eagerly executed step and its replay comes
+// from one opcode entry per elementwise family: eager ops, plain replay
+// and fused chains all call kernels::map_unary / unary_block or
+// map_binary / binary_block with the same opcode, and each entry has one
+// body per tier. These functors are the scalar tier's body, the body of
+// the ops with no lane formula (pow_scalar, exp, log, sign) on every tier,
+// the bitwise reference of the IEEE-exact lanes, and what map_broadcast
+// runs for the broadcast binary step.
 #pragma once
 
 #include <cmath>

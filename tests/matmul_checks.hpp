@@ -1,63 +1,28 @@
 // Matmul tier conformance checks shared by test_kernels (f64) and
-// test_precision (f32): each FMA tier's micro-kernel against the naive
-// std::fma loop over a generated shape sweep, and the public entry point
+// test_precision (f32): each tier's serial kernel against its naive loop
+// (std::fma on the FMA tiers, acc + a·b on the scalar tier) over a
+// generated shape sweep and a 0·inf case, and the public entry point
 // serial vs threaded against the widest tier.
 #pragma once
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "ad/kernels.hpp"
-#include "gelu_checks.hpp"
+#include "elementwise_checks.hpp"
 #include "util/rng.hpp"
 
 namespace matmul_checks {
 
 namespace kernels = mf::ad::kernels;
-
-/// n elements that end where an inaccessible page begins, so a kernel that
-/// reads or writes one element past the end faults instead of passing.
-template <typename T>
-class GuardedBuffer {
- public:
-  explicit GuardedBuffer(int64_t n) {
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
-    span_ = (bytes + page - 1) / page * page + page;
-    void* base = mmap(nullptr, span_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED) throw std::bad_alloc();
-    base_ = static_cast<char*>(base);
-    if (mprotect(base_ + span_ - page, page, PROT_NONE) != 0) {
-      munmap(base_, span_);
-      throw std::bad_alloc();
-    }
-    data_ = reinterpret_cast<T*>(base_ + span_ - page - bytes);
-    size_ = n;
-  }
-  ~GuardedBuffer() { munmap(base_, span_); }
-  GuardedBuffer(const GuardedBuffer&) = delete;
-  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
-
-  T* begin() { return data_; }
-  T* end() { return data_ + size_; }
-
- private:
-  char* base_ = nullptr;
-  std::size_t span_ = 0;
-  T* data_ = nullptr;
-  int64_t size_ = 0;
-};
+using elementwise_checks::GuardedBuffer;
 
 /// Random operands for a sweep. A case of shape (m, k, n) takes the last
 /// m·k, k·n, n and m·n elements of these pools, so each of its four
@@ -96,12 +61,11 @@ struct Case {
   T* out;
 };
 
-/// The naive loop: out[i][j] = bias[j] (or 0), then std::fma(a[i][kk],
-/// b[kk][j], out[i][j]) for kk ascending. Compiled for FMA so std::fma is
-/// one instruction instead of a libm call; it runs only after a tier (which
-/// implies FMA) has.
-template <typename T>
-__attribute__((target("fma"))) std::vector<T> naive(const Case<T>& c) {
+/// The naive loop of the tier with `lanes` f64 lanes: out[i][j] = bias[j]
+/// (or 0), then, for kk ascending, std::fma(a[i][kk], b[kk][j], out[i][j])
+/// on the FMA tiers and out[i][j] + a[i][kk]·b[kk][j] on the scalar tier.
+template <typename T, typename Acc>
+std::vector<T> naive_loop(const Case<T>& c, Acc acc) {
   std::vector<T> out(static_cast<std::size_t>(c.m * c.n));
   for (int64_t i = 0; i < c.m; ++i) {
     T* row = out.data() + i * c.n;
@@ -109,10 +73,24 @@ __attribute__((target("fma"))) std::vector<T> naive(const Case<T>& c) {
     for (int64_t kk = 0; kk < c.k; ++kk) {
       const T av = c.a[i * c.k + kk];
       const T* brow = c.b + kk * c.n;
-      for (int64_t j = 0; j < c.n; ++j) row[j] = std::fma(av, brow[j], row[j]);
+      for (int64_t j = 0; j < c.n; ++j) row[j] = acc(av, brow[j], row[j]);
     }
   }
   return out;
+}
+
+/// The FMA tiers' naive loop, compiled for FMA so std::fma is one
+/// instruction instead of a libm call; it runs only after a tier (which
+/// implies FMA) has.
+template <typename T>
+__attribute__((target("fma"))) std::vector<T> naive_fma(const Case<T>& c) {
+  return naive_loop(c, [](T x, T y, T z) { return std::fma(x, y, z); });
+}
+
+template <typename T>
+std::vector<T> naive(int lanes, const Case<T>& c) {
+  if (lanes > 1) return naive_fma(c);
+  return naive_loop(c, [](T x, T y, T z) { return z + x * y; });
 }
 
 /// Empty when out equals want bitwise, else the first mismatch.
@@ -145,30 +123,33 @@ inline std::vector<int64_t> sweep_cols() {
 }
 inline const std::vector<int64_t> kSweepDepths = {1, 2, 5, 64, 1024};
 
-/// Runs the serial micro-kernel of the tier with `lanes` f64 lanes (8:
-/// AVX-512F, 4: AVX2+FMA) on c; false when the CPU lacks it.
+/// Runs the serial kernel of the tier with `lanes` f64 lanes (8:
+/// AVX-512F, 4: AVX2+FMA, 1: scalar) on c; false when the CPU lacks it.
 template <typename T>
 bool run_tier(int lanes, Case<T>& c) {
   c.clear();
-  return lanes == 8 ? kernels::detail::matmul_avx512f(c.a, c.b, c.bias, c.out,
-                                                      c.m, c.k, c.n)
-                    : kernels::detail::matmul_avx2_fma(c.a, c.b, c.bias, c.out,
-                                                       c.m, c.k, c.n);
+  return kernels::detail::matmul_on_tier(lanes, c.a, c.b, c.bias, c.out, c.m,
+                                         c.k, c.n);
 }
 
 inline const char* tier_name(int lanes) {
-  return lanes == 8 ? "AVX-512F" : "AVX2+FMA";
+  return lanes == 8 ? "AVX-512F" : lanes == 4 ? "AVX2+FMA" : "scalar";
 }
 
-/// The serial micro-kernel of the tier with `lanes` f64 lanes against the
-/// naive std::fma loop, and the other tier against it where the CPU has
-/// both, over m × k × n × bias. m = 1,003 runs at k <= 64 only: its k =
-/// 1,024 cases would cost more than the rest of the sweep together and
-/// exercise no other code. Skips when the CPU lacks the tier, after
-/// checking that it wrote nothing.
+/// The serial kernel of the tier with `lanes` f64 lanes against its naive
+/// loop, and the other FMA tier against it where the CPU has both, over m
+/// × k × n × bias. m = 1,003 runs at k <= 64 only: its k = 1,024 cases
+/// would cost more than the rest of the sweep together and exercise no
+/// other code. Then each of the shapes below runs once more with
+/// a[0][0] = 0 and b[0][0] = +inf, whose product is NaN in every naive
+/// loop: a kernel that skips zero a-elements leaves out[0][0] finite. Its
+/// rows cover the row block and the remainder rows, its columns whole and
+/// partial strips, and its k·n both sides of the scalar tier's tiling
+/// gate. Skips when the CPU lacks the tier, after checking that it wrote
+/// nothing.
 template <typename T>
 void expect_tier_matches_naive(int lanes) {
-  const int other = lanes == 8 ? 4 : 8;
+  const int other = lanes == 8 ? 4 : lanes == 4 ? 8 : 0;
   Pools<T> pools(1003 * 64, 1024 * 513, 513, 1003 * 513, 1000);
   Case<T> probe(pools, 3, 2, 5, true);
   if (!run_tier(lanes, probe)) {
@@ -177,23 +158,42 @@ void expect_tier_matches_naive(int lanes) {
     }
     GTEST_SKIP() << "CPU lacks " << tier_name(lanes);
   }
+  auto check = [&](Case<T>& c, const std::string& what) {
+    const std::vector<T> want = naive(lanes, c);
+    ASSERT_TRUE(run_tier(lanes, c));
+    std::string bad = first_mismatch(c.out, want);
+    ASSERT_TRUE(bad.empty()) << tier_name(lanes) << " vs naive loop, "
+                             << c.name() << what << ", " << bad;
+    if (other == 0 || !run_tier(other, c)) return;
+    bad = first_mismatch(c.out, want);
+    ASSERT_TRUE(bad.empty()) << tier_name(other) << " vs " << tier_name(lanes)
+                             << ", " << c.name() << what << ", " << bad;
+  };
   for (const int64_t m : sweep_rows()) {
     for (const int64_t k : kSweepDepths) {
       if (m > 17 && k > 64) continue;
       for (const int64_t n : sweep_cols()) {
         for (const bool with_bias : {false, true}) {
           Case<T> c(pools, m, k, n, with_bias);
-          const std::vector<T> want = naive(c);
-          ASSERT_TRUE(run_tier(lanes, c));
-          std::string bad = first_mismatch(c.out, want);
-          ASSERT_TRUE(bad.empty()) << tier_name(lanes) << " vs naive std::fma, "
-                                   << c.name() << ", " << bad;
-          if (!run_tier(other, c)) continue;
-          bad = first_mismatch(c.out, want);
-          ASSERT_TRUE(bad.empty()) << tier_name(other) << " vs "
-                                   << tier_name(lanes) << ", " << c.name()
-                                   << ", " << bad;
+          check(c, "");
+          if (::testing::Test::HasFatalFailure()) return;
         }
+      }
+    }
+  }
+  for (const int64_t m : {1, 3, 4, 9}) {
+    for (const int64_t k : {1, 5, 64, 1024}) {
+      for (const int64_t n : {1, 7, 16, 513}) {
+        Case<T> c(pools, m, k, n, true);
+        T* a = pools.a.end() - m * k;
+        T* b = pools.b.end() - k * n;
+        const T a0 = a[0], b0 = b[0];
+        a[0] = 0;
+        b[0] = std::numeric_limits<T>::infinity();
+        check(c, " 0*inf");
+        if (::testing::Test::HasFatalFailure()) return;
+        a[0] = a0;
+        b[0] = b0;
       }
     }
   }
@@ -202,27 +202,25 @@ void expect_tier_matches_naive(int lanes) {
 /// kernels::matmul at m = 1,003, serial and on 4 threads with grain 1 (so
 /// OpenMP splits the rows at offsets that are not multiples of the row
 /// block), gives the same bits, and those of the widest tier's serial
-/// micro-kernel when the CPU has an FMA tier.
+/// kernel.
 template <typename T>
 void expect_entry_serial_threaded_and_tier_agree() {
-  gelu_checks::ThreadingGuard guard;
+  elementwise_checks::KernelConfigGuard guard;
   const int lanes = kernels::gelu_lanes();
   Pools<T> pools(1003 * 1024, 1024 * 513, 513, 1003 * 513, 5000);
   for (const int64_t k : kSweepDepths) {
     for (const int64_t n : sweep_cols()) {
       Case<T> c(pools, 1003, k, n, true);
-      kernels::set_grain(std::numeric_limits<int64_t>::max());
+      guard.serial();
       c.clear();
       kernels::matmul(c.a, c.b, c.bias, c.out, c.m, k, n);
       const std::vector<T> serial(c.out, c.out + c.m * n);
-      kernels::set_grain(1);
-      kernels::set_num_threads(4);
+      guard.threaded();
       c.clear();
       kernels::matmul(c.a, c.b, c.bias, c.out, c.m, k, n);
       std::string bad = first_mismatch(c.out, serial);
       ASSERT_TRUE(bad.empty()) << "threaded vs serial, " << c.name() << ", "
                                << bad;
-      if (lanes == 1) continue;
       ASSERT_TRUE(run_tier(lanes, c));
       bad = first_mismatch(c.out, serial);
       ASSERT_TRUE(bad.empty()) << tier_name(lanes) << " vs entry, "

@@ -16,7 +16,7 @@
 #include "ad/gradcheck.hpp"
 #include "ad/kernels.hpp"
 #include "ad/ops.hpp"
-#include "gelu_checks.hpp"
+#include "elementwise_checks.hpp"
 #include "matmul_checks.hpp"
 #include "util/rng.hpp"
 
@@ -30,27 +30,7 @@ namespace {
 
 constexpr int kTestThreads = 4;
 
-/// Restores grain and thread count, and provides serial/threaded modes.
-/// Serial = grain so large nothing threads; threaded = grain 1 so even
-/// 1-element tensors take the parallel path (when OpenMP is available).
-class KernelConfigGuard {
- public:
-  KernelConfigGuard() : grain_(kernels::grain()), threads_(kernels::max_threads()) {}
-  ~KernelConfigGuard() {
-    kernels::set_grain(grain_);
-    kernels::set_num_threads(threads_);
-  }
-
-  void serial() { kernels::set_grain(std::numeric_limits<int64_t>::max()); }
-  void threaded(int n_threads = kTestThreads) {
-    kernels::set_grain(1);
-    kernels::set_num_threads(n_threads);
-  }
-
- private:
-  int64_t grain_;
-  int threads_;
-};
+using elementwise_checks::KernelConfigGuard;
 
 Tensor randt(const Shape& shape, unsigned seed, double lo, double hi) {
   mf::util::Rng rng(seed);
@@ -192,10 +172,9 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
   // 64, kTileN = 512) so its blocked path and partial edge tiles are
   // exercised; on FMA hosts the register micro-kernel runs them all. The
   // claim under test is bitwise identity with the naive i-k-j loop of the
-  // tier the host runs: std::fma accumulation on the FMA tiers, `acc += a
-  // * b` skipping zero a-elements on the scalar loop. Each shape runs once
-  // more with a[0][0] = 0 and b[0][0] = +inf, where the two differ: 0 · inf
-  // is NaN in std::fma, and nothing in the scalar loop.
+  // tier the host runs: std::fma accumulation on the FMA tiers, `acc + a *
+  // b` on the scalar loop. Each shape runs once more with a[0][0] = 0 and
+  // b[0][0] = +inf, whose product is NaN in both.
   const bool fma = kernels::gelu_lanes() > 1;
   const std::array<std::array<int64_t, 3>, 9> shapes = {{
       {3, 65, 513},   // both dims one past a tile boundary
@@ -233,11 +212,7 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
           for (int64_t kk = 0; kk < k; ++kk) {
             const mf::ad::real av = a[static_cast<std::size_t>(i * k + kk)];
             const mf::ad::real bv = b[static_cast<std::size_t>(kk * n + j)];
-            if (fma) {
-              acc = std::fma(av, bv, acc);
-            } else if (av != 0) {
-              acc = acc + av * bv;
-            }
+            acc = fma ? std::fma(av, bv, acc) : acc + av * bv;
           }
           ref[static_cast<std::size_t>(i * n + j)] = acc;
         }
@@ -251,7 +226,11 @@ TEST(Kernels, MatmulBlockedPathMatchesNaive) {
   }
 }
 
-// ---- matmul: one FMA micro-kernel per tier ----
+// ---- matmul: one kernel per tier ----
+
+TEST(MatmulKernel, ScalarTierMatchesNaiveLoopF64) {
+  matmul_checks::expect_tier_matches_naive<double>(1);
+}
 
 TEST(MatmulKernel, Avx2FmaTierMatchesNaiveFmaLoopF64) {
   matmul_checks::expect_tier_matches_naive<double>(4);
@@ -414,29 +393,69 @@ TEST(Kernels, ReduceToScalarAndAllAxes) {
   }
 }
 
-// ---- GELU: x / (1 + exp(t)) on the widest FMA lanes ----
+// ---- elementwise: one lane formula per op on every tier ----
 
-TEST(GeluKernel, LanesNameTheWidestTierTheCpuHas) {
+TEST(ElementwiseKernel, LanesNameTheWidestTierTheCpuHas) {
   double x = 1.5, y = 0;
-  const bool avx512 = kernels::detail::gelu_avx512f(&x, &y, 1);
-  const bool avx2 = kernels::detail::gelu_avx2_fma(&x, &y, 1);
-  EXPECT_EQ(kernels::gelu_lanes(), avx512 ? 8 : avx2 ? 4 : 1);
+  const auto on = [&](int lanes) {
+    return kernels::detail::unary_on_tier(lanes, &x, &y, 1,
+                                          kernels::UnaryOp::kGelu, 0);
+  };
+  EXPECT_TRUE(on(1));
+  EXPECT_FALSE(on(2));
+  EXPECT_EQ(kernels::gelu_lanes(), on(8) ? 8 : on(4) ? 4 : 1);
 }
 
-TEST(GeluKernel, MaxAbsErrorVsLongDoubleF64) {
-  EXPECT_LE(gelu_checks::max_abs_error<double>(-20, 20, 400001), 2e-15);
+TEST(ElementwiseKernel, TiersMatchFunctorsOrEachOtherF64) {
+  elementwise_checks::expect_tiers_conform<double>();
 }
 
-TEST(GeluKernel, ChunkAndTailInvarianceF64) {
-  gelu_checks::expect_chunk_invariant<double>();
+TEST(ElementwiseKernel, EntriesAreChunkTailAndThreadInvariantF64) {
+  elementwise_checks::expect_entries_chunk_invariant<double>();
 }
 
-TEST(GeluKernel, SpecialValuesF64) {
-  gelu_checks::expect_special_values<double>(1e300);
+TEST(ElementwiseKernel, TanhIsOddSaturatingAndWithin2UlpOfStdTanhF64) {
+  elementwise_checks::expect_tanh_sane<double>(2);
 }
 
-TEST(GeluKernel, Avx2AndAvx512LanesAgreeBitwiseF64) {
-  gelu_checks::expect_tiers_agree<double>();
+TEST(ElementwiseKernel, TanhBitsArePinnedF64) {
+  // Recorded from the hand-written AVX2 tanh kernel this template replaced.
+  elementwise_checks::expect_tanh_pinned<double>({
+      {0x1.5798ee2308c3ap-27, 0x1.5798ee2308c3ap-27},
+      {0x1.999999999999ap-4, 0x1.983d7795f413ap-4},
+      {-0x1p-2, -0x1.f597ea69a1c86p-3},
+      {0x1p-1, 0x1.d9353d7568af3p-2},
+      {0x1.3ffffffffffffp-1, 0x1.1bf47eabb8f94p-1},
+      {-0x1.3ffffffffffffp-1, -0x1.1bf47eabb8f94p-1},
+      {0x1.4p-1, 0x1.1bf47eabb8f96p-1},
+      {-0x1.4p-1, -0x1.1bf47eabb8f96p-1},
+      {0x1.6666666666666p-1, 0x1.356fb17af2e91p-1},
+      {-0x1p+0, -0x1.85efab514f394p-1},
+      {0x1.8p+0, 0x1.cf6f9786df577p-1},
+      {0x1.6p+1, 0x1.fbd509ae7ae3ep-1},
+      {-0x1p+2, -0x1.ffa81708a0b42p-1},
+      {0x1.ap+2, 0x1.ffff684fec9b9p-1},
+      {0x1.2p+3, 0x1.fffffefa59d78p-1},
+      {-0x1.88p+3, -0x1.ffffffff9b4bep-1},
+      {0x1.18p+4, 0x1.ffffffffffff5p-1},
+      {0x1.30fffffffffffp+4, 0x1p+0},
+      {0x1.31p+4, 0x1p+0},
+      {-0x1.31p+4, -0x1p+0},
+      {0x1.9p+4, 0x1p+0},
+      // round(2|x|·log2e) ties: 5.5, −12.5 and 19.5.
+      {0x1.e7f9c1e980fa9p+0, 0x1.e9dc9d2d2669p-1},
+      {-0x1.1542457337d43p+2, -0x1.ffd2c0c31c61fp-1},
+      {0x1.b0861a6c0f69bp+2, 0x1.ffffa57d8e66p-1},
+  });
+}
+
+TEST(ElementwiseKernel, GeluMaxAbsErrorVsLongDoubleF64) {
+  EXPECT_LE(elementwise_checks::gelu_max_abs_error<double>(-20, 20, 400001),
+            2e-15);
+}
+
+TEST(ElementwiseKernel, GeluSpecialValuesF64) {
+  elementwise_checks::expect_gelu_special_values<double>(1e300);
 }
 
 // ---- broadcast row walker vs a naive full-index reference ----

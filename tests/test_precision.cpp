@@ -7,9 +7,10 @@
 //    unchanged; here we only pin the policy plumbing (no casts inserted,
 //    per-dtype plan caches).
 //  * f32 kernels are tolerance-gated against f64 but *exactly* equal to
-//    their own scalar float reference: the AVX2 lanes and the scalar
-//    tails must agree bit-for-bit per dtype, and cast round-trips that
-//    mathematics says are exact must be exact.
+//    their own float reference: the vector lanes of the IEEE-exact ops
+//    equal the float functors, the vector tiers agree bit-for-bit with
+//    each other, and cast round-trips that mathematics says are exact
+//    must be exact.
 //  * End to end, an f32 forward must track the f64 one to ~1e-4 — the
 //    fig7-style model-quality bar the bench gate enforces in CI.
 #include <gtest/gtest.h>
@@ -25,7 +26,7 @@
 #include "ad/ops.hpp"
 #include "ad/program.hpp"
 #include "ad/scalar_fns.hpp"
-#include "gelu_checks.hpp"
+#include "elementwise_checks.hpp"
 #include "gp/dataset.hpp"
 #include "matmul_checks.hpp"
 #include "mosaic/subdomain_solver.hpp"
@@ -108,66 +109,50 @@ TEST(Precision, CastWidenThenNarrowIsIdentity) {
 }
 
 // ---------------------------------------------------------------------
-// Float kernel tier: vector path == scalar float reference, exactly.
+// Float kernel tiers: exact ops == float functors, tiers == each other.
 // ---------------------------------------------------------------------
 
-TEST(Precision, FloatMapBinaryMatchesScalarReferenceExactly) {
-  const int64_t n = 1003;  // odd: exercises the scalar tail
-  util::Rng rng(11);
-  std::vector<float> a(static_cast<std::size_t>(n)),
-      b(static_cast<std::size_t>(n)), out(static_cast<std::size_t>(n));
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-2.0, 2.0));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(0.5, 2.5));
-
-  auto check = [&](auto f, const char* name) {
-    ad::kernels::map_binary(a.data(), b.data(), out.data(), n, f);
-    for (int64_t i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      ASSERT_EQ(out[u], f(a[u], b[u])) << name << " i=" << i;
-    }
-  };
-  check(sfn::Add{}, "add");
-  check(sfn::Sub{}, "sub");
-  check(sfn::Mul{}, "mul");
-  check(sfn::Div{}, "div");
+TEST(Precision, FloatElementwiseTiersMatchFunctorsOrEachOther) {
+  elementwise_checks::expect_tiers_conform<float>();
 }
 
-TEST(Precision, FloatFastTanhIsChunkInvariantAndSane) {
-  // The float fast-tanh contract mirrors the double one: the vector body
-  // and the scalar tail evaluate the same polynomial, so splitting the
-  // array at any point must not change a single bit.
-  const int64_t n = 517;
-  util::Rng rng(13);
-  std::vector<float> full(static_cast<std::size_t>(n));
-  for (auto& v : full) v = static_cast<float>(rng.uniform(-12.0, 12.0));
-  std::vector<float> parts = full;
+TEST(Precision, FloatElementwiseEntriesAreChunkTailAndThreadInvariant) {
+  elementwise_checks::expect_entries_chunk_invariant<float>();
+}
 
-  ad::kernels::tanh_block_inplace(full.data(), n);
-  // Apply in awkward chunk sizes (1, 3, 8, remainder).
-  int64_t off = 0;
-  for (int64_t c : {int64_t{1}, int64_t{3}, int64_t{8}, n}) {
-    const int64_t len = std::min(c, n - off);
-    if (len <= 0) break;
-    ad::kernels::tanh_block_inplace(parts.data() + off, len);
-    off += len;
-  }
-  ad::kernels::tanh_block_inplace(parts.data() + off, n - off);
-  for (int64_t i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    ASSERT_EQ(full[u], parts[u]) << "i=" << i;
-  }
+TEST(Precision, FloatTanhIsOddSaturatingAndWithin2UlpOfStdTanh) {
+  elementwise_checks::expect_tanh_sane<float>(2);
+}
 
-  // Range sanity: odd, bounded, saturating, NaN-transparent, and within
-  // float rounding of the libm reference.
-  float probe[6] = {0.0f, 1e-4f, -0.75f, 30.0f, -30.0f,
-                    std::numeric_limits<float>::quiet_NaN()};
-  ad::kernels::tanh_block_inplace(probe, 6);
-  EXPECT_EQ(probe[0], 0.0f);
-  EXPECT_NEAR(probe[1], std::tanh(1e-4f), 1e-7f);
-  EXPECT_NEAR(probe[2], std::tanh(-0.75f), 4e-7f);
-  EXPECT_EQ(probe[3], 1.0f);
-  EXPECT_EQ(probe[4], -1.0f);
-  EXPECT_TRUE(std::isnan(probe[5]));
+TEST(Precision, FloatTanhBitsArePinned) {
+  // Recorded from the hand-written AVX2 tanh kernel this template replaced.
+  elementwise_checks::expect_tanh_pinned<float>({
+      {0x1.5798eep-27f, 0x1.5798eep-27f},
+      {0x1.99999ap-4f, 0x1.983d78p-4f},
+      {-0x1p-2f, -0x1.f597eap-3f},
+      {0x1p-1f, 0x1.d9353ep-2f},
+      {0x1.3ffffep-1f, 0x1.1bf47cp-1f},
+      {-0x1.3ffffep-1f, -0x1.1bf47cp-1f},
+      {0x1.4p-1f, 0x1.1bf48p-1f},
+      {-0x1.4p-1f, -0x1.1bf48p-1f},
+      {0x1.666666p-1f, 0x1.356fb2p-1f},
+      {-0x1p+0f, -0x1.85efacp-1f},
+      {0x1.8p+0f, 0x1.cf6f98p-1f},
+      {0x1.6p+1f, 0x1.fbd50ap-1f},
+      {-0x1p+2f, -0x1.ffa818p-1f},
+      {0x1.ap+2f, 0x1.ffff68p-1f},
+      {0x1.2p+3f, 0x1.fffffep-1f},
+      {-0x1.88p+3f, -0x1p+0f},
+      {0x1.18p+4f, 0x1p+0f},
+      {0x1.30fffep+4f, 0x1p+0f},
+      {0x1.31p+4f, 0x1p+0f},
+      {-0x1.31p+4f, -0x1p+0f},
+      {0x1.9p+4f, 0x1p+0f},
+      // round(2|x|·log2e) ties: 3.5, −5.5 and 8.5.
+      {0x1.3687aap+0f, 0x1.acd734p-1f},
+      {-0x1.e7f9c2p+0f, -0x1.e9dc9ep-1f},
+      {0x1.791274p+1f, 0x1.fd2deap-1f},
+  });
 }
 
 TEST(Precision, GeluConstantsAreTypedAtElementWidth) {
@@ -186,19 +171,16 @@ TEST(Precision, GeluConstantsAreTypedAtElementWidth) {
 }
 
 TEST(Precision, FloatGeluMaxAbsErrorVsLongDouble) {
-  EXPECT_LE(gelu_checks::max_abs_error<float>(-20, 20, 400001), 1e-6);
-}
-
-TEST(Precision, FloatGeluChunkAndTailInvariance) {
-  gelu_checks::expect_chunk_invariant<float>();
+  EXPECT_LE(elementwise_checks::gelu_max_abs_error<float>(-20, 20, 400001),
+            1e-6);
 }
 
 TEST(Precision, FloatGeluSpecialValues) {
-  gelu_checks::expect_special_values<float>(1e30f);
+  elementwise_checks::expect_gelu_special_values<float>(1e30f);
 }
 
-TEST(Precision, FloatGeluAvx2AndAvx512LanesAgreeBitwise) {
-  gelu_checks::expect_tiers_agree<float>();
+TEST(Precision, FloatMatmulScalarTierMatchesNaiveLoop) {
+  matmul_checks::expect_tier_matches_naive<float>(1);
 }
 
 TEST(Precision, FloatMatmulAvx2FmaTierMatchesNaiveFmaLoop) {

@@ -21,6 +21,7 @@
 #include "ad/engine.hpp"
 #include "ad/ops.hpp"
 #include "ad/program.hpp"
+#include "elementwise_checks.hpp"
 #include "gp/dataset.hpp"
 #include "mosaic/subdomain_solver.hpp"
 #include "mosaic/trainer.hpp"
@@ -489,6 +490,108 @@ TEST(Program, LaterNonFusedReaderBlocksFusion) {
       ASSERT_EQ(out_chained.flat(i), eager_chained.flat(i)) << "round " << round;
     }
     for (int64_t i = 0; i < x.numel(); ++i) x.flat(i) = rng.uniform(-1.0, 1.0);
+  }
+}
+
+namespace {
+
+using ad::kernels::BinaryOp;
+using ad::kernels::UnaryOp;
+
+/// The eager op that records `op`. sign has no ops:: function: abs's
+/// backward runs it through this same kernel entry and capture hook.
+Tensor unary_op(UnaryOp op, const Tensor& t) {
+  switch (op) {
+    case UnaryOp::kAddScalar: return ops::add_scalar(t, 0.75);
+    case UnaryOp::kMulScalar: return ops::mul_scalar(t, -1.25);
+    case UnaryOp::kPowScalar: return ops::pow_scalar(t, 1.5);
+    case UnaryOp::kNeg: return ops::neg(t);
+    case UnaryOp::kExp: return ops::exp(t);
+    case UnaryOp::kLog: return ops::log(t);
+    case UnaryOp::kSqrt: return ops::sqrt(t);
+    case UnaryOp::kTanh: return ops::tanh(t);
+    case UnaryOp::kAbs: return ops::abs(t);
+    case UnaryOp::kGelu: return ops::gelu(t);
+    case UnaryOp::kSign: break;
+  }
+  Tensor s = Tensor::zeros(t.shape());
+  ad::kernels::map_unary(t.data(), s.data(), t.numel(), op, 0);
+  if (ad::prog::capturing()) ad::prog::on_unary(op, 0, t, s);
+  return s;
+}
+
+Tensor binary_op(BinaryOp op, const Tensor& a, const Tensor& b) {
+  switch (op) {
+    case BinaryOp::kAdd: return ops::add(a, b);
+    case BinaryOp::kSub: return ops::sub(a, b);
+    case BinaryOp::kMul: return ops::mul(a, b);
+    case BinaryOp::kDiv: return ops::div(a, b);
+  }
+  return a;
+}
+
+}  // namespace
+
+TEST(Program, EveryElementwiseOpReplaysBitwiseAloneAndFused) {
+  // Each unary and binary opcode as one standalone step, and inside a
+  // chain the fuse pass folds whole: mul_scalar -> op -> add for unary
+  // ops; add_scalar, then op with the chain on the left, on the right and
+  // on both sides for binary ops. After new leaf contents, replay equals a
+  // fresh eager evaluation bitwise. log, sqrt and pow_scalar see positive
+  // inputs.
+  ProgramEnabledGuard on(true);
+  ad::NoGradGuard no_grad;
+  util::Rng rng(97);
+  Tensor x = Tensor::zeros({203});
+  Tensor w = Tensor::zeros({203});
+  auto expect_replays = [&](const std::string& what,
+                            const std::function<Tensor()>& f,
+                            std::size_t fused_ops, double lo) {
+    auto refill = [&] {
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        x.flat(i) = rng.uniform(lo, 2.0);
+        w.flat(i) = rng.uniform(0.5, 2.0);
+      }
+    };
+    refill();
+    ad::Program p;
+    Tensor out;
+    p.capture([&] { out = f(); });
+    EXPECT_EQ(p.stats().fused_ops, fused_ops) << what;
+    for (int round = 0; round < 2; ++round) {
+      refill();
+      p.replay();
+      const Tensor eager = f();
+      for (int64_t i = 0; i < out.numel(); ++i) {
+        ASSERT_TRUE(elementwise_checks::same_bits(out.flat(i), eager.flat(i)))
+            << what << " round " << round << " i=" << i << ": "
+            << out.flat(i) << " vs " << eager.flat(i);
+      }
+    }
+  };
+  for (const UnaryOp op : elementwise_checks::kUnaryOps) {
+    const bool positive = op == UnaryOp::kLog || op == UnaryOp::kSqrt ||
+                          op == UnaryOp::kPowScalar;
+    const double lo = positive ? 0.25 : -2.0;
+    const std::string name = elementwise_checks::name(op);
+    expect_replays(name + " alone", [&] { return unary_op(op, x); }, 0, lo);
+    expect_replays(
+        name + " fused",
+        [&] { return ops::add(unary_op(op, ops::mul_scalar(x, 1.5)), x); }, 3,
+        lo);
+  }
+  for (const BinaryOp op : elementwise_checks::kBinaryOps) {
+    const std::string name = elementwise_checks::name(op);
+    expect_replays(name + " alone", [&] { return binary_op(op, x, w); }, 0,
+                   -2.0);
+    expect_replays(
+        name + " fused",
+        [&] {
+          const Tensor left = binary_op(op, ops::add_scalar(x, 0.5), w);
+          const Tensor right = binary_op(op, w, left);
+          return binary_op(op, right, right);
+        },
+        4, -2.0);
   }
 }
 
