@@ -71,8 +71,8 @@ static int main_body(int argc, char** argv) {
                                        static_cast<double>(without), 3)});
   }
   table.print();
-  std::printf("\nShape check vs paper: ratio should be ~5-6x (paper: 0.503/0.05 "
-              "= 10x at 5 domains, 15.11/2.77 = 5.5x at 320).\n");
+  std::printf("\nPaper ratios: 10x at 5 domains (0.503/0.05 GB), 5.5x at 320 "
+              "(15.11/2.77 GB).\n");
   std::printf(
       "\nBENCH_JSON {\"bench\":\"table3_pde_loss_memory\",\"m\":%lld,"
       "\"domains\":%lld,\"peak_bytes_no_pde\":%zu,\"peak_bytes_pde\":%zu,"

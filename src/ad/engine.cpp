@@ -172,7 +172,12 @@ void run_backward(const Tensor& output, const Tensor& grad_output,
     }
   }
 
-  const bool prev_mode = GradMode::enabled();
+  // Restores the caller's grad mode on every exit, including a backward
+  // that throws (gelu_d3's does).
+  struct ModeRestore {
+    bool prev;
+    ~ModeRestore() { GradMode::set_enabled(prev); }
+  } restore{GradMode::enabled()};
   GradMode::set_enabled(create_graph);
   for (Node* n : order) {
     if (!needed[n]) continue;
@@ -189,7 +194,6 @@ void run_backward(const Tensor& output, const Tensor& grad_output,
     }
     std::vector<Tensor> gin = n->backward(gout, needs);
     if (gin.size() != n->num_inputs()) {
-      GradMode::set_enabled(prev_mode);
       throw std::logic_error("node '" + std::string(n->name) +
                              "' returned wrong number of gradients");
     }
@@ -200,7 +204,6 @@ void run_backward(const Tensor& output, const Tensor& grad_output,
       if (in.grad_fn()) acc.add(in, gin[i]);
     }
   }
-  GradMode::set_enabled(prev_mode);
 }
 
 }  // namespace

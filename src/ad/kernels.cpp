@@ -283,6 +283,9 @@ void unary_functors(const T* a, T* out, int64_t n, UnaryOp op, real s) {
     case UnaryOp::kAbs: run(sfn::Abs{}); break;
     case UnaryOp::kSign: run(sfn::Sign{}); break;
     case UnaryOp::kGelu: run(sfn::Gelu{}); break;
+    case UnaryOp::kGeluD1: run(sfn::GeluDeriv<1>{}); break;
+    case UnaryOp::kGeluD2: run(sfn::GeluDeriv<2>{}); break;
+    case UnaryOp::kGeluD3: run(sfn::GeluDeriv<3>{}); break;
   }
 }
 
@@ -435,9 +438,9 @@ struct GeluConsts;
 
 template <>
 struct GeluConsts<double> {
-  static constexpr double kA = -2 * sfn::gelu_coeff<double>;
-  static constexpr double kB = kA * sfn::gelu_cubic<double>;
-  static constexpr double kClamp = 708;
+  static constexpr double kA = sfn::gelu_ta<double>;
+  static constexpr double kB = sfn::gelu_tb<double>;
+  static constexpr double kClamp = sfn::gelu_clamp<double>;
   static constexpr double kLog2e = kLog2E;
   static constexpr double kShift = 0x1.8p52 + 1023;
   static constexpr double kLn2Hi = kExpC1;
@@ -447,9 +450,9 @@ struct GeluConsts<double> {
 
 template <>
 struct GeluConsts<float> {
-  static constexpr float kA = -2 * sfn::gelu_coeff<float>;
-  static constexpr float kB = kA * sfn::gelu_cubic<float>;
-  static constexpr float kClamp = 87;
+  static constexpr float kA = sfn::gelu_ta<float>;
+  static constexpr float kB = sfn::gelu_tb<float>;
+  static constexpr float kClamp = sfn::gelu_clamp<float>;
   static constexpr float kLog2e = static_cast<float>(kLog2E);
   static constexpr float kShift = 0x1.8p23f + 127;
   static constexpr float kLn2Hi = static_cast<float>(kExpC1);
@@ -476,13 +479,14 @@ inline void exp_poly(typename O::V& p, const typename O::V& r,
   ((O::set1(c, inv_factorial<T>(kDeg - 1 - I)), O::fma(p, p, r, c)), ...);
 }
 
-/// gelu on every lane of x, in place.
+/// e = exp(t) on every lane, t = x·(A + B·x²) clamped to ±kClamp; `t`
+/// keeps the unclamped value for the callers' clamp masks.
 template <class O>
-inline void gelu_lane(typename O::V& x) {
+inline void gelu_exp(typename O::V& e, typename O::V& t,
+                     const typename O::V& x) {
   using T = typename O::T;
   using C = GeluConsts<T>;
-  typename O::V x2, t, k, n, r, p, c0, c1;
-  typename O::M over;
+  typename O::V x2, k, n, r, c0, c1;
   O::mul(x2, x, x);
   O::set1(c0, C::kB);
   O::set1(c1, C::kA);
@@ -490,26 +494,100 @@ inline void gelu_lane(typename O::V& x) {
   O::mul(t, x, t);
   O::set1(c0, C::kClamp);
   O::set1(c1, -C::kClamp);
-  O::ge(over, t, c0);
-  O::max(t, t, c1);
-  O::min(t, t, c0);
+  O::max(r, t, c1);
+  O::min(r, r, c0);
   O::set1(c0, C::kLog2e);
   O::set1(c1, C::kShift);
-  O::fma(k, t, c0, c1);
+  O::fma(k, r, c0, c1);
   O::sub(n, k, c1);
   O::set1(c0, -C::kLn2Hi);
-  O::fma(r, n, c0, t);
+  O::fma(r, n, c0, r);
   O::set1(c0, -C::kLn2Lo);
   O::fma(r, n, c0, r);
-  exp_poly<O>(p, r, std::make_integer_sequence<int, C::kDegree>{});
+  exp_poly<O>(e, r, std::make_integer_sequence<int, C::kDegree>{});
   O::pow2(k, k);
-  O::mul(p, p, k);
-  O::set1(c0, T(1));
-  O::add(p, c0, p);
-  O::div(p, x, p);
-  O::set1(c0, T(0));
-  O::mul(c0, x, c0);
-  O::select(x, over, c0, p);
+  O::mul(e, e, k);
+}
+
+/// gelu on every lane of x, in place.
+template <class O>
+inline void gelu_lane(typename O::V& x) {
+  using T = typename O::T;
+  typename O::V e, t, c;
+  typename O::M over;
+  gelu_exp<O>(e, t, x);
+  O::set1(c, GeluConsts<T>::kClamp);
+  O::ge(over, t, c);
+  O::set1(c, T(1));
+  O::add(e, c, e);
+  O::div(e, x, e);
+  O::set1(c, T(0));
+  O::mul(c, x, c);
+  O::select(x, over, c, e);
+}
+
+/// gelu⁽ᴷ⁾ (K = 1, 2, 3) on every lane of x, in place: sfn::GeluDeriv's
+/// terms on GELU's exp, with FMAs. s = −T·v = (1 − 2p)·v carries tanh's
+/// sign so that every subtracted term is an FMA addend.
+template <class O, int K>
+inline void gelu_deriv_lane(typename O::V& x) {
+  using T = typename O::T;
+  typename O::V e, t, p, q, v, w, d, c;
+  typename O::M over, under;
+  gelu_exp<O>(e, t, x);
+  O::set1(c, GeluConsts<T>::kClamp);
+  O::ge(over, t, c);
+  O::set1(c, -GeluConsts<T>::kClamp);
+  O::ge(under, c, t);
+  O::set1(c, T(1));
+  O::add(p, c, e);
+  O::div(p, c, p);  // p = 1/(1 + e)
+  O::mul(q, e, p);
+  O::mul(q, q, p);  // q = e·p·p
+  O::set1(c, sfn::gelu_3ac<T>);
+  O::set1(v, sfn::gelu_coeff<T>);
+  O::mul(t, x, x);  // x² from here on
+  O::fma(v, c, t, v);  // v = c + 3ac·x²
+  O::mul(w, x, v);
+  if constexpr (K == 1) {
+    O::add(w, w, w);
+    O::fma(d, w, q, p);  // p + 2x·v·q
+    O::set1(c, T(1));
+    O::select(d, under, c, d);
+  } else {
+    typename O::V s, h;
+    O::add(s, p, p);
+    O::set1(c, T(1));
+    O::sub(s, c, s);
+    O::mul(s, s, v);  // s = −T·v
+    O::fma(h, w, s, v);
+    O::set1(c, sfn::gelu_3ac<T>);
+    O::fma(h, c, t, h);  // h = v − x·T·v² + 3ac·x²
+    O::set1(c, T(4));
+    O::mul(q, q, c);  // 4q from here on
+    if constexpr (K == 2) {
+      O::mul(d, q, h);
+    } else {
+      static_assert(K == 3);
+      O::set1(c, sfn::gelu_12ac<T>);
+      O::mul(d, c, x);
+      O::fma(d, s, v, d);  // − T·v²
+      O::mul(c, c, t);
+      O::fma(d, c, s, d);  // − 12ac·x²·T·v
+      O::add(c, s, s);
+      O::fma(d, c, h, d);  // − 2T·v·h
+      O::mul(c, q, w);
+      O::mul(v, v, v);
+      O::set1(e, T(0));
+      O::sub(c, e, c);
+      O::fma(d, c, v, d);  // − 4x·q·v³
+      O::mul(d, q, d);
+    }
+    O::set1(c, T(0));
+    O::select(d, under, c, d);
+  }
+  O::set1(c, T(0));
+  O::select(x, over, c, d);
 }
 
 // ---- tanh: Cephes-style, without FMA ----
@@ -623,9 +701,15 @@ inline void unary_lane(typename O::V& x,
     O::sqrt(x, x);
   } else if constexpr (Op == UnaryOp::kTanh) {
     tanh_lane<O>(x);
-  } else {
-    static_assert(Op == UnaryOp::kGelu);
+  } else if constexpr (Op == UnaryOp::kGelu) {
     gelu_lane<O>(x);
+  } else if constexpr (Op == UnaryOp::kGeluD1) {
+    gelu_deriv_lane<O, 1>(x);
+  } else if constexpr (Op == UnaryOp::kGeluD2) {
+    gelu_deriv_lane<O, 2>(x);
+  } else {
+    static_assert(Op == UnaryOp::kGeluD3);
+    gelu_deriv_lane<O, 3>(x);
   }
 }
 
@@ -666,6 +750,9 @@ inline bool unary_lanes(const typename O::T* a, typename O::T* out,
     case U::kTanh: return unary_span<O, U::kTanh>(a, out, n, s);
     case U::kAbs: return unary_span<O, U::kAbs>(a, out, n, s);
     case U::kGelu: return unary_span<O, U::kGelu>(a, out, n, s);
+    case U::kGeluD1: return unary_span<O, U::kGeluD1>(a, out, n, s);
+    case U::kGeluD2: return unary_span<O, U::kGeluD2>(a, out, n, s);
+    case U::kGeluD3: return unary_span<O, U::kGeluD3>(a, out, n, s);
     case U::kPowScalar:
     case U::kExp:
     case U::kLog:
@@ -1412,7 +1499,6 @@ void conv1d_grad_input_impl(const T* grad_out, const T* weight, T* grad_input,
       for (int64_t co = 0; co < Cout; ++co)
         for (int64_t t = 0; t < Lout; ++t) {
           const T g = grad_out[(b * Cout + co) * Lout + t];
-          if (g == 0) continue;
           for (int64_t ci = 0; ci < Cin; ++ci)
             for (int64_t k = 0; k < K; ++k) {
               const int64_t src = t + k - padding;
@@ -1436,7 +1522,6 @@ void conv1d_grad_weight_impl(const T* grad_out, const T* input,
       for (int64_t b = 0; b < B; ++b)
         for (int64_t t = 0; t < Lout; ++t) {
           const T g = grad_out[(b * Cout + co) * Lout + t];
-          if (g == 0) continue;
           for (int64_t ci = 0; ci < Cin; ++ci)
             for (int64_t k = 0; k < K; ++k) {
               const int64_t src = t + k - padding;

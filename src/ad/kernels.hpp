@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -110,9 +111,15 @@ void parallel_for(int64_t n, F&& f) {
 //    |x| = 0.625, 1 − 2/(exp(2|x|) + 1) above it, ±1 from 19.0625 on),
 //    within ~1-2 ulp of std::tanh, built from IEEE operations without FMA;
 //  * GELU is x / (1 + exp(t)), t = −2·√(2/π)·(x + 0.044715·x³), with exp by
-//    range reduction and an FMA polynomial.
+//    range reduction and an FMA polynomial;
+//  * gelu_d1, gelu_d2 and gelu_d3, GELU's first three derivatives (the
+//    PDE loss differentiates the network three times), reuse that exp:
+//    p = 1/(1 + e^t), tanh u = 2p − 1 and sech² u = 4e·p², then a short
+//    FMA polynomial in p and x (sfn::GeluDeriv has the terms). Each stays
+//    within ~8 ε·max|gelu⁽ᵏ⁾| of the exact value on every tier.
 // Both tiers execute the same IEEE operations, so they give the same bits;
-// absolute tanh and GELU values differ from libm in the last bits.
+// absolute tanh and GELU values differ from libm in the last bits, and the
+// scalar tier's gelu_d* (std::exp) from the vector tiers'.
 // pow_scalar, exp, log and sign have no lane formula and run the functor
 // loop on every tier. Eager ops, plain replay and the fused-chain
 // interpreter all reach these entries, so they stay bitwise identical.
@@ -130,7 +137,15 @@ enum class UnaryOp : std::uint8_t {
   kAbs,
   kSign,
   kGelu,
+  kGeluD1,
+  kGeluD2,
+  kGeluD3,
 };
+
+/// The number of UnaryOp opcodes: every table indexed by one has this many
+/// rows (static_assert at each).
+inline constexpr std::size_t kUnaryOpCount =
+    static_cast<std::size_t>(UnaryOp::kGeluD3) + 1;
 
 /// Opcode of binary_block (and of compiled plans' binary steps).
 enum class BinaryOp : std::uint8_t { kAdd, kSub, kMul, kDiv };

@@ -13,8 +13,6 @@ namespace mf::ad::ops {
 
 namespace {
 
-using sfn::kGeluCoeff;
-
 // Forward kernels run through the kernels' opcode entries (and, for
 // broadcasts, the shared sfn functors) and report to the program capture
 // hooks (no-ops outside Program::capture), so a captured step replays the
@@ -114,23 +112,37 @@ struct LinearNode final : Node {
   }
 };
 
+template <int K>
+Tensor gelu_order(const Tensor& a);
+
+/// The tape node of gelu⁽ᴷ⁾ (K = 0 is gelu itself). Its backward is
+/// g·gelu⁽ᴷ⁺¹⁾(x), taped as the node of order K + 1, so each backward pass
+/// through an activation records one elementwise step. The PDE loss
+/// differentiates three times; nothing needs a fourth derivative.
+template <int K>
 struct GeluNode final : Node {
-  GeluNode() : Node("gelu") {}
+  static constexpr const char* kNames[] = {"gelu", "gelu_d1", "gelu_d2",
+                                           "gelu_d3"};
+  GeluNode() : Node(kNames[K]) {}
   std::vector<Tensor> backward(const Tensor& g,
                                const std::vector<bool>&) override {
-    const Tensor& a = input(0);
-    Tensor x2 = mul(a, a);
-    Tensor u = mul_scalar(add(a, mul_scalar(mul(x2, a), 0.044715)), kGeluCoeff);
-    Tensor t = tanh(u);
-    // du/dx = sqrt(2/pi) * (1 + 3 * 0.044715 x^2)
-    Tensor dudx = mul_scalar(add_scalar(mul_scalar(x2, 3 * 0.044715), 1.0),
-                             kGeluCoeff);
-    Tensor sech2 = add_scalar(neg(mul(t, t)), 1.0);
-    Tensor d = add(mul_scalar(add_scalar(t, 1.0), 0.5),
-                   mul_scalar(mul(mul(a, sech2), dudx), 0.5));
-    return std::vector<Tensor>{mul(g, d)};
+    if constexpr (K == 3) {
+      throw std::logic_error("gelu_d3: backward is not implemented");
+    } else {
+      return std::vector<Tensor>{mul(g, gelu_order<K + 1>(input(0)))};
+    }
   }
 };
+
+/// gelu⁽ᴷ⁾(a) through its opcode, taped as GeluNode<K>.
+template <int K>
+Tensor gelu_order(const Tensor& a) {
+  constexpr prog::Unary kOps[] = {prog::Unary::kGelu, prog::Unary::kGeluD1,
+                                  prog::Unary::kGeluD2, prog::Unary::kGeluD3};
+  Tensor out = unary_fwd(a, kOps[K], 0);
+  const Tensor ins[1] = {a};
+  return record_typed<GeluNode<K>>(std::move(out), ins, 1);
+}
 
 }  // namespace
 
@@ -341,11 +353,8 @@ Tensor square(const Tensor& a) { return mul(a, a); }
 
 Tensor gelu(const Tensor& a) {
   // 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))), fused into one
-  // pass. The backward is compositional (recorded ops), so all higher
-  // derivatives of the PDE loss still work (see GeluNode).
-  Tensor out = unary_fwd(a, prog::Unary::kGelu, 0);
-  const Tensor ins[1] = {a};
-  return record_typed<GeluNode>(std::move(out), ins, 1);
+  // pass.
+  return gelu_order<0>(a);
 }
 
 Tensor sigmoid(const Tensor& a) {

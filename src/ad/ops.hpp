@@ -2,10 +2,11 @@
 //
 // Every op's backward is written in terms of these same ops, so running a
 // backward pass with grad mode enabled (`create_graph`) produces a graph of
-// the gradient computation that can itself be differentiated. The only
-// exception is conv1d, whose backward is first-order only (documented
+// the gradient computation that can itself be differentiated. The
+// exceptions are conv1d, whose backward is first-order only (documented
 // below) — in SDNet the convolution sits on the boundary-embedding branch,
-// which is never differentiated with respect to the spatial coordinates.
+// which is never differentiated with respect to the spatial coordinates —
+// and gelu, differentiable three times (the PDE loss's order).
 #pragma once
 
 #include <vector>
@@ -52,9 +53,10 @@ Tensor sqrt(const Tensor& a);
 Tensor tanh(const Tensor& a);
 Tensor abs(const Tensor& a);
 Tensor square(const Tensor& a);
-/// Gaussian Error Linear Unit (tanh approximation), built compositionally
-/// from primitives so all orders of derivatives exist. Matches the paper's
-/// choice of smooth activation for PINN training (Sec. 3.1).
+/// Gaussian Error Linear Unit (tanh approximation). Its first three
+/// derivatives are elementwise kernels of their own, each the backward of
+/// the one before; the third has no backward. Matches the paper's choice
+/// of smooth activation for PINN training (Sec. 3.1).
 Tensor gelu(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 

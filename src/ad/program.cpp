@@ -1280,7 +1280,9 @@ void run_steps(Program::Impl& im, const std::vector<Step>& steps,
         "unary.add_scalar", "unary.mul_scalar", "unary.pow_scalar",
         "unary.neg",        "unary.exp",        "unary.log",
         "unary.sqrt",       "unary.tanh",       "unary.abs",
-        "unary.sign",       "unary.gelu"};
+        "unary.sign",       "unary.gelu",       "unary.gelu_d1",
+        "unary.gelu_d2",    "unary.gelu_d3"};
+    static_assert(std::size(kUnaryBands) == kernels::kUnaryOpCount);
     constexpr std::size_t kBands = std::size(kKinds) + std::size(kUnaryBands);
     static thread_local double acc[kBands] = {0};
     static thread_local std::uint64_t cnt[kBands] = {0};
@@ -1288,9 +1290,7 @@ void run_steps(Program::Impl& im, const std::vector<Step>& steps,
     static thread_local std::uint64_t calls = 0;
     for (const Step& s : steps) {
       auto k = static_cast<std::size_t>(s.kind);
-      if (s.kind == StepKind::kUnary && s.fn < std::size(kUnaryBands)) {
-        k = std::size(kKinds) + s.fn;
-      }
+      if (s.kind == StepKind::kUnary) k = std::size(kKinds) + s.fn;
       const double t0 = now_ms();
       execute(im, s, B, slot_len, bplans);
       acc[k] += now_ms() - t0;

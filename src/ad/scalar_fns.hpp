@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "ad/tensor.hpp"
@@ -28,6 +29,22 @@ template <typename T>
 inline constexpr T gelu_coeff = T(0.7978845608028654);
 template <typename T>
 inline constexpr T gelu_cubic = T(0.044715);
+
+// The p-form of GELU and its derivatives: with u = c·(x + a·x³),
+// c = √(2/π) and a = 0.044715, t = −2u = x·(gelu_ta + gelu_tb·x²) and
+// p = 1/(1 + e^t), gelu = x·p. |t| is clamped to gelu_clamp, where e^t
+// stays finite at the element width.
+template <typename T>
+inline constexpr T gelu_ta = -2 * gelu_coeff<T>;
+template <typename T>
+inline constexpr T gelu_tb = gelu_ta<T> * gelu_cubic<T>;
+template <typename T>
+inline constexpr T gelu_clamp = std::is_same_v<T, float> ? T(87) : T(708);
+// 3ac and 12ac, narrowed once from double.
+template <typename T>
+inline constexpr T gelu_3ac = T(3 * gelu_cubic<double> * gelu_coeff<double>);
+template <typename T>
+inline constexpr T gelu_12ac = T(12 * gelu_cubic<double> * gelu_coeff<double>);
 
 // ---- binary ----
 //
@@ -106,6 +123,43 @@ struct Gelu {
   T operator()(T x) const {
     const T u = gelu_coeff<T> * (x + gelu_cubic<T> * x * x * x);
     return T(0.5) * x * (T(1) + std::tanh(u));
+  }
+};
+/// gelu⁽ᴷ⁾, K = 1, 2, 3, in the p-form with e = e^t, tanh u = T = 2p − 1,
+/// sech² u = 4q with q = e·p² (not p·(1 − p), whose 1 − p cancels once
+/// |t| > ~30) and v = du/dx = c·(1 + 3a·x²):
+///   gelu′ = p + 2x·v·q,  gelu″ = 4q·h with h = v − x·T·v² + 3ac·x²,
+///   gelu‴ = 4q·(12ac·x − T·v² − 4x·q·v³ − 12ac·x²·T·v − 2T·v·h).
+/// Where t reaches ∓gelu_clamp they return the limits at ±∞ (gelu′: 1 and
+/// 0, gelu″ = gelu‴ = 0); NaN gives NaN. The vector tiers run the same
+/// terms (kernels.cpp, gelu_deriv_lane), with GELU's exp.
+template <int K>
+struct GeluDeriv {
+  static_assert(K >= 1 && K <= 3);
+  template <typename T>
+  T operator()(T x) const {
+    const T x2 = x * x;
+    const T t = x * (gelu_ta<T> + gelu_tb<T> * x2);
+    if (t >= gelu_clamp<T>) return T(0);
+    if (t <= -gelu_clamp<T>) return K == 1 ? T(1) : T(0);
+    const T e = std::exp(t);
+    const T p = T(1) / (T(1) + e);
+    const T q = e * p * p;
+    const T v = gelu_coeff<T> + gelu_3ac<T> * x2;
+    if constexpr (K == 1) {
+      return p + T(2) * x * v * q;
+    } else {
+      const T tv = (T(2) * p - T(1)) * v;
+      const T h = v - x * v * tv + gelu_3ac<T> * x2;
+      if constexpr (K == 2) {
+        return T(4) * q * h;
+      } else {
+        const T inner = gelu_12ac<T> * x - tv * v -
+                        gelu_12ac<T> * x2 * tv - T(2) * tv * h -
+                        T(4) * q * (x * v) * (v * v);
+        return T(4) * q * inner;
+      }
+    }
   }
 };
 

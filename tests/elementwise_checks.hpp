@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <string>
@@ -130,15 +131,19 @@ inline constexpr UnaryOp kUnaryOps[] = {
     UnaryOp::kAddScalar, UnaryOp::kMulScalar, UnaryOp::kPowScalar,
     UnaryOp::kNeg,       UnaryOp::kExp,       UnaryOp::kLog,
     UnaryOp::kSqrt,      UnaryOp::kTanh,      UnaryOp::kAbs,
-    UnaryOp::kSign,      UnaryOp::kGelu};
+    UnaryOp::kSign,      UnaryOp::kGelu,      UnaryOp::kGeluD1,
+    UnaryOp::kGeluD2,    UnaryOp::kGeluD3};
+static_assert(std::size(kUnaryOps) == kernels::kUnaryOpCount);
 inline constexpr BinaryOp kBinaryOps[] = {BinaryOp::kAdd, BinaryOp::kSub,
                                           BinaryOp::kMul, BinaryOp::kDiv};
 inline constexpr int kTiers[] = {1, 4, 8};
 
 inline std::string name(UnaryOp op) {
-  static const char* const kNames[] = {
-      "add_scalar", "mul_scalar", "pow_scalar", "neg",  "exp",  "log",
-      "sqrt",       "tanh",       "abs",        "sign", "gelu"};
+  static constexpr const char* kNames[] = {
+      "add_scalar", "mul_scalar", "pow_scalar", "neg",     "exp",
+      "log",        "sqrt",       "tanh",       "abs",     "sign",
+      "gelu",       "gelu_d1",    "gelu_d2",    "gelu_d3"};
+  static_assert(std::size(kNames) == kernels::kUnaryOpCount);
   return kNames[static_cast<int>(op)];
 }
 inline std::string name(BinaryOp op) {
@@ -167,9 +172,11 @@ inline double scalar_of(UnaryOp op) {
 }
 
 /// True for the ops whose vector lanes approximate the functor instead of
-/// reproducing it: tanh and GELU.
+/// reproducing it: tanh, GELU and GELU's derivatives.
 inline bool approximated(UnaryOp op) {
-  return op == UnaryOp::kTanh || op == UnaryOp::kGelu;
+  return op == UnaryOp::kTanh || op == UnaryOp::kGelu ||
+         op == UnaryOp::kGeluD1 || op == UnaryOp::kGeluD2 ||
+         op == UnaryOp::kGeluD3;
 }
 
 template <typename T>
@@ -186,6 +193,9 @@ T functor(UnaryOp op, double s, T x) {
     case UnaryOp::kAbs: return sfn::Abs{}(x);
     case UnaryOp::kSign: return sfn::Sign{}(x);
     case UnaryOp::kGelu: return sfn::Gelu{}(x);
+    case UnaryOp::kGeluD1: return sfn::GeluDeriv<1>{}(x);
+    case UnaryOp::kGeluD2: return sfn::GeluDeriv<2>{}(x);
+    case UnaryOp::kGeluD3: return sfn::GeluDeriv<3>{}(x);
   }
   return x;
 }
@@ -527,6 +537,125 @@ void expect_gelu_special_values(T huge) {
     EXPECT_TRUE(same_bits(v[6], -T(0)));
     EXPECT_EQ(v[7], huge);
     EXPECT_TRUE(same_bits(v[8], -T(0)));
+  }
+}
+
+// ---- GELU's derivatives ----
+
+/// gelu⁽ᴷ⁾(x), K = 0..3, in long double, from the p-form of sfn::GeluDeriv:
+/// e = e^t, t = −2u, p = 1/(1 + e), T = 2p − 1, q = e·p², v = du/dx.
+inline long double gelu_deriv_reference(int k, long double x) {
+  const long double pi = 3.141592653589793238462643383279502884L;
+  const long double c = std::sqrt(2.0L / pi);
+  const long double a = 0.044715L;
+  const long double e = std::exp(-2.0L * c * (x + a * x * x * x));
+  const long double p = 1.0L / (1.0L + e);
+  const long double q = e * p * p;
+  const long double v = c * (1.0L + 3.0L * a * x * x);
+  const long double t = 2.0L * p - 1.0L;
+  const long double h = v - x * t * v * v + 3.0L * a * c * x * x;
+  switch (k) {
+    case 0: return x * p;
+    case 1: return p + 2.0L * x * v * q;
+    case 2: return 4.0L * q * h;
+    default:
+      return 4.0L * q *
+             (12.0L * a * c * x - t * v * v - 4.0L * x * q * v * v * v -
+              12.0L * a * c * x * x * t * v - 2.0L * t * v * h);
+  }
+}
+
+inline constexpr UnaryOp kGeluDerivs[] = {UnaryOp::kGeluD1, UnaryOp::kGeluD2,
+                                          UnaryOp::kGeluD3};
+
+/// On every tier the CPU has, each derivative stays within
+/// `eps_multiple`·ε·max|gelu⁽ᴷ⁾| of the long-double reference on a dense
+/// grid of [−12, 12]. The bound is absolute: gelu″ and gelu‴ have roots,
+/// where an ulp bound cannot hold. The reference itself is first checked
+/// against central differences of the order below it.
+template <typename T>
+void expect_gelu_derivs_within_bound(double eps_multiple) {
+  for (int k = 1; k <= 3; ++k) {
+    for (long double x = -8; x <= 8; x += 0.0625L) {
+      const long double h = 1e-6L;
+      const long double fd = (gelu_deriv_reference(k - 1, x + h) -
+                              gelu_deriv_reference(k - 1, x - h)) /
+                             (2 * h);
+      ASSERT_NEAR(static_cast<double>(fd),
+                  static_cast<double>(gelu_deriv_reference(k, x)), 1e-9)
+          << "reference order " << k << " at x=" << static_cast<double>(x);
+    }
+  }
+  constexpr int64_t kPoints = 240001;
+  std::vector<T> x(kPoints), y(kPoints);
+  for (int64_t i = 0; i < kPoints; ++i) {
+    x[i] = static_cast<T>(-12.0 + 24.0 * static_cast<double>(i) /
+                                      static_cast<double>(kPoints - 1));
+  }
+  const double eps = std::numeric_limits<T>::epsilon();
+  for (int k = 1; k <= 3; ++k) {
+    const UnaryOp op = kGeluDerivs[k - 1];
+    std::vector<long double> want(x.size());
+    long double max_abs = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      want[i] = gelu_deriv_reference(k, x[i]);
+      max_abs = std::max(max_abs, std::fabs(want[i]));
+    }
+    for (const int lanes : kTiers) {
+      if (!kernels::detail::unary_on_tier(lanes, x.data(), y.data(), kPoints,
+                                          op, 0)) {
+        continue;
+      }
+      long double worst = 0;
+      T worst_x = 0;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const long double err =
+            std::fabs(static_cast<long double>(y[i]) - want[i]);
+        if (err > worst) {
+          worst = err;
+          worst_x = x[i];
+        }
+      }
+      EXPECT_LE(static_cast<double>(worst / max_abs) / eps, eps_multiple)
+          << name(op) << " tier " << lanes << ", worst at x=" << worst_x;
+    }
+  }
+}
+
+/// On every tier the CPU has: gelu′(+inf) = 1, gelu′(−inf) = 0, gelu″ and
+/// gelu‴ = +0 at ±inf and past the exp clamp, NaN -> NaN, and at ±0
+/// gelu′ = 0.5, gelu″ = √(2/π) at the element width and gelu‴ = +0.
+template <typename T>
+void expect_gelu_deriv_special_values() {
+  const T inf = std::numeric_limits<T>::infinity();
+  const std::vector<T> x = {inf,   -inf, std::numeric_limits<T>::quiet_NaN(),
+                            T(0),  -T(0), T(40),
+                            T(-40)};
+  const std::vector<std::vector<T>> want = {
+      {T(1), T(0), T(0), T(0.5), T(0.5), T(1), T(0)},
+      {T(0), T(0), T(0), sfn::gelu_coeff<T>, sfn::gelu_coeff<T>, T(0), T(0)},
+      {T(0), T(0), T(0), T(0), T(0), T(0), T(0)}};
+  const auto n = static_cast<int64_t>(x.size());
+  for (int k = 1; k <= 3; ++k) {
+    const UnaryOp op = kGeluDerivs[k - 1];
+    for (const int lanes : kTiers) {
+      std::vector<T> y(x.size());
+      if (!kernels::detail::unary_on_tier(lanes, x.data(), y.data(), n, op,
+                                          0)) {
+        continue;
+      }
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const std::string at =
+            name(op) + " tier " + std::to_string(lanes) + " at x=" +
+            std::to_string(static_cast<double>(x[i]));
+        if (i == 2) {
+          EXPECT_TRUE(std::isnan(y[i])) << at;
+        } else {
+          EXPECT_TRUE(same_bits(y[i], want[k - 1][i]))
+              << at << ": " << y[i];
+        }
+      }
+    }
   }
 }
 

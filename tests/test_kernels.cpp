@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ad/gradcheck.hpp"
 #include "ad/kernels.hpp"
 #include "ad/ops.hpp"
+#include "conv1d_checks.hpp"
 #include "elementwise_checks.hpp"
 #include "matmul_checks.hpp"
 #include "util/rng.hpp"
@@ -302,6 +304,10 @@ TEST(Kernels, Conv1dForwardAndGradParity) {
   expect_allclose(gb_thr, gb_ref, 1e-12, "conv1d grad_bias");
 }
 
+TEST(Kernels, Conv1dGradsPropagateZeroTimesInfF64) {
+  conv1d_checks::expect_grads_propagate_zero_times_inf<double>();
+}
+
 // ---- fused ops introduced with the kernel backend ----
 
 TEST(Kernels, LinearMatchesMatmulPlusBias) {
@@ -368,6 +374,33 @@ TEST(Kernels, GeluGradcheckFirstAndSecondOrder) {
     EXPECT_TRUE(r2.ok) << "threaded=" << threaded
                        << " (2nd order) max_rel_err=" << r2.max_rel_err;
   }
+}
+
+TEST(Kernels, GeluDerivativesChainThroughTheirOwnKernels) {
+  // d/dx sum(gelu(x)) is 1·gelu_d1(x), and differentiating that sum again
+  // reaches gelu_d2 and then gelu_d3, each bitwise its kernel's output; a
+  // fourth derivative throws, naming gelu_d3, and leaves grad mode on.
+  Tensor x = randt({3, 5}, 39, -3, 3);
+  x.set_requires_grad(true);
+  Tensor d = ops::gelu(x);
+  for (const auto op : elementwise_checks::kGeluDerivs) {
+    d = ad::grad(ops::sum(d), {x}, Tensor(), /*create_graph=*/true)[0];
+    std::vector<double> want(static_cast<std::size_t>(x.numel()));
+    kernels::map_unary(x.data(), want.data(), x.numel(), op, 0);
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      ASSERT_TRUE(elementwise_checks::same_bits(
+          d.flat(i), want[static_cast<std::size_t>(i)]))
+          << elementwise_checks::name(op) << " i=" << i;
+    }
+  }
+  try {
+    ad::grad(ops::sum(d), {x});
+    FAIL() << "a fourth derivative of gelu did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("gelu_d3"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(ad::GradMode::enabled());
 }
 
 // Regression: reduce_to edge cases around rank-0 and all-axes reduction,
@@ -456,6 +489,14 @@ TEST(ElementwiseKernel, GeluMaxAbsErrorVsLongDoubleF64) {
 
 TEST(ElementwiseKernel, GeluSpecialValuesF64) {
   elementwise_checks::expect_gelu_special_values<double>(1e300);
+}
+
+TEST(ElementwiseKernel, GeluDerivativesWithin8EpsOfLongDoubleF64) {
+  elementwise_checks::expect_gelu_derivs_within_bound<double>(8);
+}
+
+TEST(ElementwiseKernel, GeluDerivativeLimitsAndZerosF64) {
+  elementwise_checks::expect_gelu_deriv_special_values<double>();
 }
 
 // ---- broadcast row walker vs a naive full-index reference ----

@@ -26,6 +26,7 @@
 #include "ad/ops.hpp"
 #include "ad/program.hpp"
 #include "ad/scalar_fns.hpp"
+#include "conv1d_checks.hpp"
 #include "elementwise_checks.hpp"
 #include "gp/dataset.hpp"
 #include "matmul_checks.hpp"
@@ -177,6 +178,18 @@ TEST(Precision, FloatGeluMaxAbsErrorVsLongDouble) {
 
 TEST(Precision, FloatGeluSpecialValues) {
   elementwise_checks::expect_gelu_special_values<float>(1e30f);
+}
+
+TEST(Precision, FloatGeluDerivativesWithin8EpsOfLongDouble) {
+  elementwise_checks::expect_gelu_derivs_within_bound<float>(8);
+}
+
+TEST(Precision, FloatGeluDerivativeLimitsAndZeros) {
+  elementwise_checks::expect_gelu_deriv_special_values<float>();
+}
+
+TEST(Precision, FloatConv1dGradsPropagateZeroTimesInf) {
+  conv1d_checks::expect_grads_propagate_zero_times_inf<float>();
 }
 
 TEST(Precision, FloatMatmulScalarTierMatchesNaiveLoop) {

@@ -498,8 +498,9 @@ namespace {
 using ad::kernels::BinaryOp;
 using ad::kernels::UnaryOp;
 
-/// The eager op that records `op`. sign has no ops:: function: abs's
-/// backward runs it through this same kernel entry and capture hook.
+/// The eager op that records `op`. sign and the GELU derivatives have no
+/// ops:: function: abs's and gelu's backward passes run them through this
+/// same kernel entry and capture hook.
 Tensor unary_op(UnaryOp op, const Tensor& t) {
   switch (op) {
     case UnaryOp::kAddScalar: return ops::add_scalar(t, 0.75);
@@ -512,7 +513,11 @@ Tensor unary_op(UnaryOp op, const Tensor& t) {
     case UnaryOp::kTanh: return ops::tanh(t);
     case UnaryOp::kAbs: return ops::abs(t);
     case UnaryOp::kGelu: return ops::gelu(t);
-    case UnaryOp::kSign: break;
+    case UnaryOp::kSign:
+    case UnaryOp::kGeluD1:
+    case UnaryOp::kGeluD2:
+    case UnaryOp::kGeluD3:
+      break;
   }
   Tensor s = Tensor::zeros(t.shape());
   ad::kernels::map_unary(t.data(), s.data(), t.numel(), op, 0);

@@ -4,7 +4,9 @@
 // small end-to-end training run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "ad/engine.hpp"
 #include "comm/world.hpp"
@@ -133,6 +135,45 @@ TEST(Loss, PdeLossBackwardReachesAllParameters) {
     }
     EXPECT_TRUE(p.grad().defined()) << name;
   }
+}
+
+TEST(Loss, PdeLossWeightGradientMatchesCentralDifferences) {
+  // The PDE loss is the mean square of the network's Laplacian in x, so
+  // its gradient with respect to a weight differentiates every GELU three
+  // times: it runs gelu_d1, gelu_d2 and gelu_d3. Compare that gradient with
+  // central differences of the loss at three entries of each MLP weight.
+  mf::util::Rng rng(25);
+  mosaic::Sdnet net(tiny_config(), rng);
+  Tensor g = randt({2, 32}, 26);
+  Tensor x = randt({2, 3, 2}, 27, 0.4);
+  for (int64_t i = 0; i < x.numel(); ++i) x.flat(i) += 0.5;
+  auto loss_at = [&] {
+    Tensor xl = x.detach();
+    xl.set_requires_grad(true);
+    return mosaic::pde_loss(net, g, xl);
+  };
+  net.zero_grad();
+  ad::backward(loss_at());
+  const double h = 1e-5;
+  int checked = 0;
+  for (auto [name, p] : net.named_parameters()) {
+    if (name.rfind("mlp.", 0) != 0 || name.find("weight") == std::string::npos) {
+      continue;
+    }
+    for (const int64_t i : {int64_t{0}, p.numel() / 2, p.numel() - 1}) {
+      const double w0 = p.flat(i);
+      p.flat(i) = w0 + h;
+      const double up = loss_at().item();
+      p.flat(i) = w0 - h;
+      const double down = loss_at().item();
+      p.flat(i) = w0;
+      const double fd = (up - down) / (2 * h);
+      EXPECT_NEAR(p.grad().flat(i), fd, 1e-6 * std::max(1.0, std::abs(fd)))
+          << name << "[" << i << "]";
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 9);
 }
 
 TEST(Loss, DataLossZeroForPerfectTargets) {
