@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MF_HAVE_AVX2_KERNELS 1
@@ -304,15 +306,19 @@ void binary_functors(const T* a, const T* b, T* out, int64_t n,
 }
 
 /// The scalar matmul tier, serial over `rows` rows: every output element
-/// accumulates acc + a[i][kk]·b[kk][j] from its bias (or +0) in ascending
-/// kk, so both paths below give the bits of the naive i-k-j loop. The
-/// tiling gate blocks only when b overflows one tile's cache footprint
-/// (k·n > kTileK·kTileN elements): narrow GEMMs keep the register-blocked
-/// loop, whose single pass over `out` beats two whenever b is already
+/// accumulates acc + a(i, kk)·b[kk][j] from its bias (or +0) in ascending
+/// kk, so both paths below give the bits of the naive i-k-j loop. a(i, kk)
+/// is a[i·lda + kk], or a[kk·lda + i] for the TN form (TransA). The tiling
+/// gate blocks only when b overflows one tile's cache footprint (k·n >
+/// kTileK·kTileN elements): narrow GEMMs keep the register-blocked loop,
+/// whose single pass over `out` beats two whenever b is already
 /// cache-resident.
-template <typename T>
-void matmul_scalar(const T* a, const T* b, const T* bias, T* out,
-                   int64_t rows, int64_t k, int64_t n) {
+template <typename T, bool TransA>
+void matmul_scalar(const T* a, int64_t lda, const T* b, const T* bias,
+                   T* out, int64_t rows, int64_t k, int64_t n) {
+  auto at = [&](int64_t i, int64_t kk) {
+    return TransA ? a[kk * lda + i] : a[i * lda + kk];
+  };
   if (k * n <= kTileK * kTileN) {
     // Four rows of a share every b load, and each row's 4-column
     // accumulator strip stays in registers across the whole k loop: 16
@@ -322,10 +328,6 @@ void matmul_scalar(const T* a, const T* b, const T* bias, T* out,
     constexpr int64_t kJb = 4;  // columns of out per accumulator strip
     int64_t i0 = 0;
     for (; i0 + kRb <= rows; i0 += kRb) {
-      const T* a0 = a + (i0 + 0) * k;
-      const T* a1 = a + (i0 + 1) * k;
-      const T* a2 = a + (i0 + 2) * k;
-      const T* a3 = a + (i0 + 3) * k;
       for (int64_t j0 = 0; j0 < n; j0 += kJb) {
         T acc0[kJb], acc1[kJb], acc2[kJb], acc3[kJb];
         // `w` is a compile-time kJb on whole strips, so their loops unroll.
@@ -335,7 +337,8 @@ void matmul_scalar(const T* a, const T* b, const T* bias, T* out,
           }
           for (int64_t kk = 0; kk < k; ++kk) {
             const T* brow = b + kk * n + j0;
-            const T av0 = a0[kk], av1 = a1[kk], av2 = a2[kk], av3 = a3[kk];
+            const T av0 = at(i0, kk), av1 = at(i0 + 1, kk),
+                    av2 = at(i0 + 2, kk), av3 = at(i0 + 3, kk);
             for (int64_t j = 0; j < w; ++j) acc0[j] += av0 * brow[j];
             for (int64_t j = 0; j < w; ++j) acc1[j] += av1 * brow[j];
             for (int64_t j = 0; j < w; ++j) acc2[j] += av2 * brow[j];
@@ -356,11 +359,10 @@ void matmul_scalar(const T* a, const T* b, const T* bias, T* out,
     }
     // Remainder rows (< kRb): the naive per-row loop.
     for (int64_t i = i0; i < rows; ++i) {
-      const T* arow = a + i * k;
       T* orow = out + i * n;
       for (int64_t j = 0; j < n; ++j) orow[j] = bias ? bias[j] : T(0);
       for (int64_t kk = 0; kk < k; ++kk) {
-        const T av = arow[kk];
+        const T av = at(i, kk);
         const T* brow = b + kk * n;
         for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
       }
@@ -379,10 +381,9 @@ void matmul_scalar(const T* a, const T* b, const T* bias, T* out,
     for (int64_t j0 = 0; j0 < n; j0 += kTileN) {
       const int64_t j1 = std::min(n, j0 + kTileN);
       for (int64_t i = 0; i < rows; ++i) {
-        const T* arow = a + i * k;
         T* orow = out + i * n;
         for (int64_t kk = kk0; kk < kk1; ++kk) {
-          const T av = arow[kk];
+          const T av = at(i, kk);
           const T* brow = b + kk * n;
           for (int64_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
         }
@@ -815,19 +816,22 @@ inline void binary_lanes(const typename O::T* a, const typename O::T* b,
 // A block keeps R rows × C vectors of out in accumulator registers across
 // the whole k loop, so each b load feeds R FMAs: 4 rows × 2 ymm (8
 // accumulators of 16 registers) on AVX2+FMA, 8 rows × 2 zmm (16 of 32) on
-// AVX-512F. Every output element accumulates fma(a[i][kk], b[kk][j], acc)
+// AVX-512F. Every output element accumulates fma(a(i, kk), b[kk][j], acc)
 // from its bias (or +0) in ascending kk, whichever block, strip or tail
 // computes it, so both tiers give the bits of the naive std::fma loop. The
 // row and column loops must unroll for the accumulators to stay in
 // registers: without the pragmas GCC leaves them rolled at -O2, and the
-// 8 × 2 zmm block spills.
+// 8 × 2 zmm block spills. a(i, kk) is a[i·lda + kk]; with TransA (the TN
+// form) it is a[kk·lda + i], so a block's R broadcasts per kk read R
+// adjacent elements of one row of the stored a.
 
 /// out rows [0, R) × columns [0, C·kLanes) of a·b (+ bias); a Masked block
 /// (C = 1) covers the fewer than kLanes columns that `m` enables.
-template <class O, int R, int C, bool Masked>
-inline void matmul_block(const typename O::T* a, const typename O::T* b,
-                         const typename O::T* bias, typename O::T* out,
-                         int64_t k, int64_t n, const typename O::Tail& m) {
+template <class O, int R, int C, bool Masked, bool TransA>
+inline void matmul_block(const typename O::T* a, int64_t lda,
+                         const typename O::T* b, const typename O::T* bias,
+                         typename O::T* out, int64_t k, int64_t n,
+                         const typename O::Tail& m) {
   using T = typename O::T;
   constexpr int64_t L = O::kLanes;
   typename O::V acc[R][C], bv[C], av;
@@ -856,7 +860,7 @@ inline void matmul_block(const typename O::T* a, const typename O::T* b,
     }
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      O::set1(av, a[r * k + kk]);
+      O::set1(av, TransA ? a[kk * lda + r] : a[r * lda + kk]);
 #pragma GCC unroll 2
       for (int c = 0; c < C; ++c) O::fma(acc[r][c], av, bv[c], acc[r][c]);
     }
@@ -876,43 +880,55 @@ inline void matmul_block(const typename O::T* a, const typename O::T* b,
 
 /// out rows [0, R) of a·b (+ bias): two-vector blocks, then at most one
 /// one-vector block, then the masked tail of n % kLanes columns.
-template <class O, int R>
-inline void matmul_rows(const typename O::T* a, const typename O::T* b,
-                        const typename O::T* bias, typename O::T* out,
-                        int64_t k, int64_t n, const typename O::Tail& m) {
+template <class O, int R, bool TransA>
+inline void matmul_rows(const typename O::T* a, int64_t lda,
+                        const typename O::T* b, const typename O::T* bias,
+                        typename O::T* out, int64_t k, int64_t n,
+                        const typename O::Tail& m) {
   constexpr int64_t L = O::kLanes;
   auto at = [&](int64_t j) { return bias ? bias + j : nullptr; };
   int64_t j = 0;
   for (; j + 2 * L <= n; j += 2 * L) {
-    matmul_block<O, R, 2, false>(a, b + j, at(j), out + j, k, n, m);
+    matmul_block<O, R, 2, false, TransA>(a, lda, b + j, at(j), out + j, k, n,
+                                         m);
   }
   if (j + L <= n) {
-    matmul_block<O, R, 1, false>(a, b + j, at(j), out + j, k, n, m);
+    matmul_block<O, R, 1, false, TransA>(a, lda, b + j, at(j), out + j, k, n,
+                                         m);
     j += L;
   }
-  if (j < n) matmul_block<O, R, 1, true>(a, b + j, at(j), out + j, k, n, m);
+  if (j < n) {
+    matmul_block<O, R, 1, true, TransA>(a, lda, b + j, at(j), out + j, k, n,
+                                        m);
+  }
 }
 
 /// out = a·b (+ bias) over `rows` rows: R at a time, then four (when R is
-/// 8), then one at a time.
-template <class O, int R>
-inline void matmul_span(const typename O::T* a, const typename O::T* b,
-                        const typename O::T* bias, typename O::T* out,
-                        int64_t rows, int64_t k, int64_t n) {
+/// 8), then one at a time. Row i of out starts at a + i·lda, or at column
+/// a + i with TransA.
+template <class O, int R, bool TransA>
+inline void matmul_span(const typename O::T* a, int64_t lda,
+                        const typename O::T* b, const typename O::T* bias,
+                        typename O::T* out, int64_t rows, int64_t k,
+                        int64_t n) {
   typename O::Tail m;
   O::tail(m, n % O::kLanes);
+  const int64_t step = TransA ? 1 : lda;  // a offset of one row of out
   int64_t i = 0;
   for (; i + R <= rows; i += R) {
-    matmul_rows<O, R>(a + i * k, b, bias, out + i * n, k, n, m);
+    matmul_rows<O, R, TransA>(a + i * step, lda, b, bias, out + i * n, k, n,
+                              m);
   }
   if constexpr (R > 4) {
     if (i + 4 <= rows) {
-      matmul_rows<O, 4>(a + i * k, b, bias, out + i * n, k, n, m);
+      matmul_rows<O, 4, TransA>(a + i * step, lda, b, bias, out + i * n, k,
+                                n, m);
       i += 4;
     }
   }
   for (; i < rows; ++i) {
-    matmul_rows<O, 1>(a + i * k, b, bias, out + i * n, k, n, m);
+    matmul_rows<O, 1, TransA>(a + i * step, lda, b, bias, out + i * n, k, n,
+                              m);
   }
 }
 }  // namespace
@@ -1247,17 +1263,19 @@ __attribute__((target("avx512f"), flatten)) void binary_avx512(
     const T* a, const T* b, T* out, int64_t n, BinaryOp op) {
   binary_lanes<typename Isa<T>::Avx512>(a, b, out, n, op);
 }
-template <typename T>
+template <typename T, bool TransA>
 __attribute__((target("avx2,fma"), flatten)) void matmul_avx2(
-    const T* a, const T* b, const T* bias, T* out, int64_t m, int64_t k,
-    int64_t n) {
-  matmul_span<typename Isa<T>::Avx2, 4>(a, b, bias, out, m, k, n);
+    const T* a, int64_t lda, const T* b, const T* bias, T* out, int64_t m,
+    int64_t k, int64_t n) {
+  matmul_span<typename Isa<T>::Avx2, 4, TransA>(a, lda, b, bias, out, m, k,
+                                                n);
 }
-template <typename T>
+template <typename T, bool TransA>
 __attribute__((target("avx512f"), flatten)) void matmul_avx512(
-    const T* a, const T* b, const T* bias, T* out, int64_t m, int64_t k,
-    int64_t n) {
-  matmul_span<typename Isa<T>::Avx512, 8>(a, b, bias, out, m, k, n);
+    const T* a, int64_t lda, const T* b, const T* bias, T* out, int64_t m,
+    int64_t k, int64_t n) {
+  matmul_span<typename Isa<T>::Avx512, 8, TransA>(a, lda, b, bias, out, m, k,
+                                                  n);
 }
 
 }  // namespace
@@ -1316,21 +1334,62 @@ bool binary_tier(int lanes, const T* a, const T* b, T* out, int64_t n,
   return true;
 }
 
-template <typename T>
-bool matmul_tier(int lanes, const T* a, const T* b, const T* bias, T* out,
-                 int64_t m, int64_t k, int64_t n) {
-  if (!cpu_has_tier(lanes)) return false;
+/// `rows` rows of out on a tier the CPU has: NN reads a as rows × k with
+/// row stride lda, TN (TransA) reads columns [0, rows) of a stored k × lda.
+template <typename T, bool TransA>
+void matmul_rows_on(int lanes, const T* a, int64_t lda, const T* b,
+                    const T* bias, T* out, int64_t rows, int64_t k,
+                    int64_t n) {
 #ifdef MF_HAVE_AVX2_KERNELS
   if (lanes == 8) {
-    matmul_avx512(a, b, bias, out, m, k, n);
-    return true;
+    matmul_avx512<T, TransA>(a, lda, b, bias, out, rows, k, n);
+    return;
   }
   if (lanes == 4) {
-    matmul_avx2(a, b, bias, out, m, k, n);
-    return true;
+    matmul_avx2<T, TransA>(a, lda, b, bias, out, rows, k, n);
+    return;
   }
 #endif
-  matmul_scalar(a, b, bias, out, m, k, n);
+  matmul_scalar<T, TransA>(a, lda, b, bias, out, rows, k, n);
+}
+
+/// bᵀ for the NT form: b [n × k] packed into a [k × n] panel of the
+/// calling thread. The panel only grows, so steady-state calls allocate
+/// nothing; threads that split the call's rows share it read-only.
+template <typename T>
+const T* pack_transposed(const T* b, int64_t n, int64_t k) {
+  static thread_local std::vector<T> panel;
+  const auto len = static_cast<std::size_t>(n * k);
+  if (panel.size() < len) panel.resize(len);
+  T* p = panel.data();
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t kk = 0; kk < k; ++kk) p[kk * n + j] = b[j * k + kk];
+  }
+  return p;
+}
+
+/// Every form of the GEMM on the tier with `lanes` lanes; false, writing
+/// nothing, when the CPU lacks it. `split(rows, cost, f)` runs f(begin,
+/// end) over a partition of out's rows: parallel_for for the public entry,
+/// one serial call for the tier tests. NT packs bᵀ and runs NN.
+template <typename T, typename Split>
+bool matmul_form(int lanes, MatmulForm form, const T* a, const T* b,
+                 const T* bias, T* out, int64_t m, int64_t k, int64_t n,
+                 Split&& split) {
+  if (bias && form != MatmulForm::kNN) {
+    throw std::invalid_argument("matmul: a bias needs the NN form");
+  }
+  if (!cpu_has_tier(lanes)) return false;
+  if (form == MatmulForm::kNT) b = pack_transposed(b, n, k);
+  split(m, k * n, [&](int64_t begin, int64_t end) {
+    if (form == MatmulForm::kTN) {
+      matmul_rows_on<T, true>(lanes, a + begin, m, b, bias, out + begin * n,
+                              end - begin, k, n);
+    } else {
+      matmul_rows_on<T, false>(lanes, a + begin * k, k, b, bias,
+                               out + begin * n, end - begin, k, n);
+    }
+  });
   return true;
 }
 
@@ -1355,12 +1414,20 @@ void map_binary_impl(const T* a, const T* b, T* out, int64_t n,
 /// order, so the result does not depend on the thread count.
 template <typename T>
 void matmul_impl(const T* a, const T* b, const T* bias, T* out, int64_t m,
-                 int64_t k, int64_t n) {
-  const int lanes = gelu_lanes();
-  parallel_for(m, k * n, [&](int64_t begin, int64_t end) {
-    matmul_tier(lanes, a + begin * k, b, bias, out + begin * n, end - begin,
-                k, n);
-  });
+                 int64_t k, int64_t n, MatmulForm form) {
+  matmul_form(gelu_lanes(), form, a, b, bias, out, m, k, n,
+              [](int64_t rows, int64_t cost, auto&& f) {
+                parallel_for(rows, cost, f);
+              });
+}
+
+template <typename T>
+bool matmul_tier(int lanes, MatmulForm form, const T* a, const T* b,
+                 const T* bias, T* out, int64_t m, int64_t k, int64_t n) {
+  return matmul_form(lanes, form, a, b, bias, out, m, k, n,
+                     [](int64_t rows, int64_t, auto&& f) {
+                       if (rows > 0) f(int64_t{0}, rows);
+                     });
 }
 
 }  // namespace
@@ -1387,15 +1454,15 @@ bool binary_on_tier(int lanes, const float* a, const float* b, float* out,
                     int64_t n, BinaryOp op) {
   return binary_tier(lanes, a, b, out, n, op);
 }
-bool matmul_on_tier(int lanes, const double* a, const double* b,
-                    const double* bias, double* out, int64_t m, int64_t k,
-                    int64_t n) {
-  return matmul_tier(lanes, a, b, bias, out, m, k, n);
+bool matmul_on_tier(int lanes, MatmulForm form, const double* a,
+                    const double* b, const double* bias, double* out,
+                    int64_t m, int64_t k, int64_t n) {
+  return matmul_tier(lanes, form, a, b, bias, out, m, k, n);
 }
-bool matmul_on_tier(int lanes, const float* a, const float* b,
-                    const float* bias, float* out, int64_t m, int64_t k,
-                    int64_t n) {
-  return matmul_tier(lanes, a, b, bias, out, m, k, n);
+bool matmul_on_tier(int lanes, MatmulForm form, const float* a,
+                    const float* b, const float* bias, float* out, int64_t m,
+                    int64_t k, int64_t n) {
+  return matmul_tier(lanes, form, a, b, bias, out, m, k, n);
 }
 }  // namespace detail
 
@@ -1432,31 +1499,13 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 }
 
 void matmul(const real* a, const real* b, const real* bias, real* out,
-            int64_t m, int64_t k, int64_t n) {
-  matmul_impl(a, b, bias, out, m, k, n);
+            int64_t m, int64_t k, int64_t n, MatmulForm form) {
+  matmul_impl(a, b, bias, out, m, k, n, form);
 }
 
 void matmul(const float* a, const float* b, const float* bias, float* out,
-            int64_t m, int64_t k, int64_t n) {
-  matmul_impl(a, b, bias, out, m, k, n);
-}
-
-namespace {
-template <typename T>
-void transpose_impl(const T* a, T* out, int64_t m, int64_t n) {
-  parallel_for(m, n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i)
-      for (int64_t j = 0; j < n; ++j) out[j * m + i] = a[i * n + j];
-  });
-}
-}  // namespace
-
-void transpose(const real* a, real* out, int64_t m, int64_t n) {
-  transpose_impl(a, out, m, n);
-}
-
-void transpose(const float* a, float* out, int64_t m, int64_t n) {
-  transpose_impl(a, out, m, n);
+            int64_t m, int64_t k, int64_t n, MatmulForm form) {
+  matmul_impl(a, b, bias, out, m, k, n, form);
 }
 
 namespace {

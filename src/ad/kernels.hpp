@@ -189,6 +189,20 @@ void map_binary(const float* a, const float* b, float* out, int64_t n,
 // with neither run the scalar register-blocked loop, bitwise equal to the
 // naive `acc += a * b` loop. Eager, replay, serial and threaded execution
 // all share one kernel, so intra-process parity invariants are unaffected.
+//
+// The kernel has three operand forms, so backward passes never
+// materialize a transpose: NN reads a by rows; TN broadcasts a's elements
+// down its columns (each row block of out advances one column of a); NT
+// packs bᵀ once per call into a panel of the calling thread, which only
+// grows, and then runs NN. Each form is bitwise equal to transposing the
+// operand and running NN, on every tier.
+
+/// Operand form of matmul (and of compiled plans' matmul steps).
+enum class MatmulForm : std::uint8_t {
+  kNN,  // out[m×n] = a[m×k] · b[k×n]
+  kTN,  // out[m×n] = aᵀ · b, with a stored [k×m]
+  kNT,  // out[m×n] = a · bᵀ, with b stored [n×k]
+};
 
 // ---- broadcast elementwise ----
 
@@ -307,17 +321,20 @@ void sum_axis(const float* src, float* dst, int64_t outer, int64_t n_axis,
 
 // ---- linear algebra ----
 
-/// out[m, n] = a[m, k] @ b[k, n] (+ bias[n] when bias != nullptr).
-/// out is overwritten. Threads over rows of `a`.
+/// out[m, n] = a[m, k] @ b[k, n] (+ bias[n] when bias != nullptr), or the
+/// TN or NT form of it (see MatmulForm). out is overwritten. Threads over
+/// rows of out. Bias needs the NN form (std::invalid_argument otherwise).
 void matmul(const real* a, const real* b, const real* bias, real* out,
-            int64_t m, int64_t k, int64_t n);
+            int64_t m, int64_t k, int64_t n,
+            MatmulForm form = MatmulForm::kNN);
 /// f32 GEMM on the same tiers, 16 (AVX-512F) or 8 (AVX2+FMA) lanes. The
 /// f32 policy is tolerance-gated against f64, but each FMA tier is still
 /// bitwise equal to the naive std::fma loop in float, and every tier is
 /// deterministic and thread-count-invariant because rows partition the
 /// work and each output element accumulates in one thread in kk order.
 void matmul(const float* a, const float* b, const float* bias, float* out,
-            int64_t m, int64_t k, int64_t n);
+            int64_t m, int64_t k, int64_t n,
+            MatmulForm form = MatmulForm::kNN);
 
 namespace detail {
 /// One serial kernel on the tier with `lanes` f64 lanes (8: AVX-512F, 4:
@@ -332,17 +349,13 @@ bool binary_on_tier(int lanes, const double* a, const double* b,
                     double* out, int64_t n, BinaryOp op);
 bool binary_on_tier(int lanes, const float* a, const float* b, float* out,
                     int64_t n, BinaryOp op);
-bool matmul_on_tier(int lanes, const double* a, const double* b,
-                    const double* bias, double* out, int64_t m, int64_t k,
-                    int64_t n);
-bool matmul_on_tier(int lanes, const float* a, const float* b,
-                    const float* bias, float* out, int64_t m, int64_t k,
-                    int64_t n);
+bool matmul_on_tier(int lanes, MatmulForm form, const double* a,
+                    const double* b, const double* bias, double* out,
+                    int64_t m, int64_t k, int64_t n);
+bool matmul_on_tier(int lanes, MatmulForm form, const float* a,
+                    const float* b, const float* bias, float* out, int64_t m,
+                    int64_t k, int64_t n);
 }  // namespace detail
-
-/// out[n, m] = a[m, n]^T.
-void transpose(const real* a, real* out, int64_t m, int64_t n);
-void transpose(const float* a, float* out, int64_t m, int64_t n);
 
 // ---- convolution (stride 1, symmetric zero padding) ----
 

@@ -76,41 +76,63 @@ struct MulNode final : Node {
   }
 };
 
-struct MatmulNode final : Node {
-  MatmulNode() : Node("matmul") {}
+using Form = kernels::MatmulForm;
+
+/// The tape node of one GEMM form (matmul and linear are NN; linear's
+/// third input is the bias). Each backward is two GEMMs of the three
+/// forms again, so no order of differentiation materializes a transpose,
+/// and a [..., k] operand is read in place as its [rows × k] block:
+///   NN  out = a·b:   ga = g·bᵀ (NT),  gb = aᵀ·g (TN);
+///   TN  out = aᵀ·b:  ga = b·gᵀ (NT),  gb = a·g (NN);
+///   NT  out = a·bᵀ:  ga = g·b (NN),   gb = gᵀ·a (TN).
+template <Form F>
+struct GemmNode final : Node {
+  explicit GemmNode(const char* op_name) : Node(op_name) {}
   std::vector<Tensor> backward(const Tensor& g,
                                const std::vector<bool>& needs) override {
     const Tensor& a = input(0);
     const Tensor& b = input(1);
-    std::vector<Tensor> gs(2);
-    if (needs[0]) gs[0] = matmul(g, transpose(b));
-    if (needs[1]) {
-      Tensor a2 = reshape(a, {-1, a.size(-1)});
-      Tensor g2 = reshape(g, {a2.size(0), -1});
-      gs[1] = matmul(transpose(a2), g2);
+    std::vector<Tensor> gs(num_inputs());
+    if constexpr (F == Form::kNN) {
+      if (needs[0]) gs[0] = matmul_nt(g, b);
+      if (needs[1]) gs[1] = matmul_tn(a, g);
+      if (num_inputs() == 3 && needs[2]) {
+        gs[2] = reduce_to(g, input(2).shape());
+      }
+    } else if constexpr (F == Form::kTN) {
+      if (needs[0]) gs[0] = matmul_nt(b, g);
+      if (needs[1]) gs[1] = matmul(a, g);
+    } else {
+      if (needs[0]) gs[0] = matmul(g, b);
+      if (needs[1]) gs[1] = matmul_tn(g, a);
     }
     return gs;
   }
 };
 
-struct LinearNode final : Node {
-  LinearNode() : Node("linear") {}
-  std::vector<Tensor> backward(const Tensor& g,
-                               const std::vector<bool>& needs) override {
-    const Tensor& x = input(0);
-    const Tensor& w = input(1);
-    const bool has_bias = num_inputs() == 3;
-    std::vector<Tensor> gs(has_bias ? 3 : 2);
-    if (needs[0]) gs[0] = matmul(g, transpose(w));
-    if (needs[1]) {
-      Tensor x2 = reshape(x, {-1, x.size(-1)});
-      Tensor g2 = reshape(g, {x2.size(0), -1});
-      gs[1] = matmul(transpose(x2), g2);
-    }
-    if (has_bias && needs[2]) gs[2] = reduce_to(g, input(2).shape());
-    return gs;
-  }
-};
+/// out = a·b (+ bias) in form F through the one GEMM kernel, reported to
+/// the capture hook and taped as GemmNode<F>. `out_shape` is [m, n] or
+/// a's leading dims then n; the caller has checked the operands.
+template <Form F>
+Tensor gemm(const char* name, const Tensor& a, const Tensor& b,
+            const Tensor& bias, Shape out_shape, int64_t m, int64_t k,
+            int64_t n) {
+  Tensor out = Tensor::zeros(out_shape);
+  kernels::matmul(a.data(), b.data(), bias.defined() ? bias.data() : nullptr,
+                  out.data(), m, k, n, F);
+  if (prog::capturing()) prog::on_matmul(a, b, &bias, out, m, k, n, F);
+  const Tensor ins[3] = {a, b, bias};
+  return record_typed<GemmNode<F>>(std::move(out), ins,
+                                   bias.defined() ? std::size_t{3}
+                                                  : std::size_t{2},
+                                   name);
+}
+
+/// `shape` with its last dim replaced by n.
+Shape with_last(Shape shape, int64_t n) {
+  shape.back() = n;
+  return shape;
+}
 
 template <int K>
 Tensor gelu_order(const Tensor& a);
@@ -218,18 +240,6 @@ Tensor reshape(const Tensor& t, const Shape& shape) {
   return record(std::move(out), "reshape", {t},
                 [orig](const Tensor& g, const std::vector<bool>&) {
                   return std::vector<Tensor>{reshape(g, orig.to_shape())};
-                });
-}
-
-Tensor transpose(const Tensor& t) {
-  if (t.dim() != 2) throw std::invalid_argument("transpose expects 2-D tensor");
-  const int64_t m = t.size(0), n = t.size(1);
-  Tensor out = Tensor::zeros({n, m});
-  kernels::transpose(t.data(), out.data(), m, n);
-  if (prog::capturing()) prog::on_transpose(t, out, m, n);
-  return record(std::move(out), "transpose", {t},
-                [](const Tensor& g, const std::vector<bool>&) {
-                  return std::vector<Tensor>{transpose(g)};
                 });
 }
 
@@ -415,14 +425,41 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                 " x " + shape_str(b.shape()));
   }
   const int64_t n = b.size(1);
-  const int64_t m = a.numel() / k;
-  Shape out_shape = a.shape();
-  out_shape.back() = n;
-  Tensor out = Tensor::zeros(out_shape);
-  kernels::matmul(a.data(), b.data(), /*bias=*/nullptr, out.data(), m, k, n);
-  if (prog::capturing()) prog::on_matmul(a, b, nullptr, out, m, k, n);
-  const Tensor ins[2] = {a, b};
-  return record_typed<MatmulNode>(std::move(out), ins, 2);
+  return gemm<Form::kNN>("matmul", a, b, Tensor(), with_last(a.shape(), n),
+                         a.numel() / k, k, n);
+}
+
+Tensor matmul_tn(const Tensor& a, const Tensor& b) {
+  if (a.dim() < 2 || b.dim() != a.dim()) {
+    throw std::invalid_argument("matmul_tn: operands must be >= 2-D, of one "
+                                "rank: " + shape_str(a.shape()) + " x " +
+                                shape_str(b.shape()));
+  }
+  const int64_t k = a.size(-1), n = b.size(-1);
+  if (with_last(a.shape(), 1) != with_last(b.shape(), 1)) {
+    throw std::invalid_argument("matmul_tn: leading dims " +
+                                shape_str(a.shape()) + " x " +
+                                shape_str(b.shape()));
+  }
+  // out[k × n] = aᵀ·b, contracting over every row of a and b.
+  return gemm<Form::kTN>("matmul_tn", a, b, Tensor(), {k, n}, k,
+                         numel_of(with_last(a.shape(), 1)), n);
+}
+
+Tensor matmul_nt(const Tensor& a, const Tensor& b) {
+  if (b.dim() != 2) throw std::invalid_argument("matmul_nt: rhs must be 2-D");
+  if (a.dim() < 2) {
+    throw std::invalid_argument("matmul_nt: lhs must be >= 2-D");
+  }
+  const int64_t k = a.size(-1);
+  if (k != b.size(1)) {
+    throw std::invalid_argument("matmul_nt: inner dims " +
+                                shape_str(a.shape()) + " x " +
+                                shape_str(b.shape()));
+  }
+  const int64_t n = b.size(0);
+  return gemm<Form::kNT>("matmul_nt", a, b, Tensor(), with_last(a.shape(), n),
+                         a.numel() / k, k, n);
 }
 
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
@@ -438,16 +475,8 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
     throw std::invalid_argument("linear: bias must be [" + std::to_string(n) +
                                 "]");
   }
-  const int64_t m = x.numel() / k;
-  Shape out_shape = x.shape();
-  out_shape.back() = n;
-  Tensor out = Tensor::zeros(out_shape);
-  kernels::matmul(x.data(), w.data(), b.defined() ? b.data() : nullptr,
-                  out.data(), m, k, n);
-  if (prog::capturing()) prog::on_matmul(x, w, &b, out, m, k, n);
-  const Tensor ins[3] = {x, w, b};
-  return record_typed<LinearNode>(std::move(out), ins,
-                                  b.defined() ? std::size_t{3} : std::size_t{2});
+  return gemm<Form::kNN>("linear", x, w, b, with_last(x.shape(), n),
+                         x.numel() / k, k, n);
 }
 
 Tensor slice(const Tensor& t, int64_t axis, int64_t start, int64_t len) {

@@ -31,9 +31,6 @@ Tensor reduce_to(const Tensor& t, const Shape& shape);
 /// Contiguous reshape (copy). Backward reshapes back.
 Tensor reshape(const Tensor& t, const Shape& shape);
 
-/// 2-D transpose.
-Tensor transpose(const Tensor& t);
-
 // ---- elementwise binary (broadcasting) ----
 Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
@@ -69,9 +66,20 @@ Tensor sum_axis(const Tensor& a, int64_t axis, bool keepdim);
 /// a: [..., K] (leading dims flattened), b: [K, N] -> [..., N].
 Tensor matmul(const Tensor& a, const Tensor& b);
 
+/// aᵀ·b over the rows of both: a: [..., K] and b: [..., N] with the same
+/// leading dims (checked) -> [K, N]. The weight gradient of matmul and
+/// linear.
+Tensor matmul_tn(const Tensor& a, const Tensor& b);
+
+/// a·bᵀ: a: [..., K] (leading dims flattened), b: [N, K] -> [..., N]. The
+/// input gradient of matmul and linear.
+Tensor matmul_nt(const Tensor& a, const Tensor& b);
+
 /// Fused affine map: x @ w (+ bias) in a single kernel pass. x: [..., K],
 /// w: [K, N], bias: [N] or undefined to skip. Backward is compositional
-/// (matmul/transpose/reduce_to), so create_graph works through it.
+/// (matmul_nt/matmul_tn/reduce_to), and the three GEMM forms' backward
+/// passes are GEMMs of the three forms again, so create_graph works
+/// through every order with no transpose step.
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
 
 // ---- structural ----

@@ -32,8 +32,7 @@ enum class StepKind : std::uint8_t {
   kReduce,
   kSumAll,
   kSumAxis,
-  kMatmul,
-  kTranspose,
+  kMatmul,  // fn is the kernels::MatmulForm
   kCopy,
   kSlicePack,
   kSliceScatter,
@@ -69,7 +68,8 @@ struct KindInfo {
     kBcast,        // trial-shape check; the broadcast plan is rebuilt
     kFold,         // a scaled input is refused
     kOuter,        // needs p0 > 1; p0 scales with a
-    kRows,         // rhs and bias unscaled; p0 scales with a
+    kRows,         // rhs and bias unscaled; p0 scales with a (a TN
+                   // matmul contracts over a's rows: refuses any)
     kNever,        // sized for the capture batch: refuses widening
   };
 
@@ -92,7 +92,6 @@ constexpr KindInfo kKinds[] = {
     {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false},
     {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false},
     {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, false},
-    {StepKind::kTranspose, "transpose", K::kOfOut, K::kFold, false, false},
     {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, false},
     {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false},
     {StepKind::kSliceScatter, "slice_scatter", K::kOfOut, K::kOuter, false,
@@ -146,7 +145,8 @@ struct FusedOp {
 /// kernel geometry exactly as the eager op passed it.
 struct Step {
   StepKind kind;
-  std::uint8_t fn = 0;  // prog::Unary or prog::Binary; kCast direction
+  std::uint8_t fn = 0;  // prog::Unary, prog::Binary, kernels::MatmulForm;
+                        // kCast direction
   // Execution dtype, assigned at lowering: which width this step's
   // kernels run at. Always kF64 unless the program's compute dtype is
   // kF32, in which case compute steps go float while optimizer steps
@@ -426,14 +426,14 @@ void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
 }
 
 void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
-               const Tensor& out, int64_t m, int64_t k, int64_t n) {
-  record({.kind = StepKind::kMatmul, .p0 = m, .p1 = k, .p2 = n},
+               const Tensor& out, int64_t m, int64_t k, int64_t n,
+               kernels::MatmulForm form) {
+  record({.kind = StepKind::kMatmul,
+          .fn = static_cast<std::uint8_t>(form),
+          .p0 = m,
+          .p1 = k,
+          .p2 = n},
          {.a = &a, .b = &b, .c = bias, .out = &out});
-}
-
-void on_transpose(const Tensor& a, const Tensor& out, int64_t m, int64_t n) {
-  record({.kind = StepKind::kTranspose, .p0 = m, .p1 = n},
-         {.a = &a, .out = &out});
 }
 
 void on_copy(const Tensor& src, const Tensor& out) {
@@ -1023,10 +1023,8 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     }
     case StepKind::kMatmul:
       kernels::matmul(rd(s.a), rd(s.b), s.c >= 0 ? rd(s.c) : nullptr,
-                      wr(s.out), s.p0, s.p1, s.p2);
-      break;
-    case StepKind::kTranspose:
-      kernels::transpose(rd(s.a), wr(s.out), s.p0, s.p1);
+                      wr(s.out), s.p0, s.p1, s.p2,
+                      static_cast<kernels::MatmulForm>(s.fn));
       break;
     case StepKind::kCopy:
       std::memcpy(wr(s.out), rd(s.a),
@@ -1264,8 +1262,9 @@ void run_health_check(Program::Impl& im, void* const* buf,
 /// `B`, `slot_len` and `bplans` are the master tables or a wide
 /// context's. Steps run in recorded order. With MF_PROGRAM_PROFILE=1 each
 /// is timed into one band per kind-table row (kUnary split by fn,
-/// prog::Unary order); per-thread totals go to stderr every 24 replays,
-/// exact and widened alike.
+/// prog::Unary order), which also counts the elements its steps write:
+/// the out slot's length at the replayed width. Per-thread totals go to
+/// stderr every 24 replays, exact and widened alike.
 void run_steps(Program::Impl& im, const std::vector<Step>& steps,
                void* const* B, const int64_t* slot_len,
                const kernels::BroadcastPlan* bplans) {
@@ -1295,7 +1294,10 @@ void run_steps(Program::Impl& im, const std::vector<Step>& steps,
       execute(im, s, B, slot_len, bplans);
       acc[k] += now_ms() - t0;
       ++cnt[k];
-      elems[k] += static_cast<std::uint64_t>(s.p0);
+      if (s.out >= 0) {
+        elems[k] += static_cast<std::uint64_t>(
+            slot_len[static_cast<std::size_t>(s.out)]);
+      }
     }
     if (++calls % 24 == 0) {
       std::fprintf(stderr, "PROGPROF after %llu replays:\n",
@@ -1457,8 +1459,7 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
         break;
       }
       case KindInfo::kFold:
-        // Would fold batch instances into one value, or move the batch
-        // off the leading axis.
+        // Would fold batch instances into one value.
         ok = !scaled(s.a) && define_out(s.out, false);
         break;
       case KindInfo::kOuter:
@@ -1469,9 +1470,13 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
         break;
       case KindInfo::kRows:
         // Batch rides the row dimension of `a`; a batch-carrying rhs or
-        // bias would change the contraction itself.
+        // bias would change the contraction itself, and so would a batch
+        // in a TN matmul's `a`, whose rows it contracts over.
         p0_scales = scaled(s.a);
-        ok = !scaled(s.b) && !scaled(s.c) && define_out(s.out, p0_scales);
+        ok = !scaled(s.b) && !scaled(s.c) &&
+             !(p0_scales && s.kind == StepKind::kMatmul &&
+               s.fn == static_cast<std::uint8_t>(kernels::MatmulForm::kTN)) &&
+             define_out(s.out, p0_scales);
         break;
       case KindInfo::kNever:
         // Training steps: gradient reductions and optimizer state are
@@ -1550,6 +1555,12 @@ void Program::replay_widened(int64_t b) {
   ++im.widened_replays;
   im.max_widen_batch = std::max(im.max_widen_batch, b);
   run_health_check(im, ctx.buf.data(), ctx.slot_len.data());
+}
+
+std::size_t Program::count_steps(std::string_view kind) const {
+  return static_cast<std::size_t>(std::count_if(
+      impl_->steps.begin(), impl_->steps.end(),
+      [&](const Step& s) { return kind == kind_info(s.kind).name; }));
 }
 
 void Program::reset() { impl_->clear_plan(); }

@@ -59,8 +59,9 @@
 // B0 independent instances, turning many skinny width-64 GEMMs into few
 // wide ones. widen() declares which external slots carry the batch;
 // lowering's recorded slot shapes drive a fail-closed propagation (any
-// step that would mix instances — cross-batch reductions, transposes,
-// training/optimizer steps — rejects widening and callers fall back to
+// step that would mix instances — cross-batch reductions, TN matmuls
+// (they contract over rows), training/optimizer steps — rejects widening
+// and callers fall back to
 // per-shape captures). Widened replay of B instances is bitwise
 // identical to B0-sized replays of the same instances because every
 // widenable kernel computes each row/element independently.
@@ -96,6 +97,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 
 #include "ad/dtype.hpp"
 #include "ad/kernels.hpp"
@@ -194,6 +196,11 @@ class Program {
 
   Stats stats() const;
 
+  /// Steps of the lowered plan of kind `kind`, by its MF_PROGRAM_PROFILE
+  /// band name ("matmul", "copy", ...; kUnary counts as "unary"), so tests
+  /// can check what a graph lowers to.
+  std::size_t count_steps(std::string_view kind) const;
+
   /// Health sentinel verdict of the most recent replay()/replay_widened():
   /// false when the post-replay scan (active under health_checks_enabled())
   /// found a NaN, an Inf, or a diverged (>1e100) value in any external
@@ -269,9 +276,10 @@ void on_reduce(const kernels::ReducePlan& plan, const Tensor& a,
 void on_sum_all(const Tensor& a, const Tensor& out);
 void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
                  int64_t n_axis, int64_t inner);
+/// kernels::matmul in `form`; a step replays it with the same form.
 void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
-               const Tensor& out, int64_t m, int64_t k, int64_t n);
-void on_transpose(const Tensor& a, const Tensor& out, int64_t m, int64_t n);
+               const Tensor& out, int64_t m, int64_t k, int64_t n,
+               kernels::MatmulForm form);
 /// Full-buffer copy (reshape / detach / clone).
 void on_copy(const Tensor& src, const Tensor& out);
 void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,

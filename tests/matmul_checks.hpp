@@ -1,8 +1,9 @@
 // Matmul tier conformance checks shared by test_kernels (f64) and
-// test_precision (f32): each tier's serial kernel against its naive loop
-// (std::fma on the FMA tiers, acc + a·b on the scalar tier) over a
-// generated shape sweep and a 0·inf case, and the public entry point
-// serial vs threaded against the widest tier.
+// test_precision (f32): each operand form of each tier's serial kernel
+// against its naive loop (std::fma on the FMA tiers, acc + a·b on the
+// scalar tier) over explicitly transposed copies, on a generated shape
+// sweep and a 0·inf case, and the public entry point serial vs threaded
+// against the widest tier.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,13 @@ namespace matmul_checks {
 
 namespace kernels = mf::ad::kernels;
 using elementwise_checks::GuardedBuffer;
+using Form = kernels::MatmulForm;
+
+inline constexpr Form kForms[] = {Form::kNN, Form::kTN, Form::kNT};
+
+inline const char* form_name(Form f) {
+  return f == Form::kNN ? "NN" : f == Form::kTN ? "TN" : "NT";
+}
 
 /// Random operands for a sweep. A case of shape (m, k, n) takes the last
 /// m·k, k·n, n and m·n elements of these pools, so each of its four
@@ -39,21 +48,27 @@ struct Pools {
   GuardedBuffer<T> a, b, bias, out;
 };
 
-/// One generated case over the pools.
+/// One generated case over the pools. The form's operands take the same
+/// element counts as NN's (a is m·k, b is k·n) in their stored layouts:
+/// TN's a is k × m, NT's b is n × k.
 template <typename T>
 struct Case {
-  Case(Pools<T>& p, int64_t m_, int64_t k_, int64_t n_, bool with_bias)
-      : m(m_), k(k_), n(n_), a(p.a.end() - m * k), b(p.b.end() - k * n),
-        bias(with_bias ? p.bias.end() - n : nullptr), out(p.out.end() - m * n) {}
+  Case(Pools<T>& p, Form form_, int64_t m_, int64_t k_, int64_t n_,
+       bool with_bias)
+      : form(form_), m(m_), k(k_), n(n_), a(p.a.end() - m * k),
+        b(p.b.end() - k * n), bias(with_bias ? p.bias.end() - n : nullptr),
+        out(p.out.end() - m * n) {}
   /// Fills out with NaN, so an element a kernel never writes shows.
   void clear() {
     std::fill(out, out + m * n, std::numeric_limits<T>::quiet_NaN());
   }
   std::string name() const {
-    return "m=" + std::to_string(m) + " k=" + std::to_string(k) +
-           " n=" + std::to_string(n) + (bias ? " bias" : " no bias");
+    return std::string(form_name(form)) + " m=" + std::to_string(m) +
+           " k=" + std::to_string(k) + " n=" + std::to_string(n) +
+           (bias ? " bias" : " no bias");
   }
 
+  Form form;
   int64_t m, k, n;
   const T* a;
   const T* b;
@@ -61,18 +76,35 @@ struct Case {
   T* out;
 };
 
-/// The naive loop of the tier with `lanes` f64 lanes: out[i][j] = bias[j]
-/// (or 0), then, for kk ascending, std::fma(a[i][kk], b[kk][j], out[i][j])
-/// on the FMA tiers and out[i][j] + a[i][kk]·b[kk][j] on the scalar tier.
+/// The rows × cols matrix whose element (r, c) is src[c·rows + r].
+template <typename T>
+std::vector<T> transposed(const T* src, int64_t rows, int64_t cols) {
+  std::vector<T> t(static_cast<std::size_t>(rows * cols));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) t[r * cols + c] = src[c * rows + r];
+  }
+  return t;
+}
+
+/// The naive loop of the tier with `lanes` f64 lanes over explicitly
+/// transposed copies of the form's operands: out[i][j] = bias[j] (or 0),
+/// then, for kk ascending, std::fma(a[i][kk], b[kk][j], out[i][j]) on the
+/// FMA tiers and out[i][j] + a[i][kk]·b[kk][j] on the scalar tier.
 template <typename T, typename Acc>
 std::vector<T> naive_loop(const Case<T>& c, Acc acc) {
+  const std::vector<T> a = c.form == Form::kTN
+                               ? transposed(c.a, c.m, c.k)
+                               : std::vector<T>(c.a, c.a + c.m * c.k);
+  const std::vector<T> b = c.form == Form::kNT
+                               ? transposed(c.b, c.k, c.n)
+                               : std::vector<T>(c.b, c.b + c.k * c.n);
   std::vector<T> out(static_cast<std::size_t>(c.m * c.n));
   for (int64_t i = 0; i < c.m; ++i) {
     T* row = out.data() + i * c.n;
     for (int64_t j = 0; j < c.n; ++j) row[j] = c.bias ? c.bias[j] : T(0);
     for (int64_t kk = 0; kk < c.k; ++kk) {
-      const T av = c.a[i * c.k + kk];
-      const T* brow = c.b + kk * c.n;
+      const T av = a[i * c.k + kk];
+      const T* brow = b.data() + kk * c.n;
       for (int64_t j = 0; j < c.n; ++j) row[j] = acc(av, brow[j], row[j]);
     }
   }
@@ -128,30 +160,38 @@ inline const std::vector<int64_t> kSweepDepths = {1, 2, 5, 64, 1024};
 template <typename T>
 bool run_tier(int lanes, Case<T>& c) {
   c.clear();
-  return kernels::detail::matmul_on_tier(lanes, c.a, c.b, c.bias, c.out, c.m,
-                                         c.k, c.n);
+  return kernels::detail::matmul_on_tier(lanes, c.form, c.a, c.b, c.bias,
+                                         c.out, c.m, c.k, c.n);
+}
+
+/// Runs the public (serial or threaded) entry on c.
+template <typename T>
+void run_entry(Case<T>& c) {
+  c.clear();
+  kernels::matmul(c.a, c.b, c.bias, c.out, c.m, c.k, c.n, c.form);
 }
 
 inline const char* tier_name(int lanes) {
   return lanes == 8 ? "AVX-512F" : lanes == 4 ? "AVX2+FMA" : "scalar";
 }
 
-/// The serial kernel of the tier with `lanes` f64 lanes against its naive
-/// loop, and the other FMA tier against it where the CPU has both, over m
-/// × k × n × bias. m = 1,003 runs at k <= 64 only: its k = 1,024 cases
-/// would cost more than the rest of the sweep together and exercise no
-/// other code. Then each of the shapes below runs once more with
-/// a[0][0] = 0 and b[0][0] = +inf, whose product is NaN in every naive
-/// loop: a kernel that skips zero a-elements leaves out[0][0] finite. Its
-/// rows cover the row block and the remainder rows, its columns whole and
-/// partial strips, and its k·n both sides of the scalar tier's tiling
-/// gate. Skips when the CPU lacks the tier, after checking that it wrote
-/// nothing.
+/// Each form of the serial kernel of the tier with `lanes` f64 lanes
+/// against its naive loop, and the other FMA tier against it where the CPU
+/// has both, over m × k × n, and × bias on NN (the one form that takes a
+/// bias). m = 1,003 runs at k <= 64 only: its k = 1,024 cases would cost
+/// more than the rest of the sweep together and exercise no other code.
+/// Then each of the shapes below runs once more per form with a(0, 0) = 0
+/// and b(0, 0) = +inf (the first stored element of each, in any form),
+/// whose product is NaN in every naive loop: a kernel that skips zero
+/// a-elements leaves out[0][0] finite. Its rows cover the row block and
+/// the remainder rows, its columns whole and partial strips, and its k·n
+/// both sides of the scalar tier's tiling gate. Skips when the CPU lacks
+/// the tier, after checking that it wrote nothing.
 template <typename T>
 void expect_tier_matches_naive(int lanes) {
   const int other = lanes == 8 ? 4 : lanes == 4 ? 8 : 0;
   Pools<T> pools(1003 * 64, 1024 * 513, 513, 1003 * 513, 1000);
-  Case<T> probe(pools, 3, 2, 5, true);
+  Case<T> probe(pools, Form::kNN, 3, 2, 5, true);
   if (!run_tier(lanes, probe)) {
     for (int64_t i = 0; i < 15; ++i) {
       ASSERT_TRUE(std::isnan(probe.out[i])) << "wrote output";
@@ -169,63 +209,70 @@ void expect_tier_matches_naive(int lanes) {
     ASSERT_TRUE(bad.empty()) << tier_name(other) << " vs " << tier_name(lanes)
                              << ", " << c.name() << what << ", " << bad;
   };
-  for (const int64_t m : sweep_rows()) {
-    for (const int64_t k : kSweepDepths) {
-      if (m > 17 && k > 64) continue;
-      for (const int64_t n : sweep_cols()) {
-        for (const bool with_bias : {false, true}) {
-          Case<T> c(pools, m, k, n, with_bias);
-          check(c, "");
-          if (::testing::Test::HasFatalFailure()) return;
+  for (const Form form : kForms) {
+    for (const int64_t m : sweep_rows()) {
+      for (const int64_t k : kSweepDepths) {
+        if (m > 17 && k > 64) continue;
+        for (const int64_t n : sweep_cols()) {
+          for (const bool with_bias : {false, true}) {
+            if (with_bias && form != Form::kNN) continue;
+            Case<T> c(pools, form, m, k, n, with_bias);
+            check(c, "");
+            if (::testing::Test::HasFatalFailure()) return;
+          }
         }
       }
     }
-  }
-  for (const int64_t m : {1, 3, 4, 9}) {
-    for (const int64_t k : {1, 5, 64, 1024}) {
-      for (const int64_t n : {1, 7, 16, 513}) {
-        Case<T> c(pools, m, k, n, true);
-        T* a = pools.a.end() - m * k;
-        T* b = pools.b.end() - k * n;
-        const T a0 = a[0], b0 = b[0];
-        a[0] = 0;
-        b[0] = std::numeric_limits<T>::infinity();
-        check(c, " 0*inf");
-        if (::testing::Test::HasFatalFailure()) return;
-        a[0] = a0;
-        b[0] = b0;
+    for (const int64_t m : {1, 3, 4, 9}) {
+      for (const int64_t k : {1, 5, 64, 1024}) {
+        for (const int64_t n : {1, 7, 16, 513}) {
+          Case<T> c(pools, form, m, k, n, form == Form::kNN);
+          T* a = pools.a.end() - m * k;
+          T* b = pools.b.end() - k * n;
+          const T a0 = a[0], b0 = b[0];
+          a[0] = 0;
+          b[0] = std::numeric_limits<T>::infinity();
+          check(c, " 0*inf");
+          if (::testing::Test::HasFatalFailure()) return;
+          a[0] = a0;
+          b[0] = b0;
+        }
       }
     }
   }
 }
 
-/// kernels::matmul at m = 1,003, serial and on 4 threads with grain 1 (so
-/// OpenMP splits the rows at offsets that are not multiples of the row
-/// block), gives the same bits, and those of the widest tier's serial
-/// kernel.
+/// Each form of kernels::matmul at m = 1,003, serial and on 4 threads
+/// with grain 1 (so OpenMP splits the rows at offsets that are not
+/// multiples of the row block, and TN's at columns of a), gives the same
+/// bits, and those of the widest tier's serial kernel. A bias with a
+/// transposed form is refused.
 template <typename T>
 void expect_entry_serial_threaded_and_tier_agree() {
   elementwise_checks::KernelConfigGuard guard;
   const int lanes = kernels::gelu_lanes();
   Pools<T> pools(1003 * 1024, 1024 * 513, 513, 1003 * 513, 5000);
-  for (const int64_t k : kSweepDepths) {
-    for (const int64_t n : sweep_cols()) {
-      Case<T> c(pools, 1003, k, n, true);
-      guard.serial();
-      c.clear();
-      kernels::matmul(c.a, c.b, c.bias, c.out, c.m, k, n);
-      const std::vector<T> serial(c.out, c.out + c.m * n);
-      guard.threaded();
-      c.clear();
-      kernels::matmul(c.a, c.b, c.bias, c.out, c.m, k, n);
-      std::string bad = first_mismatch(c.out, serial);
-      ASSERT_TRUE(bad.empty()) << "threaded vs serial, " << c.name() << ", "
-                               << bad;
-      ASSERT_TRUE(run_tier(lanes, c));
-      bad = first_mismatch(c.out, serial);
-      ASSERT_TRUE(bad.empty()) << tier_name(lanes) << " vs entry, "
-                               << c.name() << ", " << bad;
+  for (const Form form : kForms) {
+    for (const int64_t k : kSweepDepths) {
+      for (const int64_t n : sweep_cols()) {
+        Case<T> c(pools, form, 1003, k, n, form == Form::kNN);
+        guard.serial();
+        run_entry(c);
+        const std::vector<T> serial(c.out, c.out + c.m * n);
+        guard.threaded();
+        run_entry(c);
+        std::string bad = first_mismatch(c.out, serial);
+        ASSERT_TRUE(bad.empty()) << "threaded vs serial, " << c.name() << ", "
+                                 << bad;
+        ASSERT_TRUE(run_tier(lanes, c));
+        bad = first_mismatch(c.out, serial);
+        ASSERT_TRUE(bad.empty()) << tier_name(lanes) << " vs entry, "
+                                 << c.name() << ", " << bad;
+      }
     }
+    if (form == Form::kNN) continue;
+    Case<T> c(pools, form, 3, 2, 5, true);
+    EXPECT_THROW(run_entry(c), std::invalid_argument) << form_name(form);
   }
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <vector>
 
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
@@ -95,11 +98,18 @@ TEST(OpsForward, SliceConcatRoundTrip) {
   for (int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(back.flat(i), a.flat(i));
 }
 
-TEST(OpsForward, TransposeReshape) {
+TEST(OpsForward, TransposedGemmsAndReshape) {
   Tensor a = Tensor::from_vector({1, 2, 3, 4, 5, 6}, {2, 3});
-  Tensor t = ops::transpose(a);
-  EXPECT_EQ(t.shape(), (Shape{3, 2}));
-  EXPECT_EQ(t.at({2, 0}), 3);
+  // aᵀ·I and I·aᵀ are aᵀ, read through the TN and NT forms.
+  Tensor eye2 = Tensor::from_vector({1, 0, 0, 1}, {2, 2});
+  Tensor eye3 = Tensor::from_vector({1, 0, 0, 0, 1, 0, 0, 0, 1}, {3, 3});
+  for (const Tensor& t : {ops::matmul_tn(a, eye2), ops::matmul_nt(eye3, a)}) {
+    EXPECT_EQ(t.shape(), (Shape{3, 2}));
+    EXPECT_EQ(t.at({2, 0}), 3);
+    EXPECT_EQ(t.at({0, 1}), 4);
+  }
+  EXPECT_THROW(ops::matmul_tn(a, eye3), std::invalid_argument);
+  EXPECT_THROW(ops::matmul_nt(a, eye2), std::invalid_argument);
   Tensor r = ops::reshape(a, {3, -1});
   EXPECT_EQ(r.shape(), (Shape{3, 2}));
   EXPECT_EQ(r.at({1, 1}), 4);
@@ -193,6 +203,35 @@ TEST(Gradcheck, MatmulBatched) {
   };
   auto r = ad::gradcheck(f, {a, b});
   EXPECT_TRUE(r.ok) << "max_rel_err=" << r.max_rel_err;
+}
+
+TEST(Gradcheck, TransposedGemmsFirstAndSecondOrder) {
+  // matmul_tn and matmul_nt with 3-D left operands: the backward passes
+  // are GEMMs of the three forms, checked to second order (create_graph).
+  Tensor x = randt({2, 3, 4}, 41);
+  Tensor y = randt({2, 3, 5}, 42);
+  Tensor w = randt({5, 4}, 43);
+  auto tn = [](const std::vector<Tensor>& in) {
+    return ops::sum(ops::square(ops::matmul_tn(in[0], in[1])));
+  };
+  auto nt = [](const std::vector<Tensor>& in) {
+    return ops::sum(ops::square(ops::matmul_nt(in[0], in[1])));
+  };
+  struct Check {
+    const char* name;
+    std::function<Tensor(const std::vector<Tensor>&)> f;
+    std::vector<Tensor> in;
+  };
+  for (const Check& c : {Check{"matmul_tn", tn, {x, y}},
+                         Check{"matmul_nt", nt, {x, w}}}) {
+    auto r = ad::gradcheck(c.f, c.in);
+    EXPECT_TRUE(r.ok) << c.name << " max_rel_err=" << r.max_rel_err;
+    auto r2 = ad::gradcheck_second_order(c.f, c.in, 1e-5, 2e-4);
+    EXPECT_TRUE(r2.ok) << c.name << " (2nd order) max_rel_err="
+                       << r2.max_rel_err;
+  }
+  EXPECT_THROW(ops::matmul_tn(x, w), std::invalid_argument);
+  EXPECT_THROW(ops::matmul_tn(x, randt({2, 4, 5}, 44)), std::invalid_argument);
 }
 
 TEST(Gradcheck, SliceConcatSum) {

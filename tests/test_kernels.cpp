@@ -246,7 +246,7 @@ TEST(MatmulKernel, EntrySerialThreadedAndWidestTierAgreeF64) {
   matmul_checks::expect_entry_serial_threaded_and_tier_agree<double>();
 }
 
-TEST(Kernels, SumAxisAndTransposeParity) {
+TEST(Kernels, SumAxisAndTransposedGemmParity) {
   Tensor a = randt({6, 5, 4}, 24, -2, 2);
   KernelConfigGuard guard;
   for (int64_t axis = 0; axis < 3; ++axis) {
@@ -256,12 +256,17 @@ TEST(Kernels, SumAxisAndTransposeParity) {
     Tensor thr = ops::sum_axis(a, axis, /*keepdim=*/false);
     expect_allclose(thr, ref, 1e-13, "sum_axis");
   }
+  // The TN form splits its output rows across columns of m, the NT form
+  // shares one packed bᵀ across threads.
   Tensor m = randt({31, 17}, 25, -1, 1);
+  Tensor r = randt({31, 9}, 26, -1, 1);
+  Tensor w = randt({9, 17}, 27, -1, 1);
   guard.serial();
-  Tensor tr = ops::transpose(m);
+  Tensor tn_ref = ops::matmul_tn(m, r);
+  Tensor nt_ref = ops::matmul_nt(m, w);
   guard.threaded();
-  Tensor tt = ops::transpose(m);
-  expect_allclose(tt, tr, 0.0, "transpose");
+  expect_allclose(ops::matmul_tn(m, r), tn_ref, 0.0, "matmul_tn");
+  expect_allclose(ops::matmul_nt(m, w), nt_ref, 0.0, "matmul_nt");
 }
 
 TEST(Kernels, ReductionHelpersParity) {

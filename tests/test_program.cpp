@@ -818,12 +818,14 @@ TEST(Program, WidenRejectsInstanceMixingPlans) {
   {
     ad::Program p;
     Tensor y;
-    p.capture([&] { y = ops::transpose(x); });
+    p.capture([&] { y = ops::matmul_tn(x, x); });
     ASSERT_TRUE(p.captured());
-    EXPECT_FALSE(p.widen({x}));      // transpose reshuffles the batch axis
+    EXPECT_FALSE(p.widen({x}));      // xᵀx contracts over the batch rows
     EXPECT_FALSE(p.widen({x, y}));   // and the declared dim0s disagree
+    const std::vector<double> captured(y.data(), y.data() + y.numel());
+    std::fill(y.data(), y.data() + y.numel(), 0.0);
     p.replay();                      // still replayable after refusal
-    EXPECT_EQ(y.flat(0), x.flat(0));
+    EXPECT_EQ(std::vector<double>(y.data(), y.data() + y.numel()), captured);
   }
   {
     ad::Program p;
@@ -883,6 +885,7 @@ TEST(Program, WidenAcceptsOneCasePerRule) {
        }},
       {"sum_axis1", {x3}, [=] { return ops::sum_axis(x3, 1, false); }},
       {"matmul", {x}, [=] { return ops::linear(x, w, wb); }},
+      {"matmul_nt", {x3}, [=] { return ops::matmul_nt(x3, w); }},
       {"conv1d", {sig}, [=] { return ops::conv1d(sig, cw, cb, 1); }},
   };
   const int64_t kFactor = 3;
@@ -1114,6 +1117,65 @@ TEST(Program, SteadyStateReplayIsPayloadAllocationFree) {
   for (std::size_t i = 3; i < 8; ++i) one(i);
   EXPECT_EQ(mt.payload_allocs(), a0)
       << "steady-state replay must not allocate payloads";
+}
+
+TEST(Program, LinearThirdOrderBackwardLowersWithoutCopies) {
+  // The PDE loss's pattern on a two-layer net: u(x), its second
+  // x-derivatives under create_graph, then the weight gradients of a loss
+  // on them (third order through both linears). Every GEMM of every order
+  // is a matmul step of one of the three forms: the plan has no copy (the
+  // backward passes used to reshape and transpose before each weight
+  // GEMM). At f64 a replay on fresh values equals eager bitwise; at f32
+  // (eager is f64-only) it tracks eager within float rounding.
+  ProgramEnabledGuard on(true);
+  util::Rng rng(67);
+  Tensor x = random_tensor({6, 2}, rng);
+  Tensor w1 = random_tensor({2, 8}, rng), b1 = random_tensor({8}, rng);
+  Tensor w2 = random_tensor({8, 3}, rng);
+  for (Tensor* t : {&x, &w1, &b1, &w2}) t->set_requires_grad(true);
+  // Explicit seeds instead of sums: a sum's backward reshapes its scalar
+  // seed, a copy this test is not about.
+  const Tensor seed_u = Tensor::ones({6, 3}), seed_x = Tensor::ones({6, 2});
+  auto body = [&] {
+    Tensor u = ops::linear(ops::gelu(ops::linear(x, w1, b1)), w2, Tensor());
+    Tensor du = ad::grad(u, {x}, seed_u, true)[0];
+    Tensor d2u = ad::grad(ops::mul(du, du), {x}, seed_x, true)[0];
+    std::vector<Tensor> out = ad::grad(d2u, {w1, b1, w2}, seed_x);
+    out.push_back(d2u);
+    return out;
+  };
+  auto refill = [&] {
+    for (Tensor* t : {&x, &w1, &b1, &w2}) {
+      for (int64_t i = 0; i < t->numel(); ++i) {
+        t->flat(i) = rng.uniform(-1.0, 1.0);
+      }
+    }
+  };
+  for (const ad::DType dt : {ad::DType::kF64, ad::DType::kF32}) {
+    SCOPED_TRACE(dt == ad::DType::kF32 ? "f32" : "f64");
+    ad::Program p;
+    p.set_compute_dtype(dt);
+    std::vector<Tensor> got;
+    p.capture([&] { got = body(); });
+    ASSERT_TRUE(p.captured());
+    EXPECT_EQ(p.count_steps("copy"), 0u);
+    EXPECT_GE(p.count_steps("matmul"), 10u);
+    refill();
+    p.replay();
+    const std::vector<Tensor> want = body();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < want.size(); ++t) {
+      for (int64_t i = 0; i < want[t].numel(); ++i) {
+        const double w = want[t].flat(i);
+        if (dt == ad::DType::kF64) {
+          ASSERT_EQ(got[t].flat(i), w) << "output " << t << "[" << i << "]";
+        } else {
+          ASSERT_NEAR(got[t].flat(i), w, 1e-4 * std::max(1.0, std::abs(w)))
+              << "output " << t << "[" << i << "]";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
