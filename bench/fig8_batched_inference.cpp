@@ -71,12 +71,11 @@ static int main_body(int argc, char** argv) {
     };
     const double tu = run(false, false);
     const double tb = run(true, false);
-    // Batched inference through captured programs. The first compiled
-    // pass pays the phase-geometry captures for *this* size (the
-    // per-thread cache caps at 8 entries, enough for one size's 4 phase
-    // shapes + final tiling, so the adjacent timed pass reuses them);
-    // the timed pass replays every phase — only the once-per-run final
-    // tiling geometry, seen for the second time, still captures there.
+    // Batched inference through captured programs. The solver keeps one
+    // plan per query set (cross and interior), captured at batch 1 on
+    // the first size's untimed pass and widened to every batch after
+    // that. Each untimed pass builds this size's widened contexts and
+    // grows the plans' stores, so the timed pass only replays.
     run(true, true);
     const double tc = run(true, true);
     const int64_t h = m / 2;

@@ -87,10 +87,10 @@ static int main_body(int argc, char** argv) {
   // serving economics bite: per-subdomain inference is dispatch-bound
   // (the fixed per-call overhead rivals the GEMM work at this size), so
   // the serial per-subdomain predictor pays ~2x the per-row price of a
-  // batched widened replay. On top of that, each request touches ~4
-  // distinct batch shapes, so job-at-a-time serving keeps >20 live
-  // shapes thrashing the plan cache while the server funnels all
-  // traffic through per-tenant plans that stay hot across requests.
+  // batched widened replay. On top of that, job-at-a-time serving
+  // replays one skinny batch per phase per request, while the server
+  // funnels every in-flight request's rows through the tenant's one plan
+  // in shared, wider batches.
   mosaic::SdnetConfig base;
   base.hidden_width = 16;
   base.mlp_depth = 2;
@@ -140,7 +140,7 @@ static int main_body(int argc, char** argv) {
   //  * batched: within-job phase batching (PR 6) but still one job at a
   //    time, reported as speedup_vs_serial_batched. On a single core
   //    this one is already near the per-row compute floor, so the gap
-  //    over it isolates plan-capture amortization alone.
+  //    over it isolates cross-request batching alone.
   auto run_job_at_a_time = [&](bool batched, std::size_t limit) {
     auto solo_zoo = make_zoo();
     const std::size_t n = std::min(limit, requests.size());

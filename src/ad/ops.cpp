@@ -399,7 +399,9 @@ Tensor sum_axis(const Tensor& a, int64_t axis, bool keepdim) {
   const int64_t n_axis = s[static_cast<std::size_t>(axis)];
   Tensor out = Tensor::zeros(kept);
   kernels::sum_axis(a.data(), out.data(), outer, n_axis, inner);
-  if (prog::capturing()) prog::on_sum_axis(a, out, outer, n_axis, inner);
+  if (prog::capturing()) {
+    prog::on_sum_axis(a, out, outer, n_axis, inner, axis);
+  }
   const SmallShape orig = s;
   Tensor res = record(std::move(out), "sum_axis", {a},
                       [orig](const Tensor& g, const std::vector<bool>&) {
@@ -501,7 +503,7 @@ Tensor slice(const Tensor& t, int64_t axis, int64_t start, int64_t len) {
     }
   });
   if (prog::capturing()) {
-    prog::on_slice_pack(t, out, outer, len, inner, n_axis, start);
+    prog::on_slice_pack(t, out, outer, len, inner, n_axis, start, axis);
   }
   const SmallShape orig = s;
   return record(std::move(out), "slice", {t},
@@ -518,7 +520,7 @@ Tensor slice(const Tensor& t, int64_t axis, int64_t start, int64_t len) {
                   }
                   if (prog::capturing()) {
                     prog::on_slice_scatter(g, padded, outer, len, inner,
-                                           n_axis, start);
+                                           n_axis, start, axis);
                   }
                   Tensor res = record(
                       std::move(padded), "slice_backward", {g},
@@ -551,7 +553,7 @@ Tensor concat(const std::vector<Tensor>& parts, int64_t axis) {
                   static_cast<std::size_t>(len * inner) * sizeof(real));
     }
     if (prog::capturing()) {
-      prog::on_concat_part(p, out, outer, total, offset, len, inner);
+      prog::on_concat_part(p, out, outer, total, offset, len, inner, axis);
     }
     offset += len;
   }

@@ -67,7 +67,7 @@ struct KindInfo {
     kElementwise,  // operands agree, out follows a, p0 scales with out
     kBcast,        // trial-shape check; the broadcast plan is rebuilt
     kFold,         // a scaled input is refused
-    kOuter,        // needs p0 > 1; p0 scales with a
+    kOuter,        // refuses axis 0 (p5); p0 scales with a
     kRows,         // rhs and bias unscaled; p0 scales with a (a TN
                    // matmul contracts over a's rows: refuses any)
     kNever,        // sized for the capture batch: refuses widening
@@ -271,19 +271,30 @@ struct Program::Impl {
   bool poisoned = false;
 
   // ---- widening state (set by widen()) ----
+  // One widening factor's replay tables: the steps with scaled geometry,
+  // broadcast plans rebuilt at the widened shapes, the scaled slot
+  // lengths, and a buffer table into wide_store.
   struct WideContext {
     int64_t factor = 1;
     std::vector<Step> steps;
     std::vector<kernels::BroadcastPlan> bplans;
     std::vector<int64_t> slot_len;
     std::vector<void*> buf;
-    std::vector<std::vector<std::byte>> store;  // per-slot wide buffers
   };
   bool wide_ready = false;
   int64_t base_b = 0;
   std::vector<char> slot_scaled;  // batch-carrying slots (post-analysis)
   std::vector<char> p0_scaled;    // per step: widened replay scales p0
   std::unordered_map<const TensorImpl*, std::int32_t> declared_slots;
+  // The store every widening factor replays from: per slot, its
+  // wide_store buffer (-1: the master buffer — weights and other unscaled
+  // externals are read live — or none); per buffer, the slot whose size
+  // at a factor is the buffer's. Sized for wide_cap, the largest factor
+  // replayed so far.
+  std::vector<std::int32_t> wide_buffer_of;
+  std::vector<std::int32_t> wide_owner;
+  std::vector<std::vector<std::byte>> wide_store;
+  int64_t wide_cap = 0;
   std::vector<std::unique_ptr<WideContext>> wide_ctxs;
   int64_t max_widen_batch = 0;
   std::uint64_t widened_replays = 0;
@@ -319,6 +330,10 @@ struct Program::Impl {
     slot_scaled.clear();
     p0_scaled.clear();
     declared_slots.clear();
+    wide_buffer_of.clear();
+    wide_owner.clear();
+    wide_store.clear();
+    wide_cap = 0;
     wide_ctxs.clear();
     max_widen_batch = 0;
     ready = false;
@@ -420,8 +435,9 @@ void on_sum_all(const Tensor& a, const Tensor& out) {
 }
 
 void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
-                 int64_t n_axis, int64_t inner) {
-  record({.kind = StepKind::kSumAxis, .p0 = outer, .p1 = n_axis, .p2 = inner},
+                 int64_t n_axis, int64_t inner, int64_t axis) {
+  record({.kind = StepKind::kSumAxis, .p0 = outer, .p1 = n_axis, .p2 = inner,
+          .p5 = axis},
          {.a = &a, .out = &out});
 }
 
@@ -442,24 +458,26 @@ void on_copy(const Tensor& src, const Tensor& out) {
 }
 
 void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,
-                   int64_t len, int64_t inner, int64_t n_axis, int64_t start) {
+                   int64_t len, int64_t inner, int64_t n_axis, int64_t start,
+                   int64_t axis) {
   record({.kind = StepKind::kSlicePack, .p0 = outer, .p1 = len, .p2 = inner,
-          .p3 = n_axis, .p4 = start},
+          .p3 = n_axis, .p4 = start, .p5 = axis},
          {.a = &in, .out = &out});
 }
 
 void on_slice_scatter(const Tensor& g, const Tensor& out, int64_t outer,
                       int64_t len, int64_t inner, int64_t n_axis,
-                      int64_t start) {
+                      int64_t start, int64_t axis) {
   record({.kind = StepKind::kSliceScatter, .p0 = outer, .p1 = len,
-          .p2 = inner, .p3 = n_axis, .p4 = start},
+          .p2 = inner, .p3 = n_axis, .p4 = start, .p5 = axis},
          {.a = &g, .out = &out});
 }
 
 void on_concat_part(const Tensor& part, const Tensor& out, int64_t outer,
-                    int64_t total, int64_t offset, int64_t len, int64_t inner) {
+                    int64_t total, int64_t offset, int64_t len, int64_t inner,
+                    int64_t axis) {
   record({.kind = StepKind::kConcatPart, .p0 = outer, .p1 = total,
-          .p2 = offset, .p3 = len, .p4 = inner},
+          .p2 = offset, .p3 = len, .p4 = inner, .p5 = axis},
          {.a = &part, .out = &out});
 }
 
@@ -753,6 +771,60 @@ void insert_casts(Program::Impl& im, std::vector<char>& internal) {
   im.steps = std::move(out_steps);
 }
 
+int64_t slot_bytes(const Program::Impl& im, std::size_t s) {
+  return im.slot_len[s] * static_cast<int64_t>(dtype_size(im.slot_dt[s]));
+}
+
+/// The liveness packer of lower() and of the widened store: walking the
+/// steps in order, each internal slot takes, at the step that defines it,
+/// a buffer with its key that a slot accessed last at an earlier step
+/// released, or opens a new one. The key is the slot's byte size
+/// (byte-keyed so an f32 slot can inherit a same-footprint f64 buffer and
+/// vice versa) and, when `by_scaled`, its batch flag too: slots sharing a
+/// buffer then have one size at every widening factor. Returns each
+/// slot's buffer (-1 for none) and fills `owner` with the slot that
+/// opened each buffer, whose size is the buffer's.
+std::vector<std::int32_t> pack_slots(const Program::Impl& im,
+                                     const Ranges& r,
+                                     const std::vector<char>& internal,
+                                     bool by_scaled,
+                                     std::vector<std::int32_t>& owner) {
+  const std::size_t S = im.slots.size();
+  auto key = [&](std::size_t s) {
+    const int64_t bytes = slot_bytes(im, s);
+    return by_scaled ? 2 * bytes + im.slot_scaled[s] : bytes;
+  };
+  std::vector<std::vector<std::int32_t>> released(im.steps.size());
+  for (std::size_t s = 0; s < S; ++s) {
+    if (internal[s] && r.last[s] >= 0) {
+      released[static_cast<std::size_t>(r.last[s])].push_back(
+          static_cast<std::int32_t>(s));
+    }
+  }
+  std::unordered_map<int64_t, std::vector<std::int32_t>> free_by_key;
+  std::vector<std::int32_t> buffer_of(S, -1);
+  owner.clear();
+  for (std::size_t i = 0; i < im.steps.size(); ++i) {
+    const std::int32_t o = im.steps[i].out;
+    const auto u = static_cast<std::size_t>(o);
+    if (o >= 0 && internal[u] && r.def[u] == static_cast<std::int32_t>(i)) {
+      auto& fl = free_by_key[key(u)];
+      if (!fl.empty()) {
+        buffer_of[u] = fl.back();
+        fl.pop_back();
+      } else {
+        buffer_of[u] = static_cast<std::int32_t>(owner.size());
+        owner.push_back(o);
+      }
+    }
+    for (std::int32_t sl : released[i]) {
+      free_by_key[key(static_cast<std::size_t>(sl))].push_back(
+          buffer_of[static_cast<std::size_t>(sl)]);
+    }
+  }
+  return buffer_of;
+}
+
 /// Lower the raw trace: release the recorded autodiff graph, fuse
 /// adjacent elementwise chains, compute slot live ranges, pack internal
 /// slots onto reused arena buffers, resolve every operand to a raw
@@ -805,41 +877,12 @@ void lower(Program::Impl& im) {
   // have no accesses at all and drop out of the packing below.
   compute_ranges(im, r);
 
-  // Exact-byte-size reuse of internal buffers across disjoint live
-  // ranges (byte-keyed so an f32 slot can inherit a same-footprint f64
-  // buffer and vice versa).
-  auto slot_bytes = [&](std::size_t s) -> int64_t {
-    return im.slot_len[s] *
-           static_cast<int64_t>(dtype_size(im.slot_dt[s]));
-  };
-  std::vector<std::vector<std::int32_t>> released(im.steps.size());
-  for (std::size_t s = 0; s < S; ++s) {
-    if (internal[s] && r.last[s] >= 0) {
-      released[static_cast<std::size_t>(r.last[s])].push_back(
-          static_cast<std::int32_t>(s));
-    }
-  }
-  std::unordered_map<int64_t, std::vector<std::int32_t>> free_by_len;
-  std::vector<std::int32_t> arena_of(S, -1);
-  for (std::size_t i = 0; i < im.steps.size(); ++i) {
-    const std::int32_t o = im.steps[i].out;
-    if (o >= 0 && internal[static_cast<std::size_t>(o)] &&
-        r.def[static_cast<std::size_t>(o)] == static_cast<std::int32_t>(i)) {
-      auto& fl = free_by_len[slot_bytes(static_cast<std::size_t>(o))];
-      if (!fl.empty()) {
-        arena_of[static_cast<std::size_t>(o)] = fl.back();
-        fl.pop_back();
-      } else {
-        arena_of[static_cast<std::size_t>(o)] =
-            static_cast<std::int32_t>(im.arena.size());
-        im.arena.emplace_back(
-            static_cast<std::size_t>(slot_bytes(static_cast<std::size_t>(o))));
-      }
-    }
-    for (std::int32_t s : released[i]) {
-      free_by_len[slot_bytes(static_cast<std::size_t>(s))].push_back(
-          arena_of[static_cast<std::size_t>(s)]);
-    }
+  std::vector<std::int32_t> owner;
+  const std::vector<std::int32_t> arena_of =
+      pack_slots(im, r, internal, /*by_scaled=*/false, owner);
+  for (const std::int32_t o : owner) {
+    im.arena.emplace_back(
+        static_cast<std::size_t>(slot_bytes(im, static_cast<std::size_t>(o))));
   }
 
   im.buf.resize(S);
@@ -1140,14 +1183,22 @@ bool bcast_result(const Shape& a, const Shape& b, Shape& out) {
   return true;
 }
 
+/// Point a context's buffer table into the wide store. Slots without a
+/// store buffer keep the master one: unscaled externals alias the live
+/// master payloads (parameters are read in place, so retraining between
+/// widened replays needs no re-widen), fused-away slots stay null.
+void bind_wide_buffers(Program::Impl& im, Program::Impl::WideContext& ctx) {
+  for (std::size_t s = 0; s < ctx.buf.size(); ++s) {
+    const std::int32_t k = im.wide_buffer_of[s];
+    ctx.buf[s] =
+        k >= 0 ? im.wide_store[static_cast<std::size_t>(k)].data() : im.buf[s];
+  }
+}
+
 /// Find or build the replay context for widening factor `f` (> 1): step
 /// list with scaled geometry, broadcast plans rebuilt from the widened
-/// shapes, and a buffer table where unscaled external slots alias the
-/// live master payloads (parameters are read in place, so retraining
-/// between widened replays needs no re-widen) while scaled slots and
-/// every internal slot get fresh per-slot storage. Deliberately no arena
-/// packing: unaliased buffers make instance-independence structural
-/// rather than lifetime-dependent.
+/// shapes, and a buffer table into the one wide store. A factor larger
+/// than any before regrows the store and rebinds the cached contexts.
 Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
   for (std::size_t i = 0; i < im.wide_ctxs.size(); ++i) {
     if (im.wide_ctxs[i]->factor == f) {
@@ -1161,12 +1212,21 @@ Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
       return im.wide_ctxs.back().get();
     }
   }
+  if (f > im.wide_cap) {
+    for (std::size_t k = 0; k < im.wide_owner.size(); ++k) {
+      const auto o = static_cast<std::size_t>(im.wide_owner[k]);
+      const int64_t bytes = slot_bytes(im, o) * (im.slot_scaled[o] ? f : 1);
+      im.wide_store[k].assign(static_cast<std::size_t>(bytes), std::byte{0});
+    }
+    im.wide_cap = f;
+    for (auto& c : im.wide_ctxs) bind_wide_buffers(im, *c);
+  }
   // Bounded: a server replaying many distinct batch sizes would otherwise
-  // accumulate one f-scaled buffer set per distinct factor forever.
-  // Contexts are cheap to rebuild (no capture, just step/plan scaling), so
-  // evicting the least recently used one is safe.
-  // 32 covers an iteration-level batching server whose per-tick group
-  // sizes wander (base-1 plans see one factor per distinct batch size).
+  // accumulate one context per distinct factor forever. Contexts are
+  // cheap to rebuild (no capture, just step/plan scaling), so evicting
+  // the least recently used one is safe. 32 covers an iteration-level
+  // batching server whose per-tick group sizes wander (base-1 plans see
+  // one factor per distinct batch size).
   constexpr std::size_t kMaxWideCtxs = 32;
   if (im.wide_ctxs.size() >= kMaxWideCtxs) {
     im.wide_ctxs.erase(im.wide_ctxs.begin());
@@ -1178,19 +1238,8 @@ Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
   for (std::size_t s = 0; s < S; ++s) {
     if (im.slot_scaled[s]) ctx->slot_len[s] *= f;
   }
-  ctx->store.resize(S);
   ctx->buf.assign(S, nullptr);
-  for (std::size_t s = 0; s < S; ++s) {
-    if (!im.buf[s]) continue;  // fused away entirely
-    if (im.slots[s] && !im.slot_scaled[s]) {
-      ctx->buf[s] = im.buf[s];
-    } else {
-      ctx->store[s].assign(static_cast<std::size_t>(ctx->slot_len[s]) *
-                               dtype_size(im.slot_dt[s]),
-                           std::byte{0});
-      ctx->buf[s] = ctx->store[s].data();
-    }
-  }
+  bind_wide_buffers(im, *ctx);
   // Geometry scales as widen() decided per step; broadcast plans are
   // rebuilt from the widened shapes (a broadcast copy's plan is
   // (out, a, a)).
@@ -1380,6 +1429,10 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
   im.wide_ready = false;
   im.base_b = 0;
   im.declared_slots.clear();
+  im.wide_buffer_of.clear();
+  im.wide_owner.clear();
+  im.wide_store.clear();
+  im.wide_cap = 0;
   im.wide_ctxs.clear();
   im.slot_scaled.assign(im.slots.size(), 0);
   im.p0_scaled.clear();
@@ -1463,10 +1516,10 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
         ok = !scaled(s.a) && define_out(s.out, false);
         break;
       case KindInfo::kOuter:
-        // p0 is the product of dims before the worked axis; p0 == 1
-        // means the axis *is* (or contains) the batch dimension.
+        // p0 is the product of the dims before the worked axis (p5), so
+        // it scales with the batch unless the axis is the batch itself.
         p0_scales = scaled(s.a);
-        ok = (!p0_scales || s.p0 > 1) && define_out(s.out, p0_scales);
+        ok = (!p0_scales || s.p5 > 0) && define_out(s.out, p0_scales);
         break;
       case KindInfo::kRows:
         // Batch rides the row dimension of `a`; a batch-carrying rhs or
@@ -1492,22 +1545,27 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
     im.declared_slots.clear();
     return false;
   }
+  // One packing serves every factor. Internal slots (lowering dropped
+  // their tensors) share buffers by liveness; the declared batch io gets
+  // buffers of its own, which callers fill and read around each replay.
+  Ranges r;
+  compute_ranges(im, r);
+  std::vector<char> internal(S);
+  for (std::size_t s = 0; s < S; ++s) internal[s] = im.slots[s] == nullptr;
+  im.wide_buffer_of =
+      pack_slots(im, r, internal, /*by_scaled=*/true, im.wide_owner);
+  for (const auto& declared : im.declared_slots) {
+    im.wide_buffer_of[static_cast<std::size_t>(declared.second)] =
+        static_cast<std::int32_t>(im.wide_owner.size());
+    im.wide_owner.push_back(declared.second);
+  }
+  im.wide_store.resize(im.wide_owner.size());
   im.base_b = base;
   im.wide_ready = true;
   return true;
 }
 
 bool Program::widened() const { return impl_->wide_ready; }
-
-int64_t Program::widen_base() const {
-  return impl_->wide_ready ? impl_->base_b : 0;
-}
-
-int64_t Program::widen_cover(int64_t b) const {
-  const Impl& im = *impl_;
-  if (!im.wide_ready || b < im.base_b) return 0;
-  return (b / im.base_b) * im.base_b;
-}
 
 real* Program::widened_buffer(const Tensor& t, int64_t b) {
   Impl& im = *impl_;

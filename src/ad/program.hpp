@@ -59,12 +59,16 @@
 // B0 independent instances, turning many skinny width-64 GEMMs into few
 // wide ones. widen() declares which external slots carry the batch;
 // lowering's recorded slot shapes drive a fail-closed propagation (any
-// step that would mix instances — cross-batch reductions, TN matmuls
-// (they contract over rows), training/optimizer steps — rejects widening
-// and callers fall back to
-// per-shape captures). Widened replay of B instances is bitwise
-// identical to B0-sized replays of the same instances because every
-// widenable kernel computes each row/element independently.
+// step that would mix instances — full reductions, a reduction, slice or
+// concat on axis 0, TN matmuls (they contract over rows),
+// training/optimizer steps — rejects widening and callers stay eager).
+// Widened replay of B instances is bitwise identical to B0-sized replays
+// of the same instances because every widenable kernel computes each
+// row/element independently. Every widening factor replays from one
+// store per Program: lowering's liveness packer, keyed on base size and
+// batch flag, packs the internal slots once for all factors, and the
+// store is sized for the largest factor replayed so far. Replay is one
+// serial loop in recorded order, so packing is as safe wide as at base.
 //
 // Mixed precision: each Program carries a compute dtype
 // (set_compute_dtype, default f64). Under kF32, lowering colors every
@@ -164,34 +168,27 @@ class Program {
   /// plan's inputs and outputs whose leading dimension is the batch; all
   /// must share the same dim0 = the base batch B0) and run the widening
   /// analysis. Returns true when the plan is widenable: replay_widened(b)
-  /// then evaluates any b that is a positive multiple of B0. Returns
-  /// false — leaving the plan fully usable for plain replay() — when any
-  /// step mixes batch instances or a batch-carrying slot is not external.
+  /// then evaluates any b that is a positive multiple of B0 (with B0 = 1,
+  /// every b). Returns false — leaving the plan fully usable for plain
+  /// replay() — when any step mixes batch instances or a batch-carrying
+  /// slot is not external.
   bool widen(const std::vector<Tensor>& batch_io);
 
   /// True after a successful widen().
   bool widened() const;
 
-  /// Capture batch B0 of a widened plan (0 when !widened()).
-  int64_t widen_base() const;
-
-  /// Widen-dispatch helper for schedulers that form arbitrary-size
-  /// cross-request batches: the largest positive multiple of widen_base()
-  /// that is <= b (0 when not widened or b < base). Callers cover
-  /// widen_cover(b) rows with one widened replay and fall back to eager
-  /// execution for the b - widen_cover(b) remainder rows.
-  int64_t widen_cover(int64_t b) const;
-
   /// The buffer a widened replay at batch `b` reads/writes for the
   /// declared tensor `t` (b a positive multiple of B0; for b == B0 this
   /// is t's own payload). Callers pack inputs here before
   /// replay_widened(b) and read outputs after. Layout: the B0-sized
-  /// blocks of `t` repeated b / B0 times (instance-major).
+  /// blocks of `t` repeated b / B0 times (instance-major). Every b > B0
+  /// shares one store, so the pointer stays valid, and its contents in
+  /// place, until a call at a larger b than any before regrows it.
   real* widened_buffer(const Tensor& t, int64_t b);
 
   /// Replay the widened plan at batch `b` (positive multiple of B0).
-  /// Requires widened(). Instance contexts are built once per distinct b
-  /// and cached.
+  /// Requires widened(). The scaled steps and broadcast plans of each
+  /// distinct b are built once and cached.
   void replay_widened(int64_t b);
 
   Stats stats() const;
@@ -224,8 +221,8 @@ bool program_set_enabled(bool on);
 // Opt-in (MF_HEALTH_CHECKS=1) per-replay NaN/Inf/divergence scan over the
 // external slots a plan writes. On a trip, the wired call sites
 // (mosaic::NeuralSubdomainSolver, mosaic::CompiledTrainStep) walk the
-// fallback ladder — widened-f32 plan -> plain f64 replay -> eager —
-// poisoning the tripped cache entry instead of propagating garbage.
+// fallback ladder — f32 plan -> f64 plan -> eager — poisoning the
+// tripped cache entry instead of propagating garbage.
 
 /// True when MF_HEALTH_CHECKS=1 (default off: the scan costs one pass
 /// over the plan's external outputs per replay).
@@ -274,8 +271,10 @@ void on_broadcast_copy(const kernels::BroadcastPlan& plan, const Tensor& a,
 void on_reduce(const kernels::ReducePlan& plan, const Tensor& a,
                const Tensor& out);
 void on_sum_all(const Tensor& a, const Tensor& out);
+// The outer-axis hooks (sum_axis, slice, concat) also take the worked
+// `axis` itself: widening refuses axis 0, the batch, and nothing else.
 void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
-                 int64_t n_axis, int64_t inner);
+                 int64_t n_axis, int64_t inner, int64_t axis);
 /// kernels::matmul in `form`; a step replays it with the same form.
 void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
                const Tensor& out, int64_t m, int64_t k, int64_t n,
@@ -283,13 +282,15 @@ void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
 /// Full-buffer copy (reshape / detach / clone).
 void on_copy(const Tensor& src, const Tensor& out);
 void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,
-                   int64_t len, int64_t inner, int64_t n_axis, int64_t start);
+                   int64_t len, int64_t inner, int64_t n_axis, int64_t start,
+                   int64_t axis);
 void on_slice_scatter(const Tensor& g, const Tensor& out, int64_t outer,
                       int64_t len, int64_t inner, int64_t n_axis,
-                      int64_t start);
+                      int64_t start, int64_t axis);
 /// One source block of a concat (called once per part, in order).
 void on_concat_part(const Tensor& part, const Tensor& out, int64_t outer,
-                    int64_t total, int64_t offset, int64_t len, int64_t inner);
+                    int64_t total, int64_t offset, int64_t len, int64_t inner,
+                    int64_t axis);
 void on_conv1d_forward(const Tensor& in, const Tensor& w, const Tensor* bias,
                        const Tensor& out, int64_t B, int64_t Cin, int64_t L,
                        int64_t Cout, int64_t K, int64_t padding);

@@ -12,48 +12,41 @@ namespace mf::mosaic {
 
 namespace {
 
-/// One captured batched-inference plan: leaf tensors + program for a
-/// specific (solver, batch size, query count) geometry. A geometry is
-/// captured on its *second* occurrence: one-shot shapes (a phase that
-/// never recurs) stay eager and pay nothing, recurring shapes (the 4
-/// Schwarz phases of a convergence run) replay from their third call on.
-/// When the captured plan widens (Program::widen on {g, x, pred}), one
-/// entry additionally serves every batch size that is a multiple of its
-/// capture batch — the widened replay packs B instances into batch-scaled
-/// buffers and runs the same plan with every batch-carrying slot's
-/// leading dimension scaled, turning many skinny GEMMs into few wide
-/// ones. Batch sizes that are not multiples of a widened entry's base
-/// still get their own per-shape entry, exactly as before.
+/// The one captured inference plan of a (solver, query count, boundary
+/// width, dtype) geometry: the network forward traced at batch 1 on the
+/// geometry's first call and widened (Program::widen on {g, x, pred}), so
+/// a batch of any size B is one replay at factor B — batch-scaled buffers
+/// hold the B instances and every batch-carrying slot's leading dimension
+/// is scaled, turning many skinny GEMMs into few wide ones.
 struct InferEntry {
   std::uint64_t solver_serial = 0;
-  int64_t B = -1, q = -1, G = -1;
-  bool wide = false;  // widening analysis succeeded for this plan
+  int64_t q = -1, G = -1;
   // Part of the cache key: a process that flips MF_PRECISION (tests,
   // mixed pipelines) must not replay a plan lowered at the other width.
   ad::DType dt = ad::DType::kF64;
   // Dtype the plan is actually (re)captured at. Starts equal to `dt`;
   // the health-sentinel ladder forces it to kF64 after an f32 trip.
   ad::DType capture_dt = ad::DType::kF64;
-  // Terminal ladder rung: the sentinel tripped on an f64 plan too, so
-  // this geometry stays eager (the bad values come from the data or the
-  // weights, not the precision policy).
+  // The geometry runs eager: its plan did not capture or widen, or the
+  // sentinel tripped an f64 plan too (the bad values come from the data
+  // or the weights, not the precision policy).
   bool eager_only = false;
   ad::Tensor g, x, pred;
   ad::Program program;
 };
 
-// Per-thread shape-keyed cache. Keyed by a per-solver serial number — not
-// the solver pointer — so a new solver constructed at a recycled address
-// can never replay a dead solver's captured weights. Bounded: the oldest
+// Per-thread geometry-keyed cache. Keyed by a per-solver serial number
+// — not the solver pointer — so a new solver constructed at a recycled
+// address can never replay a dead solver's captured weights. Bounded: the oldest
 // entry is evicted, dropping its pinned buffers (its capture/replay
 // counters are folded into a per-thread tally so stats survive eviction).
 thread_local std::vector<InferEntry> t_infer_cache;
 thread_local std::vector<std::pair<std::uint64_t, ad::Program::Stats>>
     t_evicted_stats;
 // Capacity is process-global (each thread's cache honours it at insert
-// time). 8 covers a single solve's working set; multi-tenant serving
-// raises it via infer_cache_reserve so per-tenant hot plans survive the
-// interior-batch churn at job retirement.
+// time). 8 covers the cross and interior plans of a few solvers;
+// multi-tenant serving raises it via infer_cache_reserve so every
+// tenant's plans stay resident.
 constexpr std::size_t kDefaultInferEntries = 8;
 std::atomic<std::size_t> g_infer_capacity{kDefaultInferEntries};
 
@@ -80,8 +73,6 @@ void fold_stats(ad::Program::Stats& agg, const ad::Program::Stats& s) {
 struct AtomicInferStats {
   std::atomic<std::uint64_t> exact_hits{0};
   std::atomic<std::uint64_t> widened_hits{0};
-  std::atomic<std::uint64_t> chunked_hits{0};
-  std::atomic<std::uint64_t> widen_remainder_rows{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> captures{0};
   std::atomic<std::uint64_t> evictions{0};
@@ -95,8 +86,8 @@ void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 
 // The cache is kept in LRU order: hits rotate the used entry to the
 // back (see touch_entry), so the front is the least-recently-useful
-// shape. Under mixed serve traffic this keeps the hot widened plans
-// (hit every tick) pinned while one-shot batch shapes age out.
+// geometry. Under mixed serve traffic this keeps the hot plans (hit
+// every tick) pinned while the plans of dead solvers age out.
 void evict_oldest_entry() {
   bump(g_infer_stats.evictions);
   const InferEntry& victim = t_infer_cache.front();
@@ -143,9 +134,6 @@ InferCacheStats infer_cache_stats() {
   InferCacheStats s;
   s.exact_hits = g_infer_stats.exact_hits.load(std::memory_order_relaxed);
   s.widened_hits = g_infer_stats.widened_hits.load(std::memory_order_relaxed);
-  s.chunked_hits = g_infer_stats.chunked_hits.load(std::memory_order_relaxed);
-  s.widen_remainder_rows =
-      g_infer_stats.widen_remainder_rows.load(std::memory_order_relaxed);
   s.misses = g_infer_stats.misses.load(std::memory_order_relaxed);
   s.captures = g_infer_stats.captures.load(std::memory_order_relaxed);
   s.evictions = g_infer_stats.evictions.load(std::memory_order_relaxed);
@@ -168,8 +156,6 @@ void infer_cache_reserve(std::size_t min_entries) {
 void infer_cache_stats_reset() {
   g_infer_stats.exact_hits.store(0, std::memory_order_relaxed);
   g_infer_stats.widened_hits.store(0, std::memory_order_relaxed);
-  g_infer_stats.chunked_hits.store(0, std::memory_order_relaxed);
-  g_infer_stats.widen_remainder_rows.store(0, std::memory_order_relaxed);
   g_infer_stats.misses.store(0, std::memory_order_relaxed);
   g_infer_stats.captures.store(0, std::memory_order_relaxed);
   g_infer_stats.evictions.store(0, std::memory_order_relaxed);
@@ -231,20 +217,18 @@ NeuralSubdomainSolver::~NeuralSubdomainSolver() {
 
 namespace {
 
-// Raw-pointer forms so the same packing serves the master tensors and a
-// widened replay's batch-scaled buffers (identical layout: instance-major
-// rows, so packing B instances into a widened buffer lays them out
-// exactly as B0-sized chunks of the base plan would see them).
+// Raw pointers, so the same packing serves eager tensors and a widened
+// replay's batch-scaled buffers (identical layout: instance-major rows,
+// so packing B instances into a widened buffer lays them out exactly as
+// B batch-1 replays of the plan would see them). Packs rows [0, B) of
+// `boundaries`.
 void pack_batch(const std::vector<std::vector<double>>& boundaries,
                 const QueryList& queries, int64_t B, int64_t G, int64_t q,
-                ad::real* g, ad::real* x, int64_t first = 0) {
+                ad::real* g, ad::real* x) {
   // Batch packing threads over subdomains; each batch row is disjoint.
-  // `first` selects a row range [first, first + B) of `boundaries` so
-  // chunked widen dispatch can pack the covered prefix and the eager
-  // remainder through the same code.
   ad::kernels::parallel_for(B, G + 2 * q, [&](int64_t begin, int64_t end) {
     for (int64_t b = begin; b < end; ++b) {
-      const auto& bd = boundaries[static_cast<std::size_t>(first + b)];
+      const auto& bd = boundaries[static_cast<std::size_t>(b)];
       for (int64_t k = 0; k < G; ++k) g[b * G + k] = bd[static_cast<std::size_t>(k)];
       for (int64_t k = 0; k < q; ++k) {
         x[(b * q + k) * 2 + 0] = queries[static_cast<std::size_t>(k)].first;
@@ -254,36 +238,19 @@ void pack_batch(const std::vector<std::vector<double>>& boundaries,
   });
 }
 
-void pack_batch(const std::vector<std::vector<double>>& boundaries,
-                const QueryList& queries, int64_t B, int64_t G, int64_t q,
-                ad::Tensor& g, ad::Tensor& x) {
-  pack_batch(boundaries, queries, B, G, q, g.data(), x.data());
-}
-
-// Writes rows [first, first + B) of `out` (which must already be sized)
-// from a contiguous prediction buffer of B instances.
-void unpack_rows(const ad::real* pred, int64_t B, int64_t q,
-                 std::vector<std::vector<double>>& out, int64_t first) {
+// Writes `out` from a contiguous prediction buffer of B instances.
+void unpack_batch(const ad::real* pred, int64_t B, int64_t q,
+                  std::vector<std::vector<double>>& out) {
+  // Resize (not assign) so caller-recycled buffers keep their capacity.
+  out.resize(static_cast<std::size_t>(B));
   ad::kernels::parallel_for(B, q, [&](int64_t begin, int64_t end) {
     for (int64_t b = begin; b < end; ++b) {
-      auto& row = out[static_cast<std::size_t>(first + b)];
+      auto& row = out[static_cast<std::size_t>(b)];
       row.resize(static_cast<std::size_t>(q));
       for (int64_t k = 0; k < q; ++k)
         row[static_cast<std::size_t>(k)] = pred[b * q + k];
     }
   });
-}
-
-void unpack_batch(const ad::real* pred, int64_t B, int64_t q,
-                  std::vector<std::vector<double>>& out) {
-  // Resize (not assign) so caller-recycled buffers keep their capacity.
-  out.resize(static_cast<std::size_t>(B));
-  unpack_rows(pred, B, q, out, /*first=*/0);
-}
-
-void unpack_batch(const ad::Tensor& pred, int64_t B, int64_t q,
-                  std::vector<std::vector<double>>& out) {
-  unpack_batch(pred.data(), B, q, out);
 }
 
 }  // namespace
@@ -299,152 +266,79 @@ void NeuralSubdomainSolver::predict(
       throw std::invalid_argument("predict: boundary size mismatch");
     }
   }
-  // Compiled path: trace the network forward once per geometry, replay it
-  // for every later batch of the same shape. Skipped inside an enclosing
-  // capture (the outer program records this call's kernels itself).
+  // Compiled path: one plan per geometry, captured at batch 1 on first
+  // sight and replayed widened at every batch size. Skipped inside an
+  // enclosing capture (the outer program records this call's kernels
+  // itself).
   if (ad::program_enabled() && !ad::prog::capturing() && B > 0 && q > 0) {
     const ad::DType dt = ad::compute_dtype();
-    InferEntry* exact = nullptr;
-    InferEntry* wide = nullptr;
-    InferEntry* cover = nullptr;  // widest partial cover of a non-multiple B
-    int64_t cover_rows = 0;
+    InferEntry* e = nullptr;
     for (auto& entry : t_infer_cache) {
-      if (entry.solver_serial != serial_ || entry.q != q || entry.G != G ||
-          entry.dt != dt)
-        continue;
-      if (entry.B == B) {
-        exact = &entry;
-      } else if (entry.wide && B % entry.B == 0) {
-        wide = &entry;
-      } else if (entry.wide && entry.B < B) {
-        const int64_t c = entry.program.widen_cover(B);
-        if (c > cover_rows) {
-          cover_rows = c;
-          cover = &entry;
-        }
+      if (entry.solver_serial == serial_ && entry.q == q && entry.G == G &&
+          entry.dt == dt) {
+        e = &entry;
+        break;
       }
     }
-    // Health-sentinel fallback ladder (only ever taken when a post-replay
-    // scan trips, i.e. under MF_HEALTH_CHECKS): the poisoned plan is
-    // dropped, an f32 plan is recaptured at f64 on the geometry's next
-    // recurrence, an f64 trip retires the geometry to eager — and the
-    // current batch is always recomputed eagerly in f64 below, so tripped
-    // garbage never reaches the caller.
-    const auto retire = [](InferEntry& e) {
-      bump(g_infer_stats.retired);
-      e.program.reset();
-      e.wide = false;
-      if (e.capture_dt == ad::DType::kF32) {
-        e.capture_dt = ad::DType::kF64;
-        ad::health_note_fallback(/*to_eager=*/false);
-      } else {
-        e.eager_only = true;
-        ad::health_note_fallback(/*to_eager=*/true);
-      }
-    };
-    if (exact && exact->eager_only) {
-      // Sentinel-retired geometry: straight to the eager path below.
-      bump(g_infer_stats.misses);
-    } else if (exact && exact->program.captured()) {
-      pack_batch(boundaries, queries, B, G, q, exact->g, exact->x);
-      exact->program.replay();
-      if (exact->program.last_replay_healthy()) {
-        bump(g_infer_stats.exact_hits);
-        unpack_batch(exact->pred, B, q, out);
-        touch_entry(exact);
-        return;
-      }
-      retire(*exact);
-      bump(g_infer_stats.misses);
-    } else if (wide) {
-      // No captured plan at exactly B, but a widened entry's plan covers
-      // it: pack all B instances into the batch-scaled buffers and replay
-      // with every batch-carrying slot's leading dimension multiplied.
-      // One plan, one wide GEMM sequence — no per-shape capture needed.
-      pack_batch(boundaries, queries, B, G, q,
-                 wide->program.widened_buffer(wide->g, B),
-                 wide->program.widened_buffer(wide->x, B));
-      wide->program.replay_widened(B);
-      if (wide->program.last_replay_healthy()) {
-        bump(g_infer_stats.widened_hits);
-        unpack_batch(wide->program.widened_buffer(wide->pred, B), B, q, out);
-        touch_entry(wide);
-        return;
-      }
-      retire(*wide);
-      bump(g_infer_stats.misses);
-    } else if (cover) {
-      // Chunked widen dispatch: B is not a multiple of any widened plan's
-      // base, but one covers a prefix of widen_cover(B) rows. Replay that
-      // prefix wide and run only the odd remainder eagerly — no per-shape
-      // entry is created, so transient batch sizes from cross-request
-      // scheduling cannot churn the cache.
-      pack_batch(boundaries, queries, cover_rows, G, q,
-                 cover->program.widened_buffer(cover->g, cover_rows),
-                 cover->program.widened_buffer(cover->x, cover_rows));
-      cover->program.replay_widened(cover_rows);
-      if (cover->program.last_replay_healthy()) {
-        const int64_t rem = B - cover_rows;
-        out.resize(static_cast<std::size_t>(B));
-        unpack_rows(cover->program.widened_buffer(cover->pred, cover_rows),
-                    cover_rows, q, out, /*first=*/0);
-        ad::Tensor g_r = ad::Tensor::zeros({rem, G});
-        ad::Tensor x_r = ad::Tensor::zeros({rem, q, 2});
-        pack_batch(boundaries, queries, rem, G, q, g_r.data(), x_r.data(),
-                   /*first=*/cover_rows);
-        ad::Tensor pred_r = net_->predict(g_r, x_r);  // [rem, q, 1]
-        unpack_rows(pred_r.data(), rem, q, out, /*first=*/cover_rows);
-        bump(g_infer_stats.chunked_hits);
-        bump(g_infer_stats.widen_remainder_rows,
-             static_cast<std::uint64_t>(rem));
-        touch_entry(cover);
-        return;
-      }
-      retire(*cover);
-      bump(g_infer_stats.misses);
-    } else if (!exact) {
-      // First sight of this geometry: note it and run eagerly below —
-      // capture only pays off if the shape comes back.
+    if (!e) {
       while (t_infer_cache.size() >=
              g_infer_capacity.load(std::memory_order_relaxed)) {
         evict_oldest_entry();
       }
-      t_infer_cache.emplace_back();
-      exact = &t_infer_cache.back();
-      exact->solver_serial = serial_;
-      exact->B = B;
-      exact->q = q;
-      exact->G = G;
-      exact->dt = dt;
-      exact->capture_dt = dt;
-      bump(g_infer_stats.misses);
-    } else {
-      // Second sight: the geometry recurs — trace it, then try to widen
-      // so this one plan also serves every multiple of B (fail-closed:
-      // on refusal the entry just keeps exact-shape replay). capture_dt
-      // (not dt) so a sentinel-downgraded geometry recaptures at f64.
-      exact->g = ad::Tensor::zeros({B, G});
-      exact->x = ad::Tensor::zeros({B, q, 2});
-      pack_batch(boundaries, queries, B, G, q, exact->g, exact->x);
-      exact->program.set_compute_dtype(exact->capture_dt);
-      exact->program.capture(
-          [&] { exact->pred = net_->predict(exact->g, exact->x); });
-      if (exact->program.captured()) {
-        exact->wide = exact->program.widen({exact->g, exact->x, exact->pred});
-        bump(g_infer_stats.captures);
-      } else {
-        bump(g_infer_stats.misses);
-      }
-      unpack_batch(exact->pred, B, q, out);
-      touch_entry(exact);
-      return;
+      e = &t_infer_cache.emplace_back();
+      e->solver_serial = serial_;
+      e->q = q;
+      e->G = G;
+      e->dt = dt;
+      e->capture_dt = dt;
     }
+    ad::Program& p = e->program;
+    if (!e->eager_only && !p.captured()) {
+      // Trace the forward on the first row; capture_dt (not dt) so a
+      // sentinel-downgraded geometry recaptures at f64.
+      e->g = ad::Tensor::zeros({1, G});
+      e->x = ad::Tensor::zeros({1, q, 2});
+      pack_batch(boundaries, queries, 1, G, q, e->g.data(), e->x.data());
+      p.set_compute_dtype(e->capture_dt);
+      p.capture([&] { e->pred = net_->predict(e->g, e->x); });
+      if (p.captured()) bump(g_infer_stats.captures);
+      if (!p.captured() || !p.widen({e->g, e->x, e->pred})) {
+        p.reset();
+        e->eager_only = true;
+      }
+    }
+    if (p.captured()) {
+      pack_batch(boundaries, queries, B, G, q, p.widened_buffer(e->g, B),
+                 p.widened_buffer(e->x, B));
+      p.replay_widened(B);
+      if (p.last_replay_healthy()) {
+        bump(B == 1 ? g_infer_stats.exact_hits : g_infer_stats.widened_hits);
+        unpack_batch(p.widened_buffer(e->pred, B), B, q, out);
+        touch_entry(e);
+        return;
+      }
+      // Health-sentinel ladder (a post-replay scan tripped, so only under
+      // MF_HEALTH_CHECKS): the poisoned plan is dropped; an f32 plan is
+      // recaptured at f64 on the geometry's next call, an f64 trip retires
+      // the geometry to eager. This batch reruns eagerly in f64 below, so
+      // tripped garbage never reaches the caller.
+      bump(g_infer_stats.retired);
+      p.reset();
+      const bool to_eager = e->capture_dt != ad::DType::kF32;
+      if (to_eager) {
+        e->eager_only = true;
+      } else {
+        e->capture_dt = ad::DType::kF64;
+      }
+      ad::health_note_fallback(to_eager);
+    }
+    bump(g_infer_stats.misses);
   }
   ad::Tensor g = ad::Tensor::zeros({B, G});
   ad::Tensor x = ad::Tensor::zeros({B, q, 2});
-  pack_batch(boundaries, queries, B, G, q, g, x);
+  pack_batch(boundaries, queries, B, G, q, g.data(), x.data());
   ad::Tensor pred = net_->predict(g, x);  // [B, q, 1]
-  unpack_batch(pred, B, q, out);
+  unpack_batch(pred.data(), B, q, out);
 }
 
 ad::Program::Stats NeuralSubdomainSolver::thread_program_stats() const {

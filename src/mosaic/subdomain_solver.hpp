@@ -25,20 +25,23 @@ namespace mf::mosaic {
 using QueryList = std::vector<std::pair<double, double>>;
 
 /// Process-wide observability counters for the compiled-inference caches
-/// (the per-thread shape-keyed program caches behind
+/// (the per-thread geometry-keyed program caches behind
 /// NeuralSubdomainSolver::predict), aggregated across threads and solvers.
 /// bench_serve_load's BENCH_JSON line reports these so cross-request
 /// batching effectiveness — shared plans vs eager fallbacks — is
 /// visible, and tests assert them.
 struct InferCacheStats {
-  std::uint64_t exact_hits = 0;    // replays through an exact-shape plan
-  std::uint64_t widened_hits = 0;  // batches covered whole by a widened plan
-  std::uint64_t chunked_hits = 0;  // widened cover + eager remainder batches
-  std::uint64_t widen_remainder_rows = 0;  // rows sent eager by chunking
-  std::uint64_t misses = 0;        // eager batches (first sight / retired)
-  std::uint64_t captures = 0;      // successful plan captures
-  std::uint64_t evictions = 0;     // cache-bound evictions
-  std::uint64_t retired = 0;       // health-sentinel plan retirements
+  std::uint64_t exact_hits = 0;    // plan replays of one-row batches
+  std::uint64_t widened_hits = 0;  // plan replays of wider batches
+  // Always 0: every batch replays whole, none is split into a replayed
+  // cover and an eager remainder. The perfbench cache metrics still read
+  // both fields.
+  std::uint64_t chunked_hits = 0;
+  std::uint64_t widen_remainder_rows = 0;
+  std::uint64_t misses = 0;    // eager batches (no widenable plan, or a trip)
+  std::uint64_t captures = 0;  // successful plan captures
+  std::uint64_t evictions = 0;  // cache-bound evictions
+  std::uint64_t retired = 0;    // health-sentinel plan retirements
 };
 InferCacheStats infer_cache_stats();
 void infer_cache_stats_reset();
@@ -46,9 +49,8 @@ void infer_cache_stats_reset();
 /// Current per-thread plan-cache capacity (process-global setting).
 std::size_t infer_cache_capacity();
 /// Raise the plan-cache capacity to at least `min_entries` (never
-/// shrinks; default is 8). Multi-tenant serving calls this so each
-/// tenant's hot widened plan survives the one-shot interior batch
-/// shapes that churn through the cache at job retirement.
+/// shrinks; default is 8). Multi-tenant serving calls this so every
+/// tenant's two plans (cross and interior queries) stay resident.
 void infer_cache_reserve(std::size_t min_entries);
 
 class SubdomainSolver {
@@ -95,16 +97,17 @@ class NeuralSubdomainSolver final : public SubdomainSolver {
   ~NeuralSubdomainSolver() override;
 
   int64_t m() const override { return m_; }
-  /// Batched inference runs through a captured Program per (batch, query)
-  /// shape: the network forward is traced once and replayed dispatch-free
-  /// for every following phase with the same geometry. Each captured plan
-  /// is additionally offered for batch widening (Program::widen on its
-  /// {g, x, pred} tensors); when that succeeds, the one plan also serves
-  /// every batch size that is a multiple of its capture batch via
-  /// replay_widened — no extra captures for the Schwarz phases whose
-  /// batches are multiples of each other. Programs are per-thread and
-  /// read the network weights live, so a retrained net needs no
-  /// invalidation. MF_DISABLE_PROGRAM=1 restores the eager path.
+  /// Batched inference runs through one captured Program per geometry
+  /// (query count, boundary width and compute dtype): on the geometry's
+  /// first call the network forward is traced at batch 1 and widened
+  /// (Program::widen on its {g, x, pred} tensors), and every batch of B
+  /// rows, the first one included, is one dispatch-free replay at factor
+  /// B. Programs are per-thread and read the network weights live, so a
+  /// retrained net needs no invalidation. Under MF_HEALTH_CHECKS a
+  /// tripped replay reruns its batch eagerly in f64; the geometry's f32
+  /// plan is recaptured at f64, an f64 plan retires the geometry to
+  /// eager. A plan that does not widen leaves its geometry eager too.
+  /// MF_DISABLE_PROGRAM=1 restores the eager path.
   void predict(const std::vector<std::vector<double>>& boundaries,
                const QueryList& queries,
                std::vector<std::vector<double>>& out) const override;
@@ -113,8 +116,8 @@ class NeuralSubdomainSolver final : public SubdomainSolver {
                         std::vector<double>& out) const override;
 
   /// Aggregate capture/replay stats of this solver's inference programs
-  /// on the calling thread (programs are thread-local and shape-keyed),
-  /// including plans the bounded cache has since evicted.
+  /// on the calling thread (programs are thread-local and keyed by
+  /// geometry), including plans the bounded cache has since evicted.
   ad::Program::Stats thread_program_stats() const;
 
  private:

@@ -12,10 +12,8 @@ IterationScheduler::IterationScheduler(const std::vector<ServeModel>& zoo,
   if (zoo_.empty()) {
     throw std::invalid_argument("IterationScheduler: empty model zoo");
   }
-  // The per-tenant hot widened plans (cross at warm_batch and base 1,
-  // interior at base 1) must survive whatever transient batch shapes
-  // drift through the cache.
-  mosaic::infer_cache_reserve(3 * zoo_.size() + 4);
+  // Each tenant's two plans (cross and interior queries) stay resident.
+  mosaic::infer_cache_reserve(2 * zoo_.size());
 }
 
 const mosaic::SubdomainGeometry& IterationScheduler::geometry(int64_t m) {
@@ -26,7 +24,6 @@ void IterationScheduler::warm(int64_t warm_batch) {
   if (warm_batch <= 0) return;
   std::vector<std::vector<double>> boundaries(
       static_cast<std::size_t>(warm_batch));
-  std::vector<std::vector<double>> one(1);
   std::vector<std::vector<double>> out;
   for (const auto& model : zoo_) {
     const mosaic::SubdomainGeometry& geom = geometry(model.m);
@@ -35,20 +32,11 @@ void IterationScheduler::warm(int64_t warm_batch) {
     const std::size_t G =
         static_cast<std::size_t>(model.net->config().boundary_size);
     for (auto& b : boundaries) b.assign(G, 0.0);
-    one[0].assign(G, 0.0);
-    // Two calls each: the cache captures a shape on its second sight and
-    // offers the plan for widening. Cross plans warm at warm_batch (so
-    // padded multiples replay through the wider base) AND at base 1;
-    // interior plans warm at base 1. A base-1 widened plan makes ANY
-    // batch size a whole multiple, so with padding off every phase group
-    // and every retirement interior still replays wide — no eager rows,
-    // no per-shape captures, whatever sizes the traffic produces.
+    // The first call of a geometry captures its plan at batch 1 and
+    // widens it, so every group size and retirement interior the traffic
+    // produces replays it.
     model.solver->predict(boundaries, geom.cross_queries, out);
-    model.solver->predict(boundaries, geom.cross_queries, out);
-    model.solver->predict(one, geom.cross_queries, out);
-    model.solver->predict(one, geom.cross_queries, out);
-    model.solver->predict(one, geom.interior_queries, out);
-    model.solver->predict(one, geom.interior_queries, out);
+    model.solver->predict(boundaries, geom.interior_queries, out);
   }
 }
 

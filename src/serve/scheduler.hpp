@@ -5,8 +5,8 @@
 // shared batch per zoo model and dispatching a single solver call for the
 // whole group.
 // Same-geometry requests therefore share GEMMs (the compiled-program
-// cache widens one captured plan to the combined batch, chunking odd
-// remainders to eager); converged jobs retire immediately at the
+// cache widens the tenant's one captured plan to the combined batch,
+// whatever its size); converged jobs retire immediately at the
 // iteration boundary where their cycle delta crosses tol, and new jobs
 // join the batch at the next tick. Because the batched kernels compute
 // rows independently and every job runs the engine's steps in the same
@@ -53,10 +53,10 @@ enum class DeadlineAction {
 struct SchedulerOptions {
   bool batching = true;  // false = per-job solver calls (hatch/baseline)
   /// Pad cross-request batches with zero rows (results discarded) up to
-  /// a multiple of this, so every dispatch is served whole by a widened
-  /// plan captured at this base batch instead of chunking its remainder
-  /// to eager. 0 = no padding (odd sizes chunk). Rows are computed
-  /// independently, so padding never changes any real row's bits.
+  /// a multiple of this, so wandering group sizes replay through fewer
+  /// distinct widening factors. 0 = no padding: every size already
+  /// replays whole. Rows are computed independently, so padding never
+  /// changes any real row's bits.
   int64_t pad_to = 0;
   double relaxation = 1.0;
   mosaic::LatticeInit init = mosaic::LatticeInit::kCoons;
@@ -85,10 +85,10 @@ class IterationScheduler {
   IterationScheduler(const std::vector<ServeModel>& zoo,
                      const SchedulerOptions& opts);
 
-  /// Prime the calling thread's compiled-program cache: capture + widen
-  /// one plan per zoo model at batch size `warm_batch`, so the very
-  /// first traffic batches replay wide instead of paying first-sight
-  /// eager runs and captures. No-op when warm_batch <= 0.
+  /// Prime the calling thread's compiled-program cache: one call of
+  /// `warm_batch` rows per zoo model and query set (cross, interior)
+  /// captures and widens its plan and sizes its store, so the first
+  /// traffic batches only replay. No-op when warm_batch <= 0.
   void warm(int64_t warm_batch);
 
   /// Admit a request (jobs join at iteration boundaries: call between

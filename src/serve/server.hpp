@@ -37,7 +37,7 @@ struct ServeOptions {
   bool batching = true;
   int64_t warm_batch = 4;
   /// Pad shared batches with zero rows to a multiple of this (0 = off).
-  /// With base-1 warmed plans every size already replays wide, so
+  /// Every size already replays through the tenant's one plan, so
   /// padding only helps when wide-context reuse matters more than the
   /// wasted rows.
   int64_t pad_to = 0;

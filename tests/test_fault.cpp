@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "gp/dataset.hpp"
 #include "mosaic/distributed_predictor.hpp"
 #include "mosaic/sdnet.hpp"
+#include "mosaic/subdomain_solver.hpp"
 #include "mosaic/trainer.hpp"
 #include "nn/serialize.hpp"
 #include "optim/optimizers.hpp"
@@ -394,6 +396,9 @@ TEST(HealthSentinel, DisabledByDefaultCostsNothing) {
 
 TEST(HealthSentinel, TrainStepRetiresPoisonedF64PlanToEager) {
   HealthGuard health(true);
+  // The f64 rung of the ladder: pinned, since under the f32 policy the
+  // first trip demotes to f64 instead of retiring to eager.
+  const ad::DType prev = ad::set_compute_dtype(ad::DType::kF64);
   ad::health_stats_reset();
   const int64_t m = 4;
   mf::util::Rng rng(11);
@@ -431,6 +436,7 @@ TEST(HealthSentinel, TrainStepRetiresPoisonedF64PlanToEager) {
   auto [ld, lp] = cstep.run(batch);
   EXPECT_TRUE(std::isfinite(ld));
   EXPECT_FALSE(cstep.last_was_replay());
+  ad::set_compute_dtype(prev);
 }
 
 TEST(HealthSentinel, TrainStepDemotesF32PlanToF64) {
@@ -465,6 +471,86 @@ TEST(HealthSentinel, TrainStepDemotesF32PlanToF64) {
   EXPECT_TRUE(cstep.last_was_replay());
   EXPECT_TRUE(cstep.program().last_replay_healthy());
   EXPECT_TRUE(std::isfinite(ld));
+  ad::set_compute_dtype(prev);
+}
+
+TEST(HealthSentinel, InferenceLadderRecapturesAtF64ThenRetiresToEager) {
+  // The inference ladder under the f32 policy. An output bias of 1e45
+  // overflows the f32 replay but stays finite in f64: the sentinel trips,
+  // the batch reruns eagerly and the next call recaptures the geometry at
+  // f64. A bias of 1e120 then trips the f64 replay (past the 1e100
+  // bound) and retires the geometry to eager. Every batch returned equals
+  // eager f64 bitwise.
+  HealthGuard health(true);
+  const ad::DType prev = ad::set_compute_dtype(ad::DType::kF32);
+  const bool prev_prog = ad::program_set_enabled(true);
+  const int64_t m = 4;
+  mf::util::Rng rng(19);
+  auto net = std::make_shared<mosaic::Sdnet>(tiny_net_config(4 * m), rng);
+  const mosaic::NeuralSubdomainSolver solver(net, m);
+  Tensor out_bias = net->parameters().back();
+  auto set_bias = [&](double v) {
+    for (int64_t k = 0; k < out_bias.numel(); ++k) out_bias.flat(k) = v;
+  };
+  const mosaic::QueryList queries = {{0.25, 0.5}, {0.5, 0.5}, {0.75, 0.25}};
+  mf::util::Rng brng(23);
+  std::vector<std::vector<double>> rows(3, std::vector<double>(4 * m));
+  for (auto& row : rows) {
+    for (auto& v : row) v = brng.uniform(-1.0, 1.0);
+  }
+
+  // One call, checked bitwise against the eager f64 path, returning how
+  // the cache and sentinel counters moved.
+  struct Moves {
+    std::uint64_t captures, hits, misses, retired, plan_fb, eager_fb;
+  };
+  auto call = [&]() {
+    std::vector<std::vector<double>> want, got;
+    ad::program_set_enabled(false);
+    solver.predict(rows, queries, want);
+    ad::program_set_enabled(true);
+    const auto c0 = mosaic::infer_cache_stats();
+    const auto h0 = ad::health_stats();
+    solver.predict(rows, queries, got);
+    const auto c1 = mosaic::infer_cache_stats();
+    const auto h1 = ad::health_stats();
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < got.size() && b < want.size(); ++b) {
+      EXPECT_EQ(got[b], want[b]) << "row " << b;
+    }
+    return Moves{c1.captures - c0.captures, c1.widened_hits - c0.widened_hits,
+                 c1.misses - c0.misses, c1.retired - c0.retired,
+                 h1.plan_fallbacks - h0.plan_fallbacks,
+                 h1.eager_fallbacks - h0.eager_fallbacks};
+  };
+  auto expect_moves = [](const Moves& got, const Moves& want) {
+    EXPECT_EQ(got.captures, want.captures);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.retired, want.retired);
+    EXPECT_EQ(got.plan_fb, want.plan_fb);
+    EXPECT_EQ(got.eager_fb, want.eager_fb);
+  };
+
+  set_bias(1e45);
+  {
+    SCOPED_TRACE("f32 capture, replay trips, eager rerun");
+    expect_moves(call(), {1, 0, 1, 1, 1, 0});
+  }
+  {
+    SCOPED_TRACE("f64 recapture, healthy replay");
+    expect_moves(call(), {1, 1, 0, 0, 0, 0});
+  }
+  set_bias(1e120);
+  {
+    SCOPED_TRACE("f64 replay trips, geometry retires to eager");
+    expect_moves(call(), {0, 0, 1, 1, 0, 1});
+  }
+  {
+    SCOPED_TRACE("retired geometry stays eager");
+    expect_moves(call(), {0, 0, 1, 0, 0, 0});
+  }
+  ad::program_set_enabled(prev_prog);
   ad::set_compute_dtype(prev);
 }
 
@@ -591,6 +677,10 @@ TEST(Serialize, CheckpointRoundtripAndKindMismatch) {
 // ---------------------------------------------------------------------------
 
 TEST(Checkpoint, ResumedTrainingMatchesUninterruptedBitwise) {
+  // Bitwise resume is the f64 contract: under the f32 policy the step
+  // that captures runs eagerly in f64 and the replays after it in f32, so
+  // a resumed run, which captures at another step, takes another path.
+  const ad::DType prev = ad::set_compute_dtype(ad::DType::kF64);
   const std::string ckpt_a = "test_fault_resume_a.bin";
   const std::string ckpt_b = "test_fault_resume_b.bin";
   std::remove(ckpt_a.c_str());
@@ -667,6 +757,7 @@ TEST(Checkpoint, ResumedTrainingMatchesUninterruptedBitwise) {
   std::remove(ckpt_a.c_str());
   std::remove(ckpt_b.c_str());
   std::remove((ckpt_b + ".rank1").c_str());
+  ad::set_compute_dtype(prev);
 }
 
 // MF_CHECKPOINT_EVERY sets the stride when a checkpoint path comes

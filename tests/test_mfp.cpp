@@ -212,14 +212,28 @@ TEST(NeuralSubdomainSolver, BatchSplitInvariance) {
   auto b1 = gen.generate().boundary;
   auto b2 = gen.generate().boundary;
   mosaic::SubdomainGeometry geom(8);
-  std::vector<std::vector<double>> batched;
-  solver.predict({b1, b2}, geom.cross_queries, batched);
-  auto s1 = solver.predict_one(b1, geom.cross_queries);
-  auto s2 = solver.predict_one(b2, geom.cross_queries);
+  const auto& queries = geom.cross_queries;
+  // At the active precision a two-row batch equals two one-row calls
+  // bitwise: rows are computed independently.
+  std::vector<std::vector<double>> batched, one1, one2;
+  solver.predict({b1, b2}, queries, batched);
+  solver.predict({b1}, queries, one1);
+  solver.predict({b2}, queries, one2);
+  ASSERT_EQ(batched.size(), 2u);
+  const std::size_t bytes = queries.size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(batched[0].data(), one1[0].data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(batched[1].data(), one2[0].data(), bytes), 0);
+  // predict_one is the eager f64 network call, which the batched path
+  // tracks at the f64 policy.
+  const mf::ad::DType prev = mf::ad::set_compute_dtype(mf::ad::DType::kF64);
+  solver.predict({b1, b2}, queries, batched);
+  auto s1 = solver.predict_one(b1, queries);
+  auto s2 = solver.predict_one(b2, queries);
   for (std::size_t k = 0; k < s1.size(); ++k) {
     EXPECT_NEAR(batched[0][k], s1[k], 1e-12);
     EXPECT_NEAR(batched[1][k], s2[k], 1e-12);
   }
+  mf::ad::set_compute_dtype(prev);
 }
 
 TEST(NeuralSubdomainSolver, BoundarySizeMismatchThrows) {

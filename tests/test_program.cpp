@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ad/dtype.hpp"
 #include "ad/engine.hpp"
 #include "ad/ops.hpp"
 #include "ad/program.hpp"
@@ -325,12 +327,12 @@ TEST(Program, BatchedInferenceReplayMatchesEager) {
   }
   {
     ProgramEnabledGuard on(true);
-    solver.predict(batch1, queries, prog1);  // first sight: eager
-    solver.predict(batch2, queries, prog2);  // recurring shape: capture
+    solver.predict(batch1, queries, prog1);  // capture at batch 1, replay
+    solver.predict(batch2, queries, prog2);  // replay
     solver.predict(batch3, queries, prog3);  // replay
     const auto st = solver.thread_program_stats();
     EXPECT_EQ(st.captures, 1u);
-    EXPECT_EQ(st.replays, 1u);
+    EXPECT_EQ(st.replays, 3u);
   }
   for (std::size_t b = 0; b < eager1.size(); ++b) {
     for (std::size_t k = 0; k < eager1[b].size(); ++k) {
@@ -359,7 +361,8 @@ TEST(Program, EvictedInferencePlansStillCountInSolverStats) {
     for (auto& v : b) v = brng.uniform(-1.0, 1.0);
   }
 
-  // One geometry per query count; each sees eager, capture, replay.
+  // One geometry per query count; each captures once, then every pass
+  // replays it.
   const auto shapes =
       static_cast<std::uint64_t>(mosaic::infer_cache_capacity()) + 3;
   const auto before = mosaic::infer_cache_stats();
@@ -380,7 +383,7 @@ TEST(Program, EvictedInferencePlansStillCountInSolverStats) {
   EXPECT_EQ(after.captures - before.captures, shapes);
   const auto st = solver.thread_program_stats();
   EXPECT_EQ(st.captures, shapes) << "evicted plans' captures were lost";
-  EXPECT_EQ(st.replays, shapes) << "evicted plans' replays were lost";
+  EXPECT_EQ(st.replays, 3 * shapes) << "evicted plans' replays were lost";
 }
 
 TEST(Program, FusedReplayWithInPlanAdamBitwiseMatchesEagerTrajectory) {
@@ -858,74 +861,89 @@ struct WidenCase {
 
 TEST(Program, WidenAcceptsOneCasePerRule) {
   // One accepting plan per widen rule that can accept (elementwise via a
-  // fused chain, bcast, outer, rows), at both compute dtypes: a widened
-  // replay of 3 * B0 rows must be bitwise identical to three base-width
-  // replays of the same rows.
+  // fused chain, bcast, outer, rows), at both compute dtypes and at base
+  // batches 1 and 2: a widened replay of 3 * B0 rows must be bitwise
+  // identical to three base-width replays of the same rows. At B0 = 1 the
+  // outer-axis cases have a leading product of 1 and must still widen.
   ProgramEnabledGuard on(true);
   ad::NoGradGuard no_grad;
   util::Rng rng(53);
-  const int64_t B0 = 2;
-  const Tensor x = random_tensor({B0, 5}, rng), z = random_tensor({B0, 5}, rng);
-  const Tensor col = random_tensor({B0, 1}, rng), row = random_tensor({5}, rng);
-  const Tensor x3 = random_tensor({B0, 3, 4}, rng);
+  const Tensor row = random_tensor({5}, rng), wm = random_tensor({5, 3}, rng);
   const Tensor w = random_tensor({5, 4}, rng), wb = random_tensor({4}, rng);
-  const Tensor sig = random_tensor({B0, 2, 6}, rng);
   const Tensor cw = random_tensor({3, 2, 3}, rng), cb = random_tensor({3}, rng);
-  const std::vector<WidenCase> cases = {
-      {"fused_chain", {x, z},
-       [=] {
-         return ops::tanh(ops::sub(z, ops::mul_scalar(ops::mul(x, z), 0.5)));
-       }},
-      {"bcast_row_bias", {x}, [=] { return ops::add(x, row); }},
-      {"broadcast_to", {col}, [=] { return ops::broadcast_to(col, {B0, 5}); }},
-      {"slice_concat_axis1", {x},
-       [=] {
-         return ops::concat({ops::slice(x, 1, 3, 2), ops::slice(x, 1, 0, 3)},
-                            1);
-       }},
-      {"sum_axis1", {x3}, [=] { return ops::sum_axis(x3, 1, false); }},
-      {"matmul", {x}, [=] { return ops::linear(x, w, wb); }},
-      {"matmul_nt", {x3}, [=] { return ops::matmul_nt(x3, w); }},
-      {"conv1d", {sig}, [=] { return ops::conv1d(sig, cw, cb, 1); }},
-  };
   const int64_t kFactor = 3;
-  for (const ad::DType dt : {ad::DType::kF64, ad::DType::kF32}) {
-    for (const WidenCase& c : cases) {
-      SCOPED_TRACE(std::string(c.name) +
-                   (dt == ad::DType::kF32 ? " f32" : " f64"));
-      ad::Program p;
-      p.set_compute_dtype(dt);
-      Tensor y;
-      p.capture([&] { y = c.body(); });
-      ASSERT_TRUE(p.captured());
-      if (std::string(c.name) == "fused_chain") {
-        EXPECT_GT(p.stats().fused_steps, 0u);
-      }
-      std::vector<Tensor> io = c.inputs;
-      io.push_back(y);
-      ASSERT_TRUE(p.widen(io));
-      const int64_t b = kFactor * B0;
-      std::vector<std::vector<double>> wide_in;
-      for (const Tensor& t : c.inputs) {
-        std::vector<double> v(static_cast<std::size_t>(kFactor * t.numel()));
-        for (auto& e : v) e = rng.uniform(-1.0, 1.0);
-        std::copy(v.begin(), v.end(), p.widened_buffer(t, b));
-        wide_in.push_back(std::move(v));
-      }
-      p.replay_widened(b);
-      const ad::real* wy = p.widened_buffer(y, b);
-      const std::vector<double> wide_out(wy, wy + kFactor * y.numel());
-      for (int64_t chunk = 0; chunk < kFactor; ++chunk) {
-        for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-          Tensor t = c.inputs[i];
-          std::copy_n(wide_in[i].begin() + chunk * t.numel(), t.numel(),
-                      t.data());
+  for (const int64_t B0 : {int64_t{1}, int64_t{2}}) {
+    const Tensor x = random_tensor({B0, 5}, rng);
+    const Tensor z = random_tensor({B0, 5}, rng);
+    const Tensor col = random_tensor({B0, 1}, rng);
+    const Tensor x3 = random_tensor({B0, 3, 4}, rng);
+    const Tensor sig = random_tensor({B0, 2, 6}, rng);
+    const std::vector<WidenCase> cases = {
+        {"fused_chain", {x, z},
+         [=] {
+           return ops::tanh(
+               ops::sub(z, ops::mul_scalar(ops::mul(x, z), 0.5)));
+         }},
+        {"bcast_row_bias", {x}, [=] { return ops::add(x, row); }},
+        {"broadcast_to", {col},
+         [=] { return ops::broadcast_to(col, {B0, 5}); }},
+        {"slice_concat_axis1", {x},
+         [=] {
+           return ops::concat(
+               {ops::slice(x, 1, 3, 2), ops::slice(x, 1, 0, 3)}, 1);
+         }},
+        {"sum_axis1", {x3}, [=] { return ops::sum_axis(x3, 1, false); }},
+        // At B0 = 1 the two unscaled internals of the weight-only sum are
+        // as large as the batch rows after them, and die first: the wide
+        // packing must not hand their buffers to the rows.
+        {"unscaled_internal", {x},
+         [=] {
+           return ops::tanh(
+               ops::add(ops::add(x, ops::sum_axis(wm, 1, false)), row));
+         }},
+        {"matmul", {x}, [=] { return ops::linear(x, w, wb); }},
+        {"matmul_nt", {x3}, [=] { return ops::matmul_nt(x3, w); }},
+        {"conv1d", {sig}, [=] { return ops::conv1d(sig, cw, cb, 1); }},
+    };
+    for (const ad::DType dt : {ad::DType::kF64, ad::DType::kF32}) {
+      for (const WidenCase& c : cases) {
+        SCOPED_TRACE(std::string(c.name) +
+                     (dt == ad::DType::kF32 ? " f32" : " f64") + " B0 " +
+                     std::to_string(B0));
+        ad::Program p;
+        p.set_compute_dtype(dt);
+        Tensor y;
+        p.capture([&] { y = c.body(); });
+        ASSERT_TRUE(p.captured());
+        if (std::string(c.name) == "fused_chain") {
+          EXPECT_GT(p.stats().fused_steps, 0u);
         }
-        p.replay();
-        for (int64_t e = 0; e < y.numel(); ++e) {
-          ASSERT_EQ(y.flat(e),
-                    wide_out[static_cast<std::size_t>(chunk * y.numel() + e)])
-              << "chunk " << chunk << " elem " << e;
+        std::vector<Tensor> io = c.inputs;
+        io.push_back(y);
+        ASSERT_TRUE(p.widen(io));
+        const int64_t b = kFactor * B0;
+        std::vector<std::vector<double>> wide_in;
+        for (const Tensor& t : c.inputs) {
+          std::vector<double> v(static_cast<std::size_t>(kFactor * t.numel()));
+          for (auto& e : v) e = rng.uniform(-1.0, 1.0);
+          std::copy(v.begin(), v.end(), p.widened_buffer(t, b));
+          wide_in.push_back(std::move(v));
+        }
+        p.replay_widened(b);
+        const ad::real* wy = p.widened_buffer(y, b);
+        const std::vector<double> wide_out(wy, wy + kFactor * y.numel());
+        for (int64_t chunk = 0; chunk < kFactor; ++chunk) {
+          for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+            Tensor t = c.inputs[i];
+            std::copy_n(wide_in[i].begin() + chunk * t.numel(), t.numel(),
+                        t.data());
+          }
+          p.replay();
+          for (int64_t e = 0; e < y.numel(); ++e) {
+            ASSERT_EQ(y.flat(e), wide_out[static_cast<std::size_t>(
+                                     chunk * y.numel() + e)])
+                << "chunk " << chunk << " elem " << e;
+          }
         }
       }
     }
@@ -934,59 +952,62 @@ TEST(Program, WidenAcceptsOneCasePerRule) {
 
 TEST(Program, WidenRefusesOneCasePerRule) {
   // One refusing plan per rule that can refuse (fold, outer on the batch
-  // axis, rows with a batch-carrying rhs, never): widen() returns false
-  // and plain replay still reproduces the captured result. Outputs whose
-  // leading dim is the base batch are declared too, so each refusal comes
-  // from the step rule, not from an undeclared external output.
+  // axis, rows with a batch-carrying rhs, never) at base batches 1 and 2:
+  // widen() returns false and plain replay still reproduces the captured
+  // result. Outputs whose leading dim is the base batch are declared too,
+  // so each refusal comes from the step rule, not from an undeclared
+  // external output.
   ProgramEnabledGuard on(true);
   util::Rng rng(59);
-  const int64_t B0 = 2;
-  const Tensor x = random_tensor({B0, 4}, rng), w = random_tensor({3, B0}, rng);
-  const Tensor x3 = random_tensor({B0, 3, 4}, rng);
-  const Tensor sig = random_tensor({B0, 2, 6}, rng);
-  Tensor cw = random_tensor({3, 2, 3}, rng), cb = random_tensor({3}, rng);
-  cw.set_requires_grad(true);
-  cb.set_requires_grad(true);
-  const Tensor g = Tensor::ones({B0, 3, 6});
-  const std::vector<WidenCase> cases = {
-      // Refused even per instance: the reduce plan is not rebuilt.
-      {"reduce_to", {x3}, [=] { return ops::reduce_to(x3, {B0, 1, 4}); }},
-      {"slice_axis0", {x},
-       [=] {
-         return ops::concat({ops::slice(x, 0, 1, 1), ops::slice(x, 0, 0, 1)},
-                            0);
-       }},
-      {"matmul_batch_rhs", {x}, [=] { return ops::matmul(w, x); }},
-      {"backward", {sig},
-       [=] {
-         Tensor y = ops::conv1d(sig, cw, cb, 1);
-         ad::backward(y, g);
-         return y;
-       }},
-  };
-  for (const WidenCase& c : cases) {
-    SCOPED_TRACE(c.name);
-    ad::Program p;
-    Tensor y;
-    p.capture([&] { y = c.body(); });
-    ASSERT_TRUE(p.captured());
-    const std::vector<double> captured(y.data(), y.data() + y.numel());
-    std::vector<Tensor> io = c.inputs;
-    if (y.shape()[0] == B0) io.push_back(y);
-    EXPECT_FALSE(p.widen(io));
-    EXPECT_FALSE(p.widened());
-    std::fill(y.data(), y.data() + y.numel(), 0.0);
-    p.replay();
-    for (int64_t e = 0; e < y.numel(); ++e) {
-      ASSERT_EQ(y.flat(e), captured[static_cast<std::size_t>(e)]) << e;
+  for (const int64_t B0 : {int64_t{1}, int64_t{2}}) {
+    const Tensor x = random_tensor({B0, 4}, rng);
+    const Tensor w = random_tensor({3, B0}, rng);
+    const Tensor x3 = random_tensor({B0, 3, 4}, rng);
+    const Tensor sig = random_tensor({B0, 2, 6}, rng);
+    Tensor cw = random_tensor({3, 2, 3}, rng), cb = random_tensor({3}, rng);
+    cw.set_requires_grad(true);
+    cb.set_requires_grad(true);
+    const Tensor g = Tensor::ones({B0, 3, 6});
+    const std::vector<WidenCase> cases = {
+        // Refused even per instance: the reduce plan is not rebuilt.
+        {"reduce_to", {x3}, [=] { return ops::reduce_to(x3, {B0, 1, 4}); }},
+        {"slice_axis0", {x},
+         [=] {
+           return ops::concat(
+               {ops::slice(x, 0, B0 - 1, 1), ops::slice(x, 0, 0, 1)}, 0);
+         }},
+        {"matmul_batch_rhs", {x}, [=] { return ops::matmul(w, x); }},
+        {"backward", {sig},
+         [=] {
+           Tensor y = ops::conv1d(sig, cw, cb, 1);
+           ad::backward(y, g);
+           return y;
+         }},
+    };
+    for (const WidenCase& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " B0 " + std::to_string(B0));
+      ad::Program p;
+      Tensor y;
+      p.capture([&] { y = c.body(); });
+      ASSERT_TRUE(p.captured());
+      const std::vector<double> captured(y.data(), y.data() + y.numel());
+      std::vector<Tensor> io = c.inputs;
+      if (y.shape()[0] == B0) io.push_back(y);
+      EXPECT_FALSE(p.widen(io));
+      EXPECT_FALSE(p.widened());
+      std::fill(y.data(), y.data() + y.numel(), 0.0);
+      p.replay();
+      for (int64_t e = 0; e < y.numel(); ++e) {
+        ASSERT_EQ(y.flat(e), captured[static_cast<std::size_t>(e)]) << e;
+      }
     }
   }
 }
 
 TEST(Program, WidenedBatchedInferenceBitwiseMatchesEager) {
-  // Solver-level widening: one plan captured at the base batch serves
-  // every multiple of it, bitwise identical to the eager per-batch path
-  // and with no additional captures.
+  // Solver-level widening: one plan captured at batch 1 serves every
+  // batch size, bitwise identical to the eager per-batch path and with no
+  // additional captures.
   const int64_t m = 4;
   util::Rng rng(13);
   auto net = std::make_shared<mosaic::Sdnet>(small_net_config(m), rng);
@@ -1017,13 +1038,13 @@ TEST(Program, WidenedBatchedInferenceBitwiseMatchesEager) {
   }
   {
     ProgramEnabledGuard on(true);
-    solver.predict(base1, queries, p1);  // first sight: eager
-    solver.predict(base2, queries, p2);  // second sight: capture + widen
-    solver.predict(quad, queries, p4);   // 2x base: widened replay
-    solver.predict(six, queries, p6);    // 3x base: widened replay
+    solver.predict(base1, queries, p1);  // capture at 1 + widen, replay
+    solver.predict(base2, queries, p2);  // widened replays at 2, 2, 4, 6
+    solver.predict(quad, queries, p4);
+    solver.predict(six, queries, p6);
     const auto st = solver.thread_program_stats();
     EXPECT_EQ(st.captures, 1u) << "widening must avoid per-shape captures";
-    EXPECT_EQ(st.widened_replays, 2u);
+    EXPECT_EQ(st.widened_replays, 4u);
     EXPECT_EQ(st.max_widen_batch, 6);
   }
   auto expect_rows_equal = [](const std::vector<std::vector<double>>& a,
@@ -1040,6 +1061,67 @@ TEST(Program, WidenedBatchedInferenceBitwiseMatchesEager) {
   expect_rows_equal(e2, p2);
   expect_rows_equal(e4, p4);
   expect_rows_equal(e6, p6);
+}
+
+TEST(Program, OnePlanPerGeometryServesEveryBatchSizeBitwise) {
+  // Generated over the SDNet variants (conv encoder on or off, split or
+  // concat embedding) and query counts 1, 2 and 5: one solver runs
+  // batches of 1, 64, 3, 7 and 64 rows, which grows the widened store
+  // and then reuses it at smaller factors. Every batch equals eager
+  // bitwise, and each geometry captures once with no eager batch.
+  ProgramEnabledGuard on(true);
+  const ad::DType prev = ad::set_compute_dtype(ad::DType::kF64);
+  const int64_t m = 4, G = 4 * m;
+  util::Rng brng(71);
+  for (const bool conv : {true, false}) {
+    for (const bool split : {true, false}) {
+      mosaic::SdnetConfig cfg = small_net_config(m);
+      cfg.use_conv_encoder = conv;
+      cfg.use_split_embedding = split;
+      util::Rng rng(73);
+      const mosaic::NeuralSubdomainSolver solver(
+          std::make_shared<mosaic::Sdnet>(cfg, rng), m);
+      for (const int64_t q : {1, 2, 5}) {
+        SCOPED_TRACE(std::string(conv ? "conv" : "no conv") +
+                     (split ? " split q " : " concat q ") +
+                     std::to_string(q));
+        mosaic::QueryList queries;
+        for (int64_t k = 0; k < q; ++k) {
+          queries.emplace_back(0.1 + 0.17 * static_cast<double>(k),
+                               0.8 - 0.13 * static_cast<double>(k));
+        }
+        const auto before = mosaic::infer_cache_stats();
+        for (const int64_t B : {1, 64, 3, 7, 64}) {
+          std::vector<std::vector<double>> rows(
+              static_cast<std::size_t>(B),
+              std::vector<double>(static_cast<std::size_t>(G)));
+          for (auto& row : rows) {
+            for (auto& v : row) v = brng.uniform(-1.0, 1.0);
+          }
+          std::vector<std::vector<double>> eager, plan;
+          {
+            ProgramEnabledGuard off(false);
+            solver.predict(rows, queries, eager);
+          }
+          solver.predict(rows, queries, plan);
+          ASSERT_EQ(plan.size(), eager.size()) << "B " << B;
+          for (std::size_t b = 0; b < plan.size(); ++b) {
+            ASSERT_EQ(plan[b].size(), eager[b].size());
+            ASSERT_EQ(std::memcmp(plan[b].data(), eager[b].data(),
+                                  plan[b].size() * sizeof(double)),
+                      0)
+                << "B " << B << " row " << b;
+          }
+        }
+        const auto after = mosaic::infer_cache_stats();
+        EXPECT_EQ(after.captures - before.captures, 1u);
+        EXPECT_EQ(after.misses - before.misses, 0u);
+        EXPECT_EQ(after.exact_hits - before.exact_hits, 1u);
+        EXPECT_EQ(after.widened_hits - before.widened_hits, 4u);
+      }
+    }
+  }
+  ad::set_compute_dtype(prev);
 }
 
 TEST(Program, ConcurrentCompiledStepsAreDeterministic) {
