@@ -931,6 +931,348 @@ inline void matmul_span(const typename O::T* a, int64_t lda,
                               m);
   }
 }
+
+// ---- conv1d: zero-padded rows on the ops structs ----
+//
+// Each pass copies the operand rows of one batch row into zero-padded rows
+// of the calling thread, then runs lanes over them: every tap of every
+// output position is one plain load, with no bounds test. Each element
+// keeps the direct loop's order of separately rounded multiplies and adds:
+//  * forward: out = bias (or +0); per input channel a sub-sum starts at +0,
+//    takes a + w[k]·x[t + k − p] for k ascending, and is added to out;
+//  * grad_input: each element adds g·w straight into itself, for output
+//    channel ascending, then tap k descending (so t ascending);
+//  * grad_weight: lanes over the K taps, each adding g·x into itself for
+//    batch row ascending, then t ascending.
+// A padded tap adds w·(±0) (g·(±0) for grad_weight) = ±0 to a sum that
+// started at +0 and so is never −0: with finite factors it leaves the bits
+// unchanged, and every tier gives the direct loop's bits. An infinite or
+// NaN factor at a padded tap gives NaN, the IEEE value of the zero-padded
+// sum.
+
+/// The scalar tier as an ops struct of one lane, so the conv1d templates
+/// run on every tier. A one-lane tail is never partial: the masked forms
+/// are never reached.
+template <typename E>
+struct ScalarOps {
+  using T = E;
+  using V = E;
+  using Tail = bool;
+  static constexpr int64_t kLanes = 1;
+  static void load(V& r, const T* p) { r = *p; }
+  static void store(T* p, const V& v) { *p = v; }
+  static void tail(Tail& m, int64_t n) { m = n > 0; }
+  static void load(V& r, const T* p, const Tail& m) { r = m ? *p : T(0); }
+  static void store(T* p, const V& v, const Tail& m) {
+    if (m) *p = v;
+  }
+  static void set1(V& r, T c) { r = c; }
+  static void add(V& r, const V& a, const V& b) { r = a + b; }
+  static void mul(V& r, const V& a, const V& b) { r = a * b; }
+};
+
+/// Which conv1d kernel a ConvCall runs.
+enum class ConvPass : std::uint8_t { kForward, kGradInput, kGradWeight };
+
+/// One conv1d kernel call with the public entry's arguments: a and b are
+/// (input, weight) for the forward pass, (grad_out, weight) for
+/// grad_input and (grad_out, input) for grad_weight.
+template <typename T>
+struct ConvCall {
+  ConvPass pass;
+  const T* a;
+  const T* b;
+  const T* bias;
+  T* out;
+  int64_t B, Cin, L, Cout, K, P;
+  int64_t lout() const { return L + 2 * P - K + 1; }
+};
+
+/// Slack after the last padded row: one vector of the widest tier (16 f32
+/// lanes), so whole-vector loads and stores past a row's end stay in the
+/// scratch. The lanes of out positions past the end are never stored.
+constexpr int64_t kConvSlack = 16;
+
+/// `n` elements of the calling thread's conv1d scratch, which only grows.
+template <typename T>
+T* conv_scratch(int64_t n) {
+  static thread_local std::vector<T> scratch;
+  const auto len = static_cast<std::size_t>(n);
+  if (scratch.size() < len) scratch.resize(len);
+  return scratch.data();
+}
+
+/// rows × width zero-padded rows: element u of row r is src[r·n + u −
+/// shift] where 0 ≤ u − shift < n, else +0. Whole-vector stores may write
+/// up to kLanes − 1 elements past a row (the next row rewrites them, and
+/// the last row's land in the slack); loads from src are masked at its
+/// end.
+template <class O>
+inline void pad_rows(typename O::T* dst, const typename O::T* src,
+                     int64_t rows, int64_t n, int64_t shift, int64_t width) {
+  using T = typename O::T;
+  constexpr int64_t L = O::kLanes;
+  const int64_t lo = std::clamp<int64_t>(shift, 0, width);
+  const int64_t hi = std::clamp<int64_t>(shift + n, lo, width);
+  typename O::V v, zero;
+  typename O::Tail m;
+  O::set1(zero, T(0));
+  O::tail(m, (hi - lo) % L);
+  for (int64_t r = 0; r < rows; ++r, dst += width, src += n) {
+    const T* s = src + lo - shift;
+    for (int64_t u = 0; u < lo; u += L) O::store(dst + u, zero);
+    int64_t u = lo;
+    for (; u + L <= hi; u += L) {
+      O::load(v, s + (u - lo));
+      O::store(dst + u, v);
+    }
+    if (u < hi) {
+      O::load(v, s + (u - lo), m);  // +0 past hi
+      O::store(dst + u, v);
+    }
+    for (u = hi; u < width; u += L) O::store(dst + u, zero);
+  }
+}
+
+/// The forward and grad_input passes of one batch row, as a correlation
+/// over padded rows: out row r, position t, takes w(r, i, j)·x_i[t + j]
+/// for input row i ascending, then tap j ascending, with x_i at x +
+/// i·width and w(r, i, j) = w[r·wr + i·wi + j·wj]. Forward (Fwd) starts
+/// each out row at its bias (or +0) and adds one sub-sum per input row;
+/// grad_input adds each x·w straight into the stored out.
+template <typename T>
+struct ConvRows {
+  const T* x;
+  int64_t width, in_rows;
+  const T* w;
+  int64_t wr, wi, wj, taps;
+  const T* bias;
+  T* out;
+  int64_t len, out_rows;  // out is out_rows × len
+};
+
+/// Out rows [r0, r0 + R) × positions [t0, t0 + C·kLanes) of a ConvRows
+/// pass, R·C accumulators in flight; a Masked block (C = 1) stores the
+/// positions `m` enables.
+template <class O, bool Fwd, int R, int C, bool Masked>
+inline void conv_block(const ConvRows<typename O::T>& c, int64_t r0,
+                       int64_t t0, const typename O::Tail& m) {
+  using T = typename O::T;
+  constexpr int64_t L = O::kLanes;
+  typename O::V acc[R][C], xv[C], wv, prod;
+  [[maybe_unused]] typename O::V sub[R][C];
+  T* out = c.out + r0 * c.len + t0;
+#pragma GCC unroll 2
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < C; ++v) {
+      if constexpr (Fwd) {
+        O::set1(acc[r][v], c.bias ? c.bias[r0 + r] : T(0));
+      } else if constexpr (Masked) {
+        O::load(acc[r][v], out + r * c.len, m);
+      } else {
+        O::load(acc[r][v], out + r * c.len + v * L);
+      }
+    }
+  }
+  for (int64_t i = 0; i < c.in_rows; ++i) {
+    const T* xrow = c.x + i * c.width + t0;
+    const T* wrow = c.w + r0 * c.wr + i * c.wi;
+    if constexpr (Fwd) {
+#pragma GCC unroll 2
+      for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+        for (int v = 0; v < C; ++v) O::set1(sub[r][v], T(0));
+      }
+    }
+    for (int64_t j = 0; j < c.taps; ++j) {
+#pragma GCC unroll 2
+      for (int v = 0; v < C; ++v) O::load(xv[v], xrow + j + v * L);
+#pragma GCC unroll 2
+      for (int r = 0; r < R; ++r) {
+        O::set1(wv, wrow[r * c.wr + j * c.wj]);
+#pragma GCC unroll 2
+        for (int v = 0; v < C; ++v) {
+          if constexpr (Fwd) {
+            O::mul(prod, wv, xv[v]);
+            O::add(sub[r][v], sub[r][v], prod);
+          } else {
+            O::mul(prod, xv[v], wv);
+            O::add(acc[r][v], acc[r][v], prod);
+          }
+        }
+      }
+    }
+    if constexpr (Fwd) {
+#pragma GCC unroll 2
+      for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+        for (int v = 0; v < C; ++v) O::add(acc[r][v], acc[r][v], sub[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 2
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < C; ++v) {
+      if constexpr (Masked) {
+        O::store(out + r * c.len, acc[r][v], m);
+      } else {
+        O::store(out + r * c.len + v * L, acc[r][v]);
+      }
+    }
+  }
+}
+
+/// Out rows [r0, r0 + R) of a ConvRows pass: two-vector blocks, then at
+/// most one one-vector block, then the masked tail of len % kLanes.
+template <class O, bool Fwd, int R>
+inline void conv_strip(const ConvRows<typename O::T>& c, int64_t r0,
+                       const typename O::Tail& m) {
+  constexpr int64_t L = O::kLanes;
+  int64_t t = 0;
+  for (; t + 2 * L <= c.len; t += 2 * L) {
+    conv_block<O, Fwd, R, 2, false>(c, r0, t, m);
+  }
+  if (t + L <= c.len) {
+    conv_block<O, Fwd, R, 1, false>(c, r0, t, m);
+    t += L;
+  }
+  if (t < c.len) conv_block<O, Fwd, R, 1, true>(c, r0, t, m);
+}
+
+/// Every out row of a ConvRows pass, two at a time, then the last odd one.
+template <class O, bool Fwd>
+inline void conv_rows(const ConvRows<typename O::T>& c) {
+  typename O::Tail m;
+  O::tail(m, c.len % O::kLanes);
+  int64_t r = 0;
+  for (; r + 2 <= c.out_rows; r += 2) conv_strip<O, Fwd, 2>(c, r, m);
+  if (r < c.out_rows) conv_strip<O, Fwd, 1>(c, r, m);
+}
+
+/// grad_weight of one batch row for R (output, input) channel pairs
+/// [p0, p0 + R), pair p = co·Cin + ci, over the taps [k0, k0 + kLanes):
+/// each lane adds g[co][t]·x_ci[t + k] into the stored grad_weight for t
+/// ascending. x holds the batch row's padded input rows (stride width)
+/// from tap k0 on, gw the grad_weight from tap k0 on; a Masked block
+/// covers the K − k0 < kLanes taps `m` enables.
+template <class O, int R, bool Masked>
+inline void conv_gw_block(const typename O::T* g, const typename O::T* x,
+                          typename O::T* gw, int64_t p0, int64_t Cin,
+                          int64_t K, int64_t Lout, int64_t width,
+                          const typename O::Tail& m) {
+  using T = typename O::T;
+  typename O::V acc[R], gv, xv, prod;
+  const T* grow[R];
+  const T* xrow[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    const int64_t p = p0 + r;
+    grow[r] = g + p / Cin * Lout;
+    xrow[r] = x + p % Cin * width;
+    if constexpr (Masked) {
+      O::load(acc[r], gw + p * K, m);
+    } else {
+      O::load(acc[r], gw + p * K);
+    }
+  }
+  for (int64_t t = 0; t < Lout; ++t) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      O::set1(gv, grow[r][t]);
+      O::load(xv, xrow[r] + t);
+      O::mul(prod, gv, xv);
+      O::add(acc[r], acc[r], prod);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    if constexpr (Masked) {
+      O::store(gw + (p0 + r) * K, acc[r], m);
+    } else {
+      O::store(gw + (p0 + r) * K, acc[r]);
+    }
+  }
+}
+
+/// grad_weight of one batch row for the channel pairs [p, end), four at
+/// a time, then two, then one, on the taps from k0.
+template <class O, bool Masked>
+inline void conv_gw_pairs(const typename O::T* g, const typename O::T* x,
+                          typename O::T* gw, int64_t p, int64_t end,
+                          int64_t Cin, int64_t K, int64_t Lout, int64_t width,
+                          const typename O::Tail& m) {
+  for (; p + 4 <= end; p += 4) {
+    conv_gw_block<O, 4, Masked>(g, x, gw, p, Cin, K, Lout, width, m);
+  }
+  if (p + 2 <= end) {
+    conv_gw_block<O, 2, Masked>(g, x, gw, p, Cin, K, Lout, width, m);
+    p += 2;
+  }
+  if (p < end) conv_gw_block<O, 1, Masked>(g, x, gw, p, Cin, K, Lout, width, m);
+}
+
+/// Items [begin, end) of a conv1d call on one serial thread: batch rows
+/// for the forward and grad_input passes, output channels for
+/// grad_weight (whose every element sums over all batch rows). `scratch`
+/// holds the padded rows of one batch row plus kConvSlack.
+template <class O>
+inline void conv_pass(const ConvCall<typename O::T>& c,
+                      typename O::T* scratch, int64_t begin, int64_t end) {
+  using T = typename O::T;
+  const int64_t Lout = c.lout(), K = c.K, Cin = c.Cin, Cout = c.Cout;
+  switch (c.pass) {
+    case ConvPass::kForward: {
+      ConvRows<T> r{.x = scratch, .width = Lout + K - 1, .in_rows = Cin,
+                    .w = c.b, .wr = Cin * K, .wi = K, .wj = 1, .taps = K,
+                    .bias = c.bias, .out = c.out, .len = Lout,
+                    .out_rows = Cout};
+      for (int64_t b = begin; b < end; ++b) {
+        pad_rows<O>(scratch, c.a + b * Cin * c.L, Cin, c.L, c.P, r.width);
+        r.out = c.out + b * Cout * Lout;
+        conv_rows<O, true>(r);
+      }
+      break;
+    }
+    case ConvPass::kGradInput: {
+      // Out row ci takes grad_out row co at tap j = K − 1 − k: the weights
+      // run backwards from w[co][ci][K − 1], and the padded grad_out rows
+      // are shifted so that x_co[s + j] is grad_out[co][s + p − k].
+      ConvRows<T> r{.x = scratch, .width = c.L + K - 1, .in_rows = Cout,
+                    .w = c.b + K - 1, .wr = K, .wi = Cin * K, .wj = -1,
+                    .taps = K, .bias = nullptr, .out = c.out, .len = c.L,
+                    .out_rows = Cin};
+      for (int64_t b = begin; b < end; ++b) {
+        pad_rows<O>(scratch, c.a + b * Cout * Lout, Cout, Lout, K - 1 - c.P,
+                    r.width);
+        r.out = c.out + b * Cin * c.L;
+        conv_rows<O, false>(r);
+      }
+      break;
+    }
+    case ConvPass::kGradWeight: {
+      constexpr int64_t L = O::kLanes;
+      const int64_t width = Lout + K - 1;
+      typename O::Tail m;
+      O::tail(m, K % L);
+      for (int64_t b = 0; b < c.B; ++b) {
+        pad_rows<O>(scratch, c.b + b * Cin * c.L, Cin, c.L, c.P, width);
+        const T* g = c.a + b * Cout * Lout;
+        for (int64_t k0 = 0; k0 < K; k0 += L) {
+          if (k0 + L <= K) {
+            conv_gw_pairs<O, false>(g, scratch + k0, c.out + k0, begin * Cin,
+                                    end * Cin, Cin, K, Lout, width, m);
+          } else {
+            conv_gw_pairs<O, true>(g, scratch + k0, c.out + k0, begin * Cin,
+                                   end * Cin, Cin, K, Lout, width, m);
+          }
+        }
+      }
+      break;
+    }
+  }
+}
 }  // namespace
 
 #ifdef MF_HAVE_AVX2_KERNELS
@@ -1277,6 +1619,16 @@ __attribute__((target("avx512f"), flatten)) void matmul_avx512(
   matmul_span<typename Isa<T>::Avx512, 8, TransA>(a, lda, b, bias, out, m, k,
                                                   n);
 }
+template <typename T>
+__attribute__((target("avx2,fma"), flatten)) void conv_avx2(
+    const ConvCall<T>& c, T* scratch, int64_t begin, int64_t end) {
+  conv_pass<typename Isa<T>::Avx2>(c, scratch, begin, end);
+}
+template <typename T>
+__attribute__((target("avx512f"), flatten)) void conv_avx512(
+    const ConvCall<T>& c, T* scratch, int64_t begin, int64_t end) {
+  conv_pass<typename Isa<T>::Avx512>(c, scratch, begin, end);
+}
 
 }  // namespace
 
@@ -1430,6 +1782,48 @@ bool matmul_tier(int lanes, MatmulForm form, const T* a, const T* b,
                      });
 }
 
+/// A conv1d call on the tier with `lanes` lanes; false, writing nothing,
+/// when the CPU lacks it. `split(items, cost, f)` runs f(begin, end) over
+/// a partition of the items (batch rows, or output channels for
+/// grad_weight): parallel_for for the public entries, one serial call for
+/// the tier tests. Each element is summed in one thread, so the bits do
+/// not depend on the split.
+template <typename T, typename Split>
+bool conv_form(int lanes, const ConvCall<T>& c, Split&& split) {
+  if (!cpu_has_tier(lanes)) return false;
+  const int64_t Lout = c.lout();
+  if (Lout <= 0) return true;
+  const bool grad_input = c.pass == ConvPass::kGradInput;
+  const int64_t padded = grad_input ? c.Cout * (c.L + c.K - 1)
+                                    : c.Cin * (Lout + c.K - 1);
+  const int64_t taps = c.Cin * c.K * Lout;  // per batch row and out channel
+  const bool by_channel = c.pass == ConvPass::kGradWeight;
+  split(by_channel ? c.Cout : c.B, taps * (by_channel ? c.B : c.Cout),
+        [&](int64_t begin, int64_t end) {
+          T* scratch = conv_scratch<T>(padded + kConvSlack);
+#ifdef MF_HAVE_AVX2_KERNELS
+          if (lanes == 8) return conv_avx512(c, scratch, begin, end);
+          if (lanes == 4) return conv_avx2(c, scratch, begin, end);
+#endif
+          conv_pass<ScalarOps<T>>(c, scratch, begin, end);
+        });
+  return true;
+}
+
+template <typename T>
+void conv_impl(const ConvCall<T>& c) {
+  conv_form(gelu_lanes(), c, [](int64_t items, int64_t cost, auto&& f) {
+    parallel_for(items, cost, f);
+  });
+}
+
+template <typename T>
+bool conv_tier(int lanes, const ConvCall<T>& c) {
+  return conv_form(lanes, c, [](int64_t items, int64_t, auto&& f) {
+    if (items > 0) f(int64_t{0}, items);
+  });
+}
+
 }  // namespace
 
 int gelu_lanes() {
@@ -1463,6 +1857,52 @@ bool matmul_on_tier(int lanes, MatmulForm form, const float* a,
                     const float* b, const float* bias, float* out, int64_t m,
                     int64_t k, int64_t n) {
   return matmul_tier(lanes, form, a, b, bias, out, m, k, n);
+}
+bool conv1d_forward_on_tier(int lanes, const double* input,
+                            const double* weight, const double* bias,
+                            double* out, int64_t B, int64_t Cin, int64_t L,
+                            int64_t Cout, int64_t K, int64_t padding) {
+  return conv_tier<double>(lanes, {ConvPass::kForward, input, weight, bias,
+                                   out, B, Cin, L, Cout, K, padding});
+}
+bool conv1d_forward_on_tier(int lanes, const float* input,
+                            const float* weight, const float* bias,
+                            float* out, int64_t B, int64_t Cin, int64_t L,
+                            int64_t Cout, int64_t K, int64_t padding) {
+  return conv_tier<float>(lanes, {ConvPass::kForward, input, weight, bias,
+                                  out, B, Cin, L, Cout, K, padding});
+}
+bool conv1d_grad_input_on_tier(int lanes, const double* grad_out,
+                               const double* weight, double* grad_input,
+                               int64_t B, int64_t Cin, int64_t L,
+                               int64_t Cout, int64_t K, int64_t padding) {
+  return conv_tier<double>(lanes, {ConvPass::kGradInput, grad_out, weight,
+                                   nullptr, grad_input, B, Cin, L, Cout, K,
+                                   padding});
+}
+bool conv1d_grad_input_on_tier(int lanes, const float* grad_out,
+                               const float* weight, float* grad_input,
+                               int64_t B, int64_t Cin, int64_t L,
+                               int64_t Cout, int64_t K, int64_t padding) {
+  return conv_tier<float>(lanes, {ConvPass::kGradInput, grad_out, weight,
+                                  nullptr, grad_input, B, Cin, L, Cout, K,
+                                  padding});
+}
+bool conv1d_grad_weight_on_tier(int lanes, const double* grad_out,
+                                const double* input, double* grad_weight,
+                                int64_t B, int64_t Cin, int64_t L,
+                                int64_t Cout, int64_t K, int64_t padding) {
+  return conv_tier<double>(lanes, {ConvPass::kGradWeight, grad_out, input,
+                                   nullptr, grad_weight, B, Cin, L, Cout, K,
+                                   padding});
+}
+bool conv1d_grad_weight_on_tier(int lanes, const float* grad_out,
+                                const float* input, float* grad_weight,
+                                int64_t B, int64_t Cin, int64_t L,
+                                int64_t Cout, int64_t K, int64_t padding) {
+  return conv_tier<float>(lanes, {ConvPass::kGradWeight, grad_out, input,
+                                  nullptr, grad_weight, B, Cin, L, Cout, K,
+                                  padding});
 }
 }  // namespace detail
 
@@ -1510,79 +1950,6 @@ void matmul(const float* a, const float* b, const float* bias, float* out,
 
 namespace {
 template <typename T>
-void conv1d_forward_impl(const T* input, const T* weight, const T* bias,
-                         T* out, int64_t B, int64_t Cin, int64_t L,
-                         int64_t Cout, int64_t K, int64_t padding) {
-  const int64_t Lout = L + 2 * padding - K + 1;
-  parallel_for(B * Cout, Cin * K * Lout, [&](int64_t begin, int64_t end) {
-    for (int64_t bc = begin; bc < end; ++bc) {
-      const int64_t b = bc / Cout;
-      const int64_t co = bc % Cout;
-      T* orow = out + bc * Lout;
-      const T fill = bias ? bias[co] : T(0);
-      for (int64_t t = 0; t < Lout; ++t) orow[t] = fill;
-      for (int64_t ci = 0; ci < Cin; ++ci) {
-        const T* irow = input + (b * Cin + ci) * L;
-        const T* wrow = weight + (co * Cin + ci) * K;
-        for (int64_t t = 0; t < Lout; ++t) {
-          T acc = 0;
-          const int64_t k0 = std::max<int64_t>(0, padding - t);
-          const int64_t k1 = std::min<int64_t>(K, L + padding - t);
-          for (int64_t k = k0; k < k1; ++k) acc += wrow[k] * irow[t + k - padding];
-          orow[t] += acc;
-        }
-      }
-    }
-  });
-}
-
-template <typename T>
-void conv1d_grad_input_impl(const T* grad_out, const T* weight, T* grad_input,
-                            int64_t B, int64_t Cin, int64_t L, int64_t Cout,
-                            int64_t K, int64_t padding) {
-  const int64_t Lout = L + 2 * padding - K + 1;
-  // Threads over batch: output channels of one batch element write into the
-  // same grad_input rows, so they stay within one thread.
-  parallel_for(B, Cout * Cin * K * Lout, [&](int64_t begin, int64_t end) {
-    for (int64_t b = begin; b < end; ++b)
-      for (int64_t co = 0; co < Cout; ++co)
-        for (int64_t t = 0; t < Lout; ++t) {
-          const T g = grad_out[(b * Cout + co) * Lout + t];
-          for (int64_t ci = 0; ci < Cin; ++ci)
-            for (int64_t k = 0; k < K; ++k) {
-              const int64_t src = t + k - padding;
-              if (src < 0 || src >= L) continue;
-              grad_input[(b * Cin + ci) * L + src] +=
-                  g * weight[(co * Cin + ci) * K + k];
-            }
-        }
-  });
-}
-
-template <typename T>
-void conv1d_grad_weight_impl(const T* grad_out, const T* input,
-                             T* grad_weight, int64_t B, int64_t Cin, int64_t L,
-                             int64_t Cout, int64_t K, int64_t padding) {
-  const int64_t Lout = L + 2 * padding - K + 1;
-  // Threads over output channels: all batches accumulate into one channel's
-  // weight slice, so the batch loop stays within one thread.
-  parallel_for(Cout, B * Cin * K * Lout, [&](int64_t begin, int64_t end) {
-    for (int64_t co = begin; co < end; ++co)
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t t = 0; t < Lout; ++t) {
-          const T g = grad_out[(b * Cout + co) * Lout + t];
-          for (int64_t ci = 0; ci < Cin; ++ci)
-            for (int64_t k = 0; k < K; ++k) {
-              const int64_t src = t + k - padding;
-              if (src < 0 || src >= L) continue;
-              grad_weight[(co * Cin + ci) * K + k] +=
-                  g * input[(b * Cin + ci) * L + src];
-            }
-        }
-  });
-}
-
-template <typename T>
 void conv1d_grad_bias_impl(const T* grad_out, T* grad_bias, int64_t B,
                            int64_t Cout, int64_t Lout) {
   parallel_for(Cout, B * Lout, [&](int64_t begin, int64_t end) {
@@ -1601,41 +1968,43 @@ void conv1d_grad_bias_impl(const T* grad_out, T* grad_bias, int64_t B,
 void conv1d_forward(const real* input, const real* weight, const real* bias,
                     real* out, int64_t B, int64_t Cin, int64_t L, int64_t Cout,
                     int64_t K, int64_t padding) {
-  conv1d_forward_impl(input, weight, bias, out, B, Cin, L, Cout, K, padding);
+  conv_impl<real>({ConvPass::kForward, input, weight, bias, out, B, Cin, L,
+                   Cout, K, padding});
 }
 
 void conv1d_forward(const float* input, const float* weight, const float* bias,
                     float* out, int64_t B, int64_t Cin, int64_t L,
                     int64_t Cout, int64_t K, int64_t padding) {
-  conv1d_forward_impl(input, weight, bias, out, B, Cin, L, Cout, K, padding);
+  conv_impl<float>({ConvPass::kForward, input, weight, bias, out, B, Cin, L,
+                    Cout, K, padding});
 }
 
 void conv1d_grad_input(const real* grad_out, const real* weight,
                        real* grad_input, int64_t B, int64_t Cin, int64_t L,
                        int64_t Cout, int64_t K, int64_t padding) {
-  conv1d_grad_input_impl(grad_out, weight, grad_input, B, Cin, L, Cout, K,
-                         padding);
+  conv_impl<real>({ConvPass::kGradInput, grad_out, weight, nullptr,
+                   grad_input, B, Cin, L, Cout, K, padding});
 }
 
 void conv1d_grad_input(const float* grad_out, const float* weight,
                        float* grad_input, int64_t B, int64_t Cin, int64_t L,
                        int64_t Cout, int64_t K, int64_t padding) {
-  conv1d_grad_input_impl(grad_out, weight, grad_input, B, Cin, L, Cout, K,
-                         padding);
+  conv_impl<float>({ConvPass::kGradInput, grad_out, weight, nullptr,
+                    grad_input, B, Cin, L, Cout, K, padding});
 }
 
 void conv1d_grad_weight(const real* grad_out, const real* input,
                         real* grad_weight, int64_t B, int64_t Cin, int64_t L,
                         int64_t Cout, int64_t K, int64_t padding) {
-  conv1d_grad_weight_impl(grad_out, input, grad_weight, B, Cin, L, Cout, K,
-                          padding);
+  conv_impl<real>({ConvPass::kGradWeight, grad_out, input, nullptr,
+                   grad_weight, B, Cin, L, Cout, K, padding});
 }
 
 void conv1d_grad_weight(const float* grad_out, const float* input,
                         float* grad_weight, int64_t B, int64_t Cin, int64_t L,
                         int64_t Cout, int64_t K, int64_t padding) {
-  conv1d_grad_weight_impl(grad_out, input, grad_weight, B, Cin, L, Cout, K,
-                          padding);
+  conv_impl<float>({ConvPass::kGradWeight, grad_out, input, nullptr,
+                    grad_weight, B, Cin, L, Cout, K, padding});
 }
 
 void conv1d_grad_bias(const real* grad_out, real* grad_bias, int64_t B,

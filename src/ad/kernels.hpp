@@ -7,10 +7,11 @@
 // identical serial loop, so the backend is always available.
 //
 // Threading contract:
-//  * Elementwise maps assign out[i] from in[i] only — parallel execution is
-//    bitwise identical to serial.
-//  * Reductions (reduce_sum, reduce_to, matmul rows) may reassociate
-//    floating-point sums across threads; callers compare with tolerances.
+//  * Elementwise maps assign out[i] from in[i] only, and matmul and conv1d
+//    sum each output element in one thread, in one order — parallel
+//    execution is bitwise identical to serial.
+//  * Reductions (reduce_sum, reduce_to) may reassociate floating-point sums
+//    across threads; callers compare with tolerances.
 //  * A kernel only threads when the estimated work exceeds `grain()`
 //    elements and the calling thread is not already inside a parallel
 //    region (no nested parallelism).
@@ -98,12 +99,13 @@ void parallel_for(int64_t n, F&& f) {
 // ---- contiguous elementwise maps ----
 //
 // Every contiguous elementwise op is named by an opcode and has one body
-// per tier. gelu_lanes() picks the tier of every vector kernel: 8 f64
-// lanes (16 at f32) with AVX-512F, 4 (8) with AVX2+FMA, else 1, the sfn::
-// functor loops. On a vector tier one lane formula per op, written once
-// over a small per-ISA ops struct, runs the whole vectors and then the
-// tail through masked lanes, so an element's value never depends on the
-// chunk, lane or thread that computed it:
+// per tier. gelu_lanes() picks the tier of every vector kernel
+// (elementwise, matmul and conv1d): 8 f64 lanes (16 at f32) with AVX-512F,
+// 4 (8) with AVX2+FMA, else 1, the sfn:: functor loops. On a vector tier
+// one lane formula per op, written once over a small per-ISA ops struct,
+// runs the whole vectors and then the tail through masked lanes, so an
+// element's value never depends on the chunk, lane or thread that
+// computed it:
 //  * add, sub, mul, div, add_scalar, mul_scalar, neg, abs and sqrt are one
 //    IEEE operation (or one sign-bit operation) per element, bitwise equal
 //    to the sfn:: functors on every tier;
@@ -150,8 +152,8 @@ inline constexpr std::size_t kUnaryOpCount =
 /// Opcode of binary_block (and of compiled plans' binary steps).
 enum class BinaryOp : std::uint8_t { kAdd, kSub, kMul, kDiv };
 
-/// f64 lanes every vector kernel runs on, elementwise and matmul: 8
-/// (AVX-512F), 4 (AVX2+FMA) or 1 (the scalar loops). Read-only; benches
+/// f64 lanes every vector kernel runs on, elementwise, matmul and conv1d:
+/// 8 (AVX-512F), 4 (AVX2+FMA) or 1 (the scalar loops). Read-only; benches
 /// print it next to their rates because the tier moves them.
 int gelu_lanes();
 
@@ -355,17 +357,64 @@ bool matmul_on_tier(int lanes, MatmulForm form, const double* a,
 bool matmul_on_tier(int lanes, MatmulForm form, const float* a,
                     const float* b, const float* bias, float* out, int64_t m,
                     int64_t k, int64_t n);
+/// The conv1d kernels below, serial, on the tier with `lanes` f64 lanes.
+bool conv1d_forward_on_tier(int lanes, const double* input,
+                            const double* weight, const double* bias,
+                            double* out, int64_t B, int64_t Cin, int64_t L,
+                            int64_t Cout, int64_t K, int64_t padding);
+bool conv1d_forward_on_tier(int lanes, const float* input,
+                            const float* weight, const float* bias,
+                            float* out, int64_t B, int64_t Cin, int64_t L,
+                            int64_t Cout, int64_t K, int64_t padding);
+bool conv1d_grad_input_on_tier(int lanes, const double* grad_out,
+                               const double* weight, double* grad_input,
+                               int64_t B, int64_t Cin, int64_t L,
+                               int64_t Cout, int64_t K, int64_t padding);
+bool conv1d_grad_input_on_tier(int lanes, const float* grad_out,
+                               const float* weight, float* grad_input,
+                               int64_t B, int64_t Cin, int64_t L,
+                               int64_t Cout, int64_t K, int64_t padding);
+bool conv1d_grad_weight_on_tier(int lanes, const double* grad_out,
+                                const double* input, double* grad_weight,
+                                int64_t B, int64_t Cin, int64_t L,
+                                int64_t Cout, int64_t K, int64_t padding);
+bool conv1d_grad_weight_on_tier(int lanes, const float* grad_out,
+                                const float* input, float* grad_weight,
+                                int64_t B, int64_t Cin, int64_t L,
+                                int64_t Cout, int64_t K, int64_t padding);
 }  // namespace detail
 
 // ---- convolution (stride 1, symmetric zero padding) ----
+//
+// input [B, Cin, L], weight [Cout, Cin, K], out [B, Cout, Lout] with Lout =
+// L + 2·padding − K + 1 and padding >= 0. The forward and weight-gradient
+// kernels copy one batch row's Cin input rows (the input-gradient kernel
+// its Cout grad_out rows) into zero-padded rows of the calling thread (an
+// input row is padding + L + padding long), plus one vector of slack, and
+// run lanes over them on the tier gelu_lanes() names, scalar included. Every
+// element keeps the direct loop's order of separately rounded multiplies
+// and adds (no FMA):
+//  * forward: out = bias (or +0), then per input channel a sub-sum that
+//    starts at +0 and takes w[k]·x[t + k − padding] for k ascending is
+//    added to it;
+//  * grad_input: each element adds grad_out·w for output channel
+//    ascending, then tap k descending (t ascending);
+//  * grad_weight: lanes over the K taps, each adding grad_out·x for batch
+//    row ascending, then t ascending.
+// A padded tap adds a factor times ±0 to a sum that started at +0, so with
+// finite factors every tier gives the direct loop's bits, and serial and
+// threaded calls agree. An infinite or NaN weight at a tap that meets the
+// padding (for grad_weight, an infinite or NaN grad_out there) gives NaN,
+// the IEEE value of the zero-padded sum.
 
+/// Threads over batch rows.
 void conv1d_forward(const real* input, const real* weight, const real* bias,
                     real* out, int64_t B, int64_t Cin, int64_t L, int64_t Cout,
                     int64_t K, int64_t padding);
 void conv1d_forward(const float* input, const float* weight, const float* bias,
                     float* out, int64_t B, int64_t Cin, int64_t L,
                     int64_t Cout, int64_t K, int64_t padding);
-/// grad_input must be zero-initialized. Threads over batch.
+/// grad_input must be zero-initialized. Threads over batch rows.
 void conv1d_grad_input(const real* grad_out, const real* weight,
                        real* grad_input, int64_t B, int64_t Cin, int64_t L,
                        int64_t Cout, int64_t K, int64_t padding);
@@ -379,7 +428,8 @@ void conv1d_grad_weight(const real* grad_out, const real* input,
 void conv1d_grad_weight(const float* grad_out, const float* input,
                         float* grad_weight, int64_t B, int64_t Cin, int64_t L,
                         int64_t Cout, int64_t K, int64_t padding);
-/// grad_bias must be zero-initialized. Threads over output channels.
+/// grad_bias must be zero-initialized. Threads over output channels; each
+/// sums its batch rows, then t, in ascending order.
 void conv1d_grad_bias(const real* grad_out, real* grad_bias, int64_t B,
                       int64_t Cout, int64_t Lout);
 void conv1d_grad_bias(const float* grad_out, float* grad_bias, int64_t B,

@@ -594,6 +594,15 @@ Tensor conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   const int64_t B = input.size(0), Cin = input.size(1), L = input.size(2);
   const int64_t Cout = weight.size(0), K = weight.size(2);
   if (weight.size(1) != Cin) throw std::invalid_argument("conv1d channel mismatch");
+  if (padding < 0) {
+    throw std::invalid_argument("conv1d: padding must be >= 0, got " +
+                                std::to_string(padding));
+  }
+  if (bias.defined() && (bias.dim() != 1 || bias.size(0) != Cout)) {
+    throw std::invalid_argument("conv1d: bias must be [" +
+                                std::to_string(Cout) + "] (one per output "
+                                "channel), got " + shape_str(bias.shape()));
+  }
   const int64_t Lout = L + 2 * padding - K + 1;
   if (Lout <= 0) throw std::invalid_argument("conv1d: kernel larger than input");
   Tensor out = Tensor::zeros({B, Cout, Lout});

@@ -142,6 +142,26 @@ TEST(OpsForward, Conv1dShapeAndBias) {
   EXPECT_EQ(y.shape(), (Shape{2, 4, 8}));
 }
 
+TEST(OpsForward, Conv1dRejectsNegativePadding) {
+  Tensor x = randt({2, 3, 10}, 5);
+  Tensor w = randt({4, 3, 3}, 6);
+  // L + 2·padding − K + 1 = 6 >= 1, so only the sign is wrong.
+  EXPECT_THROW(ops::conv1d(x, w, Tensor::full({4}, 0.5), -1),
+               std::invalid_argument);
+  EXPECT_THROW(ops::conv1d(x, w, Tensor(), -1), std::invalid_argument);
+}
+
+TEST(OpsForward, Conv1dRejectsBiasNotOnePerOutputChannel) {
+  Tensor x = randt({2, 3, 10}, 5);
+  Tensor w = randt({4, 3, 3}, 6);
+  EXPECT_THROW(ops::conv1d(x, w, Tensor::full({3}, 0.5), 1),
+               std::invalid_argument);
+  EXPECT_THROW(ops::conv1d(x, w, Tensor::full({5}, 0.5), 1),
+               std::invalid_argument);
+  EXPECT_THROW(ops::conv1d(x, w, Tensor::full({1, 4}, 0.5), 1),
+               std::invalid_argument);
+}
+
 // ---------- first-order gradients ----------
 
 struct UnaryCase {

@@ -303,14 +303,30 @@ TEST(Kernels, Conv1dForwardAndGradParity) {
   auto [out_ref, gi_ref, gw_ref, gb_ref] = run();
   guard.threaded();
   auto [out_thr, gi_thr, gw_thr, gb_thr] = run();
-  expect_allclose(out_thr, out_ref, 1e-13, "conv1d forward");
-  expect_allclose(gi_thr, gi_ref, 1e-12, "conv1d grad_input");
-  expect_allclose(gw_thr, gw_ref, 1e-12, "conv1d grad_weight");
-  expect_allclose(gb_thr, gb_ref, 1e-12, "conv1d grad_bias");
+  // Each element is summed in one thread, in one order: bitwise.
+  const std::pair<const Tensor*, const Tensor*> pairs[] = {
+      {&out_thr, &out_ref}, {&gi_thr, &gi_ref}, {&gw_thr, &gw_ref},
+      {&gb_thr, &gb_ref}};
+  const char* names[] = {"forward", "grad_input", "grad_weight", "grad_bias"};
+  for (int i = 0; i < 4; ++i) {
+    const auto [thr, ref] = pairs[i];
+    ASSERT_EQ(thr->shape(), ref->shape()) << names[i];
+    const std::string bad = elementwise_checks::first_mismatch(
+        thr->data(), ref->data(), ref->numel());
+    EXPECT_TRUE(bad.empty()) << "conv1d " << names[i] << ", " << bad;
+  }
 }
 
 TEST(Kernels, Conv1dGradsPropagateZeroTimesInfF64) {
   conv1d_checks::expect_grads_propagate_zero_times_inf<double>();
+}
+
+TEST(Conv1dKernel, TiersAndEntriesMatchDirectLoopBitwiseF64) {
+  conv1d_checks::expect_tiers_match_direct_loop<double>();
+}
+
+TEST(Conv1dKernel, InfiniteFactorAtPaddingGivesNanOnEveryTierF64) {
+  conv1d_checks::expect_infinite_factor_at_padding_gives_nan<double>();
 }
 
 // ---- fused ops introduced with the kernel backend ----

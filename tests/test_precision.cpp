@@ -192,6 +192,14 @@ TEST(Precision, FloatConv1dGradsPropagateZeroTimesInf) {
   conv1d_checks::expect_grads_propagate_zero_times_inf<float>();
 }
 
+TEST(Precision, FloatConv1dTiersAndEntriesMatchDirectLoopBitwise) {
+  conv1d_checks::expect_tiers_match_direct_loop<float>();
+}
+
+TEST(Precision, FloatConv1dInfiniteFactorAtPaddingGivesNanOnEveryTier) {
+  conv1d_checks::expect_infinite_factor_at_padding_gives_nan<float>();
+}
+
 TEST(Precision, FloatMatmulScalarTierMatchesNaiveLoop) {
   matmul_checks::expect_tier_matches_naive<float>(1);
 }
