@@ -2,48 +2,56 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "ad/kernels.hpp"
 #include "ad/program.hpp"
-#include "ad/scalar_fns.hpp"
 #include "ad/small_shape.hpp"
 
 namespace mf::ad::ops {
 
+using kernels::BinaryOp;
+using kernels::UnaryOp;
+using prog::StepKind;
+
 namespace {
 
-// Forward kernels run through the kernels' opcode entries (and, for
-// broadcasts, the shared sfn functors) and report to the program capture
-// hooks (no-ops outside Program::capture), so a captured step replays the
-// exact same instructions the eager op executed.
+// Every kernel an op runs, forward or backward, is one prog::run step:
+// the execute body replay uses, recorded by an enclosing Program::capture,
+// so a captured plan replays exactly the steps the eager op ran.
 
-template <typename F>
-Tensor elementwise_binary_fwd(const Tensor& a, const Tensor& b,
-                              prog::Binary id, F&& f) {
+/// An opcode as Step::fn.
+template <typename Op>
+constexpr std::uint8_t code(Op op) {
+  return static_cast<std::uint8_t>(op);
+}
+
+Tensor elementwise_binary_fwd(const Tensor& a, const Tensor& b, BinaryOp id) {
   const Shape out_shape = broadcast_shape(a.shape(), b.shape());
   Tensor out = Tensor::zeros(out_shape);
   if (a.shape() == b.shape()) {
-    kernels::map_binary(a.data(), b.data(), out.data(), out.numel(), id);
-    if (prog::capturing()) prog::on_binary(id, a, b, out);
+    prog::run({.kind = StepKind::kBinary, .fn = code(id), .p0 = out.numel()},
+              {.a = &a, .b = &b, .out = &out});
   } else {
-    kernels::BroadcastPlan plan(out_shape, a.shape(), b.shape());
-    kernels::map_broadcast(plan, a.data(), b.data(), out.data(), f);
-    if (prog::capturing()) prog::on_binary_bcast(id, plan, a, b, out);
+    const kernels::BroadcastPlan plan(out_shape, a.shape(), b.shape());
+    prog::run({.kind = StepKind::kBinaryBcast, .fn = code(id)},
+              {.a = &a, .b = &b, .out = &out, .bplan = &plan});
   }
   return out;
 }
 
-/// op(a) through the one opcode entry, reported to the capture hook.
-Tensor unary_fwd(const Tensor& a, prog::Unary id, real scalar) {
+/// op(a) as one unary step.
+Tensor unary_fwd(const Tensor& a, UnaryOp id, real scalar) {
   Tensor out = Tensor::zeros(a.shape());
-  kernels::map_unary(a.data(), out.data(), a.numel(), id, scalar);
-  if (prog::capturing()) prog::on_unary(id, scalar, a, out);
+  prog::run({.kind = StepKind::kUnary,
+             .fn = code(id),
+             .scalar = scalar,
+             .p0 = out.numel()},
+            {.a = &a, .out = &out});
   return out;
 }
 
 template <typename B>
-Tensor elementwise_unary(const Tensor& a, const char* name, prog::Unary id,
+Tensor elementwise_unary(const Tensor& a, const char* name, UnaryOp id,
                          real scalar, B&& backward) {
   return record(unary_fwd(a, id, scalar), name, {a},
                 std::forward<B>(backward));
@@ -110,17 +118,17 @@ struct GemmNode final : Node {
   }
 };
 
-/// out = a·b (+ bias) in form F through the one GEMM kernel, reported to
-/// the capture hook and taped as GemmNode<F>. `out_shape` is [m, n] or
-/// a's leading dims then n; the caller has checked the operands.
+/// out = a·b (+ bias) in form F as one matmul step, taped as
+/// GemmNode<F>. `out_shape` is [m, n] or a's leading dims then n; the
+/// caller has checked the operands.
 template <Form F>
 Tensor gemm(const char* name, const Tensor& a, const Tensor& b,
             const Tensor& bias, Shape out_shape, int64_t m, int64_t k,
             int64_t n) {
   Tensor out = Tensor::zeros(out_shape);
-  kernels::matmul(a.data(), b.data(), bias.defined() ? bias.data() : nullptr,
-                  out.data(), m, k, n, F);
-  if (prog::capturing()) prog::on_matmul(a, b, &bias, out, m, k, n, F);
+  prog::run({.kind = StepKind::kMatmul, .fn = code(F), .p0 = m, .p1 = k,
+             .p2 = n},
+            {.a = &a, .b = &b, .c = &bias, .out = &out});
   const Tensor ins[3] = {a, b, bias};
   return record_typed<GemmNode<F>>(std::move(out), ins,
                                    bias.defined() ? std::size_t{3}
@@ -159,8 +167,8 @@ struct GeluNode final : Node {
 /// gelu⁽ᴷ⁾(a) through its opcode, taped as GeluNode<K>.
 template <int K>
 Tensor gelu_order(const Tensor& a) {
-  constexpr prog::Unary kOps[] = {prog::Unary::kGelu, prog::Unary::kGeluD1,
-                                  prog::Unary::kGeluD2, prog::Unary::kGeluD3};
+  constexpr UnaryOp kOps[] = {UnaryOp::kGelu, UnaryOp::kGeluD1,
+                              UnaryOp::kGeluD2, UnaryOp::kGeluD3};
   Tensor out = unary_fwd(a, kOps[K], 0);
   const Tensor ins[1] = {a};
   return record_typed<GeluNode<K>>(std::move(out), ins, 1);
@@ -191,9 +199,9 @@ Tensor broadcast_to(const Tensor& t, const Shape& shape) {
                                 " -> " + shape_str(shape));
   }
   Tensor out = Tensor::zeros(shape);
-  kernels::BroadcastPlan plan(shape, t.shape(), t.shape());
-  kernels::broadcast_copy(plan, t.data(), out.data());
-  if (prog::capturing()) prog::on_broadcast_copy(plan, t, out);
+  const kernels::BroadcastPlan plan(shape, t.shape(), t.shape());
+  prog::run({.kind = StepKind::kBcastCopy},
+            {.a = &t, .out = &out, .bplan = &plan});
   const SmallShape orig = t.shape();
   return record(std::move(out), "broadcast_to", {t},
                 [orig](const Tensor& g, const std::vector<bool>&) {
@@ -208,9 +216,9 @@ Tensor reduce_to(const Tensor& t, const Shape& shape) {
                                 shape_str(shape));
   }
   Tensor out = Tensor::zeros(shape);
-  kernels::ReducePlan plan(t.shape(), shape);
-  kernels::reduce_broadcast(plan, t.data(), out.data());
-  if (prog::capturing()) prog::on_reduce(plan, t, out);
+  const kernels::ReducePlan plan(t.shape(), shape);
+  prog::run({.kind = StepKind::kReduce},
+            {.a = &t, .out = &out, .rplan = &plan});
   const SmallShape orig = t.shape();
   return record(std::move(out), "reduce_to", {t},
                 [orig](const Tensor& g, const std::vector<bool>&) {
@@ -234,8 +242,9 @@ Tensor reshape(const Tensor& t, const Shape& shape) {
     throw std::invalid_argument("reshape: cannot view " + shape_str(t.shape()) +
                                 " as " + shape_str(resolved));
   }
-  Tensor out = Tensor::from_data(t.data(), resolved);
-  if (prog::capturing()) prog::on_copy(t, out);
+  Tensor out = Tensor::zeros(resolved);
+  prog::run({.kind = StepKind::kCopy, .p0 = out.numel()},
+            {.a = &t, .out = &out});
   const SmallShape orig = t.shape();
   return record(std::move(out), "reshape", {t},
                 [orig](const Tensor& g, const std::vector<bool>&) {
@@ -244,13 +253,13 @@ Tensor reshape(const Tensor& t, const Shape& shape) {
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor out = elementwise_binary_fwd(a, b, prog::Binary::kAdd, sfn::Add{});
+  Tensor out = elementwise_binary_fwd(a, b, BinaryOp::kAdd);
   const Tensor ins[2] = {a, b};
   return record_typed<AddNode>(std::move(out), ins, 2);
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
-  Tensor out = elementwise_binary_fwd(a, b, prog::Binary::kSub, sfn::Sub{});
+  Tensor out = elementwise_binary_fwd(a, b, BinaryOp::kSub);
   const SmallShape sa = a.shape(), sb = b.shape();
   return record(std::move(out), "sub", {a, b},
                 [sa, sb](const Tensor& g, const std::vector<bool>& needs) {
@@ -262,13 +271,13 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  Tensor out = elementwise_binary_fwd(a, b, prog::Binary::kMul, sfn::Mul{});
+  Tensor out = elementwise_binary_fwd(a, b, BinaryOp::kMul);
   const Tensor ins[2] = {a, b};
   return record_typed<MulNode>(std::move(out), ins, 2);
 }
 
 Tensor div(const Tensor& a, const Tensor& b) {
-  Tensor out = elementwise_binary_fwd(a, b, prog::Binary::kDiv, sfn::Div{});
+  Tensor out = elementwise_binary_fwd(a, b, BinaryOp::kDiv);
   const SmallShape sa = a.shape(), sb = b.shape();
   return record(std::move(out), "div", {a, b},
                 [a, b, sa, sb](const Tensor& g, const std::vector<bool>& needs) {
@@ -284,7 +293,7 @@ Tensor div(const Tensor& a, const Tensor& b) {
 
 Tensor add_scalar(const Tensor& a, real s) {
   return elementwise_unary(
-      a, "add_scalar", prog::Unary::kAddScalar, s,
+      a, "add_scalar", UnaryOp::kAddScalar, s,
       [](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{g};
       });
@@ -292,7 +301,7 @@ Tensor add_scalar(const Tensor& a, real s) {
 
 Tensor mul_scalar(const Tensor& a, real s) {
   return elementwise_unary(
-      a, "mul_scalar", prog::Unary::kMulScalar, s,
+      a, "mul_scalar", UnaryOp::kMulScalar, s,
       [s](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{mul_scalar(g, s)};
       });
@@ -300,7 +309,7 @@ Tensor mul_scalar(const Tensor& a, real s) {
 
 Tensor pow_scalar(const Tensor& a, real exponent) {
   return elementwise_unary(
-      a, "pow_scalar", prog::Unary::kPowScalar, exponent,
+      a, "pow_scalar", UnaryOp::kPowScalar, exponent,
       [a, exponent](const Tensor& g, const std::vector<bool>&) {
         Tensor d = mul_scalar(pow_scalar(a, exponent - 1), exponent);
         return std::vector<Tensor>{mul(g, d)};
@@ -309,7 +318,7 @@ Tensor pow_scalar(const Tensor& a, real exponent) {
 
 Tensor neg(const Tensor& a) {
   return elementwise_unary(
-      a, "neg", prog::Unary::kNeg, 0,
+      a, "neg", UnaryOp::kNeg, 0,
       [](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{neg(g)};
       });
@@ -317,7 +326,7 @@ Tensor neg(const Tensor& a) {
 
 Tensor exp(const Tensor& a) {
   return elementwise_unary(
-      a, "exp", prog::Unary::kExp, 0,
+      a, "exp", UnaryOp::kExp, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{mul(g, exp(a))};
       });
@@ -325,7 +334,7 @@ Tensor exp(const Tensor& a) {
 
 Tensor log(const Tensor& a) {
   return elementwise_unary(
-      a, "log", prog::Unary::kLog, 0,
+      a, "log", UnaryOp::kLog, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{div(g, a)};
       });
@@ -333,7 +342,7 @@ Tensor log(const Tensor& a) {
 
 Tensor sqrt(const Tensor& a) {
   return elementwise_unary(
-      a, "sqrt", prog::Unary::kSqrt, 0,
+      a, "sqrt", UnaryOp::kSqrt, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         return std::vector<Tensor>{mul(g, mul_scalar(pow_scalar(a, -0.5), 0.5))};
       });
@@ -341,7 +350,7 @@ Tensor sqrt(const Tensor& a) {
 
 Tensor tanh(const Tensor& a) {
   return elementwise_unary(
-      a, "tanh", prog::Unary::kTanh, 0,
+      a, "tanh", UnaryOp::kTanh, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         Tensor y = tanh(a);
         Tensor one_minus = add_scalar(neg(mul(y, y)), 1.0);
@@ -351,10 +360,10 @@ Tensor tanh(const Tensor& a) {
 
 Tensor abs(const Tensor& a) {
   return elementwise_unary(
-      a, "abs", prog::Unary::kAbs, 0,
+      a, "abs", UnaryOp::kAbs, 0,
       [a](const Tensor& g, const std::vector<bool>&) {
         // sign(a) treated as a constant (derivative zero a.e.)
-        Tensor s = unary_fwd(a, prog::Unary::kSign, 0);
+        Tensor s = unary_fwd(a, UnaryOp::kSign, 0);
         return std::vector<Tensor>{mul(g, s)};
       });
 }
@@ -373,8 +382,9 @@ Tensor sigmoid(const Tensor& a) {
 }
 
 Tensor sum(const Tensor& a) {
-  Tensor out = Tensor::scalar(kernels::reduce_sum(a.data(), a.numel()));
-  if (prog::capturing()) prog::on_sum_all(a, out);
+  Tensor out = Tensor::zeros({});
+  prog::run({.kind = StepKind::kSumAll, .p0 = a.numel()},
+            {.a = &a, .out = &out});
   const SmallShape orig = a.shape();
   return record(std::move(out), "sum", {a},
                 [orig](const Tensor& g, const std::vector<bool>&) {
@@ -398,10 +408,9 @@ Tensor sum_axis(const Tensor& a, int64_t axis, bool keepdim) {
   for (int64_t d = axis + 1; d < a.dim(); ++d) inner *= s[static_cast<std::size_t>(d)];
   const int64_t n_axis = s[static_cast<std::size_t>(axis)];
   Tensor out = Tensor::zeros(kept);
-  kernels::sum_axis(a.data(), out.data(), outer, n_axis, inner);
-  if (prog::capturing()) {
-    prog::on_sum_axis(a, out, outer, n_axis, inner, axis);
-  }
+  prog::run({.kind = StepKind::kSumAxis, .p0 = outer, .p1 = n_axis,
+             .p2 = inner, .p5 = axis},
+            {.a = &a, .out = &out});
   const SmallShape orig = s;
   Tensor res = record(std::move(out), "sum_axis", {a},
                       [orig](const Tensor& g, const std::vector<bool>&) {
@@ -494,34 +503,19 @@ Tensor slice(const Tensor& t, int64_t axis, int64_t start, int64_t len) {
   for (int64_t d = 0; d < axis; ++d) outer *= s[static_cast<std::size_t>(d)];
   for (int64_t d = axis + 1; d < t.dim(); ++d) inner *= s[static_cast<std::size_t>(d)];
   Tensor out = Tensor::zeros(out_shape);
-  const real* p = t.data();
-  real* po = out.data();
-  kernels::parallel_for(outer, len * inner, [&](int64_t begin, int64_t end) {
-    for (int64_t o = begin; o < end; ++o) {
-      std::memcpy(po + o * len * inner, p + (o * n_axis + start) * inner,
-                  static_cast<std::size_t>(len * inner) * sizeof(real));
-    }
-  });
-  if (prog::capturing()) {
-    prog::on_slice_pack(t, out, outer, len, inner, n_axis, start, axis);
-  }
+  prog::run({.kind = StepKind::kSlicePack, .p0 = outer, .p1 = len,
+             .p2 = inner, .p3 = n_axis, .p4 = start, .p5 = axis},
+            {.a = &t, .out = &out});
   const SmallShape orig = s;
   return record(std::move(out), "slice", {t},
                 [orig, axis, start, len, outer, inner, n_axis](
                     const Tensor& g, const std::vector<bool>&) {
                   // Embed g into zeros of the original shape ("pad").
                   Tensor padded = Tensor::zeros(orig.to_shape());
-                  const real* pg = g.data();
-                  real* pp = padded.data();
-                  for (int64_t o = 0; o < outer; ++o) {
-                    std::memcpy(pp + (o * n_axis + start) * inner,
-                                pg + o * len * inner,
-                                static_cast<std::size_t>(len * inner) * sizeof(real));
-                  }
-                  if (prog::capturing()) {
-                    prog::on_slice_scatter(g, padded, outer, len, inner,
-                                           n_axis, start, axis);
-                  }
+                  prog::run({.kind = StepKind::kSliceScatter, .p0 = outer,
+                             .p1 = len, .p2 = inner, .p3 = n_axis,
+                             .p4 = start, .p5 = axis},
+                            {.a = &g, .out = &padded});
                   Tensor res = record(
                       std::move(padded), "slice_backward", {g},
                       [axis, start, len](const Tensor& gg, const std::vector<bool>&) {
@@ -543,22 +537,18 @@ Tensor concat(const std::vector<Tensor>& parts, int64_t axis) {
   for (int64_t d = axis + 1; d < static_cast<int64_t>(out_shape.size()); ++d)
     inner *= out_shape[static_cast<std::size_t>(d)];
   Tensor out = Tensor::zeros(out_shape);
-  real* po = out.data();
   int64_t offset = 0;
   for (const auto& p : parts) {
     const int64_t len = p.size(axis);
-    const real* pp = p.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      std::memcpy(po + (o * total + offset) * inner, pp + o * len * inner,
-                  static_cast<std::size_t>(len * inner) * sizeof(real));
-    }
-    if (prog::capturing()) {
-      prog::on_concat_part(p, out, outer, total, offset, len, inner, axis);
-    }
+    prog::run({.kind = StepKind::kConcatPart, .p0 = outer, .p1 = total,
+               .p2 = offset, .p3 = len, .p4 = inner, .p5 = axis},
+              {.a = &p, .out = &out});
     offset += len;
   }
-  if (parts.size() <= SmallShape::kMaxRank) {
-    SmallShape lens;
+  // The backward slices g back into the parts. Their lengths ride in a
+  // SmallShape up to its rank; wider concats are off the hot path, and a
+  // heap-owned list is fine.
+  auto taped = [axis, &out, &parts](auto lens) {
     for (const auto& p : parts) lens.push_back(p.size(axis));
     return record(std::move(out), "concat", parts,
                   [axis, lens](const Tensor& g, const std::vector<bool>& needs) {
@@ -570,20 +560,10 @@ Tensor concat(const std::vector<Tensor>& parts, int64_t axis) {
                     }
                     return gs;
                   });
-  }
-  // Wide concats are off the hot path; a heap-owned length list is fine.
-  std::vector<int64_t> lens;
-  for (const auto& p : parts) lens.push_back(p.size(axis));
-  return record(std::move(out), "concat", parts,
-                [axis, lens](const Tensor& g, const std::vector<bool>& needs) {
-                  std::vector<Tensor> gs(lens.size());
-                  int64_t off = 0;
-                  for (std::size_t i = 0; i < lens.size(); ++i) {
-                    if (needs[i]) gs[i] = slice(g, axis, off, lens[i]);
-                    off += lens[i];
-                  }
-                  return gs;
-                });
+  };
+  return parts.size() <= SmallShape::kMaxRank
+             ? taped(SmallShape{})
+             : taped(std::vector<int64_t>{});
 }
 
 Tensor conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
@@ -605,46 +585,35 @@ Tensor conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   }
   const int64_t Lout = L + 2 * padding - K + 1;
   if (Lout <= 0) throw std::invalid_argument("conv1d: kernel larger than input");
+  // The forward and the input and weight gradients share one geometry.
+  auto conv_step = [=](StepKind kind) {
+    return prog::Step{.kind = kind, .p0 = B, .p1 = Cin, .p2 = L, .p3 = Cout,
+                      .p4 = K, .p5 = padding};
+  };
   Tensor out = Tensor::zeros({B, Cout, Lout});
-  kernels::conv1d_forward(input.data(), weight.data(),
-                          bias.defined() ? bias.data() : nullptr, out.data(), B,
-                          Cin, L, Cout, K, padding);
-  if (prog::capturing()) {
-    prog::on_conv1d_forward(input, weight, &bias, out, B, Cin, L, Cout, K,
-                            padding);
-  }
+  prog::run(conv_step(StepKind::kConv1dFwd),
+            {.a = &input, .b = &weight, .c = &bias, .out = &out});
   const bool has_bias = bias.defined();
   const Tensor ins[3] = {input, weight, bias};
-  auto backward_fn = [input, weight, padding, B, Cin, L, Cout, K, has_bias](
+  auto backward_fn = [input, weight, conv_step, B, Cin, L, Cout, K, has_bias](
                          const Tensor& g, const std::vector<bool>& needs) {
     // First-order only: these gradients do not record further graph.
     std::vector<Tensor> gs(has_bias ? 3 : 2);
     if (needs[0]) {
-      Tensor gi = Tensor::zeros({B, Cin, L});
-      kernels::conv1d_grad_input(g.data(), weight.data(), gi.data(), B, Cin,
-                                 L, Cout, K, padding);
-      if (prog::capturing()) {
-        prog::on_conv1d_grad_input(g, weight, gi, B, Cin, L, Cout, K, padding);
-      }
-      gs[0] = gi;
+      gs[0] = Tensor::zeros({B, Cin, L});
+      prog::run(conv_step(StepKind::kConv1dGradIn),
+                {.a = &g, .b = &weight, .out = &gs[0]});
     }
     if (needs[1]) {
-      Tensor gw = Tensor::zeros({Cout, Cin, K});
-      kernels::conv1d_grad_weight(g.data(), input.data(), gw.data(), B, Cin,
-                                  L, Cout, K, padding);
-      if (prog::capturing()) {
-        prog::on_conv1d_grad_weight(g, input, gw, B, Cin, L, Cout, K, padding);
-      }
-      gs[1] = gw;
+      gs[1] = Tensor::zeros({Cout, Cin, K});
+      prog::run(conv_step(StepKind::kConv1dGradW),
+                {.a = &g, .b = &input, .out = &gs[1]});
     }
     if (has_bias && needs[2]) {
-      Tensor gb = Tensor::zeros({Cout});
-      kernels::conv1d_grad_bias(g.data(), gb.data(), g.size(0), Cout,
-                                g.size(2));
-      if (prog::capturing()) {
-        prog::on_conv1d_grad_bias(g, gb, g.size(0), Cout, g.size(2));
-      }
-      gs[2] = gb;
+      gs[2] = Tensor::zeros({Cout});
+      prog::run({.kind = StepKind::kConv1dGradB, .p0 = g.size(0), .p1 = Cout,
+                 .p2 = g.size(2)},
+                {.a = &g, .out = &gs[2]});
     }
     return gs;
   };

@@ -24,33 +24,9 @@ namespace mf::ad {
 
 namespace {
 
-enum class StepKind : std::uint8_t {
-  kUnary,
-  kBinary,
-  kBinaryBcast,
-  kBcastCopy,
-  kReduce,
-  kSumAll,
-  kSumAxis,
-  kMatmul,  // fn is the kernels::MatmulForm
-  kCopy,
-  kSlicePack,
-  kSliceScatter,
-  kConcatPart,
-  kConv1dFwd,
-  kConv1dGradIn,
-  kConv1dGradW,
-  kConv1dGradB,
-  kFused,      // composed run of adjacent elementwise steps
-  kAdamTick,   // advance the in-plan optimizer step counter
-  kAdamParam,  // in-plan Adam update of one parameter tensor
-  kLambParam,  // in-plan LAMB update (trust-ratio reduction + write)
-  kCast,       // dtype boundary: fn 0 widens f32->f64, fn 1 narrows
-  kStepKindCount_,  // sentinel: one past the last real kind
-};
-
-constexpr std::size_t kStepKindCount =
-    static_cast<std::size_t>(StepKind::kStepKindCount_);
+using prog::kStepKindCount;
+using prog::Step;
+using prog::StepKind;
 
 /// Everything the lowering and widening passes know about a step kind.
 struct KindInfo {
@@ -134,29 +110,10 @@ struct FusedOp {
     kBinChainRight,  // chain = binary(other, chain)
     kBinChainBoth,   // chain = binary(chain, chain)
   };
-  std::uint8_t fn = 0;  // prog::Unary or prog::Binary
+  std::uint8_t fn = 0;  // kernels::UnaryOp or kernels::BinaryOp
   std::uint8_t form = kUnaryForm;
   std::int32_t other = -1;
   real scalar = 0;
-};
-
-/// One lowered kernel invocation. Operands are slot indices; `plan`
-/// indexes the program's stored broadcast/reduce plans; p0..p5 carry the
-/// kernel geometry exactly as the eager op passed it.
-struct Step {
-  StepKind kind;
-  std::uint8_t fn = 0;  // prog::Unary, prog::Binary, kernels::MatmulForm;
-                        // kCast direction
-  // Execution dtype, assigned at lowering: which width this step's
-  // kernels run at. Always kF64 unless the program's compute dtype is
-  // kF32, in which case compute steps go float while optimizer steps
-  // stay double (kCast steps are untyped — fn encodes the direction).
-  DType dt = DType::kF64;
-  std::int32_t a = -1, b = -1, c = -1;
-  std::int32_t out = -1;
-  std::int32_t plan = -1;
-  real scalar = 0;
-  int64_t p0 = 0, p1 = 0, p2 = 0, p3 = 0, p4 = 0, p5 = 0;
 };
 
 double now_ms() {
@@ -246,14 +203,7 @@ struct Program::Impl {
   // In-plan optimizer steps (tick, Adam and LAMB parameter updates);
   // Step::plan indexes this. Raw pointers into the optimizer's live state
   // (moments, lr, step counter) — the optimizer must outlive the plan.
-  struct OptimExec {
-    prog::AdamPlanState* state;
-    double* m = nullptr;  // parameter updates only
-    double* v = nullptr;
-    int64_t n = 0;
-    std::vector<double> dir = {};  // LAMB scratch for the Adam direction
-  };
-  std::vector<OptimExec> optims;
+  std::vector<prog::OptimArgs> optims;
   // Internal storage: byte buffers reused across slots whose live ranges
   // do not overlap (byte-addressed so f32 and f64 slots pack together).
   std::vector<std::vector<std::byte>> arena;
@@ -347,193 +297,8 @@ namespace detail {
 thread_local Program::Impl* g_recorder = nullptr;
 }  // namespace detail
 
-namespace {
-
-Program::Impl* rec() { return detail::g_recorder; }
-
-std::int32_t intern(Program::Impl& im, const Tensor* t) {
-  if (!t || !t->defined()) return -1;
-  const TensorImpl* key = t->impl_ptr();
-  auto [it, fresh] = im.slot_of.try_emplace(
-      key, static_cast<std::int32_t>(im.slots.size()));
-  if (fresh) {
-    im.slots.push_back(t->impl());
-    im.slot_shape.push_back(t->shape());
-  }
-  return it->second;
-}
-
-/// A hook's tensors (null when the step has no such operand).
-struct Operands {
-  const Tensor* a = nullptr;
-  const Tensor* b = nullptr;
-  const Tensor* c = nullptr;
-  const Tensor* out = nullptr;
-};
-
-using Impl = Program::Impl;
-
-/// The one recorder behind every hook: `s` carries the kind, opcode,
-/// scalar and kernel geometry; the operands are interned into slots in
-/// a, b, c, out order, and a step with a side payload (broadcast or
-/// reduce plan, optimizer executor) appends it to `table` and indexes it
-/// through Step::plan. No-op outside a capture.
-template <typename T = char>
-void record(Step s, const Operands& ops,
-            std::vector<T> Impl::*table = nullptr, T side = {}) {
-  Impl* im = rec();
-  if (!im) return;
-  s.a = intern(*im, ops.a);
-  s.b = intern(*im, ops.b);
-  s.c = intern(*im, ops.c);
-  s.out = intern(*im, ops.out);
-  if (table) {
-    s.plan = static_cast<std::int32_t>((im->*table).size());
-    (im->*table).push_back(std::move(side));
-  }
-  im->steps.push_back(s);
-}
-
-}  // namespace
-
-void on_unary(Unary fn, real scalar, const Tensor& a, const Tensor& out) {
-  record({.kind = StepKind::kUnary,
-          .fn = static_cast<std::uint8_t>(fn),
-          .scalar = scalar,
-          .p0 = out.numel()},
-         {.a = &a, .out = &out});
-}
-
-void on_binary(Binary fn, const Tensor& a, const Tensor& b, const Tensor& out) {
-  record({.kind = StepKind::kBinary,
-          .fn = static_cast<std::uint8_t>(fn),
-          .p0 = out.numel()},
-         {.a = &a, .b = &b, .out = &out});
-}
-
-void on_binary_bcast(Binary fn, const kernels::BroadcastPlan& plan,
-                     const Tensor& a, const Tensor& b, const Tensor& out) {
-  record({.kind = StepKind::kBinaryBcast,
-          .fn = static_cast<std::uint8_t>(fn)},
-         {.a = &a, .b = &b, .out = &out}, &Impl::bplans, plan);
-}
-
-void on_broadcast_copy(const kernels::BroadcastPlan& plan, const Tensor& a,
-                       const Tensor& out) {
-  record({.kind = StepKind::kBcastCopy}, {.a = &a, .out = &out},
-         &Impl::bplans, plan);
-}
-
-void on_reduce(const kernels::ReducePlan& plan, const Tensor& a,
-               const Tensor& out) {
-  record({.kind = StepKind::kReduce}, {.a = &a, .out = &out}, &Impl::rplans,
-         plan);
-}
-
-void on_sum_all(const Tensor& a, const Tensor& out) {
-  record({.kind = StepKind::kSumAll, .p0 = a.numel()}, {.a = &a, .out = &out});
-}
-
-void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
-                 int64_t n_axis, int64_t inner, int64_t axis) {
-  record({.kind = StepKind::kSumAxis, .p0 = outer, .p1 = n_axis, .p2 = inner,
-          .p5 = axis},
-         {.a = &a, .out = &out});
-}
-
-void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
-               const Tensor& out, int64_t m, int64_t k, int64_t n,
-               kernels::MatmulForm form) {
-  record({.kind = StepKind::kMatmul,
-          .fn = static_cast<std::uint8_t>(form),
-          .p0 = m,
-          .p1 = k,
-          .p2 = n},
-         {.a = &a, .b = &b, .c = bias, .out = &out});
-}
-
-void on_copy(const Tensor& src, const Tensor& out) {
-  record({.kind = StepKind::kCopy, .p0 = out.numel()},
-         {.a = &src, .out = &out});
-}
-
-void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,
-                   int64_t len, int64_t inner, int64_t n_axis, int64_t start,
-                   int64_t axis) {
-  record({.kind = StepKind::kSlicePack, .p0 = outer, .p1 = len, .p2 = inner,
-          .p3 = n_axis, .p4 = start, .p5 = axis},
-         {.a = &in, .out = &out});
-}
-
-void on_slice_scatter(const Tensor& g, const Tensor& out, int64_t outer,
-                      int64_t len, int64_t inner, int64_t n_axis,
-                      int64_t start, int64_t axis) {
-  record({.kind = StepKind::kSliceScatter, .p0 = outer, .p1 = len,
-          .p2 = inner, .p3 = n_axis, .p4 = start, .p5 = axis},
-         {.a = &g, .out = &out});
-}
-
-void on_concat_part(const Tensor& part, const Tensor& out, int64_t outer,
-                    int64_t total, int64_t offset, int64_t len, int64_t inner,
-                    int64_t axis) {
-  record({.kind = StepKind::kConcatPart, .p0 = outer, .p1 = total,
-          .p2 = offset, .p3 = len, .p4 = inner, .p5 = axis},
-         {.a = &part, .out = &out});
-}
-
-void on_conv1d_forward(const Tensor& in, const Tensor& w, const Tensor* bias,
-                       const Tensor& out, int64_t B, int64_t Cin, int64_t L,
-                       int64_t Cout, int64_t K, int64_t padding) {
-  record({.kind = StepKind::kConv1dFwd, .p0 = B, .p1 = Cin, .p2 = L,
-          .p3 = Cout, .p4 = K, .p5 = padding},
-         {.a = &in, .b = &w, .c = bias, .out = &out});
-}
-
-void on_conv1d_grad_input(const Tensor& gout, const Tensor& w,
-                          const Tensor& out, int64_t B, int64_t Cin, int64_t L,
-                          int64_t Cout, int64_t K, int64_t padding) {
-  record({.kind = StepKind::kConv1dGradIn, .p0 = B, .p1 = Cin, .p2 = L,
-          .p3 = Cout, .p4 = K, .p5 = padding},
-         {.a = &gout, .b = &w, .out = &out});
-}
-
-void on_conv1d_grad_weight(const Tensor& gout, const Tensor& in,
-                           const Tensor& out, int64_t B, int64_t Cin,
-                           int64_t L, int64_t Cout, int64_t K,
-                           int64_t padding) {
-  record({.kind = StepKind::kConv1dGradW, .p0 = B, .p1 = Cin, .p2 = L,
-          .p3 = Cout, .p4 = K, .p5 = padding},
-         {.a = &gout, .b = &in, .out = &out});
-}
-
-void on_conv1d_grad_bias(const Tensor& gout, const Tensor& out, int64_t B,
-                         int64_t Cout, int64_t Lout) {
-  record({.kind = StepKind::kConv1dGradB, .p0 = B, .p1 = Cout, .p2 = Lout},
-         {.a = &gout, .out = &out});
-}
-
-void on_adam_tick(AdamPlanState* st) {
-  record({.kind = StepKind::kAdamTick}, {}, &Impl::optims,
-         Impl::OptimExec{.state = st});
-}
-
-void on_adam_param(AdamPlanState* st, const Tensor& param, const Tensor& grad,
-                   double* m, double* v) {
-  record({.kind = StepKind::kAdamParam}, {.a = &grad, .out = &param},
-         &Impl::optims,
-         Impl::OptimExec{.state = st, .m = m, .v = v, .n = param.numel()});
-}
-
-void on_lamb_param(AdamPlanState* st, const Tensor& param, const Tensor& grad,
-                   double* m, double* v) {
-  record({.kind = StepKind::kLambParam}, {.a = &grad, .out = &param},
-         &Impl::optims,
-         Impl::OptimExec{.state = st, .m = m, .v = v, .n = param.numel()});
-}
-
 void on_uncapturable() {
-  Program::Impl* im = rec();
-  if (im) im->poisoned = true;
+  if (Program::Impl* im = detail::g_recorder) im->poisoned = true;
 }
 
 }  // namespace prog
@@ -917,51 +682,60 @@ void lower(Program::Impl& im) {
   }
 }
 
-/// Invoke `g` with the sfn:: functor named by a prog::Binary opcode, for
-/// the broadcast binary step: map_broadcast runs the functor, the same one
-/// the eager op ran.
+/// Invoke `g` with the sfn:: functor named by a binary opcode, for the
+/// broadcast binary step: map_broadcast runs the functor.
 template <typename G>
-void dispatch_binary(prog::Binary b, G&& g) {
+void dispatch_binary(kernels::BinaryOp b, G&& g) {
   switch (b) {
-    case prog::Binary::kAdd: g(sfn::Add{}); break;
-    case prog::Binary::kSub: g(sfn::Sub{}); break;
-    case prog::Binary::kMul: g(sfn::Mul{}); break;
-    case prog::Binary::kDiv: g(sfn::Div{}); break;
+    case kernels::BinaryOp::kAdd: g(sfn::Add{}); break;
+    case kernels::BinaryOp::kSub: g(sfn::Sub{}); break;
+    case kernels::BinaryOp::kMul: g(sfn::Mul{}); break;
+    case kernels::BinaryOp::kDiv: g(sfn::Div{}); break;
   }
 }
 
-/// Execute one step against an explicit buffer/length/broadcast-plan
-/// table at element type T. Master replay passes the Impl's own tables;
-/// widened replay passes the WideContext's (scaled lengths, rebuilt
-/// broadcast plans, wide buffers). Reduce plans, fused chains and
-/// optimizer executors are always the Impl's — widening rejects plans
-/// where those would need scaling. Optimizer steps are double-only
-/// (lowering pins their Step::dt to kF64); the float instantiation
-/// compiles them out.
+/// What a step's indices resolve against: buffers and lengths by slot;
+/// broadcast plans, reduce plans, fused chains and optimizer payloads by
+/// Step::plan. Master replay points it at the Impl's own tables; widened
+/// replay at the WideContext's buffers, scaled lengths and rebuilt
+/// broadcast plans (its reduce plans, fused chains and optimizer payloads
+/// stay the Impl's — widening rejects plans where those would need
+/// scaling); prog::run at one step's own operands.
+struct StepTables {
+  void* const* buf;
+  const int64_t* slot_len;
+  const kernels::BroadcastPlan* bplans;
+  const kernels::ReducePlan* rplans;
+  const std::vector<FusedOp>* fchains;
+  const prog::OptimArgs* optims;
+};
+
+/// Execute one step at element type T: the one body behind eager ops
+/// (prog::run) and replay. Optimizer steps are double-only (lowering pins
+/// their Step::dt to kF64); the float instantiation compiles them out.
 template <typename T>
-void execute_typed(Program::Impl& im, const Step& s, void* const* B,
-                   const int64_t* slot_len,
-                   const kernels::BroadcastPlan* bplans) {
+void execute_typed(const StepTables& tab, const Step& s) {
   constexpr bool kIsF64 = std::is_same_v<T, double>;
+  void* const* B = tab.buf;
+  const int64_t* slot_len = tab.slot_len;
   auto rd = [&](std::int32_t sl) { return static_cast<const T*>(B[sl]); };
   auto wr = [&](std::int32_t sl) { return static_cast<T*>(B[sl]); };
+  const auto plan = static_cast<std::size_t>(s.plan);
   switch (s.kind) {
     case StepKind::kUnary:
       kernels::map_unary(rd(s.a), wr(s.out), s.p0,
-                         static_cast<prog::Unary>(s.fn), s.scalar);
+                         static_cast<kernels::UnaryOp>(s.fn), s.scalar);
       break;
     case StepKind::kBinary:
       kernels::map_binary(rd(s.a), rd(s.b), wr(s.out), s.p0,
-                          static_cast<prog::Binary>(s.fn));
+                          static_cast<kernels::BinaryOp>(s.fn));
       break;
     case StepKind::kBinaryBcast: {
-      const kernels::BroadcastPlan& plan =
-          bplans[static_cast<std::size_t>(s.plan)];
       const T* a = rd(s.a);
       const T* b = rd(s.b);
       T* o = wr(s.out);
-      dispatch_binary(static_cast<prog::Binary>(s.fn), [&](auto f) {
-        kernels::map_broadcast(plan, a, b, o, f);
+      dispatch_binary(static_cast<kernels::BinaryOp>(s.fn), [&](auto f) {
+        kernels::map_broadcast(tab.bplans[plan], a, b, o, f);
       });
       break;
     }
@@ -971,7 +745,7 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
       // folded intermediates never touch memory. Element i still sees
       // the identical op sequence the individual steps applied, through
       // the same unary_block/binary_block entries.
-      const auto& ops = im.fchains[static_cast<std::size_t>(s.plan)];
+      const std::vector<FusedOp>& ops = tab.fchains[plan];
       const T* src = rd(s.a);
       T* outp = wr(s.out);
       const FusedOp* fo = ops.data();
@@ -988,20 +762,23 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
                 switch (op.form) {
                   case FusedOp::kUnaryForm:
                     kernels::unary_block(acc, acc, len,
-                                         static_cast<prog::Unary>(op.fn),
+                                         static_cast<kernels::UnaryOp>(op.fn),
                                          op.scalar);
                     break;
                   case FusedOp::kBinChainLeft:
-                    kernels::binary_block(acc, rd(op.other) + base, acc, len,
-                                          static_cast<prog::Binary>(op.fn));
+                    kernels::binary_block(
+                        acc, rd(op.other) + base, acc, len,
+                        static_cast<kernels::BinaryOp>(op.fn));
                     break;
                   case FusedOp::kBinChainRight:
-                    kernels::binary_block(rd(op.other) + base, acc, acc, len,
-                                          static_cast<prog::Binary>(op.fn));
+                    kernels::binary_block(
+                        rd(op.other) + base, acc, acc, len,
+                        static_cast<kernels::BinaryOp>(op.fn));
                     break;
                   case FusedOp::kBinChainBoth:
-                    kernels::binary_block(acc, acc, acc, len,
-                                          static_cast<prog::Binary>(op.fn));
+                    kernels::binary_block(
+                        acc, acc, acc, len,
+                        static_cast<kernels::BinaryOp>(op.fn));
                     break;
                 }
               }
@@ -1012,8 +789,7 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     }
     case StepKind::kAdamTick: {
       if constexpr (kIsF64) {
-        prog::AdamPlanState& st =
-            *im.optims[static_cast<std::size_t>(s.plan)].state;
+        prog::AdamPlanState& st = *tab.optims[plan].state;
         ++*st.t;
         st.bc1 = 1.0 - std::pow(st.beta1, static_cast<double>(*st.t));
         st.bc2 = 1.0 - std::pow(st.beta2, static_cast<double>(*st.t));
@@ -1022,13 +798,13 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     }
     case StepKind::kAdamParam: {
       if constexpr (kIsF64) {
-        const auto& ap = im.optims[static_cast<std::size_t>(s.plan)];
-        const prog::AdamPlanState& st = *ap.state;
+        const prog::OptimArgs& o = tab.optims[plan];
+        const prog::AdamPlanState& st = *o.state;
         const real* g = rd(s.a);
         real* p = wr(s.out);
         const double lr = *st.lr;
-        for (int64_t j = 0; j < ap.n; ++j) {
-          sfn::adam_update(p[j], g[j], ap.m[j], ap.v[j], lr, st.beta1,
+        for (int64_t j = 0; j < s.p0; ++j) {
+          sfn::adam_update(p[j], g[j], o.m[j], o.v[j], lr, st.beta1,
                            st.beta2, st.bc1, st.bc2, st.eps, st.weight_decay,
                            st.decoupled);
         }
@@ -1037,21 +813,19 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
     }
     case StepKind::kLambParam: {
       if constexpr (kIsF64) {
-        auto& lp = im.optims[static_cast<std::size_t>(s.plan)];
-        const prog::AdamPlanState& st = *lp.state;
-        sfn::lamb_param_update(wr(s.out), rd(s.a), lp.m, lp.v, lp.n, lp.dir,
+        const prog::OptimArgs& o = tab.optims[plan];
+        prog::AdamPlanState& st = *o.state;
+        sfn::lamb_param_update(wr(s.out), rd(s.a), o.m, o.v, s.p0, st.dir,
                                *st.lr, st.beta1, st.beta2, st.bc1, st.bc2,
                                st.eps, st.weight_decay);
       }
       break;
     }
     case StepKind::kBcastCopy:
-      kernels::broadcast_copy(bplans[static_cast<std::size_t>(s.plan)],
-                              rd(s.a), wr(s.out));
+      kernels::broadcast_copy(tab.bplans[plan], rd(s.a), wr(s.out));
       break;
     case StepKind::kReduce:
-      kernels::reduce_broadcast(im.rplans[static_cast<std::size_t>(s.plan)],
-                                rd(s.a), wr(s.out));
+      kernels::reduce_broadcast(tab.rplans[plan], rd(s.a), wr(s.out));
       break;
     case StepKind::kSumAll:
       // reduce_sum accumulates in double at either width; the scalar
@@ -1149,12 +923,11 @@ void execute_typed(Program::Impl& im, const Step& s, void* const* B,
 }
 
 /// Run one step at its lowering-assigned Step::dt.
-void execute(Program::Impl& im, const Step& s, void* const* B,
-             const int64_t* slot_len, const kernels::BroadcastPlan* bplans) {
+void execute(const StepTables& tab, const Step& s) {
   if (s.dt == DType::kF32) {
-    execute_typed<float>(im, s, B, slot_len, bplans);
+    execute_typed<float>(tab, s);
   } else {
-    execute_typed<double>(im, s, B, slot_len, bplans);
+    execute_typed<double>(tab, s);
   }
 }
 
@@ -1307,16 +1080,14 @@ void run_health_check(Program::Impl& im, void* const* buf,
   }
 }
 
-/// The one step loop behind Program::replay and replay_widened: `steps`,
-/// `B`, `slot_len` and `bplans` are the master tables or a wide
-/// context's. Steps run in recorded order. With MF_PROGRAM_PROFILE=1 each
-/// is timed into one band per kind-table row (kUnary split by fn,
-/// prog::Unary order), which also counts the elements its steps write:
-/// the out slot's length at the replayed width. Per-thread totals go to
-/// stderr every 24 replays, exact and widened alike.
-void run_steps(Program::Impl& im, const std::vector<Step>& steps,
-               void* const* B, const int64_t* slot_len,
-               const kernels::BroadcastPlan* bplans) {
+/// The one step loop behind Program::replay and replay_widened: `steps`
+/// and `tab` are the master tables or a wide context's. Steps run in
+/// recorded order. With MF_PROGRAM_PROFILE=1 each is timed into one band
+/// per kind-table row (kUnary split by fn, kernels::UnaryOp order), which
+/// also counts the elements its steps write: the out slot's length at the
+/// replayed width. Per-thread totals go to stderr every 24 replays, exact
+/// and widened alike.
+void run_steps(const std::vector<Step>& steps, const StepTables& tab) {
   static const bool prof = [] {
     const char* e = std::getenv("MF_PROGRAM_PROFILE");
     return e && e[0] == '1';
@@ -1340,12 +1111,12 @@ void run_steps(Program::Impl& im, const std::vector<Step>& steps,
       auto k = static_cast<std::size_t>(s.kind);
       if (s.kind == StepKind::kUnary) k = std::size(kKinds) + s.fn;
       const double t0 = now_ms();
-      execute(im, s, B, slot_len, bplans);
+      execute(tab, s);
       acc[k] += now_ms() - t0;
       ++cnt[k];
       if (s.out >= 0) {
         elems[k] += static_cast<std::uint64_t>(
-            slot_len[static_cast<std::size_t>(s.out)]);
+            tab.slot_len[static_cast<std::size_t>(s.out)]);
       }
     }
     if (++calls % 24 == 0) {
@@ -1363,11 +1134,64 @@ void run_steps(Program::Impl& im, const std::vector<Step>& steps,
       }
     }
   } else {
-    for (const Step& s : steps) execute(im, s, B, slot_len, bplans);
+    for (const Step& s : steps) execute(tab, s);
   }
 }
 
+std::int32_t intern(Program::Impl& im, const Tensor* t) {
+  if (!t || !t->defined()) return -1;
+  const TensorImpl* key = t->impl_ptr();
+  auto [it, fresh] = im.slot_of.try_emplace(
+      key, static_cast<std::int32_t>(im.slots.size()));
+  if (fresh) {
+    im.slots.push_back(t->impl());
+    im.slot_shape.push_back(t->shape());
+  }
+  return it->second;
+}
+
+/// Append a step prog::run executed to the capture's trace: its operands
+/// are interned into slots in a, b, c, out order, and its side payload
+/// (broadcast or reduce plan, optimizer state) joins its table, indexed
+/// by Step::plan.
+void record(Program::Impl& im, Step s, const prog::Args& args) {
+  s.a = intern(im, args.a);
+  s.b = intern(im, args.b);
+  s.c = intern(im, args.c);
+  s.out = intern(im, args.out);
+  s.plan = -1;
+  auto side = [&](auto& table, const auto* payload) {
+    if (!payload) return;
+    s.plan = static_cast<std::int32_t>(table.size());
+    table.push_back(*payload);
+  };
+  side(im.bplans, args.bplan);
+  side(im.rplans, args.rplan);
+  side(im.optims, args.optim);
+  im.steps.push_back(s);
+}
+
 }  // namespace
+
+void prog::run(Step s, const Args& args) {
+  // The step's own table: a, b, c and out are slots 0..3, each side
+  // payload is entry 0 of its table.
+  const Tensor* const operands[4] = {args.a, args.b, args.c, args.out};
+  std::int32_t* const slot[4] = {&s.a, &s.b, &s.c, &s.out};
+  void* buf[4] = {};
+  int64_t len[4] = {};
+  for (std::int32_t i = 0; i < 4; ++i) {
+    const Tensor* t = operands[i];
+    if (!t || !t->defined()) continue;
+    buf[i] = t->impl()->data.raw();
+    len[i] = t->numel();
+    *slot[i] = i;
+  }
+  s.plan = 0;
+  execute_typed<double>(
+      {buf, len, args.bplan, args.rplan, nullptr, args.optim}, s);
+  if (Program::Impl* im = detail::g_recorder) record(*im, s, args);
+}
 
 void Program::capture(const std::function<void()>& fn) {
   if (prog::detail::g_recorder) {
@@ -1419,7 +1243,8 @@ bool Program::last_replay_healthy() const { return impl_->last_healthy; }
 void Program::replay() {
   Impl& im = *impl_;
   if (!im.ready) throw std::logic_error("Program::replay before capture");
-  run_steps(im, im.steps, im.buf.data(), im.slot_len.data(), im.bplans.data());
+  run_steps(im.steps, {im.buf.data(), im.slot_len.data(), im.bplans.data(),
+                       im.rplans.data(), im.fchains.data(), im.optims.data()});
   ++im.replays;
   run_health_check(im, im.buf.data(), im.slot_len.data());
 }
@@ -1607,8 +1432,9 @@ void Program::replay_widened(int64_t b) {
     return;
   }
   Impl::WideContext& ctx = *get_wide_ctx(im, f);
-  run_steps(im, ctx.steps, ctx.buf.data(), ctx.slot_len.data(),
-            ctx.bplans.data());
+  run_steps(ctx.steps, {ctx.buf.data(), ctx.slot_len.data(),
+                        ctx.bplans.data(), im.rplans.data(),
+                        im.fchains.data(), im.optims.data()});
   ++im.replays;
   ++im.widened_replays;
   im.max_widen_batch = std::max(im.max_widen_batch, b);

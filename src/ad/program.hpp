@@ -7,13 +7,15 @@
 // `Program` removes all of it for steady-state loops with fixed shapes
 // (the Schwarz iteration and the three-backward-pass PDE training step):
 //
-//   capture(fn)  — runs `fn` eagerly on the calling thread while recording
-//                  every executed tensor kernel (forward ops, the engine's
+//   capture(fn)  — runs `fn` on the calling thread while recording the
+//                  typed steps it executes (forward ops, the engine's
 //                  backward sweeps including `create_graph` second-order
 //                  chains, gradient accumulation into `.grad`, detach
-//                  copies) as one flat, execution-ordered plan of typed
-//                  steps. Tensors touched by the step become numbered
-//                  slots; step operands are slot indices.
+//                  copies, optimizer updates): every eager kernel call
+//                  is a prog::run step, so the plan is one flat,
+//                  execution-ordered list of exactly the steps that ran.
+//                  Tensors touched by the step become numbered slots;
+//                  step operands are slot indices.
 //   (lowering)   — at capture end the plan is lowered: the recorded
 //                  autodiff graph is released, buffers that nothing
 //                  outside the program references are liveness-packed
@@ -46,9 +48,8 @@
 // replay stays bitwise-identical to eager; the skipped intermediates
 // simply never materialize (their slots are dropped from the arena).
 //
-// Optimizer capture: optim::Adam records its update (moment updates, bias
-// correction, weight write) into an enclosing capture via the hooks at
-// the bottom of this header, so a plan that captures step + optimizer
+// Optimizer steps: optim::Adam and optim::Lamb update through typed steps
+// too (see AdamPlanState below), so a plan that captures step + optimizer
 // replays forward, backwards and the parameter update with zero eager
 // tensor ops — and the `.grad` buffers, no longer read by anything
 // outside the plan, get liveness-packed like any other intermediate.
@@ -83,14 +84,14 @@
 // (MF_PRECISION). Under the default kF64 the lowering pass is skipped
 // entirely and plans are bitwise identical to before.
 //
-// Step kinds: program.cpp describes each of its typed step kinds in one
-// constexpr row — name, dtype rule (compute width, f64, or the width of
-// the output or input buffer), widen rule (elementwise, broadcast, fold,
-// outer-axis, rows, never), fusability, and whether it also reads
-// `out`. Cast insertion, fusion, liveness, the health sentinel, widening
-// and the MF_PROGRAM_PROFILE bands read the row instead of naming kinds;
-// only replay's execute switch names every kind, and a kind missing from
-// it or from the table fails to compile.
+// Step kinds: program.cpp describes each prog::StepKind in one constexpr
+// row — name, dtype rule (compute width, f64, or the width of the output
+// or input buffer), widen rule (elementwise, broadcast, fold, outer-axis,
+// rows, never), fusability, and whether it also reads `out`. Cast
+// insertion, fusion, liveness, the health sentinel, widening and the
+// MF_PROGRAM_PROFILE bands read the row instead of naming kinds; only the
+// one execute switch — run by eager ops and replay alike — names every
+// kind, and a kind missing from it or from the table fails to compile.
 //
 // Escape hatch: MF_DISABLE_PROGRAM=1 (or program_set_enabled(false))
 // makes program_enabled() false; the wired call sites then run the eager
@@ -102,6 +103,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "ad/dtype.hpp"
 #include "ad/kernels.hpp"
@@ -243,12 +245,13 @@ void health_stats_reset();
 /// reflect actions, not just detections.
 void health_note_fallback(bool to_eager);
 
-// ---- capture hooks ----------------------------------------------------
+// ---- typed steps --------------------------------------------------------
 //
-// ops.cpp (and Tensor::detach) call these right where each kernel runs.
-// They are no-ops unless the calling thread is inside Program::capture;
-// `capturing()` is an inline thread-local test so the eager fast path
-// pays one predictable branch per kernel.
+// Every eager kernel call is one typed step: ops.cpp, Tensor::detach and
+// the optimizers build a Step and hand it to prog::run, which executes it
+// through the same step body replay runs and, inside Program::capture,
+// also records it. A plan therefore holds exactly the steps the eager
+// code ran. `capturing()` is an inline thread-local test.
 namespace prog {
 
 namespace detail {
@@ -256,82 +259,103 @@ extern thread_local Program::Impl* g_recorder;
 }
 inline bool capturing() { return detail::g_recorder != nullptr; }
 
-// The plan's elementwise opcodes are the kernels' own: a unary or binary
-// step replays through kernels::map_unary / map_binary with the opcode its
-// eager op passed.
-using Unary = kernels::UnaryOp;
-using Binary = kernels::BinaryOp;
+/// The kinds of typed kernel step. Operands are a, b, c (inputs) and out;
+/// p0..p5 carry the kernel geometry as the kernel takes it. program.cpp
+/// describes each kind in one row of its kind table.
+enum class StepKind : std::uint8_t {
+  kUnary,         // out = fn(a) (kernels::UnaryOp, with scalar); p0 elements
+  kBinary,        // out = fn(a, b) (kernels::BinaryOp); p0 elements
+  kBinaryBcast,   // out = fn(a, b) through the broadcast plan
+  kBcastCopy,     // out = a broadcast through the broadcast plan
+  kReduce,        // out = a summed through the reduce plan
+  kSumAll,        // out[0] = sum of a's p0 elements
+  kSumAxis,       // out = a [p0 outer, p1 axis, p2 inner] summed over p1;
+                  // p5 is the axis
+  kMatmul,        // out = a·b (+ c) in form fn (kernels::MatmulForm),
+                  // m = p0, k = p1, n = p2
+  kCopy,          // out = a; p0 elements
+  kSlicePack,     // out = axis rows p4 .. p4 + p1 of a [p0, p3, p2]; p5
+                  // is the axis
+  kSliceScatter,  // out [p0, p3, p2] = zeros, with a [p0, p1, p2] at axis
+                  // rows p4 .. p4 + p1; p5 is the axis
+  kConcatPart,    // axis rows p2 .. p2 + p3 of out [p0, p1, p4] = a; p5 is
+                  // the axis
+  kConv1dFwd,     // out = conv1d(a, weight b, bias c); p0..p5 = B, Cin, L,
+                  // Cout, K, padding
+  kConv1dGradIn,  // out = input gradient from gout a, weight b; as above
+  kConv1dGradW,   // out = weight gradient from gout a, input b; as above
+  kConv1dGradB,   // out = bias gradient from gout a; p0..p2 = B, Cout, Lout
+  kFused,         // lowering only: a composed run of elementwise steps
+  kAdamTick,      // advance the optimizer's step counter, bias corrections
+  kAdamParam,     // Adam update of param out from grad a; p0 elements
+  kLambParam,     // LAMB update (trust-ratio reduction + write); likewise
+  kCast,          // lowering only: fn 0 widens f32 -> f64, fn 1 narrows
+  kStepKindCount_,  // sentinel: one past the last real kind
+};
 
-void on_unary(Unary fn, real scalar, const Tensor& a, const Tensor& out);
-void on_binary(Binary fn, const Tensor& a, const Tensor& b, const Tensor& out);
-void on_binary_bcast(Binary fn, const kernels::BroadcastPlan& plan,
-                     const Tensor& a, const Tensor& b, const Tensor& out);
-void on_broadcast_copy(const kernels::BroadcastPlan& plan, const Tensor& a,
-                       const Tensor& out);
-void on_reduce(const kernels::ReducePlan& plan, const Tensor& a,
-               const Tensor& out);
-void on_sum_all(const Tensor& a, const Tensor& out);
-// The outer-axis hooks (sum_axis, slice, concat) also take the worked
-// `axis` itself: widening refuses axis 0, the batch, and nothing else.
-void on_sum_axis(const Tensor& a, const Tensor& out, int64_t outer,
-                 int64_t n_axis, int64_t inner, int64_t axis);
-/// kernels::matmul in `form`; a step replays it with the same form.
-void on_matmul(const Tensor& a, const Tensor& b, const Tensor* bias,
-               const Tensor& out, int64_t m, int64_t k, int64_t n,
-               kernels::MatmulForm form);
-/// Full-buffer copy (reshape / detach / clone).
-void on_copy(const Tensor& src, const Tensor& out);
-void on_slice_pack(const Tensor& in, const Tensor& out, int64_t outer,
-                   int64_t len, int64_t inner, int64_t n_axis, int64_t start,
-                   int64_t axis);
-void on_slice_scatter(const Tensor& g, const Tensor& out, int64_t outer,
-                      int64_t len, int64_t inner, int64_t n_axis,
-                      int64_t start, int64_t axis);
-/// One source block of a concat (called once per part, in order).
-void on_concat_part(const Tensor& part, const Tensor& out, int64_t outer,
-                    int64_t total, int64_t offset, int64_t len, int64_t inner,
-                    int64_t axis);
-void on_conv1d_forward(const Tensor& in, const Tensor& w, const Tensor* bias,
-                       const Tensor& out, int64_t B, int64_t Cin, int64_t L,
-                       int64_t Cout, int64_t K, int64_t padding);
-void on_conv1d_grad_input(const Tensor& gout, const Tensor& w,
-                          const Tensor& out, int64_t B, int64_t Cin, int64_t L,
-                          int64_t Cout, int64_t K, int64_t padding);
-void on_conv1d_grad_weight(const Tensor& gout, const Tensor& in,
-                           const Tensor& out, int64_t B, int64_t Cin,
-                           int64_t L, int64_t Cout, int64_t K,
-                           int64_t padding);
-void on_conv1d_grad_bias(const Tensor& gout, const Tensor& out, int64_t B,
-                         int64_t Cout, int64_t Lout);
+constexpr std::size_t kStepKindCount =
+    static_cast<std::size_t>(StepKind::kStepKindCount_);
 
-// ---- in-plan optimizer update (optim::Adam) -----------------------------
+/// One typed kernel invocation. Callers fill the kind, the opcode `fn`,
+/// the scalar and the geometry; the recorder fills the slot indices and
+/// `plan` (the index of the step's side payload), and lowering assigns
+/// the execution dtype `dt`: kF64 unless the program's compute dtype is
+/// kF32, where compute steps go float and optimizer steps stay double.
+struct Step {
+  StepKind kind;
+  std::uint8_t fn = 0;  // kernels::UnaryOp / BinaryOp / MatmulForm; the
+                        // kCast direction
+  DType dt = DType::kF64;
+  std::int32_t a = -1, b = -1, c = -1;
+  std::int32_t out = -1;
+  std::int32_t plan = -1;
+  real scalar = 0;
+  int64_t p0 = 0, p1 = 0, p2 = 0, p3 = 0, p4 = 0, p5 = 0;
+};
+
+// ---- optimizer steps (optim::Adam, optim::Lamb) ---------------------------
 //
-// Adam::step() calls these while it applies its eager update under an
-// enclosing capture, so the parameter update becomes part of the same plan
-// as the forward/backward kernels: one tick step per step() call (advances
-// `t` and refreshes the bias corrections at replay), then one param step
-// per parameter with a defined gradient. The state block is owned by the
-// optimizer and read live at replay — the schedule can keep writing `*lr`
-// between replays — so the optimizer must outlive the captured plan.
+// Adam::step() and Lamb::step() run one kAdamTick step (advances `t` and
+// refreshes the bias corrections), then one kAdamParam or kLambParam step
+// per parameter with a defined gradient. Under a capture they land in the
+// same plan as the forward and backward kernels. The state block is owned
+// by the optimizer and read live at replay — the schedule can keep
+// writing `*lr` between replays — so the optimizer must outlive the plan.
 struct AdamPlanState {
   double* lr = nullptr;   // points at the optimizer's live learning rate
   int64_t* t = nullptr;   // points at the optimizer's step counter
   double beta1 = 0.9, beta2 = 0.999, eps = 1e-8, weight_decay = 0;
   bool decoupled = false;
-  double bc1 = 1, bc2 = 1;  // refreshed by the tick step at each replay
+  double bc1 = 1, bc2 = 1;  // refreshed by every tick step
+  std::vector<double> dir;  // LAMB's Adam-direction scratch
 };
-void on_adam_tick(AdamPlanState* st);
-/// `m` / `v` point at the optimizer's moment buffers for this parameter
-/// (stable for the optimizer's lifetime).
-void on_adam_param(AdamPlanState* st, const Tensor& param, const Tensor& grad,
-                   double* m, double* v);
 
-/// optim::Lamb records one of these per parameter (after an on_adam_tick
-/// sharing the same state block): the Adam direction, the layerwise
-/// trust-ratio reduction, and the trust-scaled weight write replay as a
-/// single plan step via sfn::lamb_param_update.
-void on_lamb_param(AdamPlanState* st, const Tensor& param, const Tensor& grad,
-                   double* m, double* v);
+/// The side payload of an optimizer step: the state block and, for a
+/// parameter update, that parameter's moment buffers (stable for the
+/// optimizer's lifetime).
+struct OptimArgs {
+  AdamPlanState* state = nullptr;
+  double* m = nullptr;
+  double* v = nullptr;
+};
+
+/// A step's operands: up to three inputs and the output (null or
+/// undefined when absent), plus the side payload its kind reads — the
+/// broadcast plan, the reduce plan or the optimizer state.
+struct Args {
+  const Tensor* a = nullptr;
+  const Tensor* b = nullptr;
+  const Tensor* c = nullptr;
+  const Tensor* out = nullptr;
+  const kernels::BroadcastPlan* bplan = nullptr;
+  const kernels::ReducePlan* rplan = nullptr;
+  const OptimArgs* optim = nullptr;
+};
+
+/// Execute `s` on `args` at f64 through replay's step body, and inside
+/// Program::capture also record it. kFused and kCast are lowering's own
+/// kinds and are never run this way.
+void run(Step s, const Args& args);
 
 /// Called by an optimizer (or any other op) that cannot be represented
 /// in a plan while a capture is active: poisons the capture, so

@@ -165,9 +165,8 @@ struct GeluDeriv {
 
 // ---- optimizer element updates ----
 //
-// The Adam/AdamW update for one parameter element, shared by the eager
-// optimizer (optim::Adam::step) and the compiled program's in-plan
-// optimizer step so both paths evaluate the identical FP expression.
+// The Adam/AdamW update for one parameter element: the body of the
+// kAdamParam step, which optim::Adam::step runs and compiled plans replay.
 // `bc1` / `bc2` are the bias corrections 1 - beta^t for the current step.
 inline void adam_update(real& p, real g, double& m, double& v, double lr,
                         double beta1, double beta2, double bc1, double bc2,
@@ -183,14 +182,13 @@ inline void adam_update(real& p, real g, double& m, double& v, double lr,
   p -= lr * update;
 }
 
-/// The LAMB update for one whole parameter tensor (You et al., 2020),
-/// shared by the eager optimizer (optim::Lamb::step) and the compiled
-/// program's kLambParam step so both paths evaluate the identical FP
-/// expressions in the identical order. LAMB is always decoupled: the
-/// weight decay joins the Adam direction, not the gradient. The trust
-/// ratio is a whole-tensor reduction, which is why LAMB replays as one
-/// plan step per parameter instead of an elementwise chain. `dir` is
-/// caller-owned scratch (reused across parameters to avoid reallocation).
+/// The LAMB update for one whole parameter tensor (You et al., 2020): the
+/// body of the kLambParam step, which optim::Lamb::step runs and compiled
+/// plans replay. LAMB is always decoupled: the weight decay joins the
+/// Adam direction, not the gradient. The trust ratio is a whole-tensor
+/// reduction, which is why LAMB replays as one plan step per parameter
+/// instead of an elementwise chain. `dir` is caller-owned scratch (reused
+/// across parameters to avoid reallocation).
 inline void lamb_param_update(real* p, const real* g, double* m, double* v,
                               int64_t n, std::vector<double>& dir, double lr,
                               double beta1, double beta2, double bc1,

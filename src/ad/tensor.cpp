@@ -1,5 +1,6 @@
 #include "ad/tensor.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -52,10 +53,6 @@ void MemoryTracker::reset_peak() { peak_.store(live_.load()); }
 
 Payload::Payload(std::size_t n, DType dt) : raw_(n * dtype_size(dt)), dt_(dt) {}
 
-Payload::Payload(const real* src, std::size_t n)
-    : raw_(reinterpret_cast<const std::byte*>(src),
-           reinterpret_cast<const std::byte*>(src + n)) {}
-
 Payload& Payload::operator=(const Payload& o) {
   if (this != &o) {
     raw_.assign(o.raw_.begin(), o.raw_.end());  // reuses capacity when equal
@@ -71,17 +68,12 @@ TensorImpl::TensorImpl(Shape shape_in)
 }
 
 TensorImpl::TensorImpl(Shape shape_in, std::vector<real> values)
-    : data(values.data(), values.size()), shape(std::move(shape_in)) {
+    : data(values.size(), DType::kF64), shape(std::move(shape_in)) {
   if (static_cast<int64_t>(data.size()) != numel_of(shape)) {
     throw std::invalid_argument("TensorImpl: data size does not match shape " +
                                 shape_str(shape));
   }
-  MemoryTracker::instance().on_alloc(data.size_bytes());
-}
-
-TensorImpl::TensorImpl(Shape shape_in, const real* src)
-    : data(src, static_cast<std::size_t>(numel_of(shape_in))),
-      shape(std::move(shape_in)) {
+  std::copy(values.begin(), values.end(), data.begin());
   MemoryTracker::instance().on_alloc(data.size_bytes());
 }
 
@@ -103,10 +95,6 @@ Tensor Tensor::full(const Shape& shape, real value) {
 
 Tensor Tensor::from_vector(std::vector<real> values, const Shape& shape) {
   return Tensor(std::make_shared<TensorImpl>(shape, std::move(values)));
-}
-
-Tensor Tensor::from_data(const real* src, const Shape& shape) {
-  return Tensor(std::make_shared<TensorImpl>(shape, src));
 }
 
 Tensor Tensor::scalar(real value) { return full({}, value); }
@@ -159,10 +147,11 @@ void Tensor::set_grad(const Tensor& g) { impl_->grad = g.impl(); }
 void Tensor::zero_grad() { impl_->grad.reset(); }
 
 Tensor Tensor::detach() const {
-  Tensor out = from_data(impl_->data.data(), impl_->shape);
   // Detach copies move live data (e.g. gradient accumulation into `.grad`
-  // snapshots), so a capturing program must record them.
-  if (prog::capturing()) prog::on_copy(*this, out);
+  // snapshots), so they run as a copy step a capturing program records.
+  Tensor out = zeros(impl_->shape);
+  prog::run({.kind = prog::StepKind::kCopy, .p0 = out.numel()},
+            {.a = this, .out = &out});
   return out;
 }
 

@@ -82,8 +82,6 @@ class Payload {
   Payload() = default;
   /// n elements of dtype dt, zero-filled.
   Payload(std::size_t n, DType dt);
-  /// f64 copy of [src, src + n).
-  Payload(const real* src, std::size_t n);
   ~Payload() = default;
 
   Payload(Payload&&) noexcept = default;
@@ -128,8 +126,6 @@ class Payload {
 struct TensorImpl {
   explicit TensorImpl(Shape shape);
   TensorImpl(Shape shape, std::vector<real> values);
-  /// Copy of [src, src + numel(shape)).
-  TensorImpl(Shape shape, const real* src);
   ~TensorImpl();
 
   TensorImpl(const TensorImpl&) = delete;
@@ -153,8 +149,6 @@ class Tensor {
   static Tensor ones(const Shape& shape);
   static Tensor full(const Shape& shape, real value);
   static Tensor from_vector(std::vector<real> values, const Shape& shape);
-  /// Copy of an existing buffer (used by reshape/detach/clone).
-  static Tensor from_data(const real* src, const Shape& shape);
   static Tensor scalar(real value);
 
   // ---- basic queries ----

@@ -1,10 +1,7 @@
 #include "optim/optimizers.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "ad/scalar_fns.hpp"
 
 namespace mf::optim {
 
@@ -93,36 +90,30 @@ Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
   }
 }
 
-void Adam::step() {
-  ++t_;
-  // One pass through the shared sfn::adam_update — the exact expression
-  // the compiled program replays, so in-plan and eager updates are
-  // bitwise interchangeable.
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const bool capturing = ad::prog::capturing();
-  if (capturing) {
-    plan_state_.lr = &lr_;
-    plan_state_.t = &t_;
-    plan_state_.beta1 = beta1_;
-    plan_state_.beta2 = beta2_;
-    plan_state_.eps = eps_;
-    plan_state_.weight_decay = weight_decay_;
-    plan_state_.decoupled = decoupled_;
-    ad::prog::on_adam_tick(&plan_state_);
-  }
+void Adam::step() { run_update(ad::prog::StepKind::kAdamParam); }
+
+void Adam::run_update(ad::prog::StepKind param_kind) {
+  // The update runs as typed steps — the tick (advances t_, refreshes the
+  // bias corrections), then one `param_kind` step per parameter — so an
+  // enclosing capture records exactly the update that ran. The state
+  // block is what a captured plan reads live at replay.
+  plan_state_.lr = &lr_;
+  plan_state_.t = &t_;
+  plan_state_.beta1 = beta1_;
+  plan_state_.beta2 = beta2_;
+  plan_state_.eps = eps_;
+  plan_state_.weight_decay = weight_decay_;
+  plan_state_.decoupled = decoupled_;
+  const ad::prog::OptimArgs tick{.state = &plan_state_};
+  ad::prog::run({.kind = ad::prog::StepKind::kAdamTick}, {.optim = &tick});
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    Tensor g = p.grad();
+    const Tensor& p = params_[i];
+    const Tensor g = p.grad();
     if (!g.defined()) continue;
-    if (capturing) {
-      ad::prog::on_adam_param(&plan_state_, p, g, m_[i].data(), v_[i].data());
-    }
-    for (int64_t j = 0; j < p.numel(); ++j) {
-      ad::sfn::adam_update(p.flat(j), g.flat(j), m_[i][static_cast<std::size_t>(j)],
-                       v_[i][static_cast<std::size_t>(j)], lr_, beta1_, beta2_,
-                       bc1, bc2, eps_, weight_decay_, decoupled_);
-    }
+    const ad::prog::OptimArgs moments{
+        .state = &plan_state_, .m = m_[i].data(), .v = v_[i].data()};
+    ad::prog::run({.kind = param_kind, .p0 = p.numel()},
+                  {.a = &g, .out = &p, .optim = &moments});
   }
 }
 
@@ -165,37 +156,6 @@ Lamb::Lamb(std::vector<Tensor> params, double lr, double beta1, double beta2,
     : Adam(std::move(params), lr, beta1, beta2, eps, weight_decay,
            /*decoupled_weight_decay=*/true) {}
 
-void Lamb::step() {
-  ++t_;
-  // One sfn::lamb_param_update call per parameter — the exact whole-tensor
-  // expression the compiled program's kLambParam step replays, so in-plan
-  // and eager updates are bitwise interchangeable (same Adam direction,
-  // same norm accumulation order, same trust-scaled write).
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const bool capturing = ad::prog::capturing();
-  if (capturing) {
-    plan_state_.lr = &lr_;
-    plan_state_.t = &t_;
-    plan_state_.beta1 = beta1_;
-    plan_state_.beta2 = beta2_;
-    plan_state_.eps = eps_;
-    plan_state_.weight_decay = weight_decay_;
-    plan_state_.decoupled = true;
-    ad::prog::on_adam_tick(&plan_state_);
-  }
-  std::vector<double> dir;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    Tensor g = p.grad();
-    if (!g.defined()) continue;
-    if (capturing) {
-      ad::prog::on_lamb_param(&plan_state_, p, g, m_[i].data(), v_[i].data());
-    }
-    ad::sfn::lamb_param_update(p.data(), g.data(), m_[i].data(), v_[i].data(),
-                               p.numel(), dir, lr_, beta1_, beta2_, bc1, bc2,
-                               eps_, weight_decay_);
-  }
-}
+void Lamb::step() { run_update(ad::prog::StepKind::kLambParam); }
 
 }  // namespace mf::optim

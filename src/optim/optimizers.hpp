@@ -22,10 +22,10 @@ class Optimizer {
   /// Apply one update from the gradients currently stored on the params.
   virtual void step() = 0;
 
-  /// True when step() records itself into an enclosing ad::Program
-  /// capture (see the prog::on_adam_* hooks), so a compiled training step
-  /// can replay the parameter update in-plan. Optimizers returning false
-  /// must be stepped eagerly after each replay.
+  /// True when step() runs as typed plan steps an enclosing ad::Program
+  /// capture records (see prog::AdamPlanState), so a compiled training
+  /// step can replay the parameter update in-plan. Optimizers returning
+  /// false must be stepped eagerly after each replay.
   virtual bool plan_capturable() const { return false; }
 
   /// Flatten the optimizer's internal state (step counter, moments,
@@ -77,6 +77,10 @@ class Adam : public Optimizer {
   const std::vector<std::vector<double>>& moments_v() const { return v_; }
 
  protected:
+  /// One tick step, then one `param_kind` step (kAdamParam or kLambParam)
+  /// per parameter with a gradient.
+  void run_update(ad::prog::StepKind param_kind);
+
   double beta1_, beta2_, eps_, weight_decay_;
   bool decoupled_;
   int64_t t_ = 0;
@@ -88,10 +92,9 @@ class Adam : public Optimizer {
 
 /// LAMB (You et al., 2020): Adam direction rescaled per parameter tensor by
 /// the trust ratio ||w|| / ||update||. The trust-ratio norms make the
-/// update non-elementwise, so it captures as one whole-tensor plan step
-/// per parameter (prog::on_lamb_param -> sfn::lamb_param_update) rather
-/// than an elementwise chain; replayed and eager steps are bitwise
-/// interchangeable.
+/// update non-elementwise, so it runs as one whole-tensor kLambParam step
+/// per parameter (sfn::lamb_param_update) rather than an elementwise
+/// chain, eager and replayed alike.
 class Lamb final : public Adam {
  public:
   Lamb(std::vector<Tensor> params, double lr, double beta1 = 0.9,

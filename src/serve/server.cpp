@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -159,19 +160,26 @@ struct AdmissionQueue {
 }  // namespace
 
 std::vector<ServeResult> SolveServer::run(std::vector<SolveRequest> requests) {
-  const double t0 = opts_.clock();
-  // Arrival offsets -> absolute server-clock times (deadlines and
-  // latency are measured from these).
-  for (auto& req : requests) req.arrival_s += t0;
-
+  const int workers = std::max(opts_.threads, 1);
   AdmissionQueue queue;
   queue.requests = &requests;
-  queue.order.resize(requests.size());
-  std::iota(queue.order.begin(), queue.order.end(), std::size_t{0});
-  std::stable_sort(queue.order.begin(), queue.order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return requests[a].arrival_s < requests[b].arrival_s;
-                   });
+  // The clock starts once every worker has warmed: a worker's thread-local
+  // plan cache starts empty, and its warm-up captures every tenant's
+  // plans, which must not land inside any request's latency or deadline.
+  std::latch warmed(workers);
+  std::once_flag started;
+  auto start_clock = [&] {
+    // Arrival offsets -> absolute server-clock times (deadlines and
+    // latency are measured from these).
+    const double t0 = opts_.clock();
+    for (auto& req : requests) req.arrival_s += t0;
+    queue.order.resize(requests.size());
+    std::iota(queue.order.begin(), queue.order.end(), std::size_t{0});
+    std::stable_sort(queue.order.begin(), queue.order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return requests[a].arrival_s < requests[b].arrival_s;
+                     });
+  };
 
   std::vector<ServeResult> results(requests.size());
   std::mutex results_mu;
@@ -193,6 +201,8 @@ std::vector<ServeResult> SolveServer::run(std::vector<SolveRequest> requests) {
     (void)worker_id;
     IterationScheduler sched(zoo_, sched_opts);
     sched.warm(opts_.warm_batch);
+    warmed.arrive_and_wait();
+    std::call_once(started, start_clock);
     // Job -> original request index, to place results.
     std::vector<std::pair<int64_t, std::size_t>> id_slots;
     while (true) {
@@ -248,12 +258,12 @@ std::vector<ServeResult> SolveServer::run(std::vector<SolveRequest> requests) {
     stats_.merge_counters(sched.counters());
   };
 
-  if (opts_.threads <= 1) {
+  if (workers == 1) {
     worker(0);
   } else {
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(opts_.threads));
-    for (int t = 0; t < opts_.threads; ++t) threads.emplace_back(worker, t);
+    threads.reserve(static_cast<std::size_t>(workers));
+    for (int t = 0; t < workers; ++t) threads.emplace_back(worker, t);
     for (auto& th : threads) th.join();
   }
   return results;

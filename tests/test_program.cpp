@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -502,8 +504,8 @@ using ad::kernels::BinaryOp;
 using ad::kernels::UnaryOp;
 
 /// The eager op that records `op`. sign and the GELU derivatives have no
-/// ops:: function: abs's and gelu's backward passes run them through this
-/// same kernel entry and capture hook.
+/// ops:: function: abs's and gelu's backward passes run them as this same
+/// unary step.
 Tensor unary_op(UnaryOp op, const Tensor& t) {
   switch (op) {
     case UnaryOp::kAddScalar: return ops::add_scalar(t, 0.75);
@@ -523,8 +525,10 @@ Tensor unary_op(UnaryOp op, const Tensor& t) {
       break;
   }
   Tensor s = Tensor::zeros(t.shape());
-  ad::kernels::map_unary(t.data(), s.data(), t.numel(), op, 0);
-  if (ad::prog::capturing()) ad::prog::on_unary(op, 0, t, s);
+  ad::prog::run({.kind = ad::prog::StepKind::kUnary,
+                 .fn = static_cast<std::uint8_t>(op),
+                 .p0 = t.numel()},
+                {.a = &t, .out = &s});
   return s;
 }
 
@@ -1255,6 +1259,381 @@ TEST(Program, LinearThirdOrderBackwardLowersWithoutCopies) {
           ASSERT_NEAR(got[t].flat(i), w, 1e-4 * std::max(1.0, std::abs(w)))
               << "output " << t << "[" << i << "]";
         }
+      }
+    }
+  }
+}
+
+// ---- generated step-kind conformance -----------------------------------
+//
+// One sample capture body per prog::StepKind, after PyTorch's op_db: the
+// switch in kind_sample has no default and -Wswitch is an error there, so
+// a new kind without a sample fails the test build. Every sample lowers to
+// at least one step of its kind, and replays on fresh leaf values bitwise
+// equal to eager f64; its outputs are poisoned with NaN before each
+// replay, so the plan must write every element. Each sample pins its
+// widen verdict: a widening sample is captured at base batch 1 and
+// replayed at batch 3, and every row equals eager. At the f32 compute
+// dtype every sample replays within test_precision's 1e-5 relative band.
+
+using ad::prog::StepKind;
+using Outputs = std::vector<Tensor>;
+
+/// The generated case of one step kind.
+struct KindSample {
+  std::string band;                // the kind's count_steps name
+  bool widens = false;             // the pinned Program::widen verdict
+  std::vector<Tensor> batch = {};  // leaves whose dim 0 is the batch
+  std::vector<Tensor> fixed = {};  // other leaves (weights, parameters)
+  std::function<Outputs()> body = {};
+  // Saved and restored with the leaves around each eager rerun.
+  std::shared_ptr<optim::Optimizer> opt = nullptr;
+};
+
+Tensor grad_leaf(Tensor t) {
+  t.set_requires_grad(true);
+  return t;
+}
+
+/// A linear model's training step, forward, backward and one Adam or
+/// LAMB update; the outputs are the updated parameters. The tiny learning
+/// rate keeps the f32 plan's update within the band even where float
+/// rounding flips the sign of a near-zero gradient.
+KindSample optimizer_sample(const char* band, bool lamb, int64_t batch,
+                            util::Rng& rng) {
+  const Tensor x = random_tensor({batch, 5}, rng);
+  Tensor w = grad_leaf(random_tensor({5, 3}, rng));
+  Tensor b = grad_leaf(random_tensor({3}, rng));
+  std::shared_ptr<optim::Optimizer> opt;
+  if (lamb) {
+    opt = std::make_shared<optim::Lamb>(std::vector<Tensor>{w, b}, 1e-6);
+  } else {
+    opt = std::make_shared<optim::Adam>(std::vector<Tensor>{w, b}, 1e-6);
+  }
+  return {.band = band,
+          .batch = {x},
+          .fixed = {w, b},
+          .body =
+              [=]() mutable -> Outputs {
+                w.zero_grad();
+                b.zero_grad();
+                ad::backward(ops::mean(ops::square(ops::linear(x, w, b))));
+                opt->step();
+                return {w, b};
+              },
+          .opt = opt};
+}
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic error "-Wswitch"
+
+/// The sample of `kind` with batch `B`, on fresh random leaves.
+KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
+  auto leaf = [&](const ad::Shape& shape) { return random_tensor(shape, rng); };
+  switch (kind) {
+    case StepKind::kUnary: {
+      const Tensor x = leaf({B, 5});
+      return {.band = "unary",
+              .widens = true,
+              .batch = {x},
+              .body = [=]() -> Outputs { return {ops::tanh(x)}; }};
+    }
+    case StepKind::kBinary: {
+      const Tensor x = leaf({B, 5}), z = leaf({B, 5});
+      return {.band = "binary",
+              .widens = true,
+              .batch = {x, z},
+              .body = [=]() -> Outputs { return {ops::mul(x, z)}; }};
+    }
+    case StepKind::kBinaryBcast: {
+      const Tensor x = leaf({B, 5}), row = leaf({5});
+      return {.band = "binary_bcast",
+              .widens = true,
+              .batch = {x},
+              .fixed = {row},
+              .body = [=]() -> Outputs { return {ops::add(x, row)}; }};
+    }
+    case StepKind::kBcastCopy: {
+      const Tensor col = leaf({B, 1});
+      return {.band = "bcast_copy",
+              .widens = true,
+              .batch = {col},
+              .body = [=]() -> Outputs {
+                return {ops::broadcast_to(col, {B, 5})};
+              }};
+    }
+    case StepKind::kReduce: {
+      // Refused even per instance: widening does not rebuild reduce plans.
+      const Tensor x3 = leaf({B, 3, 4});
+      return {.band = "reduce",
+              .widens = false,
+              .batch = {x3},
+              .body = [=]() -> Outputs {
+                return {ops::reduce_to(x3, {B, 1, 4})};
+              }};
+    }
+    case StepKind::kSumAll: {
+      const Tensor x = leaf({B, 5});
+      return {.band = "sum_all",
+              .widens = false,
+              .batch = {x},
+              .body = [=]() -> Outputs { return {ops::sum(x)}; }};
+    }
+    case StepKind::kSumAxis: {
+      // Over the batch axis, which the outer-axis rule refuses (axis 1
+      // widens in WidenAcceptsOneCasePerRule).
+      const Tensor x3 = leaf({B, 3, 4});
+      return {.band = "sum_axis",
+              .widens = false,
+              .batch = {x3},
+              .body = [=]() -> Outputs {
+                return {ops::sum_axis(x3, 0, true)};
+              }};
+    }
+    case StepKind::kMatmul: {
+      const Tensor x = leaf({B, 5}), w = leaf({5, 4}), b = leaf({4});
+      return {.band = "matmul",
+              .widens = true,
+              .batch = {x},
+              .fixed = {w, b},
+              .body = [=]() -> Outputs { return {ops::linear(x, w, b)}; }};
+    }
+    case StepKind::kCopy: {
+      const Tensor x3 = leaf({B, 2, 3});
+      return {.band = "copy",
+              .widens = true,
+              .batch = {x3},
+              .body = [=]() -> Outputs { return {ops::reshape(x3, {B, 6})}; }};
+    }
+    case StepKind::kSlicePack: {
+      const Tensor x = leaf({B, 5});
+      return {.band = "slice_pack",
+              .widens = true,
+              .batch = {x},
+              .body = [=]() -> Outputs { return {ops::slice(x, 1, 1, 3)}; }};
+    }
+    case StepKind::kSliceScatter: {
+      // slice's backward embeds the seed in zeros of x's shape.
+      const Tensor x = grad_leaf(leaf({B, 5})), seed = leaf({B, 3});
+      return {.band = "slice_scatter",
+              .widens = true,
+              .batch = {x, seed},
+              .body = [=] {
+                return ad::grad(ops::slice(x, 1, 1, 3), {x}, seed);
+              }};
+    }
+    case StepKind::kConcatPart: {
+      const Tensor x = leaf({B, 2}), z = leaf({B, 3});
+      return {.band = "concat_part",
+              .widens = true,
+              .batch = {x, z},
+              .body = [=]() -> Outputs { return {ops::concat({x, z}, 1)}; }};
+    }
+    case StepKind::kConv1dFwd: {
+      const Tensor sig = leaf({B, 2, 6}), w = leaf({3, 2, 3}), b = leaf({3});
+      return {.band = "conv1d_fwd",
+              .widens = true,
+              .batch = {sig},
+              .fixed = {w, b},
+              .body = [=]() -> Outputs { return {ops::conv1d(sig, w, b, 1)}; }};
+    }
+    case StepKind::kConv1dGradIn: {
+      const Tensor sig = grad_leaf(leaf({B, 2, 6})), w = leaf({3, 2, 3});
+      const Tensor seed = leaf({B, 3, 6});
+      return {.band = "conv1d_grad_in",
+              .widens = false,
+              .batch = {sig, seed},
+              .fixed = {w},
+              .body = [=] {
+                return ad::grad(ops::conv1d(sig, w, Tensor(), 1), {sig}, seed);
+              }};
+    }
+    case StepKind::kConv1dGradW: {
+      const Tensor sig = leaf({B, 2, 6}), w = grad_leaf(leaf({3, 2, 3}));
+      const Tensor seed = leaf({B, 3, 6});
+      return {.band = "conv1d_grad_w",
+              .widens = false,
+              .batch = {sig, seed},
+              .fixed = {w},
+              .body = [=] {
+                return ad::grad(ops::conv1d(sig, w, Tensor(), 1), {w}, seed);
+              }};
+    }
+    case StepKind::kConv1dGradB: {
+      const Tensor sig = leaf({B, 2, 6}), w = leaf({3, 2, 3});
+      const Tensor b = grad_leaf(leaf({3})), seed = leaf({B, 3, 6});
+      return {.band = "conv1d_grad_b",
+              .widens = false,
+              .batch = {sig, seed},
+              .fixed = {w, b},
+              .body = [=] {
+                return ad::grad(ops::conv1d(sig, w, b, 1), {b}, seed);
+              }};
+    }
+    case StepKind::kFused: {
+      const Tensor x = leaf({B, 5}), z = leaf({B, 5});
+      return {.band = "fused",
+              .widens = true,
+              .batch = {x, z},
+              .body = [=]() -> Outputs {
+                return {ops::tanh(
+                    ops::sub(z, ops::mul_scalar(ops::mul(x, z), 0.5)))};
+              }};
+    }
+    case StepKind::kAdamTick:
+      return optimizer_sample("adam_tick", false, B, rng);
+    case StepKind::kAdamParam:
+      return optimizer_sample("adam_param", false, B, rng);
+    case StepKind::kLambParam:
+      return optimizer_sample("lamb_param", true, B, rng);
+    case StepKind::kCast: {
+      // Lowers to casts at the f32 compute dtype only.
+      const Tensor x = leaf({B, 5}), w = leaf({5, 4});
+      return {.band = "cast",
+              .widens = true,
+              .batch = {x},
+              .fixed = {w},
+              .body = [=]() -> Outputs {
+                return {ops::gelu(ops::matmul(x, w))};
+              }};
+    }
+    case StepKind::kStepKindCount_:
+      break;
+  }
+  ADD_FAILURE() << "no sample for step kind " << static_cast<int>(kind);
+  return {};
+}
+
+#pragma GCC diagnostic pop
+
+std::vector<double> values(const std::vector<Tensor>& ts) {
+  std::vector<double> v;
+  for (const Tensor& t : ts) v.insert(v.end(), t.data(), t.data() + t.numel());
+  return v;
+}
+
+void load(std::vector<Tensor>& ts, const std::vector<double>& v) {
+  auto it = v.begin();
+  for (Tensor& t : ts) {
+    std::copy_n(it, t.numel(), t.data());
+    it += t.numel();
+  }
+}
+
+bool is_leaf_of(const KindSample& s, const Tensor& t) {
+  for (const auto* set : {&s.batch, &s.fixed}) {
+    for (const Tensor& l : *set) {
+      if (l.impl_ptr() == t.impl_ptr()) return true;
+    }
+  }
+  return false;
+}
+
+TEST(Program, EveryStepKindReplaysLikeEager) {
+  ProgramEnabledGuard on(true);
+  util::Rng rng(71);
+  for (std::size_t k = 0; k < ad::prog::kStepKindCount; ++k) {
+    const auto kind = static_cast<StepKind>(k);
+    for (const ad::DType dt : {ad::DType::kF64, ad::DType::kF32}) {
+      KindSample s = kind_sample(kind, 2, rng);
+      SCOPED_TRACE(s.band + (dt == ad::DType::kF32 ? " f32" : " f64"));
+      ad::Program p;
+      p.set_compute_dtype(dt);
+      Outputs got;
+      p.capture([&] { got = s.body(); });
+      ASSERT_TRUE(p.captured());
+      // A plan is cast-free at f64.
+      const bool lowers = kind != StepKind::kCast || dt == ad::DType::kF32;
+      EXPECT_EQ(p.count_steps(s.band) > 0, lowers);
+      std::vector<Tensor> leaves = s.batch;
+      leaves.insert(leaves.end(), s.fixed.begin(), s.fixed.end());
+      for (int round = 0; round < 2; ++round) {
+        for (Tensor& t : leaves) {
+          for (int64_t i = 0; i < t.numel(); ++i) {
+            t.flat(i) = rng.uniform(-1.0, 1.0);
+          }
+        }
+        const std::vector<double> at_start = values(leaves);
+        const std::vector<double> opt_state =
+            s.opt ? s.opt->state_to() : std::vector<double>{};
+        for (Tensor& t : got) {
+          if (is_leaf_of(s, t)) continue;
+          std::fill(t.data(), t.data() + t.numel(),
+                    std::numeric_limits<double>::quiet_NaN());
+        }
+        p.replay();
+        const std::vector<double> replayed = values(got);
+        load(leaves, at_start);
+        if (s.opt) s.opt->state_from(opt_state);
+        const std::vector<double> want = values(s.body());
+        ASSERT_EQ(replayed.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          if (dt == ad::DType::kF64) {
+            ASSERT_TRUE(elementwise_checks::same_bits(replayed[i], want[i]))
+                << "round " << round << " i=" << i << ": " << replayed[i]
+                << " vs " << want[i];
+          } else {
+            ASSERT_NEAR(replayed[i], want[i],
+                        1e-5 * std::max(1.0, std::abs(want[i])))
+                << "round " << round << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Program, EveryStepKindPinsItsWidenVerdict) {
+  // Captured at base batch 1, each sample declares its batch leaves and
+  // every output whose dim 0 is the batch, so a refusal comes from a step
+  // rule. A widening sample replays three rows at once, and each row
+  // equals eager on that row alone.
+  ProgramEnabledGuard on(true);
+  util::Rng rng(73);
+  constexpr int64_t kRows = 3;
+  for (std::size_t k = 0; k < ad::prog::kStepKindCount; ++k) {
+    KindSample s = kind_sample(static_cast<StepKind>(k), 1, rng);
+    SCOPED_TRACE(s.band);
+    ad::Program p;
+    Outputs got;
+    p.capture([&] { got = s.body(); });
+    ASSERT_TRUE(p.captured());
+    std::vector<Tensor> io = s.batch;
+    for (const Tensor& t : got) {
+      if (t.dim() > 0 && t.size(0) == 1 && !is_leaf_of(s, t)) io.push_back(t);
+    }
+    ASSERT_EQ(p.widen(io), s.widens);
+    if (!s.widens) continue;
+    for (Tensor& t : s.fixed) {
+      for (int64_t i = 0; i < t.numel(); ++i) {
+        t.flat(i) = rng.uniform(-1.0, 1.0);
+      }
+    }
+    std::vector<std::vector<double>> rows_in;
+    for (const Tensor& t : s.batch) {
+      std::vector<double> v(static_cast<std::size_t>(kRows * t.numel()));
+      for (double& e : v) e = rng.uniform(-1.0, 1.0);
+      std::copy(v.begin(), v.end(), p.widened_buffer(t, kRows));
+      rows_in.push_back(std::move(v));
+    }
+    p.replay_widened(kRows);
+    std::vector<std::vector<double>> rows_out;
+    for (const Tensor& t : got) {
+      const ad::real* w = p.widened_buffer(t, kRows);
+      rows_out.emplace_back(w, w + kRows * t.numel());
+    }
+    for (int64_t r = 0; r < kRows; ++r) {
+      for (std::size_t i = 0; i < s.batch.size(); ++i) {
+        Tensor t = s.batch[i];
+        std::copy_n(rows_in[i].begin() + r * t.numel(), t.numel(), t.data());
+      }
+      const Outputs want = s.body();
+      for (std::size_t o = 0; o < want.size(); ++o) {
+        const int64_t n = want[o].numel();
+        const std::string bad = elementwise_checks::first_mismatch(
+            rows_out[o].data() + r * n, want[o].data(), n);
+        ASSERT_TRUE(bad.empty()) << "row " << r << " output " << o << ": "
+                                 << bad;
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -333,6 +334,37 @@ TEST_F(ServeTest, DeadlineRetireAndAccountWithInjectedClock) {
     const auto& c = server.stats().counters();
     EXPECT_EQ(c.deadline_misses, static_cast<std::uint64_t>(requests.size()));
   }
+}
+
+// Every worker's thread-local plan cache starts empty, and its warm-up
+// captures each tenant's two plans. The server clock must start after all
+// of them: at its first read, every worker's captures have happened.
+TEST_F(ServeTest, ClockStartsAfterEveryWorkerWarms) {
+  auto zoo = serve::make_model_zoo({4, 4}, tiny_config(), 41);
+  auto requests = tiny_requests(zoo.size(), 8);
+  const std::uint64_t workers = 2;
+  const std::uint64_t before = mosaic::infer_cache_stats().captures;
+  std::mutex mu;
+  bool first_read = true;
+  std::uint64_t captures_at_start = 0;
+  double now = 0.0;
+  serve::ServeOptions opts;
+  opts.threads = static_cast<int>(workers);
+  opts.realtime = false;
+  // Both workers read the clock, so it locks.
+  opts.clock = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    if (first_read) {
+      first_read = false;
+      captures_at_start = mosaic::infer_cache_stats().captures - before;
+    }
+    now += 1e-4;
+    return now;
+  };
+  serve::SolveServer server(zoo, opts);
+  server.run(requests);
+  EXPECT_EQ(captures_at_start, 2 * zoo.size() * workers);
+  EXPECT_EQ(server.stats().counters().retired, requests.size());
 }
 
 // Malformed MF_SERVE_* values fail loudly instead of falling back to a
