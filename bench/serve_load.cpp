@@ -169,8 +169,10 @@ static int main_body(int argc, char** argv) {
     }
     return static_cast<double>(n) / (util::wall_seconds() - t0);
   };
-  auto run_server = [&](int workers, serve::SchedulerCounters* out_counters,
-                        double* out_p50, double* out_p99) {
+  // Closed loop: every request is admitted as soon as a slot frees, before
+  // its scheduled arrival too, so latency from arrival is not measured
+  // here (it can come out negative); the open-loop runs measure it.
+  auto run_server = [&](int workers, serve::SchedulerCounters* out_counters) {
     serve::ServeOptions opts = serve::serve_options_from_env();
     opts.pad_to = pad_to;
     opts.threads = workers;
@@ -188,8 +190,6 @@ static int main_body(int argc, char** argv) {
     }
     const double dt = last_finish - first_admit;
     if (out_counters) *out_counters = server.stats().counters();
-    if (out_p50) *out_p50 = server.stats().latency_percentile_ms(50);
-    if (out_p99) *out_p99 = server.stats().latency_percentile_ms(99);
     return static_cast<double>(n_requests) / dt;
   };
 
@@ -215,13 +215,21 @@ static int main_body(int argc, char** argv) {
     serial_samples.push_back(run_job_at_a_time(false, requests.size()));
     serial_batched_samples.push_back(
         run_job_at_a_time(true, requests.size()));
-    server_samples.push_back(run_server(1, &c1, nullptr, nullptr));
+    server_samples.push_back(run_server(1, &c1));
   }
   const double serial_rps = median(serial_samples);
   const double serial_batched_rps = median(serial_batched_samples);
   std::printf(
       "job-at-a-time (median of %d): serial %.1f req/s, batched %.1f req/s\n",
       reps, serial_rps, serial_batched_rps);
+
+  // Rates print with one fixed decimal: format_double counts significant
+  // digits, so at one digit 14,208 req/s would print as "1e+04".
+  auto rate_cell = [](double rps) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1f", rps);
+    return std::string(buf);
+  };
 
   // --- Closed-loop batched server, 1..N worker threads. ---
   util::Table table({"workers", "req/s", "speedup vs serial", "shared batches",
@@ -243,17 +251,16 @@ static int main_body(int argc, char** argv) {
       static_cast<unsigned long long>(c1.pad_rows),
       static_cast<unsigned long long>(c1.ticks));
   points.push_back({"closed_loop", 1.0, batched_rps, 0, 0, shared_batches});
-  table.add_row({"1", util::format_double(batched_rps, 1),
+  table.add_row({"1", rate_cell(batched_rps),
                  util::format_double(batched_rps / serial_rps, 3),
                  std::to_string(c1.shared_batches),
                  std::to_string(c1.batched_rows)});
   for (int workers = 2; workers <= max_workers; ++workers) {
     serve::SchedulerCounters c;
-    double p50 = 0, p99 = 0;
-    const double rps = run_server(workers, &c, &p50, &p99);
-    points.push_back({"closed_loop", static_cast<double>(workers), rps, p50,
-                      p99, c.shared_batches});
-    table.add_row({std::to_string(workers), util::format_double(rps, 1),
+    const double rps = run_server(workers, &c);
+    points.push_back({"closed_loop", static_cast<double>(workers), rps, 0, 0,
+                      c.shared_batches});
+    table.add_row({std::to_string(workers), rate_cell(rps),
                    util::format_double(rps / serial_rps, 3),
                    std::to_string(c.shared_batches),
                    std::to_string(c.batched_rows)});
@@ -284,7 +291,7 @@ static int main_body(int argc, char** argv) {
       }
       points.push_back({"open_loop", frac, rate, p50, p99,
                         server.stats().counters().shared_batches});
-      lt.add_row({util::format_double(frac, 2), util::format_double(rate, 1),
+      lt.add_row({util::format_double(frac, 2), rate_cell(rate),
                   util::format_double(p50, 2), util::format_double(p99, 2),
                   std::to_string(server.stats().counters().deadline_misses)});
     }
@@ -322,6 +329,20 @@ static int main_body(int argc, char** argv) {
                 static_cast<unsigned long long>(solution_hash));
   }
 
+  // Every measured point: closed-loop rate per worker count (x; p50 and
+  // p99 0, not measured), and the open-loop rate, p50 and p99 (ms) per
+  // offered fraction of capacity (x).
+  std::string points_json;
+  for (const Point& pt : points) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"kind\":\"%s\",\"x\":%.6g,\"rps\":%.6g,"
+                  "\"p50\":%.6g,\"p99\":%.6g,\"shared\":%llu}",
+                  points_json.empty() ? "" : ",", pt.kind.c_str(), pt.x, pt.rps,
+                  pt.p50, pt.p99, static_cast<unsigned long long>(pt.shared));
+    points_json += buf;
+  }
+
   const mosaic::InferCacheStats ic = mosaic::infer_cache_stats();
   std::printf(
       "\nBENCH_JSON {\"bench\":\"serve_load\",\"requests\":%lld,"
@@ -335,7 +356,8 @@ static int main_body(int argc, char** argv) {
       "\"cache_exact_hits\":%llu,\"cache_widened_hits\":%llu,"
       "\"cache_chunked_hits\":%llu,\"cache_widen_remainder_rows\":%llu,"
       "\"cache_misses\":%llu,\"cache_captures\":%llu,"
-      "\"cache_evictions\":%llu,\"cache_retired\":%llu,\"gelu_lanes\":%d}\n",
+      "\"cache_evictions\":%llu,\"cache_retired\":%llu,\"gelu_lanes\":%d,"
+      "\"points\":[%s]}\n",
       static_cast<long long>(n_requests), zoo.size(), max_inflight,
       ad::kernels::max_threads(),
       ad::kernels::openmp_enabled() ? "true" : "false",
@@ -354,7 +376,8 @@ static int main_body(int argc, char** argv) {
       static_cast<unsigned long long>(ic.misses),
       static_cast<unsigned long long>(ic.captures),
       static_cast<unsigned long long>(ic.evictions),
-      static_cast<unsigned long long>(ic.retired), ad::kernels::gelu_lanes());
+      static_cast<unsigned long long>(ic.retired), ad::kernels::gelu_lanes(),
+      points_json.c_str());
   return deterministic ? 0 : 1;
 }
 

@@ -69,6 +69,9 @@ bool should_thread(int64_t work) {
 BroadcastPlan::BroadcastPlan(const Shape& out, const Shape& a, const Shape& b)
     : out_shape(out) {
   const std::size_t nd = out.size();
+  if (nd > kMaxPlanRank) {
+    throw std::invalid_argument("BroadcastPlan: rank > 8 unsupported");
+  }
   a_strides.assign(nd, 0);
   b_strides.assign(nd, 0);
   const auto sa = strides_of(a);
@@ -92,6 +95,9 @@ void broadcast_copy(const BroadcastPlan& plan, const float* src, float* out) {
 
 ReducePlan::ReducePlan(const Shape& src, const Shape& dst) {
   const std::size_t nd = src.size();
+  if (nd > kMaxPlanRank) {
+    throw std::invalid_argument("ReducePlan: rank > 8 unsupported");
+  }
   const std::size_t off = nd - dst.size();
   const auto ss = strides_of(src);
   for (std::size_t d = 0; d < nd; ++d) {
@@ -109,38 +115,79 @@ ReducePlan::ReducePlan(const Shape& src, const Shape& dst) {
 }
 
 namespace {
-// Shared by both widths. The accumulator is always double: for T = real
-// this is the pre-existing expression (bitwise unchanged); for T = float
-// it is the mixed-precision stability rule — reduce at master width,
-// narrow once at the store.
+/// Step the reduced-axis counter `rid` (last reduced axis fastest) and the
+/// source offset `roff` to the next reduced index.
+void next_reduced(const ReducePlan& plan, int64_t* rid, int64_t& roff) {
+  for (std::size_t d = plan.red_sizes.size(); d-- > 0;) {
+    roff += plan.red_src_strides[d];
+    if (++rid[d] < plan.red_sizes[d]) return;
+    roff -= plan.red_src_strides[d] * plan.red_sizes[d];
+    rid[d] = 0;
+  }
+}
+
+/// Source offset of the kept-axis index `o`, decomposed over the first
+/// `n_kept` kept axes.
+int64_t kept_offset(const ReducePlan& plan, std::size_t n_kept, int64_t o) {
+  int64_t base = 0;
+  for (std::size_t d = n_kept; d-- > 0;) {
+    base += (o % plan.out_sizes[d]) * plan.out_src_strides[d];
+    o /= plan.out_sizes[d];
+  }
+  return base;
+}
+
+// Shared by both widths. Each output sums its preimage into a double
+// accumulator from +0, reduced indices in row-major order, and narrows
+// once at the store: for T = real the plain sum, for T = float the
+// mixed-precision stability rule (reduce at master width). When src's
+// innermost axis is kept, a dst row's outputs are contiguous in src too,
+// so whole source rows are added into a row of accumulators (kRowChunk
+// columns at a time, on the stack) — the same adds in the same order per
+// output, so the same bits as one gather loop per output.
 template <typename T>
 void reduce_broadcast_impl(const ReducePlan& plan, const T* src, T* dst) {
-  const int64_t n_kept = static_cast<int64_t>(plan.out_sizes.size());
-  const int64_t n_reddims = static_cast<int64_t>(plan.red_sizes.size());
-  parallel_for(plan.n_out, plan.n_red, [&](int64_t begin, int64_t end) {
-    std::vector<int64_t> rid(static_cast<std::size_t>(n_reddims), 0);
-    for (int64_t o = begin; o < end; ++o) {
-      // Decompose o over the kept dims to find the source base offset.
-      int64_t base = 0, rem = o;
-      for (int64_t d = n_kept - 1; d >= 0; --d) {
-        const auto du = static_cast<std::size_t>(d);
-        base += (rem % plan.out_sizes[du]) * plan.out_src_strides[du];
-        rem /= plan.out_sizes[du];
+  const std::size_t n_kept = plan.out_sizes.size();
+  if (plan.n_out == 0) return;
+  if (n_kept > 0 && plan.out_src_strides[n_kept - 1] == 1) {
+    constexpr int64_t kRowChunk = 256;
+    const int64_t row = plan.out_sizes[n_kept - 1];
+    const int64_t chunks = (row + kRowChunk - 1) / kRowChunk;
+    // One item is one chunk of one dst row.
+    const int64_t items = plan.n_out / row * chunks;
+    const int64_t cost = plan.n_red * std::min(row, kRowChunk);
+    parallel_for(items, cost, [&](int64_t begin, int64_t end) {
+      double acc[kRowChunk];
+      int64_t rid[kMaxPlanRank];
+      for (int64_t item = begin; item < end; ++item) {
+        const int64_t q = item / chunks;
+        const int64_t c0 = (item % chunks) * kRowChunk;
+        const int64_t w = std::min(kRowChunk, row - c0);
+        const T* s = src + kept_offset(plan, n_kept - 1, q) + c0;
+        std::fill_n(acc, w, 0.0);
+        std::fill_n(rid, plan.red_sizes.size(), int64_t{0});
+        int64_t roff = 0;
+        for (int64_t r = 0; r < plan.n_red; ++r) {
+          const T* sr = s + roff;
+          for (int64_t j = 0; j < w; ++j) acc[j] += sr[j];
+          next_reduced(plan, rid, roff);
+        }
+        T* d = dst + q * row + c0;
+        for (int64_t j = 0; j < w; ++j) d[j] = static_cast<T>(acc[j]);
       }
-      // Walk the reduced subspace.
+    });
+    return;
+  }
+  parallel_for(plan.n_out, plan.n_red, [&](int64_t begin, int64_t end) {
+    int64_t rid[kMaxPlanRank];
+    for (int64_t o = begin; o < end; ++o) {
+      const T* s = src + kept_offset(plan, n_kept, o);
       double acc = 0;
-      std::fill(rid.begin(), rid.end(), 0);
+      std::fill_n(rid, plan.red_sizes.size(), int64_t{0});
       int64_t roff = 0;
       for (int64_t r = 0; r < plan.n_red; ++r) {
-        acc += src[base + roff];
-        for (int64_t d = n_reddims - 1; d >= 0; --d) {
-          const auto du = static_cast<std::size_t>(d);
-          rid[du]++;
-          roff += plan.red_src_strides[du];
-          if (rid[du] < plan.red_sizes[du]) break;
-          roff -= plan.red_src_strides[du] * plan.red_sizes[du];
-          rid[du] = 0;
-        }
+        acc += s[roff];
+        next_reduced(plan, rid, roff);
       }
       dst[o] = static_cast<T>(acc);
     }

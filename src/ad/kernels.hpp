@@ -123,7 +123,7 @@ void parallel_for(int64_t n, F&& f) {
 // absolute tanh and GELU values differ from libm in the last bits, and the
 // scalar tier's gelu_d* (std::exp) from the vector tiers'.
 // pow_scalar, exp, log and sign have no lane formula and run the functor
-// loop on every tier. Eager ops, plain replay and the fused-chain
+// loop on every tier. Eager ops, plain replay and the fused-region
 // interpreter all reach these entries, so they stay bitwise identical.
 
 /// Opcode of unary_block (and of compiled plans' unary steps).
@@ -208,6 +208,11 @@ enum class MatmulForm : std::uint8_t {
 
 // ---- broadcast elementwise ----
 
+/// The highest rank a broadcast or reduce plan takes (its constructor
+/// throws std::invalid_argument past it): the kernels keep their axis
+/// counters on the stack, so no call allocates.
+inline constexpr std::size_t kMaxPlanRank = 8;
+
 /// Precomputed output-dim strides mapping each output element to the flat
 /// offsets of two broadcast operands (stride 0 on broadcast axes). Plans
 /// are built from contiguous shapes, so each operand's innermost stride is
@@ -253,7 +258,7 @@ void map_broadcast(const BroadcastPlan& plan, const T* a, const T* b,
   const int64_t sb = nd ? plan.b_strides[nd - 1] : 0;
   const std::size_t outer = nd ? nd - 1 : 0;  // axes above the row
   parallel_for(plan.n, [&](int64_t begin, int64_t end) {
-    std::vector<int64_t> idx(outer);
+    int64_t idx[kMaxPlanRank];
     int64_t row = begin / len, col = begin % len;
     int64_t ai = 0, bi = 0;
     for (std::size_t d = outer; d-- > 0;) {
@@ -289,7 +294,12 @@ void broadcast_copy(const BroadcastPlan& plan, const float* src, float* out);
 
 /// Sum over the axes along which `dst_shape` broadcasts to `src_shape`.
 /// Gather formulation: every output element independently sums its
-/// preimage, so the loop parallelizes without scatter races.
+/// preimage into a double accumulator, starting from +0 and taking the
+/// reduced indices in row-major order (last reduced axis fastest), so
+/// the loop parallelizes without scatter races and every output has one
+/// sum order at every thread count. When src's innermost axis is kept,
+/// reduce_broadcast adds whole source rows into a stack row of such
+/// accumulators instead, in the same order per output: the same bits.
 struct ReducePlan {
   ReducePlan(const Shape& src, const Shape& dst);
 
@@ -304,7 +314,7 @@ struct ReducePlan {
 /// dst[o] = sum of src over o's broadcast preimage. dst is overwritten.
 /// The float overload accumulates each output element in double and
 /// narrows once at the store (mixed-precision stability rule: reductions
-/// accumulate at master width).
+/// accumulate at master width). No call allocates.
 void reduce_broadcast(const ReducePlan& plan, const real* src, real* dst);
 void reduce_broadcast(const ReducePlan& plan, const float* src, float* dst);
 

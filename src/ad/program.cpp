@@ -1,13 +1,16 @@
 #include "ad/program.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
@@ -53,38 +56,51 @@ struct KindInfo {
   const char* name;   // MF_PROGRAM_PROFILE band label
   Dtype dtype;
   Widen widen;
-  bool fusable;       // may join a fused elementwise chain
+  bool fusable;       // may join a fused elementwise region
+  bool numbered;      // pure: value numbering may drop a repeat of it
   bool reads_out;     // also reads `out` (optimizer parameter updates)
 };
 
 using K = KindInfo;
 constexpr KindInfo kKinds[] = {
-    {StepKind::kUnary, "unary", K::kCompute, K::kElementwise, true, false},
-    {StepKind::kBinary, "binary", K::kCompute, K::kElementwise, true, false},
+    {StepKind::kUnary, "unary", K::kCompute, K::kElementwise, true, true,
+     false},
+    {StepKind::kBinary, "binary", K::kCompute, K::kElementwise, true, true,
+     false},
     {StepKind::kBinaryBcast, "binary_bcast", K::kCompute, K::kBcast, false,
+     false, false},
+    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kBcast, false, false,
      false},
-    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kBcast, false, false},
-    {StepKind::kReduce, "reduce", K::kOfIn, K::kFold, false, false},
-    {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false},
-    {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false},
-    {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, false},
-    {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, false},
-    {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false},
+    {StepKind::kReduce, "reduce", K::kOfIn, K::kFold, false, false, false},
+    {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false, false},
+    {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false,
+     false},
+    {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, true, false},
+    {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, true, false},
+    {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false,
+     false},
     {StepKind::kSliceScatter, "slice_scatter", K::kOfOut, K::kOuter, false,
+     false, false},
+    {StepKind::kConcatPart, "concat_part", K::kOfOut, K::kOuter, false, false,
      false},
-    {StepKind::kConcatPart, "concat_part", K::kOfOut, K::kOuter, false, false},
-    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false},
+    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false,
+     false},
     {StepKind::kConv1dGradIn, "conv1d_grad_in", K::kCompute, K::kNever, false,
-     false},
+     false, false},
     {StepKind::kConv1dGradW, "conv1d_grad_w", K::kCompute, K::kNever, false,
-     false},
+     false, false},
     {StepKind::kConv1dGradB, "conv1d_grad_b", K::kCompute, K::kNever, false,
+     false, false},
+    {StepKind::kFused, "fused", K::kCompute, K::kElementwise, false, false,
      false},
-    {StepKind::kFused, "fused", K::kCompute, K::kElementwise, false, false},
-    {StepKind::kAdamTick, "adam_tick", K::kF64, K::kNever, false, false},
-    {StepKind::kAdamParam, "adam_param", K::kF64, K::kNever, false, true},
-    {StepKind::kLambParam, "lamb_param", K::kF64, K::kNever, false, true},
-    {StepKind::kCast, "cast", K::kCompute, K::kElementwise, false, false},
+    {StepKind::kAdamTick, "adam_tick", K::kF64, K::kNever, false, false,
+     false},
+    {StepKind::kAdamParam, "adam_param", K::kF64, K::kNever, false, false,
+     true},
+    {StepKind::kLambParam, "lamb_param", K::kF64, K::kNever, false, false,
+     true},
+    {StepKind::kCast, "cast", K::kCompute, K::kElementwise, false, false,
+     false},
 };
 
 constexpr bool kinds_in_enum_order() {
@@ -100,21 +116,41 @@ constexpr const KindInfo& kind_info(StepKind k) {
   return kKinds[static_cast<std::size_t>(k)];
 }
 
-/// One scalar operation of a fused elementwise chain. The chain value is
-/// seeded from the fused step's `a` slot and threaded through the ops in
-/// recorded order; binary ops read their non-chain operand from `other`.
-struct FusedOp {
-  enum Form : std::uint8_t {
-    kUnaryForm,      // chain = unary(chain)
-    kBinChainLeft,   // chain = binary(chain, other)
-    kBinChainRight,  // chain = binary(other, chain)
-    kBinChainBoth,   // chain = binary(chain, chain)
-  };
-  std::uint8_t fn = 0;  // kernels::UnaryOp or kernels::BinaryOp
-  std::uint8_t form = kUnaryForm;
-  std::int32_t other = -1;
+/// MF_PROGRAM_PROFILE's unary bands, one per kernels::UnaryOp in opcode
+/// order; count_ops names unary ops by them too.
+constexpr const char* kUnaryBands[] = {
+    "unary.add_scalar", "unary.mul_scalar", "unary.pow_scalar",
+    "unary.neg",        "unary.exp",        "unary.log",
+    "unary.sqrt",       "unary.tanh",       "unary.abs",
+    "unary.sign",       "unary.gelu",       "unary.gelu_d1",
+    "unary.gelu_d2",    "unary.gelu_d3"};
+static_assert(std::size(kUnaryBands) == kernels::kUnaryOpCount);
+
+/// One op of a fused elementwise region: a unary, binary or copy step
+/// over slots a (and b) into out, as recorded. Each operand is read from,
+/// or written to, its slot's buffer, or — for a value the region keeps to
+/// itself — one of the region's stack blocks (xa, xb, xo >= 0).
+struct RegionOp {
+  StepKind kind = StepKind::kCopy;
+  std::uint8_t fn = 0;
+  std::int8_t xa = -1, xb = -1, xo = -1;
+  std::int32_t a = -1, b = -1, out = -1;
   real scalar = 0;
 };
+
+/// A fused elementwise region: its ops in recorded order, the slots it
+/// reads from outside, and its live-outs — the slots it writes, each
+/// external or accessed after the region. Step::plan of a kFused step
+/// indexes the Impl's table of them.
+struct Region {
+  std::vector<RegionOp> ops;
+  std::vector<std::int32_t> ins, outs;
+};
+
+/// A region runs block by block over its elements, kRegionBlock at a time,
+/// with at most kRegionBlocks values kept in stack blocks at once.
+constexpr int64_t kRegionBlock = 128;
+constexpr int kRegionBlocks = 16;
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -198,8 +234,8 @@ struct Program::Impl {
   std::vector<void*> buf;
   std::vector<kernels::BroadcastPlan> bplans;
   std::vector<kernels::ReducePlan> rplans;
-  // Fused elementwise chains; Step::plan of a kFused step indexes this.
-  std::vector<std::vector<FusedOp>> fchains;
+  // Fused elementwise regions; Step::plan of a kFused step indexes this.
+  std::vector<Region> regions;
   // In-plan optimizer steps (tick, Adam and LAMB parameter updates);
   // Step::plan indexes this. Raw pointers into the optimizer's live state
   // (moments, lr, step counter) — the optimizer must outlive the plan.
@@ -268,7 +304,7 @@ struct Program::Impl {
     buf.clear();
     bplans.clear();
     rplans.clear();
-    fchains.clear();
+    regions.clear();
     optims.clear();
     arena.clear();
     health_slots.clear();
@@ -305,21 +341,22 @@ void on_uncapturable() {
 
 namespace {
 
-/// The one operand walk of the liveness, health and widening passes:
-/// `read(slot)` for every slot the step reads — a, b, c, a fused chain's
-/// `other` operands, and `out` for the kinds whose row says they read
-/// it — then `write(slot)` for the slot it writes. Absent operands are
-/// skipped.
+/// The one operand walk of the value numbering, liveness, health and
+/// widening passes: `read(slot)` for every slot the step reads — a, b, c,
+/// and `out` for the kinds whose row says they read it; a fused region's
+/// outside inputs — then `write(slot)` for every slot it writes: out, or a
+/// region's live-outs. Absent operands are skipped.
 template <typename R, typename W>
 void for_each_operand(const Program::Impl& im, const Step& s, R&& read,
                       W&& write) {
+  if (s.kind == StepKind::kFused) {
+    const Region& rg = im.regions[static_cast<std::size_t>(s.plan)];
+    for (const std::int32_t sl : rg.ins) read(sl);
+    for (const std::int32_t sl : rg.outs) write(sl);
+    return;
+  }
   for (const std::int32_t sl : {s.a, s.b, s.c}) {
     if (sl >= 0) read(sl);
-  }
-  if (s.kind == StepKind::kFused) {
-    for (const FusedOp& op : im.fchains[static_cast<std::size_t>(s.plan)]) {
-      if (op.other >= 0) read(op.other);
-    }
   }
   if (s.out < 0) return;
   if (kind_info(s.kind).reads_out) read(s.out);
@@ -327,8 +364,8 @@ void for_each_operand(const Program::Impl& im, const Step& s, R&& read,
 }
 
 /// Per-slot live ranges over a step list. def = first write, first/last =
-/// first/last access of any kind. The intermediates folded into a fused
-/// chain are not referenced at all.
+/// first/last access of any kind. The values a fused region keeps to
+/// itself are not referenced at all.
 struct Ranges {
   std::vector<std::int32_t> def, first, last;
 };
@@ -349,93 +386,6 @@ void compute_ranges(const Program::Impl& im, Ranges& r) {
       if (r.def[slot] < 0) r.def[slot] = si;
     });
   }
-}
-
-/// Collapse runs of adjacent elementwise steps (contiguous unary/binary
-/// maps and full-buffer copies) whose output chains straight into the next
-/// step — and is read by nothing else, now or later — into single kFused
-/// steps. Per element the composed chain evaluates the identical scalar
-/// functors in the identical order the individual steps did, so fused
-/// replay is bitwise-identical; the skipped intermediates simply never
-/// materialize.
-void fuse_elementwise(Program::Impl& im, const Ranges& r,
-                      const std::vector<char>& internal) {
-  const std::size_t n = im.steps.size();
-  std::vector<Step> out_steps;
-  out_steps.reserve(n);
-  // Append step k's scalar op to `ops`, with `chain` as the slot holding
-  // the current chain value (the previous step's output; for the chain
-  // head, its own `a` operand).
-  auto push_op = [&](std::vector<FusedOp>& ops, const Step& s,
-                     std::int32_t chain) {
-    FusedOp op;
-    op.fn = s.fn;
-    op.scalar = s.scalar;
-    if (s.kind == StepKind::kCopy) return;  // identity on the chain value
-    if (s.kind == StepKind::kUnary) {
-      op.form = FusedOp::kUnaryForm;
-    } else if (s.a == chain && s.b == chain) {
-      op.form = FusedOp::kBinChainBoth;
-    } else if (s.a == chain) {
-      op.form = FusedOp::kBinChainLeft;
-      op.other = s.b;
-    } else {
-      op.form = FusedOp::kBinChainRight;
-      op.other = s.a;
-    }
-    ops.push_back(op);
-  };
-  std::size_t i = 0;
-  while (i < n) {
-    const Step& head = im.steps[i];
-    if (!kind_info(head.kind).fusable) {
-      out_steps.push_back(head);
-      ++i;
-      continue;
-    }
-    // Greedily extend: the next step must be an elementwise map of the
-    // same length consuming this step's output, and that output must be
-    // invisible to everything else (internal slot, no later reader).
-    std::size_t j = i;
-    while (j + 1 < n) {
-      const Step& cur = im.steps[j];
-      const Step& nxt = im.steps[j + 1];
-      const std::int32_t o = cur.out;
-      if (!kind_info(nxt.kind).fusable || nxt.p0 != head.p0) break;
-      if (nxt.dt != head.dt) break;  // one execution dtype per chain
-      if (nxt.a != o && nxt.b != o) break;  // must consume the chain
-      if (!internal[static_cast<std::size_t>(o)]) break;
-      if (r.last[static_cast<std::size_t>(o)] !=
-          static_cast<std::int32_t>(j + 1)) {
-        break;  // a later (non-fused) step still reads it
-      }
-      ++j;
-    }
-    if (j == i) {
-      out_steps.push_back(head);
-      ++i;
-      continue;
-    }
-    std::vector<FusedOp> ops;
-    ops.reserve(j - i + 1);
-    push_op(ops, head, head.a);
-    for (std::size_t k = i + 1; k <= j; ++k) {
-      push_op(ops, im.steps[k], im.steps[k - 1].out);
-    }
-    Step f;
-    f.kind = StepKind::kFused;
-    f.dt = head.dt;
-    f.a = head.a;
-    f.out = im.steps[j].out;
-    f.plan = static_cast<std::int32_t>(im.fchains.size());
-    f.p0 = head.p0;
-    im.fchains.push_back(std::move(ops));
-    out_steps.push_back(f);
-    ++im.fused_steps;
-    im.fused_ops += j - i + 1;
-    i = j + 1;
-  }
-  im.steps = std::move(out_steps);
 }
 
 /// Mixed-precision lowering pass (compute dtype kF32 only). Every step
@@ -536,6 +486,322 @@ void insert_casts(Program::Impl& im, std::vector<char>& internal) {
   im.steps = std::move(out_steps);
 }
 
+/// The value a pure step computes: kind, opcode, execution dtype, scalar
+/// (by its bits: add_scalar(-0) and add_scalar(+0) differ at -0),
+/// geometry, and each operand slot at its version — the number of writes
+/// the slot has seen, an optimizer's in-place update included, so a slot
+/// read across a write is a new operand.
+struct ValueKey {
+  StepKind kind;
+  std::uint8_t fn;
+  DType dt;
+  std::uint64_t scalar;
+  std::array<int64_t, 6> p;
+  std::array<std::int32_t, 3> slot;
+  std::array<std::uint32_t, 3> version;
+  bool operator==(const ValueKey&) const = default;
+};
+
+struct ValueKeyHash {
+  std::size_t operator()(const ValueKey& k) const {
+    std::uint64_t h = static_cast<std::uint64_t>(k.kind) << 16 |
+                      static_cast<std::uint64_t>(k.fn) << 8 |
+                      static_cast<std::uint64_t>(k.dt);
+    auto mix = [&h](std::uint64_t v) {
+      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    };
+    mix(k.scalar);
+    for (const int64_t v : k.p) mix(static_cast<std::uint64_t>(v));
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto slot = static_cast<std::uint32_t>(k.slot[i]);
+      mix(static_cast<std::uint64_t>(slot) << 32 | k.version[i]);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// The values the steps so far computed, for value numbering: per value
+/// key, the slot holding the value and that slot's version once written.
+/// Versions count writes, so a slot written again stops holding a value.
+class ValueTable {
+ public:
+  explicit ValueTable(std::size_t slots) : version_(slots, 0) {}
+
+  /// The slot still holding the value `s` computes, or -1.
+  std::int32_t holder(const Step& s) const {
+    const auto it = held_.find(key(s));
+    if (it == held_.end()) return -1;
+    const auto [slot, at] = it->second;
+    return version_[static_cast<std::size_t>(slot)] == at ? slot : -1;
+  }
+  /// `s`'s output holds its value once `s` writes it.
+  void hold(const Step& s) {
+    held_[key(s)] = {s.out, version_[static_cast<std::size_t>(s.out)] + 1};
+  }
+  /// A step wrote `slot`.
+  void wrote(std::int32_t slot) { ++version_[static_cast<std::size_t>(slot)]; }
+
+ private:
+  ValueKey key(const Step& s) const {
+    auto ver = [&](std::int32_t sl) {
+      return sl >= 0 ? version_[static_cast<std::size_t>(sl)] : 0u;
+    };
+    return {s.kind,
+            s.fn,
+            s.dt,
+            std::bit_cast<std::uint64_t>(s.scalar),
+            {s.p0, s.p1, s.p2, s.p3, s.p4, s.p5},
+            {s.a, s.b, s.c},
+            {ver(s.a), ver(s.b), ver(s.c)}};
+  }
+
+  std::vector<std::uint32_t> version_;
+  std::unordered_map<ValueKey, std::pair<std::int32_t, std::uint32_t>,
+                     ValueKeyHash>
+      held_;
+};
+
+/// Per slot, how many steps write it and the last step that does.
+void count_writes(const Program::Impl& im, std::vector<std::uint32_t>& writes,
+                  std::vector<std::int32_t>& last_write) {
+  writes.assign(im.slots.size(), 0);
+  last_write.assign(im.slots.size(), -1);
+  for (std::size_t i = 0; i < im.steps.size(); ++i) {
+    for_each_operand(im, im.steps[i], [](std::int32_t) {}, [&](std::int32_t o) {
+      ++writes[static_cast<std::size_t>(o)];
+      last_write[static_cast<std::size_t>(o)] = static_cast<std::int32_t>(i);
+    });
+  }
+}
+
+/// True when a repeat of the value `earlier` holds, computed at step
+/// `at` into `out`, may be dropped: `out` is internal, written by that
+/// step alone and shaped like `earlier` (widening rebuilds broadcast plans
+/// from the shapes its readers see), and `earlier` is never written again,
+/// so every renamed reader sees the value it read before.
+bool droppable(const Program::Impl& im, const std::vector<char>& internal,
+               const std::vector<std::uint32_t>& writes,
+               const std::vector<std::int32_t>& last_write, std::int32_t out,
+               std::int32_t earlier, std::size_t at) {
+  const auto o = static_cast<std::size_t>(out);
+  const auto e = static_cast<std::size_t>(earlier);
+  return internal[o] && writes[o] == 1 &&
+         last_write[e] < static_cast<std::int32_t>(at) &&
+         im.slot_shape[o] == im.slot_shape[e];
+}
+
+/// Value numbering: a pure step (the kind table's `numbered` rows: unary,
+/// binary, copy, matmul) whose value key matches an earlier step's, while
+/// that step's output still holds the value, is dropped when droppable()
+/// allows it; its readers read the earlier output instead. Runs after
+/// insert_casts, so keys see every operand at its execution width, and
+/// before fusion.
+void number_values(Program::Impl& im, const std::vector<char>& internal) {
+  const std::size_t S = im.slots.size();
+  std::vector<std::uint32_t> writes;
+  std::vector<std::int32_t> last_write;
+  count_writes(im, writes, last_write);
+  std::vector<std::int32_t> alias(S);
+  std::iota(alias.begin(), alias.end(), 0);
+  ValueTable values(S);
+  std::vector<Step> kept;
+  kept.reserve(im.steps.size());
+  for (std::size_t i = 0; i < im.steps.size(); ++i) {
+    Step s = im.steps[i];
+    for (std::int32_t* sl : {&s.a, &s.b, &s.c}) {
+      if (*sl >= 0) *sl = alias[static_cast<std::size_t>(*sl)];
+    }
+    if (kind_info(s.kind).numbered) {
+      const std::int32_t earlier = values.holder(s);
+      if (earlier >= 0 &&
+          droppable(im, internal, writes, last_write, s.out, earlier, i)) {
+        alias[static_cast<std::size_t>(s.out)] = earlier;
+        continue;
+      }
+      values.hold(s);
+    }
+    for_each_operand(im, s, [](std::int32_t) {},
+                     [&](std::int32_t o) { values.wrote(o); });
+    kept.push_back(s);
+  }
+  im.steps = std::move(kept);
+}
+
+/// Per slot, the steps that access it, in order, each marked as reading
+/// it or as overwriting all of it (a fusable step's out, a region's
+/// live-out). read_next tells whether the value a slot holds after step
+/// `at` is read before a step overwrites it; a partial write (a concat
+/// part) counts as a read.
+class Accesses {
+ public:
+  explicit Accesses(const Program::Impl& im) : of_(im.slots.size()) {
+    for (std::size_t i = 0; i < im.steps.size(); ++i) {
+      const Step& s = im.steps[i];
+      const bool whole =
+          kind_info(s.kind).fusable || s.kind == StepKind::kFused;
+      auto at = [&](std::int32_t sl) -> At& {
+        auto& v = of_[static_cast<std::size_t>(sl)];
+        if (v.empty() || v.back().step != static_cast<std::int32_t>(i)) {
+          v.push_back({static_cast<std::int32_t>(i), false, false});
+        }
+        return v.back();
+      };
+      for_each_operand(
+          im, s, [&](std::int32_t sl) { at(sl).reads = true; },
+          [&](std::int32_t sl) { at(sl).overwrites = whole; });
+    }
+  }
+
+  bool read_next(std::int32_t slot, std::size_t at) const {
+    const auto& v = of_[static_cast<std::size_t>(slot)];
+    const auto it = std::upper_bound(
+        v.begin(), v.end(), static_cast<std::int32_t>(at),
+        [](std::int32_t i, const At& a) { return i < a.step; });
+    return it != v.end() && (it->reads || !it->overwrites);
+  }
+
+ private:
+  struct At {
+    std::int32_t step;
+    bool reads, overwrites;
+  };
+  std::vector<std::vector<At>> of_;
+};
+
+/// Region fusion: each maximal run of adjacent unary, binary and copy
+/// steps of one length and one execution dtype becomes one kFused step.
+/// The region reads its outside inputs and writes only its live-outs,
+/// the slots that are external or read after the run before anything
+/// overwrites them; every other value stays in a stack block and never
+/// materializes. A run ends before a step that writes a slot the run
+/// already touched (or that it reads itself), so each slot has one value
+/// in a region, and before the op whose value would need a stack block
+/// past kRegionBlocks. A run of one step stays that step. Block by block,
+/// every element goes through the op sequence the steps applied, through
+/// the same kernel entries, so fused replay keeps every bit.
+void fuse_regions(Program::Impl& im, const std::vector<char>& internal) {
+  const std::size_t n = im.steps.size();
+  const std::size_t S = im.slots.size();
+  const Accesses accesses(im);
+  auto joins = [&](const Step& s) {
+    return kind_info(s.kind).fusable && s.out != s.a && s.out != s.b;
+  };
+  // The last step of the run from i: per slot, the run start that last
+  // touched it.
+  std::vector<std::size_t> touched(S, n);
+  auto run_end = [&](std::size_t i) {
+    const Step& head = im.steps[i];
+    auto touch = [&](const Step& s) {
+      for (const std::int32_t sl : {s.a, s.b, s.out}) {
+        if (sl >= 0) touched[static_cast<std::size_t>(sl)] = i;
+      }
+    };
+    touch(head);
+    std::size_t j = i;
+    while (j + 1 < n) {
+      const Step& next = im.steps[j + 1];
+      if (!joins(next) || next.p0 != head.p0 || next.dt != head.dt ||
+          touched[static_cast<std::size_t>(next.out)] == i) {
+        break;
+      }
+      touch(next);
+      ++j;
+    }
+    return j;
+  };
+  // Build steps i..j into `rg`; returns how many steps it placed, fewer
+  // than the run when the stack blocks run out. Per slot: the attempt
+  // that produced it in the region (where: its block, -1 its buffer) and
+  // the attempt that listed it as an input.
+  std::vector<std::uint32_t> produced(S, 0), listed(S, 0);
+  std::vector<std::int8_t> where(S, -1);
+  std::uint32_t attempt = 0;
+  auto build = [&](std::size_t i, std::size_t j, Region& rg) {
+    rg = Region{};
+    ++attempt;
+    std::int8_t free_blocks[kRegionBlocks];
+    int n_free = 0, n_blocks = 0;
+    for (std::size_t k = i; k <= j; ++k) {
+      const Step& s = im.steps[k];
+      RegionOp op;
+      op.kind = s.kind;
+      op.fn = s.fn;
+      op.scalar = s.scalar;
+      op.a = s.a;
+      op.b = s.b;
+      op.out = s.out;
+      auto locate = [&](std::int32_t sl) -> std::int8_t {
+        if (sl < 0) return -1;
+        const auto u = static_cast<std::size_t>(sl);
+        if (produced[u] == attempt) return where[u];
+        if (listed[u] != attempt) {
+          listed[u] = attempt;
+          rg.ins.push_back(sl);
+        }
+        return -1;
+      };
+      op.xa = locate(s.a);
+      op.xb = locate(s.b);
+      // Blocks whose value this op reads last are free for its result.
+      for (const std::int32_t sl : {s.a, s.b}) {
+        if (sl < 0 || (sl == s.b && s.b == s.a)) continue;
+        const auto u = static_cast<std::size_t>(sl);
+        if (produced[u] == attempt && where[u] >= 0 &&
+            !accesses.read_next(sl, k)) {
+          free_blocks[n_free++] = where[u];
+        }
+      }
+      const auto o = static_cast<std::size_t>(s.out);
+      produced[o] = attempt;
+      where[o] = -1;
+      if (!internal[o] || accesses.read_next(s.out, j)) {
+        rg.outs.push_back(s.out);
+      } else if (n_free > 0) {
+        where[o] = free_blocks[--n_free];
+      } else if (n_blocks < kRegionBlocks) {
+        where[o] = static_cast<std::int8_t>(n_blocks++);
+      } else {
+        return k - i;
+      }
+      if (where[o] >= 0 && !accesses.read_next(s.out, k)) {
+        free_blocks[n_free++] = where[o];  // nothing reads it
+      }
+      op.xo = where[o];
+      rg.ops.push_back(op);
+    }
+    return j - i + 1;
+  };
+
+  std::vector<Step> out_steps;
+  out_steps.reserve(n);
+  for (std::size_t i = 0; i < n;) {
+    const Step& head = im.steps[i];
+    std::size_t j = joins(head) ? run_end(i) : i;
+    Region rg;
+    if (j > i) {
+      for (std::size_t took; (took = build(i, j, rg)) != j - i + 1;) {
+        j = i + took - 1;
+      }
+    }
+    if (j == i) {
+      out_steps.push_back(head);
+      ++i;
+      continue;
+    }
+    Step f;
+    f.kind = StepKind::kFused;
+    f.dt = head.dt;
+    f.plan = static_cast<std::int32_t>(im.regions.size());
+    f.p0 = head.p0;
+    im.fused_ops += rg.ops.size();
+    ++im.fused_steps;
+    im.regions.push_back(std::move(rg));
+    out_steps.push_back(f);
+    i = j + 1;
+  }
+  im.steps = std::move(out_steps);
+}
+
 int64_t slot_bytes(const Program::Impl& im, std::size_t s) {
   return im.slot_len[s] * static_cast<int64_t>(dtype_size(im.slot_dt[s]));
 }
@@ -570,9 +836,9 @@ std::vector<std::int32_t> pack_slots(const Program::Impl& im,
   std::vector<std::int32_t> buffer_of(S, -1);
   owner.clear();
   for (std::size_t i = 0; i < im.steps.size(); ++i) {
-    const std::int32_t o = im.steps[i].out;
-    const auto u = static_cast<std::size_t>(o);
-    if (o >= 0 && internal[u] && r.def[u] == static_cast<std::int32_t>(i)) {
+    for_each_operand(im, im.steps[i], [](std::int32_t) {}, [&](std::int32_t o) {
+      const auto u = static_cast<std::size_t>(o);
+      if (!internal[u] || r.def[u] != static_cast<std::int32_t>(i)) return;
       auto& fl = free_by_key[key(u)];
       if (!fl.empty()) {
         buffer_of[u] = fl.back();
@@ -581,7 +847,7 @@ std::vector<std::int32_t> pack_slots(const Program::Impl& im,
         buffer_of[u] = static_cast<std::int32_t>(owner.size());
         owner.push_back(o);
       }
-    }
+    });
     for (std::int32_t sl : released[i]) {
       free_by_key[key(static_cast<std::size_t>(sl))].push_back(
           buffer_of[static_cast<std::size_t>(sl)]);
@@ -590,10 +856,10 @@ std::vector<std::int32_t> pack_slots(const Program::Impl& im,
   return buffer_of;
 }
 
-/// Lower the raw trace: release the recorded autodiff graph, fuse
-/// adjacent elementwise chains, compute slot live ranges, pack internal
-/// slots onto reused arena buffers, resolve every operand to a raw
-/// pointer.
+/// Lower the raw trace: release the recorded autodiff graph, insert the
+/// f32 policy's casts, drop repeated values, fuse elementwise regions,
+/// compute slot live ranges, pack internal slots onto reused arena
+/// buffers, resolve every operand to a raw pointer.
 void lower(Program::Impl& im) {
   const std::size_t S0 = im.slots.size();
   im.slot_of.clear();
@@ -633,13 +899,14 @@ void lower(Program::Impl& im) {
       if (internal[s]) im.slot_dt[s] = DType::kF32;
     }
     insert_casts(im, internal);  // appends shadow slots + kCast steps
-    compute_ranges(im, r);
   }
   const std::size_t S = im.slots.size();
 
-  fuse_elementwise(im, r, internal);
-  // Fusion rewrote the step list; intermediates folded into chains now
-  // have no accesses at all and drop out of the packing below.
+  number_values(im, internal);
+  fuse_regions(im, internal);
+  // The passes rewrote the step list: the outputs of dropped repeats and
+  // the values regions keep to themselves now have no accesses at all and
+  // drop out of the packing below.
   compute_ranges(im, r);
 
   std::vector<std::int32_t> owner;
@@ -653,7 +920,7 @@ void lower(Program::Impl& im) {
   im.buf.resize(S);
   for (std::size_t s = 0; s < S; ++s) {
     if (internal[s] && r.first[s] < 0) {
-      // Fused away entirely: no step reads or writes it anymore.
+      // Dropped or fused away: no step reads or writes it anymore.
       im.buf[s] = nullptr;
       if (s < S0) im.slots[s].reset();
     } else if (internal[s]) {
@@ -695,10 +962,10 @@ void dispatch_binary(kernels::BinaryOp b, G&& g) {
 }
 
 /// What a step's indices resolve against: buffers and lengths by slot;
-/// broadcast plans, reduce plans, fused chains and optimizer payloads by
+/// broadcast plans, reduce plans, fused regions and optimizer payloads by
 /// Step::plan. Master replay points it at the Impl's own tables; widened
 /// replay at the WideContext's buffers, scaled lengths and rebuilt
-/// broadcast plans (its reduce plans, fused chains and optimizer payloads
+/// broadcast plans (its reduce plans, fused regions and optimizer payloads
 /// stay the Impl's — widening rejects plans where those would need
 /// scaling); prog::run at one step's own operands.
 struct StepTables {
@@ -706,7 +973,7 @@ struct StepTables {
   const int64_t* slot_len;
   const kernels::BroadcastPlan* bplans;
   const kernels::ReducePlan* rplans;
-  const std::vector<FusedOp>* fchains;
+  const Region* regions;
   const prog::OptimArgs* optims;
 };
 
@@ -740,49 +1007,35 @@ void execute_typed(const StepTables& tab, const Step& s) {
       break;
     }
     case StepKind::kFused: {
-      // One pass over the buffer, block by block: the chain value lives
-      // in a stack block while the composed ops run over it, so the
-      // folded intermediates never touch memory. Element i still sees
-      // the identical op sequence the individual steps applied, through
-      // the same unary_block/binary_block entries.
-      const std::vector<FusedOp>& ops = tab.fchains[plan];
-      const T* src = rd(s.a);
-      T* outp = wr(s.out);
-      const FusedOp* fo = ops.data();
-      const std::size_t n_ops = ops.size();
+      // One pass over the elements, block by block: the values the region
+      // keeps to itself live in stack blocks, and every other operand is
+      // read from or written to its slot's buffer at the block's offset.
+      // Element i still sees the op sequence the individual steps
+      // applied, through the same unary_block/binary_block entries.
+      const Region& rg = tab.regions[plan];
       kernels::parallel_for(
-          s.p0, static_cast<int64_t>(n_ops) + 1, [&](int64_t b0, int64_t e0) {
-            constexpr int64_t kBlock = 128;
-            T acc[kBlock];
-            for (int64_t base = b0; base < e0; base += kBlock) {
-              const int64_t len = std::min(kBlock, e0 - base);
-              for (int64_t t = 0; t < len; ++t) acc[t] = src[base + t];
-              for (std::size_t k = 0; k < n_ops; ++k) {
-                const FusedOp& op = fo[k];
-                switch (op.form) {
-                  case FusedOp::kUnaryForm:
-                    kernels::unary_block(acc, acc, len,
-                                         static_cast<kernels::UnaryOp>(op.fn),
-                                         op.scalar);
-                    break;
-                  case FusedOp::kBinChainLeft:
-                    kernels::binary_block(
-                        acc, rd(op.other) + base, acc, len,
-                        static_cast<kernels::BinaryOp>(op.fn));
-                    break;
-                  case FusedOp::kBinChainRight:
-                    kernels::binary_block(
-                        rd(op.other) + base, acc, acc, len,
-                        static_cast<kernels::BinaryOp>(op.fn));
-                    break;
-                  case FusedOp::kBinChainBoth:
-                    kernels::binary_block(
-                        acc, acc, acc, len,
-                        static_cast<kernels::BinaryOp>(op.fn));
-                    break;
+          s.p0, static_cast<int64_t>(rg.ops.size()) + 1,
+          [&](int64_t b0, int64_t e0) {
+            T block[kRegionBlocks][kRegionBlock];
+            for (int64_t base = b0; base < e0; base += kRegionBlock) {
+              const int64_t len = std::min(kRegionBlock, e0 - base);
+              auto at = [&](std::int32_t sl, std::int8_t x) {
+                return x >= 0 ? block[x] : wr(sl) + base;
+              };
+              for (const RegionOp& op : rg.ops) {
+                T* const o = at(op.out, op.xo);
+                if (op.kind == StepKind::kUnary) {
+                  kernels::unary_block(at(op.a, op.xa), o, len,
+                                       static_cast<kernels::UnaryOp>(op.fn),
+                                       op.scalar);
+                } else if (op.kind == StepKind::kBinary) {
+                  kernels::binary_block(at(op.a, op.xa), at(op.b, op.xb), o,
+                                        len,
+                                        static_cast<kernels::BinaryOp>(op.fn));
+                } else if (const T* src = at(op.a, op.xa); src != o) {
+                  std::copy_n(src, len, o);  // kCopy
                 }
               }
-              for (int64_t t = 0; t < len; ++t) outp[base + t] = acc[t];
             }
           });
       break;
@@ -1085,8 +1338,8 @@ void run_health_check(Program::Impl& im, void* const* buf,
 /// recorded order. With MF_PROGRAM_PROFILE=1 each is timed into one band
 /// per kind-table row (kUnary split by fn, kernels::UnaryOp order), which
 /// also counts the elements its steps write: the out slot's length at the
-/// replayed width. Per-thread totals go to stderr every 24 replays, exact
-/// and widened alike.
+/// replayed width, summed over a region's live-outs. Per-thread totals go
+/// to stderr every 24 replays, exact and widened alike.
 void run_steps(const std::vector<Step>& steps, const StepTables& tab) {
   static const bool prof = [] {
     const char* e = std::getenv("MF_PROGRAM_PROFILE");
@@ -1095,13 +1348,6 @@ void run_steps(const std::vector<Step>& steps, const StepTables& tab) {
   if (prof) {
     // Per-thread accumulators: inference replays programs from several
     // OpenMP threads at once, and a shared tally would be a data race.
-    static constexpr const char* kUnaryBands[] = {
-        "unary.add_scalar", "unary.mul_scalar", "unary.pow_scalar",
-        "unary.neg",        "unary.exp",        "unary.log",
-        "unary.sqrt",       "unary.tanh",       "unary.abs",
-        "unary.sign",       "unary.gelu",       "unary.gelu_d1",
-        "unary.gelu_d2",    "unary.gelu_d3"};
-    static_assert(std::size(kUnaryBands) == kernels::kUnaryOpCount);
     constexpr std::size_t kBands = std::size(kKinds) + std::size(kUnaryBands);
     static thread_local double acc[kBands] = {0};
     static thread_local std::uint64_t cnt[kBands] = {0};
@@ -1114,9 +1360,17 @@ void run_steps(const std::vector<Step>& steps, const StepTables& tab) {
       execute(tab, s);
       acc[k] += now_ms() - t0;
       ++cnt[k];
-      if (s.out >= 0) {
+      auto count = [&](std::int32_t o) {
         elems[k] += static_cast<std::uint64_t>(
-            tab.slot_len[static_cast<std::size_t>(s.out)]);
+            tab.slot_len[static_cast<std::size_t>(o)]);
+      };
+      if (s.kind == StepKind::kFused) {
+        for (const std::int32_t o :
+             tab.regions[static_cast<std::size_t>(s.plan)].outs) {
+          count(o);
+        }
+      } else if (s.out >= 0) {
+        count(s.out);
       }
     }
     if (++calls % 24 == 0) {
@@ -1244,7 +1498,7 @@ void Program::replay() {
   Impl& im = *impl_;
   if (!im.ready) throw std::logic_error("Program::replay before capture");
   run_steps(im.steps, {im.buf.data(), im.slot_len.data(), im.bplans.data(),
-                       im.rplans.data(), im.fchains.data(), im.optims.data()});
+                       im.rplans.data(), im.regions.data(), im.optims.data()});
   ++im.replays;
   run_health_check(im, im.buf.data(), im.slot_len.data());
 }
@@ -1311,13 +1565,18 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
     bool p0_scales = false;
     switch (kind_info(s.kind).widen) {
       case KindInfo::kElementwise: {
-        // Same-numel map: mixed scaledness would diverge lengths. p0 is
-        // the element count.
-        const bool want = scaled(s.a);
+        // Same-numel map (a region: every op): mixed scaledness would
+        // diverge lengths. Outputs follow the first input; p0 is the
+        // element count.
+        bool want = false, first = true;
         for_each_operand(
-            im, s, [&](std::int32_t sl) { ok = ok && scaled(sl) == want; },
-            [](std::int32_t) {});
-        ok = ok && define_out(s.out, want);
+            im, s,
+            [&](std::int32_t sl) {
+              if (first) want = scaled(sl);
+              first = false;
+              ok = ok && scaled(sl) == want;
+            },
+            [&](std::int32_t sl) { ok = ok && define_out(sl, want); });
         p0_scales = want;
         break;
       }
@@ -1434,7 +1693,7 @@ void Program::replay_widened(int64_t b) {
   Impl::WideContext& ctx = *get_wide_ctx(im, f);
   run_steps(ctx.steps, {ctx.buf.data(), ctx.slot_len.data(),
                         ctx.bplans.data(), im.rplans.data(),
-                        im.fchains.data(), im.optims.data()});
+                        im.regions.data(), im.optims.data()});
   ++im.replays;
   ++im.widened_replays;
   im.max_widen_batch = std::max(im.max_widen_batch, b);
@@ -1445,6 +1704,107 @@ std::size_t Program::count_steps(std::string_view kind) const {
   return static_cast<std::size_t>(std::count_if(
       impl_->steps.begin(), impl_->steps.end(),
       [&](const Step& s) { return kind == kind_info(s.kind).name; }));
+}
+
+std::size_t Program::count_ops(std::string_view band) const {
+  const Impl& im = *impl_;
+  auto is = [&](StepKind kind, std::uint8_t fn) {
+    return band == kind_info(kind).name ||
+           (kind == StepKind::kUnary && band == kUnaryBands[fn]);
+  };
+  std::size_t n = 0;
+  for (const Step& s : im.steps) {
+    if (s.kind != StepKind::kFused) {
+      n += is(s.kind, s.fn);
+      continue;
+    }
+    const Region& rg = im.regions[static_cast<std::size_t>(s.plan)];
+    for (const RegionOp& op : rg.ops) n += is(op.kind, op.fn);
+  }
+  return n;
+}
+
+std::string Program::verify() const {
+  const Impl& im = *impl_;
+  const std::size_t S = im.slots.size();
+  auto external = [&](std::int32_t sl) {
+    return im.slots[static_cast<std::size_t>(sl)] != nullptr;
+  };
+  auto where = [](std::size_t i, std::int32_t sl) {
+    return "step " + std::to_string(i) + ", slot " + std::to_string(sl);
+  };
+  const Accesses accesses(im);
+  for (std::size_t i = 0; i < im.steps.size(); ++i) {
+    const Step& s = im.steps[i];
+    if (s.kind != StepKind::kFused) continue;
+    const Region& rg = im.regions[static_cast<std::size_t>(s.plan)];
+    for (const RegionOp& op : rg.ops) {
+      const bool live = external(op.out) || accesses.read_next(op.out, i);
+      const bool written =
+          std::find(rg.outs.begin(), rg.outs.end(), op.out) != rg.outs.end();
+      if (live != written || written != (op.xo < 0)) {
+        return where(i, op.out) + (live ? ": a live-out the region keeps"
+                                        : ": a region writes a dead value");
+      }
+    }
+    for (const auto* list : {&rg.ins, &rg.outs}) {
+      for (const std::int32_t sl : *list) {
+        if (im.slot_dt[static_cast<std::size_t>(sl)] != s.dt) {
+          return where(i, sl) + ": a region crosses a dtype boundary";
+        }
+      }
+    }
+  }
+
+  // Every op that writes a slot, fused ones included, as the steps it was
+  // recorded as; value numbering must have dropped each repeat it could.
+  std::vector<std::pair<std::size_t, Step>> ops;
+  for (std::size_t i = 0; i < im.steps.size(); ++i) {
+    const Step& s = im.steps[i];
+    if (s.kind != StepKind::kFused) {
+      ops.emplace_back(i, s);
+      continue;
+    }
+    const Region& rg = im.regions[static_cast<std::size_t>(s.plan)];
+    for (const RegionOp& op : rg.ops) {
+      Step e;
+      e.kind = op.kind;
+      e.fn = op.fn;
+      e.dt = s.dt;
+      e.scalar = op.scalar;
+      e.p0 = s.p0;
+      e.a = op.a;
+      e.b = op.b;
+      e.out = op.out;
+      ops.emplace_back(i, e);
+    }
+  }
+  // Writes are ordered by op, so two ops of one region are apart.
+  std::vector<std::uint32_t> writes(S, 0);
+  std::vector<std::int32_t> last_write(S, -1);
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const Step& s = ops[k].second;
+    if (s.out < 0) continue;
+    ++writes[static_cast<std::size_t>(s.out)];
+    last_write[static_cast<std::size_t>(s.out)] = static_cast<std::int32_t>(k);
+  }
+  std::vector<char> internal(S);
+  for (std::size_t sl = 0; sl < S; ++sl) internal[sl] = im.slots[sl] == nullptr;
+  ValueTable values(S);
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const auto& [i, s] = ops[k];
+    if (kind_info(s.kind).numbered) {
+      const std::int32_t earlier = values.holder(s);
+      if (earlier >= 0 &&
+          droppable(im, internal, writes, last_write, s.out, earlier, k)) {
+        return where(i, s.out) + ": repeats the value of slot " +
+               std::to_string(earlier);
+      }
+      values.hold(s);
+    }
+    if (s.out >= 0) values.wrote(s.out);
+  }
+  return "";
 }
 
 void Program::reset() { impl_->clear_plan(); }

@@ -40,13 +40,22 @@
 // time from the same work sizes, so replay partitions exactly like eager
 // execution at the same thread count.
 //
-// Fusion: lowering additionally collapses runs of adjacent elementwise
-// steps whose slots chain producer→consumer with no other reader in
-// between into single `Fused` steps that apply the composed scalar
-// expression in one pass over the buffer. Every element still goes
-// through the identical sfn:: functors in the identical order, so fused
-// replay stays bitwise-identical to eager; the skipped intermediates
-// simply never materialize (their slots are dropped from the arena).
+// Value numbering and fusion: lowering computes each value once. A pure
+// step (unary, binary, copy, matmul) whose kind, opcode, dtype, scalar,
+// geometry and operand slots — each at its version, bumped by every write
+// to the slot, an optimizer's in-place update included — match an earlier
+// step's is dropped when its output is internal, and its readers read the
+// earlier output (the PDE loss's backward passes ask for gelu_d1 of each
+// pre-activation again and again). Then every maximal run of adjacent
+// unary, binary and copy steps of one length and one dtype becomes one
+// `Fused` region step: it reads its outside inputs, writes only its
+// live-outs (the slots that are external or read after the run before
+// anything overwrites them), and keeps every other value in a stack
+// block, so those never materialize and drop out of the arena. A region
+// runs block by block through the same kernel entries as the steps it
+// replaces, so every element keeps its op sequence and fused replay stays
+// bitwise identical to eager. Program::verify re-derives both invariants
+// from a lowered plan.
 //
 // Optimizer steps: optim::Adam and optim::Lamb update through typed steps
 // too (see AdamPlanState below), so a plan that captures step + optimizer
@@ -87,9 +96,10 @@
 // Step kinds: program.cpp describes each prog::StepKind in one constexpr
 // row — name, dtype rule (compute width, f64, or the width of the output
 // or input buffer), widen rule (elementwise, broadcast, fold, outer-axis,
-// rows, never), fusability, and whether it also reads `out`. Cast
-// insertion, fusion, liveness, the health sentinel, widening and the
-// MF_PROGRAM_PROFILE bands read the row instead of naming kinds; only the
+// rows, never), fusability, purity (value numbering), and whether it also
+// reads `out`. Cast insertion, value numbering, fusion, liveness, the
+// health sentinel, widening and the MF_PROGRAM_PROFILE bands read the row
+// instead of naming kinds; only the
 // one execute switch — run by eager ops and replay alike — names every
 // kind, and a kind missing from it or from the table fails to compile.
 //
@@ -102,6 +112,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -119,7 +130,7 @@ class Program {
     std::size_t external_slots = 0; // slots alive outside the program
     std::size_t arena_bytes = 0;    // liveness-packed internal storage
     std::size_t pinned_bytes = 0;   // externally visible slot payloads
-    std::size_t fused_steps = 0;    // Fused steps in the plan
+    std::size_t fused_steps = 0;    // Fused region steps in the plan
     std::size_t fused_ops = 0;      // elementwise steps folded into them
     std::size_t cast_steps = 0;     // dtype-boundary kCast steps
     std::size_t optim_steps = 0;    // in-plan optimizer parameter updates
@@ -199,6 +210,20 @@ class Program {
   /// band name ("matmul", "copy", ...; kUnary counts as "unary"), so tests
   /// can check what a graph lowers to.
   std::size_t count_steps(std::string_view kind) const;
+
+  /// Ops of the lowered plan of `band`, counting a fused region's unary,
+  /// binary and copy ops under their own kinds: "unary" counts every unary
+  /// op, "unary.gelu_d1" (an MF_PROGRAM_PROFILE unary band) one opcode's.
+  std::size_t count_ops(std::string_view band) const;
+
+  /// Re-derives lowering's invariants from the lowered plan and returns
+  /// the first violation, or "" when they hold: no unary, binary, copy or
+  /// matmul op (fused or not) repeats an earlier op's value key where
+  /// value numbering must have dropped it; every fused region writes
+  /// exactly its live-outs — each slot it computes that is external or
+  /// read by a later step before anything overwrites it — and reads and
+  /// writes only slots of its own dtype.
+  std::string verify() const;
 
   /// Health sentinel verdict of the most recent replay()/replay_widened():
   /// false when the post-replay scan (active under health_checks_enabled())
@@ -285,7 +310,7 @@ enum class StepKind : std::uint8_t {
   kConv1dGradIn,  // out = input gradient from gout a, weight b; as above
   kConv1dGradW,   // out = weight gradient from gout a, input b; as above
   kConv1dGradB,   // out = bias gradient from gout a; p0..p2 = B, Cout, Lout
-  kFused,         // lowering only: a composed run of elementwise steps
+  kFused,         // lowering only: a region of adjacent elementwise steps
   kAdamTick,      // advance the optimizer's step counter, bias corrections
   kAdamParam,     // Adam update of param out from grad a; p0 elements
   kLambParam,     // LAMB update (trust-ratio reduction + write); likewise

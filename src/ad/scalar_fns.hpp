@@ -3,7 +3,7 @@
 //
 // Bitwise parity between an eagerly executed step and its replay comes
 // from one opcode entry per elementwise family: eager ops, plain replay
-// and fused chains all call kernels::map_unary / unary_block or
+// and fused regions all call kernels::map_unary / unary_block or
 // map_binary / binary_block with the same opcode, and each entry has one
 // body per tier. These functors are the scalar tier's body, the body of
 // the ops with no lane formula (pow_scalar, exp, log, sign) on every tier,

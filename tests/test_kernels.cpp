@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "conv1d_checks.hpp"
 #include "elementwise_checks.hpp"
 #include "matmul_checks.hpp"
+#include "reduce_checks.hpp"
 #include "util/rng.hpp"
 
 namespace ad = mf::ad;
@@ -27,6 +31,24 @@ namespace ops = mf::ad::ops;
 namespace kernels = mf::ad::kernels;
 using ad::Shape;
 using ad::Tensor;
+
+// Every operator new in this binary is counted, so a test can assert that
+// a kernel call allocates nothing.
+namespace {
+std::atomic<std::int64_t> g_heap_allocs{0};
+}  // namespace
+
+// Out of line, so the compiler does not pair the malloc inside with the
+// operator delete calls of inlined callers.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -658,4 +680,79 @@ TEST(BroadcastRows, GeneratedSweepMatchesNaiveReferenceBitwise) {
     }
   }
   EXPECT_EQ(cases, 2 * 3 * 10 * (4 + 16 + 64 + 256));
+}
+
+// ---- reduce rows vs the gather loop ----
+
+TEST(ReduceRows, GeneratedSweepMatchesGatherLoopBitwise) {
+  // Ranks 1-4; every kept/reduced mask over src axes of 3, 2, 3 and an
+  // inner axis of 1, 3, 64 or 300 (past one 256-column chunk); each dst
+  // also with its leading size-1 axes dropped; values uniform, a quarter
+  // ±0, or all ±0; f64 and f32 (double accumulator); serial and threaded
+  // (grain 1: rows and chunks split across threads).
+  const int64_t kOuter[] = {3, 2, 3};
+  const int64_t kInner[] = {1, 3, 64, 300};
+  KernelConfigGuard guard;
+  mf::util::Rng rng(113);
+  int64_t cases = 0;
+  for (const bool threaded : {false, true}) {
+    if (threaded) {
+      guard.threaded(kTestThreads);
+    } else {
+      guard.serial();
+    }
+    for (std::size_t rank = 1; rank <= 4; ++rank) {
+      for (const int64_t inner : kInner) {
+        for (unsigned mask = 0; mask < (1u << rank); ++mask) {
+          Shape src(rank), dst(rank);
+          for (std::size_t d = 0; d < rank; ++d) {
+            src[d] = d + 1 == rank ? inner : kOuter[d];
+            dst[d] = (mask >> d) & 1 ? 1 : src[d];  // bit set: reduced
+          }
+          for (const Shape& to : {dst, drop_leading_ones(dst)}) {
+            for (int mode = 0; mode < 3; ++mode) {
+              const std::string f64 =
+                  reduce_checks::check_reduce<double>(src, to, mode, rng);
+              const std::string f32 =
+                  reduce_checks::check_reduce<float>(src, to, mode, rng);
+              ASSERT_TRUE(f64.empty() && f32.empty())
+                  << "src " << ad::shape_str(src) << " dst "
+                  << ad::shape_str(to) << " mode " << mode
+                  << " threaded=" << threaded
+                  << (f64.empty() ? " f32 " + f32 : " f64 " + f64);
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 4 * (2 + 4 + 8 + 16) * 2 * 3);
+}
+
+TEST(ReduceRows, ReduceAndBroadcastCallsDoNotAllocate) {
+  // Row walk and gather loop of reduce_broadcast, and map_broadcast, each
+  // serial and threaded; plans and buffers are built before counting.
+  KernelConfigGuard guard;
+  const kernels::ReducePlan rows({40, 3, 70}, {1, 1, 70});
+  const kernels::ReducePlan gather({40, 3, 70}, {40, 3, 1});
+  const kernels::BroadcastPlan bcast({40, 3, 70}, {40, 1, 70}, {3, 1});
+  std::vector<double> src(40 * 3 * 70, 0.5), out(40 * 3 * 70);
+  for (const bool threaded : {false, true}) {
+    if (threaded) {
+      guard.threaded(kTestThreads);
+    } else {
+      guard.serial();
+    }
+    auto calls = [&] {
+      kernels::reduce_broadcast(rows, src.data(), out.data());
+      kernels::reduce_broadcast(gather, src.data(), out.data());
+      kernels::map_broadcast(bcast, src.data(), src.data(), out.data(),
+                             ad::sfn::Add{});
+    };
+    calls();  // a thread team's first start may allocate
+    const std::int64_t before = g_heap_allocs.load();
+    calls();
+    EXPECT_EQ(g_heap_allocs.load(), before) << "threaded=" << threaded;
+  }
 }

@@ -447,28 +447,28 @@ TEST(Program, FusedReplayWithInPlanAdamBitwiseMatchesEagerTrajectory) {
   EXPECT_GT(st.optim_steps, 0u) << "Adam update should be in-plan";
 }
 
-TEST(Program, LaterNonFusedReaderBlocksFusion) {
-  // add -> gelu is an adjacent elementwise producer->consumer pair, but
-  // the add's output is also read by a later non-elementwise step (sum).
-  // Folding the pair would leave that reader with a never-materialized
-  // operand, so the pass must keep the whole run unfused.
+TEST(Program, LaterReaderMakesARegionWriteALiveOut) {
+  // add -> gelu is one elementwise region, and the add's output is also
+  // read by a later step outside it (sum): the region must write that
+  // value to its slot, next to the gelu it feeds, while a chain whose
+  // intermediates nothing else reads keeps them in stack blocks.
   ProgramEnabledGuard on(true);
-  Tensor x = Tensor::zeros({64});
+  Tensor x = Tensor::zeros({300});
   util::Rng rng(91);
   for (int64_t i = 0; i < x.numel(); ++i) x.flat(i) = rng.uniform(-1.0, 1.0);
 
-  ad::Program blocked;
-  Tensor out_blocked;
-  blocked.capture([&] {
+  ad::Program read_later;
+  Tensor out_read_later;
+  read_later.capture([&] {
     Tensor t1 = ops::add(x, x);
-    Tensor g = ops::gelu(t1);   // adjacent elementwise consumer of t1
-    Tensor s = ops::sum(t1);    // later non-fused reader of t1
-    out_blocked = ops::add(g, s);
+    Tensor g = ops::gelu(t1);   // same region as t1
+    Tensor s = ops::sum(t1);    // later reader of t1 outside the region
+    out_read_later = ops::add(g, s);
   });
-  EXPECT_EQ(blocked.stats().fused_steps, 0u)
-      << "a slot read by a later non-fused step must block fusion";
+  EXPECT_EQ(read_later.stats().fused_steps, 1u);
+  EXPECT_EQ(read_later.stats().fused_ops, 2u);
+  EXPECT_EQ(read_later.verify(), "");
 
-  // Control: the identical chain without the extra reader fuses whole.
   ad::Program chained;
   Tensor out_chained;
   chained.capture([&] {
@@ -476,23 +476,26 @@ TEST(Program, LaterNonFusedReaderBlocksFusion) {
   });
   EXPECT_EQ(chained.stats().fused_steps, 1u);
   EXPECT_EQ(chained.stats().fused_ops, 3u);
+  EXPECT_EQ(chained.verify(), "");
 
   // Both programs replay bitwise against a fresh eager evaluation, also
   // after the leaf contents change.
   for (int round = 0; round < 2; ++round) {
-    blocked.replay();
+    read_later.replay();
     chained.replay();
-    Tensor eager_blocked, eager_chained;
+    Tensor eager_read_later, eager_chained;
     {
       Tensor t1 = ops::add(x, x);
-      eager_blocked = ops::add(ops::gelu(t1), ops::sum(t1));
+      eager_read_later = ops::add(ops::gelu(t1), ops::sum(t1));
       eager_chained = ops::mul(ops::gelu(ops::add(x, x)), x);
     }
-    for (int64_t i = 0; i < out_blocked.numel(); ++i) {
-      ASSERT_EQ(out_blocked.flat(i), eager_blocked.flat(i)) << "round " << round;
+    for (int64_t i = 0; i < out_read_later.numel(); ++i) {
+      ASSERT_EQ(out_read_later.flat(i), eager_read_later.flat(i))
+          << "round " << round;
     }
     for (int64_t i = 0; i < out_chained.numel(); ++i) {
-      ASSERT_EQ(out_chained.flat(i), eager_chained.flat(i)) << "round " << round;
+      ASSERT_EQ(out_chained.flat(i), eager_chained.flat(i))
+          << "round " << round;
     }
     for (int64_t i = 0; i < x.numel(); ++i) x.flat(i) = rng.uniform(-1.0, 1.0);
   }
@@ -604,6 +607,48 @@ TEST(Program, EveryElementwiseOpReplaysBitwiseAloneAndFused) {
           return binary_op(op, right, right);
         },
         4, -2.0);
+  }
+}
+
+TEST(Program, ValueNumberingDropsRepeatsButNotAcrossAWrite) {
+  // tanh(x) twice reads the same x: the second is dropped and its reader
+  // reads the first. Then z is copied into x in place, and tanh(x) reads
+  // a new x: kept. Replay on fresh leaves equals eager bitwise.
+  ProgramEnabledGuard on(true);
+  ad::NoGradGuard no_grad;
+  util::Rng rng(89);
+  Tensor x = Tensor::zeros({150}), z = Tensor::zeros({150});
+  auto body = [&] {
+    const Tensor c = ops::mul(ops::tanh(x), ops::tanh(x));
+    ad::prog::run({.kind = ad::prog::StepKind::kCopy, .p0 = x.numel()},
+                  {.a = &z, .out = &x});
+    return ops::add(c, ops::tanh(x));
+  };
+  auto refill = [&] {
+    for (Tensor* t : {&x, &z}) {
+      for (int64_t i = 0; i < t->numel(); ++i) {
+        t->flat(i) = rng.uniform(-1.0, 1.0);
+      }
+    }
+  };
+  refill();
+  ad::Program p;
+  Tensor out;
+  p.capture([&] { out = body(); });
+  EXPECT_EQ(p.count_ops("unary.tanh"), 2u);
+  EXPECT_EQ(p.verify(), "");
+  for (int round = 0; round < 2; ++round) {
+    refill();
+    const std::vector<double> x0(x.data(), x.data() + x.numel());
+    p.replay();
+    const std::vector<double> got(out.data(), out.data() + out.numel());
+    std::copy(x0.begin(), x0.end(), x.data());
+    const Tensor want = body();
+    for (int64_t i = 0; i < want.numel(); ++i) {
+      ASSERT_TRUE(elementwise_checks::same_bits(
+          got[static_cast<std::size_t>(i)], want.flat(i)))
+          << "round " << round << " i=" << i;
+    }
   }
 }
 
@@ -1471,13 +1516,15 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
               }};
     }
     case StepKind::kFused: {
+      // One region with two live-outs: the kept product and the result.
       const Tensor x = leaf({B, 5}), z = leaf({B, 5});
       return {.band = "fused",
               .widens = true,
               .batch = {x, z},
               .body = [=]() -> Outputs {
-                return {ops::tanh(
-                    ops::sub(z, ops::mul_scalar(ops::mul(x, z), 0.5)))};
+                const Tensor xz = ops::mul(x, z);
+                return {xz,
+                        ops::tanh(ops::sub(z, ops::mul_scalar(xz, 0.5)))};
               }};
     }
     case StepKind::kAdamTick:
@@ -1637,6 +1684,258 @@ TEST(Program, EveryStepKindPinsItsWidenVerdict) {
       }
     }
   }
+}
+
+// ---- generated lowering conformance ------------------------------------
+//
+// A seeded generator builds random elementwise DAGs over three leaves of
+// one length: unary and binary ops on random earlier values (so values
+// have several consumers), exact repeats of earlier ops (repeated
+// subexpressions), a sum broadcast back (a non-elementwise reader between
+// regions), copies of external values kept as outputs (f64 copies among
+// the f32 policy's float steps), kept intermediates, and in-place copies
+// into a leaf or an intermediate, each followed by a repeat of an op that
+// read it before the write. Every DAG, captured and lowered, replays on
+// fresh leaves bitwise equal to eager at f64 and within test_precision's
+// 1e-5 band at f32, and verify() finds no value value numbering should
+// have dropped and no region writing other than its live-outs.
+
+struct DagOp {
+  enum Kind : std::uint8_t { kUnary, kBinary, kSumBack, kKeepCopy, kInPlace };
+  Kind kind = kUnary;
+  std::uint8_t fn = 0;  // UnaryOp or BinaryOp
+  int a = 0, b = 0;     // value indices; kInPlace copies value a into b
+};
+
+/// Leaves are values 0..2; every op but kInPlace appends one value. Later
+/// ops read only `readable` values: the leaves, unary results and the
+/// tanh of each binary or summed result, so magnitudes stay near 1 and
+/// f32 rounding stays inside the band.
+struct RandomDag {
+  std::vector<Tensor> leaves;
+  std::vector<DagOp> ops;
+  std::vector<int> kept;      // the output values
+  std::vector<int> readable;  // values later ops may read
+};
+
+/// The DAG's outputs, then its leaves (in-place copies may write them);
+/// `all`, when given, receives every value.
+Outputs run_dag(const RandomDag& dag, std::vector<Tensor>* all = nullptr) {
+  ad::NoGradGuard no_grad;
+  std::vector<Tensor> v = dag.leaves;
+  for (const DagOp& op : dag.ops) {
+    const Tensor& a = v[static_cast<std::size_t>(op.a)];
+    const Tensor& b = v[static_cast<std::size_t>(op.b)];
+    switch (op.kind) {
+      case DagOp::kUnary:
+        v.push_back(unary_op(static_cast<UnaryOp>(op.fn), a));
+        break;
+      case DagOp::kBinary:
+        v.push_back(binary_op(static_cast<BinaryOp>(op.fn), a, b));
+        break;
+      case DagOp::kSumBack:
+        v.push_back(ops::add(a, ops::sum(b)));
+        break;
+      case DagOp::kKeepCopy:
+        v.push_back(a.detach());
+        break;
+      case DagOp::kInPlace:
+        ad::prog::run({.kind = StepKind::kCopy, .p0 = b.numel()},
+                      {.a = &a, .out = &b});
+        break;
+    }
+  }
+  Outputs out;
+  for (const int k : dag.kept) out.push_back(v[static_cast<std::size_t>(k)]);
+  out.insert(out.end(), dag.leaves.begin(), dag.leaves.end());
+  if (all) *all = std::move(v);
+  return out;
+}
+
+RandomDag random_dag_once(util::Rng& rng) {
+  constexpr UnaryOp kUnary[] = {
+      UnaryOp::kAddScalar, UnaryOp::kMulScalar, UnaryOp::kNeg,
+      UnaryOp::kTanh,      UnaryOp::kAbs,       UnaryOp::kSign,
+      UnaryOp::kGelu,      UnaryOp::kGeluD1,    UnaryOp::kGeluD2,
+      UnaryOp::kGeluD3};
+  constexpr int64_t kLengths[] = {1, 5, 128, 300};
+  auto pick = [&rng](std::size_t n) {
+    return std::min(n - 1, static_cast<std::size_t>(
+                               rng.uniform(0.0, static_cast<double>(n))));
+  };
+  RandomDag dag;
+  const int64_t n = kLengths[pick(4)];
+  for (int l = 0; l < 3; ++l) {
+    dag.leaves.push_back(Tensor::zeros({n}));
+    dag.readable.push_back(l);
+  }
+  int values = 3;
+  auto any = [&] { return dag.readable[pick(dag.readable.size())]; };
+  auto unary = [&](UnaryOp op, int a) {
+    return DagOp{.kind = DagOp::kUnary,
+                 .fn = static_cast<std::uint8_t>(op),
+                 .a = a};
+  };
+  // Appends `op`; a binary or summed result is read through its tanh.
+  auto push = [&](const DagOp& op) {
+    dag.ops.push_back(op);
+    if (op.kind == DagOp::kInPlace) return;
+    const int v = values++;
+    if (op.kind == DagOp::kBinary || op.kind == DagOp::kSumBack) {
+      dag.ops.push_back(unary(UnaryOp::kTanh, v));
+      dag.readable.push_back(values++);
+    } else {
+      dag.readable.push_back(v);
+    }
+  };
+  auto repeat_reader_of = [&](int v) {
+    for (const DagOp& op : dag.ops) {
+      const bool reads = op.a == v || (op.kind == DagOp::kBinary && op.b == v);
+      if (op.kind <= DagOp::kBinary && reads) {
+        push(DagOp(op));
+        return;
+      }
+    }
+  };
+  const std::size_t n_ops = 12 + pick(16);
+  for (std::size_t k = 0; k < n_ops; ++k) {
+    const double r = rng.uniform(0.0, 1.0);
+    std::vector<DagOp> pure;
+    for (const DagOp& op : dag.ops) {
+      if (op.kind <= DagOp::kBinary) pure.push_back(op);
+    }
+    if (r < 0.15 && !pure.empty()) {
+      push(pure[pick(pure.size())]);  // a repeated subexpression
+    } else if (r < 0.22) {
+      const int from = any();
+      int to = static_cast<int>(pick(static_cast<std::size_t>(values)));
+      if (to == from) to = (to + 1) % values;
+      push({.kind = DagOp::kInPlace, .a = from, .b = to});
+      repeat_reader_of(to);
+    } else if (r < 0.28) {
+      push({.kind = DagOp::kSumBack, .a = any(), .b = any()});
+    } else if (r < 0.34) {
+      dag.kept.push_back(values);
+      push({.kind = DagOp::kKeepCopy, .a = any()});
+    } else if (r < 0.62) {
+      push(unary(kUnary[pick(std::size(kUnary))], any()));
+    } else {
+      const auto op = static_cast<BinaryOp>(pick(4));
+      const int a = any();
+      int b = any();
+      if (op == BinaryOp::kDiv) {  // divide by |b| + 0.75
+        push(unary(UnaryOp::kAbs, b));
+        push(unary(UnaryOp::kAddScalar, values - 1));
+        b = values - 1;
+      }
+      push({.kind = DagOp::kBinary,
+            .fn = static_cast<std::uint8_t>(op),
+            .a = a,
+            .b = b});
+    }
+    if (rng.uniform(0.0, 1.0) < 0.2) dag.kept.push_back(values - 1);
+  }
+  dag.kept.push_back(values - 1);
+  return dag;
+}
+
+void fill_leaves(RandomDag& dag, util::Rng& rng) {
+  for (Tensor& t : dag.leaves) {
+    for (int64_t i = 0; i < t.numel(); ++i) t.flat(i) = rng.uniform(-1.0, 1.0);
+  }
+}
+
+/// A random DAG whose readable values stay within ±8 on leaves in [-1, 1].
+RandomDag random_dag(util::Rng& rng) {
+  for (;;) {
+    RandomDag dag = random_dag_once(rng);
+    fill_leaves(dag, rng);
+    std::vector<Tensor> all;
+    run_dag(dag, &all);
+    bool small = true;
+    for (const int v : dag.readable) {
+      const Tensor& t = all[static_cast<std::size_t>(v)];
+      for (int64_t i = 0; i < t.numel(); ++i) {
+        small = small && std::abs(t.flat(i)) <= 8;
+      }
+    }
+    if (small) return dag;
+  }
+}
+
+TEST(Program, GeneratedDagsLowerToPlansThatReplayLikeEager) {
+  ProgramEnabledGuard on(true);
+  util::Rng rng(101);
+  constexpr int kDags = 300;
+  std::size_t fused = 0;
+  for (int d = 0; d < kDags; ++d) {
+    RandomDag dag = random_dag(rng);
+    for (const ad::DType dt : {ad::DType::kF64, ad::DType::kF32}) {
+      SCOPED_TRACE("dag " + std::to_string(d) +
+                   (dt == ad::DType::kF32 ? " f32" : " f64"));
+      fill_leaves(dag, rng);
+      ad::Program p;
+      p.set_compute_dtype(dt);
+      Outputs got;
+      p.capture([&] { got = run_dag(dag); });
+      ASSERT_TRUE(p.captured());
+      ASSERT_EQ(p.verify(), "");
+      fused += p.stats().fused_steps;
+      for (int round = 0; round < 2; ++round) {
+        fill_leaves(dag, rng);
+        const std::vector<double> at_start = values(dag.leaves);
+        for (std::size_t o = 0; o < dag.kept.size(); ++o) {
+          if (dag.kept[o] < 3) continue;  // a leaf
+          std::fill(got[o].data(), got[o].data() + got[o].numel(),
+                    std::numeric_limits<double>::quiet_NaN());
+        }
+        p.replay();
+        const std::vector<double> replayed = values(got);
+        load(dag.leaves, at_start);
+        const std::vector<double> want = values(run_dag(dag));
+        ASSERT_EQ(replayed.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          if (dt == ad::DType::kF64) {
+            ASSERT_TRUE(elementwise_checks::same_bits(replayed[i], want[i]))
+                << "round " << round << " i=" << i << ": " << replayed[i]
+                << " vs " << want[i];
+          } else {
+            ASSERT_NEAR(replayed[i], want[i],
+                        1e-5 * std::max(1.0, std::abs(want[i])))
+                << "round " << round << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fused, static_cast<std::size_t>(kDags));
+}
+
+TEST(Program, PdeLossStepEvaluatesEachGeluDerivativeOncePerPreActivation) {
+  // The training step differentiates the network three times through its
+  // PDE loss, and its backward passes ask for gelu_d1 of each
+  // pre-activation again and again. After value numbering the plan holds
+  // one gelu_d1 per forward GELU (data and PDE halves alike) and one
+  // gelu_d2 and gelu_d3 per hidden layer of the PDE half.
+  ProgramEnabledGuard on(true);
+  const int64_t m = 4;
+  const auto net_cfg = small_net_config(m);
+  util::Rng rng(83);
+  mosaic::Sdnet net(net_cfg, rng);
+  gp::LaplaceDatasetGenerator gen(m, {}, 47);
+  auto bvps = gen.generate_many(4);
+  const auto cfg = small_train_config();
+  mosaic::CompiledTrainStep cstep(net, cfg);
+  cstep.run(gen.make_batch(bvps, cfg.q_data, cfg.q_colloc));
+  const ad::Program& p = cstep.program();
+  ASSERT_TRUE(p.captured());
+  EXPECT_EQ(p.verify(), "");
+  EXPECT_GT(p.count_ops("unary.gelu"), 0u);
+  EXPECT_EQ(p.count_ops("unary.gelu_d1"), p.count_ops("unary.gelu"));
+  EXPECT_EQ(p.count_ops("unary.gelu_d2"),
+            static_cast<std::size_t>(net_cfg.mlp_depth));
+  EXPECT_EQ(p.count_ops("unary.gelu_d3"),
+            static_cast<std::size_t>(net_cfg.mlp_depth));
 }
 
 }  // namespace
