@@ -169,9 +169,8 @@ static int main_body(int argc, char** argv) {
     }
     return static_cast<double>(n) / (util::wall_seconds() - t0);
   };
-  // Closed loop: every request is admitted as soon as a slot frees, before
-  // its scheduled arrival too, so latency from arrival is not measured
-  // here (it can come out negative); the open-loop runs measure it.
+  // Closed loop: every request is admitted as soon as a slot frees, so
+  // this measures throughput; the open-loop runs measure latency.
   auto run_server = [&](int workers, serve::SchedulerCounters* out_counters) {
     serve::ServeOptions opts = serve::serve_options_from_env();
     opts.pad_to = pad_to;

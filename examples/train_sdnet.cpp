@@ -22,6 +22,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "comm/runtime.hpp"
 #include "mosaic/trainer.hpp"
@@ -29,6 +31,16 @@
 #include "scenario/scenario.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
+
+/// The --optimizer value: lamb, adamw or sgd, and nothing else.
+static mf::mosaic::OptimizerKind optimizer_from_name(const std::string& name) {
+  using mf::mosaic::OptimizerKind;
+  if (name == "lamb") return OptimizerKind::kLamb;
+  if (name == "adamw") return OptimizerKind::kAdamW;
+  if (name == "sgd") return OptimizerKind::kSgd;
+  throw std::invalid_argument("--optimizer='" + name +
+                              "': want lamb, adamw or sgd");
+}
 
 static int main_body(int argc, char** argv) {
   using namespace mf;
@@ -41,7 +53,8 @@ static int main_body(int argc, char** argv) {
   const int64_t epochs = args.get_int("epochs", 60);
   const int64_t n_bvps = args.get_int("bvps", 128);
   const std::string out = args.get("out", "sdnet.bin");
-  const std::string opt_name = args.get("optimizer", "adamw");
+  const mosaic::OptimizerKind optimizer =
+      optimizer_from_name(args.get("optimizer", "adamw"));
   const scenario::Kind kind =
       scenario::kind_from_name(args.get("scenario", "poisson"));
   const std::string zoo_dir = args.get("zoo", "");
@@ -70,9 +83,7 @@ static int main_body(int argc, char** argv) {
   cfg.q_colloc = args.get_int("q-colloc", 16);
   cfg.max_lr = args.get_double("lr", 1e-2);
   cfg.pde_loss_weight = args.get_double("pde-weight", 0.3);
-  cfg.optimizer = opt_name == "lamb"   ? mosaic::OptimizerKind::kLamb
-                  : opt_name == "sgd"  ? mosaic::OptimizerKind::kSgd
-                                       : mosaic::OptimizerKind::kAdamW;
+  cfg.optimizer = optimizer;
   cfg.checkpoint_path = args.get("checkpoint", "");
   cfg.checkpoint_every = args.get_int("checkpoint-every", 0);
   cfg.resume = args.get_bool("resume");

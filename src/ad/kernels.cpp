@@ -203,32 +203,6 @@ void reduce_broadcast(const ReducePlan& plan, const float* src, float* dst) {
   reduce_broadcast_impl(plan, src, dst);
 }
 
-real reduce_sum(const real* a, int64_t n) {
-  real acc = 0;
-#ifdef MF_HAVE_OPENMP
-  if (detail::should_thread(n)) {
-#pragma omp parallel for reduction(+ : acc)
-    for (int64_t i = 0; i < n; ++i) acc += a[i];
-    return acc;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) acc += a[i];
-  return acc;
-}
-
-double reduce_sum(const float* a, int64_t n) {
-  double acc = 0;
-#ifdef MF_HAVE_OPENMP
-  if (detail::should_thread(n)) {
-#pragma omp parallel for reduction(+ : acc)
-    for (int64_t i = 0; i < n; ++i) acc += a[i];
-    return acc;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) acc += a[i];
-  return acc;
-}
-
 real reduce_max_abs(const real* a, int64_t n) {
   real m = 0;
 #ifdef MF_HAVE_OPENMP
@@ -240,68 +214,6 @@ real reduce_max_abs(const real* a, int64_t n) {
 #endif
   for (int64_t i = 0; i < n; ++i) m = std::max(m, std::abs(a[i]));
   return m;
-}
-
-real reduce_sq_diff(const real* a, const real* b, int64_t n) {
-  real acc = 0;
-#ifdef MF_HAVE_OPENMP
-  if (detail::should_thread(n)) {
-#pragma omp parallel for reduction(+ : acc)
-    for (int64_t i = 0; i < n; ++i) {
-      const real d = a[i] - b[i];
-      acc += d * d;
-    }
-    return acc;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) {
-    const real d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
-real reduce_abs_diff(const real* a, const real* b, int64_t n) {
-  real acc = 0;
-#ifdef MF_HAVE_OPENMP
-  if (detail::should_thread(n)) {
-#pragma omp parallel for reduction(+ : acc)
-    for (int64_t i = 0; i < n; ++i) acc += std::abs(a[i] - b[i]);
-    return acc;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) acc += std::abs(a[i] - b[i]);
-  return acc;
-}
-
-namespace {
-// Accumulates at the element width (the dst rows are the accumulators, so
-// a double-width accumulator would need a scratch pass); the folded axis
-// is a batch dimension of at most a few hundred, well inside f32's
-// tolerance budget.
-template <typename T>
-void sum_axis_impl(const T* src, T* dst, int64_t outer, int64_t n_axis,
-                   int64_t inner) {
-  parallel_for(outer, n_axis * inner, [&](int64_t begin, int64_t end) {
-    for (int64_t o = begin; o < end; ++o) {
-      T* drow = dst + o * inner;
-      for (int64_t k = 0; k < n_axis; ++k) {
-        const T* srow = src + (o * n_axis + k) * inner;
-        for (int64_t i = 0; i < inner; ++i) drow[i] += srow[i];
-      }
-    }
-  });
-}
-}  // namespace
-
-void sum_axis(const real* src, real* dst, int64_t outer, int64_t n_axis,
-              int64_t inner) {
-  sum_axis_impl(src, dst, outer, n_axis, inner);
-}
-
-void sum_axis(const float* src, float* dst, int64_t outer, int64_t n_axis,
-              int64_t inner) {
-  sum_axis_impl(src, dst, outer, n_axis, inner);
 }
 
 // The scalar matmul tier's cache-block sizes (in elements): one b tile is

@@ -7,11 +7,10 @@
 // identical serial loop, so the backend is always available.
 //
 // Threading contract:
-//  * Elementwise maps assign out[i] from in[i] only, and matmul and conv1d
-//    sum each output element in one thread, in one order — parallel
-//    execution is bitwise identical to serial.
-//  * Reductions (reduce_sum, reduce_to) may reassociate floating-point sums
-//    across threads; callers compare with tolerances.
+//  * Elementwise maps assign out[i] from in[i] only, and matmul, conv1d
+//    and reduce_broadcast (every sum) compute each output element in one
+//    thread, in one order: no kernel's bits depend on the thread count,
+//    and parallel execution is bitwise identical to serial.
 //  * A kernel only threads when the estimated work exceeds `grain()`
 //    elements and the calling thread is not already inside a parallel
 //    region (no nested parallelism).
@@ -318,18 +317,8 @@ struct ReducePlan {
 void reduce_broadcast(const ReducePlan& plan, const real* src, real* dst);
 void reduce_broadcast(const ReducePlan& plan, const float* src, float* dst);
 
-real reduce_sum(const real* a, int64_t n);
+/// max |a[i]|: a max, exact in any order and so at any thread count.
 real reduce_max_abs(const real* a, int64_t n);
-real reduce_sq_diff(const real* a, const real* b, int64_t n);
-real reduce_abs_diff(const real* a, const real* b, int64_t n);
-/// Float input, double accumulator — callers narrow the result if needed.
-double reduce_sum(const float* a, int64_t n);
-
-/// dst[o, i] = sum_k src[o, k, i]; dst must be zero-initialized.
-void sum_axis(const real* src, real* dst, int64_t outer, int64_t n_axis,
-              int64_t inner);
-void sum_axis(const float* src, float* dst, int64_t outer, int64_t n_axis,
-              int64_t inner);
 
 // ---- linear algebra ----
 

@@ -50,6 +50,16 @@ Tensor unary_fwd(const Tensor& a, UnaryOp id, real scalar) {
   return out;
 }
 
+/// `a` summed to `shape` (which broadcasts to a's shape) as one reduce
+/// step.
+Tensor reduce_fwd(const Tensor& a, const Shape& shape) {
+  Tensor out = Tensor::zeros(shape);
+  const kernels::ReducePlan plan(a.shape(), shape);
+  prog::run({.kind = StepKind::kReduce},
+            {.a = &a, .out = &out, .rplan = &plan});
+  return out;
+}
+
 template <typename B>
 Tensor elementwise_unary(const Tensor& a, const char* name, UnaryOp id,
                          real scalar, B&& backward) {
@@ -215,12 +225,8 @@ Tensor reduce_to(const Tensor& t, const Shape& shape) {
     throw std::invalid_argument("reduce_to: " + shape_str(t.shape()) + " -> " +
                                 shape_str(shape));
   }
-  Tensor out = Tensor::zeros(shape);
-  const kernels::ReducePlan plan(t.shape(), shape);
-  prog::run({.kind = StepKind::kReduce},
-            {.a = &t, .out = &out, .rplan = &plan});
   const SmallShape orig = t.shape();
-  return record(std::move(out), "reduce_to", {t},
+  return record(reduce_fwd(t, shape), "reduce_to", {t},
                 [orig](const Tensor& g, const std::vector<bool>&) {
                   return std::vector<Tensor>{broadcast_to(g, orig.to_shape())};
                 });
@@ -382,11 +388,8 @@ Tensor sigmoid(const Tensor& a) {
 }
 
 Tensor sum(const Tensor& a) {
-  Tensor out = Tensor::zeros({});
-  prog::run({.kind = StepKind::kSumAll, .p0 = a.numel()},
-            {.a = &a, .out = &out});
   const SmallShape orig = a.shape();
-  return record(std::move(out), "sum", {a},
+  return record(reduce_fwd(a, {}), "sum", {a},
                 [orig](const Tensor& g, const std::vector<bool>&) {
                   return std::vector<Tensor>{broadcast_to(
                       reshape(g, Shape(orig.size(), 1)), orig.to_shape())};
@@ -402,17 +405,10 @@ Tensor sum_axis(const Tensor& a, int64_t axis, bool keepdim) {
   const Shape& s = a.shape();
   Shape kept = s;
   kept[static_cast<std::size_t>(axis)] = 1;
-  // outer x axis x inner decomposition
-  int64_t outer = 1, inner = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= s[static_cast<std::size_t>(d)];
-  for (int64_t d = axis + 1; d < a.dim(); ++d) inner *= s[static_cast<std::size_t>(d)];
-  const int64_t n_axis = s[static_cast<std::size_t>(axis)];
-  Tensor out = Tensor::zeros(kept);
-  prog::run({.kind = StepKind::kSumAxis, .p0 = outer, .p1 = n_axis,
-             .p2 = inner, .p5 = axis},
-            {.a = &a, .out = &out});
+  // One reduce step even over a size-1 axis, so the result is a fresh
+  // tensor.
   const SmallShape orig = s;
-  Tensor res = record(std::move(out), "sum_axis", {a},
+  Tensor res = record(reduce_fwd(a, kept), "sum_axis", {a},
                       [orig](const Tensor& g, const std::vector<bool>&) {
                         return std::vector<Tensor>{
                             broadcast_to(g, orig.to_shape())};
@@ -502,19 +498,21 @@ Tensor slice(const Tensor& t, int64_t axis, int64_t start, int64_t len) {
   int64_t outer = 1, inner = 1;
   for (int64_t d = 0; d < axis; ++d) outer *= s[static_cast<std::size_t>(d)];
   for (int64_t d = axis + 1; d < t.dim(); ++d) inner *= s[static_cast<std::size_t>(d)];
+  // The slice and its backward share one window geometry.
+  auto window = [=](prog::WindowForm form) {
+    return prog::Step{.kind = StepKind::kWindow, .fn = code(form),
+                      .p0 = outer, .p1 = len, .p2 = inner, .p3 = n_axis,
+                      .p4 = start, .p5 = axis};
+  };
   Tensor out = Tensor::zeros(out_shape);
-  prog::run({.kind = StepKind::kSlicePack, .p0 = outer, .p1 = len,
-             .p2 = inner, .p3 = n_axis, .p4 = start, .p5 = axis},
-            {.a = &t, .out = &out});
+  prog::run(window(prog::WindowForm::kPack), {.a = &t, .out = &out});
   const SmallShape orig = s;
   return record(std::move(out), "slice", {t},
-                [orig, axis, start, len, outer, inner, n_axis](
-                    const Tensor& g, const std::vector<bool>&) {
+                [orig, axis, start, len, window](const Tensor& g,
+                                                 const std::vector<bool>&) {
                   // Embed g into zeros of the original shape ("pad").
                   Tensor padded = Tensor::zeros(orig.to_shape());
-                  prog::run({.kind = StepKind::kSliceScatter, .p0 = outer,
-                             .p1 = len, .p2 = inner, .p3 = n_axis,
-                             .p4 = start, .p5 = axis},
+                  prog::run(window(prog::WindowForm::kEmbed),
                             {.a = &g, .out = &padded});
                   Tensor res = record(
                       std::move(padded), "slice_backward", {g},
@@ -540,8 +538,9 @@ Tensor concat(const std::vector<Tensor>& parts, int64_t axis) {
   int64_t offset = 0;
   for (const auto& p : parts) {
     const int64_t len = p.size(axis);
-    prog::run({.kind = StepKind::kConcatPart, .p0 = outer, .p1 = total,
-               .p2 = offset, .p3 = len, .p4 = inner, .p5 = axis},
+    prog::run({.kind = StepKind::kWindow,
+               .fn = code(prog::WindowForm::kWrite), .p0 = outer, .p1 = len,
+               .p2 = inner, .p3 = total, .p4 = offset, .p5 = axis},
               {.a = &p, .out = &out});
     offset += len;
   }
@@ -626,15 +625,26 @@ real reduce_max_abs(const Tensor& t) {
   return kernels::reduce_max_abs(t.data(), t.numel());
 }
 
+namespace {
+/// a − b element by element in order, shaped like a (b may differ in
+/// shape, not in numel).
+Tensor flat_diff(const Tensor& a, const Tensor& b, const char* name) {
+  if (a.numel() != b.numel()) {
+    throw std::invalid_argument(std::string(name) + ": size mismatch");
+  }
+  return sub(a, reshape(b, a.shape()));
+}
+}  // namespace
+
 real mse(const Tensor& a, const Tensor& b) {
-  if (a.numel() != b.numel()) throw std::invalid_argument("mse: size mismatch");
-  return kernels::reduce_sq_diff(a.data(), b.data(), a.numel()) /
-         static_cast<real>(a.numel());
+  NoGradGuard no_grad;
+  const Tensor d = flat_diff(a, b, "mse");
+  return sum(mul(d, d)).item() / static_cast<real>(a.numel());
 }
 
 real mae(const Tensor& a, const Tensor& b) {
-  if (a.numel() != b.numel()) throw std::invalid_argument("mae: size mismatch");
-  return kernels::reduce_abs_diff(a.data(), b.data(), a.numel()) /
+  NoGradGuard no_grad;
+  return sum(abs(flat_diff(a, b, "mae"))).item() /
          static_cast<real>(a.numel());
 }
 

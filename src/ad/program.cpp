@@ -44,8 +44,8 @@ struct KindInfo {
   /// What a batch-carrying operand does to the step (see Program::widen).
   enum Widen : std::uint8_t {
     kElementwise,  // operands agree, out follows a, p0 scales with out
-    kBcast,        // trial-shape check; the broadcast plan is rebuilt
-    kFold,         // a scaled input is refused
+    kPlan,         // trial-shape check; the broadcast or reduce plan is
+                   // rebuilt
     kOuter,        // refuses axis 0 (p5); p0 scales with a
     kRows,         // rhs and bias unscaled; p0 scales with a (a TN
                    // matmul contracts over a's rows: refuses any)
@@ -67,22 +67,14 @@ constexpr KindInfo kKinds[] = {
      false},
     {StepKind::kBinary, "binary", K::kCompute, K::kElementwise, true, true,
      false},
-    {StepKind::kBinaryBcast, "binary_bcast", K::kCompute, K::kBcast, false,
+    {StepKind::kBinaryBcast, "binary_bcast", K::kCompute, K::kPlan, false,
      false, false},
-    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kBcast, false, false,
+    {StepKind::kBcastCopy, "bcast_copy", K::kOfOut, K::kPlan, false, false,
      false},
-    {StepKind::kReduce, "reduce", K::kOfIn, K::kFold, false, false, false},
-    {StepKind::kSumAll, "sum_all", K::kOfIn, K::kFold, false, false, false},
-    {StepKind::kSumAxis, "sum_axis", K::kOfIn, K::kOuter, false, false,
-     false},
+    {StepKind::kReduce, "reduce", K::kOfIn, K::kPlan, false, false, false},
     {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, true, false},
     {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, true, false},
-    {StepKind::kSlicePack, "slice_pack", K::kOfOut, K::kOuter, false, false,
-     false},
-    {StepKind::kSliceScatter, "slice_scatter", K::kOfOut, K::kOuter, false,
-     false, false},
-    {StepKind::kConcatPart, "concat_part", K::kOfOut, K::kOuter, false, false,
-     false},
+    {StepKind::kWindow, "window", K::kOfOut, K::kOuter, false, false, false},
     {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false,
      false},
     {StepKind::kConv1dGradIn, "conv1d_grad_in", K::kCompute, K::kNever, false,
@@ -258,12 +250,13 @@ struct Program::Impl {
 
   // ---- widening state (set by widen()) ----
   // One widening factor's replay tables: the steps with scaled geometry,
-  // broadcast plans rebuilt at the widened shapes, the scaled slot
-  // lengths, and a buffer table into wide_store.
+  // broadcast and reduce plans rebuilt at the widened shapes, the scaled
+  // slot lengths, and a buffer table into wide_store.
   struct WideContext {
     int64_t factor = 1;
     std::vector<Step> steps;
     std::vector<kernels::BroadcastPlan> bplans;
+    std::vector<kernels::ReducePlan> rplans;
     std::vector<int64_t> slot_len;
     std::vector<void*> buf;
   };
@@ -392,10 +385,11 @@ void compute_ranges(const Program::Impl& im, Ranges& r) {
 /// gets an execution dtype — compute steps float, in-plan optimizer steps
 /// double (the double master weights / double moments of the autocast
 /// pattern), copy-like steps the dtype of their output buffer (a full- or
-/// partial-copy must write its destination's width directly: running a
-/// kConcatPart through an out-shadow would clobber sibling parts, and an
-/// f64->f64 copy must not round through f32), reductions the dtype of
-/// their input (their kernels accumulate in double at either width).
+/// partial-copy must write its destination's width directly: a concat
+/// part's window written through an out-shadow would clobber the other
+/// parts, and an f64->f64 copy must not round through f32), reductions
+/// the dtype of their input (their kernels accumulate in double at either
+/// width).
 /// Operand width mismatches are bridged by shadow slots: an internal
 /// twin of the slot at the other width plus an explicit kCast step.
 /// Shadows are reused while provably up to date in plan order —
@@ -576,9 +570,9 @@ void count_writes(const Program::Impl& im, std::vector<std::uint32_t>& writes,
 
 /// True when a repeat of the value `earlier` holds, computed at step
 /// `at` into `out`, may be dropped: `out` is internal, written by that
-/// step alone and shaped like `earlier` (widening rebuilds broadcast plans
-/// from the shapes its readers see), and `earlier` is never written again,
-/// so every renamed reader sees the value it read before.
+/// step alone and shaped like `earlier` (widening rebuilds broadcast and
+/// reduce plans from the shapes its readers see), and `earlier` is never
+/// written again, so every renamed reader sees the value it read before.
 bool droppable(const Program::Impl& im, const std::vector<char>& internal,
                const std::vector<std::uint32_t>& writes,
                const std::vector<std::int32_t>& last_write, std::int32_t out,
@@ -630,8 +624,8 @@ void number_values(Program::Impl& im, const std::vector<char>& internal) {
 /// Per slot, the steps that access it, in order, each marked as reading
 /// it or as overwriting all of it (a fusable step's out, a region's
 /// live-out). read_next tells whether the value a slot holds after step
-/// `at` is read before a step overwrites it; a partial write (a concat
-/// part) counts as a read.
+/// `at` is read before a step overwrites it; a partial write (a window
+/// step) counts as a read.
 class Accesses {
  public:
   explicit Accesses(const Program::Impl& im) : of_(im.slots.size()) {
@@ -965,7 +959,7 @@ void dispatch_binary(kernels::BinaryOp b, G&& g) {
 /// broadcast plans, reduce plans, fused regions and optimizer payloads by
 /// Step::plan. Master replay points it at the Impl's own tables; widened
 /// replay at the WideContext's buffers, scaled lengths and rebuilt
-/// broadcast plans (its reduce plans, fused regions and optimizer payloads
+/// broadcast and reduce plans (its fused regions and optimizer payloads
 /// stay the Impl's — widening rejects plans where those would need
 /// scaling); prog::run at one step's own operands.
 struct StepTables {
@@ -1080,17 +1074,6 @@ void execute_typed(const StepTables& tab, const Step& s) {
     case StepKind::kReduce:
       kernels::reduce_broadcast(tab.rplans[plan], rd(s.a), wr(s.out));
       break;
-    case StepKind::kSumAll:
-      // reduce_sum accumulates in double at either width; the scalar
-      // result rounds to the out slot's width here.
-      wr(s.out)[0] = static_cast<T>(kernels::reduce_sum(rd(s.a), s.p0));
-      break;
-    case StepKind::kSumAxis: {
-      T* o = wr(s.out);
-      std::fill(o, o + slot_len[static_cast<std::size_t>(s.out)], T{0});
-      kernels::sum_axis(rd(s.a), o, s.p0, s.p1, s.p2);
-      break;
-    }
     case StepKind::kMatmul:
       kernels::matmul(rd(s.a), rd(s.b), s.c >= 0 ? rd(s.c) : nullptr,
                       wr(s.out), s.p0, s.p1, s.p2,
@@ -1100,39 +1083,29 @@ void execute_typed(const StepTables& tab, const Step& s) {
       std::memcpy(wr(s.out), rd(s.a),
                   static_cast<std::size_t>(s.p0) * sizeof(T));
       break;
-    case StepKind::kSlicePack: {
-      const T* p = rd(s.a);
-      T* po = wr(s.out);
-      const int64_t len = s.p1, inner = s.p2, n_axis = s.p3, start = s.p4;
-      kernels::parallel_for(s.p0, len * inner, [&](int64_t b0, int64_t e0) {
+    case StepKind::kWindow: {
+      // Per outer index, one window of p1 · p2 elements at p4 · p2 into
+      // the p3 · p2 elements of the windowed side, copied either way. An
+      // embed zeroes out first: its eager form wrote into a freshly zeroed
+      // payload, and with buffer reuse the zero background must be
+      // restored.
+      const T* src = rd(s.a);
+      T* dst = wr(s.out);
+      const auto form = static_cast<prog::WindowForm>(s.fn);
+      if (form == prog::WindowForm::kEmbed) {
+        std::fill(dst, dst + slot_len[static_cast<std::size_t>(s.out)], T{0});
+      }
+      const int64_t win = s.p1 * s.p2, side = s.p3 * s.p2, at = s.p4 * s.p2;
+      const auto bytes = static_cast<std::size_t>(win) * sizeof(T);
+      kernels::parallel_for(s.p0, win, [&](int64_t b0, int64_t e0) {
         for (int64_t o = b0; o < e0; ++o) {
-          std::memcpy(po + o * len * inner, p + (o * n_axis + start) * inner,
-                      static_cast<std::size_t>(len * inner) * sizeof(T));
+          if (form == prog::WindowForm::kPack) {
+            std::memcpy(dst + o * win, src + o * side + at, bytes);
+          } else {
+            std::memcpy(dst + o * side + at, src + o * win, bytes);
+          }
         }
       });
-      break;
-    }
-    case StepKind::kSliceScatter: {
-      // The eager backward wrote its windows into a freshly zeroed
-      // payload; with buffer reuse the zero background must be restored.
-      const T* pg = rd(s.a);
-      T* pp = wr(s.out);
-      std::fill(pp, pp + slot_len[static_cast<std::size_t>(s.out)], T{0});
-      const int64_t len = s.p1, inner = s.p2, n_axis = s.p3, start = s.p4;
-      for (int64_t o = 0; o < s.p0; ++o) {
-        std::memcpy(pp + (o * n_axis + start) * inner, pg + o * len * inner,
-                    static_cast<std::size_t>(len * inner) * sizeof(T));
-      }
-      break;
-    }
-    case StepKind::kConcatPart: {
-      const T* pp = rd(s.a);
-      T* po = wr(s.out);
-      const int64_t total = s.p1, offset = s.p2, len = s.p3, inner = s.p4;
-      for (int64_t o = 0; o < s.p0; ++o) {
-        std::memcpy(po + (o * total + offset) * inner, pp + o * len * inner,
-                    static_cast<std::size_t>(len * inner) * sizeof(T));
-      }
       break;
     }
     case StepKind::kConv1dFwd:
@@ -1209,6 +1182,30 @@ bool bcast_result(const Shape& a, const Shape& b, Shape& out) {
   return true;
 }
 
+/// Whether a plan-carrying step still works on each instance alone once
+/// widened, checked at factor 2 (validity is independent of the factor,
+/// so one check covers every replay width). Its plan, rebuilt from the
+/// widened shapes, broadcasts each narrow side — a broadcast's inputs, a
+/// reduction's output — to the full side: a broadcast's output, a
+/// reduction's input. A batch-carrying narrow side must also have the
+/// full side's rank, so that its batch axis meets the full side's: a
+/// reduction keeps the batch axis.
+bool plan_widens(const Program::Impl& im, const Step& s) {
+  const bool reduce = s.kind == StepKind::kReduce;
+  const Shape full = wide_shape(im, reduce ? s.a : s.out, 2);
+  Shape joined;
+  for (const std::int32_t narrow : {reduce ? s.out : s.a, s.b}) {
+    if (narrow < 0) continue;
+    const Shape sh = wide_shape(im, narrow, 2);
+    if ((im.slot_scaled[static_cast<std::size_t>(narrow)] &&
+         sh.size() != full.size()) ||
+        !bcast_result(sh, full, joined) || joined != full) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Point a context's buffer table into the wide store. Slots without a
 /// store buffer keep the master one: unscaled externals alias the live
 /// master payloads (parameters are read in place, so retraining between
@@ -1222,9 +1219,10 @@ void bind_wide_buffers(Program::Impl& im, Program::Impl::WideContext& ctx) {
 }
 
 /// Find or build the replay context for widening factor `f` (> 1): step
-/// list with scaled geometry, broadcast plans rebuilt from the widened
-/// shapes, and a buffer table into the one wide store. A factor larger
-/// than any before regrows the store and rebinds the cached contexts.
+/// list with scaled geometry, broadcast and reduce plans rebuilt from the
+/// widened shapes, and a buffer table into the one wide store. A factor
+/// larger than any before regrows the store and rebinds the cached
+/// contexts.
 Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
   for (std::size_t i = 0; i < im.wide_ctxs.size(); ++i) {
     if (im.wide_ctxs[i]->factor == f) {
@@ -1266,19 +1264,23 @@ Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
   }
   ctx->buf.assign(S, nullptr);
   bind_wide_buffers(im, *ctx);
-  // Geometry scales as widen() decided per step; broadcast plans are
-  // rebuilt from the widened shapes (a broadcast copy's plan is
+  // Geometry scales as widen() decided per step; broadcast and reduce
+  // plans are rebuilt from the widened shapes (a broadcast copy's plan is
   // (out, a, a)).
   ctx->steps = im.steps;
   ctx->bplans = im.bplans;
+  ctx->rplans = im.rplans;
   for (std::size_t i = 0; i < ctx->steps.size(); ++i) {
     Step& s = ctx->steps[i];
     if (im.p0_scaled[i]) s.p0 *= f;
-    if (kind_info(s.kind).widen == KindInfo::kBcast) {
-      const Shape a_w = wide_shape(im, s.a, f);
-      ctx->bplans[static_cast<std::size_t>(s.plan)] = kernels::BroadcastPlan(
-          wide_shape(im, s.out, f), a_w,
-          s.b >= 0 ? wide_shape(im, s.b, f) : a_w);
+    if (kind_info(s.kind).widen != KindInfo::kPlan) continue;
+    const auto plan = static_cast<std::size_t>(s.plan);
+    const Shape a_w = wide_shape(im, s.a, f), out_w = wide_shape(im, s.out, f);
+    if (s.kind == StepKind::kReduce) {
+      ctx->rplans[plan] = kernels::ReducePlan(a_w, out_w);
+    } else {
+      ctx->bplans[plan] = kernels::BroadcastPlan(
+          out_w, a_w, s.b >= 0 ? wide_shape(im, s.b, f) : a_w);
     }
   }
   im.wide_ctxs.push_back(std::move(ctx));
@@ -1559,7 +1561,6 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
     return true;
   };
   bool ok = true;
-  Shape trial;
   for (const Step& s : im.steps) {
     if (!ok) break;
     bool p0_scales = false;
@@ -1580,25 +1581,14 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
         p0_scales = want;
         break;
       }
-      case KindInfo::kBcast: {
-        // A broadcast copy has no b: its input must broadcast to out.
+      case KindInfo::kPlan: {
+        // A broadcast copy has no b. A sum that drops the batch axis
+        // would fold instances into one value: plan_widens refuses it,
+        // and a full sum's scalar has no dim to scale.
         const bool want = scaled(s.a) || scaled(s.b);
-        ok = define_out(s.out, want);
-        if (ok && want) {
-          // Trial-widen at factor 2: validity is independent of the
-          // factor, so one shape check covers every replay width.
-          const Shape out_w = wide_shape(im, s.out, 2);
-          ok = bcast_result(wide_shape(im, s.a, 2),
-                            s.b >= 0 ? wide_shape(im, s.b, 2) : out_w,
-                            trial) &&
-               trial == out_w;
-        }
+        ok = define_out(s.out, want) && (!want || plan_widens(im, s));
         break;
       }
-      case KindInfo::kFold:
-        // Would fold batch instances into one value.
-        ok = !scaled(s.a) && define_out(s.out, false);
-        break;
       case KindInfo::kOuter:
         // p0 is the product of the dims before the worked axis (p5), so
         // it scales with the batch unless the axis is the batch itself.
@@ -1692,7 +1682,7 @@ void Program::replay_widened(int64_t b) {
   }
   Impl::WideContext& ctx = *get_wide_ctx(im, f);
   run_steps(ctx.steps, {ctx.buf.data(), ctx.slot_len.data(),
-                        ctx.bplans.data(), im.rplans.data(),
+                        ctx.bplans.data(), ctx.rplans.data(),
                         im.regions.data(), im.optims.data()});
   ++im.replays;
   ++im.widened_replays;

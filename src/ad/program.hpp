@@ -69,9 +69,10 @@
 // B0 independent instances, turning many skinny width-64 GEMMs into few
 // wide ones. widen() declares which external slots carry the batch;
 // lowering's recorded slot shapes drive a fail-closed propagation (any
-// step that would mix instances — full reductions, a reduction, slice or
-// concat on axis 0, TN matmuls (they contract over rows),
+// step that would mix instances — a sum that drops the batch axis, a
+// slice or concat on axis 0, TN matmuls (they contract over rows),
 // training/optimizer steps — rejects widening and callers stay eager).
+// Broadcast and reduce plans are rebuilt at each widened shape.
 // Widened replay of B instances is bitwise identical to B0-sized replays
 // of the same instances because every widenable kernel computes each
 // row/element independently. Every widening factor replays from one
@@ -95,8 +96,8 @@
 //
 // Step kinds: program.cpp describes each prog::StepKind in one constexpr
 // row — name, dtype rule (compute width, f64, or the width of the output
-// or input buffer), widen rule (elementwise, broadcast, fold, outer-axis,
-// rows, never), fusability, purity (value numbering), and whether it also
+// or input buffer), widen rule (elementwise, plan, outer-axis, rows,
+// never), fusability, purity (value numbering), and whether it also
 // reads `out`. Cast insertion, value numbering, fusion, liveness, the
 // health sentinel, widening and the MF_PROGRAM_PROFILE bands read the row
 // instead of naming kinds; only the
@@ -200,8 +201,8 @@ class Program {
   real* widened_buffer(const Tensor& t, int64_t b);
 
   /// Replay the widened plan at batch `b` (positive multiple of B0).
-  /// Requires widened(). The scaled steps and broadcast plans of each
-  /// distinct b are built once and cached.
+  /// Requires widened(). The scaled steps and the broadcast and reduce
+  /// plans of each distinct b are built once and cached.
   void replay_widened(int64_t b);
 
   Stats stats() const;
@@ -292,19 +293,13 @@ enum class StepKind : std::uint8_t {
   kBinary,        // out = fn(a, b) (kernels::BinaryOp); p0 elements
   kBinaryBcast,   // out = fn(a, b) through the broadcast plan
   kBcastCopy,     // out = a broadcast through the broadcast plan
-  kReduce,        // out = a summed through the reduce plan
-  kSumAll,        // out[0] = sum of a's p0 elements
-  kSumAxis,       // out = a [p0 outer, p1 axis, p2 inner] summed over p1;
-                  // p5 is the axis
+  kReduce,        // out = a summed through the reduce plan (every sum)
   kMatmul,        // out = a·b (+ c) in form fn (kernels::MatmulForm),
                   // m = p0, k = p1, n = p2
   kCopy,          // out = a; p0 elements
-  kSlicePack,     // out = axis rows p4 .. p4 + p1 of a [p0, p3, p2]; p5
-                  // is the axis
-  kSliceScatter,  // out [p0, p3, p2] = zeros, with a [p0, p1, p2] at axis
-                  // rows p4 .. p4 + p1; p5 is the axis
-  kConcatPart,    // axis rows p2 .. p2 + p3 of out [p0, p1, p4] = a; p5 is
-                  // the axis
+  kWindow,        // axis rows p4 .. p4 + p1 of the [p0, p3, p2] side,
+                  // against the [p0, p1, p2] other side, in form fn
+                  // (WindowForm); p5 is the axis
   kConv1dFwd,     // out = conv1d(a, weight b, bias c); p0..p5 = B, Cin, L,
                   // Cout, K, padding
   kConv1dGradIn,  // out = input gradient from gout a, weight b; as above
@@ -321,6 +316,13 @@ enum class StepKind : std::uint8_t {
 constexpr std::size_t kStepKindCount =
     static_cast<std::size_t>(StepKind::kStepKindCount_);
 
+/// The form of a kWindow step (its Step::fn): which side is the window's.
+enum class WindowForm : std::uint8_t {
+  kPack,   // out = a's window (slice)
+  kEmbed,  // out = zeros with a in its window (slice's backward)
+  kWrite,  // a into out's window, the rest of out untouched (concat part)
+};
+
 /// One typed kernel invocation. Callers fill the kind, the opcode `fn`,
 /// the scalar and the geometry; the recorder fills the slot indices and
 /// `plan` (the index of the step's side payload), and lowering assigns
@@ -328,8 +330,8 @@ constexpr std::size_t kStepKindCount =
 /// kF32, where compute steps go float and optimizer steps stay double.
 struct Step {
   StepKind kind;
-  std::uint8_t fn = 0;  // kernels::UnaryOp / BinaryOp / MatmulForm; the
-                        // kCast direction
+  std::uint8_t fn = 0;  // kernels::UnaryOp / BinaryOp / MatmulForm,
+                        // WindowForm; the kCast direction
   DType dt = DType::kF64;
   std::int32_t a = -1, b = -1, c = -1;
   std::int32_t out = -1;

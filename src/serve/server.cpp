@@ -214,8 +214,12 @@ std::vector<ServeResult> SolveServer::run(std::vector<SolveRequest> requests) {
                sched.inflight() <
                    static_cast<std::size_t>(opts_.max_inflight)) {
           const std::size_t ri = queue.order[queue.next];
-          const SolveRequest& req = requests[ri];
+          SolveRequest& req = requests[ri];
           if (opts_.realtime && req.arrival_s > now) break;
+          // A closed loop admits as soon as a slot frees, ahead of the
+          // offered arrival: the request arrives when it is admitted, and
+          // its latency and deadline start there.
+          if (!opts_.realtime) req.arrival_s = now;
           ++queue.next;
           id_slots.emplace_back(req.id, ri);
           sched.admit(req, now);

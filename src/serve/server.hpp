@@ -42,7 +42,8 @@ struct ServeOptions {
   /// wasted rows.
   int64_t pad_to = 0;
   /// true: honor request arrival_s offsets (open loop); false: admit as
-  /// fast as capacity allows (closed loop).
+  /// fast as capacity allows (closed loop), each request arriving when it
+  /// is admitted.
   bool realtime = false;
   double relaxation = 1.0;
   DeadlineAction deadline_action = DeadlineAction::kAccount;

@@ -1,8 +1,8 @@
 // Parity and gradcheck coverage for the threaded kernel backend
 // (src/ad/kernels.*): every op must produce the same values whether the
 // kernels run serial or OpenMP-threaded, across the broadcast shape sweep,
-// at 1 and N threads. Elementwise maps are bitwise identical by contract;
-// reductions may reassociate sums and are compared with tight tolerances.
+// at 1 and N threads. No kernel's bits depend on the thread count, so every
+// parity check is bitwise.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -113,9 +113,8 @@ TEST_P(KernelSweep, BroadcastReducePathsParity) {
   Tensor bcast_thr = ops::broadcast_to(a, out_shape);
   Tensor red_thr = ops::reduce_to(big, p.a);
   expect_allclose(bcast_thr, bcast_ref, 0.0, std::string(p.name) + "/broadcast_to");
-  // reduce_to gathers its preimage per output element; threading does not
-  // change the per-element accumulation order, but keep a tolerance anyway.
-  expect_allclose(red_thr, red_ref, 1e-12, std::string(p.name) + "/reduce_to");
+  // reduce_to sums each output element in one thread, in one order.
+  expect_allclose(red_thr, red_ref, 0.0, std::string(p.name) + "/reduce_to");
 }
 
 TEST_P(KernelSweep, GradcheckUnderThreadedKernels) {
@@ -145,7 +144,7 @@ TEST_P(KernelSweep, OneThreadMatchesNThreads) {
   Tensor many = ops::mul(a, b);
   double sum_many = ops::sum(ops::mul(a, b)).item();
   expect_allclose(many, one, 0.0, std::string(p.name) + "/mul");
-  EXPECT_NEAR(sum_many, sum_one, 1e-12 * (1.0 + std::abs(sum_one))) << p.name;
+  EXPECT_EQ(sum_many, sum_one) << p.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -269,14 +268,28 @@ TEST(MatmulKernel, EntrySerialThreadedAndWidestTierAgreeF64) {
 }
 
 TEST(Kernels, SumAxisAndTransposedGemmParity) {
+  // Every sum is one reduce step, each output summed in one thread in one
+  // order: serial and threaded agree bitwise.
   Tensor a = randt({6, 5, 4}, 24, -2, 2);
   KernelConfigGuard guard;
   for (int64_t axis = 0; axis < 3; ++axis) {
+    for (const bool keepdim : {false, true}) {
+      guard.serial();
+      Tensor ref = ops::sum_axis(a, axis, keepdim);
+      guard.threaded();
+      Tensor thr = ops::sum_axis(a, axis, keepdim);
+      expect_allclose(thr, ref, 0.0,
+                      "sum_axis " + std::to_string(axis) +
+                          (keepdim ? " keepdim" : ""));
+    }
+  }
+  for (const Shape& to : {Shape{6, 1, 4}, Shape{1, 5, 1}, Shape{5, 4},
+                          Shape{4}, Shape{}}) {
     guard.serial();
-    Tensor ref = ops::sum_axis(a, axis, /*keepdim=*/false);
+    Tensor ref = ops::reduce_to(a, to);
     guard.threaded();
-    Tensor thr = ops::sum_axis(a, axis, /*keepdim=*/false);
-    expect_allclose(thr, ref, 1e-13, "sum_axis");
+    Tensor thr = ops::reduce_to(a, to);
+    expect_allclose(thr, ref, 0.0, "reduce_to " + ad::shape_str(to));
   }
   // The TN form splits its output rows across columns of m, the NT form
   // shares one packed bᵀ across threads.
@@ -301,10 +314,10 @@ TEST(Kernels, ReductionHelpersParity) {
   const double mse_ref = ops::mse(a, b);
   const double mae_ref = ops::mae(a, b);
   guard.threaded();
-  EXPECT_NEAR(ops::sum(a).item(), sum_ref, 1e-10);
-  EXPECT_DOUBLE_EQ(ops::reduce_max_abs(a), max_ref);
-  EXPECT_NEAR(ops::mse(a, b), mse_ref, 1e-12);
-  EXPECT_NEAR(ops::mae(a, b), mae_ref, 1e-12);
+  EXPECT_EQ(ops::sum(a).item(), sum_ref);
+  EXPECT_EQ(ops::reduce_max_abs(a), max_ref);
+  EXPECT_EQ(ops::mse(a, b), mse_ref);
+  EXPECT_EQ(ops::mae(a, b), mae_ref);
 }
 
 TEST(Kernels, Conv1dForwardAndGradParity) {

@@ -910,7 +910,7 @@ struct WidenCase {
 
 TEST(Program, WidenAcceptsOneCasePerRule) {
   // One accepting plan per widen rule that can accept (elementwise via a
-  // fused chain, bcast, outer, rows), at both compute dtypes and at base
+  // fused chain, plan, outer, rows), at both compute dtypes and at base
   // batches 1 and 2: a widened replay of 3 * B0 rows must be bitwise
   // identical to three base-width replays of the same rows. At B0 = 1 the
   // outer-axis cases have a leading product of 1 and must still widen.
@@ -942,6 +942,8 @@ TEST(Program, WidenAcceptsOneCasePerRule) {
                {ops::slice(x, 1, 3, 2), ops::slice(x, 1, 0, 3)}, 1);
          }},
         {"sum_axis1", {x3}, [=] { return ops::sum_axis(x3, 1, false); }},
+        // A per-instance reduction: its reduce plan is rebuilt per factor.
+        {"reduce_to", {x3}, [=] { return ops::reduce_to(x3, {B0, 1, 4}); }},
         // At B0 = 1 the two unscaled internals of the weight-only sum are
         // as large as the batch rows after them, and die first: the wide
         // packing must not hand their buffers to the rows.
@@ -1000,8 +1002,9 @@ TEST(Program, WidenAcceptsOneCasePerRule) {
 }
 
 TEST(Program, WidenRefusesOneCasePerRule) {
-  // One refusing plan per rule that can refuse (fold, outer on the batch
-  // axis, rows with a batch-carrying rhs, never) at base batches 1 and 2:
+  // One refusing plan per rule that can refuse (plan: sums that drop the
+  // batch axis; outer on the batch axis, rows with a batch-carrying rhs,
+  // never) at base batches 1 and 2:
   // widen() returns false and plain replay still reproduces the captured
   // result. Outputs whose leading dim is the base batch are declared too,
   // so each refusal comes from the step rule, not from an undeclared
@@ -1010,6 +1013,9 @@ TEST(Program, WidenRefusesOneCasePerRule) {
   util::Rng rng(59);
   for (const int64_t B0 : {int64_t{1}, int64_t{2}}) {
     const Tensor x = random_tensor({B0, 4}, rng);
+    const Tensor x2 = random_tensor({B0, 2}, rng);
+    const Tensor v = random_tensor({B0}, rng);
+    const Tensor sq = random_tensor({B0, 3, B0}, rng);
     const Tensor w = random_tensor({3, B0}, rng);
     const Tensor x3 = random_tensor({B0, 3, 4}, rng);
     const Tensor sig = random_tensor({B0, 2, 6}, rng);
@@ -1018,8 +1024,19 @@ TEST(Program, WidenRefusesOneCasePerRule) {
     cb.set_requires_grad(true);
     const Tensor g = Tensor::ones({B0, 3, 6});
     const std::vector<WidenCase> cases = {
-        // Refused even per instance: the reduce plan is not rebuilt.
-        {"reduce_to", {x3}, [=] { return ops::reduce_to(x3, {B0, 1, 4}); }},
+        // Sums over the batch axis: a full sum's scalar has no axis to
+        // scale; the [B0] sum of sq keeps its last axis, not the batch
+        // axis, so widened it no longer broadcasts back to its input; the
+        // [1] sum of x2, widened to [2], would, but it lacks the input's
+        // batch axis.
+        {"sum", {x}, [=] { return ops::mul(x, ops::sum(x)); }},
+        {"reduce_over_batch", {sq}, [=] { return ops::reduce_to(sq, {B0}); }},
+        {"reduce_to_one", {x2},
+         [=] { return ops::mul(x2, ops::reduce_to(x2, {1})); }},
+        // A batch-carrying operand of lower rank than the output: at
+        // B0 = 1 its widened [2] would broadcast along the output's last
+        // axis, not its batch axis.
+        {"bcast_rank_drop", {x2, v}, [=] { return ops::add(x2, v); }},
         {"slice_axis0", {x},
          [=] {
            return ops::concat(
@@ -1319,7 +1336,9 @@ TEST(Program, LinearThirdOrderBackwardLowersWithoutCopies) {
 // replay, so the plan must write every element. Each sample pins its
 // widen verdict: a widening sample is captured at base batch 1 and
 // replayed at batch 3, and every row equals eager. At the f32 compute
-// dtype every sample replays within test_precision's 1e-5 relative band.
+// dtype every sample replays within test_precision's 1e-5 relative band
+// and lowers to its pinned number of cast steps: the band alone does not
+// see a copy or a reduction run at the wrong width.
 
 using ad::prog::StepKind;
 using Outputs = std::vector<Tensor>;
@@ -1328,6 +1347,7 @@ using Outputs = std::vector<Tensor>;
 struct KindSample {
   std::string band;                // the kind's count_steps name
   bool widens = false;             // the pinned Program::widen verdict
+  std::size_t casts = 0;           // the pinned cast_steps of its f32 plan
   std::vector<Tensor> batch = {};  // leaves whose dim 0 is the batch
   std::vector<Tensor> fixed = {};  // other leaves (weights, parameters)
   std::function<Outputs()> body = {};
@@ -1356,6 +1376,7 @@ KindSample optimizer_sample(const char* band, bool lamb, int64_t batch,
     opt = std::make_shared<optim::Adam>(std::vector<Tensor>{w, b}, 1e-6);
   }
   return {.band = band,
+          .casts = 6,
           .batch = {x},
           .fixed = {w, b},
           .body =
@@ -1380,6 +1401,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor x = leaf({B, 5});
       return {.band = "unary",
               .widens = true,
+              .casts = 2,
               .batch = {x},
               .body = [=]() -> Outputs { return {ops::tanh(x)}; }};
     }
@@ -1387,6 +1409,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor x = leaf({B, 5}), z = leaf({B, 5});
       return {.band = "binary",
               .widens = true,
+              .casts = 3,
               .batch = {x, z},
               .body = [=]() -> Outputs { return {ops::mul(x, z)}; }};
     }
@@ -1394,6 +1417,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor x = leaf({B, 5}), row = leaf({5});
       return {.band = "binary_bcast",
               .widens = true,
+              .casts = 3,
               .batch = {x},
               .fixed = {row},
               .body = [=]() -> Outputs { return {ops::add(x, row)}; }};
@@ -1402,43 +1426,28 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor col = leaf({B, 1});
       return {.band = "bcast_copy",
               .widens = true,
+              .casts = 0,
               .batch = {col},
               .body = [=]() -> Outputs {
                 return {ops::broadcast_to(col, {B, 5})};
               }};
     }
     case StepKind::kReduce: {
-      // Refused even per instance: widening does not rebuild reduce plans.
+      // Per instance, so the widened plan rebuilds its reduce plan.
       const Tensor x3 = leaf({B, 3, 4});
       return {.band = "reduce",
-              .widens = false,
+              .widens = true,
+              .casts = 0,
               .batch = {x3},
               .body = [=]() -> Outputs {
                 return {ops::reduce_to(x3, {B, 1, 4})};
-              }};
-    }
-    case StepKind::kSumAll: {
-      const Tensor x = leaf({B, 5});
-      return {.band = "sum_all",
-              .widens = false,
-              .batch = {x},
-              .body = [=]() -> Outputs { return {ops::sum(x)}; }};
-    }
-    case StepKind::kSumAxis: {
-      // Over the batch axis, which the outer-axis rule refuses (axis 1
-      // widens in WidenAcceptsOneCasePerRule).
-      const Tensor x3 = leaf({B, 3, 4});
-      return {.band = "sum_axis",
-              .widens = false,
-              .batch = {x3},
-              .body = [=]() -> Outputs {
-                return {ops::sum_axis(x3, 0, true)};
               }};
     }
     case StepKind::kMatmul: {
       const Tensor x = leaf({B, 5}), w = leaf({5, 4}), b = leaf({4});
       return {.band = "matmul",
               .widens = true,
+              .casts = 4,
               .batch = {x},
               .fixed = {w, b},
               .body = [=]() -> Outputs { return {ops::linear(x, w, b)}; }};
@@ -1447,37 +1456,31 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor x3 = leaf({B, 2, 3});
       return {.band = "copy",
               .widens = true,
+              .casts = 0,
               .batch = {x3},
               .body = [=]() -> Outputs { return {ops::reshape(x3, {B, 6})}; }};
     }
-    case StepKind::kSlicePack: {
-      const Tensor x = leaf({B, 5});
-      return {.band = "slice_pack",
+    case StepKind::kWindow: {
+      // Every form: the slice packs a window of x, its gradient embeds the
+      // seed in zeros of x's shape, and the concat writes each part into
+      // its window.
+      const Tensor x = grad_leaf(leaf({B, 5})), z = leaf({B, 2});
+      const Tensor seed = leaf({B, 3});
+      return {.band = "window",
               .widens = true,
-              .batch = {x},
-              .body = [=]() -> Outputs { return {ops::slice(x, 1, 1, 3)}; }};
-    }
-    case StepKind::kSliceScatter: {
-      // slice's backward embeds the seed in zeros of x's shape.
-      const Tensor x = grad_leaf(leaf({B, 5})), seed = leaf({B, 3});
-      return {.band = "slice_scatter",
-              .widens = true,
-              .batch = {x, seed},
+              .casts = 0,
+              .batch = {x, z, seed},
               .body = [=] {
-                return ad::grad(ops::slice(x, 1, 1, 3), {x}, seed);
+                const Tensor s = ops::slice(x, 1, 1, 3);
+                return Outputs{s, ad::grad(s, {x}, seed)[0],
+                               ops::concat({x, z}, 1)};
               }};
-    }
-    case StepKind::kConcatPart: {
-      const Tensor x = leaf({B, 2}), z = leaf({B, 3});
-      return {.band = "concat_part",
-              .widens = true,
-              .batch = {x, z},
-              .body = [=]() -> Outputs { return {ops::concat({x, z}, 1)}; }};
     }
     case StepKind::kConv1dFwd: {
       const Tensor sig = leaf({B, 2, 6}), w = leaf({3, 2, 3}), b = leaf({3});
       return {.band = "conv1d_fwd",
               .widens = true,
+              .casts = 4,
               .batch = {sig},
               .fixed = {w, b},
               .body = [=]() -> Outputs { return {ops::conv1d(sig, w, b, 1)}; }};
@@ -1487,6 +1490,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor seed = leaf({B, 3, 6});
       return {.band = "conv1d_grad_in",
               .widens = false,
+              .casts = 4,
               .batch = {sig, seed},
               .fixed = {w},
               .body = [=] {
@@ -1498,6 +1502,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor seed = leaf({B, 3, 6});
       return {.band = "conv1d_grad_w",
               .widens = false,
+              .casts = 4,
               .batch = {sig, seed},
               .fixed = {w},
               .body = [=] {
@@ -1509,6 +1514,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor b = grad_leaf(leaf({3})), seed = leaf({B, 3, 6});
       return {.band = "conv1d_grad_b",
               .widens = false,
+              .casts = 5,
               .batch = {sig, seed},
               .fixed = {w, b},
               .body = [=] {
@@ -1520,6 +1526,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor x = leaf({B, 5}), z = leaf({B, 5});
       return {.band = "fused",
               .widens = true,
+              .casts = 4,
               .batch = {x, z},
               .body = [=]() -> Outputs {
                 const Tensor xz = ops::mul(x, z);
@@ -1538,6 +1545,7 @@ KindSample kind_sample(StepKind kind, int64_t B, util::Rng& rng) {
       const Tensor x = leaf({B, 5}), w = leaf({5, 4});
       return {.band = "cast",
               .widens = true,
+              .casts = 3,
               .batch = {x},
               .fixed = {w},
               .body = [=]() -> Outputs {
@@ -1592,6 +1600,7 @@ TEST(Program, EveryStepKindReplaysLikeEager) {
       // A plan is cast-free at f64.
       const bool lowers = kind != StepKind::kCast || dt == ad::DType::kF32;
       EXPECT_EQ(p.count_steps(s.band) > 0, lowers);
+      EXPECT_EQ(p.stats().cast_steps, dt == ad::DType::kF32 ? s.casts : 0u);
       std::vector<Tensor> leaves = s.batch;
       leaves.insert(leaves.end(), s.fixed.begin(), s.fixed.end());
       for (int round = 0; round < 2; ++round) {

@@ -336,6 +336,30 @@ TEST_F(ServeTest, DeadlineRetireAndAccountWithInjectedClock) {
   }
 }
 
+// A closed loop admits each request as soon as a slot frees, ahead of its
+// offered arrival: the request arrives when it is admitted, so no latency
+// is negative. 24 requests 50 ms apart on one worker, with one in flight,
+// queue behind each other far faster than they were offered.
+TEST_F(ServeTest, ClosedLoopRequestsArriveWhenAdmitted) {
+  auto zoo = serve::make_model_zoo({4}, tiny_config(), 29);
+  auto requests = tiny_requests(zoo.size(), 24, /*seed=*/5);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].arrival_s = 0.05 * static_cast<double>(i);
+  }
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  opts.max_inflight = 1;
+  opts.realtime = false;
+  serve::SolveServer server(zoo, opts);
+  server.run(requests);
+  const auto& records = server.stats().records();
+  ASSERT_EQ(records.size(), requests.size());
+  for (const serve::RequestRecord& r : records) {
+    EXPECT_EQ(r.arrival_s, r.admit_s) << "request " << r.id;
+    EXPECT_GE(r.latency_ms(), 0.0) << "request " << r.id;
+  }
+}
+
 // Every worker's thread-local plan cache starts empty, and its warm-up
 // captures each tenant's two plans. The server clock must start after all
 // of them: at its first read, every worker's captures have happened.
