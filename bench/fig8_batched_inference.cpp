@@ -74,8 +74,9 @@ static int main_body(int argc, char** argv) {
     // Batched inference through captured programs. The solver keeps one
     // plan per query set (cross and interior), captured at batch 1 on
     // the first size's untimed pass and widened to every batch after
-    // that. Each untimed pass builds this size's widened contexts and
-    // grows the plans' stores, so the timed pass only replays.
+    // that. Each untimed pass builds the contexts of this size's row
+    // tiles and grows the plans' stores (internals to one tile, io to
+    // the batch), so the timed pass only replays.
     run(true, true);
     const double tc = run(true, true);
     const int64_t h = m / 2;
@@ -106,6 +107,9 @@ static int main_body(int argc, char** argv) {
   // survives the rewiring. `gelu_lanes` names the GELU tier the rates were
   // measured on (8 AVX-512F, 4 AVX2+FMA, 1 std::tanh functor): it moves
   // them by about 1.5x, so a change of runner type shows in the line.
+  // `wide_store_bytes` sums the widened stores of the plans (internals
+  // sized for one row tile, io for the largest batch): it depends on the
+  // thread count, which sizes the tiles, but not on the hardware.
   std::printf(
       "\nBENCH_JSON {\"bench\":\"fig8_batched_inference\",\"m\":%lld,"
       "\"threads\":%d,\"openmp\":%s,\"clock\":\"wall\","
@@ -116,7 +120,8 @@ static int main_body(int argc, char** argv) {
       "\"program_replays\":%llu,\"fused_steps\":%zu,\"fused_ops\":%zu,"
       "\"eager_batched_sub_updates_per_sec\":%.6g,"
       "\"batch_width\":%lld,\"widened_replays\":%llu,"
-      "\"compute_dtype\":\"%s\",\"cast_steps\":%zu,\"gelu_lanes\":%d}\n",
+      "\"compute_dtype\":\"%s\",\"cast_steps\":%zu,\"gelu_lanes\":%d,"
+      "\"wide_store_bytes\":%zu}\n",
       static_cast<long long>(m), ad::kernels::max_threads(),
       ad::kernels::openmp_enabled() ? "true" : "false",
       total_sub_updates / total_compiled_s,
@@ -132,7 +137,7 @@ static int main_body(int argc, char** argv) {
       static_cast<long long>(prog.max_widen_batch),
       static_cast<unsigned long long>(prog.widened_replays),
       ad::dtype_name(ad::compute_dtype()), prog.cast_steps,
-      ad::kernels::gelu_lanes());
+      ad::kernels::gelu_lanes(), prog.wide_bytes);
   return 0;
 }
 

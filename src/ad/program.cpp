@@ -75,7 +75,7 @@ constexpr KindInfo kKinds[] = {
     {StepKind::kMatmul, "matmul", K::kCompute, K::kRows, false, true, false},
     {StepKind::kCopy, "copy", K::kOfOut, K::kElementwise, true, true, false},
     {StepKind::kWindow, "window", K::kOfOut, K::kOuter, false, false, false},
-    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, false,
+    {StepKind::kConv1dFwd, "conv1d_fwd", K::kCompute, K::kRows, false, true,
      false},
     {StepKind::kConv1dGradIn, "conv1d_grad_in", K::kCompute, K::kNever, false,
      false, false},
@@ -251,7 +251,8 @@ struct Program::Impl {
   // ---- widening state (set by widen()) ----
   // One widening factor's replay tables: the steps with scaled geometry,
   // broadcast and reduce plans rebuilt at the widened shapes, the scaled
-  // slot lengths, and a buffer table into wide_store.
+  // slot lengths, and a buffer table into wide_store (a tile points the
+  // declared io slots at its own rows).
   struct WideContext {
     int64_t factor = 1;
     std::vector<Step> steps;
@@ -268,14 +269,17 @@ struct Program::Impl {
   // The store every widening factor replays from: per slot, its
   // wide_store buffer (-1: the master buffer — weights and other unscaled
   // externals are read live — or none); per buffer, the slot whose size
-  // at a factor is the buffer's. Sized for wide_cap, the largest factor
-  // replayed so far.
+  // at a factor is the buffer's. The packed internals are sized for
+  // tile_cap factors, the largest tile replayed so far; the declared io
+  // buffers (the only external owners) for io_cap, the largest factor.
   std::vector<std::int32_t> wide_buffer_of;
   std::vector<std::int32_t> wide_owner;
   std::vector<std::vector<std::byte>> wide_store;
-  int64_t wide_cap = 0;
+  int64_t tile_cap = 0, io_cap = 0;
+  // Batch-scaled internal store bytes per factor: what sizes a tile.
+  int64_t tile_unit_bytes = 0;
   std::vector<std::unique_ptr<WideContext>> wide_ctxs;
-  int64_t max_widen_batch = 0;
+  int64_t max_widen_batch = 0, tile_batch = 0;
   std::uint64_t widened_replays = 0;
 
   bool ready = false;
@@ -312,9 +316,9 @@ struct Program::Impl {
     wide_buffer_of.clear();
     wide_owner.clear();
     wide_store.clear();
-    wide_cap = 0;
+    tile_cap = io_cap = tile_unit_bytes = 0;
     wide_ctxs.clear();
-    max_widen_batch = 0;
+    max_widen_batch = tile_batch = 0;
     ready = false;
     external_slots = arena_bytes = pinned_bytes = 0;
     fused_steps = fused_ops = cast_steps = 0;
@@ -585,11 +589,11 @@ bool droppable(const Program::Impl& im, const std::vector<char>& internal,
 }
 
 /// Value numbering: a pure step (the kind table's `numbered` rows: unary,
-/// binary, copy, matmul) whose value key matches an earlier step's, while
-/// that step's output still holds the value, is dropped when droppable()
-/// allows it; its readers read the earlier output instead. Runs after
-/// insert_casts, so keys see every operand at its execution width, and
-/// before fusion.
+/// binary, copy, matmul, conv1d_fwd) whose value key matches an earlier
+/// step's, while that step's output still holds the value, is dropped when
+/// droppable() allows it; its readers read the earlier output instead.
+/// Runs after insert_casts, so keys see every operand at its execution
+/// width, and before fusion.
 void number_values(Program::Impl& im, const std::vector<char>& internal) {
   const std::size_t S = im.slots.size();
   std::vector<std::uint32_t> writes;
@@ -1218,11 +1222,63 @@ void bind_wide_buffers(Program::Impl& im, Program::Impl::WideContext& ctx) {
   }
 }
 
-/// Find or build the replay context for widening factor `f` (> 1): step
-/// list with scaled geometry, broadcast and reduce plans rebuilt from the
-/// widened shapes, and a buffer table into the one wide store. A factor
-/// larger than any before regrows the store and rebinds the cached
-/// contexts.
+/// Grow the wide store so that tiles of `tile` factors and the io of `f`
+/// factors fit: the packed internals to `tile` factors, the declared io
+/// buffers to `f`. A buffer that grows starts zeroed, so callers fill the
+/// io after the call; one that does not keeps its contents. Never shrinks;
+/// any growth rebinds the cached contexts.
+void reserve_wide(Program::Impl& im, int64_t tile, int64_t f) {
+  const bool grow_tile = tile > im.tile_cap, grow_io = f > im.io_cap;
+  if (!grow_tile && !grow_io) return;
+  for (std::size_t k = 0; k < im.wide_owner.size(); ++k) {
+    const auto o = static_cast<std::size_t>(im.wide_owner[k]);
+    const bool io = im.slots[o] != nullptr;
+    if (!(io ? grow_io : grow_tile)) continue;
+    const int64_t bytes =
+        slot_bytes(im, o) * (im.slot_scaled[o] ? (io ? f : tile) : 1);
+    im.wide_store[k].assign(static_cast<std::size_t>(bytes), std::byte{0});
+  }
+  im.tile_cap = std::max(im.tile_cap, tile);
+  im.io_cap = std::max(im.io_cap, f);
+  for (auto& c : im.wide_ctxs) bind_wide_buffers(im, *c);
+}
+
+/// Threads the kernels of a replay on the calling thread may use: one
+/// inside a SerialRegionGuard or a parallel region, where no kernel forks.
+int replay_threads() {
+#ifdef MF_HAVE_OPENMP
+  if (omp_in_parallel()) return 1;
+#endif
+  return kernels::in_serial_region() ? 1 : kernels::max_threads();
+}
+
+/// Batch-scaled internal store a tile may hold per thread of its kernels:
+/// small enough that a tile's activations stay in the caches between the
+/// steps that write and read them, and scaled with the threads so that a
+/// kernel that forks a team still gives each thread a cache's worth of
+/// rows.
+constexpr int64_t kTileBytes = int64_t{512} << 10;
+
+/// The factors of one tile of a widened replay of `f` factors: as many as
+/// keep the batch-scaled internals within kTileBytes per thread, at least
+/// one; all `f` when no internal slot carries the batch.
+int64_t tile_factors(const Program::Impl& im, int64_t f) {
+  if (im.tile_unit_bytes == 0) return f;
+  return std::max<int64_t>(
+      1, kTileBytes * replay_threads() / im.tile_unit_bytes);
+}
+
+/// Where base-batch block `at` of a declared slot's io buffer begins.
+void* io_block(Program::Impl& im, std::size_t slot, int64_t at) {
+  return im.wide_store[static_cast<std::size_t>(im.wide_buffer_of[slot])]
+             .data() +
+         at * slot_bytes(im, slot);
+}
+
+/// Find or build the replay context for widening factor `f`: step list
+/// with scaled geometry, broadcast and reduce plans rebuilt from the
+/// widened shapes, and a buffer table into the one wide store, which
+/// reserve_wide has grown for `f`.
 Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
   for (std::size_t i = 0; i < im.wide_ctxs.size(); ++i) {
     if (im.wide_ctxs[i]->factor == f) {
@@ -1236,21 +1292,13 @@ Program::Impl::WideContext* get_wide_ctx(Program::Impl& im, int64_t f) {
       return im.wide_ctxs.back().get();
     }
   }
-  if (f > im.wide_cap) {
-    for (std::size_t k = 0; k < im.wide_owner.size(); ++k) {
-      const auto o = static_cast<std::size_t>(im.wide_owner[k]);
-      const int64_t bytes = slot_bytes(im, o) * (im.slot_scaled[o] ? f : 1);
-      im.wide_store[k].assign(static_cast<std::size_t>(bytes), std::byte{0});
-    }
-    im.wide_cap = f;
-    for (auto& c : im.wide_ctxs) bind_wide_buffers(im, *c);
-  }
   // Bounded: a server replaying many distinct batch sizes would otherwise
   // accumulate one context per distinct factor forever. Contexts are
   // cheap to rebuild (no capture, just step/plan scaling), so evicting
-  // the least recently used one is safe. 32 covers an iteration-level
-  // batching server whose per-tick group sizes wander (base-1 plans see
-  // one factor per distinct batch size).
+  // the least recently used one is safe. 32 covers the tile factor plus
+  // the remainders of an iteration-level batching server whose per-tick
+  // group sizes wander (base-1 plans see one factor per distinct batch
+  // size below the tile).
   constexpr std::size_t kMaxWideCtxs = 32;
   if (im.wide_ctxs.size() >= kMaxWideCtxs) {
     im.wide_ctxs.erase(im.wide_ctxs.begin());
@@ -1307,14 +1355,11 @@ bool span_healthy(const T* p, int64_t n) {
   return true;
 }
 
-/// Post-replay sentinel scan over the plan's written external slots.
-/// `buf`/`slot_len` parameterize over plain and widened replay contexts.
-void run_health_check(Program::Impl& im, void* const* buf,
-                      const int64_t* slot_len) {
-  if (!health_checks_enabled()) return;
-  ++im.health_checks;
-  g_health_checks.fetch_add(1, std::memory_order_relaxed);
-  bool healthy = true;
+/// Sentinel scan over the plan's written external slots: false when one
+/// holds a NaN, an Inf or a diverged value. `buf`/`slot_len` parameterize
+/// over the master tables and a widened tile's.
+bool slots_healthy(const Program::Impl& im, void* const* buf,
+                   const int64_t* slot_len) {
   for (std::int32_t s : im.health_slots) {
     const auto idx = static_cast<std::size_t>(s);
     const void* p = buf[idx];
@@ -1323,11 +1368,16 @@ void run_health_check(Program::Impl& im, void* const* buf,
     const bool ok = im.slot_dt[idx] == DType::kF32
                         ? span_healthy(static_cast<const float*>(p), n)
                         : span_healthy(static_cast<const double*>(p), n);
-    if (!ok) {
-      healthy = false;
-      break;
-    }
+    if (!ok) return false;
   }
+  return true;
+}
+
+/// Account one replay's sentinel verdict: one check per replay call, a
+/// widened one's tiles included.
+void note_health(Program::Impl& im, bool healthy) {
+  ++im.health_checks;
+  g_health_checks.fetch_add(1, std::memory_order_relaxed);
   im.last_healthy = healthy;
   if (!healthy) {
     ++im.health_trips;
@@ -1341,7 +1391,8 @@ void run_health_check(Program::Impl& im, void* const* buf,
 /// per kind-table row (kUnary split by fn, kernels::UnaryOp order), which
 /// also counts the elements its steps write: the out slot's length at the
 /// replayed width, summed over a region's live-outs. Per-thread totals go
-/// to stderr every 24 replays, exact and widened alike.
+/// to stderr every 24 runs of it: an exact replay, or one row tile of a
+/// widened replay.
 void run_steps(const std::vector<Step>& steps, const StepTables& tab) {
   static const bool prof = [] {
     const char* e = std::getenv("MF_PROGRAM_PROFILE");
@@ -1502,7 +1553,9 @@ void Program::replay() {
   run_steps(im.steps, {im.buf.data(), im.slot_len.data(), im.bplans.data(),
                        im.rplans.data(), im.regions.data(), im.optims.data()});
   ++im.replays;
-  run_health_check(im, im.buf.data(), im.slot_len.data());
+  if (health_checks_enabled()) {
+    note_health(im, slots_healthy(im, im.buf.data(), im.slot_len.data()));
+  }
 }
 
 bool Program::widen(const std::vector<Tensor>& batch_io) {
@@ -1513,7 +1566,7 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
   im.wide_buffer_of.clear();
   im.wide_owner.clear();
   im.wide_store.clear();
-  im.wide_cap = 0;
+  im.tile_cap = im.io_cap = im.tile_unit_bytes = 0;
   im.wide_ctxs.clear();
   im.slot_scaled.assign(im.slots.size(), 0);
   im.p0_scaled.clear();
@@ -1628,6 +1681,10 @@ bool Program::widen(const std::vector<Tensor>& batch_io) {
   for (std::size_t s = 0; s < S; ++s) internal[s] = im.slots[s] == nullptr;
   im.wide_buffer_of =
       pack_slots(im, r, internal, /*by_scaled=*/true, im.wide_owner);
+  for (const std::int32_t o : im.wide_owner) {
+    const auto u = static_cast<std::size_t>(o);
+    if (im.slot_scaled[u]) im.tile_unit_bytes += slot_bytes(im, u);
+  }
   for (const auto& declared : im.declared_slots) {
     im.wide_buffer_of[static_cast<std::size_t>(declared.second)] =
         static_cast<std::int32_t>(im.wide_owner.size());
@@ -1660,7 +1717,8 @@ real* Program::widened_buffer(const Tensor& t, int64_t b) {
   const auto slot = static_cast<std::size_t>(it->second);
   // Declared slots are externals, and externals always stay f64.
   if (f == 1) return static_cast<real*>(im.buf[slot]);
-  return static_cast<real*>(get_wide_ctx(im, f)->buf[slot]);
+  reserve_wide(im, 0, f);
+  return static_cast<real*>(io_block(im, slot, 0));
 }
 
 void Program::replay_widened(int64_t b) {
@@ -1674,20 +1732,37 @@ void Program::replay_widened(int64_t b) {
         "base batch");
   }
   const int64_t f = b / im.base_b;
+  const int64_t tile = tile_factors(im, f);
+  im.tile_batch = tile * im.base_b;
+  im.max_widen_batch = std::max(im.max_widen_batch, b);
   if (f == 1) {
     // Base width: the declared tensors' own payloads are the io buffers.
     replay();
-    im.max_widen_batch = std::max(im.max_widen_batch, b);
     return;
   }
-  Impl::WideContext& ctx = *get_wide_ctx(im, f);
-  run_steps(ctx.steps, {ctx.buf.data(), ctx.slot_len.data(),
-                        ctx.bplans.data(), ctx.rplans.data(),
-                        im.regions.data(), im.optims.data()});
+  // Tile by tile over the io rows: each tile replays the context of its
+  // own factor (the last one's may be smaller) on the internals' one
+  // tile-sized store, with the io slots pointed at its rows. Rows are
+  // independent, so every tiling gives the bits of b / B0 base replays.
+  reserve_wide(im, std::min(tile, f), f);
+  const bool check = health_checks_enabled();
+  bool healthy = true;
+  for (int64_t at = 0; at < f; at += tile) {
+    Impl::WideContext& ctx = *get_wide_ctx(im, std::min(tile, f - at));
+    for (const auto& declared : im.declared_slots) {
+      const auto s = static_cast<std::size_t>(declared.second);
+      ctx.buf[s] = io_block(im, s, at);
+    }
+    run_steps(ctx.steps, {ctx.buf.data(), ctx.slot_len.data(),
+                          ctx.bplans.data(), ctx.rplans.data(),
+                          im.regions.data(), im.optims.data()});
+    if (check && healthy) {
+      healthy = slots_healthy(im, ctx.buf.data(), ctx.slot_len.data());
+    }
+  }
   ++im.replays;
   ++im.widened_replays;
-  im.max_widen_batch = std::max(im.max_widen_batch, b);
-  run_health_check(im, ctx.buf.data(), ctx.slot_len.data());
+  if (check) note_health(im, healthy);
 }
 
 std::size_t Program::count_steps(std::string_view kind) const {
@@ -1820,6 +1895,8 @@ Program::Stats Program::stats() const {
       }));
   st.wide_instances = im.wide_ctxs.size();
   st.max_widen_batch = im.max_widen_batch;
+  st.tile_batch = im.tile_batch;
+  for (const auto& buffer : im.wide_store) st.wide_bytes += buffer.size();
   st.capture_ms = im.capture_ms;
   st.health_checks = im.health_checks;
   st.health_trips = im.health_trips;

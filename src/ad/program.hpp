@@ -41,12 +41,13 @@
 // execution at the same thread count.
 //
 // Value numbering and fusion: lowering computes each value once. A pure
-// step (unary, binary, copy, matmul) whose kind, opcode, dtype, scalar,
-// geometry and operand slots — each at its version, bumped by every write
-// to the slot, an optimizer's in-place update included — match an earlier
-// step's is dropped when its output is internal, and its readers read the
-// earlier output (the PDE loss's backward passes ask for gelu_d1 of each
-// pre-activation again and again). Then every maximal run of adjacent
+// step (unary, binary, copy, matmul, conv1d forward) whose kind, opcode,
+// dtype, scalar, geometry and operand slots — each at its version, bumped
+// by every write to the slot, an optimizer's in-place update included —
+// match an earlier step's is dropped when its output is internal, and its
+// readers read the earlier output (the PDE loss's backward passes ask for
+// gelu_d1 of each pre-activation again and again, and its PDE half for
+// the data half's boundary encoding). Then every maximal run of adjacent
 // unary, binary and copy steps of one length and one dtype becomes one
 // `Fused` region step: it reads its outside inputs, writes only its
 // live-outs (the slots that are external or read after the run before
@@ -75,11 +76,20 @@
 // Broadcast and reduce plans are rebuilt at each widened shape.
 // Widened replay of B instances is bitwise identical to B0-sized replays
 // of the same instances because every widenable kernel computes each
-// row/element independently. Every widening factor replays from one
-// store per Program: lowering's liveness packer, keyed on base size and
-// batch flag, packs the internal slots once for all factors, and the
-// store is sized for the largest factor replayed so far. Replay is one
-// serial loop in recorded order, so packing is as safe wide as at base.
+// row/element independently — so any split of the rows is too, and a
+// widened replay runs in row tiles of at most T base instances (B0 rows
+// each), each tile replaying the plan at its own factor (T, and the
+// remainder's for the last tile) with the declared io slots pointed at
+// its rows. T comes from the plan: as many instances as keep the
+// batch-scaled internal slots within kTileBytes (512 KiB) per thread the
+// replay's kernels may use (one inside a SerialRegionGuard or a parallel
+// region, else kernels::max_threads()), at least one, so a tile's
+// activations stay in the caches. Every tile replays from one store per
+// Program: lowering's liveness packer, keyed on base size and batch flag,
+// packs the internal slots once for all factors, sized for the largest
+// tile replayed so far, while the declared io gets one buffer per tensor
+// sized for the largest batch. Replay is one serial loop in recorded
+// order, so packing is as safe wide as at base.
 //
 // Mixed precision: each Program carries a compute dtype
 // (set_compute_dtype, default f64). Under kF32, lowering colors every
@@ -137,6 +147,8 @@ class Program {
     std::size_t optim_steps = 0;    // in-plan optimizer parameter updates
     std::size_t wide_instances = 0; // live widened replay contexts
     int64_t max_widen_batch = 0;    // largest batch replayed via widening
+    int64_t tile_batch = 0;         // tile rows of the last widened replay
+    std::size_t wide_bytes = 0;     // bytes the widened store holds
     double capture_ms = 0;          // wall time of the last capture
     std::uint64_t captures = 0;     // captures over this Program's life
     std::uint64_t replays = 0;
@@ -195,14 +207,23 @@ class Program {
   /// declared tensor `t` (b a positive multiple of B0; for b == B0 this
   /// is t's own payload). Callers pack inputs here before
   /// replay_widened(b) and read outputs after. Layout: the B0-sized
-  /// blocks of `t` repeated b / B0 times (instance-major). Every b > B0
-  /// shares one store, so the pointer stays valid, and its contents in
-  /// place, until a call at a larger b than any before regrows it.
+  /// blocks of `t` repeated b / B0 times (instance-major). Each declared
+  /// tensor has one such buffer for every b > B0, sized for the whole
+  /// batch (the tiles of a replay read and write their rows of it), so
+  /// the pointer stays valid, and its contents in place, until a call at
+  /// a larger b than any before regrows it.
   real* widened_buffer(const Tensor& t, int64_t b);
 
   /// Replay the widened plan at batch `b` (positive multiple of B0).
-  /// Requires widened(). The scaled steps and the broadcast and reduce
-  /// plans of each distinct b are built once and cached.
+  /// Requires widened(). Runs in row tiles of at most T base instances,
+  /// T = max(1, kTileBytes · n / I): I the plan's batch-scaled internal
+  /// bytes per base instance, n the threads this replay's kernels may use
+  /// (see the widening notes above). The batch-scaled internal slots are
+  /// sized for one tile, not for `b`. The scaled steps and the broadcast
+  /// and reduce plans of each tile factor (T and the remainders) are
+  /// built once and cached. Stats count the call as one replay; the
+  /// health sentinel scans every tile, and last_replay_healthy() is false
+  /// when any tile tripped.
   void replay_widened(int64_t b);
 
   Stats stats() const;
@@ -218,12 +239,12 @@ class Program {
   std::size_t count_ops(std::string_view band) const;
 
   /// Re-derives lowering's invariants from the lowered plan and returns
-  /// the first violation, or "" when they hold: no unary, binary, copy or
-  /// matmul op (fused or not) repeats an earlier op's value key where
-  /// value numbering must have dropped it; every fused region writes
-  /// exactly its live-outs — each slot it computes that is external or
-  /// read by a later step before anything overwrites it — and reads and
-  /// writes only slots of its own dtype.
+  /// the first violation, or "" when they hold: no unary, binary, copy,
+  /// matmul or conv1d forward op (fused or not) repeats an earlier op's
+  /// value key where value numbering must have dropped it; every fused
+  /// region writes exactly its live-outs — each slot it computes that is
+  /// external or read by a later step before anything overwrites it —
+  /// and reads and writes only slots of its own dtype.
   std::string verify() const;
 
   /// Health sentinel verdict of the most recent replay()/replay_widened():

@@ -15,9 +15,10 @@ namespace {
 /// The one captured inference plan of a (solver, query count, boundary
 /// width, dtype) geometry: the network forward traced at batch 1 on the
 /// geometry's first call and widened (Program::widen on {g, x, pred}), so
-/// a batch of any size B is one replay at factor B — batch-scaled buffers
-/// hold the B instances and every batch-carrying slot's leading dimension
-/// is scaled, turning many skinny GEMMs into few wide ones.
+/// a batch of any size B is one widened replay — the io buffers hold the B
+/// instances, and the plan runs over them in cache-sized row tiles whose
+/// batch-carrying slots have their leading dimension scaled, turning many
+/// skinny GEMMs into few wide ones.
 struct InferEntry {
   std::uint64_t solver_serial = 0;
   int64_t q = -1, G = -1;
@@ -62,6 +63,8 @@ void fold_stats(ad::Program::Stats& agg, const ad::Program::Stats& s) {
   agg.optim_steps += s.optim_steps;
   agg.wide_instances += s.wide_instances;
   agg.max_widen_batch = std::max(agg.max_widen_batch, s.max_widen_batch);
+  agg.tile_batch = std::max(agg.tile_batch, s.tile_batch);
+  agg.wide_bytes += s.wide_bytes;
   agg.capture_ms += s.capture_ms;
   agg.captures += s.captures;
   agg.replays += s.replays;

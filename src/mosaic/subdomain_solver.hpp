@@ -101,13 +101,14 @@ class NeuralSubdomainSolver final : public SubdomainSolver {
   /// (query count, boundary width and compute dtype): on the geometry's
   /// first call the network forward is traced at batch 1 and widened
   /// (Program::widen on its {g, x, pred} tensors), and every batch of B
-  /// rows, the first one included, is one dispatch-free replay at factor
-  /// B. Programs are per-thread and read the network weights live, so a
-  /// retrained net needs no invalidation. Under MF_HEALTH_CHECKS a
-  /// tripped replay reruns its batch eagerly in f64; the geometry's f32
-  /// plan is recaptured at f64, an f64 plan retires the geometry to
-  /// eager. A plan that does not widen leaves its geometry eager too.
-  /// MF_DISABLE_PROGRAM=1 restores the eager path.
+  /// rows, the first one included, is one dispatch-free widened replay,
+  /// run in cache-sized row tiles (Program::replay_widened). Programs are
+  /// per-thread and read the network weights live, so a retrained net
+  /// needs no invalidation. Under MF_HEALTH_CHECKS a tripped replay reruns
+  /// its batch eagerly in f64; the geometry's f32 plan is recaptured at
+  /// f64, an f64 plan retires the geometry to eager. A plan that does not
+  /// widen leaves its geometry eager too. MF_DISABLE_PROGRAM=1 restores
+  /// the eager path.
   void predict(const std::vector<std::vector<double>>& boundaries,
                const QueryList& queries,
                std::vector<std::vector<double>>& out) const override;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -549,6 +550,58 @@ TEST(HealthSentinel, InferenceLadderRecapturesAtF64ThenRetiresToEager) {
   {
     SCOPED_TRACE("retired geometry stays eager");
     expect_moves(call(), {0, 0, 1, 0, 0, 0});
+  }
+  ad::program_set_enabled(prev_prog);
+  ad::set_compute_dtype(prev);
+}
+
+TEST(HealthSentinel, TiledReplayTripsWhenAnyTileDoes) {
+  // A widened f64 replay of several row tiles whose first row alone
+  // carries a 1e200 boundary: the sentinel scans every tile, so the first
+  // tile's diverged prediction trips the replay although the later tiles
+  // are healthy. The geometry retires to eager and the batch the caller
+  // gets equals eager f64 bitwise.
+  HealthGuard health(true);
+  const ad::DType prev = ad::set_compute_dtype(ad::DType::kF64);
+  const bool prev_prog = ad::program_set_enabled(true);
+  const int64_t m = 4;
+  mf::util::Rng rng(29);
+  const mosaic::NeuralSubdomainSolver solver(
+      std::make_shared<mosaic::Sdnet>(tiny_net_config(4 * m), rng), m);
+  mosaic::QueryList queries;
+  for (int k = 0; k < 13; ++k) queries.emplace_back(0.07 * k + 0.05, 0.4);
+  mf::util::Rng brng(31);
+  auto make_rows = [&](int64_t B) {
+    std::vector<std::vector<double>> rows(static_cast<std::size_t>(B),
+                                          std::vector<double>(4 * m));
+    for (auto& row : rows) {
+      for (auto& v : row) v = brng.uniform(-1.0, 1.0);
+    }
+    return rows;
+  };
+  std::vector<std::vector<double>> got, want;
+  solver.predict(make_rows(1), queries, got);  // capture, then the tile
+  const int64_t T = solver.thread_program_stats().tile_batch;
+  ASSERT_GE(T, 1);
+  auto rows = make_rows(3 * T + 2);
+  std::fill(rows[0].begin(), rows[0].end(), 1e200);
+  ad::program_set_enabled(false);
+  solver.predict(rows, queries, want);
+  ad::program_set_enabled(true);
+  const auto c0 = mosaic::infer_cache_stats();
+  const auto h0 = ad::health_stats();
+  solver.predict(rows, queries, got);
+  const auto c1 = mosaic::infer_cache_stats();
+  EXPECT_EQ(c1.retired - c0.retired, 1u);
+  EXPECT_EQ(c1.misses - c0.misses, 1u);
+  EXPECT_EQ(ad::health_stats().trips - h0.trips, 1u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    ASSERT_EQ(got[b].size(), want[b].size());
+    EXPECT_EQ(std::memcmp(got[b].data(), want[b].data(),
+                          got[b].size() * sizeof(double)),
+              0)
+        << "row " << b;
   }
   ad::program_set_enabled(prev_prog);
   ad::set_compute_dtype(prev);

@@ -613,42 +613,69 @@ TEST(Program, EveryElementwiseOpReplaysBitwiseAloneAndFused) {
 TEST(Program, ValueNumberingDropsRepeatsButNotAcrossAWrite) {
   // tanh(x) twice reads the same x: the second is dropped and its reader
   // reads the first. Then z is copied into x in place, and tanh(x) reads
-  // a new x: kept. Replay on fresh leaves equals eager bitwise.
+  // a new x: kept. Likewise two equal convolutions of a signal lower to
+  // one conv1d_fwd step, and to two with a write to the signal between
+  // them. Replay on fresh leaves equals eager bitwise.
   ProgramEnabledGuard on(true);
   ad::NoGradGuard no_grad;
   util::Rng rng(89);
-  Tensor x = Tensor::zeros({150}), z = Tensor::zeros({150});
-  auto body = [&] {
-    const Tensor c = ops::mul(ops::tanh(x), ops::tanh(x));
-    ad::prog::run({.kind = ad::prog::StepKind::kCopy, .p0 = x.numel()},
-                  {.a = &z, .out = &x});
-    return ops::add(c, ops::tanh(x));
+  auto fill = [&](Tensor& t) {
+    for (int64_t i = 0; i < t.numel(); ++i) t.flat(i) = rng.uniform(-1.0, 1.0);
   };
-  auto refill = [&] {
-    for (Tensor* t : {&x, &z}) {
-      for (int64_t i = 0; i < t->numel(); ++i) {
-        t->flat(i) = rng.uniform(-1.0, 1.0);
+  auto copy_into = [](const Tensor& src, Tensor& dst) {
+    ad::prog::run({.kind = ad::prog::StepKind::kCopy, .p0 = dst.numel()},
+                  {.a = &src, .out = &dst});
+  };
+  // Captures `body` over leaves x and z, expects `n_ops` ops in `band`,
+  // then per round refills the leaves, replays, and checks the output
+  // against `body` run eagerly from the same x.
+  auto check = [&](Tensor& x, Tensor& z, const std::function<Tensor()>& body,
+                   const char* band, std::size_t n_ops) {
+    fill(x);
+    fill(z);
+    ad::Program p;
+    Tensor out;
+    p.capture([&] { out = body(); });
+    EXPECT_EQ(p.count_ops(band), n_ops);
+    EXPECT_EQ(p.verify(), "");
+    for (int round = 0; round < 2; ++round) {
+      fill(x);
+      fill(z);
+      const std::vector<double> x0(x.data(), x.data() + x.numel());
+      p.replay();
+      const std::vector<double> got(out.data(), out.data() + out.numel());
+      std::copy(x0.begin(), x0.end(), x.data());
+      const Tensor want = body();
+      for (int64_t i = 0; i < want.numel(); ++i) {
+        ASSERT_TRUE(elementwise_checks::same_bits(
+            got[static_cast<std::size_t>(i)], want.flat(i)))
+            << "round " << round << " i=" << i;
       }
     }
   };
-  refill();
-  ad::Program p;
-  Tensor out;
-  p.capture([&] { out = body(); });
-  EXPECT_EQ(p.count_ops("unary.tanh"), 2u);
-  EXPECT_EQ(p.verify(), "");
-  for (int round = 0; round < 2; ++round) {
-    refill();
-    const std::vector<double> x0(x.data(), x.data() + x.numel());
-    p.replay();
-    const std::vector<double> got(out.data(), out.data() + out.numel());
-    std::copy(x0.begin(), x0.end(), x.data());
-    const Tensor want = body();
-    for (int64_t i = 0; i < want.numel(); ++i) {
-      ASSERT_TRUE(elementwise_checks::same_bits(
-          got[static_cast<std::size_t>(i)], want.flat(i)))
-          << "round " << round << " i=" << i;
-    }
+  Tensor x = Tensor::zeros({150}), z = Tensor::zeros({150});
+  check(
+      x, z,
+      [&] {
+        const Tensor c = ops::mul(ops::tanh(x), ops::tanh(x));
+        copy_into(z, x);
+        return ops::add(c, ops::tanh(x));
+      },
+      "unary.tanh", 2);
+  Tensor sig = Tensor::zeros({2, 2, 6}), sig2 = Tensor::zeros({2, 2, 6});
+  Tensor w = Tensor::zeros({3, 2, 3}), bias = Tensor::zeros({3});
+  fill(w);
+  fill(bias);
+  for (const bool write : {false, true}) {
+    SCOPED_TRACE(write ? "conv1d across a write" : "conv1d");
+    check(
+        sig, sig2,
+        [&] {
+          const Tensor first = ops::conv1d(sig, w, bias, 1);
+          if (write) copy_into(sig2, sig);
+          return ops::add(first, ops::conv1d(sig, w, bias, 1));
+        },
+        "conv1d_fwd", write ? 2 : 1);
   }
 }
 
@@ -1184,6 +1211,90 @@ TEST(Program, OnePlanPerGeometryServesEveryBatchSizeBitwise) {
         EXPECT_EQ(after.misses - before.misses, 0u);
         EXPECT_EQ(after.exact_hits - before.exact_hits, 1u);
         EXPECT_EQ(after.widened_hits - before.widened_hits, 4u);
+      }
+    }
+  }
+  ad::set_compute_dtype(prev);
+}
+
+TEST(Program, WidenedReplayInTilesMatchesEagerBitwise) {
+  // A widened replay runs in row tiles of `tile_batch` rows, the last one
+  // the remainder. Generated over the SDNet variants (conv encoder on or
+  // off, split or concat embedding) and query counts 1, 13 (a cross) and
+  // 49 (an interior), at 1 and 4 threads with grain 1: one solver per
+  // geometry runs batches of 1, T - 1, T, T + 1 and 3T + 2 rows, T the
+  // tile read back after the first, and every batch equals eager f64
+  // bitwise. 3T + 2 rows take at least three tiles, and from T to 3T + 2
+  // rows the widened store grows by the io rows alone: the internals stay
+  // one tile's.
+  ProgramEnabledGuard on(true);
+  const ad::DType prev = ad::set_compute_dtype(ad::DType::kF64);
+  elementwise_checks::KernelConfigGuard config;
+  const int64_t m = 4, G = 4 * m;
+  util::Rng brng(79);
+  for (const int threads : {1, 4}) {
+    config.threaded(threads);
+    for (const bool conv : {true, false}) {
+      for (const bool split : {true, false}) {
+        mosaic::SdnetConfig cfg = small_net_config(m);
+        cfg.use_conv_encoder = conv;
+        cfg.use_split_embedding = split;
+        util::Rng rng(83);
+        const auto net = std::make_shared<mosaic::Sdnet>(cfg, rng);
+        for (const int64_t q : {1, 13, 49}) {
+          SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                       (conv ? "conv" : "no conv") +
+                       (split ? " split q " : " concat q ") +
+                       std::to_string(q));
+          const mosaic::NeuralSubdomainSolver solver(net, m);
+          mosaic::QueryList queries;
+          for (int64_t k = 0; k < q; ++k) {
+            queries.emplace_back(0.05 + 0.9 * static_cast<double>(k) / 49.0,
+                                 0.9 - 0.8 * static_cast<double>(k % 7) / 7.0);
+          }
+          auto expect_batch_like_eager = [&](int64_t B) {
+            std::vector<std::vector<double>> rows(
+                static_cast<std::size_t>(B),
+                std::vector<double>(static_cast<std::size_t>(G)));
+            for (auto& row : rows) {
+              for (auto& v : row) v = brng.uniform(-1.0, 1.0);
+            }
+            std::vector<std::vector<double>> eager, plan;
+            {
+              ProgramEnabledGuard off(false);
+              solver.predict(rows, queries, eager);
+            }
+            solver.predict(rows, queries, plan);
+            ASSERT_EQ(plan.size(), eager.size()) << "B " << B;
+            for (std::size_t b = 0; b < plan.size(); ++b) {
+              ASSERT_EQ(plan[b].size(), eager[b].size());
+              ASSERT_EQ(std::memcmp(plan[b].data(), eager[b].data(),
+                                    plan[b].size() * sizeof(double)),
+                        0)
+                  << "B " << B << " row " << b;
+            }
+          };
+          expect_batch_like_eager(1);
+          const int64_t T = solver.thread_program_stats().tile_batch;
+          ASSERT_GE(T, 1);
+          std::size_t store_at_t = 0;
+          for (const int64_t B : {T - 1, T, T + 1, 3 * T + 2}) {
+            if (B < 1) continue;
+            expect_batch_like_eager(B);
+            const auto st = solver.thread_program_stats();
+            EXPECT_EQ(st.tile_batch, T) << "B " << B;
+            if (B == T) store_at_t = st.wide_bytes;
+          }
+          const auto st = solver.thread_program_stats();
+          EXPECT_GE((3 * T + 2 + st.tile_batch - 1) / st.tile_batch, 3);
+          // The declared io per row: the boundary, the query coordinates
+          // and the prediction, all f64.
+          const auto io_row_bytes =
+              static_cast<std::size_t>(G + 2 * q + q) * sizeof(double);
+          EXPECT_EQ(st.wide_bytes - store_at_t,
+                    static_cast<std::size_t>(2 * T + 2) * io_row_bytes);
+          EXPECT_EQ(st.captures, 1u);
+        }
       }
     }
   }
